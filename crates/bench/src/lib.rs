@@ -5,6 +5,7 @@
 //! benches in `benches/` track the cost of the underlying solvers. This
 //! library hosts the small formatting utilities they share.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -145,20 +145,7 @@ impl CoSimulation {
             .map_or_else(Default::default, bright_flowcell::CellModel::context_stats)
     }
 
-    /// Replaces the kernel-backend selection of both solver sessions
-    /// (thermal and PDN). Safe between runs and mid-sweep: matvec and
-    /// the default SSOR sweeps are bitwise identical across backends,
-    /// so warm starts and convergence behaviour carry over (IC(0)
-    /// sessions agree to roundoff instead — see
-    /// [`bright_num::SolverSession::set_kernel`]).
-    pub fn set_kernel(&mut self, kernel: bright_num::KernelSpec) {
-        self.thermal_session.set_kernel(kernel);
-        self.pdn_session.set_kernel(kernel);
-    }
-
-    /// Statistics of the thermal solver session — the engine reads
-    /// [`bright_num::SessionStats::kernel_digest`] from here to report
-    /// which kernel path served each request.
+    /// Statistics of the thermal solver session.
     #[inline]
     pub fn thermal_session_stats(&self) -> bright_num::SessionStats {
         self.thermal_session.stats()

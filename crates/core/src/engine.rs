@@ -68,7 +68,7 @@ use crate::transient::{
 };
 use crate::CoreError;
 use bright_flowcell::{CellModel, SolverOptions};
-use bright_num::{Backend, KernelSpec};
+use bright_num::Backend;
 use bright_thermal::ThermalModel;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -303,10 +303,6 @@ pub struct ScenarioReport {
     /// already existed (cached from this or an earlier batch); false
     /// when it paid for the assembly itself.
     pub reused_operator: bool,
-    /// Kernel path the worker's thermal solve resolved to (e.g.
-    /// `"scalar"`, `"blocked"`, `"threaded(8)"`; empty when the
-    /// request failed before any solve).
-    pub kernel: String,
     /// Preconditioner that served the worker's thermal solve — the
     /// spec name (`"ssor"`) or a multigrid hierarchy digest
     /// (`"mg(4 levels, coarse 144, chebyshev)"`); empty when the
@@ -355,11 +351,12 @@ pub struct EngineStats {
     /// place instead of rebuilding it (polarization retargets plus the
     /// steady path's [`CoSimulation::cell_context_reuses`] deltas).
     pub cell_context_reuses: u64,
-    /// Kernel backend that served the most recent steady batch
-    /// ([`Backend::Scalar`] before the first batch).
+    /// Always [`Backend::Scalar`]. Kept only for the benchmark's kernel
+    /// label; it goes when that label does.
     pub kernel_backend: Backend,
-    /// Kernel-pool worker count behind that backend (1 for the
-    /// single-threaded backends).
+    /// Always 1 when read through [`ScenarioEngine::stats`]. Kept only
+    /// for the benchmark's kernel-threads label; it goes when that
+    /// label does.
     pub kernel_threads: u32,
     /// Preconditioner spec serving the most recent steady batch's
     /// thermal solves ([`bright_num::PrecondSpec::Multigrid`] on
@@ -483,10 +480,6 @@ impl<K: Eq + std::hash::Hash + Clone, V> LruCache<K, V> {
     fn values(&self) -> impl Iterator<Item = &V> {
         self.map.values().map(|(value, _)| value)
     }
-
-    fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.map.values_mut().map(|(value, _)| value)
-    }
 }
 
 /// One pattern group's slice of a batch, plus the worker serving it
@@ -495,7 +488,6 @@ struct GroupJob {
     key: PatternKey,
     worker: Option<CoSimulation>,
     requests: Vec<(u64, Scenario)>,
-    kernel: KernelSpec,
     deterministic: bool,
 }
 
@@ -519,11 +511,11 @@ struct GroupResult {
     /// Retargets that refreshed the flow-cell context in place
     /// ([`CoSimulation::cell_context_reuses`] deltas).
     cell_reuses: u64,
-    /// Kernel path and preconditioner spec of this group's last served
-    /// request, tagged with the highest request id so the batch-level
-    /// stats pick a deterministic winner (groups come back in
-    /// arbitrary executor order).
-    kernel: Option<(u64, Backend, u32, bright_num::PrecondSpec)>,
+    /// Preconditioner spec of this group's last served request, tagged
+    /// with the highest request id so the batch-level stats pick a
+    /// deterministic winner (groups come back in arbitrary executor
+    /// order).
+    precond: Option<(u64, bright_num::PrecondSpec)>,
 }
 
 /// A long-lived, batched scenario-serving engine. See the [module
@@ -534,9 +526,6 @@ pub struct ScenarioEngine {
     /// Cached flow-cell workers serving polarization requests, keyed by
     /// cell-geometry pattern and retargeted in place between requests.
     cell_workers: LruCache<CellPatternKey, CellModel>,
-    /// Kernel-backend selection applied to every worker's sessions
-    /// ([`KernelSpec::Auto`] by default).
-    kernel: KernelSpec,
     queue: Vec<(u64, Scenario)>,
     /// Queued transient requests (separate queue, shared id space).
     transient_queue: Vec<(u64, TransientRequest)>,
@@ -651,6 +640,7 @@ impl ScenarioEngine {
         stats.cache_capacity = self.cache_capacity as u64;
         stats.cache_residents =
             (self.workers.len() + self.cell_workers.len() + self.transient_models.len()) as u64;
+        stats.kernel_threads = 1;
         stats
     }
 
@@ -679,13 +669,6 @@ impl ScenarioEngine {
         self.deterministic = deterministic;
     }
 
-    /// The kernel-backend selection workers serve with (the durable
-    /// service's per-segment transient path passes this to its own
-    /// integrations).
-    pub(crate) fn kernel(&self) -> KernelSpec {
-        self.kernel
-    }
-
     /// Clones an assembled thermal model for `request` out of the
     /// transient cache, building (and caching) it on a miss. Used by
     /// the durable service to integrate a trace segment-by-segment with
@@ -704,18 +687,6 @@ impl ScenarioEngine {
         model.assemble().map_err(|e| CoreError::Thermal(e.to_string()))?;
         self.transient_models.insert_if_absent(key, model.clone());
         Ok(model)
-    }
-
-    /// Replaces the kernel-backend selection applied to every worker
-    /// (cached and future) — see [`KernelSpec`]. The default `Auto`
-    /// picks the threaded matvec on large grids and multi-core hosts
-    /// and scalar below the size threshold; `BRIGHT_KERNEL_BACKEND`
-    /// overrides both process-wide.
-    pub fn set_kernel(&mut self, kernel: KernelSpec) {
-        self.kernel = kernel;
-        for worker in self.workers.values_mut() {
-            worker.set_kernel(kernel);
-        }
     }
 
     /// Drops all cached workers (operators, sessions, warm starts),
@@ -799,7 +770,6 @@ impl ScenarioEngine {
                     key: key.clone(),
                     worker,
                     requests: chunk,
-                    kernel: self.kernel,
                     deterministic: self.deterministic,
                 })));
             }
@@ -817,7 +787,7 @@ impl ScenarioEngine {
 
         // Return one worker per pattern to the cache and fold stats.
         let mut reports: Vec<ScenarioReport> = Vec::new();
-        let mut best_kernel_id = 0u64;
+        let mut best_precond_id = 0u64;
         for r in results {
             if let Some(worker) = r.worker {
                 self.workers.insert_if_absent(r.key, worker);
@@ -829,14 +799,12 @@ impl ScenarioEngine {
             self.stats.panicked_requests += r.panicked;
             self.stats.cell_contexts_built += r.cells_built;
             self.stats.cell_context_reuses += r.cell_reuses;
-            if let Some((id, backend, threads, precond)) = r.kernel {
+            if let Some((id, precond)) = r.precond {
                 // Deterministic across executor scheduling: the group
                 // holding the most recently submitted solved request
                 // wins, regardless of completion order.
-                if id >= best_kernel_id {
-                    best_kernel_id = id;
-                    self.stats.kernel_backend = backend;
-                    self.stats.kernel_threads = threads;
+                if id >= best_precond_id {
+                    best_precond_id = id;
                     self.stats.preconditioner = precond;
                 }
             }
@@ -853,12 +821,8 @@ impl ScenarioEngine {
             key,
             mut worker,
             requests,
-            kernel,
             deterministic,
         } = job;
-        if let Some(w) = &mut worker {
-            w.set_kernel(kernel);
-        }
         let digest = key.digest();
         let mut reports = Vec::with_capacity(requests.len());
         let mut built = 0u64;
@@ -905,7 +869,6 @@ impl ScenarioEngine {
                     None => match CoSimulation::new(scenario) {
                         Ok(mut w) => {
                             built += 1;
-                            w.set_kernel(kernel);
                             let r = w.run();
                             worker = Some(w);
                             (false, r)
@@ -953,16 +916,12 @@ impl ScenarioEngine {
             } else {
                 None
             };
-            // Attribute a kernel path only when *this* request actually
-            // solved (a failed request on a warm worker must not
-            // inherit the previous request's digest).
-            let solved_worker = worker
+            // Attribute a preconditioner only when *this* request
+            // actually solved (a failed request on a warm worker must
+            // not inherit the previous request's digest).
+            let precond_digest = worker
                 .as_ref()
-                .filter(|w| w.thermal_session_stats().solves > solves_before);
-            let kernel_digest = solved_worker
-                .map(|w| w.thermal_session_stats().kernel_digest())
-                .unwrap_or_default();
-            let precond_digest = solved_worker
+                .filter(|w| w.thermal_session_stats().solves > solves_before)
                 .map(CoSimulation::precond_digest)
                 .unwrap_or_default();
             // A failed serve — panic or error — leaves the worker in an
@@ -976,7 +935,6 @@ impl ScenarioEngine {
                 request_id: id,
                 pattern: digest.clone(),
                 reused_operator,
-                kernel: kernel_digest,
                 precond: precond_digest,
                 degraded,
                 result,
@@ -984,15 +942,11 @@ impl ScenarioEngine {
         }
         let last_solved_id = reports
             .iter()
-            .filter(|r| !r.kernel.is_empty())
+            .filter(|r| !r.precond.is_empty())
             .map(|r| r.request_id)
             .max();
-        let kernel_used = last_solved_id.and_then(|id| {
-            worker.as_ref().map(|w| {
-                let s = w.thermal_session_stats();
-                (id, s.last_backend, s.kernel_threads.max(1), w.preconditioner_spec())
-            })
-        });
+        let precond_used =
+            last_solved_id.and_then(|id| worker.as_ref().map(|w| (id, w.preconditioner_spec())));
         GroupResult {
             key,
             worker,
@@ -1004,7 +958,7 @@ impl ScenarioEngine {
             panicked,
             cells_built,
             cell_reuses,
-            kernel: kernel_used,
+            precond: precond_used,
         }
     }
 
@@ -1086,7 +1040,6 @@ impl ScenarioEngine {
             model_key: TransientModelKey,
             model: Option<ThermalModel>,
             requests: Vec<(u64, TransientRequest)>,
-            kernel: KernelSpec,
         }
         let jobs: Vec<Mutex<Option<TransientJob>>> = order
             .into_iter()
@@ -1101,7 +1054,6 @@ impl ScenarioEngine {
                     model_key,
                     model,
                     requests,
-                    kernel: self.kernel,
                 }))
             })
             .collect();
@@ -1113,8 +1065,7 @@ impl ScenarioEngine {
                 .take()
                 .expect("each job runs exactly once");
             let digest = job.key.digest();
-            let (model, outcomes, counters) =
-                serve_transient_group(job.model, &job.requests, job.kernel);
+            let (model, outcomes, counters) = serve_transient_group(job.model, &job.requests);
             (job.model_key, model, digest, outcomes, counters)
         });
 
@@ -1578,24 +1529,16 @@ mod tests {
     }
 
     #[test]
-    fn reports_record_the_serving_kernel_path() {
-        use bright_num::{Backend, KernelSpec};
-
+    fn reports_record_the_serving_preconditioner() {
         let mut engine = ScenarioEngine::new();
-        engine.set_kernel(KernelSpec::Fixed(Backend::Blocked));
         let reports = engine.run_batch([flow_scenario(676.0), flow_scenario(300.0)]);
         for r in &reports {
             assert!(r.result.is_ok());
-            // The env override (CI backend matrix) may redirect the
-            // fixed choice; any non-empty digest proves the path was
-            // recorded.
-            assert!(!r.kernel.is_empty(), "kernel path missing: {r:?}");
-            // The preconditioner that served the solve is likewise
-            // stamped on every successful report.
+            // The preconditioner that served the solve is stamped on
+            // every successful report.
             assert!(!r.precond.is_empty(), "precond missing: {r:?}");
         }
         let stats = engine.stats();
-        assert!(stats.kernel_threads >= 1, "{stats:?}");
         assert_eq!(
             stats.preconditioner.name(),
             reports
@@ -1605,10 +1548,6 @@ mod tests {
                 .unwrap(),
             "{stats:?}"
         );
-        if std::env::var("BRIGHT_KERNEL_BACKEND").is_err() {
-            assert!(reports.iter().all(|r| r.kernel == "blocked"), "{reports:?}");
-            assert_eq!(stats.kernel_backend, Backend::Blocked);
-        }
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! println!("{}", report.summary());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

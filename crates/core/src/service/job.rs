@@ -809,6 +809,20 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_spec_is_a_typed_error() {
+        // A hostile spec nested far past the JSON depth limit comes
+        // back as a typed error instead of overflowing the stack.
+        let text = format!(
+            r#"{{"preset":"power7_reduced","overrides":{}"#,
+            "[".repeat(200_000)
+        );
+        assert!(matches!(
+            JobSpec::from_json_str(&text),
+            Err(CoreError::Report(_))
+        ));
+    }
+
+    #[test]
     fn spec_validation_rejects_bad_inputs() {
         assert!(JobSpec::steady("power7_reduced").validate().is_ok());
         assert!(JobSpec::steady("no_such_preset").validate().is_err());

@@ -930,7 +930,6 @@ impl ScenarioService {
                 ramp: step.ramp.map(|r| r.resolve(&request.scenario)),
             };
             let carried = live.take();
-            let kernel = self.engine.kernel();
             let model_ref = &model;
             let stepping = &request.stepping;
             let from = checkpoint.as_ref();
@@ -940,7 +939,7 @@ impl ScenarioService {
             // they model the process dying.
             let integrated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                 bright_num::faults::maybe_panic();
-                integrate_node(model_ref, &segment, t0, stepping, kernel, from, carried)
+                integrate_node(model_ref, &segment, t0, stepping, from, carried)
             }));
             let (node, next_live) = match integrated {
                 Ok(result) => result?,

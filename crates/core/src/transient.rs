@@ -507,7 +507,6 @@ pub(crate) fn integrate_node(
     segment: &TraceSegment,
     initial_temperature: f64,
     stepping: &SteppingMode,
-    kernel: bright_num::KernelSpec,
     from: Option<&Checkpoint>,
     live: Option<LiveIntegrator>,
 ) -> Result<(NodeResult, LiveIntegrator), CoreError> {
@@ -537,7 +536,6 @@ pub(crate) fn integrate_node(
             let trace = PowerTrace::new(vec![segment.clone()])?;
             let mut integ =
                 AdaptiveTransient::new(model.clone(), trace, initial_temperature, *cfg)?;
-            integ.set_kernel(kernel);
             // Coefficient baseline first: the restore's re-arm sync is
             // this node's work (the carried path counts its
             // push_segment re-arm the same way), so it must land in the
@@ -584,7 +582,6 @@ pub(crate) fn integrate_node(
                         initial_temperature,
                         *dt,
                     )?);
-                    sim.set_kernel(kernel);
                     // Baseline before the restore: its re-arm sync is
                     // node work, same as the carried path's.
                     let r = sim.coefficient_refreshes();
@@ -620,7 +617,6 @@ pub(crate) fn integrate_node(
 pub(crate) fn serve_transient_group(
     cached_model: Option<ThermalModel>,
     requests: &[(u64, TransientRequest)],
-    kernel: bright_num::KernelSpec,
 ) -> (Option<ThermalModel>, GroupOutcomes, TransientCounters) {
     let mut counters = TransientCounters::default();
     let mut results: GroupOutcomes = Vec::new();
@@ -655,7 +651,7 @@ pub(crate) fn serve_transient_group(
         shared_time: 0.0,
     };
     serve_node(
-        &model, &refs, 0, None, None, acc, t0, &stepping, kernel, &mut results, &mut counters,
+        &model, &refs, 0, None, None, acc, t0, &stepping, &mut results, &mut counters,
     );
     if counters.panicked_requests > 0 {
         // A panicking integration may have unwound mid-clone of the
@@ -681,7 +677,6 @@ fn serve_node(
     acc: PathAcc,
     t0: f64,
     stepping: &SteppingMode,
-    kernel: bright_num::KernelSpec,
     out: &mut GroupOutcomes,
     counters: &mut TransientCounters,
 ) {
@@ -769,7 +764,7 @@ fn serve_node(
         // the integrator is dropped with it.
         let integrated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             bright_num::faults::maybe_panic();
-            integrate_node(model, &segment, t0, stepping, kernel, from, carried)
+            integrate_node(model, &segment, t0, stepping, from, carried)
         }));
         match integrated {
             Ok(Ok((node, next_live))) => {
@@ -800,7 +795,6 @@ fn serve_node(
                     child,
                     t0,
                     stepping,
-                    kernel,
                     out,
                     counters,
                 );
@@ -950,20 +944,14 @@ mod tests {
         let a = mk(Some(LoadRamp::flow(0.25, 0.25)));
         let b = mk(None);
 
-        let (_, grouped, counters) = serve_transient_group(
-            None,
-            &[(0, a.clone()), (1, b.clone())],
-            bright_num::KernelSpec::Auto,
-        );
+        let (_, grouped, counters) = serve_transient_group(None, &[(0, a.clone()), (1, b.clone())]);
         assert_eq!(counters.segments_integrated, 3, "tails must not merge");
         assert_eq!(counters.segments_reused, 1, "prefix must be shared");
         // The prefix node branches two ways, so nothing is carried.
         assert_eq!(counters.integrators_carried, 0);
 
-        let (_, solo_a, ca) =
-            serve_transient_group(None, &[(0, a)], bright_num::KernelSpec::Auto);
-        let (_, solo_b, cb) =
-            serve_transient_group(None, &[(1, b)], bright_num::KernelSpec::Auto);
+        let (_, solo_a, ca) = serve_transient_group(None, &[(0, a)]);
+        let (_, solo_b, cb) = serve_transient_group(None, &[(1, b)]);
         // Solo chains are single-child all the way down: the second
         // segment extends the live integrator instead of rebuilding.
         assert_eq!(ca.integrators_carried, 1);
@@ -1030,15 +1018,14 @@ mod tests {
         .unwrap();
         assert_eq!(TransientGroupKey::of(&a), TransientGroupKey::of(&b));
 
-        let (_, grouped, counters) =
-            serve_transient_group(None, &[(0, a.clone()), (1, b.clone())], bright_num::KernelSpec::Auto);
+        let (_, grouped, counters) = serve_transient_group(None, &[(0, a.clone()), (1, b.clone())]);
         assert_eq!(counters.segments_integrated, 2, "must not share");
         assert_eq!(counters.segments_reused, 0);
         let get = |rs: &GroupOutcomes, id: u64| {
             rs.iter().find(|(i, _)| *i == id).unwrap().1.clone().unwrap()
         };
-        let (_, solo_a, _) = serve_transient_group(None, &[(0, a)], bright_num::KernelSpec::Auto);
-        let (_, solo_b, _) = serve_transient_group(None, &[(1, b)], bright_num::KernelSpec::Auto);
+        let (_, solo_a, _) = serve_transient_group(None, &[(0, a)]);
+        let (_, solo_b, _) = serve_transient_group(None, &[(1, b)]);
         assert_eq!(get(&grouped, 0).final_peak, get(&solo_a, 0).final_peak);
         assert_eq!(get(&grouped, 1).final_peak, get(&solo_b, 1).final_peak);
         // The reclassified core is powered at logic density: the runs
@@ -1057,15 +1044,14 @@ mod tests {
         let a = base_request(&[(0.02, full.clone()), (0.02, full.clone())]);
         let b = base_request(&[(0.02, full.clone()), (0.02, cache)]);
 
-        let (_, grouped, counters) =
-            serve_transient_group(None, &[(0, a.clone()), (1, b.clone())], bright_num::KernelSpec::Auto);
+        let (_, grouped, counters) = serve_transient_group(None, &[(0, a.clone()), (1, b.clone())]);
         assert_eq!(grouped.len(), 2);
         // 3 nodes: shared prefix + two branch tails.
         assert_eq!(counters.segments_integrated, 3);
         assert_eq!(counters.segments_reused, 1);
 
-        let (_, solo_a, _) = serve_transient_group(None, &[(0, a)], bright_num::KernelSpec::Auto);
-        let (_, solo_b, _) = serve_transient_group(None, &[(1, b)], bright_num::KernelSpec::Auto);
+        let (_, solo_a, _) = serve_transient_group(None, &[(0, a)]);
+        let (_, solo_b, _) = serve_transient_group(None, &[(1, b)]);
         let get = |rs: &[(u64, Result<TransientOutcome, CoreError>)], id: u64| {
             rs.iter()
                 .find(|(i, _)| *i == id)

@@ -18,6 +18,8 @@
 //! * `CRITERION_JSON=<path>` — appends one JSON object per benchmark
 //!   (`{"group","bench","mean_ns","min_ns","samples"}`) as JSON lines.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::io::Write as _;
 use std::time::Instant;

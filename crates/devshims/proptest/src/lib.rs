@@ -16,6 +16,8 @@
 //! still covering a spread of the input space. The `PROPTEST_CASES`
 //! environment variable caps the case count (used by CI quick mode).
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Configuration accepted by `#![proptest_config(..)]`.

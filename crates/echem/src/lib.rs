@@ -37,6 +37,7 @@
 //! assert!(ocv.value() > 1.4 && ocv.value() < 1.8);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -25,6 +25,7 @@
 //! assert!(total.value() > 50.0 && total.value() < 110.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

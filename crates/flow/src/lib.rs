@@ -31,6 +31,7 @@
 //! # Ok::<(), bright_flow::FlowError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

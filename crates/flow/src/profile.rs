@@ -110,7 +110,6 @@ impl DuctFlowSolution {
                 tolerance: 1e-12,
                 max_iterations: 20_000,
                 preconditioner: bright_num::PrecondSpec::Jacobi,
-                ..IterOptions::default()
             },
         )
         .map_err(FlowError::from)?;

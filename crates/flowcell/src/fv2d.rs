@@ -138,7 +138,6 @@ impl FullTransportSolution {
                 tolerance: 1e-11,
                 max_iterations: 40_000,
                 preconditioner: bright_num::PrecondSpec::Jacobi,
-                ..IterOptions::default()
             },
         )
         .map_err(FlowCellError::from)?;

@@ -35,6 +35,7 @@
 //! assert!(j > 1.0 && j < 60.0, "j = {j} mA/cm^2");
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -20,6 +20,7 @@
 //! # Ok::<(), bright_jsonio::JsonError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
@@ -59,6 +60,12 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Deepest array/object nesting [`Value::parse`] accepts (the limit
+/// `serde_json` uses). The parser is recursive-descent, so a deeper
+/// document is rejected with a [`JsonError`] at the offending bracket
+/// instead of recursing until the stack overflows.
+pub const MAX_DEPTH: usize = 128;
 
 impl Value {
     /// Builds an object from `(key, value)` pairs.
@@ -135,11 +142,12 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input.
+    /// Returns [`JsonError`] with a byte offset on malformed input and
+    /// on arrays/objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after document"));
@@ -186,12 +194,17 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+/// Parses one value enclosed by `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::String(parse_string(b, pos)?)),
         Some(b't') => parse_keyword(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(b, pos, "false", Value::Bool(false)),
@@ -209,7 +222,7 @@ fn parse_keyword(b: &[u8], pos: &mut usize, kw: &str, value: Value) -> Result<Va
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -222,7 +235,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -236,7 +249,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -245,7 +258,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -586,6 +599,27 @@ mod tests {
         assert!(Value::parse("tru").is_err());
         assert!(Value::parse("1 2").is_err());
         assert!(Value::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // Hostile nesting is an error at the first bracket past the
+        // limit, not a stack overflow.
+        let arrays = "[".repeat(200_000);
+        assert_eq!(Value::parse(&arrays).unwrap_err().offset, MAX_DEPTH);
+        let objects = r#"{"a":"#.repeat(200_000);
+        assert_eq!(Value::parse(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
+        // Nesting exactly at the limit still parses; one more level does
+        // not.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects_at_limit = format!(
+            "{}null{}",
+            r#"{"a":"#.repeat(MAX_DEPTH),
+            "}".repeat(MAX_DEPTH)
+        );
+        assert!(Value::parse(&objects_at_limit).is_ok());
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! # Ok::<(), bright_mesh::MeshError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -10,11 +10,6 @@
 //! * sparse CSR matrices with CG and BiCGSTAB iterative solvers
 //!   ([`sparse`], [`solvers`]) for the thermal network, power grid and the
 //!   full 2-D finite-volume solves,
-//! * multi-backend execution of the hot kernels ([`kernels`]: scalar /
-//!   blocked / threaded matvec, level-scheduled triangular sweeps, a
-//!   persistent worker pool; selected per solve via
-//!   [`solvers::IterOptions`] or the `BRIGHT_KERNEL_BACKEND`
-//!   environment variable),
 //! * pluggable preconditioners ([`precond`]: Jacobi, SSOR, IC(0)) and
 //!   reusable solver sessions ([`session`]) that amortize pattern,
 //!   scratch, warm start and factorization across repeated solves,
@@ -43,6 +38,7 @@
 //! assert!((x[1] - 2.0).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
@@ -51,7 +47,6 @@ pub mod dense;
 pub mod error;
 pub mod faults;
 pub mod interp;
-pub mod kernels;
 pub mod lazy;
 pub mod multigrid;
 pub mod parallel;
@@ -71,9 +66,8 @@ pub use error::NumError;
 pub use faults::{FaultPlan, FaultSite};
 pub use rng::{CorrelatedSampler, CounterRng, Distribution};
 pub use stats::{Accumulate, DyadicForest, Moments, QuantileSketch, VecMoments};
-pub use kernels::{Backend, KernelSpec};
 pub use multigrid::{MgConfig, MgSmoother, MgStats, MultigridPrecond};
 pub use precond::{mg_min_unknowns, PrecondSpec, Preconditioner};
-pub use session::{RecoveryPolicy, RecoveryRung, SessionStats, SolverSession};
+pub use session::{Backend, RecoveryPolicy, RecoveryRung, SessionStats, SolverSession};
 pub use solvers::{KrylovWorkspace, SolveStats};
 pub use sparse::{CsrMatrix, CsrSymbolic, TripletMatrix};

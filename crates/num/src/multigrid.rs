@@ -34,10 +34,6 @@
 //! * The coarsest level (≤ [`MgConfig::max_coarse`] unknowns) is solved
 //!   exactly with the dense LU from [`crate::dense`].
 //!
-//! Smoother and residual matvecs dispatch through the PR-4
-//! [`Backend`]/[`KernelSpec`] machinery, re-resolved per level so large
-//! fine levels can run threaded while small coarse levels stay scalar.
-//!
 //! # Examples
 //!
 //! ```
@@ -69,7 +65,6 @@
 //! ```
 
 use crate::dense::{DenseMatrix, LuFactors};
-use crate::kernels::{Backend, KernelSpec};
 use crate::precond::{PrecondSpec, Preconditioner, TINY_DIAGONAL};
 use crate::sparse::CsrMatrix;
 use crate::NumError;
@@ -465,7 +460,6 @@ fn galerkin_refresh(
 #[derive(Debug)]
 pub struct MultigridPrecond {
     config: MgConfig,
-    kernel: KernelSpec,
     levels: Vec<MgLevel>,
     coarse_lu: Option<LuFactors>,
     smoother: MgSmoother,
@@ -479,7 +473,6 @@ impl MultigridPrecond {
     pub fn new(config: MgConfig) -> Self {
         Self {
             config,
-            kernel: KernelSpec::Auto,
             levels: Vec::new(),
             coarse_lu: None,
             smoother: config.smoother,
@@ -674,7 +667,6 @@ impl MultigridPrecond {
         let pre = self.config.pre_smooth;
         let post = self.config.post_smooth;
         let degree = self.config.cheb_degree;
-        let kernel = self.kernel;
         let layers = self.config.layers;
 
         // Down sweep: smooth, form the residual, restrict it.
@@ -682,12 +674,11 @@ impl MultigridPrecond {
             let (lo, hi) = self.levels.split_at_mut(l + 1);
             let level = &mut lo[l];
             let next = &mut hi[0];
-            let backend = kernel.resolve(level.a.rows(), level.a.nnz());
             level.x.fill(0.0);
             for _ in 0..pre {
-                smooth(level, smoother, degree, backend);
+                smooth(level, smoother, degree);
             }
-            residual_into(level, backend);
+            residual_into(level);
             let transfer = level
                 .transfer
                 .as_ref()
@@ -718,9 +709,8 @@ impl MultigridPrecond {
                 .as_ref()
                 .expect("non-coarsest level always has a transfer pair");
             prolong_add(transfer, layers, &next.x, &mut level.x);
-            let backend = kernel.resolve(level.a.rows(), level.a.nnz());
             for _ in 0..post {
-                smooth(level, smoother, degree, backend);
+                smooth(level, smoother, degree);
             }
         }
     }
@@ -736,7 +726,7 @@ const CONTRACTION_LIMIT: f64 = 1.25;
 
 /// Fills `v` with a fixed-seed LCG sequence mapped into `[-0.5, 0.5)` —
 /// the deterministic start vector of every power-iteration probe
-/// (identical across runs, backends, and build-vs-refresh paths).
+/// (identical across runs and build-vs-refresh paths).
 fn lcg_fill(v: &mut [f64]) {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     for vi in v.iter_mut() {
@@ -779,10 +769,10 @@ fn estimate_lambda_max(
 }
 
 /// Computes `level.r = level.b - A·level.x`.
-fn residual_into(level: &mut MgLevel, backend: Backend) {
+fn residual_into(level: &mut MgLevel) {
     level
         .a
-        .matvec_into_backend(&level.x, &mut level.r, backend)
+        .matvec_into(&level.x, &mut level.r)
         .expect("level workspaces match the level operator");
     for (ri, bi) in level.r.iter_mut().zip(&level.b) {
         *ri = bi - *ri;
@@ -790,10 +780,10 @@ fn residual_into(level: &mut MgLevel, backend: Backend) {
 }
 
 /// One smoothing application on `level` (in-place on `level.x`).
-fn smooth(level: &mut MgLevel, smoother: MgSmoother, degree: usize, backend: Backend) {
+fn smooth(level: &mut MgLevel, smoother: MgSmoother, degree: usize) {
     match smoother {
-        MgSmoother::Chebyshev => chebyshev_smooth(level, degree, backend),
-        _ => weighted_jacobi_smooth(level, degree, backend),
+        MgSmoother::Chebyshev => chebyshev_smooth(level, degree),
+        _ => weighted_jacobi_smooth(level, degree),
     }
 }
 
@@ -808,14 +798,14 @@ const JACOBI_OMEGA: f64 = 0.7;
 /// a fixed `ω = 0.7` *amplifies* the top of the spectrum (`|1 − ωλ| >
 /// 1`), so the damping shrinks as `1.4/λ_max` to keep every real mode
 /// inside the unit circle.
-fn weighted_jacobi_smooth(level: &mut MgLevel, degree: usize, backend: Backend) {
+fn weighted_jacobi_smooth(level: &mut MgLevel, degree: usize) {
     let omega = if level.lambda_max > 2.0 {
         JACOBI_OMEGA * 2.0 / level.lambda_max
     } else {
         JACOBI_OMEGA
     };
     for _ in 0..degree.max(1) {
-        residual_into(level, backend);
+        residual_into(level);
         for ((xi, ri), di) in level.x.iter_mut().zip(&level.r).zip(&level.inv_diag) {
             *xi += omega * ri * di;
         }
@@ -825,7 +815,7 @@ fn weighted_jacobi_smooth(level: &mut MgLevel, degree: usize, backend: Backend) 
 /// Chebyshev polynomial smoothing of degree `degree` on `D⁻¹A`,
 /// targeting the upper spectrum `[λ_max/4, λ_max]` (the classic
 /// smoothing band; lower frequencies are the coarse grid's job).
-fn chebyshev_smooth(level: &mut MgLevel, degree: usize, backend: Backend) {
+fn chebyshev_smooth(level: &mut MgLevel, degree: usize) {
     let upper = level.lambda_max;
     let lower = upper * 0.25;
     let theta = 0.5 * (upper + lower);
@@ -834,7 +824,7 @@ fn chebyshev_smooth(level: &mut MgLevel, degree: usize, backend: Backend) {
     let mut rho = 1.0 / sigma;
 
     // d = D⁻¹(b − A·x)/θ ; x += d
-    residual_into(level, backend);
+    residual_into(level);
     for ((di_out, ri), di) in level.d.iter_mut().zip(&level.r).zip(&level.inv_diag) {
         *di_out = ri * di / theta;
     }
@@ -843,7 +833,7 @@ fn chebyshev_smooth(level: &mut MgLevel, degree: usize, backend: Backend) {
     }
     for _ in 1..degree.max(1) {
         let rho_new = 1.0 / (2.0 * sigma - rho);
-        residual_into(level, backend);
+        residual_into(level);
         let c_old = rho_new * rho;
         let c_res = 2.0 * rho_new / delta;
         for ((di_out, ri), di) in level.d.iter_mut().zip(&level.r).zip(&level.inv_diag) {
@@ -920,10 +910,6 @@ impl Preconditioner for MultigridPrecond {
         self.v_cycle();
         dst.copy_from_slice(&self.levels[0].x);
         self.stats.cycles += 1;
-    }
-
-    fn set_kernel(&mut self, spec: KernelSpec) {
-        self.kernel = spec;
     }
 
     fn spec(&self) -> PrecondSpec {

@@ -8,26 +8,8 @@
 //! with zero overhead. Worker-count *policy* (hardware detection,
 //! environment caps) stays with the callers; this module only executes.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-thread_local! {
-    /// True on threads spawned by [`parallel_map_indexed`] — the sweep
-    /// fan-out workers. The kernel layer's `Auto` backend policy
-    /// ([`crate::kernels::KernelSpec`]) consults this to avoid nesting
-    /// a threaded matvec inside an already-parallel sweep
-    /// (oversubscription); explicitly fixed backends are unaffected.
-    static IN_FANOUT_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when the calling thread is a sweep fan-out worker (see
-/// [`parallel_map_indexed`]). Used by the `Auto` kernel backend policy
-/// to keep one level of parallelism at a time.
-#[must_use]
-pub fn in_fanout_worker() -> bool {
-    IN_FANOUT_WORKER.with(Cell::get)
-}
 
 /// Worker count for a fan-out over `items` elements: the machine's
 /// available parallelism, capped by the item count and by the
@@ -69,7 +51,6 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers.min(items.len()) {
             scope.spawn(|| {
-                IN_FANOUT_WORKER.with(|f| f.set(true));
                 // A fault-plan override scoped on the caller must also
                 // govern the work it fans out.
                 crate::faults::set_thread_override(fault_override);
@@ -135,7 +116,6 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers.min(items.len()) {
             scope.spawn(|| {
-                IN_FANOUT_WORKER.with(|f| f.set(true));
                 crate::faults::set_thread_override(fault_override);
                 let mut local = Vec::new();
                 loop {
@@ -191,19 +171,6 @@ mod tests {
                 "{workers} workers"
             );
         }
-    }
-
-    #[test]
-    fn fanout_flag_is_set_only_on_workers() {
-        assert!(!in_fanout_worker());
-        let items: Vec<u8> = (0..16).collect();
-        let flags = parallel_map_indexed(&items, 4, |_, _| in_fanout_worker());
-        // With >1 workers every item runs on a spawned worker thread.
-        assert!(flags.iter().all(|&f| f));
-        // Inline path (1 worker): caller's thread, flag stays clear.
-        let inline = parallel_map_indexed(&items, 1, |_, _| in_fanout_worker());
-        assert!(inline.iter().all(|&f| !f));
-        assert!(!in_fanout_worker());
     }
 
     #[test]

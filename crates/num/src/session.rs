@@ -68,7 +68,6 @@
 //! ```
 
 use crate::faults::{self, FaultSite};
-use crate::kernels::{self, Backend, KernelSpec};
 use crate::precond::{PrecondSpec, Preconditioner};
 use crate::vec_ops::all_finite;
 use crate::solvers::{
@@ -90,9 +89,29 @@ pub fn next_operator_tag() -> u64 {
     OPERATOR_TAGS.fetch_add(1, Ordering::Relaxed)
 }
 
+/// The kernel path every solve runs: the in-order scalar row loop for
+/// matvecs and the sequential SSOR/IC(0) sweeps. Kept only so the
+/// benchmark's kernel labels keep printing; it goes when those labels
+/// do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Backend {
+    /// The in-order scalar row loop, the only kernel path.
+    #[default]
+    Scalar,
+}
+
+impl Backend {
+    /// Always `"scalar"`. Kept only for the benchmark's kernel label.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Scalar => "scalar",
+        }
+    }
+}
+
 /// Counters of the work a session performed (the count fields are
-/// monotonically increasing over the session's lifetime; the kernel
-/// fields describe the most recent solve).
+/// monotonically increasing over the session's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Full binds: pattern + values adopted from an operator.
@@ -103,11 +122,9 @@ pub struct SessionStats {
     pub precond_setups: u64,
     /// Linear solves performed.
     pub solves: u64,
-    /// Kernel backend the last solve's matvec resolved to
-    /// ([`Backend::Scalar`] before the first solve).
-    pub last_backend: Backend,
-    /// Kernel-pool worker count serving the last solve (1 for the
-    /// single-threaded backends, or before the first solve).
+    /// Always 1 when read through [`SolverSession::stats`]: every solve
+    /// runs on the caller's thread. Kept only for the benchmark's
+    /// kernel-threads label; it goes when that label does.
     pub kernel_threads: u32,
     /// Solves that succeeded only after climbing the recovery ladder.
     pub recovered_solves: u64,
@@ -140,20 +157,15 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Compact human-readable kernel path of the last solve, e.g.
-    /// `"scalar"`, `"blocked"` or `"threaded(8)"` — engines surface
-    /// this in their per-batch reports.
+    /// Always `"scalar"` (see [`Backend`]). Kept only for the
+    /// benchmark's kernel label; it goes when that label does.
     #[must_use]
     pub fn kernel_digest(&self) -> String {
-        if self.last_backend == Backend::Threaded {
-            format!("threaded({})", self.kernel_threads.max(1))
-        } else {
-            self.last_backend.name().to_string()
-        }
+        Backend::Scalar.name().to_string()
     }
 
-    /// Compact multigrid hierarchy digest in the `kernel_digest` style,
-    /// e.g. `"mg(4 levels, coarse 144, chebyshev)"`; `None` when the
+    /// Compact multigrid hierarchy digest, e.g.
+    /// `"mg(4 levels, coarse 144, chebyshev)"`; `None` when the
     /// session has not solved through a multigrid preconditioner.
     #[must_use]
     pub fn mg_digest(&self) -> Option<String> {
@@ -360,24 +372,6 @@ impl SolverSession {
         }
     }
 
-    /// The kernel-backend selection in effect (see [`KernelSpec`]).
-    #[inline]
-    pub fn kernel(&self) -> KernelSpec {
-        self.opts.kernel
-    }
-
-    /// Replaces the kernel-backend selection for subsequent solves.
-    /// Safe to call mid-sweep: the warm start, operator and
-    /// preconditioner are untouched, and matvec (plus the SSOR sweeps)
-    /// is bitwise identical across backends, so convergence behaviour
-    /// carries over — except under the IC(0) preconditioner, whose
-    /// level-scheduled backward solve reorders sums and agrees with
-    /// the sequential one only to roundoff (~1e-12 relative), which
-    /// can shift an iteration count by one.
-    pub fn set_kernel(&mut self, spec: KernelSpec) {
-        self.opts.kernel = spec;
-    }
-
     /// True until the session has been bound to an operator.
     #[inline]
     pub fn is_bound(&self) -> bool {
@@ -538,7 +532,10 @@ impl SolverSession {
     /// solves, recovery activity).
     #[inline]
     pub fn stats(&self) -> SessionStats {
-        self.stats
+        SessionStats {
+            kernel_threads: 1,
+            ..self.stats
+        }
     }
 
     /// The failure-recovery policy in effect.
@@ -751,14 +748,6 @@ impl SolverSession {
                             self.stats.recovered_solves += 1;
                         }
                         self.last_rung = rung;
-                        let backend =
-                            self.opts.kernel.resolve(self.matrix.rows(), self.matrix.nnz());
-                        self.stats.last_backend = backend;
-                        self.stats.kernel_threads = if backend == Backend::Threaded {
-                            u32::try_from(kernels::global_pool().threads()).unwrap_or(u32::MAX)
-                        } else {
-                            1
-                        };
                         if let Some(mg) =
                             self.precond.as_ref().and_then(|p| p.mg_counters())
                         {
@@ -968,7 +957,6 @@ mod tests {
             max_iterations: 1,
             tolerance: 1e-14,
             preconditioner: PrecondSpec::Jacobi,
-            ..IterOptions::default()
         });
         // Recovery off: this test pins the clean-path failure contract.
         s.set_recovery_policy(RecoveryPolicy::disabled());
@@ -988,7 +976,6 @@ mod tests {
             max_iterations: 4,
             tolerance: 1e-12,
             preconditioner: PrecondSpec::Jacobi,
-            ..IterOptions::default()
         });
         s.bind_triplets(&chain(n, 1.0)).unwrap();
         let stats = s.solve_spd(&vec![1.0; n]).unwrap();

@@ -38,7 +38,6 @@
 //! # Ok::<(), bright_num::NumError>(())
 //! ```
 
-use crate::kernels::KernelSpec;
 use crate::precond::{PrecondSpec, Preconditioner};
 use crate::sparse::CsrMatrix;
 use crate::vec_ops::{all_finite, axpy, axpy_norm2_sq, dot, dot2, norm2, sub, xpby};
@@ -55,12 +54,6 @@ pub struct IterOptions {
     /// `_preconditioned` entry points ignore this field and use the
     /// caller-supplied operator instead.
     pub preconditioner: PrecondSpec,
-    /// Kernel backend selection for the hot matvec and triangular-sweep
-    /// kernels ([`KernelSpec::Auto`] by default; overridable
-    /// process-wide via `BRIGHT_KERNEL_BACKEND`). Matvec results are
-    /// bitwise identical across backends, so this is purely a
-    /// performance knob.
-    pub kernel: KernelSpec,
 }
 
 impl Default for IterOptions {
@@ -69,7 +62,6 @@ impl Default for IterOptions {
             tolerance: 1e-10,
             max_iterations: 10_000,
             preconditioner: PrecondSpec::Jacobi,
-            kernel: KernelSpec::Auto,
         }
     }
 }
@@ -321,15 +313,13 @@ pub fn conjugate_gradient_preconditioned(
             relative_residual: 0.0,
         });
     }
-    let backend = opts.kernel.resolve(a.rows(), a.nnz());
-    m.set_kernel(opts.kernel);
     ws.resize_cg(n);
     let r = &mut ws.r;
     let z = &mut ws.z;
     let p = &mut ws.p;
     let ap = &mut ws.ap;
 
-    a.matvec_into_backend(x, ap, backend)?;
+    a.matvec_into(x, ap)?;
     sub(b, ap, r);
 
     m.apply(z, r);
@@ -346,7 +336,7 @@ pub fn conjugate_gradient_preconditioned(
                 relative_residual: res,
             });
         }
-        a.matvec_into_backend(p, ap, backend)?;
+        a.matvec_into(p, ap)?;
         let pap = dot(p, ap);
         if pap <= 0.0 || !pap.is_finite() {
             return Err(NumError::Breakdown(format!(
@@ -444,8 +434,6 @@ pub fn bicgstab_preconditioned(
             relative_residual: 0.0,
         });
     }
-    let backend = opts.kernel.resolve(a.rows(), a.nnz());
-    m.set_kernel(opts.kernel);
     ws.resize_bicgstab(n);
     let r = &mut ws.r;
     let r_hat = &mut ws.r_hat;
@@ -456,7 +444,7 @@ pub fn bicgstab_preconditioned(
     let s_hat = &mut ws.s_hat;
     let t = &mut ws.t;
 
-    a.matvec_into_backend(x, v, backend)?;
+    a.matvec_into(x, v)?;
     sub(b, v, r);
     r_hat.copy_from_slice(r);
     v.iter_mut().for_each(|vi| *vi = 0.0);
@@ -490,7 +478,7 @@ pub fn bicgstab_preconditioned(
             // residual before reporting convergence (residual
             // replacement, van der Vorst). Every `Ok` return therefore
             // carries a genuine relative residual.
-            a.matvec_into_backend(x, t, backend)?;
+            a.matvec_into(x, t)?;
             sub(b, t, r);
             let rr_true = dot(r, r);
             let res_true = rr_true.sqrt() / b_norm;
@@ -539,7 +527,7 @@ pub fn bicgstab_preconditioned(
         m.apply(p_hat, p);
         // Fused: v = A·p̂ and (r̂, v) in one pass over the rows —
         // bitwise identical to matvec followed by dot.
-        let rhat_v = a.matvec_dot_into_backend(p_hat, v, r_hat, backend)?;
+        let rhat_v = a.matvec_dot_into(p_hat, v, r_hat)?;
         if rhat_v.abs() < 1e-300 {
             return Err(NumError::Breakdown(format!(
                 "r_hat.v = {rhat_v:.3e} at iteration {it}"
@@ -554,7 +542,7 @@ pub fn bicgstab_preconditioned(
             // true residual at the top of the next trip (rr ≤ tol²·b²
             // forces the verified check immediately).
             axpy(alpha, p_hat, x);
-            a.matvec_into_backend(x, t, backend)?;
+            a.matvec_into(x, t)?;
             sub(b, t, r);
             rr = dot(r, r);
             let res_true = rr.sqrt() / b_norm;
@@ -580,7 +568,7 @@ pub fn bicgstab_preconditioned(
             continue;
         }
         m.apply(s_hat, s);
-        a.matvec_into_backend(s_hat, t, backend)?;
+        a.matvec_into(s_hat, t)?;
         // Fused: t·s and t·t in one pass over t.
         let (ts, tt) = dot2(t, s, t);
         if tt.abs() < 1e-300 {
@@ -940,7 +928,6 @@ mod tests {
                 tolerance: 1e-9,
                 max_iterations: 5000,
                 preconditioner: PrecondSpec::None,
-                ..IterOptions::default()
             },
         )
         .unwrap();

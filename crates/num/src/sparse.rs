@@ -5,7 +5,6 @@
 //! stencil/stamp-style assembly, duplicate entries summed) and then
 //! compressed to CSR for the iterative solvers.
 
-use crate::kernels::{self, Backend};
 use crate::NumError;
 
 /// A growable sparse matrix in coordinate (triplet) form.
@@ -394,35 +393,13 @@ impl CsrMatrix {
         Ok(y)
     }
 
-    /// Allocation-free matrix–vector product `y ← A·x` on the scalar
-    /// reference backend. [`CsrMatrix::matvec_into_backend`] is the
-    /// multi-backend entry point the solvers dispatch through.
+    /// Allocation-free matrix–vector product `y ← A·x`; each row is
+    /// accumulated strictly in storage order.
     ///
     /// # Errors
     ///
     /// Returns [`NumError::DimensionMismatch`] on size mismatch.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), NumError> {
-        self.matvec_into_backend(x, y, Backend::Scalar)
-    }
-
-    /// Allocation-free matrix–vector product `y ← A·x` on the given
-    /// kernel [`Backend`].
-    ///
-    /// All backends accumulate each row strictly in storage order, so
-    /// the result is **bitwise identical** across backends; they differ
-    /// only in speed (`Blocked` unrolls the inner kernel over
-    /// bounds-check-free slices, `Threaded` shards nnz-balanced row
-    /// blocks across the persistent kernel pool).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::DimensionMismatch`] on size mismatch.
-    pub fn matvec_into_backend(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        backend: Backend,
-    ) -> Result<(), NumError> {
         if x.len() != self.cols || y.len() != self.rows {
             return Err(NumError::DimensionMismatch(format!(
                 "matvec: A is {}x{}, x has {}, y has {}",
@@ -432,63 +409,26 @@ impl CsrMatrix {
                 y.len()
             )));
         }
-        match backend {
-            Backend::Scalar => {
-                for (i, yi) in y.iter_mut().enumerate() {
-                    let lo = self.row_ptr[i];
-                    let hi = self.row_ptr[i + 1];
-                    *yi = kernels::row_dot_scalar(
-                        &self.col_idx[lo..hi],
-                        &self.values[lo..hi],
-                        x,
-                    );
-                }
-            }
-            Backend::Blocked => {
-                for (i, yi) in y.iter_mut().enumerate() {
-                    let lo = self.row_ptr[i];
-                    let hi = self.row_ptr[i + 1];
-                    *yi = kernels::row_dot_unrolled(
-                        &self.col_idx[lo..hi],
-                        &self.values[lo..hi],
-                        x,
-                    );
-                }
-            }
-            Backend::Threaded => {
-                kernels::matvec_threaded(&self.row_ptr, &self.col_idx, &self.values, x, y);
-            }
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = self.row_dot(i, x);
         }
         Ok(())
     }
 
     /// Fused matrix–vector product plus dot epilogue: `y ← A·x`,
-    /// returning `w·y` from the same pass over the rows.
+    /// returning `w·y` from the same pass over the rows. Each 64-row
+    /// pairwise-reduction leaf fills its rows of `y`, then reduces them
+    /// while they are still in cache.
     ///
-    /// On the `Scalar` and `Blocked` backends the dot rides the row
-    /// loop directly (each 64-row pairwise-reduction leaf fills its
-    /// rows of `y`, then reduces them while they are still in cache).
-    /// The `Threaded` backend runs the sharded matvec and a separate
-    /// [`vec_ops::dot`](crate::vec_ops::dot) — fusing across the
-    /// barrier would change nothing (the matvec already saturates the
-    /// pool) and the follow-up dot uses the same chunk tree anyway.
-    ///
-    /// All three paths are **bitwise identical** to
-    /// [`CsrMatrix::matvec_into_backend`] followed by
-    /// `vec_ops::dot(w, y)`: the rows of `y` get the same in-order
-    /// accumulators, and the dot combines 64-element chunk sums in the
-    /// same length-determined pairwise tree.
+    /// The result is **bitwise identical** to [`CsrMatrix::matvec_into`]
+    /// followed by `vec_ops::dot(w, y)`: the rows of `y` get the same
+    /// in-order accumulators, and the dot combines 64-element chunk sums
+    /// in the same length-determined pairwise tree.
     ///
     /// # Errors
     ///
     /// Returns [`NumError::DimensionMismatch`] on size mismatch.
-    pub fn matvec_dot_into_backend(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        w: &[f64],
-        backend: Backend,
-    ) -> Result<f64, NumError> {
+    pub fn matvec_dot_into(&self, x: &[f64], y: &mut [f64], w: &[f64]) -> Result<f64, NumError> {
         if x.len() != self.cols || y.len() != self.rows || w.len() != self.rows {
             return Err(NumError::DimensionMismatch(format!(
                 "matvec_dot: A is {}x{}, x has {}, y has {}, w has {}",
@@ -499,28 +439,24 @@ impl CsrMatrix {
                 w.len()
             )));
         }
-        Ok(match backend {
-            Backend::Scalar => kernels::matvec_dot_scalar(
-                &self.row_ptr,
-                &self.col_idx,
-                &self.values,
-                x,
-                y,
-                w,
-            ),
-            Backend::Blocked => kernels::matvec_dot_unrolled(
-                &self.row_ptr,
-                &self.col_idx,
-                &self.values,
-                x,
-                y,
-                w,
-            ),
-            Backend::Threaded => {
-                kernels::matvec_threaded(&self.row_ptr, &self.col_idx, &self.values, x, y);
-                crate::vec_ops::dot(w, y)
+        Ok(crate::vec_ops::reduce_chunks(y.len(), |lo, hi| {
+            for (yi, i) in y[lo..hi].iter_mut().zip(lo..hi) {
+                *yi = self.row_dot(i, x);
             }
-        })
+            crate::vec_ops::chunk_dot(&w[lo..hi], &y[lo..hi])
+        }))
+    }
+
+    /// In-order dot of row `i` with `x` (`Σ a_ij · x_j` over the stored
+    /// entries): the one accumulation order both products share.
+    #[inline]
+    fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        let mut acc = 0.0;
+        for (c, v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+            acc += v * x[*c];
+        }
+        acc
     }
 
     /// Copies the stored values of a same-pattern matrix into this one —
@@ -695,32 +631,6 @@ mod tests {
         let x = [1.0, 2.0, 3.0, 4.0, 5.0];
         let y = a.matvec(&x).unwrap();
         assert_eq!(y, vec![0.0, 0.0, 0.0, 0.0, 6.0]);
-    }
-
-    #[test]
-    fn matvec_backends_are_bitwise_identical() {
-        // An uneven pattern (dense-ish rows next to empty ones) on a
-        // size that exercises the unroll remainder and the threaded
-        // row partition.
-        let n = 257;
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 2.0 + (i as f64 * 0.1).sin()).unwrap();
-            for k in 1..(i % 7) {
-                t.push(i, (i + k * 3) % n, -0.1 * k as f64).unwrap();
-            }
-        }
-        let a = t.to_csr();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
-        let mut scalar = vec![0.0; n];
-        a.matvec_into_backend(&x, &mut scalar, Backend::Scalar).unwrap();
-        for backend in [Backend::Blocked, Backend::Threaded] {
-            let mut y = vec![1.0; n];
-            a.matvec_into_backend(&x, &mut y, backend).unwrap();
-            for (s, v) in scalar.iter().zip(&y) {
-                assert!(s.to_bits() == v.to_bits(), "{backend}: {s} vs {v}");
-            }
-        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! ~200k-unknown production grids this bounds the rounding error to
 //! O(log n) ulps instead of O(n) while unrolling cleanly, and —
 //! because the combine tree depends only on the slice length — every
-//! reduction here is deterministic and identical across kernel
-//! backends.
+//! reduction here is deterministic.
 //!
 //! The fused kernels ([`axpy_dot`], [`axpy_norm2_sq`], [`dot2`])
 //! combine an update and its following reduction(s) into one memory

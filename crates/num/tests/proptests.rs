@@ -10,9 +10,7 @@ use bright_num::solvers::{
     sor_solve, IterOptions, KrylovWorkspace,
 };
 use bright_num::vec_ops;
-use bright_num::{
-    Backend, KernelSpec, PrecondSpec, SolverSession, TripletMatrix,
-};
+use bright_num::{PrecondSpec, SolverSession, TripletMatrix};
 
 fn lcg(seed: u64, i: u64, salt: u64) -> f64 {
     let x = i
@@ -114,7 +112,6 @@ proptest! {
             tolerance: 1e-12,
             max_iterations: 20_000,
             preconditioner: PrecondSpec::Jacobi,
-            ..IterOptions::default()
         }).unwrap();
         for (xs, xt) in sol.x.iter().zip(&x_true) {
             prop_assert!((xs - xt).abs() < 1e-6, "{xs} vs {xt}");
@@ -144,7 +141,7 @@ proptest! {
         let a = t.to_csr();
         prop_assume!(a.is_diagonally_dominant());
         let rhs: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 29)).collect();
-        let opts = IterOptions { tolerance: 1e-11, max_iterations: 50_000, preconditioner: PrecondSpec::Jacobi, ..IterOptions::default() };
+        let opts = IterOptions { tolerance: 1e-11, max_iterations: 50_000, preconditioner: PrecondSpec::Jacobi };
         let cg = conjugate_gradient(&a, &rhs, None, &opts);
         prop_assume!(cg.is_ok()); // skip the rare non-SPD draw
         let cg = cg.unwrap();
@@ -205,7 +202,7 @@ proptest! {
         let a = random_spd(n, seed);
         let x_true: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 53)).collect();
         let b = a.matvec(&x_true).unwrap();
-        let opts = IterOptions { tolerance: 1e-11, max_iterations: 20_000, preconditioner: PrecondSpec::Jacobi, ..IterOptions::default() };
+        let opts = IterOptions { tolerance: 1e-11, max_iterations: 20_000, preconditioner: PrecondSpec::Jacobi };
 
         let cold = conjugate_gradient(&a, &b, None, &opts).unwrap();
 
@@ -238,7 +235,7 @@ proptest! {
         let a = random_nonsymmetric(n, seed);
         let x_true: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 61)).collect();
         let b = a.matvec(&x_true).unwrap();
-        let opts = IterOptions { tolerance: 1e-11, max_iterations: 20_000, preconditioner: PrecondSpec::Jacobi, ..IterOptions::default() };
+        let opts = IterOptions { tolerance: 1e-11, max_iterations: 20_000, preconditioner: PrecondSpec::Jacobi };
 
         let cold = bicgstab(&a, &b, None, &opts).unwrap();
 
@@ -338,7 +335,6 @@ proptest! {
                 tolerance: 1e-11,
                 max_iterations: 20_000,
                 preconditioner: spec,
-                ..IterOptions::default()
             }).unwrap()
         };
         let jacobi = solve(PrecondSpec::Jacobi);
@@ -361,7 +357,6 @@ proptest! {
                 tolerance: 1e-11,
                 max_iterations: 20_000,
                 preconditioner: spec,
-                ..IterOptions::default()
             }).unwrap()
         };
         let jacobi = solve(PrecondSpec::Jacobi);
@@ -373,39 +368,12 @@ proptest! {
     }
 
     #[test]
-    fn matvec_backends_bitwise_on_random_patterns(n in 1usize..80, seed in 0u64..400) {
-        // Random rectangular-ish pattern with uneven row lengths, empty
-        // rows and duplicate stamps; all three backends must agree
-        // bitwise (same per-row accumulation order by construction).
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let v = lcg(seed, (i * n + j) as u64, 113);
-                if v.abs() > 0.35 {
-                    t.push(i, j, v).unwrap();
-                }
-            }
-        }
-        let a = t.to_csr();
-        let x: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 127)).collect();
-        let mut scalar = vec![0.0; n];
-        a.matvec_into_backend(&x, &mut scalar, Backend::Scalar).unwrap();
-        for backend in [Backend::Blocked, Backend::Threaded] {
-            let mut y = vec![f64::NAN; n];
-            a.matvec_into_backend(&x, &mut y, backend).unwrap();
-            for (s, v) in scalar.iter().zip(&y) {
-                prop_assert!(s.to_bits() == v.to_bits(), "{backend}: {s} vs {v}");
-            }
-        }
-    }
-
-    #[test]
     fn fused_matvec_dot_bitwise_matches_unfused(n in 1usize..90, seed in 0u64..400) {
         // The fused A·x / (w, A·x) epilogue must be bitwise identical
-        // to the unfused matvec-then-dot sequence on every backend:
-        // same in-order row accumulators, same pairwise chunk tree.
-        // Sizes straddle the 64-element reduction chunk so partial
-        // leaves and multi-chunk merges are both exercised.
+        // to the unfused matvec-then-dot sequence: same in-order row
+        // accumulators, same pairwise chunk tree. Sizes straddle the
+        // 64-element reduction chunk so partial leaves and multi-chunk
+        // merges are both exercised.
         let mut t = TripletMatrix::new(n, n);
         for i in 0..n {
             for j in 0..n {
@@ -419,145 +387,14 @@ proptest! {
         let x: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 223)).collect();
         let w: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 227)).collect();
         let mut y_ref = vec![0.0; n];
-        a.matvec_into_backend(&x, &mut y_ref, Backend::Scalar).unwrap();
+        a.matvec_into(&x, &mut y_ref).unwrap();
         let dot_ref = vec_ops::dot(&w, &y_ref);
-        for backend in [Backend::Scalar, Backend::Blocked, Backend::Threaded] {
-            let mut y = vec![f64::NAN; n];
-            let d = a.matvec_dot_into_backend(&x, &mut y, &w, backend).unwrap();
-            prop_assert!(
-                d.to_bits() == dot_ref.to_bits(),
-                "{backend}: fused dot {d} vs unfused {dot_ref}"
-            );
-            for (s, v) in y_ref.iter().zip(&y) {
-                prop_assert!(s.to_bits() == v.to_bits(), "{backend}: y {s} vs {v}");
-            }
+        let mut y = vec![f64::NAN; n];
+        let d = a.matvec_dot_into(&x, &mut y, &w).unwrap();
+        prop_assert!(d.to_bits() == dot_ref.to_bits(), "fused dot {d} vs unfused {dot_ref}");
+        for (s, v) in y_ref.iter().zip(&y) {
+            prop_assert!(s.to_bits() == v.to_bits(), "y {s} vs {v}");
         }
-    }
-
-    #[test]
-    fn leveled_sweeps_match_sequential_across_preconditioners(
-        n in 2usize..40,
-        seed in 0u64..300,
-    ) {
-        // The level-scheduled (threaded) triangular sweeps must
-        // reproduce the sequential apply: bitwise for SSOR (identical
-        // per-row gather order), and to tight roundoff for IC(0)
-        // (whose backward solve changes scatter→gather order).
-        let a = random_spd(n, seed);
-        let src: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 131)).collect();
-        for spec in [PrecondSpec::ssor(), PrecondSpec::Ssor { omega: 1.5 }, PrecondSpec::Ic0] {
-            let mut seq = spec.build();
-            seq.set_kernel(KernelSpec::Fixed(Backend::Scalar));
-            seq.setup(&a).unwrap();
-            let mut d_seq = vec![0.0; n];
-            seq.apply(&mut d_seq, &src);
-
-            let mut par = spec.build();
-            par.set_kernel(KernelSpec::Fixed(Backend::Threaded));
-            par.setup(&a).unwrap();
-            let mut d_par = vec![0.0; n];
-            par.apply(&mut d_par, &src);
-            // Repeat after a values-only refresh (cached level
-            // schedules must survive and stay correct).
-            par.setup(&a).unwrap();
-            let mut d_par2 = vec![0.0; n];
-            par.apply(&mut d_par2, &src);
-
-            for (u, v) in d_seq.iter().zip(&d_par) {
-                if spec == PrecondSpec::Ic0 {
-                    let scale = u.abs().max(v.abs()).max(1.0);
-                    prop_assert!((u - v).abs() <= 1e-12 * scale, "{spec:?}: {u} vs {v}");
-                } else {
-                    prop_assert!(u.to_bits() == v.to_bits(), "{spec:?}: {u} vs {v}");
-                }
-            }
-            for (u, v) in d_par.iter().zip(&d_par2) {
-                prop_assert!(u.to_bits() == v.to_bits(), "{spec:?} refresh: {u} vs {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn solver_backends_agree_on_random_systems(n in 2usize..32, seed in 0u64..200) {
-        // Whole solves under each fixed backend. With Jacobi/SSOR every
-        // kernel in the chain is bitwise-equal across backends, so the
-        // iterates — and the solutions — must match exactly; IC(0) is
-        // held to roundoff instead.
-        let a = random_spd(n, seed);
-        let x_true: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 137)).collect();
-        let b = a.matvec(&x_true).unwrap();
-        for precond in [PrecondSpec::Jacobi, PrecondSpec::ssor(), PrecondSpec::Ic0] {
-            let solve = |backend: Backend| {
-                conjugate_gradient(&a, &b, None, &IterOptions {
-                    preconditioner: precond,
-                    kernel: KernelSpec::Fixed(backend),
-                    ..IterOptions::default()
-                }).unwrap()
-            };
-            let scalar = solve(Backend::Scalar);
-            for backend in [Backend::Blocked, Backend::Threaded] {
-                let other = solve(backend);
-                if precond == PrecondSpec::Ic0 {
-                    for (u, v) in scalar.x.iter().zip(&other.x) {
-                        prop_assert!((u - v).abs() <= 1e-9 * u.abs().max(1.0),
-                            "{precond:?}/{backend}: {u} vs {v}");
-                    }
-                } else {
-                    prop_assert_eq!(scalar.iterations, other.iterations,
-                        "{:?}/{}", precond, backend);
-                    for (u, v) in scalar.x.iter().zip(&other.x) {
-                        prop_assert!(u.to_bits() == v.to_bits(),
-                            "{precond:?}/{backend}: {u} vs {v}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn session_backend_switch_keeps_warm_start_convergence(
-        n in 4usize..32,
-        seed in 0u64..200,
-    ) {
-        // A sweep that hops kernel backends between points must behave
-        // exactly like one that stays on the scalar backend: same
-        // warm-started iteration counts, same solutions (SSOR sweeps
-        // and matvec are bitwise across backends).
-        let stamp = |k: f64| {
-            let mut t = TripletMatrix::new(n, n);
-            for i in 0..n {
-                t.push(i, i, 2.0 * k + 1.0).unwrap();
-                if i > 0 { t.push(i, i - 1, -k).unwrap(); }
-                if i + 1 < n { t.push(i, i + 1, -k).unwrap(); }
-            }
-            t
-        };
-        let b: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 139)).collect();
-        let opts = IterOptions {
-            preconditioner: PrecondSpec::ssor(),
-            kernel: KernelSpec::Fixed(Backend::Scalar),
-            ..IterOptions::default()
-        };
-        let mut control = SolverSession::new(opts.clone());
-        let mut hopping = SolverSession::new(opts);
-        control.bind_triplets(&stamp(1.0)).unwrap();
-        hopping.bind_triplets(&stamp(1.0)).unwrap();
-
-        let backends = [Backend::Blocked, Backend::Threaded, Backend::Scalar];
-        for (point, g) in [1.0, 1.15, 1.3, 1.5].into_iter().enumerate() {
-            if point > 0 {
-                control.refresh_values(&stamp(g), point as u64).unwrap();
-                hopping.refresh_values(&stamp(g), point as u64).unwrap();
-                hopping.set_kernel(KernelSpec::Fixed(backends[(point - 1) % backends.len()]));
-            }
-            let c = control.solve_spd(&b).unwrap();
-            let h = hopping.solve_spd(&b).unwrap();
-            prop_assert_eq!(c.iterations, h.iterations, "point {}", point);
-            for (u, v) in control.solution().iter().zip(hopping.solution()) {
-                prop_assert!(u.to_bits() == v.to_bits(), "point {point}: {u} vs {v}");
-            }
-        }
-        prop_assert_eq!(hopping.stats().solves, 4);
     }
 
     #[test]
@@ -586,7 +423,7 @@ proptest! {
             t
         };
         let b: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 101)).collect();
-        let opts = IterOptions { tolerance: 1e-11, max_iterations: 20_000, preconditioner: PrecondSpec::ssor(), ..IterOptions::default() };
+        let opts = IterOptions { tolerance: 1e-11, max_iterations: 20_000, preconditioner: PrecondSpec::ssor() };
 
         let mut session = SolverSession::new(opts.clone());
         session.bind_triplets(&stamp(1.0)).unwrap();
@@ -629,7 +466,6 @@ proptest! {
             tolerance: 1e-11,
             max_iterations: 10_000,
             preconditioner: PrecondSpec::ssor(),
-            ..IterOptions::default()
         };
 
         let mut clean = SolverSession::new(opts.clone());
@@ -675,7 +511,6 @@ proptest! {
             tolerance: 1e-11,
             max_iterations: 10_000,
             preconditioner: PrecondSpec::ssor(),
-            ..IterOptions::default()
         };
 
         let mut s = SolverSession::new(opts.clone());

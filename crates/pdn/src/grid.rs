@@ -275,7 +275,6 @@ impl PowerGrid {
             tolerance: 1e-11,
             max_iterations: 50_000,
             preconditioner,
-            ..IterOptions::default()
         }
     }
 
@@ -316,21 +315,7 @@ impl PowerGrid {
     /// (benches compare Jacobi/SSOR/IC(0) this way).
     #[must_use]
     pub fn session_with(&self, preconditioner: PrecondSpec) -> SolverSession {
-        self.session_with_kernel(preconditioner, bright_num::KernelSpec::Auto)
-    }
-
-    /// As [`PowerGrid::session_with`] with an explicit kernel-backend
-    /// selection (see [`bright_num::KernelSpec`]) — benches pin the
-    /// scalar/blocked/threaded paths this way; production callers keep
-    /// `Auto`.
-    #[must_use]
-    pub fn session_with_kernel(
-        &self,
-        preconditioner: PrecondSpec,
-        kernel: bright_num::KernelSpec,
-    ) -> SolverSession {
         let mut session = SolverSession::new(Self::iter_options(preconditioner));
-        session.set_kernel(kernel);
         session.bind(&self.symbolic, &self.system, self.tag, 0);
         session
     }

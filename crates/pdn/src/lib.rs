@@ -26,6 +26,7 @@
 //! assert!(min_v > 0.9 && min_v < 1.0, "min = {min_v} V");
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -21,6 +21,8 @@
 //! checkpoint. Spec files are JSON (see `docs/SERVICE.md` for the
 //! schema); sub-second validation never touches the store.
 
+#![forbid(unsafe_code)]
+
 use bright_core::service::{JobId, JobSpec, JobStatus, ScenarioService};
 use bright_core::{ServiceClock, ServiceConfig};
 use std::path::PathBuf;

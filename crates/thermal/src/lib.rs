@@ -33,6 +33,7 @@
 //! assert!(peak > 30.0 && peak < 55.0, "peak = {peak} degC");
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

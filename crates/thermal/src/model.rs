@@ -628,7 +628,6 @@ impl ThermalModel {
             tolerance: 1e-10,
             max_iterations: 60_000,
             preconditioner: PrecondSpec::ssor(),
-            ..IterOptions::default()
         }
     }
 
@@ -684,24 +683,7 @@ impl ThermalModel {
     ///
     /// Assembly errors as in [`ThermalModel::solve_steady`].
     pub fn session(&self) -> Result<SolverSession, ThermalError> {
-        self.session_with_kernel(bright_num::KernelSpec::Auto)
-    }
-
-    /// As [`ThermalModel::session`] with an explicit kernel-backend
-    /// selection (see [`bright_num::KernelSpec`]) — benches pin the
-    /// scalar/blocked/threaded paths this way; production callers keep
-    /// `Auto`, which picks the threaded matvec on large grids and
-    /// multi-core hosts.
-    ///
-    /// # Errors
-    ///
-    /// Assembly errors as in [`ThermalModel::solve_steady`].
-    pub fn session_with_kernel(
-        &self,
-        kernel: bright_num::KernelSpec,
-    ) -> Result<SolverSession, ThermalError> {
         let mut session = SolverSession::new(self.solve_options());
-        session.set_kernel(kernel);
         let op = self.operator()?;
         session.bind(&op.symbolic, &op.matrix, op.tag, self.epoch);
         Ok(session)

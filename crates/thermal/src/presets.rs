@@ -83,8 +83,8 @@ pub fn power7_stack_at(
 /// refined with the grid (one channel per column at `scale`× finer
 /// pitch, width shrunk proportionally) so the per-cell geometry stays
 /// valid. `scale = 8` puts the 4-level stack at
-/// `704 × 352 × 4 ≈ 991k` unknowns, exercising the threaded-kernel
-/// large-grid path. The fluid layer keeps the session on SSOR at every
+/// `704 × 352 × 4 ≈ 991k` unknowns, exercising the large-grid path.
+/// The fluid layer keeps the session on SSOR at every
 /// size (see [`ThermalModel::solve_options`]); the geometric-multigrid
 /// regime is reached by the conduction-only
 /// [`conduction_stack_scaled`].

@@ -251,20 +251,9 @@ impl TransientSimulation {
         self.session.stats().solves
     }
 
-    /// Replaces the kernel-backend selection of the internal solver
-    /// session (see [`bright_num::KernelSpec`]). Safe mid-trace: with
-    /// the default SSOR preconditioner, matvec and sweeps are bitwise
-    /// identical across backends, so the integrated trajectory is
-    /// unchanged (an IC(0) session would agree to roundoff instead —
-    /// see [`bright_num::SolverSession::set_kernel`]).
-    pub fn set_kernel(&mut self, kernel: bright_num::KernelSpec) {
-        self.session.set_kernel(kernel);
-    }
-
     /// Session statistics of the internal solver (solves, refreshes,
-    /// kernel path, recovery counters) — engines surface
-    /// [`bright_num::SessionStats::kernel_digest`] and the recovery
-    /// counters in their reports.
+    /// recovery counters) — engines surface the recovery counters in
+    /// their reports.
     #[inline]
     pub fn session_stats(&self) -> bright_num::SessionStats {
         self.session.stats()
@@ -946,13 +935,6 @@ impl AdaptiveTransient {
     #[inline]
     pub fn time(&self) -> f64 {
         self.sim.time()
-    }
-
-    /// Replaces the kernel-backend selection of the underlying
-    /// simulation's solver session (see
-    /// [`TransientSimulation::set_kernel`]).
-    pub fn set_kernel(&mut self, kernel: bright_num::KernelSpec) {
-        self.sim.set_kernel(kernel);
     }
 
     /// The current temperature field.

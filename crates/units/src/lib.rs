@@ -21,6 +21,7 @@
 //! assert_eq!(power.value(), 6.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
