@@ -22,7 +22,7 @@
 
 use bright_core::{
     CoreError, EngineReport, LoadStep, PolarizationRequest, Scenario, ScenarioEngine,
-    SteppingMode, TransientRequest,
+    ScenarioRequest, SteppingMode, TransientRequest,
 };
 use bright_jsonio::Value;
 use bright_num::faults::{self, FaultPlan};
@@ -141,15 +141,16 @@ fn bench_seeded_fault_batch() -> FaultBatchRow {
     };
     let mut engine = ScenarioEngine::new();
     for i in 0..10 {
-        engine.submit(flow_scenario(650.0 - 30.0 * i as f64));
+        let s = flow_scenario(650.0 - 30.0 * i as f64);
+        engine.submit(ScenarioRequest::Steady(s));
     }
     for _ in 0..6 {
-        engine.submit_transient(transient_request());
+        engine.submit(ScenarioRequest::Transient(transient_request()));
     }
     for i in 0..4 {
         let mut s = Scenario::power7_reduced();
         s.inlet_temperature = Kelvin::new(300.0 + i as f64);
-        engine.submit_polarization(PolarizationRequest::new(s));
+        engine.submit(ScenarioRequest::Polarization(PolarizationRequest::new(s)));
     }
     // The scripted panic is expected and isolated by the engine; keep
     // the default hook from spraying a backtrace over the bench output.
@@ -157,7 +158,7 @@ fn bench_seeded_fault_batch() -> FaultBatchRow {
     std::panic::set_hook(Box::new(|_| {}));
     let reports = faults::with_plan(Some(plan), || {
         faults::reset_counters();
-        engine.run_all_pending()
+        engine.run()
     });
     std::panic::set_hook(hook);
 

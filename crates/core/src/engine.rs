@@ -1,43 +1,45 @@
 //! Batched scenario serving: a long-lived engine over the co-simulation.
 //!
-//! The paper's results — and the ROADMAP's production north star — are
-//! dense design-space sweeps: many [`Scenario`]s whose operators share
-//! sparsity patterns and differ only in coefficients (flow rate, inlet
-//! temperature, loads). A [`ScenarioEngine`] accepts a stream of
-//! requests, groups them by **operator pattern** (thermal grid + layer
-//! lumping, PDN grid), and serves each group through a cached
-//! [`CoSimulation`] worker that is *retargeted* between requests instead
-//! of rebuilt: thermal coefficients re-stamp through the cached pattern,
-//! the PDN system and both solver sessions persist, and warm starts
-//! carry from one operating point to the next.
+//! The paper's results are families of operating points through one
+//! coupled model: steady POWER7+ points, throttling and duty-cycle
+//! traces, flow-cell polarization sweeps. A [`ScenarioEngine`] serves
+//! all three as [`ScenarioRequest`]s through one request path:
+//! [`ScenarioEngine::submit`] queues a request of any kind and
+//! [`ScenarioEngine::run`] serves the whole queue as one batch,
+//! returning [`EngineReport`]s in submission order. The typed adapters
+//! [`ScenarioEngine::run_batch`], [`ScenarioEngine::run_transient_batch`]
+//! and [`ScenarioEngine::run_polarization_batch`] serve a batch of one
+//! kind through the same path and leave the queue alone.
 //!
-//! Batches are dispatched through the PR-1 sweep executor
-//! ([`crate::sweeps::parallel_map`]): different pattern groups run on
-//! different workers, and a single large group is split into chunks,
-//! each chunk served by a clone of the group's worker (sessions clone
-//! cheaply; preconditioners rebuild lazily). Results come back as
-//! [`ScenarioReport`]s in submission order, with per-request reuse
-//! telemetry and engine-wide [`EngineStats`].
+//! A batch is validated up front (an invalid request fails alone, with
+//! its kind's report), grouped by serving pattern in first-seen order,
+//! and fanned out once across the sweep executor
+//! ([`crate::sweeps::parallel_map`]):
 //!
-//! Time-varying loads ride the same engine as [`ScenarioRequest::Transient`]
-//! requests: [`ScenarioEngine::submit_transient`] /
-//! [`ScenarioEngine::run_pending_transients`] group compatible trace
-//! integrations and serve each group over a segment-prefix tree, so
-//! trace prefixes shared by several requests are integrated once and
-//! branched from checkpoints (see [`crate::transient`]).
+//! * **Steady** requests group by [`PatternKey`] (thermal grid + layer
+//!   lumping, PDN grid). Each group is served by a cached
+//!   [`CoSimulation`] worker that is *retargeted* between requests
+//!   instead of rebuilt: thermal coefficients re-stamp through the
+//!   cached pattern, the PDN system and both solver sessions persist,
+//!   and warm starts carry from one operating point to the next. A
+//!   large group is split into chunks, each served by a clone of the
+//!   group's worker (sessions clone cheaply; preconditioners rebuild
+//!   lazily).
+//! * **Transient** requests group by operator and stepping
+//!   compatibility and are served over a segment-prefix tree, so trace
+//!   prefixes shared by several requests are integrated once and
+//!   branched from checkpoints (see [`crate::transient`]).
+//! * **Polarization** requests group by [`CellPatternKey`] (transport
+//!   grids + velocity model) and are served by cached flow-cell workers
+//!   whose geometry and coefficient contexts are retargeted in place, so
+//!   the duct velocity solution and the factored transport operators
+//!   are paid for once per pattern.
 //!
-//! Electrochemical sweeps ride it too, as
-//! [`ScenarioRequest::Polarization`] requests: groups keyed by
-//! [`CellPatternKey`] (transport grids + velocity model) are served by
-//! cached flow-cell workers whose geometry/coefficient contexts are
-//! retargeted in place between requests — the duct velocity solution
-//! and the factored transport operators are paid for once per pattern,
-//! exactly like the thermal operator on the steady path. A mixed batch
-//! of all three kinds dispatches through
-//! [`ScenarioEngine::run_all_pending`].
+//! Workers and assembled models return to three bounded LRU caches for
+//! later batches; [`EngineStats`] counts what was built and reused.
 //!
 //! ```no_run
-//! use bright_core::engine::ScenarioEngine;
+//! use bright_core::engine::{ScenarioEngine, ScenarioRequest};
 //! use bright_core::Scenario;
 //! use bright_units::CubicMetersPerSecond;
 //!
@@ -45,11 +47,11 @@
 //! for ml_min in [676.0, 400.0, 200.0, 100.0, 48.0] {
 //!     let mut s = Scenario::power7_nominal();
 //!     s.total_flow = CubicMetersPerSecond::from_milliliters_per_minute(ml_min);
-//!     engine.submit(s);
+//!     engine.submit(ScenarioRequest::Steady(s));
 //! }
-//! for report in engine.run_pending() {
-//!     let r = report.result.expect("solves converge");
-//!     println!("request {}: peak {}", report.request_id, r.peak_temperature);
+//! for report in engine.run() {
+//!     assert!(report.is_ok(), "solves converge");
+//!     println!("request {}: {}", report.request_id(), report.pattern());
 //! }
 //! // One pattern: at most one operator build per executor chunk (a
 //! // single build on single-worker hosts; a new pattern's group may be
@@ -58,7 +60,7 @@
 //! assert!(stats.operators_built >= 1 && stats.operators_built + stats.operator_reuses == 5);
 //! ```
 
-use crate::cosim::{cell_model_for, CoSimulation};
+use crate::cosim::{cell_model_for, thermal_model_for, CoSimulation};
 use crate::reports::{CoSimReport, PolarizationOutcome};
 use crate::scenario::Scenario;
 use crate::sweeps::{parallel_map, sweep_workers};
@@ -197,9 +199,8 @@ pub struct PolarizationReport {
     pub result: Result<PolarizationOutcome, CoreError>,
 }
 
-/// A report of any request kind, as returned by
-/// [`ScenarioEngine::run_all_pending`] (one shared submission-id
-/// space).
+/// A report of any request kind, as returned by [`ScenarioEngine::run`]
+/// (one shared submission-id space).
 // The steady variant is inline-larger than the others, but report
 // vectors are short-lived batch outputs, not bulk storage — boxing
 // would only complicate every match site.
@@ -324,8 +325,9 @@ pub struct ScenarioReport {
 pub struct EngineStats {
     /// Steady requests served.
     pub requests: u64,
-    /// Batches dispatched ([`ScenarioEngine::run_pending`] /
-    /// [`ScenarioEngine::run_pending_transients`] calls that had work).
+    /// Batches served: [`ScenarioEngine::run`] and typed-adapter calls
+    /// that had work. A mixed `run()` is one batch, its three request
+    /// kinds sharing one fan-out.
     pub batches: u64,
     /// Workers built from scratch (one full operator assembly each).
     pub operators_built: u64,
@@ -387,6 +389,23 @@ pub struct EngineStats {
     /// Cached workers/models currently resident across all three cache
     /// families.
     pub cache_residents: u64,
+}
+
+impl EngineStats {
+    /// Adds a job's counter deltas.
+    fn absorb(&mut self, d: &EngineStats) {
+        self.operators_built += d.operators_built;
+        self.operator_reuses += d.operator_reuses;
+        self.trace_segments_integrated += d.trace_segments_integrated;
+        self.trace_segments_reused += d.trace_segments_reused;
+        self.trace_integrators_carried += d.trace_integrators_carried;
+        self.cell_contexts_built += d.cell_contexts_built;
+        self.cell_context_reuses += d.cell_context_reuses;
+        self.recovered_solves += d.recovered_solves;
+        self.solver_retries += d.solver_retries;
+        self.quarantined_workers += d.quarantined_workers;
+        self.panicked_requests += d.panicked_requests;
+    }
 }
 
 /// A small LRU cache over `HashMap`: each resident carries a last-use
@@ -482,39 +501,114 @@ impl<K: Eq + std::hash::Hash + Clone, V> LruCache<K, V> {
     }
 }
 
-/// One pattern group's slice of a batch, plus the worker serving it
-/// (`None` until the first request of a brand-new pattern builds it).
-struct GroupJob {
-    key: PatternKey,
-    worker: Option<CoSimulation>,
-    requests: Vec<(u64, Scenario)>,
-    deterministic: bool,
+/// The serving group a request joins: requests with equal keys share
+/// one cached worker (steady, polarization) or one prefix tree
+/// (transient).
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum GroupKey {
+    Steady(PatternKey),
+    Transient(TransientGroupKey),
+    Polarization(CellPatternKey),
 }
 
-/// The outcome of one group job.
-struct GroupResult {
-    key: PatternKey,
-    worker: Option<CoSimulation>,
-    reports: Vec<ScenarioReport>,
-    built: u64,
-    reused: u64,
-    /// Session solves that succeeded through the recovery ladder.
-    recovered: u64,
-    /// Workers dropped after a panicking or failing serve.
-    quarantined: u64,
-    /// Requests that panicked (each reported as `WorkerPanic`).
-    panicked: u64,
-    /// Cold flow-cell solve-context builds paid by this group's worker
-    /// ([`bright_flowcell::CellContextStats::coefficient_builds`]
-    /// deltas).
-    cells_built: u64,
-    /// Retargets that refreshed the flow-cell context in place
-    /// ([`CoSimulation::cell_context_reuses`] deltas).
-    cell_reuses: u64,
-    /// Preconditioner spec of this group's last served request, tagged
-    /// with the highest request id so the batch-level stats pick a
-    /// deterministic winner (groups come back in arbitrary executor
-    /// order).
+impl GroupKey {
+    /// An empty job for this group.
+    fn open(&self) -> Job {
+        match self.clone() {
+            GroupKey::Steady(key) => Job::Steady(Group::new(key)),
+            GroupKey::Transient(key) => Job::Transient(Group::new(key)),
+            GroupKey::Polarization(key) => Job::Polarization(Group::new(key)),
+        }
+    }
+
+    /// The report of a request that failed validation: its kind's
+    /// report, stamped with the pattern it would have joined.
+    fn rejected(&self, request_id: u64, error: CoreError) -> EngineReport {
+        match self {
+            GroupKey::Steady(key) => EngineReport::Steady(ScenarioReport {
+                request_id,
+                pattern: key.digest(),
+                reused_operator: false,
+                precond: String::new(),
+                degraded: None,
+                result: Err(error),
+            }),
+            GroupKey::Transient(key) => EngineReport::Transient(TransientReport {
+                request_id,
+                pattern: key.digest(),
+                degraded: None,
+                result: Err(error),
+            }),
+            GroupKey::Polarization(key) => EngineReport::Polarization(PolarizationReport {
+                request_id,
+                pattern: key.digest(),
+                reused_context: false,
+                degraded: None,
+                result: Err(error),
+            }),
+        }
+    }
+}
+
+/// A group's requests (a chunk of them, for large steady groups) and
+/// the cached worker or assembled model serving them (`None` until a
+/// brand-new pattern builds it).
+struct Group<K, W, R> {
+    key: K,
+    worker: Option<W>,
+    requests: Vec<(u64, R)>,
+}
+
+impl<K, W, R> Group<K, W, R> {
+    fn new(key: K) -> Self {
+        Self {
+            key,
+            worker: None,
+            requests: Vec::new(),
+        }
+    }
+}
+
+/// One unit of a batch's fan-out.
+// Jobs are a handful of short-lived values per batch; boxing the steady
+// worker would only add an allocation per job.
+#[allow(clippy::large_enum_variant)]
+enum Job {
+    Steady(Group<PatternKey, CoSimulation, Scenario>),
+    Transient(Group<TransientGroupKey, ThermalModel, TransientRequest>),
+    Polarization(Group<CellPatternKey, CellModel, PolarizationRequest>),
+}
+
+impl Job {
+    fn push(&mut self, id: u64, request: ScenarioRequest) {
+        match (self, request) {
+            (Job::Steady(g), ScenarioRequest::Steady(s)) => g.requests.push((id, s)),
+            (Job::Transient(g), ScenarioRequest::Transient(t)) => g.requests.push((id, t)),
+            (Job::Polarization(g), ScenarioRequest::Polarization(p)) => g.requests.push((id, p)),
+            _ => unreachable!("a group key fixes its request kind"),
+        }
+    }
+
+    fn serve(self, deterministic: bool) -> Served {
+        match self {
+            Job::Steady(g) => serve_steady(g, deterministic),
+            Job::Transient(g) => serve_transients(g),
+            Job::Polarization(g) => serve_polarizations(g),
+        }
+    }
+}
+
+/// What one job hands back to the batch fold.
+struct Served {
+    reports: Vec<EngineReport>,
+    /// The served job: its worker or model goes back to the cache
+    /// (`None` when it was quarantined or never built).
+    job: Job,
+    /// Counter deltas; only the additive fields are set.
+    counters: EngineStats,
+    /// The preconditioner of a steady job's last solved request, tagged
+    /// with that request's id so the fold picks a deterministic winner
+    /// (jobs finish in arbitrary executor order).
     precond: Option<(u64, bright_num::PrecondSpec)>,
 }
 
@@ -526,15 +620,12 @@ pub struct ScenarioEngine {
     /// Cached flow-cell workers serving polarization requests, keyed by
     /// cell-geometry pattern and retargeted in place between requests.
     cell_workers: LruCache<CellPatternKey, CellModel>,
-    queue: Vec<(u64, Scenario)>,
-    /// Queued transient requests (separate queue, shared id space).
-    transient_queue: Vec<(u64, TransientRequest)>,
-    /// Queued polarization requests (separate queue, shared id space).
-    polarization_queue: Vec<(u64, PolarizationRequest)>,
     /// Assembled thermal models cached across batches, keyed by
     /// operator identity (pattern + flow + inlet) — coarser than the
     /// serving groups, so dt/tolerance variants share one assembly.
     transient_models: LruCache<TransientModelKey, ThermalModel>,
+    /// Submitted, not yet served requests of every kind.
+    queue: Vec<(u64, ScenarioRequest)>,
     /// Per-cache-family LRU bound applied by
     /// [`ScenarioEngine::set_cache_capacity`] (0 = unbounded).
     cache_capacity: usize,
@@ -553,79 +644,62 @@ impl ScenarioEngine {
         Self::default()
     }
 
-    /// Queues a scenario and returns its request id. Validation happens
-    /// at dispatch; an invalid scenario surfaces as an `Err` in its
-    /// [`ScenarioReport::result`].
-    pub fn submit(&mut self, scenario: Scenario) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.queue.push((id, scenario));
+    /// Queues a request of any kind and returns its id. Validation
+    /// happens when the batch is served; an invalid request surfaces as
+    /// an `Err` in its report.
+    pub fn submit(&mut self, request: ScenarioRequest) -> u64 {
+        let id = self.mint_id();
+        self.queue.push((id, request));
         id
     }
 
-    /// Queues a transient trace integration and returns its request id
-    /// (shared id space with [`ScenarioEngine::submit`]). Dispatched by
-    /// [`ScenarioEngine::run_pending_transients`].
-    pub fn submit_transient(&mut self, request: TransientRequest) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.transient_queue.push((id, request));
-        id
-    }
-
-    /// Queues a polarization sweep and returns its request id (shared
-    /// id space with [`ScenarioEngine::submit`]). Dispatched by
-    /// [`ScenarioEngine::run_pending_polarizations`].
-    pub fn submit_polarization(&mut self, request: PolarizationRequest) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.polarization_queue.push((id, request));
-        id
-    }
-
-    /// Queues any kind of request ([`ScenarioRequest`]) and returns its
-    /// id. Steady requests are dispatched by
-    /// [`ScenarioEngine::run_pending`], transient ones by
-    /// [`ScenarioEngine::run_pending_transients`], polarization ones by
-    /// [`ScenarioEngine::run_pending_polarizations`] — or everything at
-    /// once by [`ScenarioEngine::run_all_pending`].
-    pub fn submit_request(&mut self, request: ScenarioRequest) -> u64 {
-        match request {
-            ScenarioRequest::Steady(s) => self.submit(s),
-            ScenarioRequest::Transient(t) => self.submit_transient(t),
-            ScenarioRequest::Polarization(p) => self.submit_polarization(p),
-        }
-    }
-
-    /// Number of queued, not-yet-dispatched steady requests.
+    /// Number of queued, not yet served requests (all kinds).
     #[must_use]
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
-    /// Number of queued, not-yet-dispatched transient requests.
-    #[must_use]
-    pub fn pending_transients(&self) -> usize {
-        self.transient_queue.len()
+    /// Serves every queued request as one batch and returns the reports
+    /// in submission order.
+    pub fn run(&mut self) -> Vec<EngineReport> {
+        let queue = std::mem::take(&mut self.queue);
+        self.serve(queue)
     }
 
-    /// Number of queued, not-yet-dispatched polarization requests.
-    #[must_use]
-    pub fn pending_polarizations(&self) -> usize {
-        self.polarization_queue.len()
+    /// Serves `scenarios` as one steady batch and returns their reports
+    /// in input order. Queued requests stay queued.
+    pub fn run_batch(
+        &mut self,
+        scenarios: impl IntoIterator<Item = Scenario>,
+    ) -> Vec<ScenarioReport> {
+        self.serve_kind(scenarios, ScenarioRequest::Steady, |r| match r {
+            EngineReport::Steady(r) => Some(r),
+            _ => None,
+        })
     }
 
-    /// Number of pattern workers (cached operator sets) currently held.
-    #[must_use]
-    pub fn cached_patterns(&self) -> usize {
-        self.workers.len()
+    /// Serves `requests` as one transient batch and returns their
+    /// reports in input order. Queued requests stay queued.
+    pub fn run_transient_batch(
+        &mut self,
+        requests: impl IntoIterator<Item = TransientRequest>,
+    ) -> Vec<TransientReport> {
+        self.serve_kind(requests, ScenarioRequest::Transient, |r| match r {
+            EngineReport::Transient(r) => Some(r),
+            _ => None,
+        })
     }
 
-    /// Number of cached flow-cell workers (one per cell-geometry
-    /// pattern served so far).
-    #[must_use]
-    pub fn cached_cell_patterns(&self) -> usize {
-        self.cell_workers.len()
+    /// Serves `requests` as one polarization batch and returns their
+    /// reports in input order. Queued requests stay queued.
+    pub fn run_polarization_batch(
+        &mut self,
+        requests: impl IntoIterator<Item = PolarizationRequest>,
+    ) -> Vec<PolarizationReport> {
+        self.serve_kind(requests, ScenarioRequest::Polarization, |r| match r {
+            EngineReport::Polarization(r) => Some(r),
+            _ => None,
+        })
     }
 
     /// Engine-wide counters. The cache fields (`evicted_workers`,
@@ -669,12 +743,22 @@ impl ScenarioEngine {
         self.deterministic = deterministic;
     }
 
+    /// Drops all cached workers (operators, sessions, warm starts),
+    /// cached transient thermal models and cached flow-cell workers;
+    /// the next batch rebuilds on demand. The queue and the counters
+    /// are unaffected.
+    pub fn evict_workers(&mut self) {
+        self.workers.clear();
+        self.transient_models.clear();
+        self.cell_workers.clear();
+    }
+
     /// Clones an assembled thermal model for `request` out of the
     /// transient cache, building (and caching) it on a miss. Used by
     /// the durable service to integrate a trace segment-by-segment with
     /// checkpoints persisted between segments; sharing this cache keeps
     /// the service's per-segment serving on the same operator-reuse
-    /// path as [`ScenarioEngine::run_pending_transients`].
+    /// path as the engine's transient batches.
     pub(crate) fn cached_transient_model(
         &mut self,
         request: &TransientRequest,
@@ -683,643 +767,449 @@ impl ScenarioEngine {
         if let Some(model) = self.transient_models.get(&key) {
             return Ok(model.clone());
         }
-        let model = crate::cosim::thermal_model_for(&request.scenario)?;
+        let model = thermal_model_for(&request.scenario)?;
         model.assemble().map_err(|e| CoreError::Thermal(e.to_string()))?;
         self.transient_models.insert_if_absent(key, model.clone());
         Ok(model)
     }
 
-    /// Drops all cached workers (operators, sessions, warm starts),
-    /// cached transient thermal models and cached flow-cell workers;
-    /// the next batch rebuilds on demand. Queues and counters are
-    /// unaffected.
-    pub fn evict_workers(&mut self) {
-        self.workers.clear();
-        self.transient_models.clear();
-        self.cell_workers.clear();
+    fn mint_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
     }
 
-    /// Convenience: submits every scenario, dispatches, and returns the
-    /// reports in input order.
-    pub fn run_batch(&mut self, scenarios: impl IntoIterator<Item = Scenario>) -> Vec<ScenarioReport> {
-        for s in scenarios {
-            self.submit(s);
-        }
-        self.run_pending()
+    /// The typed adapters' shared body: mints ids for `requests`,
+    /// serves them as one batch and unwraps the reports to their kind.
+    fn serve_kind<T, R>(
+        &mut self,
+        requests: impl IntoIterator<Item = T>,
+        wrap: fn(T) -> ScenarioRequest,
+        unwrap: fn(EngineReport) -> Option<R>,
+    ) -> Vec<R> {
+        let batch = requests
+            .into_iter()
+            .map(|r| (self.mint_id(), wrap(r)))
+            .collect();
+        self.serve(batch).into_iter().filter_map(unwrap).collect()
     }
 
-    /// Dispatches every queued request and returns their reports in
-    /// submission order.
-    ///
-    /// Requests are grouped by [`PatternKey`]; each group is served
-    /// serially by one retargeted worker so operators and warm starts
-    /// are reused point-to-point, and groups run in parallel on the
-    /// sweep executor. When the batch has fewer groups than available
-    /// workers, large groups are split into chunks served by clones of
-    /// the group worker.
-    pub fn run_pending(&mut self) -> Vec<ScenarioReport> {
-        let queue = std::mem::take(&mut self.queue);
-        if queue.is_empty() {
+    /// Serves one batch: validates every request, groups the valid ones
+    /// by serving pattern in first-seen order, fans the groups out as
+    /// one job list, and folds the workers and counters back in.
+    fn serve(&mut self, batch: Vec<(u64, ScenarioRequest)>) -> Vec<EngineReport> {
+        if batch.is_empty() {
             return Vec::new();
         }
         self.stats.batches += 1;
-        self.stats.requests += queue.len() as u64;
 
-        // Group in first-seen order.
-        let mut order: Vec<PatternKey> = Vec::new();
-        let mut groups: HashMap<PatternKey, Vec<(u64, Scenario)>> = HashMap::new();
-        for (id, scenario) in queue {
-            match groups.entry(PatternKey::of(&scenario)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().push((id, scenario));
+        // Validate up front: an invalid request reports immediately and
+        // never joins a group, so it cannot disturb a healthy worker.
+        let mut reports: Vec<EngineReport> = Vec::new();
+        let mut groups: Vec<Job> = Vec::new();
+        let mut index: HashMap<GroupKey, usize> = HashMap::new();
+        for (id, request) in batch {
+            let (key, valid) = match &request {
+                ScenarioRequest::Steady(s) => {
+                    self.stats.requests += 1;
+                    (GroupKey::Steady(PatternKey::of(s)), s.validate())
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(vec![(id, scenario)]);
+                ScenarioRequest::Transient(t) => {
+                    self.stats.transient_requests += 1;
+                    (GroupKey::Transient(TransientGroupKey::of(t)), t.validate())
+                }
+                ScenarioRequest::Polarization(p) => {
+                    self.stats.polarization_requests += 1;
+                    let key = CellPatternKey::of(&p.scenario.cell_options);
+                    (GroupKey::Polarization(key), p.validate())
+                }
+            };
+            if let Err(e) = valid {
+                reports.push(key.rejected(id, e));
+                continue;
+            }
+            let slot = *index.entry(key).or_insert_with_key(|key| {
+                groups.push(key.open());
+                groups.len() - 1
+            });
+            groups[slot].push(id, request);
+        }
+
+        // Pre-assemble one thermal model per distinct transient operator
+        // identity, so every transient group — including same-batch
+        // dt/tolerance variants sharing an operator — clones an
+        // assembled model instead of re-assembling. A failed build is
+        // left to the group itself, which reports the error per request.
+        for group in &groups {
+            let Job::Transient(g) = group else { continue };
+            if self.transient_models.contains_key(&g.key.model) {
+                continue;
+            }
+            if let Ok(m) = thermal_model_for(&g.requests[0].1.scenario) {
+                if m.assemble().is_ok() {
+                    let key = g.key.model.clone();
+                    self.transient_models.insert_if_absent(key, m);
                 }
             }
         }
 
-        // Split groups into jobs. Budget the split so the batch can use
-        // the executor's parallelism even when one pattern dominates:
-        // each extra chunk serves its slice through a *clone* of the
-        // group worker (operators come along; sessions re-factor
-        // lazily).
-        let total: usize = groups.values().map(Vec::len).sum();
-        let budget = sweep_workers(total).max(1);
-        let per_group_chunks = budget.div_ceil(order.len().max(1)).max(1);
-        let mut jobs: Vec<Mutex<Option<GroupJob>>> = Vec::new();
-        for key in order {
-            let requests = groups.remove(&key).expect("grouped above");
-            let mut cached_worker = self.workers.remove(&key);
-            let chunks = per_group_chunks.min(requests.len()).max(1);
-            let chunk_size = requests.len().div_ceil(chunks);
-            let mut slices: Vec<Vec<(u64, Scenario)>> = Vec::with_capacity(chunks);
-            let mut iter = requests.into_iter().peekable();
-            while iter.peek().is_some() {
-                slices.push(iter.by_ref().take(chunk_size).collect());
-            }
-            let n_slices = slices.len();
-            for (ci, chunk) in slices.into_iter().enumerate() {
-                let worker = if ci + 1 == n_slices {
-                    cached_worker.take()
-                } else {
-                    cached_worker.clone()
-                };
-                jobs.push(Mutex::new(Some(GroupJob {
-                    key: key.clone(),
-                    worker,
-                    requests: chunk,
-                    deterministic: self.deterministic,
-                })));
+        // One job list. Steady groups split into chunks so the batch can
+        // use the executor's parallelism even when one pattern
+        // dominates: each extra chunk serves its slice through a *clone*
+        // of the group worker (operators come along; sessions re-factor
+        // lazily). The budget counts steady requests only, so how a
+        // steady group splits does not depend on the batch's other kinds.
+        let steady_sizes: Vec<usize> = groups
+            .iter()
+            .filter_map(|g| match g {
+                Job::Steady(g) => Some(g.requests.len()),
+                _ => None,
+            })
+            .collect();
+        let budget = sweep_workers(steady_sizes.iter().sum()).max(1);
+        let per_group_chunks = budget.div_ceil(steady_sizes.len().max(1)).max(1);
+        let mut jobs: Vec<Job> = Vec::new();
+        for group in groups {
+            match group {
+                Job::Steady(g) => {
+                    let mut cached = self.workers.remove(&g.key);
+                    let chunks = per_group_chunks.min(g.requests.len());
+                    let chunk_size = g.requests.len().div_ceil(chunks);
+                    let mut rest = g.requests.into_iter().peekable();
+                    while rest.peek().is_some() {
+                        let mut chunk = Group::new(g.key.clone());
+                        chunk.requests = rest.by_ref().take(chunk_size).collect();
+                        // The last chunk takes the cached worker itself.
+                        chunk.worker = if rest.peek().is_some() {
+                            cached.clone()
+                        } else {
+                            cached.take()
+                        };
+                        jobs.push(Job::Steady(chunk));
+                    }
+                }
+                Job::Transient(mut g) => {
+                    // A clone of a cached model carries its assembled
+                    // operator.
+                    g.worker = self.transient_models.get(&g.key.model).cloned();
+                    jobs.push(Job::Transient(g));
+                }
+                Job::Polarization(mut g) => {
+                    g.worker = self.cell_workers.remove(&g.key);
+                    jobs.push(Job::Polarization(g));
+                }
             }
         }
+        let jobs: Vec<Mutex<Option<Job>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
 
-        // Dispatch through the sweep executor.
-        let results: Vec<GroupResult> = parallel_map(&jobs, |_, slot| {
-            let job = slot
-                .lock()
-                .expect("group job mutex poisoned")
+        let deterministic = self.deterministic;
+        let served = parallel_map(&jobs, |_, slot| {
+            slot.lock()
+                .expect("job mutex poisoned")
                 .take()
-                .expect("each job runs exactly once");
-            Self::run_group(job)
+                .expect("each job runs exactly once")
+                .serve(deterministic)
         });
 
-        // Return one worker per pattern to the cache and fold stats.
-        let mut reports: Vec<ScenarioReport> = Vec::new();
+        // Return one worker or model per pattern to its cache and fold
+        // the counters.
         let mut best_precond_id = 0u64;
-        for r in results {
-            if let Some(worker) = r.worker {
-                self.workers.insert_if_absent(r.key, worker);
+        for s in served {
+            match s.job {
+                Job::Steady(g) => {
+                    if let Some(w) = g.worker {
+                        self.workers.insert_if_absent(g.key, w);
+                    }
+                }
+                Job::Polarization(g) => {
+                    if let Some(w) = g.worker {
+                        self.cell_workers.insert_if_absent(g.key, w);
+                    }
+                }
+                Job::Transient(g) => {
+                    // A panicking integration quarantines the whole
+                    // model identity: drop the pre-assembled entry too,
+                    // so the next batch re-assembles from scratch.
+                    if s.counters.quarantined_workers > 0 {
+                        self.transient_models.remove(&g.key.model);
+                    }
+                    if let Some(model) = g.worker {
+                        self.transient_models.insert_if_absent(g.key.model, model);
+                    }
+                }
             }
-            self.stats.operators_built += r.built;
-            self.stats.operator_reuses += r.reused;
-            self.stats.recovered_solves += r.recovered;
-            self.stats.quarantined_workers += r.quarantined;
-            self.stats.panicked_requests += r.panicked;
-            self.stats.cell_contexts_built += r.cells_built;
-            self.stats.cell_context_reuses += r.cell_reuses;
-            if let Some((id, precond)) = r.precond {
-                // Deterministic across executor scheduling: the group
-                // holding the most recently submitted solved request
-                // wins, regardless of completion order.
+            self.stats.absorb(&s.counters);
+            if let Some((id, precond)) = s.precond {
+                // The job holding the most recently submitted solved
+                // request wins, regardless of completion order.
                 if id >= best_precond_id {
                     best_precond_id = id;
                     self.stats.preconditioner = precond;
                 }
             }
-            reports.extend(r.reports);
+            reports.extend(s.reports);
         }
-        reports.sort_unstable_by_key(|r| r.request_id);
+        reports.sort_unstable_by_key(EngineReport::request_id);
         reports
     }
+}
 
-    /// Serves one group job serially, retargeting its worker between
-    /// requests.
-    fn run_group(job: GroupJob) -> GroupResult {
-        let GroupJob {
-            key,
-            mut worker,
-            requests,
-            deterministic,
-        } = job;
-        let digest = key.digest();
-        let mut reports = Vec::with_capacity(requests.len());
-        let mut built = 0u64;
-        let mut reused = 0u64;
-        let mut recovered = 0u64;
-        let mut quarantined = 0u64;
-        let mut panicked = 0u64;
-        let mut cells_built = 0u64;
-        let mut cell_reuses = 0u64;
-        for (id, scenario) in requests {
-            let solves_before = worker
-                .as_ref()
-                .map_or(0, |w| w.thermal_session_stats().solves);
-            let cells_built_before = worker
-                .as_ref()
-                .map_or(0, |w| w.cell_context_stats().coefficient_builds);
-            let cell_reuses_before = worker.as_ref().map_or(0, CoSimulation::cell_context_reuses);
-            let recovered_before = worker.as_ref().map_or(0, |w| {
-                w.thermal_session_stats().recovered_solves
-                    + w.pdn_session_stats().recovered_solves
-            });
-            // Panic isolation: one pathological request must not take
-            // the whole batch (or the engine's caller) down. The worker
-            // holds no locks or global state, so observing it after an
-            // unwind is memory-safe; it is *logically* suspect, which
-            // is why a panicking serve quarantines it below.
-            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                bright_num::faults::maybe_panic();
-                match &mut worker {
-                    // A failed retarget serves nothing, so it is not a
-                    // reuse.
-                    Some(w) => match w.retarget(scenario) {
-                        Ok(()) => {
-                            // History-independent mode: with cold Krylov
-                            // starts, a retargeted run is bitwise-equal
-                            // to a cold-built worker at this scenario.
-                            if deterministic {
-                                w.reset_warm_starts();
-                            }
-                            (true, w.run())
-                        }
-                        Err(e) => (false, Err(e)),
-                    },
-                    None => match CoSimulation::new(scenario) {
-                        Ok(mut w) => {
-                            built += 1;
-                            let r = w.run();
-                            worker = Some(w);
-                            (false, r)
-                        }
-                        Err(e) => (false, Err(e)),
-                    },
+/// Serves one request on a group's worker with panic isolation: a panic
+/// (injected through [`bright_num::faults::maybe_panic`] or genuine)
+/// becomes a [`CoreError::WorkerPanic`] for this request alone while
+/// the batch completes. `observe` reads the worker after the serve;
+/// then a failure of any kind quarantines it, because a half-done
+/// retarget or an unwind leaves its state unknowable, and the next
+/// request of the pattern rebuilds from its own scenario.
+fn serve_isolated<W, T, O>(
+    worker: &mut Option<W>,
+    counters: &mut EngineStats,
+    serve: impl FnOnce(&mut Option<W>) -> Result<T, CoreError>,
+    observe: impl FnOnce(Option<&W>, &Result<T, CoreError>) -> O,
+) -> (Result<T, CoreError>, O) {
+    let existed = worker.is_some();
+    // The worker holds no locks or global state, so observing it after
+    // an unwind is memory-safe; it is only *logically* suspect.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        bright_num::faults::maybe_panic();
+        serve(&mut *worker)
+    }))
+    .unwrap_or_else(|payload| {
+        counters.panicked_requests += 1;
+        Err(CoreError::WorkerPanic(crate::panic_message(
+            payload.as_ref(),
+        )))
+    });
+    let observed = observe(worker.as_ref(), &result);
+    // `existed` credits a worker the serve already dropped itself.
+    if result.is_err() && (worker.take().is_some() || existed) {
+        counters.quarantined_workers += 1;
+    }
+    (result, observed)
+}
+
+/// Counters of a steady worker, read around each request it serves.
+#[derive(Clone, Copy, Default)]
+struct WorkerMarks {
+    solves: u64,
+    recovered: u64,
+    cells_built: u64,
+    cell_reuses: u64,
+}
+
+impl WorkerMarks {
+    fn of(w: &CoSimulation) -> Self {
+        Self {
+            solves: w.thermal_session_stats().solves,
+            recovered: w.thermal_session_stats().recovered_solves
+                + w.pdn_session_stats().recovered_solves,
+            cells_built: w.cell_context_stats().coefficient_builds,
+            cell_reuses: w.cell_context_reuses(),
+        }
+    }
+}
+
+/// Serves a steady job serially, retargeting its worker between
+/// requests.
+fn serve_steady(
+    mut group: Group<PatternKey, CoSimulation, Scenario>,
+    deterministic: bool,
+) -> Served {
+    let pattern = group.key.digest();
+    let requests = std::mem::take(&mut group.requests);
+    let mut counters = EngineStats::default();
+    let mut reports = Vec::with_capacity(requests.len());
+    let mut last_solved = None;
+    for (id, scenario) in requests {
+        let before = group
+            .worker
+            .as_ref()
+            .map_or_else(WorkerMarks::default, WorkerMarks::of);
+        let mut built = false;
+        let mut reused_operator = false;
+        let (result, (after, degraded, precond)) = serve_isolated(
+            &mut group.worker,
+            &mut counters,
+            |worker| match worker {
+                // A failed retarget serves nothing, so it is not a reuse.
+                Some(w) => {
+                    w.retarget(scenario)?;
+                    // History-independent mode: with cold Krylov starts,
+                    // a retargeted run is bitwise-equal to a cold-built
+                    // worker at this scenario.
+                    if deterministic {
+                        w.reset_warm_starts();
+                    }
+                    let report = w.run();
+                    reused_operator = true;
+                    report
                 }
-            }));
-            let (reused_operator, result) = match served {
-                Ok(pair) => pair,
-                Err(payload) => {
-                    panicked += 1;
-                    (
-                        false,
-                        Err(CoreError::WorkerPanic(crate::panic_message(
-                            payload.as_ref(),
-                        ))),
-                    )
+                None => {
+                    let mut w = CoSimulation::new(scenario)?;
+                    built = true;
+                    let report = w.run();
+                    *worker = Some(w);
+                    report
                 }
+            },
+            // Read before any quarantine drops the worker: a cold build
+            // (or a rebuild after a failed refresh) shows as a
+            // coefficient-build delta, an in-place retarget as a reuse
+            // delta.
+            |w, result| {
+                let after = w.map_or(before, WorkerMarks::of);
+                let degraded = if result.is_ok() && after.recovered > before.recovered {
+                    w.and_then(CoSimulation::recovery_digest)
+                } else {
+                    None
+                };
+                // Attribute a preconditioner only when *this* request
+                // actually solved (a failed request on a warm worker
+                // must not inherit the previous request's digest).
+                let precond = w
+                    .filter(|_| after.solves > before.solves)
+                    .map(CoSimulation::precond_digest)
+                    .unwrap_or_default();
+                (after, degraded, precond)
+            },
+        );
+        counters.operators_built += u64::from(built);
+        counters.operator_reuses += u64::from(reused_operator);
+        counters.recovered_solves += after.recovered.saturating_sub(before.recovered);
+        counters.cell_contexts_built += after.cells_built.saturating_sub(before.cells_built);
+        counters.cell_context_reuses += after.cell_reuses.saturating_sub(before.cell_reuses);
+        if !precond.is_empty() {
+            last_solved = Some(id);
+        }
+        reports.push(EngineReport::Steady(ScenarioReport {
+            request_id: id,
+            pattern: pattern.clone(),
+            reused_operator,
+            precond,
+            degraded,
+            result,
+        }));
+    }
+    let precond = last_solved.and_then(|id| {
+        let w = group.worker.as_ref()?;
+        Some((id, w.preconditioner_spec()))
+    });
+    Served {
+        reports,
+        job: Job::Steady(group),
+        counters,
+        precond,
+    }
+}
+
+/// Serves a transient group over its segment-prefix tree.
+fn serve_transients(mut group: Group<TransientGroupKey, ThermalModel, TransientRequest>) -> Served {
+    let pattern = group.key.digest();
+    let requests = std::mem::take(&mut group.requests);
+    let (model, outcomes, c) = serve_transient_group(group.worker.take(), &requests);
+    group.worker = model;
+    let reports = outcomes
+        .into_iter()
+        .map(|(request_id, result)| {
+            let degraded = match &result {
+                Ok(o) if o.recovered_solves > 0 || o.solver_retries > 0 => Some(format!(
+                    "thermal: {} ladder-recovered solve(s), {} dt-halving retry(ies)",
+                    o.recovered_solves, o.solver_retries
+                )),
+                _ => None,
             };
-            if reused_operator {
-                reused += 1;
-            }
-            // Degradation accounting must read the worker *before* any
-            // quarantine drops it.
-            let recovered_after = worker.as_ref().map_or(recovered_before, |w| {
-                w.thermal_session_stats().recovered_solves
-                    + w.pdn_session_stats().recovered_solves
-            });
-            recovered += recovered_after.saturating_sub(recovered_before);
-            // Flow-cell context accounting: a cold worker (or a rebuild
-            // after a failed refresh) shows up as a coefficient-build
-            // delta, an in-place retarget as a reuse delta. Read before
-            // any quarantine drops the worker.
-            let cells_built_after = worker
-                .as_ref()
-                .map_or(cells_built_before, |w| w.cell_context_stats().coefficient_builds);
-            let cell_reuses_after = worker
-                .as_ref()
-                .map_or(cell_reuses_before, CoSimulation::cell_context_reuses);
-            cells_built += cells_built_after.saturating_sub(cells_built_before);
-            cell_reuses += cell_reuses_after.saturating_sub(cell_reuses_before);
-            let degraded = if result.is_ok() && recovered_after > recovered_before {
-                worker.as_ref().and_then(|w| w.recovery_digest())
-            } else {
-                None
-            };
-            // Attribute a preconditioner only when *this* request
-            // actually solved (a failed request on a warm worker must
-            // not inherit the previous request's digest).
-            let precond_digest = worker
-                .as_ref()
-                .filter(|w| w.thermal_session_stats().solves > solves_before)
-                .map(CoSimulation::precond_digest)
-                .unwrap_or_default();
-            // A failed serve — panic or error — leaves the worker in an
-            // unknowable intermediate state (half-retargeted operators,
-            // possibly poisoned sessions): quarantine it so the next
-            // request of the pattern rebuilds from its own scenario.
-            if result.is_err() && worker.take().is_some() {
-                quarantined += 1;
-            }
-            reports.push(ScenarioReport {
-                request_id: id,
-                pattern: digest.clone(),
-                reused_operator,
-                precond: precond_digest,
+            EngineReport::Transient(TransientReport {
+                request_id,
+                pattern: pattern.clone(),
                 degraded,
                 result,
-            });
-        }
-        let last_solved_id = reports
-            .iter()
-            .filter(|r| !r.precond.is_empty())
-            .map(|r| r.request_id)
-            .max();
-        let precond_used =
-            last_solved_id.and_then(|id| worker.as_ref().map(|w| (id, w.preconditioner_spec())));
-        GroupResult {
-            key,
-            worker,
-            reports,
-            built,
-            reused,
-            recovered,
-            quarantined,
-            panicked,
-            cells_built,
-            cell_reuses,
-            precond: precond_used,
-        }
-    }
-
-    /// Convenience: submits every transient request, dispatches, and
-    /// returns the reports in input order.
-    pub fn run_transient_batch(
-        &mut self,
-        requests: impl IntoIterator<Item = TransientRequest>,
-    ) -> Vec<TransientReport> {
-        for r in requests {
-            self.submit_transient(r);
-        }
-        self.run_pending_transients()
-    }
-
-    /// Dispatches every queued transient request and returns their
-    /// reports in submission order.
-    ///
-    /// Requests are grouped by operator/stepping compatibility (see
-    /// [`crate::transient::TransientRequest`]); each group is served
-    /// over a segment-prefix tree — trace segments shared by several
-    /// requests are integrated once, checkpointed where traces diverge,
-    /// and branched — with groups fanned across the sweep executor. The
-    /// assembled thermal model of each group is cached for later
-    /// batches.
-    pub fn run_pending_transients(&mut self) -> Vec<TransientReport> {
-        let queue = std::mem::take(&mut self.transient_queue);
-        if queue.is_empty() {
-            return Vec::new();
-        }
-        self.stats.batches += 1;
-        self.stats.transient_requests += queue.len() as u64;
-
-        // Validate up front: invalid requests report immediately and
-        // never join a group.
-        let mut reports: Vec<TransientReport> = Vec::new();
-        let mut order: Vec<TransientGroupKey> = Vec::new();
-        let mut groups: HashMap<TransientGroupKey, Vec<(u64, TransientRequest)>> = HashMap::new();
-        for (id, req) in queue {
-            if let Err(e) = req.validate() {
-                reports.push(TransientReport {
-                    request_id: id,
-                    pattern: TransientGroupKey::of(&req).digest(),
-                    degraded: None,
-                    result: Err(e),
-                });
-                continue;
-            }
-            match groups.entry(TransientGroupKey::of(&req)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().push((id, req));
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(vec![(id, req)]);
-                }
-            }
-        }
-
-        // Pre-assemble one model per distinct operator identity before
-        // dispatch, so every group — including same-batch dt/tolerance
-        // variants sharing an operator — clones an assembled model
-        // instead of re-assembling. A failed build is left to the group
-        // itself, which reports the error per request.
-        for key in &order {
-            let req = &groups[key][0].1;
-            let model_key = TransientModelKey::of(req);
-            if !self.transient_models.contains_key(&model_key) {
-                if let Ok(m) = crate::cosim::thermal_model_for(&req.scenario) {
-                    if m.assemble().is_ok() {
-                        self.transient_models.insert_if_absent(model_key, m);
-                    }
-                }
-            }
-        }
-
-        struct TransientJob {
-            key: TransientGroupKey,
-            model_key: TransientModelKey,
-            model: Option<ThermalModel>,
-            requests: Vec<(u64, TransientRequest)>,
-        }
-        let jobs: Vec<Mutex<Option<TransientJob>>> = order
-            .into_iter()
-            .map(|key| {
-                let requests = groups.remove(&key).expect("grouped above");
-                let model_key = TransientModelKey::of(&requests[0].1);
-                // Clone from the cache (a clone carries the assembled
-                // operator).
-                let model = self.transient_models.get(&model_key).cloned();
-                Mutex::new(Some(TransientJob {
-                    key,
-                    model_key,
-                    model,
-                    requests,
-                }))
             })
-            .collect();
-
-        let results = parallel_map(&jobs, |_, slot| {
-            let job = slot
-                .lock()
-                .expect("transient job mutex poisoned")
-                .take()
-                .expect("each job runs exactly once");
-            let digest = job.key.digest();
-            let (model, outcomes, counters) = serve_transient_group(job.model, &job.requests);
-            (job.model_key, model, digest, outcomes, counters)
-        });
-
-        for (model_key, model, digest, outcomes, counters) in results {
-            if counters.quarantined_models > 0 {
-                // A panicking integration quarantines the whole model
-                // identity: drop the pre-assembled cache entry too, so
-                // the next batch re-assembles from scratch.
-                self.transient_models.remove(&model_key);
-            }
-            if let Some(model) = model {
-                self.transient_models.insert_if_absent(model_key, model);
-            }
-            self.stats.trace_segments_integrated += counters.segments_integrated;
-            self.stats.trace_segments_reused += counters.segments_reused;
-            self.stats.trace_integrators_carried += counters.integrators_carried;
-            self.stats.recovered_solves += counters.recovered_solves;
-            self.stats.solver_retries += counters.solver_retries;
-            self.stats.panicked_requests += counters.panicked_requests;
-            self.stats.quarantined_workers += counters.quarantined_models;
-            reports.extend(outcomes.into_iter().map(|(request_id, result)| {
-                let degraded = match &result {
-                    Ok(o) if o.recovered_solves > 0 || o.solver_retries > 0 => Some(format!(
-                        "thermal: {} ladder-recovered solve(s), {} dt-halving retry(ies)",
-                        o.recovered_solves, o.solver_retries
-                    )),
-                    _ => None,
-                };
-                TransientReport {
-                    request_id,
-                    pattern: digest.clone(),
-                    degraded,
-                    result,
-                }
-            }));
-        }
-        reports.sort_unstable_by_key(|r| r.request_id);
-        reports
+        })
+        .collect();
+    Served {
+        reports,
+        job: Job::Transient(group),
+        counters: EngineStats {
+            trace_segments_integrated: c.segments_integrated,
+            trace_segments_reused: c.segments_reused,
+            trace_integrators_carried: c.integrators_carried,
+            recovered_solves: c.recovered_solves,
+            solver_retries: c.solver_retries,
+            panicked_requests: c.panicked_requests,
+            quarantined_workers: c.quarantined_models,
+            ..EngineStats::default()
+        },
+        precond: None,
     }
+}
 
-    /// Convenience: submits every polarization request, dispatches, and
-    /// returns the reports in input order.
-    pub fn run_polarization_batch(
-        &mut self,
-        requests: impl IntoIterator<Item = PolarizationRequest>,
-    ) -> Vec<PolarizationReport> {
-        for r in requests {
-            self.submit_polarization(r);
-        }
-        self.run_pending_polarizations()
-    }
-
-    /// Dispatches every queued polarization request and returns their
-    /// reports in submission order.
-    ///
-    /// Requests are grouped by [`CellPatternKey`]; each group is served
-    /// serially by one cached [`CellModel`] worker whose solve context
-    /// is **retargeted in place** between requests (the duct velocity
-    /// solution and the factored transport operators survive every
-    /// flow/inlet/temperature move), with each sweep warm-bracketing
-    /// its voltage ladder. Distinct pattern groups fan out across the
-    /// sweep executor; workers persist for later batches.
-    pub fn run_pending_polarizations(&mut self) -> Vec<PolarizationReport> {
-        let queue = std::mem::take(&mut self.polarization_queue);
-        if queue.is_empty() {
-            return Vec::new();
-        }
-        self.stats.batches += 1;
-        self.stats.polarization_requests += queue.len() as u64;
-
-        // Validate up front: invalid requests report immediately and
-        // never join a group.
-        let mut reports: Vec<PolarizationReport> = Vec::new();
-        let mut order: Vec<CellPatternKey> = Vec::new();
-        let mut groups: HashMap<CellPatternKey, Vec<(u64, PolarizationRequest)>> = HashMap::new();
-        for (id, req) in queue {
-            if let Err(e) = req.validate() {
-                reports.push(PolarizationReport {
-                    request_id: id,
-                    pattern: CellPatternKey::of(&req.scenario.cell_options).digest(),
-                    reused_context: false,
-                    degraded: None,
-                    result: Err(e),
-                });
-                continue;
-            }
-            match groups.entry(CellPatternKey::of(&req.scenario.cell_options)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().push((id, req));
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(vec![(id, req)]);
-                }
-            }
-        }
-
-        struct CellJob {
-            key: CellPatternKey,
-            worker: Option<CellModel>,
-            requests: Vec<(u64, PolarizationRequest)>,
-        }
-        let jobs: Vec<Mutex<Option<CellJob>>> = order
-            .into_iter()
-            .map(|key| {
-                let requests = groups.remove(&key).expect("grouped above");
-                let worker = self.cell_workers.remove(&key);
-                Mutex::new(Some(CellJob {
-                    key,
-                    worker,
-                    requests,
-                }))
-            })
-            .collect();
-
-        let results = parallel_map(&jobs, |_, slot| {
-            let job = slot
-                .lock()
-                .expect("cell job mutex poisoned")
-                .take()
-                .expect("each job runs exactly once");
-            Self::run_polarization_group(job.key, job.worker, job.requests)
-        });
-
-        for (key, worker, group_reports, built, reused, quarantined, panicked) in results {
-            if let Some(worker) = worker {
-                self.cell_workers.insert_if_absent(key, worker);
-            }
-            self.stats.cell_contexts_built += built;
-            self.stats.cell_context_reuses += reused;
-            self.stats.quarantined_workers += quarantined;
-            self.stats.panicked_requests += panicked;
-            reports.extend(group_reports);
-        }
-        reports.sort_unstable_by_key(|r| r.request_id);
-        reports
-    }
-
-    /// Serves one cell-pattern group serially, retargeting its worker
-    /// between requests.
-    #[allow(clippy::type_complexity)]
-    fn run_polarization_group(
-        key: CellPatternKey,
-        mut worker: Option<CellModel>,
-        requests: Vec<(u64, PolarizationRequest)>,
-    ) -> (
-        CellPatternKey,
-        Option<CellModel>,
-        Vec<PolarizationReport>,
-        u64,
-        u64,
-        u64,
-        u64,
-    ) {
-        let digest = key.digest();
-        let mut reports = Vec::with_capacity(requests.len());
-        let mut built = 0u64;
-        let mut reused = 0u64;
-        let mut quarantined = 0u64;
-        let mut panicked = 0u64;
-        for (id, req) in requests {
-            let existed = worker.is_some();
-            // Panic isolation, mirroring the steady path: the request
-            // fails alone and the batch completes.
-            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                bright_num::faults::maybe_panic();
-                Self::serve_polarization(&mut worker, &req, &mut built)
-            }));
-            let result = match served {
-                Ok(r) => r,
-                Err(payload) => {
-                    panicked += 1;
-                    Err(CoreError::WorkerPanic(crate::panic_message(
-                        payload.as_ref(),
-                    )))
-                }
-            };
-            // Any failed serve leaves the worker suspect: quarantine it
-            // so the next request rebuilds from its own scenario.
-            // (`serve_polarization` already drops half-retargeted
-            // workers itself — `existed` credits that drop — and this
-            // extends the rule to panics and sweep failures.)
-            if result.is_err() && (worker.take().is_some() || existed) {
-                quarantined += 1;
-            }
-            // A failed retarget serves nothing, so it is not a reuse
-            // (mirroring the steady path's accounting).
-            let reused_context = existed && result.is_ok();
-            if reused_context {
-                reused += 1;
-            }
-            reports.push(PolarizationReport {
-                request_id: id,
-                pattern: digest.clone(),
-                reused_context,
-                // Cell sweeps solve through direct factorizations — no
-                // recovery ladder can have produced this answer.
-                degraded: None,
-                result,
-            });
-        }
-        (key, worker, reports, built, reused, quarantined, panicked)
-    }
-
-    /// Serves one polarization request from `worker`, building or
-    /// retargeting it as needed.
-    fn serve_polarization(
-        worker: &mut Option<CellModel>,
-        req: &PolarizationRequest,
-        built: &mut u64,
-    ) -> Result<PolarizationOutcome, CoreError> {
-        if let Some(w) = worker.as_mut() {
-            if let Err(e) = crate::cosim::retarget_cell_to(w, &req.scenario, None) {
-                // A half-retargeted worker is unsafe to keep: drop it
-                // so the next request rebuilds from its own scenario.
-                *worker = None;
-                return Err(e);
-            }
-        } else {
-            let w = cell_model_for(&req.scenario)?;
-            w.warm()?;
-            *built += 1;
-            *worker = Some(w);
-        }
-        let w = worker.as_ref().expect("built or retargeted above");
-        let curve = w
-            .polarization_curve(req.points)?
-            .scaled_parallel(req.scenario.channel_count);
-        Ok(PolarizationOutcome::from_curve(curve))
-    }
-
-    /// Dispatches **every** queued request — steady, transient and
-    /// polarization — and returns the merged reports in submission
-    /// order (the id space is shared, so a mixed batch interleaves
-    /// exactly as submitted).
-    pub fn run_all_pending(&mut self) -> Vec<EngineReport> {
-        let mut out: Vec<EngineReport> = self
-            .run_pending()
-            .into_iter()
-            .map(EngineReport::Steady)
-            .collect();
-        out.extend(
-            self.run_pending_transients()
-                .into_iter()
-                .map(EngineReport::Transient),
+/// Serves a polarization group serially: one cached [`CellModel`]
+/// worker whose solve context is **retargeted in place** between
+/// requests (the duct velocity solution and the factored transport
+/// operators survive every flow/inlet/temperature move), with each
+/// sweep warm-bracketing its voltage ladder.
+fn serve_polarizations(mut group: Group<CellPatternKey, CellModel, PolarizationRequest>) -> Served {
+    let pattern = group.key.digest();
+    let requests = std::mem::take(&mut group.requests);
+    let mut counters = EngineStats::default();
+    let mut built = 0u64;
+    let mut reports = Vec::with_capacity(requests.len());
+    for (id, req) in requests {
+        let existed = group.worker.is_some();
+        let (result, ()) = serve_isolated(
+            &mut group.worker,
+            &mut counters,
+            |worker| serve_polarization(worker, &req, &mut built),
+            |_, _| (),
         );
-        out.extend(
-            self.run_pending_polarizations()
-                .into_iter()
-                .map(EngineReport::Polarization),
-        );
-        out.sort_unstable_by_key(EngineReport::request_id);
-        out
+        // A failed retarget serves nothing, so it is not a reuse
+        // (mirroring the steady path's accounting).
+        let reused_context = existed && result.is_ok();
+        counters.cell_context_reuses += u64::from(reused_context);
+        reports.push(EngineReport::Polarization(PolarizationReport {
+            request_id: id,
+            pattern: pattern.clone(),
+            reused_context,
+            // Cell sweeps solve through direct factorizations — no
+            // recovery ladder can have produced this answer.
+            degraded: None,
+            result,
+        }));
     }
+    counters.cell_contexts_built = built;
+    Served {
+        reports,
+        job: Job::Polarization(group),
+        counters,
+        precond: None,
+    }
+}
+
+/// Serves one polarization request from `worker`, building or
+/// retargeting it as needed.
+fn serve_polarization(
+    worker: &mut Option<CellModel>,
+    req: &PolarizationRequest,
+    built: &mut u64,
+) -> Result<PolarizationOutcome, CoreError> {
+    if let Some(w) = worker.as_mut() {
+        if let Err(e) = crate::cosim::retarget_cell_to(w, &req.scenario, None) {
+            // A half-retargeted worker is unsafe to keep: drop it so the
+            // next request rebuilds from its own scenario.
+            *worker = None;
+            return Err(e);
+        }
+    } else {
+        let w = cell_model_for(&req.scenario)?;
+        w.warm()?;
+        *built += 1;
+        *worker = Some(w);
+    }
+    let w = worker.as_ref().expect("built or retargeted above");
+    let curve = w
+        .polarization_curve(req.points)?
+        .scaled_parallel(req.scenario.channel_count);
+    Ok(PolarizationOutcome::from_curve(curve))
 }
 
 #[cfg(test)]
@@ -1365,7 +1255,7 @@ mod tests {
             stats.operators_built + stats.operator_reuses >= 3,
             "{stats:?}"
         );
-        assert_eq!(engine.cached_patterns(), 1);
+        assert_eq!(engine.stats().cache_residents, 1);
     }
 
     #[test]
@@ -1414,22 +1304,22 @@ mod tests {
         coarse.thermal_columns = 11;
         coarse.thermal_ny = 11;
         let ids = [
-            engine.submit(flow_scenario(676.0)),
-            engine.submit(coarse.clone()),
-            engine.submit(flow_scenario(120.0)),
-            engine.submit(coarse),
+            engine.submit(ScenarioRequest::Steady(flow_scenario(676.0))),
+            engine.submit(ScenarioRequest::Steady(coarse.clone())),
+            engine.submit(ScenarioRequest::Steady(flow_scenario(120.0))),
+            engine.submit(ScenarioRequest::Steady(coarse)),
         ];
         assert_eq!(engine.pending(), 4);
-        let reports = engine.run_pending();
+        let reports = engine.run();
         assert_eq!(engine.pending(), 0);
-        let got: Vec<u64> = reports.iter().map(|r| r.request_id).collect();
+        let got: Vec<u64> = reports.iter().map(EngineReport::request_id).collect();
         assert_eq!(got, ids.to_vec());
         // Two distinct pattern groups.
-        assert_eq!(engine.cached_patterns(), 2);
+        assert_eq!(engine.stats().cache_residents, 2);
         let digests: std::collections::HashSet<&str> =
-            reports.iter().map(|r| r.pattern.as_str()).collect();
+            reports.iter().map(EngineReport::pattern).collect();
         assert_eq!(digests.len(), 2);
-        assert!(reports.iter().all(|r| r.result.is_ok()));
+        assert!(reports.iter().all(EngineReport::is_ok));
     }
 
     #[test]
@@ -1444,7 +1334,7 @@ mod tests {
         assert_eq!(engine.stats().batches, 2);
 
         engine.evict_workers();
-        assert_eq!(engine.cached_patterns(), 0);
+        assert_eq!(engine.stats().cache_residents, 0);
     }
 
     #[test]
@@ -1458,7 +1348,7 @@ mod tests {
         coarse.thermal_ny = 11;
         let reports = engine.run_batch([flow_scenario(676.0), coarse.clone()]);
         assert!(reports.iter().all(|r| r.result.is_ok()));
-        assert_eq!(engine.cached_patterns(), 1, "bound must hold");
+        assert_eq!(engine.stats().cache_residents, 1, "bound must hold");
         let stats = engine.stats();
         assert_eq!(stats.cache_capacity, 1);
         assert_eq!(stats.cache_residents, 1);
@@ -1467,14 +1357,14 @@ mod tests {
         // The unbounded default never evicts.
         let mut open = ScenarioEngine::new();
         open.run_batch([flow_scenario(676.0), coarse]);
-        assert_eq!(open.cached_patterns(), 2);
+        assert_eq!(open.stats().cache_residents, 2);
         assert_eq!(open.stats().evicted_workers, 0);
         assert_eq!(open.stats().cache_capacity, 0);
         assert_eq!(open.stats().cache_residents, 2);
 
         // Tightening the bound on a warm engine evicts immediately.
         open.set_cache_capacity(1);
-        assert_eq!(open.cached_patterns(), 1);
+        assert_eq!(open.stats().cache_residents, 1);
         assert!(open.stats().evicted_workers >= 1);
     }
 
@@ -1561,6 +1451,46 @@ mod tests {
             reports[1].result,
             Err(CoreError::InvalidScenario(_))
         ));
+    }
+
+    #[test]
+    fn invalid_steady_request_keeps_the_healthy_worker() {
+        // An invalid scenario fails validation before it reaches its
+        // pattern's cached worker, so the worker survives: the next
+        // valid request retargets it instead of rebuilding.
+        let mut engine = ScenarioEngine::new();
+        assert!(engine.run_batch([flow_scenario(676.0)])[0].result.is_ok());
+        let mut bad = flow_scenario(400.0);
+        bad.sweep_points = 1;
+        let reports = engine.run_batch([bad]);
+        assert!(matches!(
+            reports[0].result,
+            Err(CoreError::InvalidScenario(_))
+        ));
+        let stats = engine.stats();
+        assert_eq!(stats.quarantined_workers, 0, "{stats:?}");
+        assert_eq!(stats.cache_residents, 1, "{stats:?}");
+        let reports = engine.run_batch([flow_scenario(300.0)]);
+        assert!(reports[0].result.is_ok());
+        assert!(reports[0].reused_operator, "{:?}", reports[0]);
+        assert_eq!(engine.stats().operators_built, 1);
+    }
+
+    #[test]
+    fn typed_adapters_leave_the_queue_alone() {
+        let mut engine = ScenarioEngine::new();
+        let queued = engine.submit(ScenarioRequest::Polarization(PolarizationRequest::new(
+            flow_scenario(676.0),
+        )));
+        let reports = engine.run_batch([flow_scenario(400.0)]);
+        assert_eq!(reports.len(), 1);
+        assert!(reports[0].result.is_ok());
+        assert_eq!(engine.pending(), 1, "the adapter must not drain the queue");
+        let reports = engine.run();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].request_id(), queued);
+        assert!(matches!(reports[0], EngineReport::Polarization(_)));
+        assert!(reports[0].is_ok());
     }
 
     #[test]
@@ -1655,20 +1585,26 @@ mod tests {
         bad.trace.clear();
         let mut engine = ScenarioEngine::new();
         let ids = [
-            engine.submit_request(ScenarioRequest::Transient(good)),
-            engine.submit_request(ScenarioRequest::Transient(bad)),
+            engine.submit(ScenarioRequest::Transient(good)),
+            engine.submit(ScenarioRequest::Transient(bad)),
         ];
-        assert_eq!(engine.pending_transients(), 2);
-        let reports = engine.run_pending_transients();
-        assert_eq!(engine.pending_transients(), 0);
+        assert_eq!(engine.pending(), 2);
+        let reports = engine.run();
+        assert_eq!(engine.pending(), 0);
         assert_eq!(
-            reports.iter().map(|r| r.request_id).collect::<Vec<_>>(),
+            reports
+                .iter()
+                .map(EngineReport::request_id)
+                .collect::<Vec<_>>(),
             ids.to_vec()
         );
-        assert!(reports[0].result.is_ok());
+        assert!(reports[0].is_ok());
         assert!(matches!(
-            reports[1].result,
-            Err(CoreError::InvalidScenario(_))
+            &reports[1],
+            EngineReport::Transient(TransientReport {
+                result: Err(CoreError::InvalidScenario(_)),
+                ..
+            })
         ));
     }
 
@@ -1716,7 +1652,7 @@ mod tests {
         assert_eq!(stats.polarization_requests, 4);
         assert_eq!(stats.cell_contexts_built, 1, "one pattern, one cold build");
         assert_eq!(stats.cell_context_reuses, 3);
-        assert_eq!(engine.cached_cell_patterns(), 1);
+        assert_eq!(engine.stats().cache_residents, 1);
 
         // A second batch reuses the cached worker outright.
         let reports = engine.run_polarization_batch([PolarizationRequest::new(
@@ -1733,7 +1669,7 @@ mod tests {
         assert!(cell_stats.coefficient_refreshes >= 4, "{cell_stats:?}");
 
         engine.evict_workers();
-        assert_eq!(engine.cached_cell_patterns(), 0);
+        assert_eq!(engine.stats().cache_residents, 0);
     }
 
     #[test]
@@ -1766,24 +1702,20 @@ mod tests {
         };
         let mut engine = ScenarioEngine::new();
         let ids = [
-            engine.submit_request(ScenarioRequest::Polarization(PolarizationRequest::new(
+            engine.submit(ScenarioRequest::Polarization(PolarizationRequest::new(
                 flow_scenario(676.0),
             ))),
-            engine.submit_request(ScenarioRequest::Steady(flow_scenario(400.0))),
-            engine.submit_request(ScenarioRequest::Transient(transient.clone())),
-            engine.submit_request(ScenarioRequest::Steady(flow_scenario(120.0))),
-            engine.submit_request(ScenarioRequest::Polarization(PolarizationRequest::new(
+            engine.submit(ScenarioRequest::Steady(flow_scenario(400.0))),
+            engine.submit(ScenarioRequest::Transient(transient.clone())),
+            engine.submit(ScenarioRequest::Steady(flow_scenario(120.0))),
+            engine.submit(ScenarioRequest::Polarization(PolarizationRequest::new(
                 flow_scenario(200.0),
             ))),
-            engine.submit_request(ScenarioRequest::Transient(transient)),
+            engine.submit(ScenarioRequest::Transient(transient)),
         ];
-        assert_eq!(engine.pending(), 2);
-        assert_eq!(engine.pending_transients(), 2);
-        assert_eq!(engine.pending_polarizations(), 2);
-        let reports = engine.run_all_pending();
+        assert_eq!(engine.pending(), 6);
+        let reports = engine.run();
         assert_eq!(engine.pending(), 0);
-        assert_eq!(engine.pending_transients(), 0);
-        assert_eq!(engine.pending_polarizations(), 0);
         let got: Vec<u64> = reports.iter().map(EngineReport::request_id).collect();
         assert_eq!(got, ids.to_vec(), "submission order must survive the merge");
         assert!(reports.iter().all(EngineReport::is_ok));
@@ -1799,6 +1731,7 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.transient_requests, 2);
         assert_eq!(stats.polarization_requests, 2);
+        assert_eq!(stats.batches, 1, "a mixed run is one batch");
     }
 
     #[test]
@@ -1815,6 +1748,6 @@ mod tests {
             .collect();
         // Warmer inlet, warmer chip.
         assert!(peaks.windows(2).all(|w| w[1] > w[0]), "{peaks:?}");
-        assert_eq!(engine.cached_patterns(), 1);
+        assert_eq!(engine.stats().cache_residents, 1);
     }
 }

@@ -18,12 +18,15 @@
 //! temperature, array V–I, cache-rail voltage map, pumping power,
 //! thermal enhancement of generation). For streams of operating points
 //! — design sweeps, server-style workloads — the
-//! [`engine::ScenarioEngine`] batches requests by operator pattern and
-//! serves them through cached, retargeted co-simulations. Time-varying
-//! loads (throttling events, dark-silicon duty cycles) are served as
-//! [`transient::TransientRequest`]s: adaptive- or fixed-Δt trace
-//! integrations whose shared segment prefixes are integrated once and
-//! branched from checkpoints.
+//! [`engine::ScenarioEngine`] serves steady points, transient traces and
+//! polarization sweeps through one request path:
+//! [`engine::ScenarioEngine::submit`] queues an
+//! [`engine::ScenarioRequest`] of any kind and
+//! [`engine::ScenarioEngine::run`] serves the queue as one batch through
+//! cached, retargeted workers. Time-varying loads (throttling events,
+//! dark-silicon duty cycles) are [`transient::TransientRequest`]s:
+//! TR-BDF2 adaptive or fixed-Δt trace integrations whose shared segment
+//! prefixes are integrated once and branched from checkpoints.
 //!
 //! # Examples
 //!

@@ -168,22 +168,30 @@ impl Scenario {
         if self.thermal_ny == 0 {
             return Err(CoreError::InvalidScenario("zero thermal rows".into()));
         }
-        if !self.total_flow.is_finite() || self.total_flow.value() <= 0.0 {
-            return Err(CoreError::InvalidScenario(format!(
-                "flow must be positive, got {}",
-                self.total_flow
-            )));
-        }
-        for (name, dim) in [
-            ("channel width", self.channel_width),
-            ("channel height", self.channel_height),
-        ] {
-            if !(dim.value() > 0.0 && dim.is_finite()) {
+        let positive = |name: &str, value: f64, shown: &dyn std::fmt::Display| {
+            if !value.is_finite() {
                 return Err(CoreError::InvalidScenario(format!(
-                    "{name} must be positive, got {dim}"
+                    "{name} must be finite, got {shown}"
                 )));
             }
-        }
+            if value <= 0.0 {
+                return Err(CoreError::InvalidScenario(format!(
+                    "{name} must be positive, got {shown}"
+                )));
+            }
+            Ok(())
+        };
+        positive("flow", self.total_flow.value(), &self.total_flow)?;
+        positive(
+            "channel width",
+            self.channel_width.value(),
+            &self.channel_width,
+        )?;
+        positive(
+            "channel height",
+            self.channel_height.value(),
+            &self.channel_height,
+        )?;
         if !self.inlet_temperature.is_physical() {
             return Err(CoreError::InvalidScenario(format!(
                 "non-physical inlet temperature {}",
@@ -238,9 +246,26 @@ mod tests {
         s.channel_count = 0;
         assert!(s.validate().is_err());
 
+        let message = |s: &Scenario| match s.validate() {
+            Err(CoreError::InvalidScenario(m)) => m,
+            other => panic!("expected an invalid scenario, got {other:?}"),
+        };
         let mut s = Scenario::power7_nominal();
         s.total_flow = CubicMetersPerSecond::new(0.0);
-        assert!(s.validate().is_err());
+        let m = message(&s);
+        assert!(m.starts_with("flow must be positive"), "{m}");
+        for bad in [f64::INFINITY, f64::NAN] {
+            s.total_flow = CubicMetersPerSecond::new(bad);
+            let m = message(&s);
+            let expected = format!("flow must be finite, got {bad}");
+            assert!(m.starts_with(&expected), "{m}");
+        }
+
+        let mut s = Scenario::power7_nominal();
+        s.channel_width = Meters::new(f64::INFINITY);
+        let m = message(&s);
+        let expected = "channel width must be finite, got inf";
+        assert!(m.starts_with(expected), "{m}");
 
         let mut s = Scenario::power7_nominal();
         s.inlet_temperature = Kelvin::new(-1.0);

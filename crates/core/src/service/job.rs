@@ -476,10 +476,6 @@ fn stepping_to_json(stepping: &SteppingMode) -> Value {
             ("safety".into(), Value::Number(cfg.safety)),
             ("max_growth".into(), Value::Number(cfg.max_growth)),
             ("min_shrink".into(), Value::Number(cfg.min_shrink)),
-            (
-                "controller".into(),
-                Value::String(cfg.controller.as_str().into()),
-            ),
         ]),
     }
 }
@@ -489,25 +485,27 @@ fn stepping_from_json(v: &Value) -> Result<SteppingMode, CoreError> {
         "fixed" => Ok(SteppingMode::Fixed {
             dt: num_field(v, "dt")?,
         }),
-        "adaptive" => Ok(SteppingMode::Adaptive(AdaptiveConfig {
-            abs_tol: num_field(v, "abs_tol")?,
-            rel_tol: num_field(v, "rel_tol")?,
-            dt_init: num_field(v, "dt_init")?,
-            dt_min: num_field(v, "dt_min")?,
-            dt_max: num_field(v, "dt_max")?,
-            safety: num_field(v, "safety")?,
-            max_growth: num_field(v, "max_growth")?,
-            min_shrink: num_field(v, "min_shrink")?,
-            // Specs written by pre-TR-BDF2 builds carry no controller
-            // field; they ran step-doubling's *semantics* but re-runs
-            // adopt the current default estimator.
-            controller: match v.get("controller").and_then(Value::as_str) {
-                None => bright_thermal::Controller::default(),
-                Some(text) => bright_thermal::Controller::parse(text).ok_or_else(|| {
-                    CoreError::Report(format!("unknown controller '{text}'"))
-                })?,
-            },
-        })),
+        "adaptive" => {
+            // TR-BDF2 is the only estimator. Specs journaled by earlier
+            // builds name it, and older ones carry no controller field
+            // at all; both still recover.
+            match v.get("controller").and_then(Value::as_str) {
+                None | Some("tr-bdf2") => {}
+                Some(text) => {
+                    return Err(CoreError::Report(format!("unknown controller '{text}'")))
+                }
+            }
+            Ok(SteppingMode::Adaptive(AdaptiveConfig {
+                abs_tol: num_field(v, "abs_tol")?,
+                rel_tol: num_field(v, "rel_tol")?,
+                dt_init: num_field(v, "dt_init")?,
+                dt_min: num_field(v, "dt_min")?,
+                dt_max: num_field(v, "dt_max")?,
+                safety: num_field(v, "safety")?,
+                max_growth: num_field(v, "max_growth")?,
+                min_shrink: num_field(v, "min_shrink")?,
+            }))
+        }
         other => Err(CoreError::Report(format!("unknown stepping mode '{other}'"))),
     }
 }
@@ -806,6 +804,32 @@ mod tests {
         };
         let back = JobSpec::from_json_str(&adaptive.to_json().to_json_string()).unwrap();
         assert_eq!(back, adaptive);
+    }
+
+    #[test]
+    fn adaptive_controller_field_is_optional_and_checked() {
+        let adaptive = JobSpec {
+            kind: JobKind::Transient {
+                trace: vec![(0.01, LoadRef::full_load(), None)],
+                initial_temperature_k: 300.0,
+                stepping: SteppingMode::Adaptive(AdaptiveConfig::default()),
+            },
+            ..JobSpec::steady("power7_reduced")
+        };
+        let text = adaptive.to_json().to_json_string();
+        assert!(!text.contains("controller"), "{text}");
+        let with = |controller: &str| {
+            let field = format!(r#""mode":"adaptive","controller":"{controller}","#);
+            JobSpec::from_json_str(&text.replace(r#""mode":"adaptive","#, &field))
+        };
+        assert_eq!(JobSpec::from_json_str(&text).unwrap(), adaptive);
+        assert_eq!(with("tr-bdf2").unwrap(), adaptive);
+        for unknown in ["step-doubling", "rk4"] {
+            match with(unknown) {
+                Err(CoreError::Report(m)) => assert!(m.contains("unknown controller"), "{m}"),
+                other => panic!("{unknown}: expected a typed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! thread), and on a single-core host the work runs inline with zero
 //! thread overhead. `BRIGHT_SWEEP_THREADS` caps the worker count.
 
-use crate::reports::CoSimReport;
-use crate::scenario::Scenario;
 use crate::CoreError;
 use bright_echem::vanadium;
 use bright_flowcell::options::{SolverOptions, TemperatureProfile, VelocityModel};
@@ -73,63 +71,6 @@ where
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
     bright_num::parallel::try_parallel_map_indexed(items, sweep_workers(items.len()), f)
-}
-
-/// Runs many scenarios through the full co-simulation — the fan-out
-/// behind design-space bins and ablation batteries.
-///
-/// Routed through a [`crate::engine::ScenarioEngine`]: scenarios sharing
-/// an operator pattern are served by one cached, retargeted worker
-/// (assemble once, refresh coefficients per point) while distinct
-/// patterns — and chunks of large same-pattern batches — fan out across
-/// the executor's workers.
-#[must_use]
-pub fn run_scenarios(scenarios: &[Scenario]) -> Vec<Result<CoSimReport, CoreError>> {
-    let mut engine = crate::engine::ScenarioEngine::new();
-    engine
-        .run_batch(scenarios.iter().cloned())
-        .into_iter()
-        .map(|r| r.result)
-        .collect()
-}
-
-/// Runs many transient trace integrations — the companion of
-/// [`run_scenarios`] for time-varying loads.
-///
-/// Routed through a [`crate::engine::ScenarioEngine`]: requests whose
-/// thermal operator, initial state and stepping agree are grouped, and
-/// trace segments shared across a group are integrated once and
-/// branched from checkpoints (see [`crate::transient`]).
-#[must_use]
-pub fn run_transients(
-    requests: &[crate::transient::TransientRequest],
-) -> Vec<Result<crate::transient::TransientOutcome, CoreError>> {
-    let mut engine = crate::engine::ScenarioEngine::new();
-    engine
-        .run_transient_batch(requests.iter().cloned())
-        .into_iter()
-        .map(|r| r.result)
-        .collect()
-}
-
-/// Runs many electrochemical polarization sweeps — the companion of
-/// [`run_scenarios`] for flow-cell-only ablations (flow, inlet
-/// chemistry, temperature).
-///
-/// Routed through a [`crate::engine::ScenarioEngine`]: requests sharing
-/// a cell-geometry pattern are served by one cached worker whose solve
-/// context is retargeted in place per point (one duct solve and one set
-/// of transport-operator factorizations for the whole batch).
-#[must_use]
-pub fn run_polarizations(
-    requests: &[crate::engine::PolarizationRequest],
-) -> Vec<Result<crate::reports::PolarizationOutcome, CoreError>> {
-    let mut engine = crate::engine::ScenarioEngine::new();
-    engine
-        .run_polarization_batch(requests.iter().cloned())
-        .into_iter()
-        .map(|r| r.result)
-        .collect()
 }
 
 /// One row of a power-density sweep.

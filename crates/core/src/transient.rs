@@ -8,7 +8,7 @@
 //! one such integration: a [`crate::Scenario`] (fixing the thermal
 //! stack and coolant operating point), a piecewise-constant trace of
 //! [`LoadStep`]s, and a [`SteppingMode`] (fixed Δt or the adaptive
-//! controller of [`bright_thermal::AdaptiveTransient`]).
+//! TR-BDF2 controller of [`bright_thermal::AdaptiveTransient`]).
 //!
 //! The engine groups requests whose thermal operator, initial state and
 //! stepping agree, then serves each group over a **segment-prefix
@@ -25,8 +25,8 @@ use crate::scenario::Scenario;
 use crate::CoreError;
 use bright_floorplan::PowerScenario;
 use bright_thermal::{
-    AdaptiveConfig, AdaptiveTransient, Checkpoint, CoefficientRamp, Controller, PowerTrace,
-    ThermalModel, TraceSegment, TransientSimulation,
+    AdaptiveConfig, AdaptiveTransient, Checkpoint, CoefficientRamp, PowerTrace, ThermalModel,
+    TraceSegment, TransientSimulation,
 };
 use bright_units::{CubicMetersPerSecond, Kelvin};
 
@@ -138,9 +138,8 @@ pub enum SteppingMode {
         /// The time step (s).
         dt: f64,
     },
-    /// Adaptive Δt control ([`bright_thermal::AdaptiveTransient`]) —
-    /// the TR-BDF2 embedded pair by default, or legacy step-doubling
-    /// via [`AdaptiveConfig::controller`].
+    /// Adaptive Δt control with the TR-BDF2 embedded pair
+    /// ([`bright_thermal::AdaptiveTransient`]).
     Adaptive(AdaptiveConfig),
 }
 
@@ -197,14 +196,6 @@ impl TransientRequest {
                 ramp.validate().map_err(|e| {
                     CoreError::InvalidScenario(format!("trace segment {i}: {e}"))
                 })?;
-                if let SteppingMode::Adaptive(cfg) = &self.stepping {
-                    if cfg.controller == Controller::StepDoubling {
-                        return Err(CoreError::InvalidScenario(format!(
-                            "trace segment {i}: coefficient ramps require the TR-BDF2 \
-                             controller (or fixed stepping)"
-                        )));
-                    }
-                }
             }
         }
         if !(self.initial_temperature.value() > 0.0 && self.initial_temperature.value().is_finite())
@@ -400,20 +391,17 @@ impl TransientModelKey {
 /// coefficients), the initial state and the stepping policy all agree.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct TransientGroupKey {
-    pattern: PatternKey,
-    /// Bit patterns of flow, inlet, initial temperature and the
-    /// stepping parameters (exact equality is the sharing condition).
+    /// The thermal operator (pattern, flow and inlet): the key of the
+    /// group's cached model.
+    pub(crate) model: TransientModelKey,
+    /// Bit patterns of the initial temperature and the stepping
+    /// parameters (exact equality is the sharing condition).
     bits: Vec<u64>,
 }
 
 impl TransientGroupKey {
     pub(crate) fn of(req: &TransientRequest) -> Self {
-        let s = &req.scenario;
-        let mut bits = vec![
-            s.total_flow.value().to_bits(),
-            s.inlet_temperature.value().to_bits(),
-            req.initial_temperature.value().to_bits(),
-        ];
+        let mut bits = vec![req.initial_temperature.value().to_bits()];
         match &req.stepping {
             SteppingMode::Fixed { dt } => {
                 bits.push(0);
@@ -433,22 +421,16 @@ impl TransientGroupKey {
                 ] {
                     bits.push(v.to_bits());
                 }
-                // Different estimators take different step sequences:
-                // never share nodes across controllers.
-                bits.push(match cfg.controller {
-                    Controller::TrBdf2 => 0,
-                    Controller::StepDoubling => 1,
-                });
             }
         }
         Self {
-            pattern: PatternKey::of(s),
+            model: TransientModelKey::of(req),
             bits,
         }
     }
 
     pub(crate) fn digest(&self) -> String {
-        self.pattern.digest()
+        self.model.pattern.digest()
     }
 }
 
@@ -886,21 +868,11 @@ mod tests {
         let mut d = a.clone();
         d.initial_temperature = Kelvin::new(305.0);
         assert_ne!(TransientGroupKey::of(&a), TransientGroupKey::of(&d));
-        // Controller variants step differently and must never share a
-        // serving group even when every tolerance agrees.
-        let mut e = a.clone();
-        e.stepping = SteppingMode::Adaptive(AdaptiveConfig::default());
-        let mut f = e.clone();
-        f.stepping = SteppingMode::Adaptive(AdaptiveConfig {
-            controller: Controller::StepDoubling,
-            ..AdaptiveConfig::default()
-        });
-        assert_ne!(TransientGroupKey::of(&e), TransientGroupKey::of(&f));
         let _ = full;
     }
 
     #[test]
-    fn ramp_validation_requires_trbdf2() {
+    fn ramp_validation_accepts_both_stepping_modes() {
         let full = PowerScenario::full_load();
         let mut r = base_request(&[(0.01, full.clone())]);
         r.trace[0].ramp = Some(LoadRamp::flow(1.0, 0.25));
@@ -909,12 +881,6 @@ mod tests {
         // TR-BDF2 stages sync inside the step; fine.
         r.stepping = SteppingMode::Adaptive(AdaptiveConfig::default());
         assert!(r.validate().is_ok());
-        // Step-doubling has no stage-level sync points: rejected.
-        r.stepping = SteppingMode::Adaptive(AdaptiveConfig {
-            controller: Controller::StepDoubling,
-            ..AdaptiveConfig::default()
-        });
-        assert!(r.validate().is_err());
         // Degenerate ramp endpoints are caught per step.
         let mut r = base_request(&[(0.01, full)]);
         r.trace[0].ramp = Some(LoadRamp::flow(0.0, 1.0));

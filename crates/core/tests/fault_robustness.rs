@@ -8,7 +8,7 @@
 
 use bright_core::{
     CoreError, EngineReport, LoadStep, PolarizationRequest, Scenario, ScenarioEngine,
-    SteppingMode, TransientRequest,
+    ScenarioReport, ScenarioRequest, SteppingMode, TransientReport, TransientRequest,
 };
 use bright_num::faults::{self, FaultPlan};
 use bright_units::{CubicMetersPerSecond, Kelvin};
@@ -26,6 +26,28 @@ fn flow_scenario(ml_min: f64) -> Scenario {
     let mut s = Scenario::power7_reduced();
     s.total_flow = CubicMetersPerSecond::from_milliliters_per_minute(ml_min);
     s
+}
+
+/// The reports of a steady-only `run()`.
+fn steady(reports: Vec<EngineReport>) -> Vec<ScenarioReport> {
+    reports
+        .into_iter()
+        .map(|r| match r {
+            EngineReport::Steady(r) => r,
+            other => panic!("steady batch returned {other:?}"),
+        })
+        .collect()
+}
+
+/// The reports of a transient-only `run()`.
+fn transient(reports: Vec<EngineReport>) -> Vec<TransientReport> {
+    reports
+        .into_iter()
+        .map(|r| match r {
+            EngineReport::Transient(r) => r,
+            other => panic!("transient batch returned {other:?}"),
+        })
+        .collect()
 }
 
 fn transient_request(dt: f64) -> TransientRequest {
@@ -51,12 +73,15 @@ proptest! {
         let shot = shot_salt % n as u64 + 1;
         let mut engine = ScenarioEngine::new();
         let ids: Vec<u64> = (0..n)
-            .map(|i| engine.submit(flow_scenario(600.0 - 40.0 * i as f64)))
+            .map(|i| {
+                let s = flow_scenario(600.0 - 40.0 * i as f64);
+                engine.submit(ScenarioRequest::Steady(s))
+            })
             .collect();
-        let reports = faults::with_plan(Some(FaultPlan::one_shot_panic(shot)), || {
+        let reports = steady(faults::with_plan(Some(FaultPlan::one_shot_panic(shot)), || {
             faults::reset_counters();
-            engine.run_pending()
-        });
+            engine.run()
+        }));
         prop_assert_eq!(
             reports.iter().map(|r| r.request_id).collect::<Vec<_>>(),
             ids
@@ -92,12 +117,15 @@ fn fault_transient_panic_quarantines_the_model_and_rebuild_succeeds() {
     let mut engine = ScenarioEngine::new();
     // Two groups (dt variants of one operator); the one-shot panic
     // lands in whichever integrates its node first.
-    let a = engine.submit_transient(transient_request(2e-3));
-    let b = engine.submit_transient(transient_request(4e-3));
-    let reports = faults::with_plan(Some(FaultPlan::one_shot_panic(1)), || {
-        faults::reset_counters();
-        engine.run_pending_transients()
-    });
+    let a = engine.submit(ScenarioRequest::Transient(transient_request(2e-3)));
+    let b = engine.submit(ScenarioRequest::Transient(transient_request(4e-3)));
+    let reports = transient(faults::with_plan(
+        Some(FaultPlan::one_shot_panic(1)),
+        || {
+            faults::reset_counters();
+            engine.run()
+        },
+    ));
     assert_eq!(
         reports.iter().map(|r| r.request_id).collect::<Vec<_>>(),
         vec![a, b]
@@ -151,20 +179,22 @@ fn fault_seeded_mixed_batch_completes_with_consistent_stats() {
     let mut engine = ScenarioEngine::new();
     let mut ids = Vec::new();
     for i in 0..10 {
-        ids.push(engine.submit(flow_scenario(650.0 - 30.0 * i as f64)));
+        ids.push(engine.submit(ScenarioRequest::Steady(flow_scenario(
+            650.0 - 30.0 * i as f64,
+        ))));
     }
     for _ in 0..6 {
-        ids.push(engine.submit_transient(transient_request(2e-3)));
+        ids.push(engine.submit(ScenarioRequest::Transient(transient_request(2e-3))));
     }
     for i in 0..4 {
         let mut s = Scenario::power7_reduced();
         s.inlet_temperature = Kelvin::new(300.0 + i as f64);
-        ids.push(engine.submit_polarization(PolarizationRequest::new(s)));
+        ids.push(engine.submit(ScenarioRequest::Polarization(PolarizationRequest::new(s))));
     }
     assert!(ids.len() >= 20);
     let reports = faults::with_plan(Some(plan), || {
         faults::reset_counters();
-        engine.run_all_pending()
+        engine.run()
     });
     assert_eq!(
         reports.iter().map(EngineReport::request_id).collect::<Vec<_>>(),
@@ -241,7 +271,7 @@ fn fault_degraded_flag_marks_only_the_recovered_request() {
     let _guard = fault_lock();
     let mut engine = ScenarioEngine::new();
     for f in [676.0, 400.0, 200.0] {
-        engine.submit(flow_scenario(f));
+        engine.submit(ScenarioRequest::Steady(flow_scenario(f)));
     }
     // A single forced breakdown: one shot via a period far above the
     // batch's breakdown-gate opportunity count.
@@ -250,10 +280,10 @@ fn fault_degraded_flag_marks_only_the_recovered_request() {
         breakdown: 1 << 40,
         ..FaultPlan::default()
     };
-    let reports = faults::with_plan(Some(plan), || {
+    let reports = steady(faults::with_plan(Some(plan), || {
         faults::reset_counters();
-        engine.run_pending()
-    });
+        engine.run()
+    }));
     assert_eq!(reports.len(), 3);
     for r in &reports {
         assert!(r.result.is_ok(), "ladder must absorb the breakdown");

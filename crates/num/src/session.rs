@@ -506,22 +506,6 @@ impl SolverSession {
         self.x.clear();
     }
 
-    /// Weighted-RMS distance between the session's current solution and
-    /// a reference field (see [`crate::vec_ops::wrms_diff`]) — the local
-    /// error measure adaptive time steppers compare against 1. The
-    /// coarse/fine comparison of a step-doubling controller reads the
-    /// coarse result out of one solve, then measures the refined result
-    /// against it without copying either.
-    ///
-    /// # Panics
-    ///
-    /// As [`crate::vec_ops::wrms_diff`] (mismatched lengths, zero
-    /// tolerances) in debug builds.
-    #[must_use]
-    pub fn solution_wrms_diff(&self, reference: &[f64], abs_tol: f64, rel_tol: f64) -> f64 {
-        crate::vec_ops::wrms_diff(&self.x, reference, abs_tol, rel_tol)
-    }
-
     /// Statistics of the last completed solve.
     #[inline]
     pub fn last_stats(&self) -> SolveStats {

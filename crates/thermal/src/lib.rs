@@ -48,7 +48,7 @@ pub use model::{ThermalModel, ThermalSolution};
 pub use stack::{LayerSpec, MicrochannelSpec, StackConfig};
 pub use transient::{
     AdaptiveConfig, AdaptiveStats, AdaptiveStep, AdaptiveTransient, Checkpoint, CoefficientRamp,
-    Controller, PowerTrace, TraceSegment, TransientSimulation,
+    PowerTrace, TraceSegment, TransientSimulation,
 };
 
 use std::fmt;
