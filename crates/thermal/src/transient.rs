@@ -1581,11 +1581,7 @@ mod tests {
         // Step trace: full load for 50 ms, then power off for 150 ms.
         // The adaptive run must match a fine fixed-dt reference at the
         // trace end within (a small multiple of) its tolerance, using
-        // far fewer solves than the reference — and meaningfully fewer
-        // than the removed step-doubling controller (2 solves per
-        // attempt vs 3, plus a higher-order estimate allowing larger
-        // steps), which needed 93 on this trace at this tolerance.
-        const STEP_DOUBLING_SOLVES: u64 = 93;
+        // far fewer solves than the reference.
         let (model, power) = setup();
         let zero = Field2d::zeros(model.grid().clone());
         let trace = PowerTrace::new(vec![
@@ -1628,10 +1624,43 @@ mod tests {
             "adaptive used {} solves vs 800 reference steps",
             stats.solves
         );
+    }
+
+    #[test]
+    fn trbdf2_tracks_reference_with_fewer_solves_than_doubling() {
+        // TR-BDF2 must land near the fine backward-Euler reference and
+        // spend meaningfully fewer linear solves than the removed
+        // step-doubling controller (2 solves per attempt vs 3, plus a
+        // higher-order estimate allowing larger steps), which needed
+        // 93 on this trace at this tolerance.
+        const STEP_DOUBLING_SOLVES: u64 = 93;
+        let (model, power) = setup();
+        let zero = Field2d::zeros(model.grid().clone());
+        let trace = PowerTrace::new(vec![
+            TraceSegment::constant(0.05, power.clone()),
+            TraceSegment::constant(0.15, zero),
+        ])
+        .unwrap();
+        let cfg = AdaptiveConfig {
+            abs_tol: 0.02,
+            dt_init: 5e-4,
+            dt_min: 1e-4,
+            dt_max: 0.05,
+            ..AdaptiveConfig::default()
+        };
+        let mut reference =
+            TransientSimulation::new(model.clone(), &trace.segments()[0].power, 300.0, 2.5e-4)
+                .unwrap();
+        reference.run_trace(&trace).unwrap();
+
+        let mut a = AdaptiveTransient::new(model, trace, 300.0, cfg).unwrap();
+        a.run_to_end().unwrap();
+        let err = wrms_diff(a.temperatures(), reference.temperatures(), cfg.abs_tol, cfg.rel_tol);
+        assert!(err < 5.0, "TR-BDF2 drifted {err} tolerance units from reference");
+        let solves = a.stats().solves;
         assert!(
-            STEP_DOUBLING_SOLVES as f64 >= 1.5 * stats.solves as f64,
-            "TR-BDF2 used {} solves vs step-doubling's {STEP_DOUBLING_SOLVES}",
-            stats.solves
+            STEP_DOUBLING_SOLVES as f64 >= 1.5 * solves as f64,
+            "TR-BDF2 used {solves} solves vs step-doubling's {STEP_DOUBLING_SOLVES}"
         );
     }
 
