@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use bright_flowcell::options::TemperatureProfile;
 use bright_flowcell::presets;
+use bright_units::Kelvin;
 
 fn bench_single_voltage_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("flowcell_solve_at_voltage");
@@ -47,10 +49,41 @@ fn bench_current_inversion(c: &mut Criterion) {
     group.finish();
 }
 
+/// One co-simulation channel: paper resolution with a sampled 5-knot
+/// temperature profile, so every station has its own transport operator.
+/// The 16-voltage sweep is the lane march of a coupled point; the 1 V
+/// point is the same march with one lane.
+fn bench_sampled_channel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flowcell_sampled_channel");
+    group.sample_size(10);
+    let profile = TemperatureProfile::Sampled(
+        [301.0, 304.5, 308.0, 312.0, 310.5]
+            .iter()
+            .map(|&t| Kelvin::new(t))
+            .collect(),
+    );
+    let channel = presets::power7_channel()
+        .unwrap()
+        .with_temperature(profile)
+        .unwrap();
+    let ocv = channel.open_circuit_voltage().unwrap().value();
+    let ladder: Vec<f64> = (0..16)
+        .map(|k| 0.05 + (ocv - 1e-4 - 0.05) * k as f64 / 15.0)
+        .collect();
+    group.bench_function("sweep_at_voltages_16", |b| {
+        b.iter(|| channel.sweep_at_voltages(black_box(&ladder)).unwrap());
+    });
+    group.bench_function("solve_at_voltage_1V", |b| {
+        b.iter(|| channel.solve_at_voltage(black_box(1.0)).unwrap());
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_single_voltage_point,
     bench_polarization_sweep,
-    bench_current_inversion
+    bench_current_inversion,
+    bench_sampled_channel
 );
 criterion_main!(benches);

@@ -39,6 +39,62 @@ pub struct SurfaceState {
     pub c_red: MolePerCubicMeter,
 }
 
+/// The temperature-resolved constants of a Butler–Volmer inversion,
+/// stamped by [`ButlerVolmer::inversion_constants`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InversionConstants {
+    t: Kelvin,
+    i0: f64,
+    f_over_rt: f64,
+    c_ox_ref: f64,
+    c_red_ref: f64,
+    symmetric: bool,
+}
+
+impl InversionConstants {
+    /// The closed-form (`α = ½`) overpotential for current density
+    /// `target`: with `X = exp(n·F·η/(2RT))`, the root of
+    /// `a_red·X² − (i/i₀)·X − a_ox = 0`.
+    fn symmetric_overpotential(
+        &self,
+        target: f64,
+        surface: SurfaceState,
+    ) -> Result<f64, EchemError> {
+        let a_red = surface.c_red.value() / self.c_red_ref;
+        let a_ox = surface.c_ox.value() / self.c_ox_ref;
+        if !a_red.is_finite() || !a_ox.is_finite() || a_red < 0.0 || a_ox < 0.0 {
+            return Err(EchemError::InvalidConcentration(format!(
+                "bad surface ratios a_red={a_red}, a_ox={a_ox}"
+            )));
+        }
+        let y = target / self.i0;
+        if a_red <= 0.0 && y > 0.0 {
+            return Err(EchemError::InfeasibleOperatingPoint(
+                "anodic current demanded with depleted reductant".into(),
+            ));
+        }
+        if a_ox <= 0.0 && y < 0.0 {
+            return Err(EchemError::InfeasibleOperatingPoint(
+                "cathodic current demanded with depleted oxidant".into(),
+            ));
+        }
+        let disc = (y * y + 4.0 * a_red * a_ox).sqrt();
+        let x = if a_red > 0.0 {
+            (y + disc) / (2.0 * a_red)
+        } else {
+            // a_red == 0, y <= 0: X = -a_ox / y.
+            -a_ox / y
+        };
+        if !x.is_finite() || x <= 0.0 {
+            return Err(EchemError::InfeasibleOperatingPoint(format!(
+                "no overpotential satisfies i/i0 = {y:.3e} at a_red={a_red:.3e}, \
+                 a_ox={a_ox:.3e}"
+            )));
+        }
+        Ok(2.0 * x.ln() / self.f_over_rt)
+    }
+}
+
 impl ButlerVolmer {
     /// Creates the kinetics for `couple` with rate constant `k⁰` and
     /// reference bulk concentrations.
@@ -190,6 +246,9 @@ impl ButlerVolmer {
     /// For other `α` a damped Newton iteration seeded from the symmetric
     /// solution is used.
     ///
+    /// Equivalent to [`ButlerVolmer::overpotential_with`] on the
+    /// constants of [`ButlerVolmer::inversion_constants`]`(t)`.
+    ///
     /// # Errors
     ///
     /// * [`EchemError::InvalidTemperature`] / `InvalidConcentration` as for
@@ -203,54 +262,55 @@ impl ButlerVolmer {
         surface: SurfaceState,
         t: Kelvin,
     ) -> Result<f64, EchemError> {
+        self.overpotential_with(&self.inversion_constants(t)?, target, surface)
+    }
+
+    /// The temperature-resolved constants of the inversion (`i₀`,
+    /// `n·F/(R·T)`, the reference concentrations, the `α = ½` flag).
+    /// A caller that inverts many times at one temperature stamps them
+    /// once and passes them to [`ButlerVolmer::overpotential_with`],
+    /// skipping the two `powf` of `i₀` per call.
+    ///
+    /// # Errors
+    ///
+    /// [`EchemError::InvalidTemperature`] for non-physical `t`.
+    pub fn inversion_constants(&self, t: Kelvin) -> Result<InversionConstants, EchemError> {
         if !t.is_physical() {
             return Err(EchemError::InvalidTemperature(format!(
                 "non-physical temperature {t}"
             )));
         }
-        let a_red = surface.c_red / self.c_red_ref;
-        let a_ox = surface.c_ox / self.c_ox_ref;
-        if !a_red.is_finite() || !a_ox.is_finite() || a_red < 0.0 || a_ox < 0.0 {
-            return Err(EchemError::InvalidConcentration(format!(
-                "bad surface ratios a_red={a_red}, a_ox={a_ox}"
-            )));
-        }
-        let i0 = self.exchange_current_density().value();
-        let y = target.value() / i0;
-        if a_red <= 0.0 && y > 0.0 {
-            return Err(EchemError::InfeasibleOperatingPoint(
-                "anodic current demanded with depleted reductant".into(),
-            ));
-        }
-        if a_ox <= 0.0 && y < 0.0 {
-            return Err(EchemError::InfeasibleOperatingPoint(
-                "cathodic current demanded with depleted oxidant".into(),
-            ));
-        }
         let n = self.couple.electrons() as f64;
-        let f_over_rt = n / thermal_voltage(t.value());
+        Ok(InversionConstants {
+            t,
+            i0: self.exchange_current_density().value(),
+            f_over_rt: n / thermal_voltage(t.value()),
+            c_ox_ref: self.c_ox_ref.value(),
+            c_red_ref: self.c_red_ref.value(),
+            symmetric: (self.couple.alpha() - 0.5).abs() < 1e-12,
+        })
+    }
 
-        // Symmetric closed form (exact for alpha = 1/2).
-        let symmetric_eta = {
-            let disc = (y * y + 4.0 * a_red * a_ox).sqrt();
-            let x = if a_red > 0.0 {
-                (y + disc) / (2.0 * a_red)
-            } else {
-                // a_red == 0, y <= 0: X = -a_ox / y.
-                -a_ox / y
-            };
-            if !x.is_finite() || x <= 0.0 {
-                return Err(EchemError::InfeasibleOperatingPoint(format!(
-                    "no overpotential satisfies i/i0 = {y:.3e} at a_red={a_red:.3e}, \
-                     a_ox={a_ox:.3e}"
-                )));
-            }
-            2.0 * x.ln() / f_over_rt
-        };
-        if (self.couple.alpha() - 0.5).abs() < 1e-12 {
+    /// [`ButlerVolmer::overpotential_for_current`] against constants
+    /// stamped by [`ButlerVolmer::inversion_constants`] on these
+    /// kinetics: the same arithmetic, so the same bits.
+    ///
+    /// # Errors
+    ///
+    /// As [`ButlerVolmer::overpotential_for_current`], minus the
+    /// temperature check the stamp already made.
+    pub fn overpotential_with(
+        &self,
+        k: &InversionConstants,
+        target: AmperePerSquareMeter,
+        surface: SurfaceState,
+    ) -> Result<f64, EchemError> {
+        let symmetric_eta = k.symmetric_overpotential(target.value(), surface)?;
+        if k.symmetric {
             return Ok(symmetric_eta);
         }
         // General alpha: damped Newton on the monotone BV curve.
+        let t = k.t;
         let mut eta = symmetric_eta;
         for _ in 0..100 {
             let i = self.current_density(eta, surface, t)?.value();
@@ -260,7 +320,7 @@ impl ButlerVolmer {
                 break;
             }
             let mut step = resid / slope;
-            let scale = 2.0 / f_over_rt;
+            let scale = 2.0 / k.f_over_rt;
             if step.abs() > scale {
                 step = step.signum() * scale;
             }

@@ -7,6 +7,7 @@ use bright_echem::nernst::equilibrium_potential;
 use bright_echem::temperature::{diffusivity_law, rate_constant_law};
 use bright_echem::vanadium;
 use bright_echem::{ButlerVolmer, RedoxCouple, SurfaceState};
+use bright_units::constants::{thermal_voltage, FARADAY};
 use bright_units::{
     AmperePerSquareMeter, Kelvin, MetersPerSecondRate, MolePerCubicMeter, SiemensPerMeter, Volt,
 };
@@ -137,6 +138,43 @@ proptest! {
     }
 
     #[test]
+    fn stamped_inversion_matches_reference_closed_form_bitwise(
+        t in 273.0..373.0f64,
+        k0 in 1e-7..1e-4f64,
+        c_ox_s in 0.0..3000.0f64,
+        c_red_s in 0.0..3000.0f64,
+        target in -5e4..5e4f64,
+    ) {
+        for bv in [
+            vanadium::power7_cell_chemistry().negative.kinetics,
+            vanadium::power7_cell_chemistry().positive.kinetics,
+        ] {
+            let bv = bv.with_rate_constant(MetersPerSecondRate::new(k0)).unwrap();
+            let surface = SurfaceState {
+                c_ox: MolePerCubicMeter::new(c_ox_s),
+                c_red: MolePerCubicMeter::new(c_red_s),
+            };
+            let tk = Kelvin::new(t);
+            let want = reference_symmetric_inversion(&bv, target, surface, tk);
+            let stamped = bv
+                .overpotential_with(
+                    &bv.inversion_constants(tk).unwrap(),
+                    AmperePerSquareMeter::new(target),
+                    surface,
+                )
+                .ok();
+            let direct = bv
+                .overpotential_for_current(AmperePerSquareMeter::new(target), surface, tk)
+                .ok();
+            prop_assert!(
+                stamped.map(f64::to_bits) == want.map(f64::to_bits),
+                "stamped {stamped:?} vs reference {want:?}"
+            );
+            prop_assert!(direct.map(f64::to_bits) == want.map(f64::to_bits));
+        }
+    }
+
+    #[test]
     fn arrhenius_laws_are_monotone_and_positive(
         ref_val in 1e-12..1e-3f64,
         t in 275.0..345.0f64,
@@ -173,4 +211,42 @@ proptest! {
             .unwrap();
         prop_assert!(sigma.value() > 0.0);
     }
+}
+
+/// The `α = ½` Butler–Volmer inversion written out as it stood before
+/// the constants were stamped per temperature: `i₀` (two `powf`) and
+/// `F/RT` recomputed inline. `None` where the inversion errors.
+fn reference_symmetric_inversion(
+    bv: &ButlerVolmer,
+    target: f64,
+    surface: SurfaceState,
+    t: Kelvin,
+) -> Option<f64> {
+    let a_red = surface.c_red / bv.c_red_ref();
+    let a_ox = surface.c_ox / bv.c_ox_ref();
+    if !a_red.is_finite() || !a_ox.is_finite() || a_red < 0.0 || a_ox < 0.0 {
+        return None;
+    }
+    let n = bv.couple().electrons() as f64;
+    let a = bv.couple().alpha();
+    let i0 = n
+        * FARADAY
+        * bv.rate_constant().value()
+        * bv.c_ox_ref().value().powf(1.0 - a)
+        * bv.c_red_ref().value().powf(a);
+    let y = target / i0;
+    if (a_red <= 0.0 && y > 0.0) || (a_ox <= 0.0 && y < 0.0) {
+        return None;
+    }
+    let f_over_rt = n / thermal_voltage(t.value());
+    let disc = (y * y + 4.0 * a_red * a_ox).sqrt();
+    let x = if a_red > 0.0 {
+        (y + disc) / (2.0 * a_red)
+    } else {
+        -a_ox / y
+    };
+    if !x.is_finite() || x <= 0.0 {
+        return None;
+    }
+    Some(2.0 * x.ln() / f_over_rt)
 }

@@ -247,7 +247,7 @@ mod tests {
         // as a cold-built operator does: start from deliberately wrong
         // coefficients, refresh to the real ones, and run the same
         // high-Péclet comparison as `matches_marching_solver_at_high_peclet`.
-        use crate::transport::TransportOp;
+        use crate::transport::{LaneMarcher, TransportOp};
 
         let ny = 48;
         let nx = 120;
@@ -272,23 +272,30 @@ mod tests {
         let mut op = TransportOp::new(&wrong, dx * 2.0, dy, d * 10.0).unwrap();
         op.refresh(&velocity, dx, dy, d).unwrap();
 
-        let mut marcher =
-            HalfCellMarcher::new(100e-6, 22e-3, nx, velocity, 2000.0, 1.0).unwrap();
-        let mut march_wall = Vec::with_capacity(nx);
-        for _ in 0..nx {
-            marcher.prepare_with(&op).unwrap();
-            marcher.commit(q);
-            march_wall.push(marcher.reactant()[0]);
-        }
         let full_wall = full.wall_profile();
-        for &i in &[nx / 2, nx - 1] {
-            let dep_full = 2000.0 - full_wall[i];
-            let dep_march = 2000.0 - march_wall[i];
-            let rel = (dep_full - dep_march).abs() / dep_full.max(1e-12);
-            assert!(
-                rel < 0.08,
-                "station {i}: full {dep_full:.2} vs march {dep_march:.2} ({rel:.3})"
-            );
+        for lanes in [1, 3] {
+            let mut marcher =
+                LaneMarcher::new(100e-6, 22e-3, nx, &velocity, 2000.0, 1.0, lanes).unwrap();
+            let mut march_wall = vec![Vec::with_capacity(nx); lanes];
+            for _ in 0..nx {
+                marcher.advance(&op).unwrap();
+                marcher.commit(&op, &vec![q; lanes]);
+                for (lane, wall) in march_wall.iter_mut().enumerate() {
+                    wall.push(marcher.reactant(lane)[0]);
+                }
+            }
+            for wall in &march_wall {
+                for &i in &[nx / 2, nx - 1] {
+                    let dep_full = 2000.0 - full_wall[i];
+                    let dep_march = 2000.0 - wall[i];
+                    let rel = (dep_full - dep_march).abs() / dep_full.max(1e-12);
+                    assert!(
+                        rel < 0.08,
+                        "{lanes} lanes, station {i}: full {dep_full:.2} vs march \
+                         {dep_march:.2} ({rel:.3})"
+                    );
+                }
+            }
         }
     }
 

@@ -14,6 +14,12 @@
 //! flux `q`, the station exposes the surface concentrations as exact
 //! affine functions of `q` — the cell solver uses this to couple transport
 //! with Butler–Volmer kinetics without nested iteration.
+//!
+//! The cell solver marches with [`LaneMarcher`]: every voltage of a sweep
+//! is one lane, and a station's factored [`TransportOp`] advances all
+//! lanes in one back-substitution. [`HalfCellMarcher`] assembles and
+//! solves each station from scratch; it is the reference the lane path
+//! is tested against.
 
 use crate::FlowCellError;
 use bright_num::tridiag::{TridiagonalFactorization, TridiagonalWorkspace};
@@ -96,24 +102,26 @@ impl TransportOp {
     /// diffusivity and [`FlowCellError::Numerical`] if the factorization
     /// fails.
     pub fn new(velocity: &[f64], dx: f64, dy: f64, d: f64) -> Result<Self, FlowCellError> {
+        check_diffusivity(d)?;
         let ny = velocity.len();
+        let mut lower = vec![0.0; ny.saturating_sub(1)];
+        let mut diag = vec![0.0; ny];
+        let mut upper = vec![0.0; ny.saturating_sub(1)];
+        stamp_bands(velocity, dx, dy, d, &mut lower, &mut diag, &mut upper);
+        let fac =
+            TridiagonalFactorization::factor(&lower, &diag, &upper).map_err(FlowCellError::from)?;
         let mut op = Self {
-            fac: TridiagonalFactorization::factor(
-                &vec![0.0; ny.saturating_sub(1)],
-                &vec![1.0; ny.max(1)],
-                &vec![0.0; ny.saturating_sub(1)],
-            )
-            .map_err(FlowCellError::from)?,
+            fac,
             sensitivity: vec![0.0; ny],
             sens_surface: 0.0,
             d,
             dy,
             dx,
-            lower: vec![0.0; ny.saturating_sub(1)],
-            diag: vec![0.0; ny],
-            upper: vec![0.0; ny.saturating_sub(1)],
+            lower,
+            diag,
+            upper,
         };
-        op.refresh(velocity, dx, dy, d)?;
+        op.solve_sensitivity()?;
         Ok(op)
     }
 
@@ -138,11 +146,7 @@ impl TransportOp {
         dy: f64,
         d: f64,
     ) -> Result<(), FlowCellError> {
-        if !d.is_finite() || d <= 0.0 {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "diffusivity must be positive, got {d}"
-            )));
-        }
+        check_diffusivity(d)?;
         let ny = self.sensitivity.len();
         if velocity.len() != ny {
             return Err(FlowCellError::InvalidConfig(format!(
@@ -150,34 +154,35 @@ impl TransportOp {
                 velocity.len()
             )));
         }
-        let w = d / (dy * dy);
-        for (j, u) in velocity.iter().enumerate() {
-            let adv = u / dx;
-            let mut dj = adv;
-            if j > 0 {
-                self.lower[j - 1] = -w;
-                dj += w;
-            }
-            if j + 1 < ny {
-                self.upper[j] = -w;
-                dj += w;
-            }
-            self.diag[j] = dj;
-        }
+        stamp_bands(
+            velocity,
+            dx,
+            dy,
+            d,
+            &mut self.lower,
+            &mut self.diag,
+            &mut self.upper,
+        );
         self.fac
             .refactor(&self.lower, &self.diag, &self.upper)
             .map_err(FlowCellError::from)?;
-        for s in self.sensitivity.iter_mut() {
-            *s = 0.0;
-        }
-        self.sensitivity[0] = 1.0 / dy;
-        self.fac
-            .solve_in_place(&mut self.sensitivity)
-            .map_err(FlowCellError::from)?;
-        self.sens_surface = self.sensitivity[0] + dy / (2.0 * d);
         self.d = d;
         self.dy = dy;
         self.dx = dx;
+        self.solve_sensitivity()
+    }
+
+    /// Solves the unit-wall-flux response through the factored operator
+    /// (`d` and `dy` must already hold the operator's values).
+    fn solve_sensitivity(&mut self) -> Result<(), FlowCellError> {
+        for s in self.sensitivity.iter_mut() {
+            *s = 0.0;
+        }
+        self.sensitivity[0] = 1.0 / self.dy;
+        self.fac
+            .solve_in_place(&mut self.sensitivity)
+            .map_err(FlowCellError::from)?;
+        self.sens_surface = self.sensitivity[0] + self.dy / (2.0 * self.d);
         Ok(())
     }
 
@@ -188,7 +193,99 @@ impl TransportOp {
     }
 }
 
-/// Marching transport solver for one electrolyte stream (half-channel).
+fn check_diffusivity(d: f64) -> Result<(), FlowCellError> {
+    if !d.is_finite() || d <= 0.0 {
+        return Err(FlowCellError::InvalidConfig(format!(
+            "diffusivity must be positive, got {d}"
+        )));
+    }
+    Ok(())
+}
+
+/// Stamps the implicit cross-stream operator's bands: advection
+/// `u_j/dx` on the diagonal plus the diffusion coupling `D/dy²` to each
+/// existing neighbour (zero-flux walls).
+fn stamp_bands(
+    velocity: &[f64],
+    dx: f64,
+    dy: f64,
+    d: f64,
+    lower: &mut [f64],
+    diag: &mut [f64],
+    upper: &mut [f64],
+) {
+    let ny = velocity.len();
+    let w = d / (dy * dy);
+    for (j, u) in velocity.iter().enumerate() {
+        let adv = u / dx;
+        let mut dj = adv;
+        if j > 0 {
+            lower[j - 1] = -w;
+            dj += w;
+        }
+        if j + 1 < ny {
+            upper[j] = -w;
+            dj += w;
+        }
+        diag[j] = dj;
+    }
+}
+
+/// Checks a stream's marching inputs (shared by both marchers).
+fn validate_stream(
+    half_width: f64,
+    electrode_length: f64,
+    nx: usize,
+    velocity: &[f64],
+    c_reactant_in: f64,
+    c_product_in: f64,
+) -> Result<(), FlowCellError> {
+    let ny = velocity.len();
+    if ny < 4 {
+        return Err(FlowCellError::InvalidConfig(format!(
+            "need >= 4 cross-stream cells, got {ny}"
+        )));
+    }
+    if nx < 2 {
+        return Err(FlowCellError::InvalidConfig(format!(
+            "need >= 2 stations, got {nx}"
+        )));
+    }
+    if !half_width.is_finite()
+        || half_width <= 0.0
+        || !electrode_length.is_finite()
+        || electrode_length <= 0.0
+    {
+        return Err(FlowCellError::InvalidConfig(format!(
+            "bad domain {half_width} x {electrode_length}"
+        )));
+    }
+    if velocity.iter().any(|u| !u.is_finite() || *u < 0.0) {
+        return Err(FlowCellError::InvalidConfig(
+            "velocity profile must be non-negative and finite".into(),
+        ));
+    }
+    if velocity.iter().all(|u| *u == 0.0) {
+        return Err(FlowCellError::InvalidConfig(
+            "velocity profile is identically zero".into(),
+        ));
+    }
+    if !c_reactant_in.is_finite()
+        || c_reactant_in < 0.0
+        || !c_product_in.is_finite()
+        || c_product_in < 0.0
+    {
+        return Err(FlowCellError::InvalidConfig(
+            "negative inlet concentration".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Marching transport solver for one electrolyte stream (half-channel)
+/// that assembles and solves its station operator from scratch at every
+/// station — the reference the factored [`LaneMarcher`] is checked
+/// against.
 ///
 /// The y-grid covers the half-width with `ny` cells; index 0 is adjacent
 /// to the electrode wall, index `ny−1` to the co-laminar interface.
@@ -233,45 +330,15 @@ impl HalfCellMarcher {
         c_reactant_in: f64,
         c_product_in: f64,
     ) -> Result<Self, FlowCellError> {
+        validate_stream(
+            half_width,
+            electrode_length,
+            nx,
+            &velocity,
+            c_reactant_in,
+            c_product_in,
+        )?;
         let ny = velocity.len();
-        if ny < 4 {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "need >= 4 cross-stream cells, got {ny}"
-            )));
-        }
-        if nx < 2 {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "need >= 2 stations, got {nx}"
-            )));
-        }
-        if !half_width.is_finite()
-            || half_width <= 0.0
-            || !electrode_length.is_finite()
-            || electrode_length <= 0.0
-        {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "bad domain {half_width} x {electrode_length}"
-            )));
-        }
-        if velocity.iter().any(|u| !u.is_finite() || *u < 0.0) {
-            return Err(FlowCellError::InvalidConfig(
-                "velocity profile must be non-negative and finite".into(),
-            ));
-        }
-        if velocity.iter().all(|u| *u == 0.0) {
-            return Err(FlowCellError::InvalidConfig(
-                "velocity profile is identically zero".into(),
-            ));
-        }
-        if !c_reactant_in.is_finite()
-            || c_reactant_in < 0.0
-            || !c_product_in.is_finite()
-            || c_product_in < 0.0
-        {
-            return Err(FlowCellError::InvalidConfig(
-                "negative inlet concentration".into(),
-            ));
-        }
         Ok(Self {
             ny,
             dy: half_width / ny as f64,
@@ -327,25 +394,16 @@ impl HalfCellMarcher {
     /// * [`FlowCellError::InvalidConfig`] for a non-positive diffusivity,
     /// * [`FlowCellError::Numerical`] if a tridiagonal solve fails.
     pub fn prepare(&mut self, d: f64) -> Result<StationResponse, FlowCellError> {
-        if !(d > 0.0 && d.is_finite()) {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "diffusivity must be positive, got {d}"
-            )));
-        }
-        let w = d / (self.dy * self.dy);
-        for j in 0..self.ny {
-            let adv = self.velocity[j] / self.dx;
-            let mut diag = adv;
-            if j > 0 {
-                self.lower[j - 1] = -w;
-                diag += w;
-            }
-            if j + 1 < self.ny {
-                self.upper[j] = -w;
-                diag += w;
-            }
-            self.diag[j] = diag;
-        }
+        check_diffusivity(d)?;
+        stamp_bands(
+            &self.velocity,
+            self.dx,
+            self.dy,
+            d,
+            &mut self.lower,
+            &mut self.diag,
+            &mut self.upper,
+        );
         // Wall cells with u ~ 0 would make the zero-flux row singular-ish;
         // the diffusion terms keep the diagonal positive for ny >= 2.
 
@@ -394,10 +452,135 @@ impl HalfCellMarcher {
         })
     }
 
-    /// As [`HalfCellMarcher::prepare`], but against a precomputed
-    /// [`TransportOp`]: two back-substitutions, no band assembly, no
-    /// sensitivity solve. Produces the same response as `prepare` with
-    /// the operator's diffusivity (up to factorization round-off).
+    /// Commits the prepared station with the chosen wall flux `q`
+    /// (mol/(m²·s), positive = reactant consumed).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if called before [`HalfCellMarcher::prepare`].
+    pub fn commit(&mut self, q: f64) {
+        debug_assert!(self.station_d > 0.0, "commit before prepare");
+        for j in 0..self.ny {
+            self.reactant[j] = (self.r_zero_flux[j] - q * self.sensitivity[j]).max(0.0);
+            self.product[j] = (self.p_zero_flux[j] + q * self.sensitivity[j]).max(0.0);
+        }
+    }
+}
+
+/// Marching transport for one electrolyte stream under `lanes`
+/// independent wall-flux histories at once — one per voltage of a
+/// polarization sweep — against precomputed [`TransportOp`]s.
+///
+/// All lanes share the stream's grid and, station by station, its
+/// factored operator, so a station advances every lane's reactant and
+/// product fields with one multi-lane back-substitution
+/// ([`TridiagonalFactorization::solve_lanes_in_place`]). Each lane gets
+/// exactly the arithmetic of a single-lane march, so lane `k` is
+/// bitwise-equal to marching its flux history alone.
+///
+/// A station is [`LaneMarcher::advance`] (zero-flux advance of every
+/// lane), then [`LaneMarcher::response`] per lane, then
+/// [`LaneMarcher::commit`] with every lane's chosen wall flux.
+#[derive(Debug, Clone)]
+pub struct LaneMarcher {
+    ny: usize,
+    lanes: usize,
+    dy: f64,
+    dx: f64,
+    /// Advection weight `u_j/dx` of row `j` of the right-hand side.
+    adv: Vec<f64>,
+    c_reactant_in: f64,
+    c_product_in: f64,
+    /// Row-major `[ny][2·lanes]`: row `j` holds lane 0's reactant and
+    /// product, then lane 1's, and so on. Committed fields between
+    /// stations; zero-flux advances between `advance` and `commit`.
+    fields: Vec<f64>,
+}
+
+impl LaneMarcher {
+    /// Creates an inlet-filled marcher with `lanes` lanes. Arguments and
+    /// errors as [`HalfCellMarcher::new`]; `lanes == 0` is rejected too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowCellError::InvalidConfig`] for degenerate dimensions
+    /// or non-physical inputs.
+    pub fn new(
+        half_width: f64,
+        electrode_length: f64,
+        nx: usize,
+        velocity: &[f64],
+        c_reactant_in: f64,
+        c_product_in: f64,
+        lanes: usize,
+    ) -> Result<Self, FlowCellError> {
+        validate_stream(
+            half_width,
+            electrode_length,
+            nx,
+            velocity,
+            c_reactant_in,
+            c_product_in,
+        )?;
+        if lanes == 0 {
+            return Err(FlowCellError::InvalidConfig("need >= 1 lane".into()));
+        }
+        let ny = velocity.len();
+        let dx = electrode_length / nx as f64;
+        let skeleton = Self {
+            ny,
+            lanes: 0,
+            dy: half_width / ny as f64,
+            dx,
+            adv: velocity.iter().map(|u| u / dx).collect(),
+            c_reactant_in,
+            c_product_in,
+            fields: Vec::new(),
+        };
+        Ok(skeleton.with_lanes(lanes))
+    }
+
+    /// A fresh inlet-filled marcher of the same stream with `lanes ≥ 1`
+    /// lanes (none of this marcher's marching state carries over).
+    #[must_use]
+    pub(crate) fn with_lanes(&self, lanes: usize) -> Self {
+        debug_assert!(lanes > 0, "a marcher needs at least one lane");
+        let inlet = [self.c_reactant_in, self.c_product_in];
+        Self {
+            lanes,
+            fields: inlet.repeat(self.ny * lanes),
+            adv: self.adv.clone(),
+            ..*self
+        }
+    }
+
+    /// Streamwise station spacing (m).
+    #[inline]
+    pub fn dx(&self) -> f64 {
+        self.dx
+    }
+
+    /// Lane `lane`'s current reactant profile (wall-first).
+    pub fn reactant(&self, lane: usize) -> Vec<f64> {
+        self.column(2 * lane)
+    }
+
+    /// Lane `lane`'s current product profile (wall-first).
+    pub fn product(&self, lane: usize) -> Vec<f64> {
+        self.column(2 * lane + 1)
+    }
+
+    fn column(&self, k: usize) -> Vec<f64> {
+        self.fields
+            .iter()
+            .skip(k)
+            .step_by(2 * self.lanes)
+            .copied()
+            .collect()
+    }
+
+    /// Advances every lane to the next station with zero wall flux
+    /// through `op`, the station's factored operator.
     ///
     /// The operator must have been built from this marcher's geometry
     /// *and velocity profile* (the profile is baked into the factored
@@ -409,7 +592,7 @@ impl HalfCellMarcher {
     ///
     /// Returns [`FlowCellError::Numerical`] if the operator's grid does
     /// not match this marcher's.
-    pub fn prepare_with(&mut self, op: &TransportOp) -> Result<StationResponse, FlowCellError> {
+    pub fn advance(&mut self, op: &TransportOp) -> Result<(), FlowCellError> {
         if op.sensitivity.len() != self.ny
             || (op.dy - self.dy).abs() > 1e-15 * self.dy
             || (op.dx - self.dx).abs() > 1e-15 * self.dx
@@ -425,50 +608,52 @@ impl HalfCellMarcher {
                 self.dx
             )));
         }
-        // Zero-flux advance of both species.
-        self.r_zero_flux.copy_from_slice(&self.reactant);
-        for (rhs, u) in self.r_zero_flux.iter_mut().zip(&self.velocity) {
-            *rhs *= u / self.dx;
+        let width = 2 * self.lanes;
+        for (row, adv) in self.fields.chunks_exact_mut(width).zip(&self.adv) {
+            for c in row {
+                *c *= adv;
+            }
         }
         op.fac
-            .solve_in_place(&mut self.r_zero_flux)
-            .map_err(FlowCellError::from)?;
+            .solve_lanes_in_place(&mut self.fields, width)
+            .map_err(FlowCellError::from)
+    }
 
-        self.p_zero_flux.copy_from_slice(&self.product);
-        for (rhs, u) in self.p_zero_flux.iter_mut().zip(&self.velocity) {
-            *rhs *= u / self.dx;
-        }
-        op.fac
-            .solve_in_place(&mut self.p_zero_flux)
-            .map_err(FlowCellError::from)?;
-
-        self.sensitivity.copy_from_slice(&op.sensitivity);
-        self.station_d = op.d;
-        let r0_surf = self.r_zero_flux[0];
-        let p0_surf = self.p_zero_flux[0];
-        Ok(StationResponse {
-            r0: r0_surf,
-            p0: p0_surf,
+    /// Lane `lane`'s affine surface response at the advanced station
+    /// (`op` is the operator the station was advanced through).
+    #[inline]
+    pub fn response(&self, op: &TransportOp, lane: usize) -> StationResponse {
+        let r0 = self.fields[2 * lane];
+        StationResponse {
+            r0,
+            p0: self.fields[2 * lane + 1],
             sens: op.sens_surface,
             q_max: if op.sens_surface > 0.0 {
-                r0_surf / op.sens_surface
+                r0 / op.sens_surface
             } else {
                 f64::INFINITY
             },
-        })
+        }
     }
 
-    /// Commits the prepared station with the chosen wall flux `q`
-    /// (mol/(m²·s), positive = reactant consumed).
+    /// Commits the advanced station with each lane's wall flux
+    /// (`fluxes[lane]`, mol/(m²·s), positive = reactant consumed)
+    /// through the sensitivity of `op`, the operator of the advance.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if called before [`HalfCellMarcher::prepare`].
-    pub fn commit(&mut self, q: f64) {
-        debug_assert!(self.station_d > 0.0, "commit before prepare");
-        for j in 0..self.ny {
-            self.reactant[j] = (self.r_zero_flux[j] - q * self.sensitivity[j]).max(0.0);
-            self.product[j] = (self.p_zero_flux[j] + q * self.sensitivity[j]).max(0.0);
+    /// Panics (debug) if `fluxes` does not hold one flux per lane.
+    pub fn commit(&mut self, op: &TransportOp, fluxes: &[f64]) {
+        debug_assert_eq!(fluxes.len(), self.lanes, "one flux per lane");
+        for (row, s) in self
+            .fields
+            .chunks_exact_mut(2 * self.lanes)
+            .zip(&op.sensitivity)
+        {
+            for (pair, q) in row.chunks_exact_mut(2).zip(fluxes) {
+                pair[0] = (pair[0] - q * s).max(0.0);
+                pair[1] = (pair[1] + q * s).max(0.0);
+            }
         }
     }
 }
@@ -583,30 +768,44 @@ mod tests {
     }
 
     #[test]
-    fn prepare_with_matches_prepare() {
-        // The factored-operator path must reproduce the per-station
-        // assembly path over a full march with extraction.
+    fn lane_marcher_matches_prepare() {
+        // The factored-operator lane path must reproduce the per-station
+        // assembly path over a full march with extraction — for one lane
+        // and for several lanes with distinct flux histories.
         let d = 1.26e-10;
-        let q = 3e-3;
-        let mut a = uniform_marcher(48, 60);
-        let mut b = uniform_marcher(48, 60);
-        let op = TransportOp::new(&vec![1.5; 48], a.dx(), 100e-6 / 48.0, d).unwrap();
-        assert_eq!(op.diffusivity(), d);
-        for station in 0..60 {
-            let ra = a.prepare(d).unwrap();
-            let rb = b.prepare_with(&op).unwrap();
-            assert!(
-                (ra.r0 - rb.r0).abs() < 1e-9 * ra.r0.abs().max(1.0),
-                "station {station}: r0 {} vs {}",
-                ra.r0,
-                rb.r0
-            );
-            assert!((ra.sens - rb.sens).abs() < 1e-9 * ra.sens);
-            a.commit(q);
-            b.commit(q);
-        }
-        for (ca, cb) in a.reactant().iter().zip(b.reactant()) {
-            assert!((ca - cb).abs() < 1e-6, "{ca} vs {cb}");
+        for lanes in [1, 3] {
+            let flux = |lane: usize| 3e-3 * (lane + 1) as f64;
+            let mut refs: Vec<HalfCellMarcher> =
+                (0..lanes).map(|_| uniform_marcher(48, 60)).collect();
+            let mut b =
+                LaneMarcher::new(100e-6, 22e-3, 60, &[1.5; 48], 2000.0, 1.0, lanes).unwrap();
+            let op = TransportOp::new(&vec![1.5; 48], b.dx(), 100e-6 / 48.0, d).unwrap();
+            assert_eq!(op.diffusivity(), d);
+            let fluxes: Vec<f64> = (0..lanes).map(flux).collect();
+            for station in 0..60 {
+                b.advance(&op).unwrap();
+                for (lane, a) in refs.iter_mut().enumerate() {
+                    let ra = a.prepare(d).unwrap();
+                    let rb = b.response(&op, lane);
+                    assert!(
+                        (ra.r0 - rb.r0).abs() < 1e-9 * ra.r0.abs().max(1.0),
+                        "lane {lane}, station {station}: r0 {} vs {}",
+                        ra.r0,
+                        rb.r0
+                    );
+                    assert!((ra.sens - rb.sens).abs() < 1e-9 * ra.sens);
+                    a.commit(flux(lane));
+                }
+                b.commit(&op, &fluxes);
+            }
+            for (lane, a) in refs.iter().enumerate() {
+                for (ca, cb) in a.reactant().iter().zip(b.reactant(lane)) {
+                    assert!((ca - cb).abs() < 1e-6, "lane {lane}: {ca} vs {cb}");
+                }
+                for (ca, cb) in a.product().iter().zip(b.product(lane)) {
+                    assert!((ca - cb).abs() < 1e-6, "lane {lane}: {ca} vs {cb}");
+                }
+            }
         }
     }
 
@@ -640,15 +839,22 @@ mod tests {
         assert!(TransportOp::new(&[1.0; 8], 1e-3, 1e-5, 0.0).is_err());
         assert!(TransportOp::new(&[1.0; 8], 1e-3, 1e-5, f64::NAN).is_err());
         let op = TransportOp::new(&[1.0; 8], 1e-3, 1e-5, 1e-10).unwrap();
-        let mut m = uniform_marcher(16, 4);
-        // Mismatched operator size is rejected.
-        assert!(m.prepare_with(&op).is_err());
-        // Matching ny/dy but a different station spacing is rejected too
-        // (dx is baked into the factored bands).
-        let mut m32 = uniform_marcher(32, 40);
-        let wrong_dx =
-            TransportOp::new(&vec![1.5; 32], m32.dx() * 2.0, 100e-6 / 32.0, 1e-10).unwrap();
-        assert!(m32.prepare_with(&wrong_dx).is_err());
+        for lanes in [1, 4] {
+            let mut m = LaneMarcher::new(100e-6, 22e-3, 4, &[1.5; 16], 2000.0, 1.0, lanes).unwrap();
+            // Mismatched operator size is rejected.
+            assert!(m.advance(&op).is_err());
+            // Matching ny/dy but a different station spacing is rejected
+            // too (dx is baked into the factored bands).
+            let mut m32 =
+                LaneMarcher::new(100e-6, 22e-3, 40, &[1.5; 32], 2000.0, 1.0, lanes).unwrap();
+            let wrong_dx =
+                TransportOp::new(&vec![1.5; 32], m32.dx() * 2.0, 100e-6 / 32.0, 1e-10).unwrap();
+            assert!(m32.advance(&wrong_dx).is_err());
+        }
+        // A lane marcher validates its stream like the reference marcher
+        // and needs at least one lane.
+        assert!(LaneMarcher::new(1e-4, 1e-2, 10, &[1.0; 3], 1.0, 1.0, 1).is_err());
+        assert!(LaneMarcher::new(1e-4, 1e-2, 10, &[1.0; 8], 1.0, 1.0, 0).is_err());
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Tridiagonal systems and the Thomas algorithm.
 //!
-//! The streamwise marching solver in `bright-flowcell` performs one
-//! implicit cross-stream diffusion solve per axial station; each solve is a
+//! The streamwise marching solver in `bright-flowcell` performs implicit
+//! cross-stream diffusion solves at every axial station; each is a
 //! tridiagonal system, making this kernel the hottest numerical path of the
-//! polarization sweeps.
+//! polarization sweeps. A sweep marches all of its voltages through a
+//! station together, so the station's factored operator back-substitutes
+//! every voltage's fields in one multi-lane pass
+//! ([`TridiagonalFactorization::solve_lanes_in_place`]).
 
 use crate::NumError;
 
@@ -315,6 +318,47 @@ impl TridiagonalFactorization {
         }
         Ok(())
     }
+
+    /// Solves `lanes` independent right-hand sides in one pass. `x` is
+    /// row-major `[n][lanes]`: row `i` holds entry `i` of every lane.
+    /// Each lane gets exactly the arithmetic of
+    /// [`TridiagonalFactorization::solve_in_place`] (so its bits match a
+    /// separate solve), but the lanes' dependency chains interleave and
+    /// the per-row lane loop vectorizes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::DimensionMismatch`] if `lanes == 0` or
+    /// `x.len() != self.len() · lanes`.
+    pub fn solve_lanes_in_place(&self, x: &mut [f64], lanes: usize) -> Result<(), NumError> {
+        let n = self.len();
+        if lanes == 0 || x.len() != n * lanes {
+            return Err(NumError::DimensionMismatch(format!(
+                "lane block of {} entries != factored system size {n} x {lanes} lanes",
+                x.len()
+            )));
+        }
+        // Each row step is `solve_in_place`'s, applied to every lane of
+        // the row in one contiguous loop.
+        for xi in &mut x[..lanes] {
+            *xi *= self.inv_beta[0];
+        }
+        for i in 1..n {
+            let (prev, row) = x[(i - 1) * lanes..(i + 1) * lanes].split_at_mut(lanes);
+            let (l, inv) = (self.lower[i - 1], self.inv_beta[i]);
+            for (xi, p) in row.iter_mut().zip(&*prev) {
+                *xi = (*xi - l * p) * inv;
+            }
+        }
+        for i in (0..n - 1).rev() {
+            let (row, next) = x[i * lanes..(i + 2) * lanes].split_at_mut(lanes);
+            let c = self.c_prime[i];
+            for (xi, nx) in row.iter_mut().zip(&*next) {
+                *xi -= c * nx;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Workspace-reusing Thomas solver for repeated solves of same-sized
@@ -538,6 +582,12 @@ mod tests {
         let mut x = vec![10.0];
         fac.solve_in_place(&mut x).unwrap();
         assert_eq!(x, vec![5.0]);
+        // Lane blocks must hold exactly n x lanes entries.
+        let mut lanes = vec![10.0, 4.0];
+        assert!(fac.solve_lanes_in_place(&mut lanes, 0).is_err());
+        assert!(fac.solve_lanes_in_place(&mut lanes, 3).is_err());
+        fac.solve_lanes_in_place(&mut lanes, 2).unwrap();
+        assert_eq!(lanes, vec![5.0, 2.0]);
     }
 
     #[test]

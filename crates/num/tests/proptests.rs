@@ -4,11 +4,12 @@ use proptest::prelude::*;
 
 use bright_num::dense::DenseMatrix;
 use bright_num::quadrature::{simpson_uniform, trapezoid_uniform};
-use bright_num::roots::{brent, RootOptions};
+use bright_num::roots::{brent, brent_bracketed, RootOptions};
 use bright_num::solvers::{
     bicgstab, bicgstab_with_workspace, conjugate_gradient, conjugate_gradient_with_workspace,
     sor_solve, IterOptions, KrylovWorkspace,
 };
+use bright_num::tridiag::TridiagonalFactorization;
 use bright_num::vec_ops;
 use bright_num::{PrecondSpec, SolverSession, TripletMatrix};
 
@@ -157,6 +158,60 @@ proptest! {
         let f = |x: f64| a * x * x * x + x + b;
         let root = brent(f, -100.0, 100.0, &RootOptions::default()).unwrap();
         prop_assert!(f(root).abs() < 1e-7, "f({root}) = {}", f(root));
+        // Starting from the evaluated ends gives the same root bits, and
+        // the payload is f at that root.
+        let (same, f_root) = brent_bracketed(
+            |x| (f(x), f(x)),
+            (-100.0, f(-100.0), f(-100.0)),
+            (100.0, f(100.0), f(100.0)),
+            &RootOptions::default(),
+        )
+        .unwrap();
+        prop_assert!(same.to_bits() == root.to_bits(), "{same} vs {root}");
+        prop_assert!(f_root.to_bits() == f(root).to_bits());
+    }
+
+    #[test]
+    fn lane_solve_matches_single_solves_bitwise(n in 1usize..70, seed in 0u64..500) {
+        // A diagonally dominant operator like the implicit cross-stream
+        // diffusion stencil, and right-hand sides of mixed magnitude.
+        let lower: Vec<f64> = (0..n.saturating_sub(1))
+            .map(|i| -1.0 - lcg(seed, i as u64, 3).abs() * 50.0)
+            .collect();
+        let upper: Vec<f64> = (0..n.saturating_sub(1))
+            .map(|i| -1.0 - lcg(seed, i as u64, 5).abs() * 50.0)
+            .collect();
+        let diag: Vec<f64> = (0..n)
+            .map(|i| {
+                let off = lower.get(i.wrapping_sub(1)).map_or(0.0, |v| v.abs())
+                    + upper.get(i).map_or(0.0, |v| v.abs());
+                off + 1e3 * (0.5 + lcg(seed, i as u64, 7))
+            })
+            .collect();
+        let fac = TridiagonalFactorization::factor(&lower, &diag, &upper).unwrap();
+        for lanes in [1usize, 2, 3, 16, 33] {
+            let rhs = |lane: usize, i: usize| {
+                lcg(seed, (lane * n + i) as u64, 11) * 10f64.powi((lane % 7) as i32 - 3)
+            };
+            let mut block = vec![0.0; n * lanes];
+            for i in 0..n {
+                for lane in 0..lanes {
+                    block[i * lanes + lane] = rhs(lane, i);
+                }
+            }
+            fac.solve_lanes_in_place(&mut block, lanes).unwrap();
+            for lane in 0..lanes {
+                let mut single: Vec<f64> = (0..n).map(|i| rhs(lane, i)).collect();
+                fac.solve_in_place(&mut single).unwrap();
+                for (i, s) in single.iter().enumerate() {
+                    let got = block[i * lanes + lane];
+                    prop_assert!(
+                        got.to_bits() == s.to_bits(),
+                        "lanes {lanes}, lane {lane}, row {i}: {got} vs {s}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
