@@ -379,19 +379,9 @@ impl CoSimulation {
         let operating_point = self.find_operating_point(&curve, rail_power.value())?;
 
         // 5. Cache-rail IR-drop map at the VRM output, through the
-        //    cached conductance system (rebuilt only when its key
-        //    changes) and the persistent PDN session.
+        //    cached conductance system and the persistent PDN session.
         let s = &self.scenario;
-        let key = PdnKey::of(s);
-        match &mut self.pdn {
-            Some((cached_key, pdn)) if *cached_key == key => {
-                // Same conductance system: swap the load RHS only.
-                let rail_map = s.rail_load.rasterize(&s.floorplan, pdn.grid())?;
-                pdn.set_power_density(&rail_map)?;
-            }
-            cache => *cache = Some((key, Self::build_pdn(s)?)),
-        }
-        let pdn = &self.pdn.as_ref().expect("cached above").1;
+        let pdn = stamped_pdn(&mut self.pdn, s)?;
         self.pdn_session
             .set_preconditioner(pdn.preferred_preconditioner());
         let pdn_sol = pdn.solve_warm(&mut self.pdn_session)?;
@@ -452,10 +442,30 @@ impl CoSimulation {
     /// seeded with the template's context so sampled geometries that
     /// return to a seen fingerprint skip their duct solve.
     ///
+    /// The droop is a one-load direct solve through the cached
+    /// conductance system and its cached banded Cholesky factor. A
+    /// Monte Carlo study runs the other stages per sample and solves its
+    /// samples' droops together against one study-wide factor
+    /// ([`crate::montecarlo::run`]).
+    ///
     /// # Errors
     ///
     /// As [`CoSimulation::run`].
     pub fn run_yield(&mut self) -> Result<YieldReport, CoreError> {
+        let mut report = self.run_yield_stages()?;
+        // The matrix never depends on the load, so the droop is two
+        // triangular sweeps — no iteration, bitwise-deterministic
+        // regardless of solve history.
+        let pdn = stamped_pdn(&mut self.pdn, &self.scenario)?;
+        report.pdn_min_voltage = pdn.solve_direct()?.min_voltage();
+        Ok(report)
+    }
+
+    /// The thermal, flow-cell and hydraulic stages of
+    /// [`CoSimulation::run_yield`], without touching the PDN: the
+    /// report's `pdn_min_voltage` is NaN until the caller's PDN stage
+    /// fills it in.
+    pub(crate) fn run_yield_stages(&mut self) -> Result<YieldReport, CoreError> {
         self.thermal_model()?;
         self.cell_template()?.warm()?;
         self.geometry_cache
@@ -524,23 +534,8 @@ impl CoSimulation {
         let at_1v_current = at_1v_cols.current * group as f64;
         let at_1v_power = at_1v_cols.power * group as f64;
 
-        // PDN droop through the cached conductance system and its
-        // cached banded Cholesky factor: the matrix never depends on
-        // the load, so per-sample cost is two triangular sweeps — no
-        // iteration, bitwise-deterministic regardless of solve history.
-        let s = &self.scenario;
-        let key = PdnKey::of(s);
-        match &mut self.pdn {
-            Some((cached_key, pdn)) if *cached_key == key => {
-                let rail_map = s.rail_load.rasterize(&s.floorplan, pdn.grid())?;
-                pdn.set_power_density(&rail_map)?;
-            }
-            cache => *cache = Some((key, Self::build_pdn(s)?)),
-        }
-        let pdn = &self.pdn.as_ref().expect("cached above").1;
-        let pdn_sol = pdn.solve_direct()?;
-
         // Hydraulics at the sampled channel geometry.
+        let s = &self.scenario;
         let template = self.template.get().expect("built above");
         let channel = *template.geometry().channel();
         let pitch = Meters::new(s.floorplan.width().value() / s.channel_count as f64);
@@ -558,32 +553,11 @@ impl CoSimulation {
             outlet_temperature: thermal_sol.outlet_mean(),
             current_at_1v: at_1v_current,
             power_at_1v: at_1v_power,
-            pdn_min_voltage: pdn_sol.min_voltage(),
+            pdn_min_voltage: Volt::new(f64::NAN),
             pressure_drop,
             pumping_power,
             junction_map: thermal_sol.junction_map().clone(),
         })
-    }
-
-    /// Builds the PDN conductance system for the current scenario, with
-    /// the rail load already stamped into the RHS.
-    fn build_pdn(s: &Scenario) -> Result<PowerGrid, CoreError> {
-        let pdn_grid = Grid2d::from_extent(
-            s.floorplan.width().value(),
-            s.floorplan.height().value(),
-            s.pdn.nx,
-            s.pdn.ny,
-        )
-        .map_err(|e| CoreError::Pdn(e.to_string()))?;
-        let rail_map = s.rail_load.rasterize(&s.floorplan, &pdn_grid)?;
-        Ok(PowerGrid::new(
-            pdn_grid,
-            s.pdn.sheet_resistance,
-            s.vrm.output_voltage(),
-            s.pdn.port_resistance,
-            &s.pdn.ports,
-            &rail_map,
-        )?)
     }
 
     /// Finds the stable (high-voltage) intersection of the array power
@@ -630,6 +604,45 @@ impl CoSimulation {
         }
         Ok(best)
     }
+}
+
+/// The cached PDN system with the scenario's rail load stamped in: the
+/// conductance system is kept while its [`PdnKey`] matches (only the
+/// load RHS changes) and rebuilt when it does not.
+fn stamped_pdn<'a>(
+    cache: &'a mut Option<(PdnKey, PowerGrid)>,
+    s: &Scenario,
+) -> Result<&'a PowerGrid, CoreError> {
+    let key = PdnKey::of(s);
+    match cache {
+        Some((cached_key, pdn)) if *cached_key == key => {
+            let rail_map = s.rail_load.rasterize(&s.floorplan, pdn.grid())?;
+            pdn.set_power_density(&rail_map)?;
+        }
+        _ => *cache = Some((key, pdn_for(s)?)),
+    }
+    Ok(&cache.as_ref().expect("cached above").1)
+}
+
+/// Builds the PDN conductance system a scenario describes, with its rail
+/// load already stamped into the RHS.
+pub(crate) fn pdn_for(s: &Scenario) -> Result<PowerGrid, CoreError> {
+    let pdn_grid = Grid2d::from_extent(
+        s.floorplan.width().value(),
+        s.floorplan.height().value(),
+        s.pdn.nx,
+        s.pdn.ny,
+    )
+    .map_err(|e| CoreError::Pdn(e.to_string()))?;
+    let rail_map = s.rail_load.rasterize(&s.floorplan, &pdn_grid)?;
+    Ok(PowerGrid::new(
+        pdn_grid,
+        s.pdn.sheet_resistance,
+        s.vrm.output_voltage(),
+        s.pdn.port_resistance,
+        &s.pdn.ports,
+        &rail_map,
+    )?)
 }
 
 /// Channel length of the Table II array (fixed — not a sampled

@@ -19,7 +19,10 @@
 //! * every worker calls [`CoSimulation::reset_warm_starts`] before each
 //!   sample, and the retarget mutators re-stamp operator values
 //!   bitwise-equal to a cold build, so the solve for sample `i` does
-//!   not depend on which worker served it or what it served before,
+//!   not depend on which worker served it or what it served before;
+//!   the PDN droop comes from one study-wide banded Cholesky factor
+//!   whose multi-load sweeps give every load the bits of a one-load
+//!   solve, whatever lane group it lands in,
 //! * per-sample states reduce through a [`DyadicForest`] whose merge
 //!   tree is a function of the index range alone, and chunk forests are
 //!   appended in chunk order ([`QuantileSketch`] and the exceedance
@@ -31,7 +34,7 @@
 //! thread interleaving, so the bitwise contract applies to fault-free
 //! runs only. See `docs/MONTECARLO.md`.
 
-use crate::cosim::CoSimulation;
+use crate::cosim::{pdn_for, CoSimulation};
 use crate::reports::YieldReport;
 use crate::scenario::Scenario;
 use crate::CoreError;
@@ -41,7 +44,10 @@ use bright_num::rng::{CorrelatedSampler, Distribution};
 use bright_num::stats::{
     wilson_interval, Accumulate, DyadicForest, QuantileSketch, VecMoments,
 };
-use bright_units::{Kelvin, Watt};
+use bright_mesh::Field2d;
+use bright_pdn::grid::LANE_GROUP;
+use bright_pdn::PowerGrid;
+use bright_units::{Kelvin, Volt, Watt};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -624,13 +630,20 @@ struct ChunkOut {
 /// worker cold-builds one [`CoSimulation`] on its first sample and
 /// serves the rest by retargeting, with all workers sharing one
 /// [`GeometryCache`] so quantized geometry samples pay for each
-/// distinct duct solve once across the whole study.
+/// distinct duct solve once across the whole study. No
+/// [`McParameter`] reaches the PDN's grid, resistances, ports or
+/// supply, so the study builds and factors the base scenario's
+/// [`PowerGrid`] once before the fan-out, and each chunk solves its
+/// samples' droops against it in multi-load direct solves of one lane
+/// group each.
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidScenario`] for invalid specs. Per-sample solve
-/// failures do **not** abort the run — they are counted in
-/// [`McReport::failed`] and excluded from the accumulators.
+/// [`CoreError::InvalidScenario`] for invalid specs; the base
+/// scenario's PDN build or factorization errors, since every sample
+/// shares that system. Per-sample solve failures do **not** abort the
+/// run — they are counted in [`McReport::failed`] and excluded from
+/// the accumulators.
 ///
 /// # Panics
 ///
@@ -647,9 +660,11 @@ pub fn run(spec: &McSpec) -> Result<McRun, CoreError> {
         .workers
         .unwrap_or_else(|| bright_num::parallel::worker_count(ranges.len()));
     let cache = Arc::new(GeometryCache::new());
+    let pdn = pdn_for(&spec.base)?;
+    pdn.factor_direct()?;
 
     let outs = bright_num::parallel::parallel_map_indexed(&ranges, workers, |_, &(start, end)| {
-        run_chunk(spec, start, end, &cache)
+        run_chunk(spec, start, end, &cache, &pdn)
     });
 
     // Fixed-order reduction: forests append in chunk order (their merge
@@ -738,8 +753,18 @@ pub fn run(spec: &McSpec) -> Result<McRun, CoreError> {
     Ok(McRun { report, stats })
 }
 
-/// Serves the sample range `[start, end)` on one worker.
-fn run_chunk(spec: &McSpec, start: u64, end: u64, cache: &Arc<GeometryCache>) -> ChunkOut {
+/// Serves the sample range `[start, end)` on one worker: the thermal,
+/// flow-cell and hydraulic stages per sample; the droops of every
+/// [`LANE_GROUP`] served samples in one multi-load direct solve through
+/// the study's factored `pdn`; then those samples' accumulators in
+/// index order.
+fn run_chunk(
+    spec: &McSpec,
+    start: u64,
+    end: u64,
+    cache: &Arc<GeometryCache>,
+    pdn: &PowerGrid,
+) -> ChunkOut {
     let sampler = spec.sampler().expect("spec validated before dispatch");
     let (lo_p, hi_p, bins_p) = PEAK_SKETCH;
     let (lo_n, hi_n, bins_n) = NET_SKETCH;
@@ -759,6 +784,7 @@ fn run_chunk(spec: &McSpec, start: u64, end: u64, cache: &Arc<GeometryCache>) ->
         retargets: 0,
         quarantines: 0,
     };
+    let mut pending = Pending::default();
     let mut sim: Option<CoSimulation> = None;
     let mut recovered_seen = 0u64;
     for i in start..end {
@@ -767,7 +793,7 @@ fn run_chunk(spec: &McSpec, start: u64, end: u64, cache: &Arc<GeometryCache>) ->
             Ok(s) => s,
             Err(_) => {
                 out.invalid += 1;
-                out.forest.push(McState::empty());
+                pending.reports.push(None);
                 continue;
             }
         };
@@ -792,14 +818,27 @@ fn run_chunk(spec: &McSpec, start: u64, end: u64, cache: &Arc<GeometryCache>) ->
                     + w.pdn_session_stats().recovered_solves;
                 out.recovered += now.saturating_sub(recovered_seen);
                 recovered_seen = now;
-                accumulate(&mut out, &report, &spec.limits);
+                let s = w.scenario();
+                match s.rail_load.rasterize(&s.floorplan, pdn.grid()) {
+                    Ok(map) => {
+                        pending.rail_maps.push(map);
+                        pending.reports.push(Some(report));
+                    }
+                    Err(_) => {
+                        out.failed += 1;
+                        pending.reports.push(None);
+                    }
+                }
+                if pending.rail_maps.len() == LANE_GROUP {
+                    pending.settle(&mut out, pdn, &spec.limits);
+                }
             }
             Ok(Err(_)) => {
                 // Solve failed even after a cold rebuild: poison only
                 // this sample. `serve_sample` already quarantined.
                 recovered_seen = 0;
                 out.failed += 1;
-                out.forest.push(McState::empty());
+                pending.reports.push(None);
             }
             Err(_) => {
                 // Worker panic (fault injection): quarantine the sim —
@@ -809,16 +848,64 @@ fn run_chunk(spec: &McSpec, start: u64, end: u64, cache: &Arc<GeometryCache>) ->
                 out.quarantines += 1;
                 out.panicked += 1;
                 out.failed += 1;
-                out.forest.push(McState::empty());
+                pending.reports.push(None);
             }
         }
     }
+
+    pending.settle(&mut out, pdn, &spec.limits);
     out
 }
 
-/// Runs one sample on the chunk's worker: retarget when warm, cold
-/// build when not (or when the retarget/run fails — one cold retry so a
-/// poisoned predecessor cannot fail an otherwise healthy sample).
+/// A chunk's samples that are served but not yet accumulated.
+#[derive(Default)]
+struct Pending {
+    /// In index order: each served report awaiting its droop (its rail
+    /// map at the same rank in `rail_maps`), or `None` for a sample
+    /// already counted invalid or failed.
+    reports: Vec<Option<YieldReport>>,
+    rail_maps: Vec<Field2d>,
+}
+
+impl Pending {
+    /// Solves the pending droops in one multi-load direct solve and
+    /// accumulates every pending sample in index order.
+    fn settle(&mut self, out: &mut ChunkOut, pdn: &PowerGrid, limits: &McLimits) {
+        let droops: Vec<Option<Volt>> = match pdn.solve_direct_loads(&self.rail_maps) {
+            Ok(solved) => solved.iter().map(|sol| Some(sol.min_voltage())).collect(),
+            // A bad map fails the whole call: solve one map at a time so
+            // it fails only its own sample.
+            Err(_) => self
+                .rail_maps
+                .iter()
+                .map(|map| {
+                    let solved = pdn.solve_direct_loads(std::slice::from_ref(map)).ok()?;
+                    Some(solved[0].min_voltage())
+                })
+                .collect(),
+        };
+        self.rail_maps.clear();
+        let mut droops = droops.into_iter();
+        for report in self.reports.drain(..) {
+            match report {
+                Some(mut report) => {
+                    // A droop that failed to solve leaves the NaN, which
+                    // `accumulate` counts as a failed sample.
+                    if let Some(min_voltage) = droops.next().flatten() {
+                        report.pdn_min_voltage = min_voltage;
+                    }
+                    accumulate(out, &report, limits);
+                }
+                None => out.forest.push(McState::empty()),
+            }
+        }
+    }
+}
+
+/// Runs one sample's non-PDN stages on the chunk's worker: retarget
+/// when warm, cold build when not (or when the retarget/run fails — one
+/// cold retry so a poisoned predecessor cannot fail an otherwise
+/// healthy sample).
 fn serve_sample(
     sim: &mut Option<CoSimulation>,
     scenario: Scenario,
@@ -831,7 +918,7 @@ fn serve_sample(
         let warm = w.retarget(scenario.clone()).and_then(|()| {
             *retargets += 1;
             w.reset_warm_starts();
-            w.run_yield()
+            w.run_yield_stages()
         });
         match warm {
             Ok(r) => return Ok(r),
@@ -844,7 +931,7 @@ fn serve_sample(
     let mut w = CoSimulation::new(scenario)?;
     w.set_geometry_cache(Arc::clone(cache));
     *cold_builds += 1;
-    let r = w.run_yield();
+    let r = w.run_yield_stages();
     match r {
         Ok(report) => {
             *sim = Some(w);
@@ -949,6 +1036,46 @@ mod tests {
         let rail_scale = s.rail_load.total_power(&s.floorplan).unwrap().value()
             / base.rail_load.total_power(&base.floorplan).unwrap().value();
         assert!((rail_scale - 0.9).abs() < 1e-9);
+    }
+
+    #[test]
+    fn no_parameter_reaches_the_pdn_system() {
+        // `run` factors the base scenario's PDN once for the whole study,
+        // which holds only while no sampled knob moves the PDN
+        // parameters, the VRM or the floorplan. A new variant must be
+        // given a value here (the match is exhaustive) and listed.
+        let value = |p: McParameter| match p {
+            McParameter::TotalFlow => 2e-6,
+            McParameter::InletTemperature => 305.0,
+            McParameter::ChannelWidth => 2.2e-4,
+            McParameter::ChannelHeight => 4.1e-4,
+            McParameter::ContactAsr => 3e-5,
+            McParameter::ThermalPowerScale => 1.1,
+            McParameter::RailPowerScale => 0.9,
+        };
+        let every = [
+            McParameter::TotalFlow,
+            McParameter::InletTemperature,
+            McParameter::ChannelWidth,
+            McParameter::ChannelHeight,
+            McParameter::ContactAsr,
+            McParameter::ThermalPowerScale,
+            McParameter::RailPowerScale,
+        ];
+        let base = Scenario::power7_reduced();
+        let var = |p| McVariable::new(p, Distribution::normal(1.0, 0.1));
+        let mut samples: Vec<Scenario> = every
+            .iter()
+            .map(|&p| apply_sample(&base, &[var(p)], &[value(p)]).unwrap())
+            .collect();
+        let all: Vec<McVariable> = every.iter().map(|&p| var(p)).collect();
+        let values: Vec<f64> = every.iter().map(|&p| value(p)).collect();
+        samples.push(apply_sample(&base, &all, &values).unwrap());
+        for (k, s) in samples.iter().enumerate() {
+            assert_eq!(s.pdn, base.pdn, "sample {k}");
+            assert_eq!(s.vrm, base.vrm, "sample {k}");
+            assert_eq!(s.floorplan, base.floorplan, "sample {k}");
+        }
     }
 
     #[test]

@@ -27,10 +27,24 @@ fn tiny_spec(samples: usize) -> McSpec {
     spec
 }
 
+/// FNV-1a (64-bit) of a report's JSON text.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Digest and length of `tiny_spec(24)`'s pretty-printed `McReport`
+/// JSON, recorded before the Monte Carlo PDN stage was batched onto one
+/// study-wide factor: any change to the report's bits fails here.
+const REFERENCE_DIGEST: (u64, usize) = (2_911_406_079_453_876_557, 6903);
+
 #[test]
 fn report_is_bitwise_identical_across_chunking_and_workers() {
     let mut reference: Option<String> = None;
-    for (chunk, workers) in [(24, 1), (1, 1), (7, 1), (24, 4), (5, 4)] {
+    // Chunk 24 at 2 workers serves its samples in lane groups of 16 + 8,
+    // chunk 7 in one group of 7 and chunk 1 in groups of one.
+    for (chunk, workers) in [(24, 1), (1, 1), (7, 1), (24, 2), (24, 4), (5, 4)] {
         let mut spec = tiny_spec(24);
         spec.chunk = chunk;
         spec.workers = Some(workers);
@@ -39,7 +53,14 @@ fn report_is_bitwise_identical_across_chunking_and_workers() {
         assert_eq!(run.report.evaluated, 24, "all tiny samples solve");
         let json = run.report.to_json().to_json_string_pretty();
         match &reference {
-            None => reference = Some(json),
+            None => {
+                assert_eq!(
+                    (fnv1a(&json), json.len()),
+                    REFERENCE_DIGEST,
+                    "McReport JSON moved from its recorded bits"
+                );
+                reference = Some(json);
+            }
             Some(r) => assert_eq!(
                 r, &json,
                 "McReport must be bitwise stable (chunk {chunk}, workers {workers})"

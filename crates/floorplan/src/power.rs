@@ -139,19 +139,31 @@ impl PowerScenario {
 
     /// Rasterizes the scenario onto a grid covering the die: each cell
     /// gets the density of the block at its center (W/m²). Cells outside
-    /// any block (possible only for degenerate plans) get zero.
+    /// any block (possible only for degenerate plans) get zero. A
+    /// block's density is looked up on the first cell that lands on it
+    /// and reused for the rest.
     ///
     /// # Errors
     ///
-    /// As [`PowerScenario::density_for`].
+    /// As [`PowerScenario::density_for`], for a block some cell center
+    /// lands on.
     pub fn rasterize(&self, plan: &Floorplan, grid: &Grid2d) -> Result<Field2d, FloorplanError> {
+        let blocks = plan.blocks();
+        let mut densities: Vec<Option<f64>> = vec![None; blocks.len()];
         let mut data = Vec::with_capacity(grid.len());
         for (ix, iy) in grid.iter_cells() {
             let (x, y) = grid
                 .cell_center(ix, iy)
                 .expect("iter_cells yields valid indices");
-            let d = match plan.block_at(x, y) {
-                Some(b) => self.density_for(b.name(), b.kind())?.value(),
+            // The first block containing the center, as `block_at` picks.
+            let d = match blocks.iter().position(|b| b.rect().contains(x, y)) {
+                Some(k) => match densities[k] {
+                    Some(d) => d,
+                    None => {
+                        let b = &blocks[k];
+                        *densities[k].insert(self.density_for(b.name(), b.kind())?.value())
+                    }
+                },
                 None => 0.0,
             };
             data.push(d);
@@ -169,7 +181,7 @@ impl Default for PowerScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power7;
+    use crate::{power7, Block, Rect};
 
     #[test]
     fn full_load_has_cores_dominating() {
@@ -216,6 +228,74 @@ mod tests {
             s.total_power(&plan),
             Err(FloorplanError::MissingDensity { .. })
         ));
+    }
+
+    /// The per-cell lookup `rasterize` replaced: one density lookup for
+    /// every cell.
+    fn rasterize_per_cell(
+        s: &PowerScenario,
+        plan: &Floorplan,
+        grid: &Grid2d,
+    ) -> Result<Vec<f64>, FloorplanError> {
+        grid.iter_cells()
+            .map(|(ix, iy)| {
+                let (x, y) = grid.cell_center(ix, iy).unwrap();
+                match plan.block_at(x, y) {
+                    Some(b) => Ok(s.density_for(b.name(), b.kind())?.value()),
+                    None => Ok(0.0),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rasterize_matches_per_cell_lookup() {
+        let plan = power7::floorplan();
+        let mut dark = PowerScenario::full_load();
+        let core = plan.blocks().iter().find(|b| b.kind() == BlockKind::Core).unwrap();
+        dark.set_block_density(core.name(), WattPerSquareMeter::new(0.0));
+        let scenarios = [
+            PowerScenario::full_load(),
+            PowerScenario::cache_only(),
+            PowerScenario::cache_only().scaled(1.07),
+            dark,
+        ];
+        for (nx, ny) in [(106, 85), (11, 8), (3, 2)] {
+            let grid =
+                Grid2d::from_extent(plan.width().value(), plan.height().value(), nx, ny).unwrap();
+            for s in &scenarios {
+                let got = s.rasterize(&plan, &grid).unwrap();
+                let want = rasterize_per_cell(s, &plan, &grid).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.as_slice()), bits(&want), "{nx}x{ny}");
+            }
+        }
+
+        // A missing density fails only when some cell lands on its
+        // block: a 10 µm I/O strip no 1 mm cell center falls in needs
+        // no density, the logic block every other cell lands on does.
+        let io = Rect::new(0.0, 0.0, 1e-5, 0.01).unwrap();
+        let logic = Rect::new(1e-5, 0.0, 0.01 - 1e-5, 0.01).unwrap();
+        let strip = Floorplan::new(
+            bright_units::Meters::new(0.01),
+            bright_units::Meters::new(0.01),
+            vec![
+                Block::new("io", BlockKind::Io, io),
+                Block::new("logic", BlockKind::Logic, logic),
+            ],
+        )
+        .unwrap();
+        let grid = Grid2d::from_extent(0.01, 0.01, 10, 10).unwrap();
+        let mut logic_only = PowerScenario::new();
+        logic_only.set_kind_density(BlockKind::Logic, WattPerSquareMeter::new(5.0));
+        let got = logic_only.rasterize(&strip, &grid).unwrap();
+        assert_eq!(got.as_slice(), rasterize_per_cell(&logic_only, &strip, &grid).unwrap());
+        assert!(logic_only.total_power(&strip).is_err());
+        let mut io_only = PowerScenario::new();
+        io_only.set_kind_density(BlockKind::Io, WattPerSquareMeter::new(5.0));
+        let err = io_only.rasterize(&strip, &grid).unwrap_err();
+        assert_eq!(err, rasterize_per_cell(&io_only, &strip, &grid).unwrap_err());
+        assert!(matches!(err, FloorplanError::MissingDensity { kind: BlockKind::Logic }));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use bright_num::solvers::{
 };
 use bright_num::tridiag::TridiagonalFactorization;
 use bright_num::vec_ops;
-use bright_num::{PrecondSpec, SolverSession, TripletMatrix};
+use bright_num::{BandedCholesky, PrecondSpec, SolverSession, TripletMatrix};
 
 fn lcg(seed: u64, i: u64, salt: u64) -> f64 {
     let x = i
@@ -212,6 +212,61 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn banded_lane_solve_matches_single_solves_bitwise(
+        n in 1usize..60,
+        bw in 0usize..9,
+        seed in 0u64..500,
+    ) {
+        // A random SPD band (every band entry stored) under a dominant
+        // diagonal, and right-hand sides of mixed magnitude.
+        let mut t = TripletMatrix::new(n, n);
+        let mut diag = vec![0.5; n];
+        for i in 0..n {
+            for j in i + 1..n.min(i + bw + 1) {
+                let v = lcg(seed, (i * n + j) as u64, 13) * 10f64.powi((i % 5) as i32 - 2);
+                t.push(i, j, v).unwrap();
+                t.push(j, i, v).unwrap();
+                diag[i] += v.abs();
+                diag[j] += v.abs();
+            }
+        }
+        for (i, d) in diag.iter().enumerate() {
+            t.push(i, i, d + lcg(seed, i as u64, 17).abs()).unwrap();
+        }
+        let chol = BandedCholesky::factor(&t.to_csr()).unwrap();
+        for lanes in [1usize, 2, 3, 7, 8, 9, 16, 17, 33] {
+            let rhs = |lane: usize, i: usize| {
+                lcg(seed, (lane * n + i) as u64, 19) * 10f64.powi((lane % 7) as i32 - 3)
+            };
+            let mut block = vec![0.0; n * lanes];
+            for i in 0..n {
+                for lane in 0..lanes {
+                    block[i * lanes + lane] = rhs(lane, i);
+                }
+            }
+            chol.solve_lanes_in_place(&mut block, lanes).unwrap();
+            for lane in 0..lanes {
+                let mut single: Vec<f64> = (0..n).map(|i| rhs(lane, i)).collect();
+                chol.solve_in_place(&mut single).unwrap();
+                for (i, s) in single.iter().enumerate() {
+                    let got = block[i * lanes + lane];
+                    prop_assert!(
+                        got.to_bits() == s.to_bits(),
+                        "bw {bw}, lanes {lanes}, lane {lane}, row {i}: {got} vs {s}"
+                    );
+                }
+            }
+        }
+        // Wrong sizes are rejected, leaving the block untouched.
+        let mut short = vec![1.0; n * 3 - 1];
+        prop_assert!(chol.solve_lanes_in_place(&mut short, 3).is_err());
+        prop_assert!(short.iter().all(|v| *v == 1.0));
+        let mut block = vec![1.0; n * 2];
+        prop_assert!(chol.solve_lanes_in_place(&mut block, 0).is_err());
+        prop_assert!(chol.solve_lanes_in_place(&mut block, 3).is_err());
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! all amortized across the sweep. The default session preconditioner is
 //! SSOR — the weakly dominant sheet Laplacian is where it beats Jacobi
 //! by the largest margin (see `BENCH_PR2.json`).
+//!
+//! Load sweeps that reset their warm starts use the direct path
+//! instead: one cached banded Cholesky factor, with
+//! [`PowerGrid::solve_direct_loads`] solving many loads per pass over
+//! it.
 
 use crate::ports::PortLayout;
 use crate::PdnError;
@@ -60,6 +65,44 @@ pub struct PdnSolution {
     sink_current: Field2d,
 }
 
+/// Loads one [`PowerGrid::solve_direct_loads`] sweep carries as lanes.
+/// Sixteen keeps a lane group's rows of the factor's band window in
+/// cache while streaming the factor once per group; measured on the
+/// 106×85 Fig. 8 sheet, wider groups gain nothing. Callers that gather
+/// loads as they come can hand them over a group at a time, holding no
+/// more than one group of maps.
+pub const LANE_GROUP: usize = 16;
+
+/// Validates a power-density map (W/m²) against `grid` and converts it
+/// to the node sink currents it draws at the `supply` voltage.
+fn sink_current_for(grid: &Grid2d, supply: Volt, power_density: &Field2d) -> Result<Field2d, PdnError> {
+    if power_density.grid() != grid {
+        return Err(PdnError::GridMismatch(format!(
+            "power map {}x{} vs grid {}x{}",
+            power_density.grid().nx(),
+            power_density.grid().ny(),
+            grid.nx(),
+            grid.ny()
+        )));
+    }
+    if power_density.as_slice().iter().any(|p| *p < 0.0 || !p.is_finite()) {
+        return Err(PdnError::InvalidConfig(
+            "power density must be non-negative and finite".into(),
+        ));
+    }
+    let cell_area = grid.cell_area();
+    let supply = supply.value();
+    Ok(Field2d::from_vec(
+        grid.clone(),
+        power_density
+            .as_slice()
+            .iter()
+            .map(|p| p * cell_area / supply)
+            .collect(),
+    )
+    .expect("same grid"))
+}
+
 impl PowerGrid {
     /// Builds a power grid.
     ///
@@ -99,31 +142,8 @@ impl PowerGrid {
                 "port resistance must be non-negative, got {port_resistance}"
             )));
         }
-        if power_density.grid() != &grid {
-            return Err(PdnError::GridMismatch(format!(
-                "power map {}x{} vs grid {}x{}",
-                power_density.grid().nx(),
-                power_density.grid().ny(),
-                grid.nx(),
-                grid.ny()
-            )));
-        }
-        if power_density.as_slice().iter().any(|p| *p < 0.0 || !p.is_finite()) {
-            return Err(PdnError::InvalidConfig(
-                "power density must be non-negative and finite".into(),
-            ));
-        }
+        let sink_current = sink_current_for(&grid, supply, power_density)?;
         let port_cells = ports.resolve(&grid)?;
-        let cell_area = grid.cell_area();
-        let sink_current = Field2d::from_vec(
-            grid.clone(),
-            power_density
-                .as_slice()
-                .iter()
-                .map(|p| p * cell_area / supply.value())
-                .collect(),
-        )
-        .expect("same grid");
         let mut pg = Self {
             grid,
             sheet_resistance,
@@ -195,16 +215,22 @@ impl PowerGrid {
     }
 
     fn rebuild_rhs(&mut self) {
-        let nx = self.grid.nx();
-        let n = self.grid.len();
-        self.rhs.clear();
-        self.rhs.resize(n, 0.0);
-        for (r, s) in self.rhs.iter_mut().zip(self.sink_current.as_slice()) {
+        let mut rhs = std::mem::take(&mut self.rhs);
+        rhs.resize(self.grid.len(), 0.0);
+        self.stamp_rhs(self.sink_current.as_slice(), &mut rhs);
+        self.rhs = rhs;
+    }
+
+    /// Writes the RHS of one load into `rhs`: the sink currents drawn
+    /// out of every node, plus the supply current each port injects.
+    fn stamp_rhs(&self, sink_current: &[f64], rhs: &mut [f64]) {
+        for (r, s) in rhs.iter_mut().zip(sink_current) {
             *r = -s;
         }
+        let nx = self.grid.nx();
         let g_port = self.port_conductance();
         for &(ix, iy) in &self.port_cells {
-            self.rhs[iy * nx + ix] += g_port * self.supply.value();
+            rhs[iy * nx + ix] += g_port * self.supply.value();
         }
     }
 
@@ -217,35 +243,7 @@ impl PowerGrid {
     /// [`PdnError::GridMismatch`] / [`PdnError::InvalidConfig`] on bad
     /// maps, as in [`PowerGrid::new`].
     pub fn set_power_density(&mut self, power_density: &Field2d) -> Result<(), PdnError> {
-        if power_density.grid() != &self.grid {
-            return Err(PdnError::GridMismatch(format!(
-                "power map {}x{} vs grid {}x{}",
-                power_density.grid().nx(),
-                power_density.grid().ny(),
-                self.grid.nx(),
-                self.grid.ny()
-            )));
-        }
-        if power_density
-            .as_slice()
-            .iter()
-            .any(|p| *p < 0.0 || !p.is_finite())
-        {
-            return Err(PdnError::InvalidConfig(
-                "power density must be non-negative and finite".into(),
-            ));
-        }
-        let cell_area = self.grid.cell_area();
-        let supply = self.supply.value();
-        self.sink_current = Field2d::from_vec(
-            self.grid.clone(),
-            power_density
-                .as_slice()
-                .iter()
-                .map(|p| p * cell_area / supply)
-                .collect(),
-        )
-        .expect("same grid");
+        self.sink_current = sink_current_for(&self.grid, self.supply, power_density)?;
         self.rebuild_rhs();
         Ok(())
     }
@@ -351,14 +349,7 @@ impl PowerGrid {
             session.seed_uniform(n, self.supply.value());
         }
         session.solve_spd(&self.rhs).map_err(PdnError::from)?;
-        let voltage =
-            Field2d::from_vec(self.grid.clone(), session.solution().to_vec()).expect("sized from grid");
-        Ok(PdnSolution {
-            voltage,
-            supply: self.supply,
-            total_current: self.total_sink_current(),
-            sink_current: self.sink_current.clone(),
-        })
+        Ok(self.solution(session.solution().to_vec(), self.sink_current.clone()))
     }
 
     /// Solves the grid through a banded Cholesky factorization of the
@@ -368,7 +359,9 @@ impl PowerGrid {
     /// amortized path for load sweeps and Monte Carlo studies: after
     /// the one-time `O(n·bw²)` factor, each solve is two triangular
     /// sweeps — no iteration, no preconditioner, and exactly
-    /// reproducible regardless of what was solved before.
+    /// reproducible regardless of what was solved before. It is the
+    /// one-load case of [`PowerGrid::solve_direct_loads`], with the
+    /// currently stamped load.
     ///
     /// For a single solve, [`PowerGrid::solve`] (preconditioned CG) is
     /// cheaper; the factorization pays for itself after a handful of
@@ -380,17 +373,92 @@ impl PowerGrid {
     /// assembled system is always SPD, so this indicates a bug or a
     /// fault-injection event).
     pub fn solve_direct(&self) -> Result<PdnSolution, PdnError> {
-        let chol = bright_num::lazy::get_or_try_init(&self.direct, || {
+        let mut solved = self.solve_direct_sinks(vec![self.sink_current.clone()])?;
+        Ok(solved.pop().expect("one load in, one solution out"))
+    }
+
+    /// Solves the grid under each power-density map (W/m² on this
+    /// grid) through the cached direct factor, leaving the stamped load
+    /// untouched. Each map's solution is bitwise equal to
+    /// [`PowerGrid::set_power_density`] followed by
+    /// [`PowerGrid::solve_direct`]; the maps are solved [`LANE_GROUP`]
+    /// at a time as the lanes of one
+    /// [`BandedCholesky::solve_lanes_in_place`] sweep, so the factor is
+    /// streamed once per group instead of once per map.
+    ///
+    /// # Errors
+    ///
+    /// [`PdnError::GridMismatch`] / [`PdnError::InvalidConfig`] for the
+    /// first bad map, as in [`PowerGrid::set_power_density`];
+    /// [`PdnError::Numerical`] as in [`PowerGrid::solve_direct`].
+    pub fn solve_direct_loads(
+        &self,
+        power_densities: &[Field2d],
+    ) -> Result<Vec<PdnSolution>, PdnError> {
+        let sinks = power_densities
+            .iter()
+            .map(|p| sink_current_for(&self.grid, self.supply, p))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.solve_direct_sinks(sinks)
+    }
+
+    /// Builds the direct-solve factor now rather than on the first
+    /// direct solve. A grid shared by several threads calls this before
+    /// the fan-out, so exactly one factorization runs.
+    ///
+    /// # Errors
+    ///
+    /// As [`PowerGrid::solve_direct`].
+    pub fn factor_direct(&self) -> Result<(), PdnError> {
+        self.direct_factor().map(|_| ())
+    }
+
+    fn direct_factor(&self) -> Result<&BandedCholesky, PdnError> {
+        bright_num::lazy::get_or_try_init(&self.direct, || {
             BandedCholesky::factor(&self.system).map_err(PdnError::from)
-        })?;
-        let voltage = chol.solve(&self.rhs).map_err(PdnError::from)?;
-        let voltage = Field2d::from_vec(self.grid.clone(), voltage).expect("sized from grid");
-        Ok(PdnSolution {
-            voltage,
-            supply: self.supply,
-            total_current: self.total_sink_current(),
-            sink_current: self.sink_current.clone(),
         })
+    }
+
+    /// The direct solves behind [`PowerGrid::solve_direct_loads`], one
+    /// lane group at a time: each load's RHS is stamped into its lane,
+    /// one multi-lane sweep solves the group, and each lane becomes that
+    /// load's voltage map.
+    fn solve_direct_sinks(&self, sinks: Vec<Field2d>) -> Result<Vec<PdnSolution>, PdnError> {
+        let chol = self.direct_factor()?;
+        let n = self.grid.len();
+        let mut rhs = vec![0.0; n];
+        let mut block = Vec::new();
+        let mut voltages = Vec::with_capacity(sinks.len());
+        for group in sinks.chunks(LANE_GROUP) {
+            let lanes = group.len();
+            block.clear();
+            block.resize(n * lanes, 0.0);
+            for (q, sink) in group.iter().enumerate() {
+                self.stamp_rhs(sink.as_slice(), &mut rhs);
+                for (b, r) in block[q..].iter_mut().step_by(lanes).zip(&rhs) {
+                    *b = *r;
+                }
+            }
+            chol.solve_lanes_in_place(&mut block, lanes)?;
+            voltages.extend(
+                (0..lanes).map(|q| block[q..].iter().step_by(lanes).copied().collect::<Vec<_>>()),
+            );
+        }
+        Ok(sinks
+            .into_iter()
+            .zip(voltages)
+            .map(|(sink, voltage)| self.solution(voltage, sink))
+            .collect())
+    }
+
+    /// A solved voltage map (node order) with the load that produced it.
+    fn solution(&self, voltage: Vec<f64>, sink_current: Field2d) -> PdnSolution {
+        PdnSolution {
+            voltage: Field2d::from_vec(self.grid.clone(), voltage).expect("sized from grid"),
+            supply: self.supply,
+            total_current: Ampere::new(sink_current.as_slice().iter().sum()),
+            sink_current,
+        }
     }
 
     /// Whether the direct-solve factor has been built (telemetry for
@@ -732,6 +800,57 @@ mod tests {
             assert!((x - y).abs() < 1e-8);
         }
         assert_eq!(session.stats().binds, 2);
+    }
+
+    #[test]
+    fn multi_load_direct_solve_matches_one_load_solves_bitwise() {
+        use bright_floorplan::{power7, PowerScenario};
+        let mut pg = crate::presets::power7_cache_rail().unwrap();
+        let grid = pg.grid().clone();
+        let plan = power7::floorplan();
+        let map = |s: PowerScenario| s.rasterize(&plan, &grid).unwrap();
+        let loads = vec![
+            map(PowerScenario::cache_only().scaled(0.9)),
+            map(PowerScenario::full_load()),
+            map(PowerScenario::cache_only().scaled(1.3)),
+        ];
+        let bits = |f: &Field2d| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let same = |a: &PdnSolution, b: &PdnSolution| {
+            bits(&a.voltage) == bits(&b.voltage)
+                && bits(&a.sink_current) == bits(&b.sink_current)
+                && a.total_current.value().to_bits() == b.total_current.value().to_bits()
+                && a.supply == b.supply
+        };
+        let stamped = pg.solve_direct().unwrap();
+        // Three loads, then enough to span two lane groups.
+        let many: Vec<Field2d> = (0..19)
+            .map(|k| map(PowerScenario::cache_only().scaled(0.5 + 0.1 * k as f64)))
+            .collect();
+        for batch in [&loads, &many] {
+            let solved = pg.solve_direct_loads(batch).unwrap();
+            assert_eq!(solved.len(), batch.len());
+            assert!(same(&pg.solve_direct().unwrap(), &stamped), "stamped load untouched");
+            let mut one = pg.clone();
+            for (k, (load, got)) in batch.iter().zip(&solved).enumerate() {
+                one.set_power_density(load).unwrap();
+                assert!(same(got, &one.solve_direct().unwrap()), "load {k} of {}", batch.len());
+            }
+        }
+        assert!(pg.solve_direct_loads(&[]).unwrap().is_empty());
+
+        // Bad maps fail exactly as `set_power_density` does.
+        let wrong = Field2d::zeros(Grid2d::new(5, 5, 1e-3, 1e-3).unwrap());
+        let negative = Field2d::constant(grid.clone(), -1.0);
+        for bad in [wrong, negative] {
+            let mut with_bad = loads.clone();
+            with_bad.insert(1, bad.clone());
+            let err = pg.solve_direct_loads(&with_bad).unwrap_err();
+            assert_eq!(err, pg.set_power_density(&bad).unwrap_err());
+            assert!(matches!(
+                err,
+                PdnError::GridMismatch(_) | PdnError::InvalidConfig(_)
+            ));
+        }
     }
 
     #[test]
