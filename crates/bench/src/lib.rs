@@ -1,9 +1,11 @@
 //! Shared helpers for the reproduction harness binaries and benches.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the DATE
-//! 2014 paper and prints a paper-vs-measured comparison; the Criterion
-//! benches in `benches/` track the cost of the underlying solvers. This
-//! library hosts the small formatting utilities they share.
+//! Each `fig*`, `table*`, `exp_*` and `ablation_*` binary in `src/bin/`
+//! regenerates one table, figure or experiment of the DATE 2014 paper
+//! and prints a paper-vs-measured comparison; `gates` judges the
+//! performance gates as one table (`GATES.json`). The Criterion benches
+//! in `benches/` track the cost of the underlying solvers. This library
+//! hosts the small formatting utilities they share.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1525,6 +1525,27 @@ mod tests {
         assert_eq!(stats.transient_requests, 2);
         assert_eq!(stats.trace_segments_integrated, 3, "prefix must be shared");
         assert_eq!(stats.trace_segments_reused, 1);
+        assert_eq!(stats.trace_integrators_carried, 0, "the prefix branches");
+
+        // Four 3-segment variants over a shared 2-segment prefix: the
+        // prefix is integrated once, its second segment extends the
+        // first's live integrator, and the four tails branch from its
+        // checkpoint. A solo 3-segment chain carries at both boundaries.
+        let chain = |tail: f64| {
+            let mut r = request(PowerScenario::cache_only());
+            r.trace.push(step(0.02, PowerScenario::full_load().scaled(tail)));
+            r
+        };
+        let mut branched = ScenarioEngine::new();
+        let reports = branched.run_transient_batch((1..=4).map(|k| chain(0.2 * f64::from(k))));
+        assert!(reports.iter().all(|r| r.result.is_ok()), "{reports:?}");
+        let stats = branched.stats();
+        assert_eq!(stats.trace_segments_integrated, 6, "2 prefix segments + 4 tails");
+        assert_eq!(stats.trace_segments_reused, 6, "3 later variants share 2 segments");
+        assert_eq!(stats.trace_integrators_carried, 1);
+        let mut solo = ScenarioEngine::new();
+        assert!(solo.run_transient_batch([chain(0.2)])[0].result.is_ok());
+        assert_eq!(solo.stats().trace_integrators_carried, 2);
 
         // A second batch on the same group reuses the cached model (no
         // new thermal assembly).

@@ -283,18 +283,18 @@ impl Overrides {
     }
 
     fn from_json(v: &Value) -> Result<Self, CoreError> {
-        let num = |name: &str| v.get(name).and_then(Value::as_f64);
-        let count = |name: &str| v.get(name).and_then(Value::as_usize);
+        let num = |name: &str| opt_field(v, name, Value::as_f64);
+        let count = |name: &str| opt_field(v, name, Value::as_usize);
         Ok(Self {
-            total_flow_ml_min: num("total_flow_ml_min"),
-            inlet_temperature_k: num("inlet_temperature_k"),
-            channel_count: count("channel_count"),
-            thermal_columns: count("thermal_columns"),
-            thermal_ny: count("thermal_ny"),
-            sweep_points: count("sweep_points"),
-            cell_ny: count("cell_ny"),
-            cell_nx: count("cell_nx"),
-            couple_temperature: v.get("couple_temperature").and_then(Value::as_bool),
+            total_flow_ml_min: num("total_flow_ml_min")?,
+            inlet_temperature_k: num("inlet_temperature_k")?,
+            channel_count: count("channel_count")?,
+            thermal_columns: count("thermal_columns")?,
+            thermal_ny: count("thermal_ny")?,
+            sweep_points: count("sweep_points")?,
+            cell_ny: count("cell_ny")?,
+            cell_nx: count("cell_nx")?,
+            couple_temperature: opt_field(v, "couple_temperature", Value::as_bool)?,
             thermal_load: v
                 .get("thermal_load")
                 .map(LoadRef::from_json)
@@ -643,12 +643,12 @@ impl JobSpec {
             kind: JobKind::from_json(v.get("job").ok_or_else(|| spec_err("job"))?)?,
             priority: Priority::parse(&str_field(v, "priority")?)
                 .ok_or_else(|| spec_err("priority"))?,
-            deadline_ms: v.get("deadline_ms").and_then(Value::as_f64).map(|d| d as u64),
-            timeout_ms: v.get("timeout_ms").and_then(Value::as_f64).map(|t| t as u64),
-            max_retries: v
-                .get("max_retries")
-                .and_then(Value::as_usize)
-                .ok_or_else(|| spec_err("max_retries"))? as u32,
+            deadline_ms: opt_field(v, "deadline_ms", Value::as_usize)?.map(|d| d as u64),
+            timeout_ms: opt_field(v, "timeout_ms", Value::as_usize)?.map(|t| t as u64),
+            max_retries: opt_field(v, "max_retries", |x| {
+                x.as_usize().and_then(|n| u32::try_from(n).ok())
+            })?
+            .ok_or_else(|| spec_err("max_retries"))?,
         })
     }
 
@@ -710,6 +710,19 @@ impl ReportPayload {
 
 fn spec_err(field: &str) -> CoreError {
     CoreError::Report(format!("missing or mistyped field '{field}'"))
+}
+
+/// An optional field: absent is `None`, while a present value that
+/// `read` rejects (`null`, the wrong type, a negative or fractional
+/// count, an out-of-range integer) is an error rather than "absent".
+fn opt_field<T>(
+    v: &Value,
+    field: &str,
+    read: impl Fn(&Value) -> Option<T>,
+) -> Result<Option<T>, CoreError> {
+    v.get(field)
+        .map(|x| read(x).ok_or_else(|| spec_err(field)))
+        .transpose()
 }
 
 fn num_field(v: &Value, field: &str) -> Result<f64, CoreError> {
@@ -804,6 +817,65 @@ mod tests {
         };
         let back = JobSpec::from_json_str(&adaptive.to_json().to_json_string()).unwrap();
         assert_eq!(back, adaptive);
+    }
+
+    #[test]
+    fn present_but_mistyped_fields_are_typed_errors() {
+        // One row per field: a valid spec with that field set to a
+        // value its type cannot hold. The codec must name the field
+        // instead of reading the value as absent or casting it lossily.
+        let base = JobSpec {
+            deadline_ms: Some(60_000),
+            timeout_ms: Some(5_000),
+            ..JobSpec::steady("power7_reduced")
+        }
+        .to_json();
+        assert!(JobSpec::from_json(&base).is_ok());
+        let text = |s: &str| Value::String(s.into());
+        // (inside "overrides", field, bad value)
+        let cases = [
+            (true, "total_flow_ml_min", text("600")),
+            (true, "total_flow_ml_min", Value::Null),
+            (true, "inlet_temperature_k", Value::Bool(true)),
+            (true, "channel_count", Value::Number(-1.0)),
+            (true, "thermal_columns", Value::Number(44.5)),
+            (true, "thermal_ny", text("8")),
+            (true, "sweep_points", Value::Null),
+            (true, "cell_ny", Value::Number(-12.0)),
+            (true, "cell_nx", Value::Number(1.5)),
+            (true, "couple_temperature", Value::Number(1.0)),
+            (false, "deadline_ms", Value::Number(-1.0)),
+            (false, "deadline_ms", Value::Number(1.5)),
+            (false, "timeout_ms", text("5s")),
+            (false, "timeout_ms", Value::Number(-1.0)),
+            (false, "timeout_ms", Value::Null),
+            (false, "max_retries", Value::Number(4_294_967_297.0)),
+            (false, "max_retries", Value::Number(1.5)),
+            (false, "max_retries", Value::Number(-1.0)),
+        ];
+        for (nested, field, bad) in cases {
+            let mut spec = base.clone();
+            let Value::Object(top) = &mut spec else {
+                unreachable!("a spec is an object")
+            };
+            let target = if nested {
+                match top.get_mut("overrides") {
+                    Some(Value::Object(o)) => o,
+                    _ => unreachable!("overrides is an object"),
+                }
+            } else {
+                top
+            };
+            target.insert(field.into(), bad.clone());
+            match JobSpec::from_json(&spec) {
+                Err(CoreError::Report(m)) => assert_eq!(
+                    m,
+                    format!("missing or mistyped field '{field}'"),
+                    "{field} = {bad:?}"
+                ),
+                other => panic!("{field} = {bad:?}: expected a typed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

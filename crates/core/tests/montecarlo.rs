@@ -103,6 +103,12 @@ fn accumulator_memory_is_logarithmic_in_samples() {
         per_node(&large) <= 2 * per_node(&small),
         "per-node state must not scale with samples: {small:?} vs {large:?}"
     );
+    // The study never stores per-sample results: the whole footprint
+    // stays within 2× while the sample count grows 8×.
+    assert!(
+        large.accumulator_state_bytes <= 2 * small.accumulator_state_bytes,
+        "total state must not scale with samples: {small:?} vs {large:?}"
+    );
 }
 
 #[test]

@@ -414,3 +414,29 @@ fn a_torn_journal_tail_cannot_fuse_with_the_next_record() {
     assert_eq!(recovered.jobs.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn cache_capacity_bounds_the_service_engine() {
+    // `ServiceConfig::cache_capacity` must reach the serving engine: a
+    // capacity-1 store fed two operator patterns evicts the first
+    // worker and stays within the bound.
+    let dir = test_dir("cache_bound");
+    let config = ServiceConfig {
+        cache_capacity: 1,
+        ..ServiceConfig::default()
+    };
+    let mut svc =
+        ScenarioService::open(&dir, config, ServiceClock::manual(T0)).expect("service opens");
+    let mut second = steady_spec();
+    second.overrides.thermal_ny = Some(11); // a different operator pattern
+    for spec in [steady_spec(), second] {
+        let id = svc.submit(spec).expect("admitted");
+        svc.run_next().expect("dispatch");
+        assert_eq!(svc.status(id).expect("known"), JobStatus::Done);
+    }
+    let stats = svc.engine_stats();
+    assert!(stats.evicted_workers >= 1, "{stats:?}");
+    assert_eq!(stats.cache_capacity, 1, "{stats:?}");
+    assert!(stats.cache_residents <= 3, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

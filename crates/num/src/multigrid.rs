@@ -8,8 +8,8 @@
 //! operators are exactly the ones pointwise relaxation damps slowest.
 //! A multigrid V-cycle attacks every frequency band on the grid level
 //! where it is oscillatory, which makes the preconditioned iteration
-//! count (near-)independent of the mesh — the property `bench_pr7`
-//! gates.
+//! count (near-)independent of the mesh — the property the
+//! `mg_iteration_growth` row of the `gates` binary checks.
 //!
 //! Design, in the order the pieces appear below:
 //!

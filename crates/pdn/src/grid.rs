@@ -14,7 +14,8 @@
 //! Krylov scratch, warm start and the preconditioner factorization are
 //! all amortized across the sweep. The default session preconditioner is
 //! SSOR — the weakly dominant sheet Laplacian is where it beats Jacobi
-//! by the largest margin (see `BENCH_PR2.json`).
+//! by the largest margin (the `pdn_cg_jacobi_over_best` row of
+//! `GATES.json`).
 //!
 //! Load sweeps that reset their warm starts use the direct path
 //! instead: one cached banded Cholesky factor, with
@@ -277,8 +278,9 @@ impl PowerGrid {
     }
 
     /// The default session preconditioner: SSOR over-relaxed for the
-    /// sheet Laplacian (≈3× fewer CG iterations than Jacobi on the
-    /// production grids; see `BENCH_PR2.json`).
+    /// sheet Laplacian (4.4× fewer CG iterations than Jacobi on the
+    /// 212×170 grid, 141 vs 623; the `pdn_cg_jacobi_over_best` row of
+    /// `GATES.json`).
     #[must_use]
     pub fn default_preconditioner() -> PrecondSpec {
         PrecondSpec::Ssor { omega: 1.5 }

@@ -620,8 +620,7 @@ impl ThermalModel {
 
     /// Iteration options tuned for the thermal operator: BiCGSTAB on the
     /// nonsymmetric advection system with symmetric Gauss–Seidel (SSOR
-    /// ω=1) preconditioning — ~4× fewer iterations than Jacobi on the
-    /// POWER7+ stack (see `BENCH_PR2.json`).
+    /// ω=1) preconditioning.
     #[must_use]
     pub fn iter_options() -> IterOptions {
         IterOptions {
