@@ -5,7 +5,6 @@ use crate::scenario::{PdnParams, Scenario};
 use crate::CoreError;
 use bright_flow::array::ChannelArray;
 use bright_flow::fluid::TemperatureDependentFluid;
-use bright_flowcell::array::ArrayOperatingPoint;
 use bright_flowcell::options::{SolverOptions, TemperatureProfile};
 use bright_flowcell::{CellArray, CellGeometry, CellModel, GeometryCache};
 use bright_flow::RectChannel;
@@ -13,8 +12,8 @@ use bright_mesh::Grid2d;
 use bright_num::SolverSession;
 use bright_pdn::PowerGrid;
 use bright_thermal::stack::{LayerSpec, MicrochannelSpec, StackConfig};
-use bright_thermal::{Material, ThermalModel};
-use bright_units::{Meters, Volt};
+use bright_thermal::{Material, ThermalModel, ThermalSolution};
+use bright_units::{Ampere, Meters, Pascal, Volt, Watt};
 use std::sync::{Arc, OnceLock};
 
 /// Cache key of the PDN conductance system: everything that shapes the
@@ -49,6 +48,16 @@ impl PdnKey {
 /// engine per operator pattern and move it between operating points with
 /// [`CoSimulation::retarget`], which refreshes cached operators in place
 /// wherever the pattern allows.
+///
+/// [`CoSimulation::run`] and [`CoSimulation::run_yield`] share one
+/// pipeline: the thermal solve, then a per-column flow-cell array built
+/// fresh from the retargeted template at the solved channel
+/// temperatures, and last the hydraulics. They differ in the stages in
+/// between and in the PDN solve. `run` solves the cache-rail droop
+/// through the warm SSOR-CG session, `run_yield` through the cached
+/// banded Cholesky factor, and a Monte Carlo study against one
+/// study-wide factor. Moving `run` to the direct factor would change the
+/// `pdn_*` and `voltage_map` bits of every [`CoSimReport`].
 #[derive(Debug, Clone)]
 pub struct CoSimulation {
     scenario: Scenario,
@@ -69,13 +78,6 @@ pub struct CoSimulation {
     /// spawned from one co-simulation pays for each distinct sampled
     /// geometry once.
     geometry_cache: Arc<GeometryCache>,
-    /// Persistent per-column array for [`CoSimulation::run_yield`]:
-    /// instead of cloning the template into `thermal_columns` fresh
-    /// per-channel models every sample, the array's built models are
-    /// retargeted in place (geometry / ASR / flow / per-channel
-    /// temperature). Retargets are bitwise-equal to cold builds, so the
-    /// cached array cannot drift from a freshly constructed one.
-    yield_array: Option<CellArray>,
 }
 
 impl CoSimulation {
@@ -98,7 +100,6 @@ impl CoSimulation {
             retargets: 0,
             cell_context_reuses: 0,
             geometry_cache: Arc::new(GeometryCache::new()),
-            yield_array: None,
         })
     }
 
@@ -107,12 +108,6 @@ impl CoSimulation {
     /// their fingerprint reuse one duct solve across workers.
     pub fn set_geometry_cache(&mut self, cache: Arc<GeometryCache>) {
         self.geometry_cache = cache;
-    }
-
-    /// The duct-solve cache geometry retargets consult.
-    #[must_use]
-    pub fn geometry_cache(&self) -> &Arc<GeometryCache> {
-        &self.geometry_cache
     }
 
     /// The scenario being simulated.
@@ -303,110 +298,63 @@ impl CoSimulation {
 
     /// Runs the coupled solve.
     ///
+    /// A rail demand beyond the array's capability is reported, not
+    /// fatal: [`CoSimReport::operating_point`] is then `None`.
+    ///
     /// # Errors
     ///
-    /// Propagates sub-model failures; returns
-    /// [`CoreError::SupplyDeficit`] when the rail demand exceeds the
-    /// array's capability (reported, not fatal, via
-    /// [`CoSimReport::operating_point`] being `None` — the error is only
-    /// returned for genuinely broken configurations).
+    /// Propagates sub-model failures.
     pub fn run(&mut self) -> Result<CoSimReport, CoreError> {
-        // Ensure the cached models exist, then work through direct field
-        // borrows (the sessions need disjoint `&mut` access). Warming
-        // the template builds its solve context once: every array clone
-        // below carries it, and retargets refresh it in place.
-        self.thermal_model()?;
-        self.cell_template()?.warm()?;
+        let (chip_power, thermal_sol, array) = self.thermal_and_cells()?;
         let s = &self.scenario;
 
-        // 1. Thermal solve under the full chip load, through the
-        //    persistent session (warm-started across runs/retargets).
-        let thermal = self.thermal.get().expect("built above");
-        // Adopt the model's size-aware preconditioner (multigrid on
-        // scaled stacked-tier grids, SSOR at paper size); a no-op when
-        // the spec is unchanged, so warm sessions keep their hierarchy.
-        self.thermal_session
-            .set_preconditioner(thermal.solve_options().preconditioner);
-        let power_map = s.thermal_load.rasterize(&s.floorplan, thermal.grid())?;
-        let chip_power = power_map.integral();
-        let thermal_sol = thermal
-            .solve_steady_with_sources_warm(&[(0, &power_map)], &mut self.thermal_session)?;
-
-        // 2. Per-channel temperature profiles into the electrochemistry.
-        // Channels sharing a thermal column are identical, so the coupled
-        // array is solved per column and scaled by the group size. The
-        // template (and its cached solve context) is shared by steps 2, 3
-        // and 6.
-        let template = self.template.get().expect("built above");
+        // Array characteristics (scaled from columns to channels).
         let group = s.channel_count / s.thermal_columns;
-        let array = if s.couple_temperature {
-            let profiles: Vec<TemperatureProfile> = (0..s.thermal_columns)
-                .map(|ix| TemperatureProfile::Sampled(thermal_sol.channel_profile(ix)))
-                .collect();
-            CellArray::new(template.clone(), s.thermal_columns)?
-                .with_channel_temperatures(profiles)?
-        } else {
-            CellArray::new(template.clone(), s.thermal_columns)?
-        };
-
-        // 3. Array characteristics (scaled from columns to channels).
-        let curve = array.polarization_curve(s.sweep_points)?.scaled_parallel(group);
+        let curve = array
+            .polarization_curve(s.sweep_points)?
+            .scaled_parallel(group);
         let ocv = curve.open_circuit_voltage();
         let at_1v_cols = array.solve_at_voltage(1.0)?;
         let at_1v_current = at_1v_cols.current * group as f64;
         let at_1v_power = at_1v_cols.power * group as f64;
-        let isothermal_at_1v = if s.couple_temperature {
-            CellArray::new(template.clone(), s.channel_count)?.solve_at_voltage(1.0)?
+        // Without thermal coupling the array already runs at the inlet
+        // temperature, so the isothermal baseline is the solve above.
+        // With it, every channel of the baseline is the template.
+        let isothermal_current_at_1v = if s.couple_temperature {
+            let template = self.template.get().expect("built by the shared stages");
+            let channel = template.solve_at_voltage(1.0)?.current().value();
+            Ampere::new(s.channel_count as f64 * channel)
         } else {
-            // Without thermal coupling the array already runs at the
-            // inlet temperature: the isothermal baseline is the solve
-            // above (scaled to the full channel count), so skip the
-            // redundant full-array re-solve.
-            ArrayOperatingPoint {
-                voltage: at_1v_cols.voltage,
-                current: at_1v_current,
-                power: at_1v_power,
-            }
+            at_1v_current
         };
-        let thermal_boost_percent = if isothermal_at_1v.current.value() > 0.0 {
-            (at_1v_current.value() / isothermal_at_1v.current.value() - 1.0) * 100.0
+        let thermal_boost_percent = if isothermal_current_at_1v.value() > 0.0 {
+            (at_1v_current.value() / isothermal_current_at_1v.value() - 1.0) * 100.0
         } else {
             0.0
         };
 
-        // 4. Operating point against the rail demand through the VRM.
+        // Operating point against the rail demand through the VRM.
         let rail_power = s.rail_load.total_power(&s.floorplan)?;
         let operating_point = self.find_operating_point(&curve, rail_power.value())?;
 
-        // 5. Cache-rail IR-drop map at the VRM output, through the
-        //    cached conductance system and the persistent PDN session.
-        let s = &self.scenario;
-        let pdn = stamped_pdn(&mut self.pdn, s)?;
+        // Cache-rail IR-drop map at the VRM output, through the cached
+        // conductance system and the persistent PDN session.
+        let pdn = stamped_pdn(&mut self.pdn, &self.scenario)?;
         self.pdn_session
             .set_preconditioner(pdn.preferred_preconditioner());
         let pdn_sol = pdn.solve_warm(&mut self.pdn_session)?;
 
-        // 6. Hydraulics (reusing the step-2 template's geometry).
-        let channel = *template.geometry().channel();
-        let pitch = Meters::new(s.floorplan.width().value() / s.channel_count as f64);
-        let hydraulic_array = ChannelArray::new(channel, s.channel_count, pitch)?;
-        let props = TemperatureDependentFluid::vanadium_electrolyte()
-            .at(s.inlet_temperature)
-            .map_err(|e| CoreError::Fluidics(e.to_string()))?;
-        let pressure_drop = hydraulic_array.pressure_drop(&props, s.total_flow);
-        let pumping_power =
-            hydraulic_array.pumping_power(&props, s.total_flow, s.pump_efficiency)?;
-
+        let (pressure_drop, pumping_power) = self.hydraulics()?;
         Ok(CoSimReport {
-            chip_power: bright_units::Watt::new(chip_power),
+            chip_power,
             rail_power,
             peak_temperature: thermal_sol.max_temperature(),
             outlet_temperature: thermal_sol.outlet_mean(),
-            inlet_temperature: s.inlet_temperature,
+            inlet_temperature: self.scenario.inlet_temperature,
             array_ocv: ocv,
             current_at_1v: at_1v_current,
             power_at_1v: at_1v_power,
-            isothermal_current_at_1v: isothermal_at_1v.current,
+            isothermal_current_at_1v,
             thermal_boost_percent,
             operating_point,
             pdn_min_voltage: pdn_sol.min_voltage(),
@@ -437,10 +385,11 @@ impl CoSimulation {
     /// coupled array at the 1 V rail point, PDN droop and hydraulics —
     /// skipping the polarization sweep, the isothermal baseline and the
     /// operating-point ladder that dominate [`CoSimulation::run`] but
-    /// feed none of the Monte Carlo metrics. Every cache and retarget
-    /// path is shared with `run`, and the engine's geometry cache is
-    /// seeded with the template's context so sampled geometries that
-    /// return to a seen fingerprint skip their duct solve.
+    /// feed none of the Monte Carlo metrics. The thermal and flow-cell
+    /// stages and the hydraulics are `run`'s own, and the engine's
+    /// geometry cache is seeded with the template's context so sampled
+    /// geometries that return to a seen fingerprint skip their duct
+    /// solve.
     ///
     /// The droop is a one-load direct solve through the cached
     /// conductance system and its cached banded Cholesky factor. A
@@ -466,98 +415,80 @@ impl CoSimulation {
     /// report's `pdn_min_voltage` is NaN until the caller's PDN stage
     /// fills it in.
     pub(crate) fn run_yield_stages(&mut self) -> Result<YieldReport, CoreError> {
-        self.thermal_model()?;
-        self.cell_template()?.warm()?;
+        let (chip_power, thermal_sol, array) = self.thermal_and_cells()?;
         self.geometry_cache
-            .warm_from(self.template.get().expect("built above"))?;
+            .warm_from(self.template.get().expect("built by the shared stages"))?;
         let s = &self.scenario;
-
-        // Thermal field under the full chip load.
-        let thermal = self.thermal.get().expect("built above");
-        self.thermal_session
-            .set_preconditioner(thermal.solve_options().preconditioner);
-        let power_map = s.thermal_load.rasterize(&s.floorplan, thermal.grid())?;
-        let chip_power = power_map.integral();
-        let thermal_sol = thermal
-            .solve_steady_with_sources_warm(&[(0, &power_map)], &mut self.thermal_session)?;
-
-        // Coupled array at the 1 V rail point only, through the
-        // persistent per-column array: cached per-channel models are
-        // retargeted in place to the sample's geometry / ASR / flow /
-        // temperature profiles instead of being cloned fresh.
-        let template = self.template.get().expect("built above");
-        let group = s.channel_count / s.thermal_columns;
-        let at_1v_cols = if s.couple_temperature {
-            let profiles: Vec<TemperatureProfile> = (0..s.thermal_columns)
-                .map(|ix| TemperatureProfile::Sampled(thermal_sol.channel_profile(ix)))
-                .collect();
-            let geometry = cell_geometry_for(s)?;
-            let contact_asr = s.cell_options.contact_asr;
-            let per_channel = s.per_channel_flow();
-            let reusable = matches!(
-                &self.yield_array,
-                Some(a) if a.count() == s.thermal_columns
-                    && cell_shape_compatible(a.template().options(), template.options())
-            );
-            if reusable {
-                let cache = Arc::clone(&self.geometry_cache);
-                let array = self.yield_array.as_mut().expect("checked above");
-                let refreshed = array
-                    .retarget_models(|m| {
-                        m.retarget_geometry(geometry, Some(&cache))?;
-                        m.retarget_contact_asr(contact_asr)?;
-                        if m.flow().value() != per_channel.value() {
-                            m.retarget_flow(per_channel)?;
-                        }
-                        Ok(())
-                    })
-                    .and_then(|()| array.retarget_channel_temperatures(profiles));
-                if let Err(e) = refreshed {
-                    // Failed mutators clear their contexts; drop the
-                    // array so the next sample rebuilds it cold.
-                    self.yield_array = None;
-                    return Err(e.into());
-                }
-            } else {
-                self.yield_array = Some(
-                    CellArray::new(template.clone(), s.thermal_columns)?
-                        .with_channel_temperatures(profiles)?,
-                );
-            }
-            self.yield_array
-                .as_ref()
-                .expect("set above")
-                .solve_at_voltage(1.0)?
-        } else {
-            CellArray::new(template.clone(), s.thermal_columns)?.solve_at_voltage(1.0)?
-        };
-        let at_1v_current = at_1v_cols.current * group as f64;
-        let at_1v_power = at_1v_cols.power * group as f64;
-
-        // Hydraulics at the sampled channel geometry.
-        let s = &self.scenario;
-        let template = self.template.get().expect("built above");
-        let channel = *template.geometry().channel();
-        let pitch = Meters::new(s.floorplan.width().value() / s.channel_count as f64);
-        let hydraulic_array = ChannelArray::new(channel, s.channel_count, pitch)?;
-        let props = TemperatureDependentFluid::vanadium_electrolyte()
-            .at(s.inlet_temperature)
-            .map_err(|e| CoreError::Fluidics(e.to_string()))?;
-        let pressure_drop = hydraulic_array.pressure_drop(&props, s.total_flow);
-        let pumping_power =
-            hydraulic_array.pumping_power(&props, s.total_flow, s.pump_efficiency)?;
-
+        let group = (s.channel_count / s.thermal_columns) as f64;
+        let at_1v_cols = array.solve_at_voltage(1.0)?;
+        let (pressure_drop, pumping_power) = self.hydraulics()?;
         Ok(YieldReport {
-            chip_power: bright_units::Watt::new(chip_power),
+            chip_power,
             peak_temperature: thermal_sol.max_temperature(),
             outlet_temperature: thermal_sol.outlet_mean(),
-            current_at_1v: at_1v_current,
-            power_at_1v: at_1v_power,
+            current_at_1v: at_1v_cols.current * group,
+            power_at_1v: at_1v_cols.power * group,
             pdn_min_voltage: Volt::new(f64::NAN),
             pressure_drop,
             pumping_power,
             junction_map: thermal_sol.junction_map().clone(),
         })
+    }
+
+    /// The stages every co-simulation starts with. The thermal solve
+    /// under the full chip load runs through the persistent session
+    /// (warm-started across runs and retargets). Then the per-channel
+    /// temperature profiles go into the electrochemistry: channels
+    /// sharing a thermal column are identical, so the returned array
+    /// holds one channel per column, built fresh from the retargeted
+    /// template (the bare template when `couple_temperature` is off),
+    /// and callers scale its results by the group size.
+    fn thermal_and_cells(&mut self) -> Result<(Watt, ThermalSolution, CellArray), CoreError> {
+        // Ensure the cached models exist, then work through direct field
+        // borrows (the session needs disjoint `&mut` access). Warming
+        // the template builds its solve context once: every array clone
+        // carries it, and retargets refresh it in place.
+        self.thermal_model()?;
+        self.cell_template()?.warm()?;
+        let s = &self.scenario;
+        let thermal = self.thermal.get().expect("built above");
+        // Adopt the model's size-aware preconditioner (multigrid on
+        // scaled stacked-tier grids, SSOR at paper size); a no-op when
+        // the spec is unchanged, so warm sessions keep their hierarchy.
+        self.thermal_session
+            .set_preconditioner(thermal.solve_options().preconditioner);
+        let power_map = s.thermal_load.rasterize(&s.floorplan, thermal.grid())?;
+        let thermal_sol = thermal
+            .solve_steady_with_sources_warm(&[(0, &power_map)], &mut self.thermal_session)?;
+
+        let template = self.template.get().expect("built above");
+        let array = CellArray::new(template.clone(), s.thermal_columns)?;
+        let array = if s.couple_temperature {
+            array.with_channel_temperatures(
+                (0..s.thermal_columns)
+                    .map(|ix| TemperatureProfile::Sampled(thermal_sol.channel_profile(ix)))
+                    .collect(),
+            )?
+        } else {
+            array
+        };
+        Ok((Watt::new(power_map.integral()), thermal_sol, array))
+    }
+
+    /// Pressure drop and pumping power of the whole channel array at the
+    /// scenario's flow, through the template's channel geometry.
+    fn hydraulics(&self) -> Result<(Pascal, Watt), CoreError> {
+        let s = &self.scenario;
+        let template = self.template.get().expect("built by the shared stages");
+        let pitch = Meters::new(s.floorplan.width().value() / s.channel_count as f64);
+        let array = ChannelArray::new(*template.geometry().channel(), s.channel_count, pitch)?;
+        let props = TemperatureDependentFluid::vanadium_electrolyte()
+            .at(s.inlet_temperature)
+            .map_err(|e| CoreError::Fluidics(e.to_string()))?;
+        Ok((
+            array.pressure_drop(&props, s.total_flow),
+            array.pumping_power(&props, s.total_flow, s.pump_efficiency)?,
+        ))
     }
 
     /// Finds the stable (high-voltage) intersection of the array power
@@ -576,8 +507,6 @@ impl CoSimulation {
         // Scan from the OCV downward on a fine voltage ladder; the first
         // crossing (array supply >= demand) is the stable branch.
         let n = 400;
-        let mut best: Option<OperatingPoint> = None;
-        let mut max_available = 0.0_f64;
         for k in 1..n {
             let v = ocv - (ocv - v_out) * k as f64 / n as f64;
             let Some(current) = curve.current_at_voltage(v) else {
@@ -589,20 +518,18 @@ impl CoSimulation {
                 .efficiency_at(Volt::new(v))
                 .map_err(|e| CoreError::Pdn(e.to_string()))?;
             let demand = rail_power / eff;
-            max_available = max_available.max(supply);
             if supply >= demand {
-                best = Some(OperatingPoint {
+                return Ok(Some(OperatingPoint {
                     array_voltage: Volt::new(v),
                     array_current: current,
-                    array_power: bright_units::Watt::new(supply),
+                    array_power: Watt::new(supply),
                     vrm_efficiency: eff,
                     rail_voltage: s.vrm.output_voltage(),
-                    rail_power: bright_units::Watt::new(rail_power),
-                });
-                break;
+                    rail_power: Watt::new(rail_power),
+                }));
             }
         }
-        Ok(best)
+        Ok(None)
     }
 }
 

@@ -13,8 +13,8 @@
 //!
 //! A batch is validated up front (an invalid request fails alone, with
 //! its kind's report), grouped by serving pattern in first-seen order,
-//! and fanned out once across the sweep executor
-//! ([`crate::sweeps::parallel_map`]):
+//! and fanned out once across the workspace's worker pool
+//! ([`bright_num::parallel::parallel_map_indexed`]):
 //!
 //! * **Steady** requests group by [`PatternKey`] (thermal grid + layer
 //!   lumping, PDN grid). Each group is served by a cached
@@ -63,13 +63,13 @@
 use crate::cosim::{cell_model_for, thermal_model_for, CoSimulation};
 use crate::reports::{CoSimReport, PolarizationOutcome};
 use crate::scenario::Scenario;
-use crate::sweeps::{parallel_map, sweep_workers};
 use crate::transient::{
     serve_transient_group, TransientGroupKey, TransientModelKey, TransientReport,
     TransientRequest,
 };
 use crate::CoreError;
 use bright_flowcell::{CellModel, SolverOptions};
+use bright_num::parallel::{parallel_map_indexed, worker_count};
 use bright_num::Backend;
 use bright_thermal::ThermalModel;
 use std::collections::HashMap;
@@ -866,7 +866,7 @@ impl ScenarioEngine {
                 _ => None,
             })
             .collect();
-        let budget = sweep_workers(steady_sizes.iter().sum()).max(1);
+        let budget = worker_count(steady_sizes.iter().sum()).max(1);
         let per_group_chunks = budget.div_ceil(steady_sizes.len().max(1)).max(1);
         let mut jobs: Vec<Job> = Vec::new();
         for group in groups {
@@ -903,7 +903,7 @@ impl ScenarioEngine {
         let jobs: Vec<Mutex<Option<Job>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
 
         let deterministic = self.deterministic;
-        let served = parallel_map(&jobs, |_, slot| {
+        let served = parallel_map_indexed(&jobs, worker_count(jobs.len()), |_, slot| {
             slot.lock()
                 .expect("job mutex poisoned")
                 .take()
@@ -1273,7 +1273,7 @@ mod tests {
         // The group splits into as many chunks as the executor budget
         // allows; each chunk cold-builds one worker (and its cell
         // context), every further request in a chunk retargets it.
-        let budget = sweep_workers(n).max(1).min(n);
+        let budget = worker_count(n).max(1).min(n);
         let chunk_size = n.div_ceil(budget);
         let chunks = n.div_ceil(chunk_size) as u64;
         let built_1 = engine.stats().cell_contexts_built;

@@ -89,13 +89,6 @@ pub enum CoreError {
     Floorplan(String),
     /// Report (de)serialization failed.
     Report(String),
-    /// The supply cannot meet the demand at any operating point.
-    SupplyDeficit {
-        /// Power demanded at the VRM input (W).
-        demand: f64,
-        /// Maximum array power (W).
-        available: f64,
-    },
     /// A worker panicked while serving this request; the rest of the
     /// batch completed and the worker was quarantined (see
     /// `docs/ROBUSTNESS.md`).
@@ -112,10 +105,6 @@ impl fmt::Display for CoreError {
             CoreError::Fluidics(m) => write!(f, "fluidics: {m}"),
             CoreError::Floorplan(m) => write!(f, "floorplan: {m}"),
             CoreError::Report(m) => write!(f, "report: {m}"),
-            CoreError::SupplyDeficit { demand, available } => write!(
-                f,
-                "supply deficit: VRM demands {demand:.2} W but the array peaks at {available:.2} W"
-            ),
             CoreError::WorkerPanic(m) => write!(f, "worker panic: {m}"),
         }
     }

@@ -1024,12 +1024,9 @@ enum ResumeState {
 }
 
 /// Whether an attempt error is worth a backoff retry. Deterministic
-/// rejections (invalid spec, supply deficit, report codec) fail
-/// immediately; environmental/numerical failures — including a worker
-/// panic that survived the engine's recovery ladder — retry.
+/// rejections (invalid spec, report codec) fail immediately;
+/// environmental/numerical failures — including a worker panic that
+/// survived the engine's recovery ladder — retry.
 fn is_retryable(e: &CoreError) -> bool {
-    !matches!(
-        e,
-        CoreError::InvalidScenario(_) | CoreError::Report(_) | CoreError::SupplyDeficit { .. }
-    )
+    !matches!(e, CoreError::InvalidScenario(_) | CoreError::Report(_))
 }

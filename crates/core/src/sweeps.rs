@@ -1,77 +1,22 @@
-//! Parameter sweeps for the paper's design-space discussion, plus the
-//! parallel sweep executor every sweep in the workspace runs on.
+//! Parameter sweeps for the paper's design-space discussion.
 //!
 //! The conclusion of the paper describes "an assessment of the power
 //! density as function of channel dimensions, flow rate and temperature".
 //! These helpers regenerate that assessment (ablation **A1** in
 //! DESIGN.md) and back the flow/temperature experiments of Section III-B.
 //!
-//! The executor ([`parallel_map`]/[`try_parallel_map`]) fans independent
-//! sweep points across worker threads with dynamic load balancing; each
-//! worker owns its state (solver workspaces live per closure call or per
-//! thread), and on a single-core host the work runs inline with zero
-//! thread overhead. `BRIGHT_SWEEP_THREADS` caps the worker count.
+//! Each sweep fans its independent points across the workspace's worker
+//! pool ([`bright_num::parallel`]): every point builds its own cell
+//! model, results come back in input order, and `BRIGHT_SWEEP_THREADS`
+//! caps the worker count.
 
 use crate::CoreError;
 use bright_echem::vanadium;
 use bright_flowcell::options::{SolverOptions, TemperatureProfile, VelocityModel};
 use bright_flowcell::{CellGeometry, CellModel};
 use bright_flow::RectChannel;
+use bright_num::parallel::{try_parallel_map_indexed, worker_count};
 use bright_units::{CubicMetersPerSecond, Kelvin, Meters};
-
-/// Number of workers a sweep over `items` elements should use — the
-/// workspace-wide policy of [`bright_num::parallel::worker_count`]
-/// (available parallelism, capped by the item count and by
-/// `BRIGHT_SWEEP_THREADS`).
-#[must_use]
-pub fn sweep_workers(items: usize) -> usize {
-    bright_num::parallel::worker_count(items)
-}
-
-/// Applies `f` to every item, fanning the calls across worker threads.
-///
-/// Items are claimed dynamically (an atomic cursor), so unevenly sized
-/// sweep points still balance; results are returned in input order. With
-/// one worker the sweep runs inline on the caller's thread.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_with_workers(items, sweep_workers(items.len()), f)
-}
-
-/// [`parallel_map`] with an explicit worker count (single-core hosts can
-/// still exercise the threaded path, e.g. in tests). The execution
-/// engine is shared workspace-wide: [`bright_num::parallel`].
-fn parallel_map_with_workers<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    bright_num::parallel::parallel_map_indexed(items, workers, f)
-}
-
-/// Fallible [`parallel_map`]: returns all results in input order, or the
-/// first error in input order. Workers stop claiming points once an
-/// error is recorded, so a failure near the front of a large sweep no
-/// longer burns the remaining points (see
-/// [`bright_num::parallel::try_parallel_map_indexed`]).
-///
-/// # Errors
-///
-/// The first `Err` produced by `f`, in input order.
-pub fn try_parallel_map<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    bright_num::parallel::try_parallel_map_indexed(items, sweep_workers(items.len()), f)
-}
 
 /// One row of a power-density sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,7 +92,7 @@ pub fn width_sweep(
     mean_velocity: f64,
     temperature: Kelvin,
 ) -> Result<Vec<PowerDensityRow>, CoreError> {
-    try_parallel_map(widths_um, |_, &w_um| {
+    try_parallel_map_indexed(widths_um, worker_count(widths_um.len()), |_, &w_um| {
         let width = Meters::from_micrometers(w_um);
         let height = Meters::from_micrometers(height_um);
         let flow = CubicMetersPerSecond::new(mean_velocity * width.value() * height.value());
@@ -170,7 +115,7 @@ pub fn flow_sweep(
     flows_ul_min: &[f64],
     temperature: Kelvin,
 ) -> Result<Vec<PowerDensityRow>, CoreError> {
-    try_parallel_map(flows_ul_min, |_, &f| {
+    try_parallel_map_indexed(flows_ul_min, worker_count(flows_ul_min.len()), |_, &f| {
         power_density_at(
             Meters::from_micrometers(200.0),
             Meters::from_micrometers(400.0),
@@ -188,7 +133,8 @@ pub fn flow_sweep(
 ///
 /// As [`power_density_at`].
 pub fn temperature_sweep(temperatures_k: &[f64]) -> Result<Vec<PowerDensityRow>, CoreError> {
-    try_parallel_map(temperatures_k, |_, &t| {
+    let workers = worker_count(temperatures_k.len());
+    try_parallel_map_indexed(temperatures_k, workers, |_, &t| {
         power_density_at(
             Meters::from_micrometers(200.0),
             Meters::from_micrometers(400.0),
@@ -202,54 +148,49 @@ pub fn temperature_sweep(temperatures_k: &[f64]) -> Result<Vec<PowerDensityRow>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bright_num::parallel::parallel_map_indexed;
+
+    // The sweeps run on `bright_num::parallel`; these check the calls
+    // they make: order, completeness and first error in input order.
 
     #[test]
     fn parallel_map_preserves_order_and_balances() {
         let items: Vec<usize> = (0..57).collect();
-        let doubled = parallel_map(&items, |i, &x| {
+        let doubled = parallel_map_indexed(&items, worker_count(items.len()), |i, &x| {
             assert_eq!(i, x);
             2 * x
         });
         assert_eq!(doubled, (0..57).map(|x| 2 * x).collect::<Vec<_>>());
         // Empty input short-circuits.
         let empty: Vec<usize> = Vec::new();
-        assert!(parallel_map(&empty, |_, &x: &usize| x).is_empty());
+        assert!(parallel_map_indexed(&empty, worker_count(0), |_, &x: &usize| x).is_empty());
     }
 
     #[test]
     fn threaded_path_matches_inline_path() {
-        // `sweep_workers` returns 1 on single-core hosts, so exercise the
+        // `worker_count` returns 1 on single-core hosts, so exercise the
         // multi-worker branch explicitly: order, completeness, and
         // equality with the inline result.
         let items: Vec<usize> = (0..101).collect();
-        let inline = parallel_map_with_workers(&items, 1, |_, &x| x * x);
+        let inline = parallel_map_indexed(&items, 1, |_, &x| x * x);
         for workers in [2, 4, 7] {
-            let threaded = parallel_map_with_workers(&items, workers, |_, &x| x * x);
+            let threaded = parallel_map_indexed(&items, workers, |_, &x| x * x);
             assert_eq!(threaded, inline, "{workers} workers");
         }
         // More workers than items is fine.
         let few: Vec<usize> = (0..3).collect();
-        assert_eq!(
-            parallel_map_with_workers(&few, 8, |_, &x| x + 1),
-            vec![1, 2, 3]
-        );
+        assert_eq!(parallel_map_indexed(&few, 8, |_, &x| x + 1), vec![1, 2, 3]);
     }
 
     #[test]
     fn try_parallel_map_returns_first_error_in_input_order() {
         let items: Vec<i32> = (0..20).collect();
-        let err = try_parallel_map(&items, |_, &x| if x >= 7 { Err(x) } else { Ok(x) });
+        let workers = worker_count(items.len());
+        let err =
+            try_parallel_map_indexed(&items, workers, |_, &x| if x >= 7 { Err(x) } else { Ok(x) });
         assert_eq!(err, Err(7));
-        let ok = try_parallel_map(&items, |_, &x| Ok::<_, ()>(x)).unwrap();
+        let ok = try_parallel_map_indexed(&items, workers, |_, &x| Ok::<_, ()>(x)).unwrap();
         assert_eq!(ok, items);
-    }
-
-    #[test]
-    fn sweep_workers_respects_env_cap_and_item_count() {
-        // At most one worker per item; at least one worker overall.
-        assert_eq!(sweep_workers(0), 1);
-        assert_eq!(sweep_workers(1), 1);
-        assert!(sweep_workers(64) >= 1);
     }
 
     #[test]

@@ -98,14 +98,16 @@ impl CellArray {
     }
 
     /// Applies an in-place retarget to the template **and** every
-    /// cached per-channel model — the amortized path when one array
-    /// serves a stream of operating points (Monte Carlo studies, design
-    /// sweeps): geometry, flow and ASR updates ride the models'
-    /// existing solve contexts instead of rebuilding them per sample.
-    /// Retargets are bitwise-equal to cold builds (the
+    /// cached per-channel model, for a caller that keeps one array
+    /// across a stream of operating points: geometry, flow and ASR
+    /// updates ride the models' existing solve contexts instead of
+    /// rebuilding them. Retargets are bitwise-equal to cold builds (the
     /// [`CellModel::retarget_geometry`] family's contract), so a
     /// long-lived retargeted array and a freshly built one solve to
-    /// identical bits.
+    /// identical bits. Each changed coefficient re-stamps every model's
+    /// transport operators on the calling thread; when more than the
+    /// temperature changes, an array built fresh from a retargeted
+    /// template (what the co-simulation does) measured no slower.
     ///
     /// # Errors
     ///

@@ -1,12 +1,12 @@
 //! Order-preserving parallel map over slices.
 //!
-//! The single threaded-fan-out implementation shared by every sweep
-//! layer in the workspace (`bright_core::sweeps`, the flow-cell channel
-//! fan-out). Items are claimed dynamically from an atomic cursor so
+//! The single threaded fan-out shared by every parallel layer in the
+//! workspace: the design-space sweeps and the scenario engine's batches
+//! in `bright_core`, the Monte Carlo chunks and the flow-cell channel
+//! solves. Items are claimed dynamically from an atomic cursor so
 //! unevenly sized work still balances, results come back in input
 //! order, and a worker count of 1 runs inline on the caller's thread
-//! with zero overhead. Worker-count *policy* (hardware detection,
-//! environment caps) stays with the callers; this module only executes.
+//! with zero overhead. [`worker_count`] is the one worker-count policy.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -171,6 +171,14 @@ mod tests {
                 "{workers} workers"
             );
         }
+    }
+
+    #[test]
+    fn worker_count_respects_env_cap_and_item_count() {
+        // At most one worker per item; at least one worker overall.
+        assert_eq!(worker_count(0), 1);
+        assert_eq!(worker_count(1), 1);
+        assert!(worker_count(64) >= 1);
     }
 
     #[test]
