@@ -1,11 +1,12 @@
 //! Criterion benches of the flow-cell solver — the kernels behind Fig. 3
-//! (validation polarization) and Fig. 7 (array V–I).
+//! (validation polarization) and Fig. 7 (array V–I), and the coupled
+//! array stage of a co-simulation point.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bright_flowcell::options::TemperatureProfile;
-use bright_flowcell::presets;
+use bright_flowcell::{presets, CellArray};
 use bright_units::Kelvin;
 
 fn bench_single_voltage_point(c: &mut Criterion) {
@@ -79,11 +80,52 @@ fn bench_sampled_channel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The co-simulation's array stage at the preset grid: eight columns,
+/// each with its own sampled 5-knot profile, swept over 16 voltages plus
+/// the 1 V point. One pass builds every column model once; the two-pass
+/// form builds them twice.
+fn bench_array(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flowcell_array");
+    group.sample_size(10);
+    let profiles = (0..8)
+        .map(|k| {
+            let base = 300.0 + 0.75 * k as f64;
+            TemperatureProfile::Sampled(
+                [0.0, 3.5, 7.0, 11.0, 9.5]
+                    .iter()
+                    .map(|dt| Kelvin::new(base + dt))
+                    .collect(),
+            )
+        })
+        .collect();
+    let array = CellArray::new(presets::power7_channel().unwrap(), 8)
+        .unwrap()
+        .with_channel_temperatures(profiles)
+        .unwrap();
+    group.bench_function("curve_and_point_one_pass_8cols", |b| {
+        b.iter(|| {
+            array
+                .polarization_curve_and_point(black_box(16), black_box(1.0))
+                .unwrap()
+        });
+    });
+    group.bench_function("curve_then_point_8cols", |b| {
+        b.iter(|| {
+            (
+                array.polarization_curve(black_box(16)).unwrap(),
+                array.solve_at_voltage(black_box(1.0)).unwrap(),
+            )
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_single_voltage_point,
     bench_polarization_sweep,
     bench_current_inversion,
-    bench_sampled_channel
+    bench_sampled_channel,
+    bench_array
 );
 criterion_main!(benches);

@@ -298,6 +298,12 @@ impl CoSimulation {
 
     /// Runs the coupled solve.
     ///
+    /// The array's polarization sweep and its 1 V point come from one
+    /// pass over the columns
+    /// ([`CellArray::polarization_curve_and_point`]): each column's
+    /// model is built once, marches the sweep ladder plus the 1 V lane,
+    /// and is dropped.
+    ///
     /// A rail demand beyond the array's capability is reported, not
     /// fatal: [`CoSimReport::operating_point`] is then `None`.
     ///
@@ -310,11 +316,9 @@ impl CoSimulation {
 
         // Array characteristics (scaled from columns to channels).
         let group = s.channel_count / s.thermal_columns;
-        let curve = array
-            .polarization_curve(s.sweep_points)?
-            .scaled_parallel(group);
+        let (curve, at_1v_cols) = array.polarization_curve_and_point(s.sweep_points, 1.0)?;
+        let curve = curve.scaled_parallel(group);
         let ocv = curve.open_circuit_voltage();
-        let at_1v_cols = array.solve_at_voltage(1.0)?;
         let at_1v_current = at_1v_cols.current * group as f64;
         let at_1v_power = at_1v_cols.power * group as f64;
         // Without thermal coupling the array already runs at the inlet
@@ -440,9 +444,11 @@ impl CoSimulation {
     /// (warm-started across runs and retargets). Then the per-channel
     /// temperature profiles go into the electrochemistry: channels
     /// sharing a thermal column are identical, so the returned array
-    /// holds one channel per column, built fresh from the retargeted
-    /// template (the bare template when `couple_temperature` is off),
-    /// and callers scale its results by the group size.
+    /// has one channel per column over the retargeted template (the
+    /// bare template when `couple_temperature` is off), and callers
+    /// scale its results by the group size. The array holds only the
+    /// template and the profiles; each solve on it builds the column
+    /// models on the fan-out's workers and drops them.
     fn thermal_and_cells(&mut self) -> Result<(Watt, ThermalSolution, CellArray), CoreError> {
         // Ensure the cached models exist, then work through direct field
         // borrows (the session needs disjoint `&mut` access). Warming

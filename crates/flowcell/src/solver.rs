@@ -28,6 +28,10 @@
 //! Lane `k` performs exactly the floating-point operations of marching
 //! voltage `k` alone with lane `k−1`'s profile as its hint, so a sweep's
 //! points are bitwise-independent of how many voltages march together.
+//! A march may end in a point lane whose hint chain restarts cold: the
+//! array marches a column's polarization ladder plus its rail point
+//! together this way, and the point lane performs exactly the operations
+//! of [`CellModel::solve_at_voltage`] at that voltage.
 
 use crate::geometry::CellGeometry;
 use crate::options::{SolverOptions, TemperatureProfile, VelocityModel};
@@ -736,12 +740,6 @@ impl CellModel {
         }
     }
 
-    /// Address of the built geometry context, for structural
-    /// distinct-context accounting ([`crate::CellArray`]).
-    pub(crate) fn geometry_ptr(&self) -> Option<usize> {
-        self.geo.get().map(|g| Arc::as_ptr(g) as usize)
-    }
-
     /// Open-circuit voltage at the mean channel temperature.
     ///
     /// # Errors
@@ -993,7 +991,7 @@ impl CellModel {
         voltage: f64,
         ctx: &SolveContext,
     ) -> Result<CellSolution, FlowCellError> {
-        let mut sols = self.march(ctx, &[voltage], None)?;
+        let mut sols = self.march(ctx, &[voltage], None, None)?;
         Ok(sols.pop().expect("one lane, one solution"))
     }
 
@@ -1002,7 +1000,8 @@ impl CellModel {
     /// station root around the previous lane's current density at the
     /// same station; lane 0 brackets around `seed[station]` when a seed
     /// profile is given (a previously solved nearby operating point),
-    /// cold otherwise. Every committed root satisfies the same residual
+    /// cold otherwise, and lane `restart` (when given) starts a new,
+    /// cold hint chain. Every committed root satisfies the same residual
     /// tolerance as a cold one.
     ///
     /// Measured on an 88-channel array with sampled temperature profiles
@@ -1014,6 +1013,7 @@ impl CellModel {
         ctx: &SolveContext,
         voltages: &[f64],
         seed: Option<&[f64]>,
+        restart: Option<usize>,
     ) -> Result<Vec<CellSolution>, FlowCellError> {
         if let Some(bad) = voltages.iter().find(|v| !(**v >= 0.0 && v.is_finite())) {
             return Err(FlowCellError::Infeasible(format!(
@@ -1050,6 +1050,9 @@ impl CellModel {
             cathode.advance(op_c)?;
             let mut hint = seed.map(|h| h.get(station).copied().unwrap_or(0.0));
             for (lane, sol) in sols.iter_mut().enumerate() {
+                if Some(lane) == restart {
+                    hint = None;
+                }
                 let balance = StationBalance {
                     st,
                     voltage: sol.voltage.value(),
@@ -1104,7 +1107,21 @@ impl CellModel {
     /// As [`CellModel::solve_at_voltage`].
     pub fn sweep_at_voltages(&self, voltages: &[f64]) -> Result<Vec<CellSolution>, FlowCellError> {
         let ctx = self.context()?;
-        self.march(ctx, voltages, None)
+        self.march(ctx, voltages, None, None)
+    }
+
+    /// [`CellModel::sweep_at_voltages`] whose hint chain restarts cold at
+    /// lane `restart` (an index past the last lane never restarts). The
+    /// lanes before it are bitwise the sweep of those voltages alone; a
+    /// final restarted lane is bitwise [`CellModel::solve_at_voltage`]
+    /// at its voltage. [`crate::CellArray`] marches a column's ladder
+    /// and its rail point this way, with one context build.
+    pub(crate) fn sweep_restarting_at(
+        &self,
+        voltages: &[f64],
+        restart: usize,
+    ) -> Result<Vec<CellSolution>, FlowCellError> {
+        self.march(self.context()?, voltages, None, Some(restart))
     }
 
     /// Solves the cell at a fixed delivered current by inverting the
@@ -1516,7 +1533,7 @@ mod tests {
             let mut seed: Option<Vec<f64>> = None;
             for (lane, &v) in voltages.iter().enumerate() {
                 let alone = model
-                    .march(ctx, &[v], seed.as_deref())
+                    .march(ctx, &[v], seed.as_deref(), None)
                     .unwrap()
                     .pop()
                     .unwrap();
@@ -1538,6 +1555,53 @@ mod tests {
                 }
                 seed = Some(alone.current_density_profile().to_vec());
             }
+        }
+    }
+
+    #[test]
+    fn restarted_point_lane_matches_a_one_lane_solve_bitwise() {
+        // The array marches a column's ladder plus its rail point as one
+        // more lane whose hint chain restarts cold: the ladder lanes must
+        // be the plain sweep's and the point lane the one-lane solve's.
+        // One point lies inside the ladder's range, one above the local
+        // OCVs (zero-current stations).
+        let sampled = power7_channel_model()
+            .with_temperature(TemperatureProfile::Sampled(vec![
+                Kelvin::new(300.0),
+                Kelvin::new(304.0),
+                Kelvin::new(309.0),
+                Kelvin::new(306.5),
+            ]))
+            .unwrap();
+        let assert_lane = |a: &CellSolution, b: &CellSolution| {
+            assert_bitwise_equal(a, b);
+            for (x, y) in [
+                (a.anode_overpotential_profile(), b.anode_overpotential_profile()),
+                (a.cathode_overpotential_profile(), b.cathode_overpotential_profile()),
+            ] {
+                assert_eq!(x.len(), y.len());
+                assert!(x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()));
+            }
+        };
+        for model in [power7_channel_model(), sampled] {
+            let ladder: Vec<f64> = (0..12).map(|k| 0.05 + 0.13 * k as f64).collect();
+            let swept = model.sweep_at_voltages(&ladder).unwrap();
+            for point in [1.0, 1.9] {
+                let mut voltages = ladder.clone();
+                voltages.push(point);
+                let mut lanes = model.sweep_restarting_at(&voltages, ladder.len()).unwrap();
+                let alone = model.solve_at_voltage(point).unwrap();
+                assert_lane(&lanes.pop().unwrap(), &alone);
+                assert_eq!(lanes.len(), swept.len());
+                for (lane, plain) in lanes.iter().zip(&swept) {
+                    assert_lane(lane, plain);
+                }
+            }
+            assert_eq!(
+                model.solve_at_voltage(1.9).unwrap().current().value(),
+                0.0,
+                "1.9 V lies above every local OCV"
+            );
         }
     }
 

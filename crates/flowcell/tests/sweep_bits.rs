@@ -4,8 +4,9 @@
 //! output, recorded once and never edited: polarization curves of a
 //! POWER7+ channel (isothermal, and with a sampled temperature profile
 //! that gives every station a distinct transport operator), a
-//! four-channel array with per-channel profiles (the `map_channels`
-//! fan-out), the 1 V operating point and a fixed-current inversion.
+//! four-channel array with per-channel profiles (the channel fan-out,
+//! the curve and its 1 V point apart and in one pass), the 1 V operating
+//! point and a fixed-current inversion.
 //! A change to the marching solver that reorders any floating-point
 //! operation fails here; run it under `BRIGHT_SWEEP_THREADS=1` and `=4`
 //! to check that the channel fan-out does not matter either.
@@ -116,6 +117,9 @@ const SAMPLED_ARRAY: &[&str] = &[
     "3fa999999999999a 3fcacd674a101d40 3f85711f6e734a9a",
 ];
 
+/// `current power` of the same array at 1 V.
+const SAMPLED_ARRAY_AT_1V: &str = "3fca8140eb1b5e72 3fca8140eb1b5e72";
+
 const VOLTAGE_AT_30_MA: &str = "3ff3513acac534e7";
 
 #[test]
@@ -148,6 +152,36 @@ fn four_channel_array_bits() {
         .expect("profiles");
     let curve = array.polarization_curve(8).expect("array curve");
     assert_lines("four-channel array", &curve_lines(&curve), SAMPLED_ARRAY);
+}
+
+#[test]
+fn four_channel_array_1v_point_bits() {
+    let temps = (0..4)
+        .map(|k| sampled_profile(300.0 + 1.5 * k as f64))
+        .collect();
+    let array = CellArray::new(presets::power7_channel().expect("preset"), 4)
+        .expect("array")
+        .with_channel_temperatures(temps)
+        .expect("profiles");
+    let point_line = |op: bright_flowcell::array::ArrayOperatingPoint| {
+        format!("{} {}", hex(op.current.value()), hex(op.power.value()))
+    };
+    let alone = array.solve_at_voltage(1.0).expect("1 V point");
+    assert_eq!(
+        point_line(alone),
+        SAMPLED_ARRAY_AT_1V,
+        "array 1 V point moved"
+    );
+    // One pass: the curve and the point lane of the same march.
+    let (curve, point) = array
+        .polarization_curve_and_point(8, 1.0)
+        .expect("curve and point");
+    assert_lines("one-pass array curve", &curve_lines(&curve), SAMPLED_ARRAY);
+    assert_eq!(
+        point_line(point),
+        SAMPLED_ARRAY_AT_1V,
+        "one-pass 1 V point moved"
+    );
 }
 
 #[test]
