@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         grid.total_sink_current().value()
     );
 
-    let sol = grid.solve()?;
+    let sol = grid.solve_direct()?;
     let map = render_ascii(
         sol.voltage_map(),
         &RenderOptions {

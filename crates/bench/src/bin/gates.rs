@@ -1,4 +1,4 @@
-//! The performance gates as one table: eleven time ratios (warm paths
+//! The performance gates as one table: twelve time ratios (warm paths
 //! against the cold rebuilds they replace, and the clean-path cost of
 //! the recovery ladder and the durable service) and the counts that
 //! need release-scale inputs, each a [`Row`] judged by [`passes`].
@@ -111,6 +111,26 @@ fn speedup<A, B>(reps: usize, cold: impl FnMut() -> A, warm: impl FnMut() -> B) 
     cold / best_of(reps, warm)
 }
 
+/// The cold side's process CPU over the warm side's, summed over
+/// `pairs` alternating runs after one untimed warm-up of each. For
+/// single-threaded work this is steadier than best-of wall time on a
+/// shared host: preemption does not count, alternation spreads slow
+/// spells over both sides, and the sums span enough clock ticks.
+fn cpu_speedup<A, B>(pairs: usize, mut cold: impl FnMut() -> A, mut warm: impl FnMut() -> B) -> f64 {
+    black_box(cold());
+    black_box(warm());
+    let (mut cold_cpu, mut warm_cpu) = (0.0, 0.0);
+    for _ in 0..pairs {
+        cold_cpu += cpu_cost(|| {
+            black_box(cold());
+        });
+        warm_cpu += cpu_cost(|| {
+            black_box(warm());
+        });
+    }
+    cold_cpu / warm_cpu
+}
+
 /// Builds the cache rail at `nx`×`ny` with the Fig. 8 electrical
 /// parameters. The grid and its load map are made once, outside any
 /// timed build.
@@ -134,10 +154,13 @@ fn stack_at(flow_ml_min: f64) -> (ThermalModel, bright_mesh::Field2d) {
 
 /// Sessions and caches against rebuilding per call, two repetitions
 /// each: a 64-point channel polarization curve; three repeated thermal
-/// and PDN (106×85) solves; a 4-point flow sweep re-stamped through one
-/// thermal model; a 4-request flow batch through one `ScenarioEngine`
-/// against cold co-simulations. Then Jacobi's CG iterations on the
-/// 212×170 rail over the best of SSOR(1.0), SSOR(1.5) and IC(0).
+/// and PDN (106×85) solves; a 4-request flow batch through one
+/// `ScenarioEngine` against cold co-simulations. A 4-point flow sweep
+/// re-stamped through one thermal model, by process CPU over five
+/// alternating pairs. Six cold CG solves of six cache-rail loads
+/// against the banded factor plus six direct solves on one 106×85
+/// grid, the path the co-simulation takes. Then Jacobi's CG iterations
+/// on the 212×170 rail over the best of SSOR(1.0), SSOR(1.5) and IC(0).
 fn warm_paths() -> Vec<Row> {
     let (reps, solves) = (2, 3);
     let channel = bright_flowcell::presets::power7_channel().expect("Table II preset");
@@ -176,6 +199,31 @@ fn warm_paths() -> Vec<Row> {
 
     let rail = cache_rail(FIG8_NX, FIG8_NY);
     let grid = rail();
+    let plan = power7::floorplan();
+    let loads: Vec<bright_mesh::Field2d> = (0..6)
+        .map(|k| {
+            let scale = 0.90 + 0.05 * f64::from(k);
+            PowerScenario::cache_only().scaled(scale).rasterize(&plan, grid.grid()).expect("map")
+        })
+        .collect();
+    let direct = speedup(
+        reps,
+        || {
+            let mut cold = rail();
+            for load in &loads {
+                cold.set_power_density(load).expect("same grid");
+                black_box(cold.solve().expect("pdn solve"));
+            }
+        },
+        || {
+            let mut factored = rail();
+            factored.factor_direct().expect("SPD sheet");
+            for load in &loads {
+                factored.set_power_density(load).expect("same grid");
+                black_box(factored.solve_direct().expect("pdn solve"));
+            }
+        },
+    );
     let pdn = speedup(
         reps,
         || {
@@ -199,8 +247,8 @@ fn warm_paths() -> Vec<Row> {
     let inlet = Kelvin::new(300.0);
     let flows: Vec<CubicMetersPerSecond> = ladder(48.0).collect();
     let mut sweep = ThermalModel::new(model.config().clone()).expect("valid stack");
-    let refresh = speedup(
-        reps,
+    let refresh = cpu_speedup(
+        5,
         || {
             for flow in &flows {
                 let mut config = model.config().clone();
@@ -255,6 +303,7 @@ fn warm_paths() -> Vec<Row> {
         row("thermal_steady_repeat", thermal, Dir::AtLeast, 1.5),
         row("pdn_solve_repeat", pdn, Dir::AtLeast, 1.5),
         row("thermal_refresh_sweep", refresh, Dir::AtLeast, 1.3),
+        row("pdn_direct_six_loads", direct, Dir::AtLeast, 2.0),
         row("engine_batch", batch, Dir::AtLeast, 1.05),
         row("pdn_cg_jacobi_over_best", iterations(PrecondSpec::Jacobi) / best, Dir::AtLeast, 2.0),
     ]

@@ -8,9 +8,9 @@ use bright_flow::fluid::TemperatureDependentFluid;
 use bright_flowcell::options::{SolverOptions, TemperatureProfile};
 use bright_flowcell::{CellArray, CellGeometry, CellModel, GeometryCache};
 use bright_flow::RectChannel;
-use bright_mesh::Grid2d;
+use bright_mesh::{Field2d, Grid2d};
 use bright_num::SolverSession;
-use bright_pdn::PowerGrid;
+use bright_pdn::{PdnSolution, PowerGrid};
 use bright_thermal::stack::{LayerSpec, MicrochannelSpec, StackConfig};
 use bright_thermal::{Material, ThermalModel, ThermalSolution};
 use bright_units::{Ampere, Meters, Pascal, Volt, Watt};
@@ -38,35 +38,48 @@ impl PdnKey {
     }
 }
 
+/// The cached PDN system with its banded factor (built on the first
+/// solve and shared by clones), and the last solution with the rail map
+/// it solved. A direct solve has no history, so an unchanged map would
+/// give the same bits again: the solution is reused instead, as every
+/// paper point and every flow-only retarget keeps the rail load.
+#[derive(Debug, Clone)]
+struct PdnCache {
+    key: PdnKey,
+    grid: PowerGrid,
+    last: Option<(Field2d, PdnSolution)>,
+}
+
 /// A configured co-simulation.
 ///
 /// The thermal model and the flow-cell template (with their assembled
 /// operators and solve contexts) are built once per `CoSimulation` and
-/// reused by every [`CoSimulation::run`]; the PDN conductance system and
-/// the thermal/PDN [`SolverSession`]s (Krylov scratch, preconditioner,
-/// warm start) persist across runs too. Long-lived servers keep one
-/// engine per operator pattern and move it between operating points with
-/// [`CoSimulation::retarget`], which refreshes cached operators in place
-/// wherever the pattern allows.
+/// reused by every [`CoSimulation::run`]; the PDN conductance system
+/// with its banded Cholesky factor and the thermal [`SolverSession`]
+/// (Krylov scratch, preconditioner, warm start) persist across runs too.
+/// Long-lived servers keep one engine per operator pattern and move it
+/// between operating points with [`CoSimulation::retarget`], which
+/// refreshes cached operators in place wherever the pattern allows.
 ///
 /// [`CoSimulation::run`] and [`CoSimulation::run_yield`] share one
 /// pipeline: the thermal solve, then a per-column flow-cell array built
 /// fresh from the retargeted template at the solved channel
-/// temperatures, and last the hydraulics. They differ in the stages in
-/// between and in the PDN solve. `run` solves the cache-rail droop
-/// through the warm SSOR-CG session, `run_yield` through the cached
-/// banded Cholesky factor, and a Monte Carlo study against one
-/// study-wide factor. Moving `run` to the direct factor would change the
-/// `pdn_*` and `voltage_map` bits of every [`CoSimReport`].
+/// temperatures, and last the hydraulics. Both solve the cache-rail
+/// droop the same way, through the cached banded factor; `run` solves it
+/// on a second thread beside the thermal stage, since the rail's load is
+/// part of the scenario and the PDN needs nothing the other stages
+/// compute. A Monte Carlo study solves its samples' droops against one
+/// study-wide factor instead. The direct solve has no history, so
+/// nothing about the PDN needs resetting between requests, and a run
+/// whose rail map equals the last one's reuses that solution.
 #[derive(Debug, Clone)]
 pub struct CoSimulation {
     scenario: Scenario,
     thermal: OnceLock<ThermalModel>,
     template: OnceLock<CellModel>,
     /// Cached PDN system, keyed by everything that shapes its operator.
-    pdn: Option<(PdnKey, PowerGrid)>,
+    pdn: Option<PdnCache>,
     thermal_session: SolverSession,
-    pdn_session: SolverSession,
     /// Scenarios this engine has served (1 after `new` + first `run`;
     /// grows with `retarget`).
     retargets: u64,
@@ -94,9 +107,6 @@ impl CoSimulation {
             template: OnceLock::new(),
             pdn: None,
             thermal_session: SolverSession::new(ThermalModel::iter_options()),
-            pdn_session: SolverSession::new(PowerGrid::iter_options(
-                PowerGrid::default_preconditioner(),
-            )),
             retargets: 0,
             cell_context_reuses: 0,
             geometry_cache: Arc::new(GeometryCache::new()),
@@ -146,10 +156,13 @@ impl CoSimulation {
         self.thermal_session.stats()
     }
 
-    /// Statistics of the PDN solver session.
+    /// Statistics of a PDN solver session: all zeros, always. The PDN
+    /// is solved through the cached banded factor, which keeps no
+    /// session; the accessor stays only for perfbench's frozen
+    /// `paper_cosim` replay (ROADMAP item 11 deletes it).
     #[inline]
     pub fn pdn_session_stats(&self) -> bright_num::SessionStats {
-        self.pdn_session.stats()
+        bright_num::SessionStats::default()
     }
 
     /// Preconditioner digest of the thermal solve path — the plain
@@ -170,23 +183,15 @@ impl CoSimulation {
     }
 
     /// Digest of the recovery rungs that produced the most recent
-    /// thermal/PDN solves, or `None` when both were clean first
-    /// attempts. Each session resets its rung on every clean solve, so
-    /// a stale recovery never leaks into a later request's report.
+    /// thermal solve, or `None` when it was a clean first attempt. The
+    /// session resets its rung on every clean solve, so a stale recovery
+    /// never leaks into a later request's report. The PDN's direct
+    /// solve has no recovery ladder: a failed factor is an error.
     pub(crate) fn recovery_digest(&self) -> Option<String> {
-        let thermal = self.thermal_session.last_recovery().describe();
-        let pdn = self.pdn_session.last_recovery().describe();
-        match (thermal, pdn) {
-            (None, None) => None,
-            (Some(t), None) => Some(format!("thermal: {t}")),
-            (None, Some(p)) => Some(format!("pdn: {p}")),
-            (Some(t), Some(p)) => Some(format!("thermal: {t}; pdn: {p}")),
-        }
-    }
-
-    /// The cached thermal model, built on first use.
-    fn thermal_model(&self) -> Result<&ThermalModel, CoreError> {
-        bright_num::lazy::get_or_try_init(&self.thermal, || thermal_model_for(&self.scenario))
+        self.thermal_session
+            .last_recovery()
+            .describe()
+            .map(|t| format!("thermal: {t}"))
     }
 
     /// Number of full thermal-operator assemblies this engine has paid
@@ -194,11 +199,6 @@ impl CoSimulation {
     /// pattern-compatible retargets).
     pub fn thermal_assembly_count(&self) -> usize {
         self.thermal.get().map_or(0, ThermalModel::assembly_count)
-    }
-
-    /// The cached flow-cell channel template, built on first use.
-    fn cell_template(&self) -> Result<&CellModel, CoreError> {
-        bright_num::lazy::get_or_try_init(&self.template, || cell_model_for(&self.scenario))
     }
 
     /// True when both scenarios produce a thermal operator with the same
@@ -304,14 +304,27 @@ impl CoSimulation {
     /// model is built once, marches the sweep ladder plus the 1 V lane,
     /// and is dropped.
     ///
+    /// The cache-rail IR-drop map is a direct solve through the cached
+    /// conductance system and its banded Cholesky factor, run beside
+    /// the thermal stage (see [`CoSimulation`]). The factor is built on
+    /// the engine's first run and kept; with a second core free it
+    /// hides behind the thermal solve (timings in
+    /// `docs/PERFORMANCE.md`). Its bits do not depend on what was
+    /// solved before, so while the rail map stays bitwise the same (a
+    /// flow, inlet or geometry retarget keeps it) the last solution is
+    /// returned again without a solve.
+    ///
     /// A rail demand beyond the array's capability is reported, not
     /// fatal: [`CoSimReport::operating_point`] is then `None`.
     ///
     /// # Errors
     ///
-    /// Propagates sub-model failures.
+    /// Propagates sub-model failures. An error of the thermal or
+    /// flow-cell stages, the isothermal baseline or the operating point
+    /// wins over a PDN error, and a PDN error over a hydraulics error.
     pub fn run(&mut self) -> Result<CoSimReport, CoreError> {
-        let (chip_power, thermal_sol, array) = self.thermal_and_cells()?;
+        let (stages, pdn_sol) = self.stages_beside_pdn();
+        let (chip_power, thermal_sol, array) = stages?;
         let s = &self.scenario;
 
         // Array characteristics (scaled from columns to channels).
@@ -341,13 +354,7 @@ impl CoSimulation {
         let rail_power = s.rail_load.total_power(&s.floorplan)?;
         let operating_point = self.find_operating_point(&curve, rail_power.value())?;
 
-        // Cache-rail IR-drop map at the VRM output, through the cached
-        // conductance system and the persistent PDN session.
-        let pdn = stamped_pdn(&mut self.pdn, &self.scenario)?;
-        self.pdn_session
-            .set_preconditioner(pdn.preferred_preconditioner());
-        let pdn_sol = pdn.solve_warm(&mut self.pdn_session)?;
-
+        let pdn_sol = pdn_sol?;
         let (pressure_drop, pumping_power) = self.hydraulics()?;
         Ok(CoSimReport {
             chip_power,
@@ -373,16 +380,17 @@ impl CoSimulation {
         })
     }
 
-    /// Clears both sessions' warm starts so the next solves are
+    /// Clears the thermal session's warm start so the next solve is
     /// history-independent. The Monte Carlo engine calls this before
-    /// every sample: with cold Krylov starts, retarget + run is
-    /// bitwise-equal to a cold-built engine at the same scenario
+    /// every sample, and the scenario engine before every steady request
+    /// in deterministic mode: with a cold Krylov start, retarget + run
+    /// is bitwise-equal to a cold-built engine at the same scenario
     /// (operator value refreshes are property-tested bitwise-equal to
     /// cold stamps), which is what makes Monte Carlo reports chunk- and
-    /// thread-count independent.
+    /// thread-count independent. The PDN's direct solve has no warm
+    /// start to clear.
     pub fn reset_warm_starts(&mut self) {
         self.thermal_session.reset_warm_start();
-        self.pdn_session.reset_warm_start();
     }
 
     /// Runs the lightweight yield-analysis solve: thermal field,
@@ -396,21 +404,23 @@ impl CoSimulation {
     /// solve.
     ///
     /// The droop is a one-load direct solve through the cached
-    /// conductance system and its cached banded Cholesky factor. A
-    /// Monte Carlo study runs the other stages per sample and solves its
-    /// samples' droops together against one study-wide factor
+    /// conductance system and its banded Cholesky factor, as in `run`,
+    /// but after the other stages on the caller's thread. Its stages
+    /// are the short ones, too short to hide a first factor behind: on
+    /// the yield study's coarse grids, solving it beside the thermal
+    /// stage made a cold `new` + `run_yield` about 28% slower (a factor
+    /// built on a fresh thread ran about 8% slower). A Monte Carlo study
+    /// runs the other stages per sample and solves its samples' droops
+    /// together against one study-wide factor
     /// ([`crate::montecarlo::run`]).
     ///
     /// # Errors
     ///
-    /// As [`CoSimulation::run`].
+    /// As [`CoSimulation::run`]; an error of any other stage wins over
+    /// a PDN error.
     pub fn run_yield(&mut self) -> Result<YieldReport, CoreError> {
         let mut report = self.run_yield_stages()?;
-        // The matrix never depends on the load, so the droop is two
-        // triangular sweeps — no iteration, bitwise-deterministic
-        // regardless of solve history.
-        let pdn = stamped_pdn(&mut self.pdn, &self.scenario)?;
-        report.pdn_min_voltage = pdn.solve_direct()?.min_voltage();
+        report.pdn_min_voltage = solve_pdn(&mut self.pdn, &self.scenario)?.min_voltage();
         Ok(report)
     }
 
@@ -419,7 +429,12 @@ impl CoSimulation {
     /// report's `pdn_min_voltage` is NaN until the caller's PDN stage
     /// fills it in.
     pub(crate) fn run_yield_stages(&mut self) -> Result<YieldReport, CoreError> {
-        let (chip_power, thermal_sol, array) = self.thermal_and_cells()?;
+        let (chip_power, thermal_sol, array) = thermal_and_cells(
+            &self.scenario,
+            &self.thermal,
+            &self.template,
+            &mut self.thermal_session,
+        )?;
         self.geometry_cache
             .warm_from(self.template.get().expect("built by the shared stages"))?;
         let s = &self.scenario;
@@ -439,46 +454,25 @@ impl CoSimulation {
         })
     }
 
-    /// The stages every co-simulation starts with. The thermal solve
-    /// under the full chip load runs through the persistent session
-    /// (warm-started across runs and retargets). Then the per-channel
-    /// temperature profiles go into the electrochemistry: channels
-    /// sharing a thermal column are identical, so the returned array
-    /// has one channel per column over the retargeted template (the
-    /// bare template when `couple_temperature` is off), and callers
-    /// scale its results by the group size. The array holds only the
-    /// template and the profiles; each solve on it builds the column
-    /// models on the fan-out's workers and drops them.
-    fn thermal_and_cells(&mut self) -> Result<(Watt, ThermalSolution, CellArray), CoreError> {
-        // Ensure the cached models exist, then work through direct field
-        // borrows (the session needs disjoint `&mut` access). Warming
-        // the template builds its solve context once: every array clone
-        // carries it, and retargets refresh it in place.
-        self.thermal_model()?;
-        self.cell_template()?.warm()?;
-        let s = &self.scenario;
-        let thermal = self.thermal.get().expect("built above");
-        // Adopt the model's size-aware preconditioner (multigrid on
-        // scaled stacked-tier grids, SSOR at paper size); a no-op when
-        // the spec is unchanged, so warm sessions keep their hierarchy.
-        self.thermal_session
-            .set_preconditioner(thermal.solve_options().preconditioner);
-        let power_map = s.thermal_load.rasterize(&s.floorplan, thermal.grid())?;
-        let thermal_sol = thermal
-            .solve_steady_with_sources_warm(&[(0, &power_map)], &mut self.thermal_session)?;
-
-        let template = self.template.get().expect("built above");
-        let array = CellArray::new(template.clone(), s.thermal_columns)?;
-        let array = if s.couple_temperature {
-            array.with_channel_temperatures(
-                (0..s.thermal_columns)
-                    .map(|ix| TemperatureProfile::Sampled(thermal_sol.channel_profile(ix)))
-                    .collect(),
-            )?
-        } else {
-            array
-        };
-        Ok((Watt::new(power_map.integral()), thermal_sol, array))
+    /// [`thermal_and_cells`] on this engine, with the cache rail's
+    /// direct PDN solve beside it on a second thread (inline after it
+    /// under `BRIGHT_SWEEP_THREADS=1`). Both results come back, so `run`
+    /// checks them in its own error order.
+    fn stages_beside_pdn(&mut self) -> (Result<Stages, CoreError>, Result<PdnSolution, CoreError>) {
+        let Self {
+            scenario,
+            thermal,
+            template,
+            pdn,
+            thermal_session,
+            ..
+        } = self;
+        let scenario = &*scenario;
+        bright_num::parallel::join(
+            bright_num::parallel::worker_count(2),
+            || thermal_and_cells(scenario, thermal, template, thermal_session),
+            || solve_pdn(pdn, scenario),
+        )
     }
 
     /// Pressure drop and pumping power of the whole channel array at the
@@ -539,22 +533,78 @@ impl CoSimulation {
     }
 }
 
-/// The cached PDN system with the scenario's rail load stamped in: the
-/// conductance system is kept while its [`PdnKey`] matches (only the
-/// load RHS changes) and rebuilt when it does not.
-fn stamped_pdn<'a>(
-    cache: &'a mut Option<(PdnKey, PowerGrid)>,
+/// What the stages every co-simulation starts with hand on: the chip
+/// power, the thermal field and the per-column flow-cell array.
+type Stages = (Watt, ThermalSolution, CellArray);
+
+/// The stages every co-simulation starts with, over the engine's fields
+/// (split so the PDN stage can borrow the rest). The thermal solve under
+/// the full chip load runs through the persistent session (warm-started
+/// across runs and retargets). Then the per-channel temperature
+/// profiles go into the electrochemistry: channels sharing a thermal
+/// column are identical, so the returned array has one channel per
+/// column over the retargeted template (the bare template when
+/// `couple_temperature` is off), and callers scale its results by the
+/// group size. The array holds only the template and the profiles; each
+/// solve on it builds the column models on the fan-out's workers and
+/// drops them.
+fn thermal_and_cells(
     s: &Scenario,
-) -> Result<&'a PowerGrid, CoreError> {
+    thermal: &OnceLock<ThermalModel>,
+    template: &OnceLock<CellModel>,
+    session: &mut SolverSession,
+) -> Result<Stages, CoreError> {
+    // Ensure the cached models exist. Warming the template builds its
+    // solve context once: every array clone carries it, and retargets
+    // refresh it in place.
+    let thermal = bright_num::lazy::get_or_try_init(thermal, || thermal_model_for(s))?;
+    let template = bright_num::lazy::get_or_try_init(template, || cell_model_for(s))?;
+    template.warm()?;
+    // Adopt the model's size-aware preconditioner (multigrid on scaled
+    // stacked-tier grids, SSOR at paper size); a no-op when the spec is
+    // unchanged, so warm sessions keep their hierarchy.
+    session.set_preconditioner(thermal.solve_options().preconditioner);
+    let power_map = s.thermal_load.rasterize(&s.floorplan, thermal.grid())?;
+    let thermal_sol = thermal.solve_steady_with_sources_warm(&[(0, &power_map)], session)?;
+
+    let array = CellArray::new(template.clone(), s.thermal_columns)?;
+    let array = if s.couple_temperature {
+        array.with_channel_temperatures(
+            (0..s.thermal_columns)
+                .map(|ix| TemperatureProfile::Sampled(thermal_sol.channel_profile(ix)))
+                .collect(),
+        )?
+    } else {
+        array
+    };
+    Ok((Watt::new(power_map.integral()), thermal_sol, array))
+}
+
+/// The cache rail's direct solve at the scenario's rail load, through
+/// the cached conductance system: the system is kept while its
+/// [`PdnKey`] matches and rebuilt when it does not, and the last
+/// solution is returned again while the rail map is bitwise unchanged.
+fn solve_pdn(cache: &mut Option<PdnCache>, s: &Scenario) -> Result<PdnSolution, CoreError> {
     let key = PdnKey::of(s);
-    match cache {
-        Some((cached_key, pdn)) if *cached_key == key => {
-            let rail_map = s.rail_load.rasterize(&s.floorplan, pdn.grid())?;
-            pdn.set_power_density(&rail_map)?;
+    let pdn = match cache {
+        Some(pdn) if pdn.key == key => pdn,
+        _ => cache.insert(PdnCache {
+            key,
+            grid: pdn_for(s)?,
+            last: None,
+        }),
+    };
+    let rail_map = s.rail_load.rasterize(&s.floorplan, pdn.grid.grid())?;
+    let bits = |map: &Field2d| map.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    if let Some((map, solution)) = &pdn.last {
+        if bits(map) == bits(&rail_map) {
+            return Ok(solution.clone());
         }
-        _ => *cache = Some((key, pdn_for(s)?)),
     }
-    Ok(&cache.as_ref().expect("cached above").1)
+    pdn.grid.set_power_density(&rail_map)?;
+    let solution = pdn.grid.solve_direct()?;
+    pdn.last = Some((rail_map, solution.clone()));
+    Ok(solution)
 }
 
 /// Builds the PDN conductance system a scenario describes, with its rail
@@ -789,6 +839,34 @@ mod tests {
         assert!((a.peak_temperature.value() - b.peak_temperature.value()).abs() < 1e-6);
         assert!((a.pdn_min_voltage.value() - b.pdn_min_voltage.value()).abs() < 1e-9);
         assert_eq!(sim.thermal_assembly_count(), 1);
+    }
+
+    #[test]
+    fn pdn_solution_is_reused_until_the_rail_load_changes() {
+        let last = |sim: &CoSimulation| {
+            let (_, solution) = sim.pdn.as_ref().and_then(|p| p.last.as_ref()).expect("solved");
+            solution.voltage_map().as_slice().as_ptr()
+        };
+        let bits = |f: &Field2d| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut sim = CoSimulation::new(Scenario::power7_reduced()).unwrap();
+        let first = sim.run().unwrap();
+        let solved = last(&sim);
+        // A flow move keeps the rail load: the cached solution is reused.
+        let mut slower = Scenario::power7_reduced();
+        slower.total_flow = bright_units::CubicMetersPerSecond::from_milliliters_per_minute(400.0);
+        sim.retarget(slower).unwrap();
+        let second = sim.run().unwrap();
+        assert_eq!(last(&sim), solved);
+        assert_eq!(bits(&second.voltage_map), bits(&first.voltage_map));
+        // A new rail load is solved again, with a fresh engine's bits.
+        let mut full = Scenario::power7_reduced();
+        full.rail_load = bright_floorplan::PowerScenario::full_load();
+        sim.retarget(full.clone()).unwrap();
+        let third = sim.run().unwrap();
+        assert_ne!(last(&sim), solved);
+        let cold = CoSimulation::new(full).unwrap().run().unwrap();
+        assert_eq!(bits(&third.voltage_map), bits(&cold.voltage_map));
+        assert!(third.pdn_min_voltage.value() < first.pdn_min_voltage.value());
     }
 
     #[test]

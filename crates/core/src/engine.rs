@@ -20,11 +20,12 @@
 //!   lumping, PDN grid). Each group is served by a cached
 //!   [`CoSimulation`] worker that is *retargeted* between requests
 //!   instead of rebuilt: thermal coefficients re-stamp through the
-//!   cached pattern, the PDN system and both solver sessions persist,
-//!   and warm starts carry from one operating point to the next. A
-//!   large group is split into chunks, each served by a clone of the
-//!   group's worker (sessions clone cheaply; preconditioners rebuild
-//!   lazily).
+//!   cached pattern, the PDN system with its banded factor and the
+//!   thermal solver session persist, and warm starts carry from one
+//!   operating point to the next. A large group is split into chunks,
+//!   each served by a clone of the group's worker (sessions clone
+//!   cheaply, preconditioners rebuild lazily, and clones share the PDN
+//!   factor).
 //! * **Transient** requests group by operator and stepping
 //!   compatibility and are served over a segment-prefix tree, so trace
 //!   prefixes shared by several requests are integrated once and
@@ -364,7 +365,7 @@ pub struct EngineStats {
     /// thermal solves ([`bright_num::PrecondSpec::Multigrid`] on
     /// scaled grids; the default spec before the first batch).
     pub preconditioner: bright_num::PrecondSpec,
-    /// Session solves (thermal + PDN, plus transient integrations) that
+    /// Session solves (thermal, plus transient integrations) that
     /// succeeded only after the recovery ladder intervened (see
     /// `docs/ROBUSTNESS.md`).
     pub recovered_solves: u64,
@@ -1001,8 +1002,7 @@ impl WorkerMarks {
     fn of(w: &CoSimulation) -> Self {
         Self {
             solves: w.thermal_session_stats().solves,
-            recovered: w.thermal_session_stats().recovered_solves
-                + w.pdn_session_stats().recovered_solves,
+            recovered: w.thermal_session_stats().recovered_solves,
             cells_built: w.cell_context_stats().coefficient_builds,
             cell_reuses: w.cell_context_reuses(),
         }

@@ -77,6 +77,17 @@ use std::fmt;
 pub enum CoreError {
     /// Invalid scenario description.
     InvalidScenario(String),
+    /// The scenario's PDN sheet needs a banded factor larger than
+    /// [`scenario::MAX_PDN_BAND_BYTES`] ([`Scenario::validate`]).
+    PdnBandTooLarge {
+        /// PDN grid columns (the factor's bandwidth).
+        nx: usize,
+        /// PDN grid rows.
+        ny: usize,
+        /// Bytes the band would take: `nx·ny·(nx + 1)` doubles
+        /// (saturating).
+        band_bytes: u128,
+    },
     /// The thermal sub-model failed.
     Thermal(String),
     /// The flow-cell sub-model failed.
@@ -99,6 +110,13 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::InvalidScenario(m) => write!(f, "invalid scenario: {m}"),
+            CoreError::PdnBandTooLarge { nx, ny, band_bytes } => write!(
+                f,
+                "invalid scenario: the {nx}x{ny} PDN sheet needs a {:.1} MB banded factor, \
+                 above the {:.1} MB limit (MAX_PDN_BAND_BYTES, 35x the Fig. 8 sheet's 7.7 MB)",
+                *band_bytes as f64 / 1e6,
+                scenario::MAX_PDN_BAND_BYTES as f64 / 1e6
+            ),
             CoreError::Thermal(m) => write!(f, "thermal model: {m}"),
             CoreError::FlowCell(m) => write!(f, "flow-cell model: {m}"),
             CoreError::Pdn(m) => write!(f, "PDN model: {m}"),

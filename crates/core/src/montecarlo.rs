@@ -260,7 +260,9 @@ impl McSpec {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidScenario`] describing the first violation.
+    /// [`CoreError::InvalidScenario`] describing the first violation;
+    /// [`CoreError::PdnBandTooLarge`] from the base scenario's
+    /// [`Scenario::validate`].
     pub fn validate(&self) -> Result<(), CoreError> {
         self.base.validate()?;
         if self.variables.is_empty() {
@@ -814,8 +816,7 @@ fn run_chunk(
                 if w.recovery_digest().is_some() {
                     out.degraded += 1;
                 }
-                let now = w.thermal_session_stats().recovered_solves
-                    + w.pdn_session_stats().recovered_solves;
+                let now = w.thermal_session_stats().recovered_solves;
                 out.recovered += now.saturating_sub(recovered_seen);
                 recovered_seen = now;
                 let s = w.scenario();
@@ -1004,6 +1005,17 @@ mod tests {
         s.correlation.as_mut().unwrap()[1] = 0.9;
         assert!(s.validate().is_err());
         assert!(tiny_spec(4).validate().is_ok());
+    }
+
+    #[test]
+    fn spec_validation_bounds_the_pdn_band() {
+        // The 4x Fig. 8 sheet needs a 490 MB band: refused through the
+        // base scenario before `run` factors anything.
+        let mut s = tiny_spec(4);
+        s.base.pdn.nx *= 4;
+        s.base.pdn.ny *= 4;
+        assert!(matches!(s.validate(), Err(CoreError::PdnBandTooLarge { nx: 424, ny: 340, .. })));
+        assert!(matches!(run(&s), Err(CoreError::PdnBandTooLarge { .. })));
     }
 
     #[test]

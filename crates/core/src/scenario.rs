@@ -8,6 +8,20 @@ use bright_pdn::ports::PortLayout;
 use bright_pdn::Vrm;
 use bright_units::{CubicMetersPerSecond, Kelvin, Meters};
 
+/// Largest banded Cholesky factor [`Scenario::validate`] lets a PDN
+/// sheet need: 256 MiB. Every co-simulation factors its cache rail, and
+/// the band holds `nx·ny·(nx + 1)` doubles, so this bounds the memory of
+/// one solve (and of each cached engine worker).
+///
+/// Source: ROADMAP F8's sheet table. The Fig. 8 sheet every preset uses
+/// (106×85) needs 7.7 MB, 35× below the limit; the 2× sheet (212×170,
+/// 61 MB) passes. The 4× sheet (424×340, 490 MB, a factor of 5–6 s) is
+/// refused, and with it every die-shaped sheet at or above the 200,000
+/// unknowns where the CG path switched to multigrid (about 500×400, a
+/// 0.8 GB band; the 8× sheet needs 3.9 GB). The bound is on memory, so a
+/// sheet that is long and narrow in `nx` passes with many unknowns.
+pub const MAX_PDN_BAND_BYTES: u64 = 256 << 20;
+
 /// PDN parameters of a scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PdnParams {
@@ -154,7 +168,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidScenario`] describing the first
-    /// violated rule.
+    /// violated rule, or [`CoreError::PdnBandTooLarge`] for a PDN sheet
+    /// whose banded factor would exceed [`MAX_PDN_BAND_BYTES`].
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.channel_count == 0 {
             return Err(CoreError::InvalidScenario("zero channels".into()));
@@ -215,6 +230,14 @@ impl Scenario {
         self.vrm
             .validate()
             .map_err(|e| CoreError::InvalidScenario(e.to_string()))?;
+        let (nx, ny) = (self.pdn.nx, self.pdn.ny);
+        let band_bytes = (nx as u128)
+            .saturating_mul(ny as u128)
+            .saturating_mul(nx as u128 + 1)
+            .saturating_mul(8);
+        if band_bytes > u128::from(MAX_PDN_BAND_BYTES) {
+            return Err(CoreError::PdnBandTooLarge { nx, ny, band_bytes });
+        }
         Ok(())
     }
 }
@@ -229,6 +252,44 @@ mod tests {
         assert!(Scenario::power7_throttled().validate().is_ok());
         assert!(Scenario::power7_warm_inlet().validate().is_ok());
         assert!(Scenario::power7_reduced().validate().is_ok());
+    }
+
+    #[test]
+    fn pdn_band_bound_passes_the_paper_sheets_and_refuses_large_ones() {
+        let sheet = |scale: usize| {
+            let mut s = Scenario::power7_reduced();
+            s.pdn.nx *= scale;
+            s.pdn.ny *= scale;
+            s
+        };
+        // The Fig. 8 sheet (7.7 MB) and the 2x sheet (61 MB) pass.
+        assert_eq!(Scenario::power7_reduced().pdn.nx, 106);
+        assert!(sheet(1).validate().is_ok());
+        assert!(sheet(2).validate().is_ok());
+        // The 4x sheet (490 MB) and the 8x sheet (3.9 GB) are refused
+        // with the band size and the limit.
+        for (scale, mb) in [(4, "490.1"), (8, "3916.5")] {
+            let err = sheet(scale).validate().unwrap_err();
+            assert!(
+                matches!(err, CoreError::PdnBandTooLarge { nx, .. } if nx == 106 * scale),
+                "{err:?}"
+            );
+            let text = err.to_string();
+            assert!(text.contains(&format!("{mb} MB")), "{text}");
+            assert!(text.contains("268.4 MB limit (MAX_PDN_BAND_BYTES"), "{text}");
+        }
+        // Right at the limit: 2^25 doubles pass, one more row does not.
+        let mut edge = Scenario::power7_reduced();
+        edge.pdn.nx = 127;
+        edge.pdn.ny = (1 << 25) / (128 * 127);
+        assert!(edge.validate().is_ok());
+        edge.pdn.ny += 1;
+        assert!(edge.validate().is_err());
+        // Absurd sizes do not overflow the arithmetic.
+        let mut huge = Scenario::power7_reduced();
+        huge.pdn.nx = usize::MAX;
+        huge.pdn.ny = usize::MAX;
+        assert!(matches!(huge.validate(), Err(CoreError::PdnBandTooLarge { .. })));
     }
 
     #[test]

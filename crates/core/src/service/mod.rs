@@ -1028,5 +1028,8 @@ enum ResumeState {
 /// environmental/numerical failures — including a worker panic that
 /// survived the engine's recovery ladder — retry.
 fn is_retryable(e: &CoreError) -> bool {
-    !matches!(e, CoreError::InvalidScenario(_) | CoreError::Report(_))
+    !matches!(
+        e,
+        CoreError::InvalidScenario(_) | CoreError::PdnBandTooLarge { .. } | CoreError::Report(_)
+    )
 }

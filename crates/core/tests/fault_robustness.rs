@@ -274,9 +274,11 @@ fn fault_degraded_flag_marks_only_the_recovered_request() {
         engine.submit(ScenarioRequest::Steady(flow_scenario(f)));
     }
     // A single forced breakdown: one shot via a period far above the
-    // batch's breakdown-gate opportunity count.
+    // batch's breakdown-gate opportunity count. Each request makes one
+    // session solve (the thermal one; the PDN solve is direct), so the
+    // second opportunity is the mid-batch request's thermal solve.
     let plan = FaultPlan {
-        seed: 4,
+        seed: 2,
         breakdown: 1 << 40,
         ..FaultPlan::default()
     };

@@ -29,7 +29,8 @@
 //! 1. a thread-local override installed by [`with_plan`] (tests and
 //!    benches use this for hermetic, plan-exact runs; the override is
 //!    propagated into fan-out workers spawned by
-//!    [`crate::parallel::parallel_map_indexed`]),
+//!    [`crate::parallel::parallel_map_indexed`] and into the second
+//!    task of [`crate::parallel::join`]),
 //! 2. the `BRIGHT_FAULTS` environment variable, parsed once per process
 //!    (e.g. `BRIGHT_FAULTS=seed=2014,nan=5,breakdown=7,budget=6`).
 //!

@@ -1,4 +1,4 @@
-//! Order-preserving parallel map over slices.
+//! Order-preserving parallel map over slices, and a two-task join.
 //!
 //! The single threaded fan-out shared by every parallel layer in the
 //! workspace: the design-space sweeps and the scenario engine's batches
@@ -6,7 +6,9 @@
 //! solves. Items are claimed dynamically from an atomic cursor so
 //! unevenly sized work still balances, results come back in input
 //! order, and a worker count of 1 runs inline on the caller's thread
-//! with zero overhead. [`worker_count`] is the one worker-count policy.
+//! with zero overhead. [`join`] runs two independent tasks side by side
+//! (the co-simulation's PDN solve beside its thermal stage).
+//! [`worker_count`] is the one worker-count policy.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -72,6 +74,44 @@ where
         .expect("parallel_map workers poisoned the result lock");
     tagged.sort_unstable_by_key(|(i, _)| *i);
     tagged.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Runs `a` and `b` and returns both results. With `workers > 1`, `b`
+/// runs on one scoped thread while `a` runs on the caller's; otherwise
+/// both run inline, `a` first. Callers pass [`worker_count`]`(2)`, so
+/// `BRIGHT_SWEEP_THREADS=1` serializes the pair like every fan-out. A
+/// fault-plan override scoped on the caller also governs `b`.
+///
+/// # Panics
+///
+/// Re-raises a panic of either task with that panic's own payload; when
+/// both panic, `a`'s wins. `b` has finished before the panic leaves.
+pub fn join<A, B, RA, RB>(workers: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if workers <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    let fault_override = crate::faults::thread_override();
+    // The scope joins `b` before it returns, and re-raises a panic of
+    // `a` with its payload after that; `b`'s panic is taken from its
+    // handle so it keeps its payload too.
+    let (ra, rb) = std::thread::scope(|scope| {
+        let handle = scope.spawn(move || {
+            crate::faults::set_thread_override(fault_override);
+            b()
+        });
+        let ra = a();
+        (ra, handle.join())
+    });
+    match rb {
+        Ok(rb) => (ra, rb),
+        Err(payload) => std::panic::resume_unwind(payload),
+    }
 }
 
 /// Fallible variant of [`parallel_map_indexed`]: applies `f` to every
@@ -238,6 +278,94 @@ mod tests {
             calls.load(Ordering::Relaxed),
             items.len()
         );
+    }
+
+    /// A panic payload as text, as the engine reads it.
+    fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a text payload")
+    }
+
+    #[test]
+    fn join_matches_inline_and_runs_each_task_once() {
+        use std::sync::atomic::AtomicUsize;
+        let data: Vec<u64> = (1..=1000).collect();
+        for workers in [1, 2, 8] {
+            let (calls_a, calls_b) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let (sum, names) = join(
+                workers,
+                || {
+                    calls_a.fetch_add(1, Ordering::Relaxed);
+                    data.iter().sum::<u64>()
+                },
+                || {
+                    calls_b.fetch_add(1, Ordering::Relaxed);
+                    data.iter().map(|x| x * x).sum::<u64>().to_string()
+                },
+            );
+            assert_eq!((sum, names.as_str()), (500_500, "333833500"), "{workers} workers");
+            assert_eq!(calls_a.load(Ordering::Relaxed), 1, "{workers} workers");
+            assert_eq!(calls_b.load(Ordering::Relaxed), 1, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn join_threads_only_with_more_than_one_worker() {
+        let caller = std::thread::current().id();
+        let ids = |workers| {
+            join(workers, || std::thread::current().id(), || std::thread::current().id())
+        };
+        assert_eq!(ids(1), (caller, caller));
+        let (a, b) = ids(2);
+        assert_eq!(a, caller);
+        assert_ne!(b, caller);
+    }
+
+    #[test]
+    fn join_reraises_either_panic_with_its_own_payload() {
+        for workers in [1, 2] {
+            let in_a = std::panic::catch_unwind(|| join(workers, || panic!("task a failed"), || 2));
+            assert_eq!(payload_text(in_a.unwrap_err().as_ref()), "task a failed");
+            let in_b = std::panic::catch_unwind(|| {
+                join(workers, || 1, || panic!("task b failed: {}", 7))
+            });
+            assert_eq!(payload_text(in_b.unwrap_err().as_ref()), "task b failed: 7");
+            let both = std::panic::catch_unwind(|| {
+                join::<_, _, (), ()>(workers, || panic!("first"), || panic!("second"))
+            });
+            assert_eq!(payload_text(both.unwrap_err().as_ref()), "first", "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn join_carries_the_callers_fault_plan_into_the_spawned_task() {
+        use crate::faults::{self, FaultPlan, FaultSite};
+        // Firing moves the process-wide opportunity counters.
+        let _serial = faults::test_serial_guard();
+        // Without the override the spawned task would read the process
+        // plan (`BRIGHT_FAULTS`, unset in tests) and never fire.
+        let plan = FaultPlan { breakdown: 1, ..FaultPlan::default() };
+        for workers in [1, 2] {
+            let (a, b) = faults::with_plan(Some(plan), || {
+                join(
+                    workers,
+                    || faults::inject(FaultSite::Breakdown),
+                    || faults::inject(FaultSite::Breakdown),
+                )
+            });
+            assert!(a && b, "{workers} workers: the plan governs both tasks");
+            let (a, b) = faults::with_plan(None, || {
+                join(
+                    workers,
+                    || faults::inject(FaultSite::Breakdown),
+                    || faults::inject(FaultSite::Breakdown),
+                )
+            });
+            assert!(!a && !b, "{workers} workers: injection forced off in both");
+        }
     }
 
     #[test]

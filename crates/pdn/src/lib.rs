@@ -19,8 +19,10 @@
 //! ```
 //! use bright_pdn::presets;
 //!
+//! // The banded factor is built on the first direct solve and kept for
+//! // every later load on this grid.
 //! let solution = presets::power7_cache_rail().expect("valid preset")
-//!     .solve().expect("solvable grid");
+//!     .solve_direct().expect("solvable grid");
 //! let min_v = solution.min_voltage().value();
 //! // Fig. 8: the cache rail sags to ~0.96 V from the 1.0 V supply.
 //! assert!(min_v > 0.9 && min_v < 1.0, "min = {min_v} V");

@@ -18,14 +18,18 @@
 //! until every job is terminal, waiting out retry backoffs. `status`
 //! on a mid-flight transient job includes its streaming partial report
 //! (segments integrated, peak so far) derived from the persisted
-//! checkpoint. Spec files are JSON (see `docs/SERVICE.md` for the
-//! schema); sub-second validation never touches the store.
+//! checkpoint. Its engine counters come from the store's `status.json`,
+//! the snapshot the last `submit` or `run` wrote: the `status` process
+//! itself has served nothing. Spec files are JSON (see
+//! `docs/SERVICE.md` for the schema); sub-second validation never
+//! touches the store.
 
 #![forbid(unsafe_code)]
 
 use bright_core::service::{JobId, JobSpec, JobStatus, ScenarioService};
 use bright_core::{ServiceClock, ServiceConfig};
-use std::path::PathBuf;
+use bright_jsonio::Value;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "bright-serve — durable scenario service operator CLI
@@ -119,12 +123,14 @@ fn parse_count(value: Option<&String>, flag: &str) -> Result<usize, CliError> {
         .ok_or_else(|| usage(format!("{flag} needs a non-negative integer")))
 }
 
+fn store(opts: &Options) -> Result<&Path, CliError> {
+    opts.store
+        .as_deref()
+        .ok_or_else(|| usage("this command needs --store <dir>"))
+}
+
 fn open(opts: &Options) -> Result<ScenarioService, CliError> {
-    let store = opts
-        .store
-        .as_ref()
-        .ok_or_else(|| usage("this command needs --store <dir>"))?;
-    ScenarioService::open(store, opts.config.clone(), ServiceClock::System).map_err(failed)
+    ScenarioService::open(store(opts)?, opts.config.clone(), ServiceClock::System).map_err(failed)
 }
 
 fn read_spec(path: &str) -> Result<JobSpec, CliError> {
@@ -191,7 +197,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         println!("{id}  {}", describe(&service, id, &status));
                     }
                     let s = service.stats();
-                    let e = service.engine_stats();
                     println!(
                         "service: {} submitted, {} done, {} failed, {} cancelled, {} retries, \
                          {} shed, {} resumed segments, {} cold re-runs",
@@ -204,17 +209,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         s.resumed_segments,
                         s.cold_reruns
                     );
-                    println!(
-                        "engine: {} cached workers (capacity {}), {} evicted, {} recovered solves",
-                        e.cache_residents,
-                        if e.cache_capacity == 0 {
-                            "unbounded".to_owned()
-                        } else {
-                            e.cache_capacity.to_string()
-                        },
-                        e.evicted_workers,
-                        e.recovered_solves
-                    );
+                    println!("{}", engine_line(store(&opts)?));
                     Ok(())
                 }
                 [id] => {
@@ -245,6 +240,41 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
         other => Err(usage(format!("unknown command '{other}'"))),
     }
+}
+
+/// The `engine` line of `status`, read from the store's `status.json`:
+/// the counters of the last process that served or submitted (a drain
+/// keeps its cached workers there), not of this one, which has served
+/// nothing.
+fn engine_line(store: &Path) -> String {
+    let path = store.join("status.json");
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return "engine: no status.json snapshot in the store yet".to_owned();
+        }
+        Err(e) => return format!("engine: cannot read {}: {e}", path.display()),
+    };
+    let Some(engine) = Value::parse(&text).ok().and_then(|v| v.get("engine").cloned()) else {
+        return format!("engine: {} holds no engine block", path.display());
+    };
+    let count = |key: &str| {
+        engine
+            .get(key)
+            .and_then(Value::as_usize)
+            .map_or_else(|| "?".to_owned(), |n| n.to_string())
+    };
+    let capacity = match count("cache_capacity").as_str() {
+        "0" => "unbounded".to_owned(),
+        other => other.to_owned(),
+    };
+    format!(
+        "engine (from status.json): {} cached workers (capacity {capacity}), {} evicted, \
+         {} recovered solves",
+        count("cache_residents"),
+        count("evicted_workers"),
+        count("recovered_solves")
+    )
 }
 
 /// One human line per job; queued transient jobs with resume state get
