@@ -955,10 +955,9 @@ impl ScenarioEngine {
     }
 }
 
-/// Serves one request on a group's worker with panic isolation: a panic
-/// (injected through [`bright_num::faults::maybe_panic`] or genuine)
-/// becomes a [`CoreError::WorkerPanic`] for this request alone while
-/// the batch completes. `observe` reads the worker after the serve;
+/// Serves one request on a group's worker under [`crate::isolate`]: a
+/// panic becomes a [`CoreError::WorkerPanic`] for this request alone
+/// while the batch completes. `observe` reads the worker after the serve;
 /// then a failure of any kind quarantines it, because a half-done
 /// retarget or an unwind leaves its state unknowable, and the next
 /// request of the pattern rebuilds from its own scenario.
@@ -971,16 +970,10 @@ fn serve_isolated<W, T, O>(
     let existed = worker.is_some();
     // The worker holds no locks or global state, so observing it after
     // an unwind is memory-safe; it is only *logically* suspect.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        bright_num::faults::maybe_panic();
-        serve(&mut *worker)
-    }))
-    .unwrap_or_else(|payload| {
+    let result = crate::isolate(|| serve(&mut *worker));
+    if matches!(result, Err(CoreError::WorkerPanic(_))) {
         counters.panicked_requests += 1;
-        Err(CoreError::WorkerPanic(crate::panic_message(
-            payload.as_ref(),
-        )))
-    });
+    }
     let observed = observe(worker.as_ref(), &result);
     // `existed` credits a worker the serve already dropped itself.
     if result.is_err() && (worker.take().is_some() || existed) {

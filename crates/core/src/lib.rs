@@ -128,17 +128,32 @@ impl fmt::Display for CoreError {
     }
 }
 
-/// Extracts a human-readable message from a caught panic payload
-/// (`catch_unwind` gives back a `Box<dyn Any>`; `&str` and `String`
-/// cover every panic raised by this workspace).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Runs one unit of serving work (an engine request, a Monte Carlo
+/// sample, a transient segment) with panic isolation, the crate's only
+/// unwind boundary. The [`bright_num::faults::maybe_panic`] injection
+/// site fires first. A panic, injected or genuine, becomes
+/// [`CoreError::WorkerPanic`] for this unit alone, except a scripted
+/// process kill ([`bright_num::faults::is_injected_kill`]), which keeps
+/// unwinding because it models the process dying.
+pub(crate) fn isolate<T>(work: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        bright_num::faults::maybe_panic();
+        work()
+    }))
+    .unwrap_or_else(|payload| {
+        if bright_num::faults::is_injected_kill(payload.as_ref()) {
+            std::panic::resume_unwind(payload);
+        }
+        // `&str` and `String` cover every panic raised by this workspace.
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(CoreError::WorkerPanic(message))
+    })
 }
 
 impl std::error::Error for CoreError {}

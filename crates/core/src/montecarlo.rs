@@ -48,7 +48,6 @@ use bright_mesh::Field2d;
 use bright_pdn::grid::LANE_GROUP;
 use bright_pdn::PowerGrid;
 use bright_units::{Kelvin, Volt, Watt};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// The scalar yield metrics accumulated per sample, in report order.
@@ -799,8 +798,7 @@ fn run_chunk(
                 continue;
             }
         };
-        let served = catch_unwind(AssertUnwindSafe(|| {
-            bright_num::faults::maybe_panic();
+        let served = crate::isolate(|| {
             serve_sample(
                 &mut sim,
                 scenario,
@@ -809,9 +807,9 @@ fn run_chunk(
                 &mut out.retargets,
                 &mut out.quarantines,
             )
-        }));
+        });
         match served {
-            Ok(Ok(report)) => {
+            Ok(report) => {
                 let w = sim.as_ref().expect("serve succeeded");
                 if w.recovery_digest().is_some() {
                     out.degraded += 1;
@@ -834,20 +832,20 @@ fn run_chunk(
                     pending.settle(&mut out, pdn, &spec.limits);
                 }
             }
-            Ok(Err(_)) => {
-                // Solve failed even after a cold rebuild: poison only
-                // this sample. `serve_sample` already quarantined.
-                recovered_seen = 0;
-                out.failed += 1;
-                pending.reports.push(None);
-            }
-            Err(_) => {
+            Err(CoreError::WorkerPanic(_)) => {
                 // Worker panic (fault injection): quarantine the sim —
                 // its internal state is suspect mid-solve.
                 sim = None;
                 recovered_seen = 0;
                 out.quarantines += 1;
                 out.panicked += 1;
+                out.failed += 1;
+                pending.reports.push(None);
+            }
+            Err(_) => {
+                // Solve failed even after a cold rebuild: poison only
+                // this sample. `serve_sample` already quarantined.
+                recovered_seen = 0;
                 out.failed += 1;
                 pending.reports.push(None);
             }

@@ -42,10 +42,10 @@ pub use job::{JobId, JobKind, JobSpec, LoadRef, Overrides, Priority, ReportPaylo
 pub use store::{JobStore, JournalEvent, Recovered, ReplayedJob, ReplayedStatus};
 
 use crate::engine::{PolarizationRequest, ScenarioEngine};
-use crate::transient::{integrate_node, LiveIntegrator, TransientOutcome, TransientRequest};
+use crate::transient::{PathProgress, TransientCounters, TransientRequest};
 use crate::{CoreError, EngineStats};
 use bright_jsonio::Value;
-use bright_thermal::{Checkpoint, TraceSegment};
+use bright_thermal::Checkpoint;
 use bright_units::Kelvin;
 use std::collections::HashMap;
 use std::path::Path;
@@ -237,55 +237,6 @@ struct JobRecord {
     /// Absolute deadline on the service clock (ms).
     deadline_at_ms: Option<u64>,
     submitted_ms: u64,
-}
-
-/// Accumulated progress of a partially integrated transient job —
-/// persisted alongside its checkpoint and served back as the streaming
-/// partial report.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct TransientProgress {
-    segments_done: usize,
-    peak: f64,
-    steps: u64,
-    solves: u64,
-    rejected: u64,
-    recovered: u64,
-    retries: u64,
-    refreshes: u64,
-}
-
-impl TransientProgress {
-    fn to_json(self) -> Value {
-        Value::object([
-            (
-                "segments_done".into(),
-                Value::Number(self.segments_done as f64),
-            ),
-            ("peak".into(), Value::Number(self.peak)),
-            ("steps".into(), Value::Number(self.steps as f64)),
-            ("solves".into(), Value::Number(self.solves as f64)),
-            ("rejected".into(), Value::Number(self.rejected as f64)),
-            ("recovered".into(), Value::Number(self.recovered as f64)),
-            ("retries".into(), Value::Number(self.retries as f64)),
-            ("refreshes".into(), Value::Number(self.refreshes as f64)),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Option<Self> {
-        let num = |field: &str| v.get(field).and_then(Value::as_f64);
-        Some(Self {
-            segments_done: v.get("segments_done").and_then(Value::as_usize)?,
-            peak: num("peak")?,
-            steps: num("steps")? as u64,
-            solves: num("solves")? as u64,
-            rejected: num("rejected")? as u64,
-            recovered: num("recovered")? as u64,
-            retries: num("retries")? as u64,
-            // Absent in checkpoints persisted by pre-ramp builds; those
-            // traces could not ramp, so zero is exact.
-            refreshes: num("refreshes").unwrap_or(0.0) as u64,
-        })
-    }
 }
 
 /// A streaming view of a transient job mid-flight.
@@ -540,7 +491,7 @@ impl ScenarioService {
             return None;
         };
         let state = self.store.load_checkpoint(id)?;
-        let progress = TransientProgress::from_json(state.get("progress")?)?;
+        let progress = PathProgress::from_json(state.get("progress")?)?;
         Some(PartialReport {
             segments_done: progress.segments_done,
             segments_total: trace.len(),
@@ -857,9 +808,9 @@ impl ScenarioService {
 
     /// Serves a transient job segment by segment, persisting a
     /// checkpoint (and journaling `segment`) after each one, so a crash
-    /// resumes instead of recomputing. The per-segment integration is
-    /// the same [`integrate_node`] the engine's prefix-tree serving
-    /// uses, so resumed and uninterrupted runs produce bitwise-equal
+    /// resumes instead of recomputing. Each segment is the engine's own
+    /// segment step ([`PathProgress::advance`]), so resumed,
+    /// uninterrupted and engine-served runs produce bitwise-equal
     /// outcomes.
     fn serve_transient(
         &mut self,
@@ -868,16 +819,11 @@ impl ScenarioService {
         request: &TransientRequest,
     ) -> Result<Served, CoreError> {
         let model = self.engine.cached_transient_model(request)?;
-        let t0 = request.initial_temperature.value();
-        let mut progress = TransientProgress {
-            peak: t0,
-            ..TransientProgress::default()
-        };
+        // The path carries the live integrator across segment boundaries
+        // within this attempt (checkpoints are still persisted per
+        // boundary; only the rebuild cost is skipped).
+        let mut path = PathProgress::start(request);
         let mut checkpoint: Option<Checkpoint> = None;
-        // The live integrator carried across segment boundaries within
-        // this attempt (checkpoints are still persisted per boundary —
-        // durability is unchanged; only the rebuild cost is skipped).
-        let mut live: Option<LiveIntegrator> = None;
         match self.load_resume_state(id) {
             ResumeState::None => {}
             ResumeState::Corrupt => {
@@ -886,8 +832,8 @@ impl ScenarioService {
             ResumeState::Resume(cp, saved) => {
                 if saved.segments_done <= request.trace.len() {
                     self.stats.resumed_segments += saved.segments_done as u64;
-                    progress = saved;
-                    checkpoint = Some(cp);
+                    path = saved;
+                    checkpoint = Some(*cp);
                 } else {
                     // A checkpoint from some other spec shape: ignore.
                     self.stats.cold_reruns += 1;
@@ -897,7 +843,9 @@ impl ScenarioService {
         let deadline = record.deadline_at_ms;
         let timeout = record.spec.timeout_ms;
         let started_ms = self.clock.now_ms();
-        for index in progress.segments_done..request.trace.len() {
+        // One request per path: the group counters have no reader here.
+        let mut counters = TransientCounters::default();
+        for index in path.segments_done..request.trace.len() {
             // Cooperative cancellation and budget checks at segment
             // boundaries — the granularity durability already pays for.
             if self.store.cancel_requested(id) {
@@ -920,49 +868,10 @@ impl ScenarioService {
                     )));
                 }
             }
-            let step = &request.trace[index];
-            let power = step
-                .load
-                .rasterize(&request.scenario.floorplan, model.grid())?;
-            let segment = TraceSegment {
-                duration: step.duration,
-                power,
-                ramp: step.ramp.map(|r| r.resolve(&request.scenario)),
-            };
-            let carried = live.take();
-            let model_ref = &model;
-            let stepping = &request.stepping;
-            let from = checkpoint.as_ref();
-            // Panic isolation as in the engine: a panicking integration
-            // fails this attempt (retryable), not the service. Injected
-            // *kill* payloads (crash/torn sites) must keep unwinding —
-            // they model the process dying.
-            let integrated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                bright_num::faults::maybe_panic();
-                integrate_node(model_ref, &segment, t0, stepping, from, carried)
-            }));
-            let (node, next_live) = match integrated {
-                Ok(result) => result?,
-                Err(payload) => {
-                    if bright_num::faults::is_injected_kill(payload.as_ref()) {
-                        std::panic::resume_unwind(payload);
-                    }
-                    return Err(CoreError::WorkerPanic(crate::panic_message(
-                        payload.as_ref(),
-                    )));
-                }
-            };
-            progress.peak = progress.peak.max(node.peak);
-            progress.steps += node.steps;
-            progress.solves += node.solves;
-            progress.rejected += node.rejected;
-            progress.recovered += node.recovered;
-            progress.retries += node.retries;
-            progress.refreshes += node.refreshes;
-            progress.segments_done = index + 1;
+            let next = path.advance(&model, request, checkpoint.as_ref(), 1, &mut counters)?;
             let state = Value::object([
-                ("checkpoint".into(), node.checkpoint.to_json()),
-                ("progress".into(), progress.to_json()),
+                ("checkpoint".into(), next.to_json()),
+                ("progress".into(), path.to_json()),
             ]);
             self.store
                 .write_checkpoint(id, &state)
@@ -970,27 +879,10 @@ impl ScenarioService {
             self.store
                 .append(&JournalEvent::Segment { id, index })
                 .map_err(|e| CoreError::Report(e.to_string()))?;
-            checkpoint = Some(node.checkpoint);
-            live = Some(next_live);
+            checkpoint = Some(next);
         }
-        let final_peak = checkpoint.as_ref().map_or(t0, |cp| {
-            cp.temperatures
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)
-        });
-        Ok(Served::Report(ReportPayload::Transient(TransientOutcome {
-            final_peak: Kelvin::new(final_peak),
-            trace_peak: Kelvin::new(progress.peak),
-            end_time: request.total_duration(),
-            steps: progress.steps,
-            solves: progress.solves,
-            rejected: progress.rejected,
-            recovered_solves: progress.recovered,
-            solver_retries: progress.retries,
-            coefficient_refreshes: progress.refreshes,
-            shared_time: 0.0,
-        })))
+        let outcome = path.outcome(request, checkpoint.as_ref());
+        Ok(Served::Report(ReportPayload::Transient(outcome)))
     }
 
     fn load_resume_state(&self, id: JobId) -> ResumeState {
@@ -1004,9 +896,9 @@ impl ScenarioService {
         let checkpoint = state
             .get("checkpoint")
             .and_then(|v| Checkpoint::from_json(v).ok());
-        let progress = state.get("progress").and_then(TransientProgress::from_json);
+        let progress = state.get("progress").and_then(PathProgress::from_json);
         match (checkpoint, progress) {
-            (Some(cp), Some(p)) => ResumeState::Resume(cp, p),
+            (Some(cp), Some(p)) => ResumeState::Resume(Box::new(cp), p),
             _ => ResumeState::Corrupt,
         }
     }
@@ -1020,7 +912,7 @@ enum Served {
 enum ResumeState {
     None,
     Corrupt,
-    Resume(Checkpoint, TransientProgress),
+    Resume(Box<Checkpoint>, PathProgress),
 }
 
 /// Whether an attempt error is worth a backoff retry. Deterministic

@@ -24,6 +24,7 @@ use crate::engine::PatternKey;
 use crate::scenario::Scenario;
 use crate::CoreError;
 use bright_floorplan::PowerScenario;
+use bright_jsonio::Value;
 use bright_thermal::{
     AdaptiveConfig, AdaptiveTransient, Checkpoint, CoefficientRamp, PowerTrace, ThermalModel,
     TraceSegment, TransientSimulation,
@@ -264,8 +265,7 @@ impl TransientOutcome {
     /// (`bright-jsonio` emits shortest-exact f64 text and the counters
     /// fit in f64), so serialized outcomes are bitwise-comparable.
     #[must_use]
-    pub fn to_json(&self) -> bright_jsonio::Value {
-        use bright_jsonio::Value;
+    pub fn to_json(&self) -> Value {
         Value::object([
             ("final_peak".into(), Value::Number(self.final_peak.value())),
             ("trace_peak".into(), Value::Number(self.trace_peak.value())),
@@ -294,8 +294,7 @@ impl TransientOutcome {
     /// # Errors
     ///
     /// Returns [`CoreError::Report`] for missing/mistyped fields.
-    pub fn from_json(v: &bright_jsonio::Value) -> Result<Self, CoreError> {
-        use bright_jsonio::Value;
+    pub fn from_json(v: &Value) -> Result<Self, CoreError> {
         let num = |field: &str| -> Result<f64, CoreError> {
             v.get(field).and_then(Value::as_f64).ok_or_else(|| {
                 CoreError::Report(format!("missing or mistyped field '{field}'"))
@@ -438,17 +437,157 @@ impl TransientGroupKey {
 /// sorts by request id).
 pub(crate) type GroupOutcomes = Vec<(u64, Result<TransientOutcome, CoreError>)>;
 
-/// Per-path accumulator threaded down the prefix tree.
-#[derive(Debug, Clone, Copy)]
-struct PathAcc {
-    peak: f64,
-    steps: u64,
+/// A request's progress along its trace: the counters of the segments
+/// integrated so far and the integrator that stepped the last one. The
+/// engine threads one down each prefix-tree path; the durable service
+/// persists its counters ([`PathProgress::to_json`]) beside each
+/// segment's checkpoint and resumes from them.
+#[derive(Default)]
+pub(crate) struct PathProgress {
+    /// Trace segments integrated so far.
+    pub(crate) segments_done: usize,
+    /// Peak temperature observed so far.
+    pub(crate) peak: f64,
+    /// Accepted steps so far.
+    pub(crate) steps: u64,
     solves: u64,
     rejected: u64,
     recovered: u64,
     retries: u64,
     refreshes: u64,
+    /// Seconds integrated in nodes shared with other requests (not
+    /// persisted: the service serves one request per path).
     shared_time: f64,
+    /// The last segment's integrator, carried into the next segment.
+    live: Option<LiveIntegrator>,
+}
+
+impl PathProgress {
+    /// A path at the start of `req`'s trace.
+    pub(crate) fn start(req: &TransientRequest) -> Self {
+        Self {
+            peak: req.initial_temperature.value(),
+            ..Self::default()
+        }
+    }
+
+    /// Advances the path by one segment of `req`'s trace: the one
+    /// segment step of both the engine's prefix tree and the durable
+    /// service. It rasterizes the segment's load onto the model's grid,
+    /// resolves its ramp, integrates it from `from` (or extends the
+    /// carried integrator) under [`crate::isolate`], and folds the node
+    /// into the path and into the group `counters`. `sharers` counts the
+    /// requests the node serves. Returns the end-of-segment checkpoint.
+    pub(crate) fn advance(
+        &mut self,
+        model: &ThermalModel,
+        req: &TransientRequest,
+        from: Option<&Checkpoint>,
+        sharers: usize,
+        counters: &mut TransientCounters,
+    ) -> Result<Checkpoint, CoreError> {
+        let step = &req.trace[self.segments_done];
+        let segment = TraceSegment {
+            duration: step.duration,
+            power: step.load.rasterize(&req.scenario.floorplan, model.grid())?,
+            ramp: step.ramp.map(|r| r.resolve(&req.scenario)),
+        };
+        let live = self.live.take();
+        let carried = live.is_some();
+        let t0 = req.initial_temperature.value();
+        // A panicking node fails only the requests under it. The model
+        // is never mutated here (each fresh node clones it), so
+        // observing it after an unwind is safe; the group's *cached*
+        // copy is still withheld by `serve_transient_group` as a
+        // precaution. A carried integrator unwinds with the closure.
+        let (checkpoint, node) =
+            crate::isolate(|| integrate_node(model, segment, t0, &req.stepping, from, live))
+                .inspect_err(|e| {
+                    if matches!(e, CoreError::WorkerPanic(_)) {
+                        counters.panicked_requests += sharers as u64;
+                    }
+                })?;
+        counters.segments_integrated += 1;
+        counters.segments_reused += sharers as u64 - 1;
+        counters.recovered_solves += node.recovered;
+        counters.solver_retries += node.retries;
+        counters.integrators_carried += u64::from(carried);
+        self.segments_done += 1;
+        self.peak = self.peak.max(node.peak);
+        self.steps += node.steps;
+        self.solves += node.solves;
+        self.rejected += node.rejected;
+        self.recovered += node.recovered;
+        self.retries += node.retries;
+        self.refreshes += node.refreshes;
+        self.shared_time += if sharers > 1 { step.duration } else { 0.0 };
+        self.live = node.live;
+        Ok(checkpoint)
+    }
+
+    /// The outcome of a path that has integrated all of `req`'s trace
+    /// and ended at `last`.
+    pub(crate) fn outcome(
+        &self,
+        req: &TransientRequest,
+        last: Option<&Checkpoint>,
+    ) -> TransientOutcome {
+        let final_peak = last.map_or(req.initial_temperature.value(), |cp| {
+            cp.temperatures
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max)
+        });
+        TransientOutcome {
+            final_peak: Kelvin::new(final_peak),
+            trace_peak: Kelvin::new(self.peak),
+            end_time: req.total_duration(),
+            steps: self.steps,
+            solves: self.solves,
+            rejected: self.rejected,
+            recovered_solves: self.recovered,
+            solver_retries: self.retries,
+            coefficient_refreshes: self.refreshes,
+            shared_time: self.shared_time,
+        }
+    }
+
+    /// The counters as the service persists them: the `progress` object
+    /// of a transient job's checkpoint state.
+    pub(crate) fn to_json(&self) -> Value {
+        Value::object([
+            (
+                "segments_done".into(),
+                Value::Number(self.segments_done as f64),
+            ),
+            ("peak".into(), Value::Number(self.peak)),
+            ("steps".into(), Value::Number(self.steps as f64)),
+            ("solves".into(), Value::Number(self.solves as f64)),
+            ("rejected".into(), Value::Number(self.rejected as f64)),
+            ("recovered".into(), Value::Number(self.recovered as f64)),
+            ("retries".into(), Value::Number(self.retries as f64)),
+            ("refreshes".into(), Value::Number(self.refreshes as f64)),
+        ])
+    }
+
+    /// Reads persisted counters back; `None` on a missing or mistyped
+    /// field.
+    pub(crate) fn from_json(v: &Value) -> Option<Self> {
+        let num = |field: &str| v.get(field).and_then(Value::as_f64);
+        Some(Self {
+            segments_done: v.get("segments_done").and_then(Value::as_usize)?,
+            peak: num("peak")?,
+            steps: num("steps")? as u64,
+            solves: num("solves")? as u64,
+            rejected: num("rejected")? as u64,
+            recovered: num("recovered")? as u64,
+            retries: num("retries")? as u64,
+            // Absent in checkpoints persisted by pre-ramp builds; those
+            // traces could not ramp, so zero is exact.
+            refreshes: num("refreshes").unwrap_or(0.0) as u64,
+            ..Self::default()
+        })
+    }
 }
 
 /// A transient integrator kept alive between tree nodes. Along a
@@ -460,136 +599,114 @@ struct PathAcc {
 /// checkpoint instead, which is bitwise-identical to continuing live
 /// (both paths re-stamp coefficients and re-seed warm starts from
 /// committed state), so carry-down is purely a cost optimization.
-pub(crate) enum LiveIntegrator {
+enum LiveIntegrator {
     Adaptive(Box<AdaptiveTransient>),
-    Fixed(Box<TransientSimulation>),
+    /// The fixed-Δt stepper and the one-segment trace it steps next.
+    Fixed(Box<TransientSimulation>, PowerTrace),
 }
 
-/// One node integration: a single trace segment stepped from an
-/// optional checkpoint; returns the end-of-segment checkpoint and the
-/// node's own counters.
-pub(crate) struct NodeResult {
-    pub(crate) checkpoint: Checkpoint,
-    pub(crate) peak: f64,
-    pub(crate) steps: u64,
-    pub(crate) solves: u64,
-    pub(crate) rejected: u64,
-    /// Ladder-recovered solves during this node's stepping (counted as
-    /// a session delta, so carried-live integrators don't re-report the
-    /// parent path's recoveries).
-    pub(crate) recovered: u64,
-    /// Adaptive dt-halving retries during this node's stepping.
-    pub(crate) retries: u64,
-    /// Coefficient re-stamps during this node's stepping.
-    pub(crate) refreshes: u64,
+impl LiveIntegrator {
+    /// The integrator's cumulative counters, as a path.
+    fn marks(&self) -> PathProgress {
+        match self {
+            Self::Adaptive(integ) => {
+                let stats = integ.stats();
+                PathProgress {
+                    steps: stats.accepted,
+                    solves: stats.solves,
+                    rejected: stats.rejected,
+                    recovered: integ.session_stats().recovered_solves,
+                    retries: stats.solver_retries,
+                    refreshes: integ.coefficient_refreshes(),
+                    ..PathProgress::default()
+                }
+            }
+            Self::Fixed(sim, _) => PathProgress {
+                steps: sim.step_count(),
+                solves: sim.solve_count(),
+                recovered: sim.session_stats().recovered_solves,
+                refreshes: sim.coefficient_refreshes(),
+                ..PathProgress::default()
+            },
+        }
+    }
 }
 
-pub(crate) fn integrate_node(
+/// One node integration: a single trace segment, stepped by the carried
+/// `live` integrator or by a fresh one restored from `from`. Returns the
+/// end-of-segment checkpoint and the node's own counters, which hold the
+/// integrator for the next node.
+fn integrate_node(
     model: &ThermalModel,
-    segment: &TraceSegment,
+    segment: TraceSegment,
     initial_temperature: f64,
     stepping: &SteppingMode,
     from: Option<&Checkpoint>,
     live: Option<LiveIntegrator>,
-) -> Result<(NodeResult, LiveIntegrator), CoreError> {
-    match (stepping, live) {
-        (SteppingMode::Adaptive(_), Some(LiveIntegrator::Adaptive(mut integ))) => {
-            // Carried live: extend the finished integrator's trace and
-            // keep stepping — no clone, no re-bind, no restore.
-            let before = integ.stats();
-            let recovered_before = integ.session_stats().recovered_solves;
-            let refreshes_before = integ.coefficient_refreshes();
-            integ.push_segment(segment.clone())?;
-            let peak = integ.run_to_end()?;
-            let stats = integ.stats();
-            let node = NodeResult {
-                checkpoint: integ.save_checkpoint(),
-                peak,
-                steps: stats.accepted - before.accepted,
-                solves: stats.solves - before.solves,
-                rejected: stats.rejected - before.rejected,
-                recovered: integ.session_stats().recovered_solves - recovered_before,
-                retries: stats.solver_retries - before.solver_retries,
-                refreshes: integ.coefficient_refreshes() - refreshes_before,
-            };
-            Ok((node, LiveIntegrator::Adaptive(integ)))
+) -> Result<(Checkpoint, PathProgress), CoreError> {
+    // The coefficient baseline is read before the push or restore: the
+    // re-arm sync either one runs is this node's work.
+    let (mut integ, refreshes) = match live {
+        // Carried live: extend the finished integrator's trace and keep
+        // stepping — no clone, no re-bind, no restore. (The group key
+        // fixes the stepping mode, so a carried integrator matches it.)
+        Some(mut integ) => {
+            let refreshes = integ.marks().refreshes;
+            match &mut integ {
+                LiveIntegrator::Adaptive(a) => a.push_segment(segment)?,
+                LiveIntegrator::Fixed(_, next) => *next = PowerTrace::new(vec![segment])?,
+            }
+            (integ, refreshes)
         }
-        (SteppingMode::Adaptive(cfg), _) => {
-            let trace = PowerTrace::new(vec![segment.clone()])?;
-            let mut integ =
-                AdaptiveTransient::new(model.clone(), trace, initial_temperature, *cfg)?;
-            // Coefficient baseline first: the restore's re-arm sync is
-            // this node's work (the carried path counts its
-            // push_segment re-arm the same way), so it must land in the
-            // delta.
-            let refreshes_before = integ.coefficient_refreshes();
-            if let Some(cp) = from {
+        None => {
+            let trace = PowerTrace::new(vec![segment])?;
+            let mut integ = match stepping {
+                SteppingMode::Adaptive(cfg) => LiveIntegrator::Adaptive(Box::new(
+                    AdaptiveTransient::new(model.clone(), trace, initial_temperature, *cfg)?,
+                )),
+                SteppingMode::Fixed { dt } => {
+                    let power = &trace.segments()[0].power;
+                    let sim =
+                        TransientSimulation::new(model.clone(), power, initial_temperature, *dt)?;
+                    LiveIntegrator::Fixed(Box::new(sim), trace)
+                }
+            };
+            let refreshes = integ.marks().refreshes;
+            match (&mut integ, from) {
                 // The checkpoint cursor is tree-global; the node-local
                 // integrator sees a single-segment trace starting now.
-                // Its step counters are path-cumulative: snapshot after
-                // the restore so this node reports only its own work.
-                let mut local = cp.clone();
-                local.segment = 0;
-                local.time_in_segment = 0.0;
-                integ.restore_checkpoint(&local)?;
+                (LiveIntegrator::Adaptive(a), Some(cp)) => a.restore_checkpoint(&Checkpoint {
+                    segment: 0,
+                    time_in_segment: 0.0,
+                    ..cp.clone()
+                })?,
+                (LiveIntegrator::Fixed(sim, _), Some(cp)) => sim.restore_checkpoint(cp)?,
+                (_, None) => {}
             }
-            let before = integ.stats();
-            let peak = integ.run_to_end()?;
-            let stats = integ.stats();
-            let node = NodeResult {
-                checkpoint: integ.save_checkpoint(),
-                peak,
-                steps: stats.accepted - before.accepted,
-                solves: stats.solves - before.solves,
-                rejected: stats.rejected - before.rejected,
-                recovered: integ.session_stats().recovered_solves,
-                retries: stats.solver_retries - before.solver_retries,
-                refreshes: integ.coefficient_refreshes() - refreshes_before,
-            };
-            Ok((node, LiveIntegrator::Adaptive(Box::new(integ))))
+            (integ, refreshes)
         }
-        (SteppingMode::Fixed { dt }, live) => {
-            let trace = PowerTrace::new(vec![segment.clone()])?;
-            let (mut sim, refreshes_before) = match live {
-                Some(LiveIntegrator::Fixed(sim)) => {
-                    let r = sim.coefficient_refreshes();
-                    (sim, r)
-                }
-                // A stepping-mode mismatch cannot happen (the group key
-                // fixes the mode); rebuild defensively if it ever does.
-                _ => {
-                    let mut sim = Box::new(TransientSimulation::new(
-                        model.clone(),
-                        &segment.power,
-                        initial_temperature,
-                        *dt,
-                    )?);
-                    // Baseline before the restore: its re-arm sync is
-                    // node work, same as the carried path's.
-                    let r = sim.coefficient_refreshes();
-                    if let Some(cp) = from {
-                        sim.restore_checkpoint(cp)?;
-                    }
-                    (sim, r)
-                }
-            };
-            let steps_before = sim.step_count();
-            let solves_before = sim.solve_count();
-            let recovered_before = sim.session_stats().recovered_solves;
-            let peak = sim.run_trace(&trace)?;
-            let node = NodeResult {
-                checkpoint: sim.save_checkpoint(),
-                peak,
-                steps: sim.step_count() - steps_before,
-                solves: sim.solve_count() - solves_before,
-                rejected: 0,
-                recovered: sim.session_stats().recovered_solves - recovered_before,
-                retries: 0,
-                refreshes: sim.coefficient_refreshes() - refreshes_before,
-            };
-            Ok((node, LiveIntegrator::Fixed(sim)))
-        }
-    }
+    };
+    // The step baselines come after the restore, which loads the
+    // checkpoint's path-cumulative counters.
+    let before = integ.marks();
+    let (peak, checkpoint) = match &mut integ {
+        LiveIntegrator::Adaptive(a) => (a.run_to_end()?, a.save_checkpoint()),
+        LiveIntegrator::Fixed(sim, trace) => (sim.run_trace(trace)?, sim.save_checkpoint()),
+    };
+    let after = integ.marks();
+    let node = PathProgress {
+        segments_done: 1,
+        peak,
+        steps: after.steps - before.steps,
+        solves: after.solves - before.solves,
+        rejected: after.rejected - before.rejected,
+        recovered: after.recovered - before.recovered,
+        retries: after.retries - before.retries,
+        refreshes: after.refreshes - refreshes,
+        shared_time: 0.0,
+        live: Some(integ),
+    };
+    Ok((checkpoint, node))
 }
 
 /// Serves one group of share-compatible requests over the segment-
@@ -619,22 +736,9 @@ pub(crate) fn serve_transient_group(
             return (None, results, counters);
         }
     };
-    let t0 = requests[0].1.initial_temperature.value();
-    let stepping = requests[0].1.stepping;
     let refs: Vec<&(u64, TransientRequest)> = requests.iter().collect();
-    let acc = PathAcc {
-        peak: t0,
-        steps: 0,
-        solves: 0,
-        rejected: 0,
-        recovered: 0,
-        retries: 0,
-        refreshes: 0,
-        shared_time: 0.0,
-    };
-    serve_node(
-        &model, &refs, 0, None, None, acc, t0, &stepping, &mut results, &mut counters,
-    );
+    let root = PathProgress::start(&requests[0].1);
+    serve_node(&model, &refs, None, root, &mut results, &mut counters);
     if counters.panicked_requests > 0 {
         // A panicking integration may have unwound mid-clone of the
         // model's shared operator caches: withhold the model from the
@@ -645,47 +749,23 @@ pub(crate) fn serve_transient_group(
     (Some(model), results, counters)
 }
 
-/// Recursive prefix-tree serving: `reqs` all share their first `depth`
-/// trace segments, already integrated into `from`/`acc`. `live` holds
-/// the parent node's still-live integrator when this node is its only
-/// child; it is extended in place instead of restoring the checkpoint.
-#[allow(clippy::too_many_arguments)]
+/// Recursive prefix-tree serving: `reqs` all share the trace segments
+/// `path` has integrated, ending at `from`. `path` holds the parent
+/// node's still-live integrator when this node is its only child; it is
+/// extended in place instead of restoring the checkpoint.
 fn serve_node(
     model: &ThermalModel,
     reqs: &[&(u64, TransientRequest)],
-    depth: usize,
     from: Option<&Checkpoint>,
-    live: Option<LiveIntegrator>,
-    acc: PathAcc,
-    t0: f64,
-    stepping: &SteppingMode,
+    mut path: PathProgress,
     out: &mut GroupOutcomes,
     counters: &mut TransientCounters,
 ) {
+    let depth = path.segments_done;
     // Requests whose whole trace is integrated: finalize from the
     // accumulated path state.
     for (id, req) in reqs.iter().filter(|(_, r)| r.trace.len() == depth) {
-        let final_peak = from.map_or(t0, |cp| {
-            cp.temperatures
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)
-        });
-        out.push((
-            *id,
-            Ok(TransientOutcome {
-                final_peak: Kelvin::new(final_peak),
-                trace_peak: Kelvin::new(acc.peak),
-                end_time: req.total_duration(),
-                steps: acc.steps,
-                solves: acc.solves,
-                rejected: acc.rejected,
-                recovered_solves: acc.recovered,
-                solver_retries: acc.retries,
-                coefficient_refreshes: acc.refreshes,
-                shared_time: acc.shared_time,
-            }),
-        ));
+        out.push((*id, Ok(path.outcome(req, from))));
     }
 
     // Partition the ongoing requests by their next segment (duration
@@ -714,83 +794,19 @@ fn serve_node(
 
     // A live integrator carries down only along a single-child chain;
     // at a branch point every child restores the checkpoint instead.
-    let single_child = partitions.len() == 1;
-    let mut live = if single_child { live } else { None };
+    if partitions.len() > 1 {
+        path.live = None;
+    }
     for part in partitions {
-        let lead = &part[0].1;
-        let step = &lead.trace[depth];
-        let power = match step.load.rasterize(&lead.scenario.floorplan, model.grid()) {
-            Ok(p) => p,
+        let mut child = PathProgress {
+            live: path.live.take(),
+            ..path
+        };
+        match child.advance(model, &part[0].1, from, part.len(), counters) {
+            Ok(checkpoint) => serve_node(model, &part, Some(&checkpoint), child, out, counters),
             Err(e) => {
-                let err = CoreError::from(e);
-                for (id, _) in &part {
-                    out.push((*id, Err(err.clone())));
-                }
-                continue;
-            }
-        };
-        let segment = TraceSegment {
-            duration: step.duration,
-            power,
-            ramp: step.ramp.map(|r| r.resolve(&lead.scenario)),
-        };
-        let carried = live.take();
-        let was_carried = carried.is_some();
-        // Panic isolation: a node integration that panics fails only
-        // the requests under that node; sibling branches (and the rest
-        // of the batch) still complete. The model is never mutated by
-        // `integrate_node` (each node clones it), so observing it after
-        // an unwind is safe — the group's *cached* copy is still
-        // withheld by `serve_transient_group` as a precaution. A
-        // carried integrator is consumed by the closure; if it unwinds,
-        // the integrator is dropped with it.
-        let integrated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            bright_num::faults::maybe_panic();
-            integrate_node(model, &segment, t0, stepping, from, carried)
-        }));
-        match integrated {
-            Ok(Ok((node, next_live))) => {
-                counters.segments_integrated += 1;
-                counters.segments_reused += part.len() as u64 - 1;
-                counters.recovered_solves += node.recovered;
-                counters.solver_retries += node.retries;
-                if was_carried {
-                    counters.integrators_carried += 1;
-                }
-                let child = PathAcc {
-                    peak: acc.peak.max(node.peak),
-                    steps: acc.steps + node.steps,
-                    solves: acc.solves + node.solves,
-                    rejected: acc.rejected + node.rejected,
-                    recovered: acc.recovered + node.recovered,
-                    retries: acc.retries + node.retries,
-                    refreshes: acc.refreshes + node.refreshes,
-                    shared_time: acc.shared_time
-                        + if part.len() > 1 { step.duration } else { 0.0 },
-                };
-                serve_node(
-                    model,
-                    &part,
-                    depth + 1,
-                    Some(&node.checkpoint),
-                    Some(next_live),
-                    child,
-                    t0,
-                    stepping,
-                    out,
-                    counters,
-                );
-            }
-            Ok(Err(e)) => {
                 for (id, _) in &part {
                     out.push((*id, Err(e.clone())));
-                }
-            }
-            Err(payload) => {
-                counters.panicked_requests += part.len() as u64;
-                let err = CoreError::WorkerPanic(crate::panic_message(payload.as_ref()));
-                for (id, _) in &part {
-                    out.push((*id, Err(err.clone())));
                 }
             }
         }

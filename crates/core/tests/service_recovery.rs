@@ -13,16 +13,22 @@
 //!
 //! The rest of the file covers the admission-control contract
 //! (overload shedding, deadline rejection and expiry), checkpoint
-//! corruption (cold re-run), retry/backoff after a worker panic, and
-//! cancellation durability.
+//! corruption (cold re-run), retry/backoff after a worker panic,
+//! cancellation durability, the equality of a transient served by the
+//! service and by the engine, and the persisted transient `progress`
+//! document (its fields and its pre-ramp form).
 
 use bright_core::service::{
     JobId, JobKind, JobSpec, JobStatus, JobStore, JournalEvent, LoadRef, Priority,
 };
 use bright_core::{
-    ReportPayload, ScenarioService, ServiceClock, ServiceConfig, ServiceError, SteppingMode,
+    LoadRamp, LoadStep, ReportPayload, ScenarioEngine, ScenarioService, ServiceClock,
+    ServiceConfig, ServiceError, SteppingMode, TransientRequest,
 };
+use bright_jsonio::Value;
 use bright_num::faults::{self, FaultPlan};
+use bright_thermal::AdaptiveConfig;
+use bright_units::Kelvin;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -413,6 +419,158 @@ fn a_torn_journal_tail_cannot_fuse_with_the_next_record() {
     assert_eq!(recovered.submitted_total, 2, "both real records survive");
     assert_eq!(recovered.jobs.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A three-segment transient spec whose first segment optionally
+/// throttles the pump.
+fn three_segment_spec(stepping: SteppingMode, ramp: Option<LoadRamp>) -> JobSpec {
+    let mut spec = transient_spec();
+    spec.kind = JobKind::Transient {
+        trace: vec![
+            (3e-3, LoadRef::full_load(), ramp),
+            (2e-3, LoadRef::cache_only(), None),
+            (3e-3, LoadRef::full_load(), None),
+        ],
+        initial_temperature_k: 300.0,
+        stepping,
+    };
+    spec
+}
+
+#[test]
+fn service_and_engine_serve_a_transient_identically() {
+    // The durable service integrates a transient job segment by
+    // segment with a checkpoint between segments; the engine serves the
+    // same request as one batch. Both must produce the same outcome,
+    // bit for bit, under either stepping mode, with or without a ramp.
+    let fixed = SteppingMode::Fixed { dt: 1e-3 };
+    let adaptive = SteppingMode::Adaptive(AdaptiveConfig::default());
+    for (case, stepping, ramp) in [
+        ("fixed", fixed, None),
+        ("fixed_ramp", fixed, Some(LoadRamp::flow(1.0, 0.5))),
+        ("adaptive", adaptive, None),
+        ("adaptive_ramp", adaptive, Some(LoadRamp::flow(1.0, 0.5))),
+    ] {
+        let spec = three_segment_spec(stepping, ramp);
+        let dir = test_dir(&format!("paths_{case}"));
+        let mut svc = open_service(&dir);
+        let id = svc.submit(spec.clone()).expect("admitted");
+        svc.drain().expect("drain");
+        let ReportPayload::Transient(served) = svc.report(id).expect("report") else {
+            panic!("{case}: a transient job must yield a transient report");
+        };
+        let JobKind::Transient {
+            trace,
+            initial_temperature_k,
+            stepping,
+        } = &spec.kind
+        else {
+            unreachable!()
+        };
+        let request = TransientRequest {
+            scenario: spec.scenario().expect("scenario"),
+            trace: trace
+                .iter()
+                .map(|(duration, load, ramp)| LoadStep {
+                    duration: *duration,
+                    load: load.resolve().expect("load"),
+                    ramp: *ramp,
+                })
+                .collect(),
+            initial_temperature: Kelvin::new(*initial_temperature_k),
+            stepping: *stepping,
+        };
+        let mut engine = ScenarioEngine::new();
+        engine.set_deterministic(true);
+        let mut reports = engine.run_transient_batch([request]);
+        let batched = reports.pop().expect("one report").result.expect("engine serve");
+        assert_eq!(
+            served.to_json().to_json_string(),
+            batched.to_json().to_json_string(),
+            "{case}: service and engine paths diverged"
+        );
+        assert!(served.solves > 0 && served.final_peak.value() > 300.0, "{case}");
+        if ramp.is_some() {
+            assert!(served.coefficient_refreshes > 0, "{case}: the ramp must re-stamp");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn transient_progress_document_keeps_its_fields_and_reads_legacy_state() {
+    let baseline_dir = test_dir("progress_baseline");
+    let baseline = run_clean(&baseline_dir, &[transient_spec()]);
+
+    // Kill the first attempt right after its first `segment` record is
+    // durable: walk the one-shot crash forward until the journal holds
+    // one.
+    let mut killed = None;
+    for shot in 1..40u64 {
+        let dir = test_dir(&format!("progress_shot{shot}"));
+        let mut svc = open_service(&dir);
+        let id = svc.submit(transient_spec()).expect("admitted");
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            faults::with_scope(Some(FaultPlan::one_shot_crash(shot)), || {
+                svc.drain().expect("drain");
+            })
+        }));
+        let payload = run.expect_err("the crash fires before the job completes");
+        assert!(faults::is_injected_kill(payload.as_ref()));
+        let journal = std::fs::read_to_string(dir.join("journal.log")).expect("journal");
+        let segment_logged = journal.lines().any(|line| {
+            bright_jsonio::checksummed::parse(line)
+                .ok()
+                .and_then(|v| JournalEvent::from_json(&v))
+                .is_some_and(|e| matches!(e, JournalEvent::Segment { index: 0, .. }))
+        });
+        if segment_logged {
+            killed = Some((dir, id));
+            break;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let (dir, id) = killed.expect("some shot lands after the first segment record");
+
+    // The persisted progress object keeps exactly these fields.
+    let store = JobStore::open(&dir).expect("store opens");
+    let mut state = store.load_checkpoint(id).expect("checkpoint verifies");
+    let Some(Value::Object(progress)) = state.get("progress").cloned() else {
+        panic!("checkpoint state carries a progress object");
+    };
+    let keys: Vec<&str> = progress.keys().map(String::as_str).collect();
+    assert_eq!(
+        keys,
+        [
+            "peak",
+            "recovered",
+            "refreshes",
+            "rejected",
+            "retries",
+            "segments_done",
+            "solves",
+            "steps"
+        ]
+    );
+    assert_eq!(progress["segments_done"].as_usize(), Some(1));
+
+    // Rewrite it the way pre-ramp builds wrote it: no `refreshes`. The
+    // store re-checksums the envelope, so the legacy state verifies.
+    let mut legacy = progress;
+    legacy.remove("refreshes");
+    if let Value::Object(fields) = &mut state {
+        fields.insert("progress".into(), Value::Object(legacy));
+    }
+    store.write_checkpoint(id, &state).expect("legacy state written");
+    drop(store);
+
+    let mut svc = open_service(&dir);
+    svc.drain().expect("recovery drain");
+    assert_eq!(svc.status(id).expect("known"), JobStatus::Done);
+    assert_eq!(svc.stats().resumed_segments, 1, "the legacy state resumes");
+    assert_eq!(report_bytes(&dir), baseline, "the resumed report is bitwise identical");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&baseline_dir);
 }
 
 #[test]

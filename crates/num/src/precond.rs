@@ -119,27 +119,20 @@ impl PrecondSpec {
 
     /// Size-aware preconditioner choice for a structured
     /// `nx × ny × layers` grid: [`Self::Multigrid`] once the grid
-    /// reaches [`mg_min_unknowns`] unknowns, the caller's `fallback`
-    /// below that. A process-wide `BRIGHT_PRECOND` override (`none`,
-    /// `jacobi`, `ssor`, `ssor=<omega>`, `ic0`, `multigrid`) wins over
-    /// both, so CI can force every solve through one preconditioner.
+    /// reaches [`mg_min_unknowns`] unknowns, [`Self::forced_or`] below
+    /// that — so `BRIGHT_PRECOND=multigrid` forces multigrid at every
+    /// size, and CI can run every solve through the V-cycle.
     #[must_use]
     pub fn auto_for_grid(nx: usize, ny: usize, layers: usize, fallback: Self) -> Self {
-        match forced_precond() {
-            Some(ForcedPrecond::Spec(spec)) => spec,
-            Some(ForcedPrecond::Multigrid) => Self::Multigrid(MgConfig::for_grid(nx, ny, layers)),
-            None => {
-                if nx * ny * layers >= mg_min_unknowns() {
-                    Self::Multigrid(MgConfig::for_grid(nx, ny, layers))
-                } else {
-                    fallback
-                }
-            }
+        if nx * ny * layers >= mg_min_unknowns() {
+            Self::Multigrid(MgConfig::for_grid(nx, ny, layers))
+        } else {
+            Self::forced_or(nx, ny, layers, fallback)
         }
     }
 
     /// As [`Self::auto_for_grid`] but without the size-based multigrid
-    /// switch: the `BRIGHT_PRECOND` force (if any) wins, otherwise
+    /// switch: multigrid under `BRIGHT_PRECOND=multigrid`, otherwise
     /// `fallback` at every size. For operators outside the geometric
     /// hierarchy's reach — e.g. the advection-dominated fluid rows of a
     /// microchannel thermal stack — where multigrid must never be
@@ -148,64 +141,33 @@ impl PrecondSpec {
     /// guard (and recovers through the session ladder).
     #[must_use]
     pub fn forced_or(nx: usize, ny: usize, layers: usize, fallback: Self) -> Self {
-        match forced_precond() {
-            Some(ForcedPrecond::Spec(spec)) => spec,
-            Some(ForcedPrecond::Multigrid) => Self::Multigrid(MgConfig::for_grid(nx, ny, layers)),
-            None => fallback,
+        if forced_multigrid() {
+            Self::Multigrid(MgConfig::for_grid(nx, ny, layers))
+        } else {
+            fallback
         }
     }
 }
 
-/// Default for [`mg_min_unknowns`]: below ~2·10^5 unknowns the
-/// SSOR/IC(0) setup-cost-to-iteration-savings trade still favors the
-/// sweep preconditioners; above it multigrid's mesh independence wins.
+/// Below ~2·10^5 unknowns the SSOR/IC(0) setup-cost-to-iteration-savings
+/// trade still favors the sweep preconditioners; above it multigrid's
+/// mesh independence wins.
 const MG_MIN_UNKNOWNS: usize = 200_000;
 
 /// Grid-size threshold (in unknowns) at which
-/// [`PrecondSpec::auto_for_grid`] switches to multigrid. Defaults to
-/// 200 000; override with the `BRIGHT_MG_MIN_UNKNOWNS` environment
-/// variable (read once per process).
+/// [`PrecondSpec::auto_for_grid`] switches to multigrid: 200 000.
 #[must_use]
-pub fn mg_min_unknowns() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("BRIGHT_MG_MIN_UNKNOWNS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(MG_MIN_UNKNOWNS)
-    })
+pub const fn mg_min_unknowns() -> usize {
+    MG_MIN_UNKNOWNS
 }
 
-/// A process-wide forced preconditioner choice (`BRIGHT_PRECOND`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ForcedPrecond {
-    /// A fully-specified spec (geometry-independent choices).
-    Spec(PrecondSpec),
-    /// Multigrid, whose `MgConfig` must be derived from each call
-    /// site's grid geometry.
-    Multigrid,
-}
-
-/// Parses `BRIGHT_PRECOND` once per process: `none`, `jacobi`, `ssor`,
-/// `ssor=<omega>`, `ic0`, or `multigrid`. Unknown values are ignored.
-fn forced_precond() -> Option<ForcedPrecond> {
-    static FORCED: OnceLock<Option<ForcedPrecond>> = OnceLock::new();
+/// Whether `BRIGHT_PRECOND=multigrid` forces multigrid process-wide
+/// (read once per process; any other value is ignored).
+fn forced_multigrid() -> bool {
+    static FORCED: OnceLock<bool> = OnceLock::new();
     *FORCED.get_or_init(|| {
-        let raw = std::env::var("BRIGHT_PRECOND").ok()?;
-        let v = raw.trim().to_ascii_lowercase();
-        match v.as_str() {
-            "none" => Some(ForcedPrecond::Spec(PrecondSpec::None)),
-            "jacobi" => Some(ForcedPrecond::Spec(PrecondSpec::Jacobi)),
-            "ssor" => Some(ForcedPrecond::Spec(PrecondSpec::ssor())),
-            "ic0" => Some(ForcedPrecond::Spec(PrecondSpec::Ic0)),
-            "multigrid" | "mg" => Some(ForcedPrecond::Multigrid),
-            other => other
-                .strip_prefix("ssor=")
-                .and_then(|s| s.parse::<f64>().ok())
-                .filter(|o| o.is_finite() && *o > 0.0 && *o < 2.0)
-                .map(|omega| ForcedPrecond::Spec(PrecondSpec::Ssor { omega })),
-        }
+        std::env::var("BRIGHT_PRECOND")
+            .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "multigrid" | "mg"))
     })
 }
 

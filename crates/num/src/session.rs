@@ -179,48 +179,35 @@ impl SessionStats {
     }
 }
 
-/// Configuration of the escalation ladder a session climbs when a solve
-/// fails recoverably (see the [module docs](self), "Failure recovery").
-/// The default enables every rung; [`RecoveryPolicy::disabled`] restores
-/// the fail-fast behaviour of earlier revisions.
+/// Whether a session climbs the escalation ladder when a solve fails
+/// recoverably (see the [module docs](self), "Failure recovery"). The
+/// ladder's rungs are fixed: a cold restart, the preconditioner fallback
+/// chain, then a 4× iteration budget. The default climbs them;
+/// [`RecoveryPolicy::disabled`] restores the fail-fast behaviour of
+/// earlier revisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Master switch; `false` makes every failure terminal immediately.
-    pub enabled: bool,
-    /// Rung 1: retry once with the warm start discarded.
-    pub retry_cold: bool,
-    /// Rungs 2..: retry with each preconditioner in
-    /// [`PrecondSpec::fallback_chain`] not equal to the configured one.
-    pub precond_fallback: bool,
-    /// Final rung: retry with `max_iterations` multiplied by this factor
-    /// (values ≤ 1 disable the rung).
-    pub widen_budget_by: u32,
+    enabled: bool,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            retry_cold: true,
-            precond_fallback: true,
-            widen_budget_by: 4,
-        }
+        Self { enabled: true }
     }
 }
 
 impl RecoveryPolicy {
-    /// A policy with every rung off: failures surface immediately (the
+    /// A policy with the ladder off: failures surface immediately (the
     /// pre-recovery behaviour; benches use this as the baseline).
     #[must_use]
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            retry_cold: false,
-            precond_fallback: false,
-            widen_budget_by: 0,
-        }
+        Self { enabled: false }
     }
 }
+
+/// The widened-budget rung's multiple of the configured
+/// `max_iterations`.
+const WIDEN_BUDGET_BY: usize = 4;
 
 /// The ladder rung that produced a solve's answer.
 /// [`RecoveryRung::Clean`] is the ordinary first attempt; everything
@@ -590,17 +577,15 @@ impl SolverSession {
             rungs.push(RecoveryRung::Clean);
         }
         if self.policy.enabled {
-            if !precond_broken && self.policy.retry_cold {
+            if !precond_broken {
                 rungs.push(RecoveryRung::ColdRestart);
             }
-            if self.policy.precond_fallback {
-                for spec in PrecondSpec::fallback_chain() {
-                    if spec != self.opts.preconditioner {
-                        rungs.push(RecoveryRung::PrecondFallback(spec));
-                    }
+            for spec in PrecondSpec::fallback_chain() {
+                if spec != self.opts.preconditioner {
+                    rungs.push(RecoveryRung::PrecondFallback(spec));
                 }
             }
-            if !precond_broken && self.policy.widen_budget_by > 1 {
+            if !precond_broken {
                 rungs.push(RecoveryRung::WidenedBudget);
             }
         }
@@ -622,7 +607,6 @@ impl SolverSession {
         let mut precond_broken = false;
         if let Err(e) = self.ensure_precond() {
             let fallback_can_help = self.policy.enabled
-                && self.policy.precond_fallback
                 && matches!(e, NumError::Breakdown(_) | NumError::SingularMatrix { .. });
             if !fallback_can_help {
                 return Err(e);
@@ -674,7 +658,7 @@ impl SolverSession {
                     opts.max_iterations = self
                         .opts
                         .max_iterations
-                        .saturating_mul(self.policy.widen_budget_by as usize);
+                        .saturating_mul(WIDEN_BUDGET_BY);
                 }
                 RecoveryRung::Clean | RecoveryRung::ColdRestart => {}
             }

@@ -644,12 +644,12 @@ impl ThermalModel {
     /// (no microchannel layers — the operator is symmetric) the
     /// preconditioner comes from [`PrecondSpec::auto_for_grid`], which
     /// switches to the geometric-multigrid V-cycle once
-    /// `nx·ny·levels` reaches the `BRIGHT_MG_MIN_UNKNOWNS` threshold
-    /// (default 200 000) — the scaled conduction presets land there.
+    /// `nx·ny·levels` reaches [`bright_num::mg_min_unknowns`] (200 000)
+    /// — the scaled conduction presets land there.
     /// Stacks with fluid layers keep SSOR at every size: their
     /// advection-dominated rows are outside the geometric hierarchy's
     /// reach, and the downstream-ordered sweeps handle them well.
-    /// `BRIGHT_PRECOND` forces a specific choice either way.
+    /// `BRIGHT_PRECOND=multigrid` forces multigrid either way.
     #[must_use]
     pub fn solve_options(&self) -> IterOptions {
         let preconditioner = if self.has_fluid_levels() {

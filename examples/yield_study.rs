@@ -102,9 +102,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nengine: {} cold builds, {} retargets, {} quarantines across {} chunks on {} workers",
         stats.cold_builds, stats.retargets, stats.quarantines, stats.chunks, stats.workers,
     );
+    // Every lookup counts one hit or one miss, so the total is fixed by
+    // the sample set; the split is not (two workers that race to fill
+    // one key both count a miss).
     println!(
-        "geometry cache: {} hits / {} misses (distinct duct solves paid once study-wide)",
-        stats.geometry_cache_hits, stats.geometry_cache_misses,
+        "geometry cache: {} lookups",
+        stats.geometry_cache_hits + stats.geometry_cache_misses,
     );
     println!(
         "streaming state: {} live forest nodes, {} accumulator bytes for {} samples",
