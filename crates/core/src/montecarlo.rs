@@ -22,7 +22,8 @@
 //!   not depend on which worker served it or what it served before;
 //!   the PDN droop comes from one study-wide banded Cholesky factor
 //!   whose multi-load sweeps give every load the bits of a one-load
-//!   solve, whatever lane group it lands in,
+//!   solve, whatever lane group it lands in and whichever thread
+//!   solves it,
 //! * per-sample states reduce through a [`DyadicForest`] whose merge
 //!   tree is a function of the index range alone, and chunk forests are
 //!   appended in chunk order ([`QuantileSketch`] and the exceedance
@@ -44,7 +45,7 @@ use bright_num::rng::{CorrelatedSampler, Distribution};
 use bright_num::stats::{
     wilson_interval, Accumulate, DyadicForest, QuantileSketch, VecMoments,
 };
-use bright_mesh::Field2d;
+use bright_floorplan::{Floorplan, PowerScenario};
 use bright_pdn::grid::LANE_GROUP;
 use bright_pdn::PowerGrid;
 use bright_units::{Kelvin, Volt, Watt};
@@ -169,9 +170,11 @@ pub struct McSpec {
     /// Samples per dispatch chunk. Does not affect the report — only
     /// scheduling granularity and how often workers retarget vs build.
     pub chunk: usize,
-    /// Worker-thread override; `None` = the workspace-wide policy
-    /// ([`bright_num::parallel::worker_count`], capped by
-    /// `BRIGHT_SWEEP_THREADS`). Does not affect the report.
+    /// The number of chunk workers that serve samples; `None` = the
+    /// workspace-wide policy ([`bright_num::parallel::worker_count`],
+    /// capped by `BRIGHT_SWEEP_THREADS`). Each worker's PDN stage takes
+    /// one more thread when the chunk workers leave a core free (see
+    /// [`run`]). Does not affect the report.
     pub workers: Option<usize>,
     /// Pass/fail limits.
     pub limits: McLimits,
@@ -565,7 +568,7 @@ impl McReport {
 pub struct McStats {
     /// Dispatch chunks.
     pub chunks: u64,
-    /// Worker threads used.
+    /// Chunk workers used (a PDN stage's thread is not counted).
     pub workers: u64,
     /// Cold [`CoSimulation`] builds (first sample of each chunk, plus
     /// rebuilds after quarantines).
@@ -625,6 +628,30 @@ struct ChunkOut {
     quarantines: u64,
 }
 
+impl ChunkOut {
+    /// Empty accumulators for the chunk whose first sample is `start`.
+    fn starting_at(start: u64) -> Self {
+        let (lo_p, hi_p, bins_p) = PEAK_SKETCH;
+        let (lo_n, hi_n, bins_n) = NET_SKETCH;
+        Self {
+            forest: DyadicForest::starting_at(start),
+            peak_sketch: QuantileSketch::new(lo_p, hi_p, bins_p).expect("static range"),
+            net_sketch: QuantileSketch::new(lo_n, hi_n, bins_n).expect("static range"),
+            over_temp: 0,
+            under_power: 0,
+            evaluated: 0,
+            invalid: 0,
+            failed: 0,
+            panicked: 0,
+            degraded: 0,
+            recovered: 0,
+            cold_builds: 0,
+            retargets: 0,
+            quarantines: 0,
+        }
+    }
+}
+
 /// Runs a Monte Carlo study.
 ///
 /// Samples are dispatched in chunks of [`McSpec::chunk`]; each chunk
@@ -633,10 +660,21 @@ struct ChunkOut {
 /// [`GeometryCache`] so quantized geometry samples pay for each
 /// distinct duct solve once across the whole study. No
 /// [`McParameter`] reaches the PDN's grid, resistances, ports or
-/// supply, so the study builds and factors the base scenario's
-/// [`PowerGrid`] once before the fan-out, and each chunk solves its
-/// samples' droops against it in multi-load direct solves of one lane
-/// group each.
+/// supply, so the study builds the base scenario's [`PowerGrid`] once
+/// and every chunk solves its samples' droops against its one factor.
+///
+/// A chunk worker splits its samples into two stages: the sample
+/// stages, and a PDN stage over each lane group of served samples,
+/// which runs beside the serving of the next group. The study's first
+/// join puts the PDN factor on the calling thread beside the fan-out,
+/// so its band lands in that thread's allocator arena, where the next
+/// study's factor reuses it. The PDN work gets a thread of its own only
+/// when the chunk workers leave a core free, that is when
+/// `worker_count(workers + 1) > workers` (see
+/// [`bright_num::parallel::worker_count`]): a serial study on a
+/// multi-core host overlaps it, a study that fills the cores runs it
+/// inline, and so does `BRIGHT_SWEEP_THREADS=1`. The report does not
+/// depend on it.
 ///
 /// # Errors
 ///
@@ -651,6 +689,13 @@ struct ChunkOut {
 /// Propagates worker panics that escape the per-sample isolation
 /// (indicative of a bug, not a fault-injection event).
 pub fn run(spec: &McSpec) -> Result<McRun, CoreError> {
+    run_with(spec, None)
+}
+
+/// [`run`] with the width of the PDN work's
+/// [`bright_num::parallel::join`]s given (1 = inline, 2 = beside), or
+/// `None` for the free-core rule.
+fn run_with(spec: &McSpec, pdn_workers: Option<usize>) -> Result<McRun, CoreError> {
     spec.validate()?;
     let samples = spec.samples as u64;
     let chunk = spec.chunk as u64;
@@ -660,13 +705,27 @@ pub fn run(spec: &McSpec) -> Result<McRun, CoreError> {
     let workers = spec
         .workers
         .unwrap_or_else(|| bright_num::parallel::worker_count(ranges.len()));
+    let pdn_workers = pdn_workers.unwrap_or_else(|| {
+        if bright_num::parallel::worker_count(workers.saturating_add(1)) > workers {
+            2
+        } else {
+            1
+        }
+    });
     let cache = Arc::new(GeometryCache::new());
     let pdn = pdn_for(&spec.base)?;
-    pdn.factor_direct()?;
 
-    let outs = bright_num::parallel::parallel_map_indexed(&ranges, workers, |_, &(start, end)| {
-        run_chunk(spec, start, end, &cache, &pdn)
-    });
+    let (factored, outs) = bright_num::parallel::join(
+        pdn_workers,
+        || pdn.factor_direct(),
+        || {
+            bright_num::parallel::parallel_map_indexed(&ranges, workers, |_, &(start, end)| {
+                run_chunk(spec, start, end, &cache, &pdn, pdn_workers)
+            })
+        },
+    );
+    // A factor error is the study's own, whatever droops it failed.
+    factored?;
 
     // Fixed-order reduction: forests append in chunk order (their merge
     // tree then equals the unchunked one); sketches and counters are
@@ -754,142 +813,139 @@ pub fn run(spec: &McSpec) -> Result<McRun, CoreError> {
     Ok(McRun { report, stats })
 }
 
-/// Serves the sample range `[start, end)` on one worker: the thermal,
-/// flow-cell and hydraulic stages per sample; the droops of every
-/// [`LANE_GROUP`] served samples in one multi-load direct solve through
-/// the study's factored `pdn`; then those samples' accumulators in
-/// index order.
+/// Serves the sample range `[start, end)` on one worker in two stages.
+/// The sample stages (thermal, flow-cell and hydraulic) serve samples
+/// until [`LANE_GROUP`] of them are served. The PDN stage rasterizes
+/// that group's rail maps and solves their droops in one multi-load
+/// direct solve through the study's `pdn` (see [`Pending::droops`]).
+/// Group g's PDN stage runs through [`bright_num::parallel::join`] of
+/// width `pdn_workers` beside the serving of group g + 1, and after
+/// each join group g is accumulated in index order, so the bits do not
+/// depend on the width. The first PDN stage waits for the study's
+/// factor if `run` is still building it.
 fn run_chunk(
     spec: &McSpec,
     start: u64,
     end: u64,
     cache: &Arc<GeometryCache>,
     pdn: &PowerGrid,
+    pdn_workers: usize,
 ) -> ChunkOut {
     let sampler = spec.sampler().expect("spec validated before dispatch");
-    let (lo_p, hi_p, bins_p) = PEAK_SKETCH;
-    let (lo_n, hi_n, bins_n) = NET_SKETCH;
-    let mut out = ChunkOut {
-        forest: DyadicForest::starting_at(start),
-        peak_sketch: QuantileSketch::new(lo_p, hi_p, bins_p).expect("static range"),
-        net_sketch: QuantileSketch::new(lo_n, hi_n, bins_n).expect("static range"),
-        over_temp: 0,
-        under_power: 0,
-        evaluated: 0,
-        invalid: 0,
-        failed: 0,
-        panicked: 0,
-        degraded: 0,
-        recovered: 0,
-        cold_builds: 0,
-        retargets: 0,
-        quarantines: 0,
-    };
-    let mut pending = Pending::default();
+    let mut out = ChunkOut::starting_at(start);
     let mut sim: Option<CoSimulation> = None;
     let mut recovered_seen = 0u64;
-    for i in start..end {
-        let values = sampler.sample(i);
-        let scenario = match apply_sample(&spec.base, &spec.variables, &values) {
-            Ok(s) => s,
-            Err(_) => {
-                out.invalid += 1;
-                pending.reports.push(None);
-                continue;
-            }
-        };
-        let served = crate::isolate(|| {
-            serve_sample(
-                &mut sim,
-                scenario,
-                cache,
-                &mut out.cold_builds,
-                &mut out.retargets,
-                &mut out.quarantines,
-            )
-        });
-        match served {
-            Ok(report) => {
-                let w = sim.as_ref().expect("serve succeeded");
-                if w.recovery_digest().is_some() {
-                    out.degraded += 1;
+    let mut next = start;
+    let mut serve_group = |out: &mut ChunkOut| {
+        let mut group = Pending::default();
+        let mut served = 0;
+        while next < end && served < LANE_GROUP {
+            let values = sampler.sample(next);
+            next += 1;
+            let scenario = match apply_sample(&spec.base, &spec.variables, &values) {
+                Ok(s) => s,
+                Err(_) => {
+                    out.invalid += 1;
+                    group.samples.push(None);
+                    continue;
                 }
-                let now = w.thermal_session_stats().recovered_solves;
-                out.recovered += now.saturating_sub(recovered_seen);
-                recovered_seen = now;
-                let s = w.scenario();
-                match s.rail_load.rasterize(&s.floorplan, pdn.grid()) {
-                    Ok(map) => {
-                        pending.rail_maps.push(map);
-                        pending.reports.push(Some(report));
+            };
+            let report = crate::isolate(|| {
+                serve_sample(
+                    &mut sim,
+                    &scenario,
+                    cache,
+                    &mut out.cold_builds,
+                    &mut out.retargets,
+                    &mut out.quarantines,
+                )
+            });
+            match report {
+                Ok(report) => {
+                    let w = sim.as_ref().expect("serve succeeded");
+                    if w.recovery_digest().is_some() {
+                        out.degraded += 1;
                     }
-                    Err(_) => {
-                        out.failed += 1;
-                        pending.reports.push(None);
-                    }
+                    let now = w.thermal_session_stats().recovered_solves;
+                    out.recovered += now.saturating_sub(recovered_seen);
+                    recovered_seen = now;
+                    served += 1;
+                    group.samples.push(Some((report, scenario.rail_load)));
                 }
-                if pending.rail_maps.len() == LANE_GROUP {
-                    pending.settle(&mut out, pdn, &spec.limits);
+                Err(CoreError::WorkerPanic(_)) => {
+                    // Worker panic (fault injection): quarantine the sim —
+                    // its internal state is suspect mid-solve.
+                    sim = None;
+                    recovered_seen = 0;
+                    out.quarantines += 1;
+                    out.panicked += 1;
+                    out.failed += 1;
+                    group.samples.push(None);
                 }
-            }
-            Err(CoreError::WorkerPanic(_)) => {
-                // Worker panic (fault injection): quarantine the sim —
-                // its internal state is suspect mid-solve.
-                sim = None;
-                recovered_seen = 0;
-                out.quarantines += 1;
-                out.panicked += 1;
-                out.failed += 1;
-                pending.reports.push(None);
-            }
-            Err(_) => {
-                // Solve failed even after a cold rebuild: poison only
-                // this sample. `serve_sample` already quarantined.
-                recovered_seen = 0;
-                out.failed += 1;
-                pending.reports.push(None);
+                Err(_) => {
+                    // Solve failed even after a cold rebuild: poison only
+                    // this sample. `serve_sample` already quarantined.
+                    recovered_seen = 0;
+                    out.failed += 1;
+                    group.samples.push(None);
+                }
             }
         }
-    }
+        group
+    };
 
-    pending.settle(&mut out, pdn, &spec.limits);
+    let mut in_flight = serve_group(&mut out);
+    while !in_flight.samples.is_empty() {
+        let (group, droops) = bright_num::parallel::join(
+            pdn_workers,
+            || serve_group(&mut out),
+            || in_flight.droops(&spec.base.floorplan, pdn),
+        );
+        in_flight.settle(droops, &mut out, &spec.limits);
+        in_flight = group;
+    }
     out
 }
 
-/// A chunk's samples that are served but not yet accumulated.
+/// One lane group of a chunk's samples: served, but not yet through
+/// the PDN stage or accumulated.
 #[derive(Default)]
 struct Pending {
-    /// In index order: each served report awaiting its droop (its rail
-    /// map at the same rank in `rail_maps`), or `None` for a sample
-    /// already counted invalid or failed.
-    reports: Vec<Option<YieldReport>>,
-    rail_maps: Vec<Field2d>,
+    /// In index order: each served sample's report, awaiting its droop,
+    /// with the rail load to solve it at; or `None` for a sample already
+    /// counted invalid or failed.
+    samples: Vec<Option<(YieldReport, PowerScenario)>>,
 }
 
 impl Pending {
-    /// Solves the pending droops in one multi-load direct solve and
-    /// accumulates every pending sample in index order.
-    fn settle(&mut self, out: &mut ChunkOut, pdn: &PowerGrid, limits: &McLimits) {
-        let droops: Vec<Option<Volt>> = match pdn.solve_direct_loads(&self.rail_maps) {
-            Ok(solved) => solved.iter().map(|sol| Some(sol.min_voltage())).collect(),
-            // A bad map fails the whole call: solve one map at a time so
-            // it fails only its own sample.
-            Err(_) => self
-                .rail_maps
+    /// The PDN stage: one droop per served sample, in index order. One
+    /// [`PowerGrid::min_voltages_direct`] call rasterizes the group's
+    /// rail maps and solves them as the lanes of one sweep, holding one
+    /// lane block rather than a rail and a voltage map per sample. It
+    /// touches no fault-injection site.
+    fn droops(&self, floorplan: &Floorplan, pdn: &PowerGrid) -> Vec<Option<Volt>> {
+        let loads: Vec<&PowerScenario> =
+            self.samples.iter().flatten().map(|(_, load)| load).collect();
+        match pdn.min_voltages_direct(floorplan, &loads) {
+            Ok(droops) => droops.into_iter().map(Some).collect(),
+            // A bad map fails the whole group: solve one sample at a time
+            // so it fails only its own.
+            Err(_) => loads
                 .iter()
-                .map(|map| {
-                    let solved = pdn.solve_direct_loads(std::slice::from_ref(map)).ok()?;
-                    Some(solved[0].min_voltage())
-                })
+                .map(|load| Some(pdn.min_voltages_direct(floorplan, &[load]).ok()?[0]))
                 .collect(),
-        };
-        self.rail_maps.clear();
+        }
+    }
+
+    /// Accumulates every sample of the group in index order, each served
+    /// one with its droop from [`Pending::droops`].
+    fn settle(self, droops: Vec<Option<Volt>>, out: &mut ChunkOut, limits: &McLimits) {
         let mut droops = droops.into_iter();
-        for report in self.reports.drain(..) {
-            match report {
-                Some(mut report) => {
-                    // A droop that failed to solve leaves the NaN, which
-                    // `accumulate` counts as a failed sample.
+        for sample in self.samples {
+            match sample {
+                Some((mut report, _)) => {
+                    // A droop that failed to rasterize or solve leaves the
+                    // NaN, which `accumulate` counts as a failed sample.
                     if let Some(min_voltage) = droops.next().flatten() {
                         report.pdn_min_voltage = min_voltage;
                     }
@@ -907,7 +963,7 @@ impl Pending {
 /// healthy sample).
 fn serve_sample(
     sim: &mut Option<CoSimulation>,
-    scenario: Scenario,
+    scenario: &Scenario,
     cache: &Arc<GeometryCache>,
     cold_builds: &mut u64,
     retargets: &mut u64,
@@ -927,7 +983,7 @@ fn serve_sample(
             }
         }
     }
-    let mut w = CoSimulation::new(scenario)?;
+    let mut w = CoSimulation::new(scenario.clone())?;
     w.set_geometry_cache(Arc::clone(cache));
     *cold_builds += 1;
     let r = w.run_yield_stages();
@@ -985,6 +1041,85 @@ mod tests {
         spec.chunk = 16;
         spec.workers = Some(1);
         spec
+    }
+
+    /// The reduced POWER7+ point on grids coarse enough that one yield
+    /// solve costs milliseconds.
+    fn coarse_base() -> Scenario {
+        let mut s = Scenario::power7_reduced();
+        s.thermal_columns = 11;
+        s.thermal_ny = 8;
+        s.cell_options.ny = 12;
+        s.cell_options.nx = 24;
+        s.pdn.nx = 24;
+        s.pdn.ny = 20;
+        s
+    }
+
+    #[test]
+    fn pdn_stage_beside_the_sample_stages_matches_inline() {
+        // The counters that depend only on the samples and the chunking.
+        let counters = |s: &McStats| {
+            [
+                s.chunks,
+                s.workers,
+                s.cold_builds,
+                s.retargets,
+                s.quarantines,
+                s.panicked,
+                s.degraded,
+                s.recovered_solves,
+                s.geometry_cache_hits + s.geometry_cache_misses,
+                s.accumulator_state_bytes,
+                s.peak_live_nodes,
+            ]
+        };
+        // Chunk 24 on one worker settles lane groups of 16 and 8, so one
+        // group's PDN stage runs beside the next group's serving; chunk 7
+        // on two workers settles groups of 7 and 3.
+        for (chunk, workers) in [(24, 1), (7, 2)] {
+            let mut spec = McSpec::power7_tolerances(coarse_base());
+            spec.samples = 24;
+            spec.chunk = chunk;
+            spec.workers = Some(workers);
+            let inline = run_with(&spec, Some(1)).unwrap();
+            let beside = run_with(&spec, Some(2)).unwrap();
+            assert_eq!(inline.report.evaluated, 24);
+            assert_eq!(
+                inline.report.to_json().to_json_string_pretty(),
+                beside.report.to_json().to_json_string_pretty(),
+                "chunk {chunk}, workers {workers}"
+            );
+            assert_eq!(
+                counters(&inline.stats),
+                counters(&beside.stats),
+                "chunk {chunk}, workers {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rail_map_that_fails_to_rasterize_fails_only_its_own_sample() {
+        let base = coarse_base();
+        let pdn = pdn_for(&base).unwrap();
+        let report = CoSimulation::new(base.clone()).unwrap().run_yield_stages().unwrap();
+        // The middle load has no densities, so its map cannot rasterize.
+        let loads = [base.rail_load.clone(), PowerScenario::new(), base.rail_load.scaled(1.1)];
+        let group = Pending {
+            samples: loads.into_iter().map(|load| Some((report.clone(), load))).collect(),
+        };
+        let droops = group.droops(&base.floorplan, &pdn);
+        // `pdn_for` stamps the base rail load: its one-load solve gives
+        // the first droop's bits.
+        let one_load = pdn.solve_direct().unwrap().min_voltage();
+        assert_eq!(droops.len(), 3);
+        assert_eq!(droops[0].map(|v| v.value().to_bits()), Some(one_load.value().to_bits()));
+        assert!(droops[1].is_none());
+        assert!(droops[2].unwrap() < droops[0].unwrap(), "a heavier load droops further");
+        let mut out = ChunkOut::starting_at(0);
+        group.settle(droops, &mut out, &McLimits::default());
+        assert_eq!((out.evaluated, out.failed), (2, 1));
+        assert_eq!(out.forest.finalize().count(), 2);
     }
 
     #[test]

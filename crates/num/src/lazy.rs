@@ -10,9 +10,14 @@ use std::sync::OnceLock;
 /// Returns the cached value, building it with `build` on first use.
 ///
 /// If `build` fails the error is returned and the cell stays empty, so
-/// a later call retries. Concurrent first calls may both run `build`;
-/// one result wins, the other is dropped — acceptable for pure,
-/// idempotent constructions (which is what every call site caches).
+/// a later call retries. Racing callers that find the cell empty may
+/// each run `build`; one result wins and the others are dropped. That
+/// suits a pure construction whose cell is filled before it is shared
+/// (the thermal operator, the flow-cell solve context). A build too
+/// costly to repeat on a cell that threads race to fill, such as the
+/// PDN's banded factor, caches a `Result` through
+/// `OnceLock::get_or_init` instead, which runs one build and makes the
+/// other callers wait for it.
 ///
 /// # Errors
 ///

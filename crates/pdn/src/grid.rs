@@ -11,8 +11,10 @@
 //! ([`PowerGrid::set_power_density`] touches only the RHS). The library
 //! solves it one way: one cached banded Cholesky factor
 //! ([`PowerGrid::solve_direct`]), with [`PowerGrid::solve_direct_loads`]
-//! solving many loads per pass over it. The co-simulation, the yield
-//! solve and Monte Carlo studies all use it.
+//! solving many loads per pass over it and
+//! [`PowerGrid::min_voltages_direct`] reducing each of many loads to its
+//! worst cell in the same passes. The co-simulation, the yield solve and
+//! Monte Carlo studies all use it.
 //!
 //! The preconditioned-CG path ([`PowerGrid::solve`],
 //! [`PowerGrid::solve_warm`] through a [`SolverSession`]) remains as the
@@ -23,11 +25,13 @@
 
 use crate::ports::PortLayout;
 use crate::PdnError;
+use bright_floorplan::{Floorplan, PowerScenario};
 use bright_mesh::{Field2d, Grid2d};
 use bright_num::session::next_operator_tag;
 use bright_num::solvers::IterOptions;
 use bright_num::{BandedCholesky, CsrMatrix, CsrSymbolic, PrecondSpec, SolverSession};
 use bright_num::TripletMatrix;
+use std::iter::StepBy;
 use std::sync::{Arc, OnceLock};
 use bright_units::{Ampere, Volt, Watt};
 
@@ -56,8 +60,10 @@ pub struct PowerGrid {
     /// the factor survives every [`PowerGrid::set_power_density`]. It
     /// sits behind an `Arc` so a clone (an engine worker cloned for a
     /// batch chunk) shares the band instead of copying it: n·(nx + 1)
-    /// doubles, 7.7 MB on the 106×85 Fig. 8 sheet.
-    direct: OnceLock<Arc<BandedCholesky>>,
+    /// doubles, 7.7 MB on the 106×85 Fig. 8 sheet. The cell holds the
+    /// build's result, so threads that race to the first direct solve
+    /// wait on one build and share its factor or its error.
+    direct: OnceLock<Result<Arc<BandedCholesky>, PdnError>>,
 }
 
 /// The solved voltage distribution.
@@ -413,9 +419,47 @@ impl PowerGrid {
         self.solve_direct_sinks(sinks)
     }
 
+    /// The minimum rail voltage under each rail load on `plan`, through
+    /// the cached direct factor: each bitwise equal to
+    /// [`PdnSolution::min_voltage`] of that load's rasterized map solved
+    /// by [`PowerGrid::solve_direct_loads`]. The loads are solved
+    /// [`LANE_GROUP`] at a time in the same sweeps, but each is
+    /// rasterized onto this grid only as it is stamped into its lane, and
+    /// each lane is reduced to its minimum in place, so the call holds
+    /// one group's lane block and no map per load. This is the Monte
+    /// Carlo droop path: a sample needs its worst cell, not its map.
+    ///
+    /// # Errors
+    ///
+    /// [`PdnError::InvalidConfig`] for the first load that does not
+    /// rasterize on `plan` or draws a negative or non-finite density;
+    /// [`PdnError::Numerical`] as in [`PowerGrid::solve_direct`].
+    pub fn min_voltages_direct(
+        &self,
+        plan: &Floorplan,
+        loads: &[&PowerScenario],
+    ) -> Result<Vec<Volt>, PdnError> {
+        let mut mins = Vec::with_capacity(loads.len());
+        self.solve_lanes(
+            loads.len(),
+            |k, rhs| {
+                let map = loads[k]
+                    .rasterize(plan, &self.grid)
+                    .map_err(|e| PdnError::InvalidConfig(e.to_string()))?;
+                let sink = sink_current_for(&self.grid, self.supply, &map)?;
+                self.stamp_rhs(sink.as_slice(), rhs);
+                Ok(())
+            },
+            // The fold of `Field2d::min`, over the lane in node order.
+            |lane| mins.push(Volt::new(lane.copied().fold(f64::INFINITY, f64::min))),
+        )?;
+        Ok(mins)
+    }
+
     /// Builds the direct-solve factor now rather than on the first
-    /// direct solve. A grid shared by several threads calls this before
-    /// the fan-out, so exactly one factorization runs.
+    /// direct solve, or returns the error its one build gave. Threads
+    /// sharing a grid may race to the first direct solve: one of them
+    /// factors and the others wait for it.
     ///
     /// # Errors
     ///
@@ -425,44 +469,68 @@ impl PowerGrid {
     }
 
     fn direct_factor(&self) -> Result<&BandedCholesky, PdnError> {
-        let factor = bright_num::lazy::get_or_try_init(&self.direct, || {
-            BandedCholesky::factor(&self.system)
-                .map(Arc::new)
-                .map_err(PdnError::from)
-        })?;
-        Ok(factor)
+        self.direct
+            .get_or_init(|| {
+                #[cfg(test)]
+                tests::FACTOR_BUILDS.lock().expect("build log").push(self.tag);
+                BandedCholesky::factor(&self.system)
+                    .map(Arc::new)
+                    .map_err(PdnError::from)
+            })
+            .as_deref()
+            .map_err(Clone::clone)
     }
 
-    /// The direct solves behind [`PowerGrid::solve_direct_loads`], one
-    /// lane group at a time: each load's RHS is stamped into its lane,
-    /// one multi-lane sweep solves the group, and each lane becomes that
-    /// load's voltage map.
+    /// The direct solves behind [`PowerGrid::solve_direct_loads`]: each
+    /// lane becomes its load's voltage map.
     fn solve_direct_sinks(&self, sinks: Vec<Field2d>) -> Result<Vec<PdnSolution>, PdnError> {
-        let chol = self.direct_factor()?;
-        let n = self.grid.len();
-        let mut rhs = vec![0.0; n];
-        let mut block = Vec::new();
         let mut voltages = Vec::with_capacity(sinks.len());
-        for group in sinks.chunks(LANE_GROUP) {
-            let lanes = group.len();
-            block.clear();
-            block.resize(n * lanes, 0.0);
-            for (q, sink) in group.iter().enumerate() {
-                self.stamp_rhs(sink.as_slice(), &mut rhs);
-                for (b, r) in block[q..].iter_mut().step_by(lanes).zip(&rhs) {
-                    *b = *r;
-                }
-            }
-            chol.solve_lanes_in_place(&mut block, lanes)?;
-            voltages.extend(
-                (0..lanes).map(|q| block[q..].iter().step_by(lanes).copied().collect::<Vec<_>>()),
-            );
-        }
+        self.solve_lanes(
+            sinks.len(),
+            |k, rhs| {
+                self.stamp_rhs(sinks[k].as_slice(), rhs);
+                Ok(())
+            },
+            |lane| voltages.push(lane.copied().collect::<Vec<_>>()),
+        )?;
         Ok(sinks
             .into_iter()
             .zip(voltages)
             .map(|(sink, voltage)| self.solution(voltage, sink))
             .collect())
+    }
+
+    /// Every direct solve, one lane group at a time: `stamp(k, rhs)`
+    /// writes load `k`'s RHS into `rhs`, which is copied into the
+    /// group's lane block; one multi-lane sweep through the factor solves
+    /// the group; then `take` receives each load's voltages in load
+    /// order, node by node along its lane.
+    fn solve_lanes(
+        &self,
+        loads: usize,
+        mut stamp: impl FnMut(usize, &mut [f64]) -> Result<(), PdnError>,
+        mut take: impl FnMut(StepBy<std::slice::Iter<'_, f64>>),
+    ) -> Result<(), PdnError> {
+        let chol = self.direct_factor()?;
+        let n = self.grid.len();
+        let mut rhs = vec![0.0; n];
+        let mut block = Vec::new();
+        for first in (0..loads).step_by(LANE_GROUP) {
+            let lanes = LANE_GROUP.min(loads - first);
+            block.clear();
+            block.resize(n * lanes, 0.0);
+            for q in 0..lanes {
+                stamp(first + q, &mut rhs)?;
+                for (b, r) in block[q..].iter_mut().step_by(lanes).zip(&rhs) {
+                    *b = *r;
+                }
+            }
+            chol.solve_lanes_in_place(&mut block, lanes)?;
+            for q in 0..lanes {
+                take(block[q..].iter().step_by(lanes));
+            }
+        }
+        Ok(())
     }
 
     /// A solved voltage map (node order) with the load that produced it.
@@ -480,7 +548,7 @@ impl PowerGrid {
     #[inline]
     #[must_use]
     pub fn direct_factor_ready(&self) -> bool {
-        self.direct.get().is_some()
+        matches!(self.direct.get(), Some(Ok(_)))
     }
 }
 
@@ -544,6 +612,12 @@ impl PdnSolution {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The operator tag of every grid whose direct factor was built, one
+    /// entry per build, so a test can count one grid's builds while
+    /// other tests factor theirs.
+    pub(super) static FACTOR_BUILDS: std::sync::Mutex<Vec<u64>> =
+        std::sync::Mutex::new(Vec::new());
 
     fn small_grid() -> Grid2d {
         Grid2d::from_extent(10e-3, 10e-3, 20, 20).unwrap()
@@ -886,6 +960,55 @@ mod tests {
             pg.direct_factor().unwrap(),
             before.direct_factor().unwrap()
         ));
+    }
+
+    #[test]
+    fn min_voltages_match_the_one_load_solves_bitwise() {
+        use bright_floorplan::{power7, BlockKind, PowerScenario};
+        use bright_units::WattPerSquareMeter;
+        let pg = crate::presets::power7_cache_rail().unwrap();
+        let plan = power7::floorplan();
+        // Enough loads to span two lane groups.
+        let loads: Vec<PowerScenario> =
+            (0..19).map(|k| PowerScenario::cache_only().scaled(0.5 + 0.1 * k as f64)).collect();
+        let refs: Vec<&PowerScenario> = loads.iter().collect();
+        let mins = pg.min_voltages_direct(&plan, &refs).unwrap();
+        assert_eq!(mins.len(), loads.len());
+        for (k, (load, min)) in loads.iter().zip(&mins).enumerate() {
+            let map = load.rasterize(&plan, pg.grid()).unwrap();
+            let one = pg.solve_direct_loads(std::slice::from_ref(&map)).unwrap();
+            assert_eq!(min.value().to_bits(), one[0].min_voltage().value().to_bits(), "load {k}");
+        }
+        assert!(pg.min_voltages_direct(&plan, &[]).unwrap().is_empty());
+
+        // A load that cannot rasterize or draws a negative density fails
+        // the call.
+        let mut negative = PowerScenario::cache_only();
+        negative.set_kind_density(BlockKind::L2Cache, WattPerSquareMeter::new(-1.0));
+        for bad in [PowerScenario::new(), negative] {
+            let err = pg.min_voltages_direct(&plan, &[&loads[0], &bad]).unwrap_err();
+            assert!(matches!(err, PdnError::InvalidConfig(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn racing_first_direct_solves_share_one_factor_build() {
+        let pg = crate::presets::power7_cache_rail().unwrap();
+        let start = std::sync::Barrier::new(2);
+        let solve = || {
+            start.wait();
+            pg.solve_direct().unwrap()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(solve);
+            (solve(), other.join().unwrap())
+        });
+        let bits = |sol: &PdnSolution| {
+            sol.voltage_map().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        let builds = FACTOR_BUILDS.lock().unwrap().iter().filter(|&&t| t == pg.tag).count();
+        assert_eq!(builds, 1, "both threads must share one factor build");
     }
 
     #[test]
