@@ -247,7 +247,7 @@ mod tests {
         // as a cold-built operator does: start from deliberately wrong
         // coefficients, refresh to the real ones, and run the same
         // high-Péclet comparison as `matches_marching_solver_at_high_peclet`.
-        use crate::transport::{LaneMarcher, TransportOp};
+        use crate::transport::{LaneMarcher, OpBlock};
 
         let ny = 48;
         let nx = 120;
@@ -269,8 +269,10 @@ mod tests {
         .unwrap();
 
         let wrong: Vec<f64> = velocity.iter().map(|u| u * 0.1).collect();
-        let mut op = TransportOp::new(&wrong, dx * 2.0, dy, d * 10.0).unwrap();
-        op.refresh(&velocity, dx, dy, d).unwrap();
+        let mut block = OpBlock::new();
+        block.stamp(&wrong, dx * 2.0, dy, &[d * 10.0]).unwrap();
+        block.stamp(&velocity, dx, dy, &[d]).unwrap();
+        let op = block.op(0);
 
         let full_wall = full.wall_profile();
         for lanes in [1, 3] {
@@ -278,8 +280,8 @@ mod tests {
                 LaneMarcher::new(100e-6, 22e-3, nx, &velocity, 2000.0, 1.0, lanes).unwrap();
             let mut march_wall = vec![Vec::with_capacity(nx); lanes];
             for _ in 0..nx {
-                marcher.advance(&op).unwrap();
-                marcher.commit(&op, &vec![q; lanes]);
+                marcher.advance(op).unwrap();
+                marcher.commit(op, &vec![q; lanes]);
                 for (lane, wall) in march_wall.iter_mut().enumerate() {
                     wall.push(marcher.reactant(lane)[0]);
                 }

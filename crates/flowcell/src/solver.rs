@@ -36,7 +36,7 @@
 use crate::geometry::CellGeometry;
 use crate::options::{SolverOptions, TemperatureProfile, VelocityModel};
 use crate::polarization::{PolarizationCurve, PolarizationPoint};
-use crate::transport::{LaneMarcher, StationResponse, TransportOp};
+use crate::transport::{LaneMarcher, OpBlock, StationOp, StationResponse};
 use crate::FlowCellError;
 use std::sync::{Arc, OnceLock};
 use bright_echem::electrolyte::area_specific_resistance;
@@ -136,12 +136,13 @@ pub struct CellContextStats {
     /// In-place coefficient refreshes served by the `retarget_*`
     /// mutators.
     pub coefficient_refreshes: u64,
-    /// `TransportOp` constructions (band allocation + first
-    /// factorization). A flow/inlet/temperature retarget performs zero
-    /// of these once the context is warm.
+    /// Transport-operator builds: operators a stamp added beyond the
+    /// most its stream's [`OpBlock`] had held (storage growth plus the
+    /// first factorization). A flow/inlet/temperature retarget performs
+    /// zero of these once the context is warm.
     pub op_builds: u64,
-    /// In-place `TransportOp` value re-stamps (`TransportOp::refresh`):
-    /// O(ny) re-eliminations through the operator's existing storage.
+    /// In-place transport-operator re-stamps: O(ny) re-eliminations
+    /// through the block's existing storage.
     pub op_refreshes: u64,
 }
 
@@ -289,15 +290,17 @@ impl GeometryCache {
     }
 }
 
-/// One electrode stream's bank of factored transport operators:
-/// a pool of distinct operators plus the station → pool index map
-/// (consecutive equal-diffusivity stations share one operator, so the
-/// isothermal case holds exactly one per side). Refreshes re-stamp the
-/// pooled operators in place; the pool storage survives retargets.
+/// One electrode stream's factored transport operators: an [`OpBlock`]
+/// with one operator per run of equal diffusivity, plus the station →
+/// operator map (consecutive equal-diffusivity stations share one
+/// operator, so the isothermal case holds exactly one per side).
+/// Re-stamps go through the block's storage, which survives retargets.
 #[derive(Debug, Clone, Default)]
 struct OpBank {
-    pool: Vec<TransportOp>,
+    block: OpBlock,
     station_op: Vec<usize>,
+    /// Each operator's diffusivity: the block's stamp input.
+    run_d: Vec<f64>,
     /// The per-station diffusivities the bank is currently stamped for
     /// (used to skip the re-stamp entirely when neither the velocity
     /// nor any diffusivity changed, e.g. an inlet-composition
@@ -307,11 +310,11 @@ struct OpBank {
 
 impl OpBank {
     /// (Re)stamps the bank for per-station diffusivities `ds` over the
-    /// given velocity profile. Pooled operators are refreshed in place;
-    /// new operators are built only when the pool runs short (i.e. the
-    /// retarget needs more *distinct* diffusivity runs than ever
-    /// before — a shrink keeps the surplus operators warm for the next
-    /// growth). No-op when nothing changed.
+    /// given velocity profile. Operators within the most the block ever
+    /// held are re-stamped in place and count as refreshes; the rest
+    /// are builds (a shrink keeps the surplus storage for the next
+    /// growth, so a profile oscillating between shapes never rebuilds).
+    /// No-op when nothing changed.
     fn stamp(
         &mut self,
         velocity: &[f64],
@@ -325,28 +328,19 @@ impl OpBank {
             return Ok(());
         }
         self.station_op.clear();
-        let mut used = 0usize;
+        self.run_d.clear();
         for (k, &d) in ds.iter().enumerate() {
-            let idx = if k > 0 && ds[k - 1] == d {
-                used - 1
-            } else {
-                let i = used;
-                if let Some(op) = self.pool.get_mut(i) {
-                    op.refresh(velocity, dx, dy, d)?;
-                    stats.op_refreshes += 1;
-                } else {
-                    self.pool.push(TransportOp::new(velocity, dx, dy, d)?);
-                    stats.op_builds += 1;
-                }
-                used += 1;
-                i
-            };
-            self.station_op.push(idx);
+            if k == 0 || ds[k - 1] != d {
+                self.run_d.push(d);
+            }
+            self.station_op.push(self.run_d.len() - 1);
         }
-        // Surplus pool entries (a shrink after a sampled profile) are
-        // deliberately kept: they are never referenced by `station_op`
-        // and are refreshed in place before any future reuse, so a
-        // profile oscillating between shapes never rebuilds operators.
+        let held = self.block.capacity();
+        let stamped = self.block.stamp(velocity, dx, dy, &self.run_d);
+        let done = self.block.len();
+        stats.op_refreshes += done.min(held) as u64;
+        stats.op_builds += done.saturating_sub(held) as u64;
+        stamped?;
         self.station_d.clear();
         self.station_d.extend_from_slice(ds);
         Ok(())
@@ -354,8 +348,8 @@ impl OpBank {
 
     /// The operator serving `station`.
     #[inline]
-    fn op(&self, station: usize) -> &TransportOp {
-        &self.pool[self.station_op[station]]
+    fn op(&self, station: usize) -> StationOp<'_> {
+        self.block.op(self.station_op[station])
     }
 }
 
@@ -558,7 +552,7 @@ impl CellModel {
     /// context **in place**: the geometry context (duct solution, grid)
     /// is untouched, the velocity profile is rescaled, and the factored
     /// transport operators are re-stamped through their existing storage
-    /// — zero new `TransportOp` builds, zero duct-profile solves.
+    /// — zero operator builds, zero duct-profile solves.
     /// Subsequent solves are bitwise-equal to a cold model built at the
     /// new flow.
     ///

@@ -16,13 +16,17 @@
 //! with Butler–Volmer kinetics without nested iteration.
 //!
 //! The cell solver marches with [`LaneMarcher`]: every voltage of a sweep
-//! is one lane, and a station's factored [`TransportOp`] advances all
-//! lanes in one back-substitution. [`HalfCellMarcher`] assembles and
-//! solves each station from scratch; it is the reference the lane path
-//! is tested against.
+//! is one lane, and a station's factored operator, one [`StationOp`] of
+//! the stream's [`OpBlock`], advances all lanes in one
+//! back-substitution. [`HalfCellMarcher`] assembles and solves each
+//! station from scratch; it is the reference the lane path is tested
+//! against.
 
 use crate::FlowCellError;
-use bright_num::tridiag::{TridiagonalFactorization, TridiagonalWorkspace};
+use bright_num::tridiag::TridiagonalWorkspace;
+use bright_num::NumError;
+#[cfg(doc)]
+use bright_num::tridiag::TridiagonalFactorization;
 
 /// Affine response of a station's surface state to the wall molar flux
 /// `q` (mol/(m²·s), positive = reactant consumed at the wall):
@@ -57,139 +61,262 @@ impl StationResponse {
     }
 }
 
-/// Precomputed cross-stream operator for one `(velocity profile,
-/// diffusivity)` pair.
+/// Operators of an [`OpBlock`] factored together: this many pivot
+/// chains advance row by row side by side, so their divisions overlap.
+const TILE: usize = 8;
+
+/// A pivot below this magnitude fails the factor, as in
+/// [`TridiagonalFactorization`].
+const PIVOT_FLOOR: f64 = f64::MIN_POSITIVE * 16.0;
+
+/// One stream's factored cross-stream operators, one per diffusivity,
+/// in one block.
 ///
 /// The implicit diffusion operator of [`HalfCellMarcher::prepare`]
 /// depends only on the velocity profile, the grid spacings and the
-/// diffusivity — none of which change across the stations of an
-/// isothermal channel or across the voltage points of a polarization
-/// sweep. Factoring it once (and solving the flux-sensitivity system
-/// once, since that right-hand side is operator-determined too) turns
-/// each station visit into two back-substitutions instead of three full
-/// Thomas solves plus band assembly. This is the flow-cell counterpart
-/// of the sparse symbolic/numeric split in `bright-num`.
-#[derive(Debug, Clone)]
-pub struct TransportOp {
-    fac: TridiagonalFactorization,
-    /// Response of the concentration field to a unit wall flux.
-    sensitivity: Vec<f64>,
-    /// Surface (wall-extrapolated) sensitivity, including the half-cell
-    /// correction.
-    sens_surface: f64,
-    d: f64,
+/// diffusivity. Factoring it once per diffusivity (and solving the
+/// flux-sensitivity system once, since that right-hand side is
+/// operator-determined too) turns each station visit into two
+/// back-substitutions instead of three full Thomas solves plus band
+/// assembly.
+///
+/// Operator `k` keeps its reciprocal pivots, its `c′` row and its
+/// unit-wall-flux response contiguous, in storage that survives every
+/// re-stamp: [`OpBlock::stamp`] allocates only when a stamp needs more
+/// operators than the block ever held. The factor runs eight
+/// operators at a time with rows in the outer loop, and each operator
+/// performs exactly the operations of stamping its bands, a
+/// [`TridiagonalFactorization::factor`] and a
+/// [`TridiagonalFactorization::solve_in_place`] of the unit flux, so its
+/// bits match that one-operator build.
+#[derive(Debug, Clone, Default)]
+pub struct OpBlock {
+    ny: usize,
     dy: f64,
     dx: f64,
-    // Band scratch reused across refreshes (the operator's "symbolic"
-    // structure: sized storage that survives coefficient changes).
-    lower: Vec<f64>,
-    diag: Vec<f64>,
-    upper: Vec<f64>,
+    /// Operators stamped by the last [`OpBlock::stamp`].
+    len: usize,
+    /// Advection weight `u_j/dx` of each row's diagonal.
+    adv: Vec<f64>,
+    /// Per operator: `−D/dy²`, the entry of both off-diagonal bands.
+    off: Vec<f64>,
+    /// Per operator: the surface sensitivity, including the half-cell
+    /// correction.
+    sens_surface: Vec<f64>,
+    /// `[op][3·ny]`: operator `k`'s reciprocal pivots, its `c′` row and
+    /// its response to a unit wall flux.
+    rows: Vec<f64>,
 }
 
-impl TransportOp {
-    /// Builds and factors the station operator.
-    ///
-    /// * `velocity` — streamwise velocity at the `ny` cell centers
-    ///   (wall-first),
-    /// * `dx` — station spacing (m),
-    /// * `dy` — cross-stream cell size (m),
-    /// * `d` — species diffusivity (m²/s).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowCellError::InvalidConfig`] for a non-positive
-    /// diffusivity and [`FlowCellError::Numerical`] if the factorization
-    /// fails.
-    pub fn new(velocity: &[f64], dx: f64, dy: f64, d: f64) -> Result<Self, FlowCellError> {
-        check_diffusivity(d)?;
-        let ny = velocity.len();
-        let mut lower = vec![0.0; ny.saturating_sub(1)];
-        let mut diag = vec![0.0; ny];
-        let mut upper = vec![0.0; ny.saturating_sub(1)];
-        stamp_bands(velocity, dx, dy, d, &mut lower, &mut diag, &mut upper);
-        let fac =
-            TridiagonalFactorization::factor(&lower, &diag, &upper).map_err(FlowCellError::from)?;
-        let mut op = Self {
-            fac,
-            sensitivity: vec![0.0; ny],
-            sens_surface: 0.0,
-            d,
-            dy,
-            dx,
-            lower,
-            diag,
-            upper,
-        };
-        op.solve_sensitivity()?;
-        Ok(op)
+impl OpBlock {
+    /// An empty block.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Re-stamps and re-eliminates the operator **in place** for new
-    /// coefficient values (velocity scaling, grid spacings, diffusivity)
-    /// on the same cross-stream grid. No allocation: the band storage
-    /// and the factorization buffers survive. The arithmetic is the same
-    /// as [`TransportOp::new`], so a refreshed operator is bitwise-equal
-    /// to a freshly built one — the flow-cell counterpart of
-    /// `CsrSymbolic::refresh_values` on the thermal side.
+    /// Operators stamped by the last [`OpBlock::stamp`].
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when no operator is stamped.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The most operators the block has held: a stamp of at most this
+    /// many re-stamps storage in place.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.off.len()
+    }
+
+    /// Stamps and factors one operator per entry of `ds` over
+    /// `velocity` (the streamwise velocity at the `ny` cell centers,
+    /// wall-first), station spacing `dx` and cross-stream cell size
+    /// `dy` (m). Operator `k` is built for diffusivity `ds[k]` (m²/s).
     ///
     /// # Errors
     ///
-    /// * [`FlowCellError::InvalidConfig`] for a non-positive diffusivity
-    ///   or a velocity profile of a different length,
-    /// * [`FlowCellError::Numerical`] if the re-elimination fails (the
-    ///   operator must then be refreshed again before use).
-    pub fn refresh(
+    /// The error the one-operator builds, run in order, would meet
+    /// first: [`FlowCellError::InvalidConfig`] for a non-positive
+    /// diffusivity or an empty profile, [`FlowCellError::Numerical`] for
+    /// a pivot that underflows. [`OpBlock::len`] then counts the
+    /// operators stamped before it, and the block must be stamped again
+    /// before use.
+    pub fn stamp(
         &mut self,
         velocity: &[f64],
         dx: f64,
         dy: f64,
-        d: f64,
+        ds: &[f64],
     ) -> Result<(), FlowCellError> {
-        check_diffusivity(d)?;
-        let ny = self.sensitivity.len();
-        if velocity.len() != ny {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "velocity profile has {} cells for an operator sized {ny}",
-                velocity.len()
-            )));
+        let ny = velocity.len();
+        if ny == 0 {
+            return Err(FlowCellError::InvalidConfig(
+                "empty velocity profile".into(),
+            ));
         }
-        stamp_bands(
-            velocity,
-            dx,
-            dy,
-            d,
-            &mut self.lower,
-            &mut self.diag,
-            &mut self.upper,
-        );
-        self.fac
-            .refactor(&self.lower, &self.diag, &self.upper)
-            .map_err(FlowCellError::from)?;
-        self.d = d;
-        self.dy = dy;
-        self.dx = dx;
-        self.solve_sensitivity()
-    }
-
-    /// Solves the unit-wall-flux response through the factored operator
-    /// (`d` and `dy` must already hold the operator's values).
-    fn solve_sensitivity(&mut self) -> Result<(), FlowCellError> {
-        for s in self.sensitivity.iter_mut() {
-            *s = 0.0;
+        let ops = ds.len();
+        if self.off.len() < ops {
+            self.off.resize(ops, 0.0);
+            self.sens_surface.resize(ops, 0.0);
         }
-        self.sensitivity[0] = 1.0 / self.dy;
-        self.fac
-            .solve_in_place(&mut self.sensitivity)
-            .map_err(FlowCellError::from)?;
-        self.sens_surface = self.sensitivity[0] + self.dy / (2.0 * self.d);
+        let stride = 3 * ny;
+        if self.rows.len() < ops * stride {
+            self.rows.resize(ops * stride, 0.0);
+        }
+        self.adv.clear();
+        self.adv.extend(velocity.iter().map(|u| u / dx));
+        (self.ny, self.dy, self.dx, self.len) = (ny, dy, dx, 0);
+        let inv_dy = 1.0 / dy;
+        for (t, tile_d) in ds.chunks(TILE).enumerate() {
+            let first = t * TILE;
+            let mut w = [0.0; TILE];
+            for (wk, d) in w.iter_mut().zip(tile_d) {
+                *wk = d / (dy * dy);
+            }
+            let tile = &mut self.rows[first * stride..(first + tile_d.len()) * stride];
+            let bad = factor_tile(tile, &self.adv, &w[..tile_d.len()], inv_dy);
+            for (k, (&d, bad)) in tile_d.iter().zip(bad).enumerate() {
+                check_diffusivity(d)?;
+                if let Some(index) = bad {
+                    return Err(NumError::SingularMatrix { index }.into());
+                }
+                let op = first + k;
+                self.off[op] = -w[k];
+                self.sens_surface[op] = tile[k * stride + 2 * ny] + dy / (2.0 * d);
+                self.len = op + 1;
+            }
+        }
         Ok(())
     }
 
-    /// The diffusivity this operator was built for.
+    /// Operator `k`, as a station advances and commits through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not below [`OpBlock::capacity`] (debug: below
+    /// [`OpBlock::len`]).
     #[inline]
-    pub fn diffusivity(&self) -> f64 {
-        self.d
+    pub fn op(&self, k: usize) -> StationOp<'_> {
+        debug_assert!(k < self.len, "operator {k} of {} stamped", self.len);
+        let ny = self.ny;
+        let (inv_beta, rest) = self.rows[3 * ny * k..3 * ny * (k + 1)].split_at(ny);
+        let (c_prime, sensitivity) = rest.split_at(ny);
+        StationOp {
+            off: self.off[k],
+            sens_surface: self.sens_surface[k],
+            dy: self.dy,
+            dx: self.dx,
+            inv_beta,
+            c_prime,
+            sensitivity,
+        }
+    }
+}
+
+/// Factors the operators of one tile of an [`OpBlock`] and solves their
+/// unit-wall-flux responses. `tile` holds `w.len() ≤ TILE` operators'
+/// rows (`[op][3·ny]`); operator `k` is `diag(adv) + w[k]·N`, `N` the
+/// zero-flux second difference, so both off-diagonals hold `−w[k]`. Rows
+/// run in the outer loop and operators in the inner one, so the
+/// operators' pivot chains overlap, while each operator performs exactly
+/// the operations of [`stamp_bands`], [`TridiagonalFactorization::factor`]
+/// and [`TridiagonalFactorization::solve_in_place`] on `e₀/dy`. Returns
+/// each operator's first row whose pivot underflows.
+fn factor_tile(
+    tile: &mut [f64],
+    adv: &[f64],
+    w: &[f64],
+    inv_dy: f64,
+) -> [Option<usize>; TILE] {
+    let ny = adv.len();
+    let stride = 3 * ny;
+    let mut bad = [None; TILE];
+    // Operator k's `c′` and forward-swept response of the previous row.
+    let mut c = [0.0; TILE];
+    let mut x = [0.0; TILE];
+    for (i, &a) in adv.iter().enumerate() {
+        let last = i + 1 == ny;
+        for (k, row) in tile.chunks_exact_mut(stride).enumerate() {
+            let (wk, off) = (w[k], -w[k]);
+            let mut diag = a;
+            if i > 0 {
+                diag += wk;
+            }
+            if !last {
+                diag += wk;
+            }
+            let beta = if i == 0 { diag } else { diag - off * c[k] };
+            if beta.abs() < PIVOT_FLOOR && bad[k].is_none() {
+                bad[k] = Some(i);
+            }
+            let inv = 1.0 / beta;
+            row[i] = inv;
+            if !last {
+                c[k] = off * inv;
+                row[ny + i] = c[k];
+            }
+            x[k] = if i == 0 { inv_dy * inv } else { (0.0 - off * x[k]) * inv };
+            row[2 * ny + i] = x[k];
+        }
+    }
+    for i in (0..ny.saturating_sub(1)).rev() {
+        for row in tile.chunks_exact_mut(stride) {
+            let next = row[2 * ny + i + 1];
+            row[2 * ny + i] -= row[ny + i] * next;
+        }
+    }
+    bad
+}
+
+/// One operator of an [`OpBlock`]: the rows a station advances every
+/// lane through and commits the wall fluxes with.
+#[derive(Debug, Clone, Copy)]
+pub struct StationOp<'a> {
+    off: f64,
+    sens_surface: f64,
+    dy: f64,
+    dx: f64,
+    inv_beta: &'a [f64],
+    c_prime: &'a [f64],
+    sensitivity: &'a [f64],
+}
+
+impl StationOp<'_> {
+    /// Advances `width` right-hand sides stored row-major in `x`
+    /// (`[ny][width]`): scales row `j` by `adv[j]`, then solves through
+    /// the factored operator. Each column gets exactly the arithmetic of
+    /// scaling it and calling
+    /// [`TridiagonalFactorization::solve_lanes_in_place`], with the
+    /// scaling folded into the forward sweep. Kept out of line: inlined
+    /// into the cell solver's station loop, a paper column's march ran
+    /// about 6% slower on a 2-vCPU x86-64 host.
+    #[inline(never)]
+    fn solve_lanes(&self, adv: &[f64], x: &mut [f64], width: usize) {
+        let n = self.inv_beta.len();
+        let (a0, inv0) = (adv[0], self.inv_beta[0]);
+        for xi in &mut x[..width] {
+            *xi = *xi * a0 * inv0;
+        }
+        for i in 1..n {
+            let (prev, row) = x[(i - 1) * width..(i + 1) * width].split_at_mut(width);
+            let (a, inv) = (adv[i], self.inv_beta[i]);
+            for (xi, p) in row.iter_mut().zip(&*prev) {
+                *xi = (*xi * a - self.off * p) * inv;
+            }
+        }
+        for i in (0..n - 1).rev() {
+            let (row, next) = x[i * width..(i + 2) * width].split_at_mut(width);
+            let c = self.c_prime[i];
+            for (xi, nx) in row.iter_mut().zip(&*next) {
+                *xi -= c * nx;
+            }
+        }
     }
 }
 
@@ -469,12 +596,12 @@ impl HalfCellMarcher {
 
 /// Marching transport for one electrolyte stream under `lanes`
 /// independent wall-flux histories at once — one per voltage of a
-/// polarization sweep — against precomputed [`TransportOp`]s.
+/// polarization sweep — against the stream's [`OpBlock`].
 ///
 /// All lanes share the stream's grid and, station by station, its
 /// factored operator, so a station advances every lane's reactant and
-/// product fields with one multi-lane back-substitution
-/// ([`TridiagonalFactorization::solve_lanes_in_place`]). Each lane gets
+/// product fields with one multi-lane back-substitution (the arithmetic
+/// of [`TridiagonalFactorization::solve_lanes_in_place`]). Each lane gets
 /// exactly the arithmetic of a single-lane march, so lane `k` is
 /// bitwise-equal to marching its flux history alone.
 ///
@@ -582,9 +709,9 @@ impl LaneMarcher {
     /// Advances every lane to the next station with zero wall flux
     /// through `op`, the station's factored operator.
     ///
-    /// The operator must have been built from this marcher's geometry
+    /// The operator must have been stamped from this marcher's geometry
     /// *and velocity profile* (the profile is baked into the factored
-    /// bands and is too large to compare per station; the `ny`/`dy`/`dx`
+    /// rows and is too large to compare per station; the `ny`/`dy`/`dx`
     /// checks below catch geometry mixups, not a different profile on
     /// the same grid).
     ///
@@ -592,15 +719,15 @@ impl LaneMarcher {
     ///
     /// Returns [`FlowCellError::Numerical`] if the operator's grid does
     /// not match this marcher's.
-    pub fn advance(&mut self, op: &TransportOp) -> Result<(), FlowCellError> {
-        if op.sensitivity.len() != self.ny
+    pub fn advance(&mut self, op: StationOp<'_>) -> Result<(), FlowCellError> {
+        if op.inv_beta.len() != self.ny
             || (op.dy - self.dy).abs() > 1e-15 * self.dy
             || (op.dx - self.dx).abs() > 1e-15 * self.dx
         {
             return Err(FlowCellError::Numerical(format!(
                 "transport operator sized {} (dy {:.3e}, dx {:.3e}) vs marcher {} \
                  (dy {:.3e}, dx {:.3e})",
-                op.sensitivity.len(),
+                op.inv_beta.len(),
                 op.dy,
                 op.dx,
                 self.ny,
@@ -608,21 +735,14 @@ impl LaneMarcher {
                 self.dx
             )));
         }
-        let width = 2 * self.lanes;
-        for (row, adv) in self.fields.chunks_exact_mut(width).zip(&self.adv) {
-            for c in row {
-                *c *= adv;
-            }
-        }
-        op.fac
-            .solve_lanes_in_place(&mut self.fields, width)
-            .map_err(FlowCellError::from)
+        op.solve_lanes(&self.adv, &mut self.fields, 2 * self.lanes);
+        Ok(())
     }
 
     /// Lane `lane`'s affine surface response at the advanced station
     /// (`op` is the operator the station was advanced through).
     #[inline]
-    pub fn response(&self, op: &TransportOp, lane: usize) -> StationResponse {
+    pub fn response(&self, op: StationOp<'_>, lane: usize) -> StationResponse {
         let r0 = self.fields[2 * lane];
         StationResponse {
             r0,
@@ -643,12 +763,12 @@ impl LaneMarcher {
     /// # Panics
     ///
     /// Panics (debug) if `fluxes` does not hold one flux per lane.
-    pub fn commit(&mut self, op: &TransportOp, fluxes: &[f64]) {
+    pub fn commit(&mut self, op: StationOp<'_>, fluxes: &[f64]) {
         debug_assert_eq!(fluxes.len(), self.lanes, "one flux per lane");
         for (row, s) in self
             .fields
             .chunks_exact_mut(2 * self.lanes)
-            .zip(&op.sensitivity)
+            .zip(op.sensitivity)
         {
             for (pair, q) in row.chunks_exact_mut(2).zip(fluxes) {
                 pair[0] = (pair[0] - q * s).max(0.0);
@@ -661,6 +781,8 @@ impl LaneMarcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bright_num::tridiag::TridiagonalFactorization;
+    use proptest::prelude::*;
 
     fn uniform_marcher(ny: usize, nx: usize) -> HalfCellMarcher {
         HalfCellMarcher::new(100e-6, 22e-3, nx, vec![1.5; ny], 2000.0, 1.0).unwrap()
@@ -779,14 +901,15 @@ mod tests {
                 (0..lanes).map(|_| uniform_marcher(48, 60)).collect();
             let mut b =
                 LaneMarcher::new(100e-6, 22e-3, 60, &[1.5; 48], 2000.0, 1.0, lanes).unwrap();
-            let op = TransportOp::new(&vec![1.5; 48], b.dx(), 100e-6 / 48.0, d).unwrap();
-            assert_eq!(op.diffusivity(), d);
+            let mut block = OpBlock::new();
+            block.stamp(&[1.5; 48], b.dx(), 100e-6 / 48.0, &[d]).unwrap();
+            let op = block.op(0);
             let fluxes: Vec<f64> = (0..lanes).map(flux).collect();
             for station in 0..60 {
-                b.advance(&op).unwrap();
+                b.advance(op).unwrap();
                 for (lane, a) in refs.iter_mut().enumerate() {
                     let ra = a.prepare(d).unwrap();
-                    let rb = b.response(&op, lane);
+                    let rb = b.response(op, lane);
                     assert!(
                         (ra.r0 - rb.r0).abs() < 1e-9 * ra.r0.abs().max(1.0),
                         "lane {lane}, station {station}: r0 {} vs {}",
@@ -796,7 +919,7 @@ mod tests {
                     assert!((ra.sens - rb.sens).abs() < 1e-9 * ra.sens);
                     a.commit(flux(lane));
                 }
-                b.commit(&op, &fluxes);
+                b.commit(op, &fluxes);
             }
             for (lane, a) in refs.iter().enumerate() {
                 for (ca, cb) in a.reactant().iter().zip(b.reactant(lane)) {
@@ -809,52 +932,210 @@ mod tests {
         }
     }
 
+    /// One operator built alone, with the arithmetic the block must
+    /// reproduce: bands, factor, unit-wall-flux response and surface
+    /// sensitivity.
+    fn one_operator(
+        velocity: &[f64],
+        dx: f64,
+        dy: f64,
+        d: f64,
+    ) -> Result<(TridiagonalFactorization, Vec<f64>, f64), FlowCellError> {
+        check_diffusivity(d)?;
+        let ny = velocity.len();
+        let (mut lower, mut diag, mut upper) =
+            (vec![0.0; ny - 1], vec![0.0; ny], vec![0.0; ny - 1]);
+        stamp_bands(velocity, dx, dy, d, &mut lower, &mut diag, &mut upper);
+        let fac = TridiagonalFactorization::factor(&lower, &diag, &upper)?;
+        let mut sens = vec![0.0; ny];
+        sens[0] = 1.0 / dy;
+        fac.solve_in_place(&mut sens)?;
+        let surface = sens[0] + dy / (2.0 * d);
+        Ok((fac, sens, surface))
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}, row {i}: {g} vs {w}");
+        }
+    }
+
     #[test]
     fn refreshed_op_matches_fresh_build_bitwise() {
-        // A refreshed operator must be indistinguishable from one built
-        // cold at the new coefficients: same factorization, same
-        // sensitivity, same marching behaviour.
+        // A re-stamped block must be indistinguishable from one built
+        // cold at the new coefficients: same rows, same sensitivity as a
+        // lone operator, same marching behaviour as the reference.
         let dx = 22e-3 / 60.0;
         let dy = 100e-6 / 48.0;
         let slow: Vec<f64> = (0..48).map(|j| 0.8 + 0.01 * j as f64).collect();
         let fast: Vec<f64> = slow.iter().map(|u| u * 2.5).collect();
-        let mut op = TransportOp::new(&slow, dx, dy, 1.26e-10).unwrap();
-        // Flow change (velocity rescale), then a diffusivity change.
+        let mut block = OpBlock::new();
+        block.stamp(&slow, dx, dy, &[1.26e-10, 3e-10]).unwrap();
+        // Flow change (velocity rescale), then a diffusivity change with
+        // fewer operators: both re-stamp the existing storage.
         for (v, d) in [(&fast, 1.26e-10), (&slow, 4.13e-10)] {
-            op.refresh(v, dx, dy, d).unwrap();
-            let fresh = TransportOp::new(v, dx, dy, d).unwrap();
-            assert_eq!(op.fac, fresh.fac);
-            assert_eq!(op.sensitivity, fresh.sensitivity);
-            assert_eq!(op.sens_surface.to_bits(), fresh.sens_surface.to_bits());
-            assert_eq!(op.diffusivity(), d);
+            block.stamp(v, dx, dy, &[d]).unwrap();
+            assert_eq!((block.len(), block.capacity()), (1, 2));
+            let mut fresh = OpBlock::new();
+            fresh.stamp(v, dx, dy, &[d]).unwrap();
+            let (op, cold) = (block.op(0), fresh.op(0));
+            assert_bits(op.inv_beta, cold.inv_beta, "pivots");
+            assert_bits(&op.c_prime[..47], &cold.c_prime[..47], "c'");
+            assert_bits(op.sensitivity, cold.sensitivity, "sensitivity");
+            let (_, sens, surface) = one_operator(v, dx, dy, d).unwrap();
+            assert_bits(op.sensitivity, &sens, "lone operator's sensitivity");
+            assert_eq!(op.sens_surface.to_bits(), surface.to_bits());
+            assert_eq!(op.off.to_bits(), (-(d / (dy * dy))).to_bits());
+            // And it marches like the from-scratch reference.
+            let mut reference =
+                HalfCellMarcher::new(100e-6, 22e-3, 60, v.clone(), 2000.0, 1.0).unwrap();
+            let mut lane = LaneMarcher::new(100e-6, 22e-3, 60, v, 2000.0, 1.0, 1).unwrap();
+            for _ in 0..20 {
+                let ra = reference.prepare(d).unwrap();
+                lane.advance(op).unwrap();
+                let rb = lane.response(op, 0);
+                assert!((ra.r0 - rb.r0).abs() < 1e-9 * ra.r0, "{} vs {}", ra.r0, rb.r0);
+                assert!((ra.sens - rb.sens).abs() < 1e-9 * ra.sens);
+                reference.commit(2e-3);
+                lane.commit(op, &[2e-3]);
+            }
         }
-        // Wrong-sized profiles and bad diffusivities are rejected.
-        assert!(op.refresh(&slow[..20], dx, dy, 1e-10).is_err());
-        assert!(op.refresh(&slow, dx, dy, 0.0).is_err());
-        assert!(op.refresh(&slow, dx, dy, f64::NAN).is_err());
+        // Bad diffusivities are rejected.
+        assert!(block.stamp(&slow, dx, dy, &[0.0]).is_err());
+        assert!(block.stamp(&slow, dx, dy, &[f64::NAN]).is_err());
     }
 
     #[test]
     fn transport_op_validates() {
-        assert!(TransportOp::new(&[1.0; 8], 1e-3, 1e-5, 0.0).is_err());
-        assert!(TransportOp::new(&[1.0; 8], 1e-3, 1e-5, f64::NAN).is_err());
-        let op = TransportOp::new(&[1.0; 8], 1e-3, 1e-5, 1e-10).unwrap();
+        let mut block = OpBlock::new();
+        assert!(block.stamp(&[1.0; 8], 1e-3, 1e-5, &[0.0]).is_err());
+        assert!(block.stamp(&[1.0; 8], 1e-3, 1e-5, &[f64::NAN]).is_err());
+        assert!(block.stamp(&[], 1e-3, 1e-5, &[1e-10]).is_err());
+        block.stamp(&[1.0; 8], 1e-3, 1e-5, &[1e-10]).unwrap();
         for lanes in [1, 4] {
             let mut m = LaneMarcher::new(100e-6, 22e-3, 4, &[1.5; 16], 2000.0, 1.0, lanes).unwrap();
             // Mismatched operator size is rejected.
-            assert!(m.advance(&op).is_err());
+            assert!(m.advance(block.op(0)).is_err());
             // Matching ny/dy but a different station spacing is rejected
-            // too (dx is baked into the factored bands).
+            // too (dx is baked into the factored rows).
             let mut m32 =
                 LaneMarcher::new(100e-6, 22e-3, 40, &[1.5; 32], 2000.0, 1.0, lanes).unwrap();
-            let wrong_dx =
-                TransportOp::new(&vec![1.5; 32], m32.dx() * 2.0, 100e-6 / 32.0, 1e-10).unwrap();
-            assert!(m32.advance(&wrong_dx).is_err());
+            let mut wrong_dx = OpBlock::new();
+            wrong_dx
+                .stamp(&[1.5; 32], m32.dx() * 2.0, 100e-6 / 32.0, &[1e-10])
+                .unwrap();
+            assert!(m32.advance(wrong_dx.op(0)).is_err());
         }
         // A lane marcher validates its stream like the reference marcher
         // and needs at least one lane.
         assert!(LaneMarcher::new(1e-4, 1e-2, 10, &[1.0; 3], 1.0, 1.0, 1).is_err());
         assert!(LaneMarcher::new(1e-4, 1e-2, 10, &[1.0; 8], 1.0, 1.0, 0).is_err());
+    }
+
+    /// A deterministic value in `[-0.5, 0.5)` for `(seed, i, salt)`.
+    fn noise(seed: u64, i: u64, salt: u64) -> f64 {
+        let x = i
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(seed ^ salt.wrapping_mul(0x9E3779B97F4A7C15));
+        ((x >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+    }
+
+    /// Operator counts around the tile width: a partial tile, whole
+    /// tiles, and whole tiles plus a remainder.
+    const OP_COUNTS: [usize; 6] = [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 2, TILE];
+
+    proptest! {
+        #[test]
+        fn op_block_matches_one_operator_builds_bitwise(
+            ny in 4usize..97,
+            seed in 0u64..1_000_000,
+            dominant in 0u8..2,
+        ) {
+            // A non-negative profile gives diagonally dominant bands; a
+            // signed one gives random bands, whose pivots can shrink or
+            // change sign.
+            let dx = 22e-3 / 220.0;
+            let dy = 100e-6 / ny as f64;
+            let velocity: Vec<f64> = (0..ny)
+                .map(|j| {
+                    let u = 3.0 * noise(seed, j as u64, 1);
+                    if dominant == 1 { u.abs() } else { u }
+                })
+                .collect();
+            let adv: Vec<f64> = velocity.iter().map(|u| u / dx).collect();
+            let width = 5;
+            let rhs: Vec<f64> = (0..ny * width)
+                .map(|i| 2000.0 * (noise(seed, i as u64, 2) + 0.5))
+                .collect();
+            // One block re-stamped through every count: growth, and
+            // re-stamps in place.
+            let mut block = OpBlock::new();
+            for (round, ops) in OP_COUNTS.into_iter().enumerate() {
+                let ds: Vec<f64> = (0..ops)
+                    .map(|k| 1e-10 * (1.0 + 8.0 * (noise(seed, (round * 64 + k) as u64, 3) + 0.5)))
+                    .collect();
+                let lone: Result<Vec<_>, FlowCellError> =
+                    ds.iter().map(|&d| one_operator(&velocity, dx, dy, d)).collect();
+                let stamped = block.stamp(&velocity, dx, dy, &ds);
+                let lone = match (stamped, lone) {
+                    (Ok(()), Ok(lone)) => lone,
+                    (Err(got), Err(want)) => {
+                        prop_assert_eq!(got, want);
+                        continue;
+                    }
+                    (got, want) => panic!("block {got:?} vs lone operators {:?}", want.map(|_| ())),
+                };
+                prop_assert_eq!(block.len(), ops);
+                for (k, (fac, sens, surface)) in lone.iter().enumerate() {
+                    let op = block.op(k);
+                    let what = format!("ny {ny}, {ops} ops, op {k}");
+                    assert_bits(op.sensitivity, sens, &what);
+                    prop_assert_eq!(op.sens_surface.to_bits(), surface.to_bits(), "{}", what);
+                    let mut want = rhs.clone();
+                    for (row, a) in want.chunks_exact_mut(width).zip(&adv) {
+                        for c in row {
+                            *c *= a;
+                        }
+                    }
+                    fac.solve_lanes_in_place(&mut want, width).unwrap();
+                    let mut got = rhs.clone();
+                    op.solve_lanes(&adv, &mut got, width);
+                    assert_bits(&got, &want, &what);
+                }
+            }
+        }
+
+        #[test]
+        fn op_block_reports_the_first_failing_operator(
+            ny in 4usize..97,
+            seed in 0u64..1_000_000,
+            count in 0usize..5,
+            first in 0usize..64,
+            second in 0usize..64,
+            kind in 0u8..4,
+        ) {
+            // A profile with one stagnant row: a subnormal diffusivity
+            // makes that row's pivot underflow.
+            let stagnant = (seed as usize) % ny;
+            let velocity: Vec<f64> = (0..ny)
+                .map(|j| if j == stagnant { 0.0 } else { 0.5 + noise(seed, j as u64, 1) + 0.5 })
+                .collect();
+            let (dx, dy) = (22e-3 / 220.0, 1.0);
+            let ops = OP_COUNTS[count];
+            let mut ds: Vec<f64> =
+                (0..ops).map(|k| 1e-10 * (1.5 + noise(seed, k as u64, 3))).collect();
+            let failing = |kind: u8| [0.0, f64::NAN, -1e-10, 1e-320][usize::from(kind % 4)];
+            ds[first % ops] = failing(kind);
+            ds[second % ops] = failing(kind + 1);
+            let lone: Result<Vec<_>, FlowCellError> =
+                ds.iter().map(|&d| one_operator(&velocity, dx, dy, d)).collect();
+            let Err(want) = lone else { panic!("a planted operator must fail alone") };
+            let mut block = OpBlock::new();
+            let got = block.stamp(&velocity, dx, dy, &ds).unwrap_err();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(block.len(), (first % ops).min(second % ops));
+        }
     }
 
     #[test]

@@ -7,18 +7,27 @@
 //! unevenly sized work still balances, results come back in input
 //! order, and a worker count of 1 runs inline on the caller's thread
 //! with zero overhead. [`join`] runs two independent tasks side by side
-//! (the co-simulation's PDN solve beside its thermal stage).
+//! (the co-simulation's PDN solve beside its thermal stage), and a task
+//! of a spawning join fans out over only its share of the cores.
 //! [`worker_count`] is the one worker-count policy.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+thread_local! {
+    // The cores a task of a spawning `join` may fan out over on this
+    // thread; `None` outside such a task.
+    static SHARE: Cell<Option<usize>> = const { Cell::new(None) };
+}
 
 /// Worker count for a fan-out over `items` elements: the machine's
 /// available parallelism, capped by the item count and by the
 /// `BRIGHT_SWEEP_THREADS` environment variable when set. Every fan-out
 /// in the workspace (scenario sweeps, channel solves) uses this one
 /// policy, so `BRIGHT_SWEEP_THREADS=1` serializes *all* of them — nested
-/// fan-outs included.
+/// fan-outs included. Inside a task of a [`join`] that spawned, the
+/// count is capped by that task's share of the cores as well.
 #[must_use]
 pub fn worker_count(items: usize) -> usize {
     let hw = std::thread::available_parallelism()
@@ -29,7 +38,21 @@ pub fn worker_count(items: usize) -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(usize::MAX)
         .max(1);
-    hw.min(cap).min(items).max(1)
+    let share = SHARE.with(Cell::get).unwrap_or(usize::MAX);
+    hw.min(cap).min(share).min(items).max(1)
+}
+
+/// Runs `task` with this thread's [`worker_count`] capped at `share`,
+/// restoring the previous cap when `task` returns or unwinds.
+fn with_share<R>(share: usize, task: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SHARE.with(|cell| cell.set(self.0));
+        }
+    }
+    let _restore = Restore(SHARE.with(|cell| cell.replace(Some(share))));
+    task()
 }
 
 /// Applies `f(index, item)` to every item using `workers` threads,
@@ -82,6 +105,11 @@ where
 /// `BRIGHT_SWEEP_THREADS=1` serializes the pair like every fan-out. A
 /// fault-plan override scoped on the caller also governs `b`.
 ///
+/// When the pair is threaded, each task sees half the caller's
+/// [`worker_count`] (at least one), so a fan-out inside a task does not
+/// fight the other task for the cores. The caller's count is back once
+/// `a` returns or unwinds.
+///
 /// # Panics
 ///
 /// Re-raises a panic of either task with that panic's own payload; when
@@ -97,15 +125,16 @@ where
         return (ra, b());
     }
     let fault_override = crate::faults::thread_override();
+    let share = (worker_count(usize::MAX) / 2).max(1);
     // The scope joins `b` before it returns, and re-raises a panic of
     // `a` with its payload after that; `b`'s panic is taken from its
     // handle so it keeps its payload too.
     let (ra, rb) = std::thread::scope(|scope| {
         let handle = scope.spawn(move || {
             crate::faults::set_thread_override(fault_override);
-            b()
+            with_share(share, b)
         });
-        let ra = a();
+        let ra = with_share(share, a);
         (ra, handle.join())
     });
     match rb {
@@ -366,6 +395,49 @@ mod tests {
             });
             assert!(!a && !b, "{workers} workers: injection forced off in both");
         }
+    }
+
+    #[test]
+    fn join_tasks_fan_out_over_half_the_callers_cores() {
+        let n = worker_count(usize::MAX);
+        let half = (n / 2).max(1);
+        let seen = join(2, || worker_count(usize::MAX), || worker_count(usize::MAX));
+        assert_eq!(seen, (half, half), "{n} cores before the join");
+        // A nested spawning join halves the task's share again.
+        let nested = join(
+            2,
+            || join(2, || worker_count(usize::MAX), || worker_count(usize::MAX)),
+            || (),
+        );
+        assert_eq!(nested.0, ((half / 2).max(1), (half / 2).max(1)));
+        // An inline join leaves the count alone.
+        assert_eq!(join(1, || worker_count(usize::MAX), || worker_count(usize::MAX)), (n, n));
+        assert_eq!(worker_count(usize::MAX), n, "the count is back after the join");
+    }
+
+    #[test]
+    fn join_share_is_restored_after_a_caught_panic() {
+        let n = worker_count(usize::MAX);
+        for workers in [1, 2] {
+            let in_a = std::panic::catch_unwind(|| join(workers, || panic!("a"), || ()));
+            assert!(in_a.is_err());
+            assert_eq!(worker_count(usize::MAX), n, "{workers} workers, panic in a");
+            let in_b = std::panic::catch_unwind(|| join(workers, || (), || panic!("b")));
+            assert!(in_b.is_err());
+            assert_eq!(worker_count(usize::MAX), n, "{workers} workers, panic in b");
+        }
+        // A panic caught inside a task leaves that task's share standing
+        // and the caller's count intact afterwards.
+        let inside = join(
+            2,
+            || {
+                let caught = std::panic::catch_unwind(|| join(2, || panic!("inner"), || ()));
+                (caught.is_err(), worker_count(usize::MAX))
+            },
+            || (),
+        );
+        assert_eq!(inside.0, (true, (n / 2).max(1)));
+        assert_eq!(worker_count(usize::MAX), n);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! tridiagonal system, making this kernel the hottest numerical path of the
 //! polarization sweeps. A sweep marches all of its voltages through a
 //! station together, so the station's factored operator back-substitutes
-//! every voltage's fields in one multi-lane pass
-//! ([`TridiagonalFactorization::solve_lanes_in_place`]).
+//! every voltage's fields in one multi-lane pass. The flow cell keeps its
+//! station operators in a block of its own, and
+//! [`TridiagonalFactorization`] with
+//! [`TridiagonalFactorization::solve_lanes_in_place`] is the reference
+//! whose bits that block reproduces.
 
 use crate::NumError;
 
@@ -179,7 +182,9 @@ impl TridiagonalSystem {
 /// at every station of every sweep point; factoring once and reusing the
 /// factorization turns each solve into a forward/backward substitution
 /// with no divisions, which is the amortized-assembly counterpart of
-/// [`TridiagonalWorkspace`].
+/// [`TridiagonalWorkspace`]. The flow cell's operator block performs this
+/// factor's and these solves' exact arithmetic, and is tested against
+/// them.
 ///
 /// # Examples
 ///
@@ -213,37 +218,6 @@ impl TridiagonalFactorization {
     /// * [`NumError::SingularMatrix`] if a pivot underflows.
     pub fn factor(lower: &[f64], diag: &[f64], upper: &[f64]) -> Result<Self, NumError> {
         let n = diag.len();
-        let mut fac = Self {
-            lower: vec![0.0; n.saturating_sub(1)],
-            inv_beta: vec![0.0; n],
-            c_prime: vec![0.0; n],
-        };
-        fac.refactor(lower, diag, upper)?;
-        Ok(fac)
-    }
-
-    /// Re-eliminates the factorization in place for new band values of
-    /// the **same size** — no allocation. The arithmetic is identical to
-    /// [`TridiagonalFactorization::factor`], so a refactored
-    /// factorization is bitwise-equal to a freshly factored one. This is
-    /// the hook behind coefficient refreshes in `bright-flowcell`: the
-    /// operator's storage (its "symbolic" structure) survives value
-    /// changes.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumError::DimensionMismatch`] for inconsistent band lengths or
-    ///   a size different from the existing factorization,
-    /// * [`NumError::SingularMatrix`] if a pivot underflows (the
-    ///   factorization is left in an unspecified state and must be
-    ///   refactored before use).
-    pub fn refactor(
-        &mut self,
-        lower: &[f64],
-        diag: &[f64],
-        upper: &[f64],
-    ) -> Result<(), NumError> {
-        let n = diag.len();
         if n == 0 || lower.len() + 1 != n || upper.len() + 1 != n {
             return Err(NumError::DimensionMismatch(format!(
                 "bands must have lengths (n-1, n, n-1) with n > 0; got ({}, {}, {})",
@@ -252,32 +226,31 @@ impl TridiagonalFactorization {
                 upper.len()
             )));
         }
-        if self.inv_beta.len() != n {
-            return Err(NumError::DimensionMismatch(format!(
-                "refactor size {n} != factored system size {}",
-                self.inv_beta.len()
-            )));
-        }
+        let mut inv_beta = vec![0.0; n];
+        let mut c_prime = vec![0.0; n];
         let mut beta = diag[0];
         if beta.abs() < f64::MIN_POSITIVE * 16.0 {
             return Err(NumError::SingularMatrix { index: 0 });
         }
-        self.inv_beta[0] = 1.0 / beta;
+        inv_beta[0] = 1.0 / beta;
         if n > 1 {
-            self.c_prime[0] = upper[0] * self.inv_beta[0];
+            c_prime[0] = upper[0] * inv_beta[0];
         }
         for i in 1..n {
-            beta = diag[i] - lower[i - 1] * self.c_prime[i - 1];
+            beta = diag[i] - lower[i - 1] * c_prime[i - 1];
             if beta.abs() < f64::MIN_POSITIVE * 16.0 {
                 return Err(NumError::SingularMatrix { index: i });
             }
-            self.inv_beta[i] = 1.0 / beta;
+            inv_beta[i] = 1.0 / beta;
             if i < n - 1 {
-                self.c_prime[i] = upper[i] * self.inv_beta[i];
+                c_prime[i] = upper[i] * inv_beta[i];
             }
         }
-        self.lower.copy_from_slice(lower);
-        Ok(())
+        Ok(Self {
+            lower: lower.to_vec(),
+            inv_beta,
+            c_prime,
+        })
     }
 
     /// Number of unknowns.
@@ -432,33 +405,6 @@ impl TridiagonalWorkspace {
 mod tests {
     use super::*;
     use crate::vec_ops::{norm_inf, sub};
-
-    #[test]
-    fn refactor_matches_fresh_factor_bitwise() {
-        let n = 32;
-        let bands = |shift: f64| {
-            let lower: Vec<f64> = (0..n - 1).map(|i| -(1.0 + (i as f64 + shift) * 0.01)).collect();
-            let upper: Vec<f64> = (0..n - 1).map(|i| -(1.1 + (i as f64 - shift) * 0.02)).collect();
-            let diag: Vec<f64> = (0..n).map(|i| 4.0 + shift + (i as f64 * 0.13).sin()).collect();
-            (lower, diag, upper)
-        };
-        let (l0, d0, u0) = bands(0.0);
-        let mut fac = TridiagonalFactorization::factor(&l0, &d0, &u0).unwrap();
-        for shift in [0.5, -0.25, 2.0] {
-            let (l, d, u) = bands(shift);
-            fac.refactor(&l, &d, &u).unwrap();
-            let fresh = TridiagonalFactorization::factor(&l, &d, &u).unwrap();
-            assert_eq!(fac, fresh, "refactor must match a cold factor bitwise");
-            let mut x = vec![1.0; n];
-            let mut y = vec![1.0; n];
-            fac.solve_in_place(&mut x).unwrap();
-            fresh.solve_in_place(&mut y).unwrap();
-            assert_eq!(x, y);
-        }
-        // Size mismatches are rejected.
-        assert!(fac.refactor(&l0[..n - 2], &d0[..n - 1], &u0[..n - 2]).is_err());
-        assert!(fac.refactor(&l0, &d0[..n - 1], &u0).is_err());
-    }
 
     #[test]
     fn solves_poisson_exactly() {

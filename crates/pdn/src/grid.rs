@@ -10,11 +10,10 @@
 //! CSR split and never changes afterwards
 //! ([`PowerGrid::set_power_density`] touches only the RHS). The library
 //! solves it one way: one cached banded Cholesky factor
-//! ([`PowerGrid::solve_direct`]), with [`PowerGrid::solve_direct_loads`]
-//! solving many loads per pass over it and
-//! [`PowerGrid::min_voltages_direct`] reducing each of many loads to its
-//! worst cell in the same passes. The co-simulation, the yield solve and
-//! Monte Carlo studies all use it.
+//! ([`PowerGrid::solve_direct`]), with
+//! [`PowerGrid::min_voltages_direct`] solving many loads per pass over
+//! it and reducing each to its worst cell. The co-simulation, the yield
+//! solve and Monte Carlo studies all use it.
 //!
 //! The preconditioned-CG path ([`PowerGrid::solve`],
 //! [`PowerGrid::solve_warm`] through a [`SolverSession`]) remains as the
@@ -75,7 +74,7 @@ pub struct PdnSolution {
     sink_current: Field2d,
 }
 
-/// Loads one [`PowerGrid::solve_direct_loads`] sweep carries as lanes.
+/// Loads one [`PowerGrid::min_voltages_direct`] sweep carries as lanes.
 /// Sixteen keeps a lane group's rows of the factor's band window in
 /// cache while streaming the factor once per group; measured on the
 /// 106×85 Fig. 8 sheet, wider groups gain nothing. Callers that gather
@@ -374,8 +373,9 @@ impl PowerGrid {
     /// the one-time `O(n·bw²)` factor, each solve is two triangular
     /// sweeps — no iteration, no preconditioner, and exactly
     /// reproducible regardless of what was solved before. It is the
-    /// one-load case of [`PowerGrid::solve_direct_loads`], with the
-    /// currently stamped load.
+    /// one-load case of the sweeps behind
+    /// [`PowerGrid::min_voltages_direct`], with the currently stamped
+    /// load.
     ///
     /// On the 106×85 Fig. 8 sheet (2-vCPU host) the factor costs about
     /// 30 ms and each solve 2–4 ms, against 23–24 ms for a cold CG
@@ -390,40 +390,25 @@ impl PowerGrid {
     /// assembled system is always SPD, so this indicates a bug or a
     /// fault-injection event).
     pub fn solve_direct(&self) -> Result<PdnSolution, PdnError> {
-        let mut solved = self.solve_direct_sinks(vec![self.sink_current.clone()])?;
-        Ok(solved.pop().expect("one load in, one solution out"))
-    }
-
-    /// Solves the grid under each power-density map (W/m² on this
-    /// grid) through the cached direct factor, leaving the stamped load
-    /// untouched. Each map's solution is bitwise equal to
-    /// [`PowerGrid::set_power_density`] followed by
-    /// [`PowerGrid::solve_direct`]; the maps are solved [`LANE_GROUP`]
-    /// at a time as the lanes of one
-    /// [`BandedCholesky::solve_lanes_in_place`] sweep, so the factor is
-    /// streamed once per group instead of once per map.
-    ///
-    /// # Errors
-    ///
-    /// [`PdnError::GridMismatch`] / [`PdnError::InvalidConfig`] for the
-    /// first bad map, as in [`PowerGrid::set_power_density`];
-    /// [`PdnError::Numerical`] as in [`PowerGrid::solve_direct`].
-    pub fn solve_direct_loads(
-        &self,
-        power_densities: &[Field2d],
-    ) -> Result<Vec<PdnSolution>, PdnError> {
-        let sinks = power_densities
-            .iter()
-            .map(|p| sink_current_for(&self.grid, self.supply, p))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.solve_direct_sinks(sinks)
+        let mut voltage = Vec::new();
+        self.solve_lanes(
+            1,
+            |_, rhs| {
+                self.stamp_rhs(self.sink_current.as_slice(), rhs);
+                Ok(())
+            },
+            |lane| voltage = lane.copied().collect(),
+        )?;
+        Ok(self.solution(voltage, self.sink_current.clone()))
     }
 
     /// The minimum rail voltage under each rail load on `plan`, through
     /// the cached direct factor: each bitwise equal to
-    /// [`PdnSolution::min_voltage`] of that load's rasterized map solved
-    /// by [`PowerGrid::solve_direct_loads`]. The loads are solved
-    /// [`LANE_GROUP`] at a time in the same sweeps, but each is
+    /// [`PdnSolution::min_voltage`] of that load's rasterized map after
+    /// [`PowerGrid::set_power_density`] and [`PowerGrid::solve_direct`].
+    /// The loads are solved [`LANE_GROUP`] at a time as the lanes of one
+    /// [`BandedCholesky::solve_lanes_in_place`] sweep, so the factor is
+    /// streamed once per group instead of once per load. Each load is
     /// rasterized onto this grid only as it is stamped into its lane, and
     /// each lane is reduced to its minimum in place, so the call holds
     /// one group's lane block and no map per load. This is the Monte
@@ -481,9 +466,27 @@ impl PowerGrid {
             .map_err(Clone::clone)
     }
 
-    /// The direct solves behind [`PowerGrid::solve_direct_loads`]: each
-    /// lane becomes its load's voltage map.
-    fn solve_direct_sinks(&self, sinks: Vec<Field2d>) -> Result<Vec<PdnSolution>, PdnError> {
+    /// Solves the grid under each power-density map (W/m² on this
+    /// grid) through the cached direct factor in lane groups, leaving
+    /// the stamped load untouched: the tests' reference for
+    /// [`PowerGrid::min_voltages_direct`]. Each map's solution is
+    /// bitwise equal to [`PowerGrid::set_power_density`] followed by
+    /// [`PowerGrid::solve_direct`].
+    ///
+    /// # Errors
+    ///
+    /// [`PdnError::GridMismatch`] / [`PdnError::InvalidConfig`] for the
+    /// first bad map, as in [`PowerGrid::set_power_density`];
+    /// [`PdnError::Numerical`] as in [`PowerGrid::solve_direct`].
+    #[cfg(test)]
+    fn solve_direct_loads(
+        &self,
+        power_densities: &[Field2d],
+    ) -> Result<Vec<PdnSolution>, PdnError> {
+        let sinks = power_densities
+            .iter()
+            .map(|p| sink_current_for(&self.grid, self.supply, p))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut voltages = Vec::with_capacity(sinks.len());
         self.solve_lanes(
             sinks.len(),

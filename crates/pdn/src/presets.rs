@@ -57,57 +57,9 @@ pub fn power7_cache_rail() -> Result<PowerGrid, PdnError> {
     )
 }
 
-/// The Fig. 8 cache rail at `scale`× finer resolution in both plane
-/// directions (`scale = 1` is [`power7_cache_rail`]): same die, load
-/// and port array, only smaller cells. `scale = 8` gives an
-/// `848 × 680 ≈ 577k`-unknown sheet — the regime where
-/// [`PowerGrid::preferred_preconditioner`] switches the session to the
-/// geometric-multigrid V-cycle.
-///
-/// # Errors
-///
-/// [`PdnError::InvalidConfig`] for `scale = 0` (and construction errors
-/// as in [`power7_cache_rail`], which cannot occur for the encoded
-/// constants).
-pub fn power7_cache_rail_scaled(scale: usize) -> Result<PowerGrid, PdnError> {
-    if scale == 0 {
-        return Err(PdnError::InvalidConfig(
-            "preset scale must be at least 1".into(),
-        ));
-    }
-    let plan = power7::floorplan();
-    let grid = Grid2d::from_extent(
-        plan.width().value(),
-        plan.height().value(),
-        FIG8_NX * scale,
-        FIG8_NY * scale,
-    )
-    .map_err(|e| PdnError::InvalidConfig(e.to_string()))?;
-    let load = PowerScenario::cache_only()
-        .rasterize(&plan, &grid)
-        .map_err(|e| PdnError::InvalidConfig(e.to_string()))?;
-    PowerGrid::new(
-        grid,
-        CACHE_RAIL_SHEET_RESISTANCE,
-        Volt::new(1.0),
-        PORT_RESISTANCE,
-        &PortLayout::UniformArray { pitch: PORT_PITCH },
-        &load,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scaled_rail_refines_the_sheet() {
-        let pg = power7_cache_rail_scaled(2).unwrap();
-        // Same physical load at finer resolution.
-        let i = pg.total_sink_current().value();
-        assert!(i > 2.0 && i < 2.8, "I = {i} A");
-        assert!(power7_cache_rail_scaled(0).is_err());
-    }
 
     #[test]
     fn fig8_droop_range() {
