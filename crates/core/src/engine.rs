@@ -1427,7 +1427,6 @@ mod tests {
             reports
                 .last()
                 .map(|r| r.precond.as_str())
-                .map(|p| if p.starts_with("mg(") { "multigrid" } else { p })
                 .unwrap(),
             "{stats:?}"
         );

@@ -24,33 +24,24 @@
 //! engine's caches and sessions. Run the file under
 //! `BRIGHT_SWEEP_THREADS=1` and `=4` to check that the per-column
 //! fan-out and the PDN solve beside the thermal stage do not matter
-//! either. A forced multigrid thermal preconditioner has a second
-//! recorded set.
+//! either.
 //!
 //! The values were recorded once and are not edited, with one
 //! exception. When `run()` moved its cache-rail solve from warm-started
 //! CG to the cached banded factor that `run_yield()` already used,
-//! `RUN`, `RUN_MG` and the run halves of `YIELD_THEN_RUN` and
-//! `YIELD_THEN_RUN_MG` were re-recorded once. That move changes only the
-//! four PDN fields: `RUN_WITHOUT_PDN` and `RUN_WITHOUT_PDN_MG`, recorded
-//! before it, still hold, and
+//! `RUN` and the run half of `YIELD_THEN_RUN` were re-recorded once.
+//! That move changes only the four PDN fields: `RUN_WITHOUT_PDN`,
+//! recorded before it, still holds, and
 //! `run_pdn_fields_match_a_cold_iterative_solve` bounds how far the four
 //! fields moved.
 
 use bright_core::{CoSimulation, Scenario, YieldReport};
 use bright_floorplan::PowerScenario;
+use bright_jsonio::checksummed::fnv1a64;
 use bright_jsonio::Value;
 use bright_mesh::Grid2d;
 use bright_pdn::{PdnSolution, PowerGrid};
-use bright_num::PrecondSpec;
 use bright_units::{CubicMetersPerSecond, Kelvin, Meters};
-
-/// FNV-1a (64-bit) over a byte stream.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 fn hex(x: f64) -> String {
     format!("{:016x}", x.to_bits())
@@ -103,7 +94,7 @@ fn walk(mut visit: impl FnMut(&mut CoSimulation) -> String) -> Vec<String> {
 /// `fnv1a len` of the report JSON.
 fn run_line(sim: &mut CoSimulation) -> String {
     let json = sim.run().expect("run").to_json().to_json_string();
-    format!("{} {}", fnv1a(json.bytes()), json.len())
+    format!("{} {}", fnv1a64(json.as_bytes()), json.len())
 }
 
 /// The four report fields that carry the PDN solve.
@@ -124,7 +115,7 @@ fn run_line_without_pdn(sim: &mut CoSimulation) -> String {
         assert!(fields.remove(key).is_some(), "report lacks `{key}`");
     }
     let json = json.to_json_string();
-    format!("{} {}", fnv1a(json.bytes()), json.len())
+    format!("{} {}", fnv1a64(json.as_bytes()), json.len())
 }
 
 /// The eight scalars' bits, then the junction map's digest.
@@ -139,13 +130,14 @@ fn yield_line(r: &YieldReport) -> String {
         r.pressure_drop.value(),
         r.pumping_power.value(),
     ];
-    let junction = r
+    let junction: Vec<u8> = r
         .junction_map
         .as_slice()
         .iter()
-        .flat_map(|v| v.to_bits().to_le_bytes());
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
     let mut line = scalars.map(hex).join(" ");
-    line.push_str(&format!(" {}", fnv1a(junction)));
+    line.push_str(&format!(" {}", fnv1a64(&junction)));
     line
 }
 
@@ -209,82 +201,18 @@ const RUN_WITHOUT_PDN: &[&str] = &[
     "5120424515041443389 19303",
 ];
 
-/// The same walks with the thermal preconditioner forced to multigrid
-/// (`BRIGHT_PRECOND=multigrid`, the forced-multigrid CI leg): the forced
-/// V-cycle takes other Krylov iterates, so the reports carry other bits.
-/// Recorded once, like the default set, and never edited.
-const RUN_MG: &[&str] = &[
-    "15203190973029091281 189687",
-    "14983033572986424083 189492",
-    "10068692978894130157 189507",
-    "9147205247940655273 189498",
-    "1786764992782689212 189505",
-    "13344709112189932592 189512",
-    "12925067252829718241 189655",
-    "13752409825706293260 220372",
-    "7616734220515943361 220367",
-    "15203190973029091281 189687",
-];
-
-const YIELD_MG: &[&str] = &[
-    "4051d115d7c513c3 40734bd9a32c71e0 4072d82bfe06f12c 40103f313c8fc771 40103f313c8fc771 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15692240635291529104",
-    "4051d115d7c513c3 4074728563f7bc88 4074146b8ee19f6e 3ffee22ca5100887 3ffee22ca5100887 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 9934671517506345571",
-    "4051d115d7c513c3 407513cd2f40f593 4074b6d1f54807f2 4001d58ef69c008d 4001d58ef69c008d 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8613222838237698243",
-    "4051d115d7c513c3 407513cd2f40f593 4074b6d1f54807f2 3ffe2737c812573c 3ffe2737c812573c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8613222838237698243",
-    "4051d115d7c513c3 40750d19bacc71fd 4074b6d1f547ffc8 40031d039779f865 40031d039779f865 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 9378425090149933313",
-    "4051d115d7c513c3 40750d19bacc71fd 4074b6d1f547ffc8 40031a913606c18c 40031a913606c18c 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 9378425090149933313",
-    "4051d115d7c513c3 4073fc1cb7cf2e8e 40738b401b62c506 400fa1ca9da39260 400fa1ca9da39260 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 2402060425328900204",
-    "405225cb46bacf75 4073fd31b5e258ae 40738c0253f75137 400fa3113d51bbfa 400fa3113d51bbfa 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 5383186500193283149",
-    "405225cb46bacf75 4073fd31b5e258ae 40738c0253f75137 400fa3e4b75057a7 400fa3e4b75057a7 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 5383186500193283149",
-    "4051d115d7c513c3 40734bd9a32c71e0 4072d82bfe06f12c 40103f313c8fc771 40103f313c8fc771 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15692240635291529104",
-];
-
-const YIELD_THEN_RUN_MG: &[&str] = &[
-    "4051d115d7c513c3 40734bd9a32c71e0 4072d82bfe06f12c 40103f313c8fc771 40103f313c8fc771 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15692240635291529104 | 15203190973029091281 189687",
-    "4051d115d7c513c3 4074728563f6c05c 4074146b8ee19fcf 3ffee22ca5107d85 3ffee22ca5107d85 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 12113497288154398984 | 14983033572986424083 189492",
-    "4051d115d7c513c3 407513cd2f431c6f 4074b6d1f547ff42 4001d58ef69bf4ec 4001d58ef69bf4ec 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 16497359097273216509 | 10068692978894130157 189507",
-    "4051d115d7c513c3 407513cd2f431c6f 4074b6d1f547ff42 3ffe2737c812573c 3ffe2737c812573c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 16497359097273216509 | 9147205247940655273 189498",
-    "4051d115d7c513c3 40750d19bacd2328 4074b6d1f5482ee4 40031d03977a1b97 40031d03977a1b97 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 12416431025330491599 | 1786764992782689212 189505",
-    "4051d115d7c513c3 40750d19bacd2328 4074b6d1f5482ee4 40031a913606e4b8 40031a913606e4b8 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 12416431025330491599 | 13344709112189932592 189512",
-    "4051d115d7c513c3 4073fc1cb7d5243e 40738b401b62b5bf 400fa1ca9da37a7e 400fa1ca9da37a7e 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 2028058178875168991 | 12925067252829718241 189655",
-    "405225cb46bacf75 4073fd31b5e258ae 40738c0253f75137 400fa3113d51bbfa 400fa3113d51bbfa 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 5383186500193283149 | 13752409825706293260 220372",
-    "405225cb46bacf75 4073fd31b5e258ae 40738c0253f75137 400fa3e4b75057a7 400fa3e4b75057a7 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 5383186500193283149 | 7616734220515943361 220367",
-    "4051d115d7c513c3 40734bd9a32c71e0 4072d82bfe06f12c 40103f313c8fc771 40103f313c8fc771 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15692240635291529104 | 15203190973029091281 189687",
-];
-
-const RUN_WITHOUT_PDN_MG: &[&str] = &[
-    "2955233433761251696 19355",
-    "16611462510395604446 19160",
-    "11620108099129718420 19175",
-    "5705794923983346562 19166",
-    "14047085289726904531 19173",
-    "5933097921232009039 19180",
-    "14811554904530281302 19323",
-    "18224141563033373645 50040",
-    "7167387613664424088 50035",
-    "2955233433761251696 19355",
-];
-
-/// `true` when the library resolves a forced multigrid preconditioner
-/// for the thermal solve, which selects the `*_MG` pins.
-fn forced_multigrid() -> bool {
-    PrecondSpec::forced_or(1, 1, 1, PrecondSpec::ssor()).name() == "multigrid"
-}
-
 #[test]
 fn run_reports_keep_their_bits() {
-    let pins = if forced_multigrid() { RUN_MG } else { RUN };
-    assert_lines("run", &walk(run_line), pins);
+    assert_lines("run", &walk(run_line), RUN);
 }
 
 #[test]
 fn run_reports_keep_their_bits_outside_the_pdn_fields() {
-    let pins = if forced_multigrid() {
-        RUN_WITHOUT_PDN_MG
-    } else {
-        RUN_WITHOUT_PDN
-    };
-    assert_lines("run without the PDN fields", &walk(run_line_without_pdn), pins);
+    assert_lines(
+        "run without the PDN fields",
+        &walk(run_line_without_pdn),
+        RUN_WITHOUT_PDN,
+    );
 }
 
 #[test]
@@ -293,8 +221,7 @@ fn yield_reports_keep_their_bits() {
         sim.reset_warm_starts();
         yield_line(&sim.run_yield().expect("run_yield"))
     });
-    let pins = if forced_multigrid() { YIELD_MG } else { YIELD };
-    assert_lines("run_yield", &lines, pins);
+    assert_lines("run_yield", &lines, YIELD);
 }
 
 #[test]
@@ -303,12 +230,7 @@ fn yield_then_run_on_one_engine_keeps_its_bits() {
         let y = yield_line(&sim.run_yield().expect("run_yield"));
         format!("{y} | {}", run_line(sim))
     });
-    let pins = if forced_multigrid() {
-        YIELD_THEN_RUN_MG
-    } else {
-        YIELD_THEN_RUN
-    };
-    assert_lines("run_yield then run", &lines, pins);
+    assert_lines("run_yield then run", &lines, YIELD_THEN_RUN);
 }
 
 /// The cache rail a scenario describes, solved by a cold-started CG on

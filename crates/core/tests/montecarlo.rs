@@ -5,9 +5,9 @@
 
 use bright_core::montecarlo::{self, McParameter, McSpec, McVariable};
 use bright_core::Scenario;
+use bright_jsonio::checksummed::fnv1a64;
 use bright_num::faults::FaultPlan;
 use bright_num::rng::Distribution;
-use bright_num::PrecondSpec;
 
 /// A deliberately coarse scenario so one yield solve costs
 /// milliseconds: the determinism tests below run hundreds of them.
@@ -28,31 +28,10 @@ fn tiny_spec(samples: usize) -> McSpec {
     spec
 }
 
-/// FNV-1a (64-bit) of a report's JSON text.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// Digest and length of `tiny_spec(24)`'s pretty-printed `McReport`
 /// JSON, recorded before the Monte Carlo PDN stage was batched onto one
 /// study-wide factor: any change to the report's bits fails here.
 const REFERENCE_DIGEST: (u64, usize) = (2_911_406_079_453_876_557, 6903);
-
-/// [`REFERENCE_DIGEST`] with the thermal preconditioner forced to
-/// multigrid (`BRIGHT_PRECOND=multigrid`, the forced-multigrid CI leg),
-/// whose Krylov iterates differ. Recorded once and never edited.
-const REFERENCE_DIGEST_MG: (u64, usize) = (1_133_268_520_696_965_110, 6900);
-
-/// The recorded digest for the preconditioner the library resolves.
-fn reference_digest() -> (u64, usize) {
-    if PrecondSpec::forced_or(1, 1, 1, PrecondSpec::ssor()).name() == "multigrid" {
-        REFERENCE_DIGEST_MG
-    } else {
-        REFERENCE_DIGEST
-    }
-}
 
 #[test]
 fn report_is_bitwise_identical_across_chunking_and_workers() {
@@ -70,8 +49,8 @@ fn report_is_bitwise_identical_across_chunking_and_workers() {
         match &reference {
             None => {
                 assert_eq!(
-                    (fnv1a(&json), json.len()),
-                    reference_digest(),
+                    (fnv1a64(json.as_bytes()), json.len()),
+                    REFERENCE_DIGEST,
                     "McReport JSON moved from its recorded bits"
                 );
                 reference = Some(json);

@@ -66,8 +66,8 @@ pub use error::NumError;
 pub use faults::{FaultPlan, FaultSite};
 pub use rng::{CorrelatedSampler, CounterRng, Distribution};
 pub use stats::{Accumulate, DyadicForest, Moments, QuantileSketch, VecMoments};
-pub use multigrid::{MgConfig, MgSmoother, MgStats, MultigridPrecond};
-pub use precond::{mg_min_unknowns, PrecondSpec, Preconditioner};
+pub use multigrid::{MgConfig, MgStats, MultigridPrecond};
+pub use precond::{PrecondSpec, Preconditioner, MG_MIN_UNKNOWNS};
 pub use session::{Backend, RecoveryPolicy, RecoveryRung, SessionStats, SolverSession};
 pub use solvers::{KrylovWorkspace, SolveStats};
 pub use sparse::{CsrMatrix, CsrSymbolic, TripletMatrix};

@@ -14,8 +14,9 @@
 //! Design, in the order the pieces appear below:
 //!
 //! * [`MgConfig`] names the fine-grid geometry (`nx × ny` per plane,
-//!   `layers` stacked planes) plus smoother/cycle knobs, and is the
-//!   payload of [`PrecondSpec::Multigrid`].
+//!   `layers` stacked planes) and is the payload of
+//!   [`PrecondSpec::Multigrid`]. The cycle itself is fixed: one pre- and
+//!   one post-smoothing application of degree 3 per level.
 //! * `TransferOps` holds one plane's full-weighting restriction and
 //!   bilinear prolongation as flat CSR triples; the layered-3D
 //!   operators are `I_layers ⊗ P_plane` and are applied by index
@@ -28,10 +29,10 @@
 //! * Smoothing is Chebyshev polynomial smoothing on the
 //!   Jacobi-preconditioned operator `D⁻¹A` (eigenvalue upper bound from
 //!   a deterministic power iteration, refreshed on every setup), with a
-//!   weighted-Jacobi fallback that [`MgSmoother::Auto`] selects for
-//!   nonsymmetric operators (the thermal stack's upwind advection
-//!   terms), where Chebyshev's real-interval bounds do not apply.
-//! * The coarsest level (≤ [`MgConfig::max_coarse`] unknowns) is solved
+//!   weighted-Jacobi fallback that setup selects for nonsymmetric
+//!   operators (the thermal stack's upwind advection terms), where
+//!   Chebyshev's real-interval bounds do not apply.
+//! * The coarsest level (≤ 256 unknowns, or the 16th level) is solved
 //!   exactly with the dense LU from [`crate::dense`].
 //!
 //! # Examples
@@ -69,13 +70,11 @@ use crate::precond::{PrecondSpec, Preconditioner, TINY_DIAGONAL};
 use crate::sparse::CsrMatrix;
 use crate::NumError;
 
-/// Smoother family used on every non-coarsest level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MgSmoother {
-    /// Chebyshev for (numerically) symmetric operators, weighted
-    /// Jacobi otherwise. The check runs once per hierarchy setup.
-    #[default]
-    Auto,
+/// Smoother family used on every non-coarsest level: Chebyshev for
+/// (numerically) symmetric operators, weighted Jacobi otherwise. Every
+/// setup picks it from the fine operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Smoother {
     /// Chebyshev polynomial smoothing on `D⁻¹A`. Strongest choice for
     /// SPD operators; assumes a real positive spectrum.
     Chebyshev,
@@ -84,7 +83,33 @@ pub enum MgSmoother {
     WeightedJacobi,
 }
 
-/// Geometry and cycle parameters for [`PrecondSpec::Multigrid`].
+impl Smoother {
+    fn name(self) -> &'static str {
+        match self {
+            Self::Chebyshev => "chebyshev",
+            Self::WeightedJacobi => "weighted-jacobi",
+        }
+    }
+}
+
+/// Pre-smoothing applications per level per V-cycle.
+const PRE_SMOOTH: usize = 1;
+
+/// Post-smoothing applications per level per V-cycle.
+const POST_SMOOTH: usize = 1;
+
+/// Chebyshev polynomial degree (weighted-Jacobi steps) per smoothing
+/// application.
+const CHEB_DEGREE: usize = 3;
+
+/// Coarsening stops once a level has at most this many unknowns; that
+/// level is solved exactly by dense LU.
+const MAX_COARSE: usize = 256;
+
+/// Hard cap on hierarchy depth (safety backstop).
+const MAX_LEVELS: usize = 16;
+
+/// Fine-grid geometry for [`PrecondSpec::Multigrid`].
 ///
 /// The fine grid is `layers` stacked `nx × ny` planes with unknown
 /// index `layer * nx * ny + iy * nx + ix` — the layout both
@@ -100,37 +125,13 @@ pub struct MgConfig {
     pub ny: usize,
     /// Number of stacked planes (1 for the 2D PDN sheet).
     pub layers: usize,
-    /// Pre-smoothing applications per level per V-cycle.
-    pub pre_smooth: usize,
-    /// Post-smoothing applications per level per V-cycle.
-    pub post_smooth: usize,
-    /// Chebyshev polynomial degree per smoothing application.
-    pub cheb_degree: usize,
-    /// Smoother family (see [`MgSmoother`]).
-    pub smoother: MgSmoother,
-    /// Stop coarsening once a level has at most this many unknowns;
-    /// that level is solved exactly by dense LU.
-    pub max_coarse: usize,
-    /// Hard cap on hierarchy depth (safety backstop).
-    pub max_levels: usize,
 }
 
 impl MgConfig {
-    /// Default cycle parameters for a `layers`-deep stack of
-    /// `nx × ny` planes.
+    /// A `layers`-deep stack of `nx × ny` planes.
     #[must_use]
     pub fn for_grid(nx: usize, ny: usize, layers: usize) -> Self {
-        Self {
-            nx,
-            ny,
-            layers,
-            pre_smooth: 1,
-            post_smooth: 1,
-            cheb_degree: 3,
-            smoother: MgSmoother::Auto,
-            max_coarse: 256,
-            max_levels: 16,
-        }
+        Self { nx, ny, layers }
     }
 
     /// Fine-grid unknown count (`nx · ny · layers`).
@@ -462,8 +463,8 @@ pub struct MultigridPrecond {
     config: MgConfig,
     levels: Vec<MgLevel>,
     coarse_lu: Option<LuFactors>,
-    smoother: MgSmoother,
-    smoother_name: &'static str,
+    /// Picked from the fine operator's symmetry at every setup.
+    smoother: Smoother,
     stats: MgStats,
 }
 
@@ -475,8 +476,7 @@ impl MultigridPrecond {
             config,
             levels: Vec::new(),
             coarse_lu: None,
-            smoother: config.smoother,
-            smoother_name: "",
+            smoother: Smoother::Chebyshev,
             stats: MgStats::default(),
         }
     }
@@ -506,8 +506,8 @@ impl MultigridPrecond {
         let mut current = a.clone();
         loop {
             let rows = current.rows();
-            let at_depth_cap = self.levels.len() + 1 >= self.config.max_levels;
-            let transfer = if rows <= self.config.max_coarse || at_depth_cap {
+            let at_depth_cap = self.levels.len() + 1 >= MAX_LEVELS;
+            let transfer = if rows <= MAX_COARSE || at_depth_cap {
                 None
             } else {
                 TransferOps::build(nx, ny)
@@ -553,22 +553,12 @@ impl MultigridPrecond {
 
     /// Per-setup numeric work shared by build and refresh: inverse
     /// diagonals, smoother eigenvalue estimates, coarsest-level LU, and
-    /// `Auto` smoother resolution.
+    /// the smoother choice.
     fn refresh_numerics(&mut self) -> Result<(), NumError> {
-        self.smoother = match self.config.smoother {
-            MgSmoother::Auto => {
-                if self.levels[0].a.is_symmetric(1e-8) {
-                    MgSmoother::Chebyshev
-                } else {
-                    MgSmoother::WeightedJacobi
-                }
-            }
-            fixed => fixed,
-        };
-        self.smoother_name = match self.smoother {
-            MgSmoother::Chebyshev => "chebyshev",
-            MgSmoother::WeightedJacobi => "weighted-jacobi",
-            MgSmoother::Auto => unreachable!("Auto resolved above"),
+        self.smoother = if self.levels[0].a.is_symmetric(1e-8) {
+            Smoother::Chebyshev
+        } else {
+            Smoother::WeightedJacobi
         };
         let n_levels = self.levels.len();
         for (idx, level) in self.levels.iter_mut().enumerate() {
@@ -601,7 +591,7 @@ impl MultigridPrecond {
         self.coarse_lu = Some(dense.lu()?);
         self.stats.levels = u32::try_from(self.levels.len()).unwrap_or(u32::MAX);
         self.stats.coarse_rows = u32::try_from(n).unwrap_or(u32::MAX);
-        self.stats.smoother = self.smoother_name;
+        self.stats.smoother = self.smoother.name();
         Ok(())
     }
 
@@ -664,9 +654,6 @@ impl MultigridPrecond {
     fn v_cycle(&mut self) {
         let n_levels = self.levels.len();
         let smoother = self.smoother;
-        let pre = self.config.pre_smooth;
-        let post = self.config.post_smooth;
-        let degree = self.config.cheb_degree;
         let layers = self.config.layers;
 
         // Down sweep: smooth, form the residual, restrict it.
@@ -675,8 +662,8 @@ impl MultigridPrecond {
             let level = &mut lo[l];
             let next = &mut hi[0];
             level.x.fill(0.0);
-            for _ in 0..pre {
-                smooth(level, smoother, degree);
+            for _ in 0..PRE_SMOOTH {
+                smooth(level, smoother);
             }
             residual_into(level);
             let transfer = level
@@ -709,8 +696,8 @@ impl MultigridPrecond {
                 .as_ref()
                 .expect("non-coarsest level always has a transfer pair");
             prolong_add(transfer, layers, &next.x, &mut level.x);
-            for _ in 0..post {
-                smooth(level, smoother, degree);
+            for _ in 0..POST_SMOOTH {
+                smooth(level, smoother);
             }
         }
     }
@@ -780,10 +767,10 @@ fn residual_into(level: &mut MgLevel) {
 }
 
 /// One smoothing application on `level` (in-place on `level.x`).
-fn smooth(level: &mut MgLevel, smoother: MgSmoother, degree: usize) {
+fn smooth(level: &mut MgLevel, smoother: Smoother) {
     match smoother {
-        MgSmoother::Chebyshev => chebyshev_smooth(level, degree),
-        _ => weighted_jacobi_smooth(level, degree),
+        Smoother::Chebyshev => chebyshev_smooth(level),
+        Smoother::WeightedJacobi => weighted_jacobi_smooth(level),
     }
 }
 
@@ -791,20 +778,20 @@ fn smooth(level: &mut MgLevel, smoother: MgSmoother, degree: usize) {
 /// choice for diagonally dominant operators).
 const JACOBI_OMEGA: f64 = 0.7;
 
-/// `degree` steps of damped Jacobi: `x += ω·D⁻¹(b − A·x)`, with the
+/// [`CHEB_DEGREE`] steps of damped Jacobi: `x += ω·D⁻¹(b − A·x)`, with the
 /// damping adapted to the level's spectral estimate. On a diagonally
 /// dominant level `λ_max(D⁻¹A) ≲ 2` and `ω` stays at [`JACOBI_OMEGA`];
 /// on Galerkin-coarsened advection levels `λ_max` can reach 4–6, where
 /// a fixed `ω = 0.7` *amplifies* the top of the spectrum (`|1 − ωλ| >
 /// 1`), so the damping shrinks as `1.4/λ_max` to keep every real mode
 /// inside the unit circle.
-fn weighted_jacobi_smooth(level: &mut MgLevel, degree: usize) {
+fn weighted_jacobi_smooth(level: &mut MgLevel) {
     let omega = if level.lambda_max > 2.0 {
         JACOBI_OMEGA * 2.0 / level.lambda_max
     } else {
         JACOBI_OMEGA
     };
-    for _ in 0..degree.max(1) {
+    for _ in 0..CHEB_DEGREE {
         residual_into(level);
         for ((xi, ri), di) in level.x.iter_mut().zip(&level.r).zip(&level.inv_diag) {
             *xi += omega * ri * di;
@@ -812,10 +799,10 @@ fn weighted_jacobi_smooth(level: &mut MgLevel, degree: usize) {
     }
 }
 
-/// Chebyshev polynomial smoothing of degree `degree` on `D⁻¹A`,
+/// Chebyshev polynomial smoothing of degree [`CHEB_DEGREE`] on `D⁻¹A`,
 /// targeting the upper spectrum `[λ_max/4, λ_max]` (the classic
 /// smoothing band; lower frequencies are the coarse grid's job).
-fn chebyshev_smooth(level: &mut MgLevel, degree: usize) {
+fn chebyshev_smooth(level: &mut MgLevel) {
     let upper = level.lambda_max;
     let lower = upper * 0.25;
     let theta = 0.5 * (upper + lower);
@@ -831,7 +818,7 @@ fn chebyshev_smooth(level: &mut MgLevel, degree: usize) {
     for (xi, di_out) in level.x.iter_mut().zip(&level.d) {
         *xi += di_out;
     }
-    for _ in 1..degree.max(1) {
+    for _ in 1..CHEB_DEGREE {
         let rho_new = 1.0 / (2.0 * sigma - rho);
         residual_into(level);
         let c_old = rho_new * rho;

@@ -45,7 +45,6 @@
 use crate::multigrid::{MgConfig, MgStats, MultigridPrecond};
 use crate::sparse::CsrMatrix;
 use crate::NumError;
-use std::sync::OnceLock;
 
 /// Declarative preconditioner choice, carried by
 /// [`crate::solvers::IterOptions`] and solver sessions.
@@ -119,29 +118,10 @@ impl PrecondSpec {
 
     /// Size-aware preconditioner choice for a structured
     /// `nx × ny × layers` grid: [`Self::Multigrid`] once the grid
-    /// reaches [`mg_min_unknowns`] unknowns, [`Self::forced_or`] below
-    /// that — so `BRIGHT_PRECOND=multigrid` forces multigrid at every
-    /// size, and CI can run every solve through the V-cycle.
+    /// reaches [`MG_MIN_UNKNOWNS`] unknowns, `fallback` below that.
     #[must_use]
     pub fn auto_for_grid(nx: usize, ny: usize, layers: usize, fallback: Self) -> Self {
-        if nx * ny * layers >= mg_min_unknowns() {
-            Self::Multigrid(MgConfig::for_grid(nx, ny, layers))
-        } else {
-            Self::forced_or(nx, ny, layers, fallback)
-        }
-    }
-
-    /// As [`Self::auto_for_grid`] but without the size-based multigrid
-    /// switch: multigrid under `BRIGHT_PRECOND=multigrid`, otherwise
-    /// `fallback` at every size. For operators outside the geometric
-    /// hierarchy's reach — e.g. the advection-dominated fluid rows of a
-    /// microchannel thermal stack — where multigrid must never be
-    /// auto-picked, but a forced run should still carry the real grid
-    /// geometry so it exercises multigrid's setup-time contraction
-    /// guard (and recovers through the session ladder).
-    #[must_use]
-    pub fn forced_or(nx: usize, ny: usize, layers: usize, fallback: Self) -> Self {
-        if forced_multigrid() {
+        if nx * ny * layers >= MG_MIN_UNKNOWNS {
             Self::Multigrid(MgConfig::for_grid(nx, ny, layers))
         } else {
             fallback
@@ -149,27 +129,12 @@ impl PrecondSpec {
     }
 }
 
-/// Below ~2·10^5 unknowns the SSOR/IC(0) setup-cost-to-iteration-savings
-/// trade still favors the sweep preconditioners; above it multigrid's
-/// mesh independence wins.
-const MG_MIN_UNKNOWNS: usize = 200_000;
-
 /// Grid-size threshold (in unknowns) at which
-/// [`PrecondSpec::auto_for_grid`] switches to multigrid: 200 000.
-#[must_use]
-pub const fn mg_min_unknowns() -> usize {
-    MG_MIN_UNKNOWNS
-}
-
-/// Whether `BRIGHT_PRECOND=multigrid` forces multigrid process-wide
-/// (read once per process; any other value is ignored).
-fn forced_multigrid() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("BRIGHT_PRECOND")
-            .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "multigrid" | "mg"))
-    })
-}
+/// [`PrecondSpec::auto_for_grid`] switches to multigrid. Below ~2·10^5
+/// unknowns the SSOR/IC(0) setup-cost-to-iteration-savings trade still
+/// favors the sweep preconditioners; above it multigrid's mesh
+/// independence wins.
+pub const MG_MIN_UNKNOWNS: usize = 200_000;
 
 /// A left preconditioner `M ≈ A`: [`Preconditioner::apply`] computes
 /// `dst = M⁻¹·src`.
@@ -718,16 +683,11 @@ mod tests {
 
     #[test]
     fn auto_for_grid_switches_on_unknown_count() {
-        if std::env::var_os("BRIGHT_PRECOND").is_some() {
-            // A forced choice overrides the size policy by design;
-            // nothing to assert under the forced-precond CI leg.
-            return;
-        }
         // Below the threshold: caller fallback; above: multigrid with
         // the call site's geometry.
         let small = PrecondSpec::auto_for_grid(10, 10, 1, PrecondSpec::ssor());
         assert_eq!(small, PrecondSpec::ssor());
-        let n = super::mg_min_unknowns();
+        let n = super::MG_MIN_UNKNOWNS;
         let side = (n as f64).sqrt().ceil() as usize + 1;
         let big = PrecondSpec::auto_for_grid(side, side, 1, PrecondSpec::ssor());
         assert_eq!(

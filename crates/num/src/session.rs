@@ -338,12 +338,16 @@ impl SolverSession {
         &self.opts
     }
 
-    /// Compact preconditioner digest for reports: the multigrid
-    /// hierarchy digest (`"mg(4 levels, coarse 144, chebyshev)"`) when
-    /// a multigrid solve has run, the configured spec's name
-    /// otherwise.
+    /// Compact digest of the preconditioner that served the last solve:
+    /// the fallback spec's name when the recovery ladder served it, the
+    /// multigrid hierarchy digest (`"mg(4 levels, coarse 144,
+    /// chebyshev)"`) when a multigrid solve has run, the configured
+    /// spec's name otherwise.
     #[must_use]
     pub fn precond_digest(&self) -> String {
+        if let RecoveryRung::PrecondFallback(spec) = self.last_rung {
+            return spec.name().to_string();
+        }
         self.stats
             .mg_digest()
             .unwrap_or_else(|| self.opts.preconditioner.name().to_string())

@@ -297,9 +297,8 @@ impl PowerGrid {
     /// Size-aware preconditioner for *this* grid:
     /// [`PowerGrid::default_preconditioner`] (SSOR ω=1.5) on the
     /// paper-sized sheets, the geometric-multigrid V-cycle once the
-    /// sheet reaches [`bright_num::mg_min_unknowns`] (200 000 unknowns),
+    /// sheet reaches [`bright_num::MG_MIN_UNKNOWNS`] (200 000 unknowns),
     /// where SSOR iteration counts stop scaling.
-    /// `BRIGHT_PRECOND=multigrid` forces multigrid at every size.
     #[must_use]
     pub fn preferred_preconditioner(&self) -> PrecondSpec {
         PrecondSpec::auto_for_grid(

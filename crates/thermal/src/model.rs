@@ -644,21 +644,15 @@ impl ThermalModel {
     /// (no microchannel layers — the operator is symmetric) the
     /// preconditioner comes from [`PrecondSpec::auto_for_grid`], which
     /// switches to the geometric-multigrid V-cycle once
-    /// `nx·ny·levels` reaches [`bright_num::mg_min_unknowns`] (200 000)
+    /// `nx·ny·levels` reaches [`bright_num::MG_MIN_UNKNOWNS`] (200 000)
     /// — the scaled conduction presets land there.
     /// Stacks with fluid layers keep SSOR at every size: their
     /// advection-dominated rows are outside the geometric hierarchy's
     /// reach, and the downstream-ordered sweeps handle them well.
-    /// `BRIGHT_PRECOND=multigrid` forces multigrid either way.
     #[must_use]
     pub fn solve_options(&self) -> IterOptions {
         let preconditioner = if self.has_fluid_levels() {
-            PrecondSpec::forced_or(
-                self.grid.nx(),
-                self.grid.ny(),
-                self.level_count(),
-                PrecondSpec::ssor(),
-            )
+            PrecondSpec::ssor()
         } else {
             PrecondSpec::auto_for_grid(
                 self.grid.nx(),

@@ -147,7 +147,7 @@ pub fn power7_stack_scaled(scale: usize) -> Result<ThermalModel, ThermalError> {
 /// The operator is pure conduction — symmetric positive definite — so
 /// [`ThermalModel::solve_options`] switches the session to the
 /// geometric-multigrid preconditioner once `nx·ny·levels` crosses
-/// [`bright_num::mg_min_unknowns`] (200 000): `scale = 4` gives
+/// [`bright_num::MG_MIN_UNKNOWNS`] (200 000): `scale = 4` gives
 /// `352 × 176 × 5 ≈ 310k` unknowns, `scale = 8` gives
 /// `704 × 352 × 5 ≈ 1.24M`.
 ///

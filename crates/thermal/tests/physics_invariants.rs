@@ -2,6 +2,7 @@
 
 use bright_floorplan::{power7, PowerScenario};
 use bright_mesh::Field2d;
+use bright_num::{MgConfig, PrecondSpec, RecoveryRung, SolverSession};
 use bright_thermal::presets;
 use bright_thermal::stack::LayerSpec;
 use bright_thermal::ThermalModel;
@@ -279,6 +280,81 @@ fn conventional_heat_sink_baseline_behaves() {
         top_cooling: None,
     };
     assert!(ThermalModel::new(floating).is_err());
+}
+
+/// Full-load steady solves of `model` through a session given an
+/// explicit multigrid spec and through the default (SSOR) session.
+/// Returns both sessions and the largest temperature difference over
+/// every level, in kelvin.
+fn multigrid_against_ssor(model: &ThermalModel) -> (SolverSession, SolverSession, f64) {
+    let power = full_load_map(model);
+    let mut mg = model.session().unwrap();
+    mg.set_preconditioner(PrecondSpec::Multigrid(MgConfig::for_grid(
+        model.grid().nx(),
+        model.grid().ny(),
+        model.level_count(),
+    )));
+    let mut ssor = model.session().unwrap();
+    assert_eq!(ssor.options().preconditioner, PrecondSpec::ssor());
+    let t_mg = model.solve_steady_warm(&power, &mut mg).unwrap();
+    let t_ssor = model.solve_steady_warm(&power, &mut ssor).unwrap();
+    let mut worst = 0.0f64;
+    for level in 0..t_ssor.level_count() {
+        let pairs = t_mg
+            .level_map(level)
+            .as_slice()
+            .iter()
+            .zip(t_ssor.level_map(level).as_slice());
+        for (a, b) in pairs {
+            worst = worst.max((a - b).abs());
+        }
+    }
+    (mg, ssor, worst)
+}
+
+#[test]
+fn explicit_multigrid_is_refused_on_the_nominal_fluid_stack() {
+    // At 676 ml/min the fluid rows' advection makes the V-cycle
+    // expansive: setup's contraction guard refuses the hierarchy, IC(0)
+    // fails on the nonsymmetric operator and is skipped, and SSOR
+    // serves the solve.
+    let model = presets::power7_stack().unwrap();
+    let (mg, _, worst) = multigrid_against_ssor(&model);
+    assert_eq!(
+        mg.last_recovery(),
+        RecoveryRung::PrecondFallback(PrecondSpec::ssor())
+    );
+    assert_eq!(mg.stats().recovered_solves, 1);
+    assert_eq!(mg.precond_digest(), "ssor");
+    assert!(
+        worst < 1e-5,
+        "multigrid session is {worst} K off the SSOR solve"
+    );
+}
+
+#[test]
+fn explicit_multigrid_serves_the_throttled_fluid_stack() {
+    // At 48 ml/min and a 37 °C inlet the V-cycle passes the contraction
+    // guard and serves the solve itself, in fewer iterations than SSOR.
+    let model = presets::power7_stack_at(
+        CubicMetersPerSecond::from_milliliters_per_minute(48.0),
+        Kelvin::new(310.15),
+    )
+    .unwrap();
+    let (mg, ssor, worst) = multigrid_against_ssor(&model);
+    assert_eq!(mg.last_recovery(), RecoveryRung::Clean);
+    assert_eq!(mg.stats().recovered_solves, 0);
+    let digest = mg.precond_digest();
+    assert!(digest.starts_with("mg("), "{digest}");
+    let (mg_iters, ssor_iters) = (mg.last_stats().iterations, ssor.last_stats().iterations);
+    assert!(
+        mg_iters < ssor_iters,
+        "multigrid {mg_iters} vs SSOR {ssor_iters} iterations"
+    );
+    assert!(
+        worst < 1e-5,
+        "multigrid session is {worst} K off the SSOR solve"
+    );
 }
 
 mod refresh_properties {
