@@ -13,7 +13,8 @@ use bright_num::SolverSession;
 use bright_pdn::{PdnSolution, PowerGrid};
 use bright_thermal::stack::{LayerSpec, MicrochannelSpec, StackConfig};
 use bright_thermal::{Material, ThermalModel, ThermalSolution};
-use bright_units::{Ampere, Meters, Pascal, Volt, Watt};
+use bright_units::{Ampere, Kelvin, Meters, Pascal, Volt, Watt};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Cache key of the PDN conductance system: everything that shapes the
@@ -62,13 +63,16 @@ struct PdnCache {
 /// refreshes cached operators in place wherever the pattern allows.
 ///
 /// [`CoSimulation::run`] and [`CoSimulation::run_yield`] share one
-/// pipeline: the thermal solve, then a per-column flow-cell array built
-/// fresh from the retargeted template at the solved channel
-/// temperatures, and last the hydraulics. Both solve the cache-rail
-/// droop the same way, through the cached banded factor; `run` solves it
-/// on a second thread beside the thermal stage, since the rail's load is
-/// part of the scenario and the PDN needs nothing the other stages
-/// compute. A Monte Carlo study solves its samples' droops against one
+/// pipeline: the thermal solve, then a flow-cell array built fresh from
+/// the retargeted template at the solved channel temperatures, and last
+/// the hydraulics. The array marches one column per run of adjacent
+/// thermal columns whose fluid profiles agree within 0.25 K, at the
+/// run's mean profile, and counts its currents once per column of the
+/// run ([`CoSimulation::column_marches`] counts both). Both solve the
+/// cache-rail droop the same way, through the cached banded factor;
+/// `run` solves it on a second thread beside the thermal stage, since
+/// the rail's load is part of the scenario and the PDN needs nothing
+/// the other stages compute. A Monte Carlo study solves its samples' droops against one
 /// study-wide factor instead. The direct solve has no history, so
 /// nothing about the PDN needs resetting between requests, and a run
 /// whose rail map equals the last one's reuses that solution.
@@ -86,6 +90,9 @@ pub struct CoSimulation {
     /// Retargets that kept the built flow-cell solve context alive
     /// (refreshed in place instead of discarded).
     cell_context_reuses: u64,
+    /// Flow-cell columns the coupled stage marched, and the thermal
+    /// columns they stood for, over every run.
+    column_marches: (u64, u64),
     /// Fingerprint-keyed duct-solve cache consulted by geometry
     /// retargets. Clones share it (`Arc`), so a fleet of engine workers
     /// spawned from one co-simulation pays for each distinct sampled
@@ -109,6 +116,7 @@ impl CoSimulation {
             thermal_session: SolverSession::new(ThermalModel::iter_options()),
             retargets: 0,
             cell_context_reuses: 0,
+            column_marches: (0, 0),
             geometry_cache: Arc::new(GeometryCache::new()),
         })
     }
@@ -138,6 +146,17 @@ impl CoSimulation {
     #[inline]
     pub fn cell_context_reuses(&self) -> u64 {
         self.cell_context_reuses
+    }
+
+    /// `(marched, thermal)`: the flow-cell columns the runs so far
+    /// marched, and the thermal columns those marches stood for. Runs of
+    /// like columns march once ([`CoSimulation`]), so `marched` falls
+    /// short of `thermal` by the marches the grouping skipped; an
+    /// uncoupled run marches its one template column. Telemetry only: no
+    /// report carries it.
+    #[inline]
+    pub fn column_marches(&self) -> (u64, u64) {
+        self.column_marches
     }
 
     /// Context telemetry of the cached flow-cell template (all zero
@@ -299,10 +318,10 @@ impl CoSimulation {
     /// Runs the coupled solve.
     ///
     /// The array's polarization sweep and its 1 V point come from one
-    /// pass over the columns
-    /// ([`CellArray::polarization_curve_and_point`]): each column's
-    /// model is built once, marches the sweep ladder plus the 1 V lane,
-    /// and is dropped.
+    /// pass over the marched columns
+    /// ([`CellArray::polarization_curve_and_point`]), one per run of like
+    /// thermal columns (see [`CoSimulation`]): each one's model is built
+    /// once, marches the sweep ladder plus the 1 V lane, and is dropped.
     ///
     /// The cache-rail IR-drop map is a direct solve through the cached
     /// conductance system and its banded Cholesky factor, run beside
@@ -325,6 +344,7 @@ impl CoSimulation {
     pub fn run(&mut self) -> Result<CoSimReport, CoreError> {
         let (stages, pdn_sol) = self.stages_beside_pdn();
         let (chip_power, thermal_sol, array) = stages?;
+        self.count_marches(&array);
         let s = &self.scenario;
 
         // Array characteristics (scaled from columns to channels).
@@ -437,6 +457,7 @@ impl CoSimulation {
         )?;
         self.geometry_cache
             .warm_from(self.template.get().expect("built by the shared stages"))?;
+        self.count_marches(&array);
         let s = &self.scenario;
         let group = (s.channel_count / s.thermal_columns) as f64;
         let at_1v_cols = array.solve_at_voltage(1.0)?;
@@ -473,6 +494,13 @@ impl CoSimulation {
             || thermal_and_cells(scenario, thermal, template, thermal_session),
             || solve_pdn(pdn, scenario),
         )
+    }
+
+    /// Adds one run's marched and thermal columns to
+    /// [`CoSimulation::column_marches`].
+    fn count_marches(&mut self, array: &CellArray) {
+        self.column_marches.0 += array.marched_columns() as u64;
+        self.column_marches.1 += self.scenario.thermal_columns as u64;
     }
 
     /// Pressure drop and pumping power of the whole channel array at the
@@ -534,20 +562,30 @@ impl CoSimulation {
 }
 
 /// What the stages every co-simulation starts with hand on: the chip
-/// power, the thermal field and the per-column flow-cell array.
+/// power, the thermal field and the coupled flow-cell array.
 type Stages = (Watt, ThermalSolution, CellArray);
+
+/// The largest pointwise spread (K) of the fluid profiles of a run of
+/// adjacent thermal columns that marches once, at the run's mean
+/// profile. The lumping error is second order in the spread: at 0.25 K
+/// the array current at 1 V stayed within 5e-7 of a march per column on
+/// every load measured, and 0.5 K broke that budget
+/// (`docs/PERFORMANCE.md`, "One march per group of like columns").
+const COLUMN_SPREAD_K: f64 = 0.25;
 
 /// The stages every co-simulation starts with, over the engine's fields
 /// (split so the PDN stage can borrow the rest). The thermal solve under
 /// the full chip load runs through the persistent session (warm-started
-/// across runs and retargets). Then the per-channel temperature
-/// profiles go into the electrochemistry: channels sharing a thermal
-/// column are identical, so the returned array has one channel per
-/// column over the retargeted template (the bare template when
-/// `couple_temperature` is off), and callers scale its results by the
-/// group size. The array holds only the template and the profiles; each
-/// solve on it builds the column models on the fan-out's workers and
-/// drops them.
+/// across runs and retargets). Then the channel temperature profiles go
+/// into the electrochemistry: channels sharing a thermal column are
+/// identical, and adjacent columns whose fluid profiles agree within
+/// [`COLUMN_SPREAD_K`] march as one ([`like_column_runs`]), so the
+/// returned array marches one column per run, at the run's mean
+/// profile, weighted by the run's length. Its totals count every
+/// thermal column, and callers scale them by the channels per column.
+/// With `couple_temperature` off the array is the bare template. The
+/// array holds only the template and the profiles; each solve on it
+/// builds the column models on the fan-out's workers and drops them.
 fn thermal_and_cells(
     s: &Scenario,
     thermal: &OnceLock<ThermalModel>,
@@ -569,15 +607,68 @@ fn thermal_and_cells(
 
     let array = CellArray::new(template.clone(), s.thermal_columns)?;
     let array = if s.couple_temperature {
-        array.with_channel_temperatures(
-            (0..s.thermal_columns)
-                .map(|ix| TemperatureProfile::Sampled(thermal_sol.channel_profile(ix)))
-                .collect(),
-        )?
+        let profiles: Vec<Vec<Kelvin>> = (0..s.thermal_columns)
+            .map(|ix| thermal_sol.channel_profile(ix))
+            .collect();
+        grouped(array, &profiles)?
     } else {
         array
     };
     Ok((Watt::new(power_map.integral()), thermal_sol, array))
+}
+
+/// `array` with one marched column per run of like columns of
+/// `profiles` (one profile per thermal column), at the run's pointwise
+/// mean profile and weighted by the run's length.
+fn grouped(array: CellArray, profiles: &[Vec<Kelvin>]) -> Result<CellArray, CoreError> {
+    let runs = like_column_runs(profiles);
+    let weights: Vec<usize> = runs.iter().map(ExactSizeIterator::len).collect();
+    let means = runs
+        .into_iter()
+        .map(|run| TemperatureProfile::Sampled(mean_profile(&profiles[run])))
+        .collect();
+    Ok(array.with_weighted_channel_temperatures(means, &weights)?)
+}
+
+/// Partitions the columns of `profiles` into runs of adjacent columns
+/// whose profiles agree pointwise within [`COLUMN_SPREAD_K`]: scanning
+/// from column 0, a run takes the next column while the largest
+/// pointwise max − min over its profiles stays within the spread. The
+/// runs depend on the profiles alone, so the thread count or earlier
+/// solves cannot change them. A non-finite sample never joins a run.
+fn like_column_runs(profiles: &[Vec<Kelvin>]) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let mut start = 0;
+    while start < profiles.len() {
+        let mut lo: Vec<f64> = profiles[start].iter().map(|t| t.value()).collect();
+        let mut hi = lo.clone();
+        let mut end = start + 1;
+        while let Some(next) = profiles.get(end) {
+            let fits = next.iter().zip(lo.iter().zip(&hi)).all(|(t, (l, h))| {
+                t.value() - l <= COLUMN_SPREAD_K && h - t.value() <= COLUMN_SPREAD_K
+            });
+            if !fits {
+                break;
+            }
+            for (t, (l, h)) in next.iter().zip(lo.iter_mut().zip(hi.iter_mut())) {
+                *l = l.min(t.value());
+                *h = h.max(t.value());
+            }
+            end += 1;
+        }
+        runs.push(start..end);
+        start = end;
+    }
+    runs
+}
+
+/// The pointwise mean of `members`' profiles, summed in column order (a
+/// lone member's profile comes back bit for bit).
+fn mean_profile(members: &[Vec<Kelvin>]) -> Vec<Kelvin> {
+    let n = members.len() as f64;
+    (0..members[0].len())
+        .map(|j| Kelvin::new(members.iter().map(|p| p[j].value()).sum::<f64>() / n))
+        .collect()
 }
 
 /// The cache rail's direct solve at the scenario's rail load, through
@@ -947,6 +1038,207 @@ mod tests {
         );
         // New pattern: a second assembly was necessary.
         assert_eq!(sim.thermal_assembly_count(), 1); // fresh model, its own count
+    }
+
+    /// Profiles of `columns` thermal columns at `ny` samples: a smooth
+    /// lateral hump plus seeded noise of up to `noise` K per sample.
+    fn seeded_profiles(seed: u64, columns: usize, ny: usize, noise: f64) -> Vec<Vec<Kelvin>> {
+        let rng = bright_num::rng::CounterRng::new(seed, 0);
+        (0..columns)
+            .map(|ix| {
+                let hump = 2.0 * (-((ix as f64 - columns as f64 / 3.0) / 6.0).powi(2)).exp();
+                (0..ny)
+                    .map(|j| {
+                        let u = rng.unit_f64_at((ix * ny + j) as u64);
+                        Kelvin::new(300.0 + 0.05 * j as f64 + hump + noise * u)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn like_column_runs_cover_every_column_once_within_the_spread() {
+        for seed in 0..16 {
+            let profiles = seeded_profiles(seed, 88, 44, 0.1 * (seed % 4) as f64);
+            let runs = like_column_runs(&profiles);
+            // Adjacent, in order, covering 0..88 exactly once.
+            assert_eq!(runs.first().map(|r| r.start), Some(0));
+            assert_eq!(runs.last().map(|r| r.end), Some(88));
+            for pair in runs.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "seed {seed}");
+            }
+            for run in &runs {
+                assert!(!run.is_empty(), "seed {seed}");
+                // The pointwise spread inside a run stays within ΔT.
+                for j in 0..44 {
+                    let column = profiles[run.clone()].iter().map(|p| p[j].value());
+                    let (lo, hi) =
+                        column.fold((f64::MAX, f64::MIN), |(l, h), t| (l.min(t), h.max(t)));
+                    assert!(
+                        hi - lo <= COLUMN_SPREAD_K,
+                        "seed {seed}: {run:?} spreads {} K",
+                        hi - lo
+                    );
+                }
+                // A run stops only where the next column would break it.
+                if let Some(next) = profiles.get(run.end) {
+                    let widened = run.start..run.end + 1;
+                    let breaks = (0..44).any(|j| {
+                        let column = profiles[widened.clone()].iter().map(|p| p[j].value());
+                        let (lo, hi) =
+                            column.fold((f64::MAX, f64::MIN), |(l, h), t| (l.min(t), h.max(t)));
+                        hi - lo > COLUMN_SPREAD_K
+                    });
+                    assert!(breaks, "seed {seed}: {run:?} could take {next:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_profiles_form_one_run_and_scattered_ones_stay_apart() {
+        let flat = vec![vec![Kelvin::new(301.0); 44]; 88];
+        assert_eq!(like_column_runs(&flat), vec![0..88]);
+        // Neighbours 0.3 K apart never share a run.
+        let steps: Vec<Vec<Kelvin>> = (0..12)
+            .map(|ix| vec![Kelvin::new(300.0 + 0.3 * ix as f64); 8])
+            .collect();
+        assert_eq!(like_column_runs(&steps).len(), 12);
+        // A non-finite sample keeps its column alone.
+        let mut holed = flat.clone();
+        holed[5][3] = Kelvin::new(f64::NAN);
+        let runs = like_column_runs(&holed);
+        assert_eq!(runs, vec![0..5, 5..6, 6..88]);
+    }
+
+    #[test]
+    fn grouped_weights_sum_to_the_columns_and_singletons_keep_their_bits() {
+        let template = || cell_model_for(&Scenario::power7_reduced()).unwrap();
+        let profiles = seeded_profiles(7, 22, 22, 0.2);
+        let array = grouped(CellArray::new(template(), 22).unwrap(), &profiles).unwrap();
+        let runs = like_column_runs(&profiles);
+        assert_eq!(array.count(), 22);
+        assert_eq!(array.marched_columns(), runs.len());
+        assert!(runs.len() < 22, "the hump's flanks group");
+        // A lone column's mean is its own profile, bit for bit.
+        assert_eq!(mean_profile(&profiles[3..4]), profiles[3]);
+        // When every run is one column, the grouped array is the
+        // per-column array bit for bit.
+        let apart: Vec<Vec<Kelvin>> = (0..6)
+            .map(|ix| {
+                (0..10)
+                    .map(|j| Kelvin::new(300.0 + 0.5 * ix as f64 + 0.1 * j as f64))
+                    .collect()
+            })
+            .collect();
+        let one_each = grouped(CellArray::new(template(), 6).unwrap(), &apart).unwrap();
+        let per_column = CellArray::new(template(), 6)
+            .unwrap()
+            .with_channel_temperatures(
+                apart
+                    .iter()
+                    .cloned()
+                    .map(TemperatureProfile::Sampled)
+                    .collect(),
+            )
+            .unwrap();
+        let a = one_each.solve_at_voltage(1.0).unwrap().current.value();
+        let b = per_column.solve_at_voltage(1.0).unwrap().current.value();
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    /// The array current at 1 V relative to a march per column, and the
+    /// largest curve-point change relative to the curve's largest
+    /// current, that grouping may cost (`docs/PERFORMANCE.md`).
+    const GROUPING_BUDGET: f64 = 5e-7;
+
+    /// `thermal_and_cells` at `s`, then its grouped array against one
+    /// march per column at the same thermal solution: `(columns
+    /// marched, |ΔI(1 V)| / I(1 V), max |ΔI| over the curve / max I)`.
+    fn grouping_error(s: &Scenario) -> (usize, f64, f64) {
+        let mut session = SolverSession::new(ThermalModel::iter_options());
+        let (_, sol, grouped) =
+            thermal_and_cells(s, &OnceLock::new(), &OnceLock::new(), &mut session).unwrap();
+        let per_column = CellArray::new(grouped.template().clone(), s.thermal_columns)
+            .unwrap()
+            .with_channel_temperatures(
+                (0..s.thermal_columns)
+                    .map(|ix| TemperatureProfile::Sampled(sol.channel_profile(ix)))
+                    .collect(),
+            )
+            .unwrap();
+        let (curve_g, at_g) = grouped
+            .polarization_curve_and_point(s.sweep_points, 1.0)
+            .unwrap();
+        let (curve_c, at_c) = per_column
+            .polarization_curve_and_point(s.sweep_points, 1.0)
+            .unwrap();
+        let at_1v = ((at_g.current - at_c.current) / at_c.current).abs();
+        let largest = curve_c
+            .points()
+            .iter()
+            .map(|p| p.current.value())
+            .fold(0.0, f64::max);
+        let curve = curve_g
+            .points()
+            .iter()
+            .zip(curve_c.points())
+            .map(|(g, c)| {
+                assert_eq!(g.voltage.value().to_bits(), c.voltage.value().to_bits());
+                (g.current.value() - c.current.value()).abs()
+            })
+            .fold(0.0, f64::max)
+            / largest;
+        (grouped.marched_columns(), at_1v, curve)
+    }
+
+    /// The full-load map with one core at three times its density and
+    /// the other three cores idle: a steep lateral gradient.
+    fn one_core_load(flow_ml_min: f64) -> Scenario {
+        let mut s = Scenario::power7_nominal();
+        let core = bright_units::WattPerSquareMeter::from_watts_per_square_centimeter(26.7);
+        for name in ["core0", "core2", "core3"] {
+            s.thermal_load
+                .set_block_density(name, bright_units::WattPerSquareMeter::new(0.0));
+        }
+        s.thermal_load.set_block_density("core1", core * 3.0);
+        s.total_flow = bright_units::CubicMetersPerSecond::from_milliliters_per_minute(flow_ml_min);
+        s
+    }
+
+    #[test]
+    fn grouped_columns_stay_within_the_budget_of_one_march_per_column() {
+        // Full resolution: the three paper points, one hot core at the
+        // nominal and a throttled flow, and the Monte Carlo tests' coarse
+        // grid.
+        let mut coarse = Scenario::power7_reduced();
+        coarse.thermal_columns = 11;
+        coarse.thermal_ny = 8;
+        coarse.cell_options.ny = 12;
+        coarse.cell_options.nx = 24;
+        coarse.total_flow = bright_units::CubicMetersPerSecond::from_milliliters_per_minute(600.0);
+        let loads = [
+            ("nominal", Scenario::power7_nominal()),
+            ("throttled", Scenario::power7_throttled()),
+            ("warm inlet", Scenario::power7_warm_inlet()),
+            ("one core, 676 ml/min", one_core_load(676.0)),
+            ("one core, 150 ml/min", one_core_load(150.0)),
+            ("coarse grid, 600 ml/min", coarse),
+        ];
+        for (name, s) in loads {
+            let (marched, at_1v, curve) = grouping_error(&s);
+            eprintln!(
+                "{name}: {marched}/{} columns marched, I(1 V) {at_1v:.2e}, curve {curve:.2e}",
+                s.thermal_columns
+            );
+            assert!(marched < s.thermal_columns, "{name}: nothing grouped");
+            assert!(at_1v <= GROUPING_BUDGET, "{name}: I(1 V) moved {at_1v:e}");
+            assert!(
+                curve <= GROUPING_BUDGET,
+                "{name}: the curve moved {curve:e}"
+            );
+        }
     }
 
     #[test]

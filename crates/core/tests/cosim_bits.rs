@@ -26,14 +26,26 @@
 //! fan-out and the PDN solve beside the thermal stage do not matter
 //! either.
 //!
-//! The values were recorded once and are not edited, with one
-//! exception. When `run()` moved its cache-rail solve from warm-started
-//! CG to the cached banded factor that `run_yield()` already used,
-//! `RUN` and the run half of `YIELD_THEN_RUN` were re-recorded once.
-//! That move changes only the four PDN fields: `RUN_WITHOUT_PDN`,
-//! recorded before it, still holds, and
+//! A third walk pins the `run()` digest with the five fields the
+//! flow-cell array's current feeds left out, and a fourth the six
+//! `run_yield()` scalars other than the current and power at 1 V, with
+//! the junction map's digest.
+//!
+//! The values were recorded once and are not edited, with two
+//! exceptions. First, when `run()` moved its cache-rail solve from
+//! warm-started CG to the cached banded factor that `run_yield()`
+//! already used, `RUN` and the run half of `YIELD_THEN_RUN` were
+//! re-recorded once. That move changes only the four PDN fields:
+//! `RUN_WITHOUT_PDN`, recorded before it, still holds, and
 //! `run_pdn_fields_match_a_cold_iterative_solve` bounds how far the four
-//! fields moved.
+//! fields moved. Second, when adjacent thermal columns whose fluid
+//! profiles agree within 0.25 K began to march once, at their mean
+//! profile, `RUN`, `RUN_WITHOUT_PDN`, `YIELD` and `YIELD_THEN_RUN` were
+//! re-recorded once. That move changes only what the array's current
+//! feeds (the current and power at 1 V, the thermal boost, the operating
+//! point and the polarization curve): `RUN_WITHOUT_CELLS` and
+//! `YIELD_WITHOUT_CELLS`, recorded before it, still hold, and the
+//! co-simulation's budget test bounds the current's move by 5e-7.
 
 use bright_core::{CoSimulation, Scenario, YieldReport};
 use bright_floorplan::PowerScenario;
@@ -105,17 +117,48 @@ const PDN_FIELDS: [&str; 4] = [
     "voltage_map",
 ];
 
-/// `fnv1a len` of the report JSON without [`PDN_FIELDS`].
-fn run_line_without_pdn(sim: &mut CoSimulation) -> String {
+/// The five report fields the flow-cell array's current feeds.
+const CELL_FIELDS: [&str; 5] = [
+    "current_at_1v",
+    "power_at_1v",
+    "thermal_boost_percent",
+    "operating_point",
+    "polarization",
+];
+
+/// `fnv1a len` of the report JSON without the `left_out` fields.
+fn run_line_without(sim: &mut CoSimulation, left_out: &[&str]) -> String {
     let mut json = sim.run().expect("run").to_json();
     let Value::Object(fields) = &mut json else {
         panic!("a report serializes to an object");
     };
-    for key in PDN_FIELDS {
-        assert!(fields.remove(key).is_some(), "report lacks `{key}`");
+    for key in left_out {
+        assert!(fields.remove(*key).is_some(), "report lacks `{key}`");
     }
     let json = json.to_json_string();
     format!("{} {}", fnv1a64(json.as_bytes()), json.len())
+}
+
+/// `fnv1a len` of the report JSON without [`PDN_FIELDS`].
+fn run_line_without_pdn(sim: &mut CoSimulation) -> String {
+    run_line_without(sim, &PDN_FIELDS)
+}
+
+/// The given scalars' bits, then the junction map's digest.
+fn scalars_and_junction(scalars: &[f64], r: &YieldReport) -> String {
+    let junction: Vec<u8> = r
+        .junction_map
+        .as_slice()
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    let mut line = scalars
+        .iter()
+        .map(|x| hex(*x))
+        .collect::<Vec<_>>()
+        .join(" ");
+    line.push_str(&format!(" {}", fnv1a64(&junction)));
+    line
 }
 
 /// The eight scalars' bits, then the junction map's digest.
@@ -130,15 +173,21 @@ fn yield_line(r: &YieldReport) -> String {
         r.pressure_drop.value(),
         r.pumping_power.value(),
     ];
-    let junction: Vec<u8> = r
-        .junction_map
-        .as_slice()
-        .iter()
-        .flat_map(|v| v.to_bits().to_le_bytes())
-        .collect();
-    let mut line = scalars.map(hex).join(" ");
-    line.push_str(&format!(" {}", fnv1a64(&junction)));
-    line
+    scalars_and_junction(&scalars, r)
+}
+
+/// The six scalars the array's current does not feed, then the junction
+/// map's digest.
+fn yield_line_without_cells(r: &YieldReport) -> String {
+    let scalars = [
+        r.chip_power.value(),
+        r.peak_temperature.value(),
+        r.outlet_temperature.value(),
+        r.pdn_min_voltage.value(),
+        r.pressure_drop.value(),
+        r.pumping_power.value(),
+    ];
+    scalars_and_junction(&scalars, r)
 }
 
 fn assert_lines(what: &str, actual: &[String], expected: &[&str]) {
@@ -149,56 +198,84 @@ fn assert_lines(what: &str, actual: &[String], expected: &[&str]) {
 }
 
 const RUN: &[&str] = &[
-    "13038506293619385628 189635",
-    "8402504994070026377 189461",
-    "2227621987279332611 189462",
+    "7841756091618813213 189637",
+    "9981766304859057028 189457",
+    "5688840978003214412 189462",
     "12625744958369168167 189454",
-    "10436023670611849503 189510",
-    "9028850005271179331 189508",
-    "1006614058989236495 189641",
-    "943931083962046810 220438",
-    "15306183765061651482 220441",
-    "13038506293619385628 189635",
+    "5146679214758140711 189514",
+    "13692752088052221896 189510",
+    "8314722823291599416 189649",
+    "1963073949285005832 220440",
+    "8195707257591776251 220435",
+    "7841756091618813213 189637",
 ];
 
 const YIELD: &[&str] = &[
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f313c629c92 40103f313c629c92 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
-    "4051d115d7c513c3 40747285640616c2 4074146b8ee26987 3ffee22ca511cfcf 3ffee22ca511cfcf 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 10046660626379232351",
-    "4051d115d7c513c3 407513cd2f45b533 4074b6d1f548c283 4001d58ef69bafb7 4001d58ef69bafb7 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8809391164036229073",
+    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f311bb2924b 40103f311bb2924b 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
+    "4051d115d7c513c3 40747285640616c2 4074146b8ee26987 3ffee22c6a461957 3ffee22c6a461957 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 10046660626379232351",
+    "4051d115d7c513c3 407513cd2f45b533 4074b6d1f548c283 4001d58ed90b880b 4001d58ed90b880b 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8809391164036229073",
     "4051d115d7c513c3 407513cd2f45b533 4074b6d1f548c283 3ffe2737c812573c 3ffe2737c812573c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8809391164036229073",
-    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 40031d03977867f3 40031d03977867f3 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
-    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 40031a9136053168 40031a9136053168 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
-    "4051d115d7c513c3 4073fc1cb7ea6501 40738b401b627e76 400fa1ca9db7d6e2 400fa1ca9db7d6e2 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 15041496233486242136",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa3113d66c303 400fa3113d66c303 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa3e4b7655f95 400fa3e4b7655f95 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f313c629c92 40103f313c629c92 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
+    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 40031d037724d221 40031d037724d221 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
+    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 40031a9115ca397e 40031a9115ca397e 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
+    "4051d115d7c513c3 4073fc1cb7ea6501 40738b401b627e76 400fa1ca096f6992 400fa1ca096f6992 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 15041496233486242136",
+    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa310e5b01076 400fa310e5b01076 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
+    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa3e45fad5bc4 400fa3e45fad5bc4 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
+    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f311bb2924b 40103f311bb2924b 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
 ];
 
 const YIELD_THEN_RUN: &[&str] = &[
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f313c629c92 40103f313c629c92 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779 | 13038506293619385628 189635",
-    "4051d115d7c513c3 407472856410890c 4074146b8ee0d008 3ffee22ca5103ac1 3ffee22ca5103ac1 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 13201788766200785428 | 8402504994070026377 189461",
-    "4051d115d7c513c3 407513cd2f4ba9b0 4074b6d1f5486125 4001d58ef69c1307 4001d58ef69c1307 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 9503886549713742996 | 2227621987279332611 189462",
+    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f311bb2924b 40103f311bb2924b 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779 | 7841756091618813213 189637",
+    "4051d115d7c513c3 407472856410890c 4074146b8ee0d008 3ffee22c6a4484ca 3ffee22c6a4484ca 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 13201788766200785428 | 9981766304859057028 189457",
+    "4051d115d7c513c3 407513cd2f4ba9b0 4074b6d1f5486125 4001d58ed90beb9c 4001d58ed90beb9c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 9503886549713742996 | 5688840978003214412 189462",
     "4051d115d7c513c3 407513cd2f4ba9b0 4074b6d1f5486125 3ffe2737c812573c 3ffe2737c812573c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 9503886549713742996 | 12625744958369168167 189454",
-    "4051d115d7c513c3 40750d19bae843b8 4074b6d1f547ddf4 40031d03977981b8 40031d03977981b8 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 15240808847171098783 | 10436023670611849503 189510",
-    "4051d115d7c513c3 40750d19bae843b8 4074b6d1f547ddf4 40031a9136064aef 40031a9136064aef 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 15240808847171098783 | 9028850005271179331 189508",
-    "4051d115d7c513c3 4073fc1cb7783ea8 40738b401b6304de 400fa1ca9dac771c 400fa1ca9dac771c 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 4278967054558337287 | 1006614058989236495 189641",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa3113d66c303 400fa3113d66c303 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905 | 943931083962046810 220438",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa3e4b7655f95 400fa3e4b7655f95 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905 | 15306183765061651482 220441",
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f313c629c92 40103f313c629c92 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779 | 13038506293619385628 189635",
+    "4051d115d7c513c3 40750d19bae843b8 4074b6d1f547ddf4 40031d037725ead0 40031d037725ead0 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 15240808847171098783 | 5146679214758140711 189514",
+    "4051d115d7c513c3 40750d19bae843b8 4074b6d1f547ddf4 40031a9115cb51f2 40031a9115cb51f2 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 15240808847171098783 | 13692752088052221896 189510",
+    "4051d115d7c513c3 4073fc1cb7783ea8 40738b401b6304de 400fa1ca09640510 400fa1ca09640510 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 4278967054558337287 | 8314722823291599416 189649",
+    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa310e5b01076 400fa310e5b01076 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905 | 1963073949285005832 220440",
+    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa3e45fad5bc4 400fa3e45fad5bc4 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905 | 8195707257591776251 220435",
+    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f311bb2924b 40103f311bb2924b 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779 | 7841756091618813213 189637",
 ];
 
 /// `run()` reports without [`PDN_FIELDS`].
 const RUN_WITHOUT_PDN: &[&str] = &[
-    "5120424515041443389 19303",
-    "18050456624341858338 19129",
-    "2844185767298142020 19130",
+    "9292929486616461376 19305",
+    "14075181829637335281 19125",
+    "7850401850851088077 19130",
     "8621079111962731996 19122",
-    "847876702557552320 19178",
-    "4979140674720445166 19176",
-    "7807697497337038246 19309",
-    "1924149348695824767 50106",
-    "12156209819320906631 50109",
-    "5120424515041443389 19303",
+    "15307369800439076268 19182",
+    "8316883861881309225 19178",
+    "4643047921987943535 19317",
+    "121071055585615353 50108",
+    "5130254421174045882 50103",
+    "9292929486616461376 19305",
+];
+
+/// `run()` reports without [`CELL_FIELDS`].
+const RUN_WITHOUT_CELLS: &[&str] = &[
+    "15296992381936799438 188578",
+    "1230256797448048744 188566",
+    "13187638560307511703 188572",
+    "13187638560307511703 188572",
+    "15416239750259313394 188620",
+    "13520963860432253266 188619",
+    "17127559890122514442 188586",
+    "15439023337162868174 219380",
+    "17701940197048569992 219380",
+    "15296992381936799438 188578",
+];
+
+/// `run_yield()` reports without `current_at_1v` and `power_at_1v`.
+const YIELD_WITHOUT_CELLS: &[&str] = &[
+    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
+    "4051d115d7c513c3 40747285640616c2 4074146b8ee26987 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 10046660626379232351",
+    "4051d115d7c513c3 407513cd2f45b533 4074b6d1f548c283 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8809391164036229073",
+    "4051d115d7c513c3 407513cd2f45b533 4074b6d1f548c283 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8809391164036229073",
+    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
+    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
+    "4051d115d7c513c3 4073fc1cb7ea6501 40738b401b627e76 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 15041496233486242136",
+    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
+    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
+    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
 ];
 
 #[test]
@@ -212,6 +289,28 @@ fn run_reports_keep_their_bits_outside_the_pdn_fields() {
         "run without the PDN fields",
         &walk(run_line_without_pdn),
         RUN_WITHOUT_PDN,
+    );
+}
+
+#[test]
+fn run_reports_keep_their_bits_outside_the_cell_fields() {
+    assert_lines(
+        "run without the cell fields",
+        &walk(|sim| run_line_without(sim, &CELL_FIELDS)),
+        RUN_WITHOUT_CELLS,
+    );
+}
+
+#[test]
+fn yield_reports_keep_their_bits_outside_the_cell_fields() {
+    let lines = walk(|sim| {
+        sim.reset_warm_starts();
+        yield_line_without_cells(&sim.run_yield().expect("run_yield"))
+    });
+    assert_lines(
+        "run_yield without the cell fields",
+        &lines,
+        YIELD_WITHOUT_CELLS,
     );
 }
 

@@ -40,18 +40,129 @@ pub struct SurfaceState {
 }
 
 /// The temperature-resolved constants of a Butler–Volmer inversion,
-/// stamped by [`ButlerVolmer::inversion_constants`].
+/// stamped by [`ButlerVolmer::inversion_constants`] or
+/// [`InversionStamp::at`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InversionConstants {
-    t: Kelvin,
     i0: f64,
     f_over_rt: f64,
     c_ox_ref: f64,
     c_red_ref: f64,
+    alpha: f64,
     symmetric: bool,
 }
 
+/// The temperature-independent part of [`InversionConstants`]: the
+/// couple's electron count and transfer coefficient, the reference
+/// concentrations and the two `powf` of the `i₀` prefactor. Stamped once
+/// per electrode by [`ButlerVolmer::inversion_stamp`], it gives the
+/// constants at any rate constant and temperature with no `powf` and no
+/// allocation — what a caller resolving many temperatures of one
+/// electrode (a flow cell's stations) needs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InversionStamp {
+    n: f64,
+    alpha: f64,
+    /// `C_ox,ref^(1−α)`.
+    ox_factor: f64,
+    /// `C_red,ref^α`.
+    red_factor: f64,
+    c_ox_ref: f64,
+    c_red_ref: f64,
+}
+
+impl InversionStamp {
+    /// The inversion constants at rate constant `k⁰` and temperature
+    /// `t`: bitwise those of [`ButlerVolmer::inversion_constants`] on
+    /// the stamped kinetics with their rate constant set to `k⁰`
+    /// ([`ButlerVolmer::with_rate_constant`]), since `i₀` multiplies the
+    /// same factors in the same order.
+    ///
+    /// # Errors
+    ///
+    /// [`EchemError::InvalidParameter`] for a non-positive or
+    /// non-finite `k⁰` (as [`ButlerVolmer::new`]) and
+    /// [`EchemError::InvalidTemperature`] for non-physical `t`.
+    pub fn at(
+        &self,
+        rate_constant: MetersPerSecondRate,
+        t: Kelvin,
+    ) -> Result<InversionConstants, EchemError> {
+        if !(rate_constant.value() > 0.0 && rate_constant.is_finite()) {
+            return Err(EchemError::InvalidParameter(format!(
+                "rate constant must be positive and finite, got {rate_constant}"
+            )));
+        }
+        if !t.is_physical() {
+            return Err(EchemError::InvalidTemperature(format!(
+                "non-physical temperature {t}"
+            )));
+        }
+        Ok(InversionConstants {
+            i0: self.n * FARADAY * rate_constant.value() * self.ox_factor * self.red_factor,
+            f_over_rt: self.n / thermal_voltage(t.value()),
+            c_ox_ref: self.c_ox_ref,
+            c_red_ref: self.c_red_ref,
+            alpha: self.alpha,
+            symmetric: (self.alpha - 0.5).abs() < 1e-12,
+        })
+    }
+}
+
 impl InversionConstants {
+    /// The overpotential `η` that drives current density `target`
+    /// (anodic positive) at the given surface state: closed-form for
+    /// `α = ½`, a damped Newton iteration seeded from the symmetric
+    /// solution otherwise. The arithmetic of
+    /// [`ButlerVolmer::overpotential_for_current`] at the stamped rate
+    /// constant and temperature, so the same bits.
+    ///
+    /// # Errors
+    ///
+    /// * [`EchemError::InvalidConcentration`] for negative or
+    ///   non-finite surface ratios,
+    /// * [`EchemError::InfeasibleOperatingPoint`] if the anodic branch
+    ///   is required (`target > 0`) but the reduced species is fully
+    ///   depleted at the surface (or vice versa for cathodic currents).
+    pub fn overpotential(
+        &self,
+        target: AmperePerSquareMeter,
+        surface: SurfaceState,
+    ) -> Result<f64, EchemError> {
+        let symmetric_eta = self.symmetric_overpotential(target.value(), surface)?;
+        if self.symmetric {
+            return Ok(symmetric_eta);
+        }
+        // General alpha: damped Newton on the monotone BV curve. The
+        // symmetric solve has checked the surface ratios, so the
+        // current and its slope are defined everywhere below.
+        let (a, f) = (self.alpha, self.f_over_rt);
+        let a_red = surface.c_red.value() / self.c_red_ref;
+        let a_ox = surface.c_ox.value() / self.c_ox_ref;
+        let mut eta = symmetric_eta;
+        for _ in 0..100 {
+            let anodic = a_red * ((1.0 - a) * f * eta).exp();
+            let cathodic = a_ox * (-a * f * eta).exp();
+            let resid = self.i0 * (anodic - cathodic) - target.value();
+            let slope = self.i0
+                * (a_red * (1.0 - a) * f * ((1.0 - a) * f * eta).exp()
+                    + a_ox * a * f * (-a * f * eta).exp());
+            if slope <= 0.0 || !slope.is_finite() {
+                break;
+            }
+            let mut step = resid / slope;
+            let scale = 2.0 / f;
+            if step.abs() > scale {
+                step = step.signum() * scale;
+            }
+            eta -= step;
+            if step.abs() < 1e-14 {
+                break;
+            }
+        }
+        Ok(eta)
+    }
+
     /// The closed-form (`α = ½`) overpotential for current density
     /// `target`: with `X = exp(n·F·η/(2RT))`, the root of
     /// `a_red·X² − (i/i₀)·X − a_ox = 0`.
@@ -152,6 +263,20 @@ impl ButlerVolmer {
     #[inline]
     pub fn c_red_ref(&self) -> MolePerCubicMeter {
         self.c_red_ref
+    }
+
+    /// The temperature-independent part of the inversion constants
+    /// ([`InversionStamp`]): two `powf`, once per electrode.
+    pub fn inversion_stamp(&self) -> InversionStamp {
+        let a = self.couple.alpha();
+        InversionStamp {
+            n: self.couple.electrons() as f64,
+            alpha: a,
+            ox_factor: self.c_ox_ref.value().powf(1.0 - a),
+            red_factor: self.c_red_ref.value().powf(a),
+            c_ox_ref: self.c_ox_ref.value(),
+            c_red_ref: self.c_red_ref.value(),
+        }
     }
 
     /// Returns a copy with a different rate constant (used by the
@@ -275,25 +400,13 @@ impl ButlerVolmer {
     ///
     /// [`EchemError::InvalidTemperature`] for non-physical `t`.
     pub fn inversion_constants(&self, t: Kelvin) -> Result<InversionConstants, EchemError> {
-        if !t.is_physical() {
-            return Err(EchemError::InvalidTemperature(format!(
-                "non-physical temperature {t}"
-            )));
-        }
-        let n = self.couple.electrons() as f64;
-        Ok(InversionConstants {
-            t,
-            i0: self.exchange_current_density().value(),
-            f_over_rt: n / thermal_voltage(t.value()),
-            c_ox_ref: self.c_ox_ref.value(),
-            c_red_ref: self.c_red_ref.value(),
-            symmetric: (self.couple.alpha() - 0.5).abs() < 1e-12,
-        })
+        self.inversion_stamp().at(self.rate_constant, t)
     }
 
     /// [`ButlerVolmer::overpotential_for_current`] against constants
     /// stamped by [`ButlerVolmer::inversion_constants`] on these
-    /// kinetics: the same arithmetic, so the same bits.
+    /// kinetics: [`InversionConstants::overpotential`], the same
+    /// arithmetic, so the same bits.
     ///
     /// # Errors
     ///
@@ -305,31 +418,7 @@ impl ButlerVolmer {
         target: AmperePerSquareMeter,
         surface: SurfaceState,
     ) -> Result<f64, EchemError> {
-        let symmetric_eta = k.symmetric_overpotential(target.value(), surface)?;
-        if k.symmetric {
-            return Ok(symmetric_eta);
-        }
-        // General alpha: damped Newton on the monotone BV curve.
-        let t = k.t;
-        let mut eta = symmetric_eta;
-        for _ in 0..100 {
-            let i = self.current_density(eta, surface, t)?.value();
-            let resid = i - target.value();
-            let slope = self.current_density_slope(eta, surface, t)?;
-            if slope <= 0.0 || !slope.is_finite() {
-                break;
-            }
-            let mut step = resid / slope;
-            let scale = 2.0 / k.f_over_rt;
-            if step.abs() > scale {
-                step = step.signum() * scale;
-            }
-            eta -= step;
-            if step.abs() < 1e-14 {
-                break;
-            }
-        }
-        Ok(eta)
+        k.overpotential(target, surface)
     }
 
     /// Charge-transfer resistance per unit area at equilibrium:
@@ -503,6 +592,76 @@ mod tests {
                 (back - target).abs() < 1e-6 * target.abs().max(1.0),
                 "target {target}: eta {eta} -> {back}"
             );
+        }
+    }
+
+    /// The general-α inversion as it ran before the constants carried
+    /// α: a damped Newton on `current_density` and its slope, from the
+    /// symmetric solution. The reference the constants' own Newton must
+    /// reproduce bit for bit.
+    fn reference_inversion(b: &ButlerVolmer, target: f64, surface: SurfaceState, t: Kelvin) -> f64 {
+        let k = b.inversion_constants(t).unwrap();
+        let mut eta = k.symmetric_overpotential(target, surface).unwrap();
+        if k.symmetric {
+            return eta;
+        }
+        for _ in 0..100 {
+            let i = b.current_density(eta, surface, t).unwrap().value();
+            let slope = b.current_density_slope(eta, surface, t).unwrap();
+            if slope <= 0.0 || !slope.is_finite() {
+                break;
+            }
+            let mut step = (i - target) / slope;
+            let scale = 2.0 / k.f_over_rt;
+            if step.abs() > scale {
+                step = step.signum() * scale;
+            }
+            eta -= step;
+            if step.abs() < 1e-14 {
+                break;
+            }
+        }
+        eta
+    }
+
+    #[test]
+    fn a_stamp_at_a_rate_constant_matches_the_rebuilt_electrode_bitwise() {
+        for alpha in [0.5, 0.3] {
+            let couple = RedoxCouple::new("stamp", Volt::new(0.1), 1, alpha).unwrap();
+            let base = ButlerVolmer::new(
+                couple,
+                MetersPerSecondRate::new(1e-5),
+                MolePerCubicMeter::new(850.0),
+                MolePerCubicMeter::new(1200.0),
+            )
+            .unwrap();
+            let stamp = base.inversion_stamp();
+            for (k0, t) in [(1e-5, 300.0), (3.7e-6, 312.5), (2.2e-4, 295.0)] {
+                let (k0, t) = (MetersPerSecondRate::new(k0), Kelvin::new(t));
+                let rebuilt = base.with_rate_constant(k0).unwrap();
+                let want = rebuilt.inversion_constants(t).unwrap();
+                assert_eq!(stamp.at(k0, t).unwrap(), want);
+                assert_eq!(
+                    want.i0.to_bits(),
+                    rebuilt.exchange_current_density().value().to_bits()
+                );
+                for target in [-700.0, -3.0, 0.0, 45.0, 900.0] {
+                    let reference = reference_inversion(&rebuilt, target, bulk(), t);
+                    let target = AmperePerSquareMeter::new(target);
+                    let eta = want.overpotential(target, bulk()).unwrap();
+                    let direct = rebuilt
+                        .overpotential_for_current(target, bulk(), t)
+                        .unwrap();
+                    assert_eq!(eta.to_bits(), reference.to_bits(), "alpha {alpha}");
+                    assert_eq!(direct.to_bits(), reference.to_bits(), "alpha {alpha}");
+                }
+            }
+            assert!(stamp
+                .at(MetersPerSecondRate::new(0.0), Kelvin::new(300.0))
+                .is_err());
+            assert!(stamp
+                .at(MetersPerSecondRate::new(1e-5), Kelvin::new(-1.0))
+                .is_err());
         }
     }
 

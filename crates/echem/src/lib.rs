@@ -52,7 +52,7 @@ pub mod vanadium;
 pub use cell::{CellChemistry, HalfCellChemistry};
 pub use couple::RedoxCouple;
 pub use electrolyte::{Electrolyte, IonicConductivity};
-pub use kinetics::{ButlerVolmer, InversionConstants, SurfaceState};
+pub use kinetics::{ButlerVolmer, InversionConstants, InversionStamp, SurfaceState};
 pub use temperature::Arrhenius;
 
 use std::fmt;

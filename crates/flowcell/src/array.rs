@@ -2,13 +2,14 @@
 //!
 //! The POWER7+ integration lays 88 channels over the die, all fed by one
 //! manifold and connected in parallel (same terminal voltage, currents
-//! add). When the thermal model supplies per-channel temperature profiles
-//! the channels differ: every solve fans out over them, and a worker
-//! builds each channel's model from the template, marches all of that
-//! solve's voltages through it in one station-major march, keeps the
-//! per-voltage currents and drops the model. No per-channel model
-//! outlives its solve. Otherwise a single representative channel is
-//! solved and scaled.
+//! add). When the thermal model supplies per-column temperature profiles
+//! the columns differ: every solve fans out over the marched columns,
+//! and a worker builds each one's model from the template, marches all
+//! of that solve's voltages through it in one station-major march, keeps
+//! the per-voltage currents and drops the model. No column model
+//! outlives its solve. A marched column may stand for several columns
+//! (a weight): its currents count once per column it represents.
+//! Otherwise a single representative channel is solved and scaled.
 
 use crate::options::TemperatureProfile;
 use crate::polarization::{PolarizationCurve, PolarizationPoint};
@@ -20,15 +21,27 @@ use bright_units::{Ampere, Volt, Watt};
 
 /// An array of `count` flow-cell channels electrically in parallel.
 ///
-/// An array with per-channel temperature profiles holds only the
-/// template and the profiles. Each solve builds the channel models from
-/// the template on worker threads (every one shares the template's duct
-/// solve) and drops them before it returns.
+/// An array with per-column temperature profiles holds only the
+/// template, the profiles of the columns it marches and each one's
+/// weight, the number of columns it stands for (1 for every column
+/// given by [`CellArray::with_channel_temperatures`]). Each solve builds
+/// the marched columns' models from the template on worker threads
+/// (every one shares the template's duct solve) and drops them before
+/// it returns.
 #[derive(Debug, Clone)]
 pub struct CellArray {
     template: CellModel,
     count: usize,
-    per_channel_temperatures: Option<Vec<TemperatureProfile>>,
+    columns: Option<Columns>,
+}
+
+/// The marched columns of an array with per-column temperatures: one
+/// profile and one weight each, the weights summing to the array's
+/// count.
+#[derive(Debug, Clone)]
+struct Columns {
+    temperatures: Vec<TemperatureProfile>,
+    weights: Vec<f64>,
 }
 
 /// Aggregate operating point of an array.
@@ -65,14 +78,24 @@ impl CellArray {
         Ok(Self {
             template,
             count,
-            per_channel_temperatures: None,
+            columns: None,
         })
     }
 
-    /// Number of channels.
+    /// Number of channels: with weighted columns, the number of columns
+    /// they stand for (the sum of the weights).
     #[inline]
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// Number of channel models a solve marches: the profiles given to
+    /// [`CellArray::with_channel_temperatures`] or
+    /// [`CellArray::with_weighted_channel_temperatures`], or 1 for the
+    /// scaled template.
+    #[inline]
+    pub fn marched_columns(&self) -> usize {
+        self.columns.as_ref().map_or(1, |c| c.temperatures.len())
     }
 
     /// The template channel model.
@@ -82,8 +105,8 @@ impl CellArray {
     }
 
     /// Assigns an individual temperature profile to every channel (from
-    /// the thermal solver). The vector length must equal the channel
-    /// count.
+    /// the thermal solver), each marched on its own. The vector length
+    /// must equal the channel count.
     ///
     /// # Errors
     ///
@@ -96,9 +119,48 @@ impl CellArray {
         Ok(self)
     }
 
+    /// Assigns temperature profiles to runs of channels: profile `k` is
+    /// marched once and its currents count `weights[k]` times, as if
+    /// that many channels had it. With every weight 1 this is
+    /// [`CellArray::with_channel_temperatures`], bit for bit (a current
+    /// times 1.0 is the current).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowCellError::InvalidConfig`] when the lengths differ,
+    /// a weight is zero, or the weights do not sum to the channel count.
+    pub fn with_weighted_channel_temperatures(
+        mut self,
+        temps: Vec<TemperatureProfile>,
+        weights: &[usize],
+    ) -> Result<Self, FlowCellError> {
+        if temps.len() != weights.len() {
+            return Err(FlowCellError::InvalidConfig(format!(
+                "{} temperature profiles for {} weights",
+                temps.len(),
+                weights.len()
+            )));
+        }
+        if weights.contains(&0) {
+            return Err(FlowCellError::InvalidConfig("a zero column weight".into()));
+        }
+        let total: usize = weights.iter().sum();
+        if total != self.count {
+            return Err(FlowCellError::InvalidConfig(format!(
+                "column weights sum to {total} for {} channels",
+                self.count
+            )));
+        }
+        self.columns = Some(Columns {
+            temperatures: temps,
+            weights: weights.iter().map(|&w| w as f64).collect(),
+        });
+        Ok(self)
+    }
+
     /// Removes per-channel temperatures (back to the template profile).
     pub fn without_channel_temperatures(mut self) -> Self {
-        self.per_channel_temperatures = None;
+        self.columns = None;
         self
     }
 
@@ -139,7 +201,10 @@ impl CellArray {
                 self.count
             )));
         }
-        self.per_channel_temperatures = Some(temps);
+        self.columns = Some(Columns {
+            weights: vec![1.0; temps.len()],
+            temperatures: temps,
+        });
         Ok(())
     }
 
@@ -149,17 +214,17 @@ impl CellArray {
     ///
     /// Propagates channel-solver errors.
     pub fn solve_at_voltage(&self, voltage: f64) -> Result<ArrayOperatingPoint, FlowCellError> {
-        let total = match &self.per_channel_temperatures {
+        let total = match &self.columns {
             None => self.count as f64 * self.template.solve_at_voltage(voltage)?.current().value(),
-            Some(temps) => self.column_totals(temps, &[voltage], 0, worker_count(temps.len()))?[0],
+            Some(columns) => self.column_totals(columns, &[voltage], 0, columns.workers())?[0],
         };
         Ok(ArrayOperatingPoint::at(voltage, total))
     }
 
     /// Terminal voltage when the array delivers `target` total current.
     /// Every Brent step is a [`CellArray::solve_at_voltage`], so an
-    /// array with per-channel temperatures builds and solves all its
-    /// channel models again at each step.
+    /// array with per-column temperatures builds and solves all its
+    /// marched column models again at each step.
     ///
     /// # Errors
     ///
@@ -209,15 +274,15 @@ impl CellArray {
     /// The array polarization curve with `n` sweep points and the
     /// operating point at `voltage`, bitwise equal to
     /// [`CellArray::polarization_curve`] followed by
-    /// [`CellArray::solve_at_voltage`] but in one pass: each channel
-    /// marches the sweep ladder plus `voltage` as one more lane, whose
-    /// station roots start cold as a lone solve's do, so every channel
-    /// model is built once.
+    /// [`CellArray::solve_at_voltage`] but in one pass: each marched
+    /// column marches the sweep ladder plus `voltage` as one more lane,
+    /// whose station roots start cold as a lone solve's do, so every
+    /// column model is built once.
     ///
     /// # Errors
     ///
     /// As the two calls. When both would fail, the error reported is the
-    /// lowest failing channel's, and within it the one its march meets
+    /// lowest failing column's, and within it the one its march meets
     /// first (station-major).
     pub fn polarization_curve_and_point(
         &self,
@@ -233,7 +298,7 @@ impl CellArray {
         n: usize,
         point: Option<f64>,
     ) -> Result<(PolarizationCurve, Option<ArrayOperatingPoint>), FlowCellError> {
-        let Some(temps) = &self.per_channel_temperatures else {
+        let Some(columns) = &self.columns else {
             let curve = self
                 .template
                 .polarization_curve(n)?
@@ -251,7 +316,7 @@ impl CellArray {
             .map(|k| v_lo + (ocv - 1e-4 - v_lo) * k as f64 / (n - 1) as f64)
             .collect();
         voltages.extend(point);
-        let mut totals = self.column_totals(temps, &voltages, n, worker_count(temps.len()))?;
+        let mut totals = self.column_totals(columns, &voltages, n, columns.workers())?;
         let point = point.map(|v| ArrayOperatingPoint::at(v, totals.pop().expect("point lane")));
         let mut pts: Vec<PolarizationPoint> = voltages[..n]
             .iter()
@@ -271,34 +336,47 @@ impl CellArray {
     }
 
     /// Total array current at each of `voltages`: one fan-out over the
-    /// channels on `workers` threads. A worker builds a channel's model
-    /// from the template at the channel's profile, marches every
+    /// marched columns on `workers` threads. A worker builds a column's
+    /// model from the template at the column's profile, marches every
     /// voltage through it at once (the hint chain restarting cold at
     /// lane `restart`), keeps the currents and drops the model. The
-    /// lowest failing channel's error wins and later channels are
-    /// cancelled.
+    /// totals sum weight · current in column order. The lowest failing
+    /// column's error wins and later columns are cancelled.
     fn column_totals(
         &self,
-        temps: &[TemperatureProfile],
+        columns: &Columns,
         voltages: &[f64],
         restart: usize,
         workers: usize,
     ) -> Result<Vec<f64>, FlowCellError> {
-        // One duct solve on the template, shared by every channel.
+        // One duct solve on the template, shared by every column.
         self.template.warm_geometry()?;
-        let per_channel = try_parallel_map_indexed(temps, workers, |_, t| {
-            let channel = self.template.with_temperature(t.clone())?;
-            let sols = channel.sweep_restarting_at(voltages, restart)?;
+        let per_column = try_parallel_map_indexed(&columns.temperatures, workers, |_, t| {
+            let column = self.template.with_temperature(t.clone())?;
+            let sols = column.sweep_restarting_at(voltages, restart)?;
             debug_assert_eq!(
-                channel.context_stats().geometry_builds,
+                column.context_stats().geometry_builds,
                 0,
-                "channels share the template's duct solve"
+                "columns share the template's duct solve"
             );
             Ok::<_, FlowCellError>(sols.iter().map(|s| s.current().value()).collect::<Vec<_>>())
         })?;
         Ok((0..voltages.len())
-            .map(|k| per_channel.iter().map(|currents| currents[k]).sum())
+            .map(|k| {
+                per_column
+                    .iter()
+                    .zip(&columns.weights)
+                    .map(|(currents, w)| w * currents[k])
+                    .sum()
+            })
             .collect())
+    }
+}
+
+impl Columns {
+    /// The fan-out width of a solve over these columns.
+    fn workers(&self) -> usize {
+        worker_count(self.temperatures.len())
     }
 }
 
@@ -347,9 +425,13 @@ mod tests {
             .collect();
         let template = presets::power7_channel().unwrap();
         let array = CellArray::new(template.clone(), 6).unwrap();
+        let columns = Columns {
+            temperatures: temps.clone(),
+            weights: vec![1.0; 6],
+        };
         let voltages = [0.6, 0.9, 1.0];
-        let inline = array.column_totals(&temps, &voltages, 2, 1).unwrap();
-        let threaded = array.column_totals(&temps, &voltages, 2, 3).unwrap();
+        let inline = array.column_totals(&columns, &voltages, 2, 1).unwrap();
+        let threaded = array.column_totals(&columns, &voltages, 2, 3).unwrap();
         assert_eq!(inline, threaded);
         let channels: Vec<Vec<f64>> = temps
             .iter()
@@ -370,7 +452,70 @@ mod tests {
             .collect();
         assert_eq!(inline, serial);
         // Errors propagate from worker threads too.
-        assert!(array.column_totals(&temps, &[-1.0], 0, 3).is_err());
+        assert!(array.column_totals(&columns, &[-1.0], 0, 3).is_err());
+    }
+
+    #[test]
+    fn unit_weights_reproduce_per_channel_temperatures_bitwise() {
+        let temps: Vec<TemperatureProfile> = (0..5)
+            .map(|k| TemperatureProfile::Uniform(Kelvin::new(300.0 + 1.5 * k as f64)))
+            .collect();
+        let array = || CellArray::new(presets::power7_channel().unwrap(), 5).unwrap();
+        let plain = array().with_channel_temperatures(temps.clone()).unwrap();
+        let weighted = array()
+            .with_weighted_channel_temperatures(temps, &[1; 5])
+            .unwrap();
+        assert_eq!((weighted.count(), weighted.marched_columns()), (5, 5));
+        let (curve_a, point_a) = plain.polarization_curve_and_point(6, 1.0).unwrap();
+        let (curve_b, point_b) = weighted.polarization_curve_and_point(6, 1.0).unwrap();
+        assert_eq!(
+            point_a.current.value().to_bits(),
+            point_b.current.value().to_bits()
+        );
+        for (a, b) in curve_a.points().iter().zip(curve_b.points()) {
+            assert_eq!(a.current.value().to_bits(), b.current.value().to_bits());
+        }
+    }
+
+    #[test]
+    fn a_weighted_column_counts_once_per_column_it_stands_for() {
+        let t = |k: f64| TemperatureProfile::Uniform(Kelvin::new(300.0 + k));
+        // Columns 0-1 share one profile and 3-5 another.
+        let each = CellArray::new(presets::power7_channel().unwrap(), 6)
+            .unwrap()
+            .with_channel_temperatures(vec![t(0.0), t(0.0), t(2.0), t(4.0), t(4.0), t(4.0)])
+            .unwrap();
+        let runs = CellArray::new(presets::power7_channel().unwrap(), 6)
+            .unwrap()
+            .with_weighted_channel_temperatures(vec![t(0.0), t(2.0), t(4.0)], &[2, 1, 3])
+            .unwrap();
+        assert_eq!((runs.count(), runs.marched_columns()), (6, 3));
+        let (a, b) = (
+            each.solve_at_voltage(1.0).unwrap().current.value(),
+            runs.solve_at_voltage(1.0).unwrap().current.value(),
+        );
+        // Only the summation order differs.
+        assert!((a - b).abs() <= 8.0 * f64::EPSILON * a, "{a} vs {b}");
+    }
+
+    #[test]
+    fn weights_must_cover_the_channels_once() {
+        let t = TemperatureProfile::Uniform(Kelvin::new(300.0));
+        let array = || CellArray::new(presets::power7_channel().unwrap(), 4).unwrap();
+        assert!(array()
+            .with_weighted_channel_temperatures(vec![t.clone(); 2], &[3])
+            .is_err());
+        assert!(array()
+            .with_weighted_channel_temperatures(vec![t.clone(); 2], &[4, 0])
+            .is_err());
+        assert!(array()
+            .with_weighted_channel_temperatures(vec![t.clone(); 2], &[2, 1])
+            .is_err());
+        let ok = array()
+            .with_weighted_channel_temperatures(vec![t; 2], &[1, 3])
+            .unwrap();
+        assert_eq!(ok.marched_columns(), 2);
+        assert_eq!(array().marched_columns(), 1);
     }
 
     #[test]

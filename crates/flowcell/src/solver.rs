@@ -40,13 +40,17 @@ use crate::transport::{LaneMarcher, OpBlock, StationOp, StationResponse};
 use crate::FlowCellError;
 use std::sync::{Arc, OnceLock};
 use bright_echem::electrolyte::area_specific_resistance;
-use bright_echem::{CellChemistry, Electrolyte, InversionConstants, SurfaceState};
+use bright_echem::temperature::{diffusivity_law, rate_constant_law};
+use bright_echem::{
+    Arrhenius, CellChemistry, Electrolyte, HalfCellChemistry, InversionConstants, InversionStamp,
+    SurfaceState,
+};
 use bright_flow::profile::{plane_poiseuille, DuctFlowSolution};
 use bright_num::roots::{brent, brent_bracketed, RootOptions};
 use bright_units::constants::FARADAY;
 use bright_units::{
-    Ampere, AmperePerSquareMeter, CubicMetersPerSecond, Kelvin, MolePerCubicMeter, SquareMeters,
-    Volt, Watt,
+    Ampere, AmperePerSquareMeter, CubicMetersPerSecond, Kelvin, MetersPerSecondRate,
+    MolePerCubicMeter, SquareMeters, Volt, Watt,
 };
 
 /// A configured single-channel flow cell.
@@ -103,19 +107,51 @@ impl Clone for CellModel {
     }
 }
 
-/// Per-station chemistry snapshot (temperature-resolved).
-#[derive(Debug, Clone)]
+/// Per-station chemistry snapshot (temperature-resolved): only what the
+/// station balance and the operator stamps read.
+#[derive(Debug, Clone, Copy)]
 struct StationChem {
-    chem: CellChemistry,
     ocv: f64,
     asr: f64,
     /// Electrons per reaction of the negative / positive couple.
     n_neg: f64,
     n_pos: f64,
+    /// Species diffusivity of the negative / positive stream.
+    d_neg: f64,
+    d_pos: f64,
     /// Butler–Volmer inversion constants of the negative / positive
     /// electrode at the station temperature.
     neg_bv: InversionConstants,
     pos_bv: InversionConstants,
+}
+
+/// What resolving one electrode at a station temperature takes, built
+/// once per [`CellModel::compute_stations`]: the Arrhenius laws of its
+/// rate constant and diffusivity (those of
+/// [`CellChemistry::at_temperature`]) and its inversion stamp, so a
+/// station evaluates two exponentials and no `powf`, and clones nothing.
+struct ElectrodeLaws {
+    rate: Arrhenius,
+    diffusivity: Arrhenius,
+    stamp: InversionStamp,
+}
+
+impl ElectrodeLaws {
+    fn of(half: &HalfCellChemistry, t_ref: Kelvin) -> Result<Self, FlowCellError> {
+        Ok(Self {
+            rate: rate_constant_law(half.kinetics.rate_constant().value(), t_ref)?,
+            diffusivity: diffusivity_law(half.diffusivity.value(), t_ref)?,
+            stamp: half.kinetics.inversion_stamp(),
+        })
+    }
+
+    /// The diffusivity and the inversion constants at `t`: bitwise those
+    /// of the electrode of [`CellChemistry::at_temperature`]`(t)`.
+    fn at(&self, t: Kelvin) -> Result<(f64, InversionConstants), FlowCellError> {
+        let rate = MetersPerSecondRate::new(self.rate.at(t)?);
+        let diffusivity = self.diffusivity.at(t)?;
+        Ok((diffusivity, self.stamp.at(rate, t)?))
+    }
 }
 
 /// Counters of the geometry/coefficient context split. All values are
@@ -798,8 +834,12 @@ impl CellModel {
         let temps = self.temperature.resample(nx)?;
         let uniform = temps.windows(2).all(|w| w[0] == w[1]);
         let mut stations = Vec::with_capacity(nx);
+        let chem = &self.chemistry;
+        let negative = ElectrodeLaws::of(&chem.negative, chem.reference_temperature)?;
+        let positive = ElectrodeLaws::of(&chem.positive, chem.reference_temperature)?;
         let make = |t: Kelvin| -> Result<StationChem, FlowCellError> {
-            let chem = self.chemistry.at_temperature(t)?;
+            let (d_neg, neg_bv) = negative.at(t)?;
+            let (d_pos, pos_bv) = positive.at(t)?;
             let ocv = chem.open_circuit_voltage(t)?.value();
             let sigma = chem.conductivity.at(t)?;
             let asr = area_specific_resistance(self.geometry.electrode_gap().value(), sigma)?
@@ -809,16 +849,15 @@ impl CellModel {
                 asr,
                 n_neg: chem.negative.kinetics.couple().electrons() as f64,
                 n_pos: chem.positive.kinetics.couple().electrons() as f64,
-                neg_bv: chem.negative.kinetics.inversion_constants(t)?,
-                pos_bv: chem.positive.kinetics.inversion_constants(t)?,
-                chem,
+                d_neg,
+                d_pos,
+                neg_bv,
+                pos_bv,
             })
         };
         if uniform {
             let proto = make(temps[0])?;
-            for _ in 0..nx {
-                stations.push(proto.clone());
-            }
+            stations.resize(nx, proto);
         } else {
             for t in &temps {
                 stations.push(make(*t)?);
@@ -848,14 +887,8 @@ impl CellModel {
             .mean_velocity(self.geometry.channel().cross_section())
             .value();
         let velocity_half: Vec<f64> = geo.shape_half.iter().map(|s| s * v_mean).collect();
-        let d_a: Vec<f64> = stations
-            .iter()
-            .map(|st| st.chem.negative.diffusivity.value())
-            .collect();
-        let d_c: Vec<f64> = stations
-            .iter()
-            .map(|st| st.chem.positive.diffusivity.value())
-            .collect();
+        let d_a: Vec<f64> = stations.iter().map(|st| st.d_neg).collect();
+        let d_c: Vec<f64> = stations.iter().map(|st| st.d_pos).collect();
         let mut anode = OpBank::default();
         let mut cathode = OpBank::default();
         anode.stamp(&velocity_half, geo.dx, geo.dy, &d_a, true, &mut stats)?;
@@ -940,18 +973,8 @@ impl CellModel {
                 *v = s * v_mean;
             }
         }
-        let d_a: Vec<f64> = ctx
-            .coef
-            .stations
-            .iter()
-            .map(|st| st.chem.negative.diffusivity.value())
-            .collect();
-        let d_c: Vec<f64> = ctx
-            .coef
-            .stations
-            .iter()
-            .map(|st| st.chem.positive.diffusivity.value())
-            .collect();
+        let d_a: Vec<f64> = ctx.coef.stations.iter().map(|st| st.d_neg).collect();
+        let d_c: Vec<f64> = ctx.coef.stations.iter().map(|st| st.d_pos).collect();
         ctx.coef.anode.stamp(
             &ctx.coef.velocity_half,
             ctx.geo.dx,
@@ -985,18 +1008,16 @@ impl CellModel {
         voltage: f64,
         ctx: &SolveContext,
     ) -> Result<CellSolution, FlowCellError> {
-        let mut sols = self.march(ctx, &[voltage], None, None)?;
+        let mut sols = self.march(ctx, &[voltage], None)?;
         Ok(sols.pop().expect("one lane, one solution"))
     }
 
     /// The station-major march of the voltage ladder `voltages`, one
     /// lane per voltage (see the module docs). Each lane brackets its
     /// station root around the previous lane's current density at the
-    /// same station; lane 0 brackets around `seed[station]` when a seed
-    /// profile is given (a previously solved nearby operating point),
-    /// cold otherwise, and lane `restart` (when given) starts a new,
-    /// cold hint chain. Every committed root satisfies the same residual
-    /// tolerance as a cold one.
+    /// same station; lane 0 brackets cold, and lane `restart` (when
+    /// given) starts a new, cold hint chain. Every committed root
+    /// satisfies the same residual tolerance as a cold one.
     ///
     /// Measured on an 88-channel array with sampled temperature profiles
     /// at paper resolution, a 16-voltage ladder averages 9.96 residual
@@ -1006,7 +1027,6 @@ impl CellModel {
         &self,
         ctx: &SolveContext,
         voltages: &[f64],
-        seed: Option<&[f64]>,
         restart: Option<usize>,
     ) -> Result<Vec<CellSolution>, FlowCellError> {
         if let Some(bad) = voltages.iter().find(|v| !(**v >= 0.0 && v.is_finite())) {
@@ -1042,7 +1062,7 @@ impl CellModel {
             let op_c = ctx.coef.cathode.op(station);
             anode.advance(op_a)?;
             cathode.advance(op_c)?;
-            let mut hint = seed.map(|h| h.get(station).copied().unwrap_or(0.0));
+            let mut hint = None;
             for (lane, sol) in sols.iter_mut().enumerate() {
                 if Some(lane) == restart {
                     hint = None;
@@ -1101,7 +1121,7 @@ impl CellModel {
     /// As [`CellModel::solve_at_voltage`].
     pub fn sweep_at_voltages(&self, voltages: &[f64]) -> Result<Vec<CellSolution>, FlowCellError> {
         let ctx = self.context()?;
-        self.march(ctx, voltages, None, None)
+        self.march(ctx, voltages, None)
     }
 
     /// [`CellModel::sweep_at_voltages`] whose hint chain restarts cold at
@@ -1115,7 +1135,7 @@ impl CellModel {
         voltages: &[f64],
         restart: usize,
     ) -> Result<Vec<CellSolution>, FlowCellError> {
-        self.march(self.context()?, voltages, None, Some(restart))
+        self.march(self.context()?, voltages, Some(restart))
     }
 
     /// Solves the cell at a fixed delivered current by inverting the
@@ -1269,11 +1289,9 @@ impl StationBalance<'_> {
                 self.anode.p0
             }),
         };
-        let eta_a = st.chem.negative.kinetics.overpotential_with(
-            &st.neg_bv,
-            AmperePerSquareMeter::new(i),
-            surf_a,
-        )?;
+        let eta_a = st
+            .neg_bv
+            .overpotential(AmperePerSquareMeter::new(i), surf_a)?;
         let surf_c = SurfaceState {
             c_ox: MolePerCubicMeter::new(self.cathode.reactant_surface(q_c)),
             c_red: MolePerCubicMeter::new(if self.track {
@@ -1282,11 +1300,9 @@ impl StationBalance<'_> {
                 self.cathode.p0
             }),
         };
-        let eta_c = st.chem.positive.kinetics.overpotential_with(
-            &st.pos_bv,
-            AmperePerSquareMeter::new(-i),
-            surf_c,
-        )?;
+        let eta_c = st
+            .pos_bv
+            .overpotential(AmperePerSquareMeter::new(-i), surf_c)?;
         let residual = st.ocv - eta_a + eta_c - i * st.asr - self.voltage;
         Ok((residual, eta_a, eta_c))
     }
@@ -1505,6 +1521,52 @@ mod tests {
         );
     }
 
+    /// Voltage `v` marched alone, each station's root bracketed around
+    /// `hint[station]` when a hint profile is given: the voltage-major
+    /// loop the lanes replaced, kept as the reference the lane march
+    /// must reproduce.
+    fn hinted_lone_march(
+        model: &CellModel,
+        ctx: &SolveContext,
+        v: f64,
+        hint: Option<&[f64]>,
+    ) -> CellSolution {
+        let mut anode = ctx.coef.anode_proto.with_lanes(1);
+        let mut cathode = ctx.coef.cathode_proto.with_lanes(1);
+        let mut sol = CellSolution {
+            voltage: Volt::new(v),
+            current: Ampere::new(0.0),
+            current_density: Vec::new(),
+            eta_anode: Vec::new(),
+            eta_cathode: Vec::new(),
+            electrode_area: model.geometry.electrode_area(),
+            transport_limited_stations: 0,
+        };
+        for (station, st) in ctx.coef.stations.iter().enumerate() {
+            let (op_a, op_c) = (ctx.coef.anode.op(station), ctx.coef.cathode.op(station));
+            anode.advance(op_a).unwrap();
+            cathode.advance(op_c).unwrap();
+            let balance = StationBalance {
+                st,
+                voltage: v,
+                track: model.options.track_products,
+                anode: anode.response(op_a, 0),
+                cathode: cathode.response(op_c, 0),
+            };
+            let root = balance.solve(hint.map(|h| h[station])).unwrap();
+            anode.commit(op_a, &[root.i / (st.n_neg * FARADAY)]);
+            cathode.commit(op_c, &[root.i / (st.n_pos * FARADAY)]);
+            sol.current_density.push(root.i);
+            sol.eta_anode.push(root.eta_a);
+            sol.eta_cathode.push(root.eta_c);
+            sol.transport_limited_stations += usize::from(root.clamped);
+        }
+        let height = model.geometry.channel().height().value();
+        let total: f64 = sol.current_density.iter().sum::<f64>() * ctx.geo.dx * height;
+        sol.current = Ampere::new(total);
+        sol
+    }
+
     #[test]
     fn lane_march_matches_chained_single_lane_marches_bitwise() {
         // Lane k of a sweep must be the march of voltage k alone, hinted
@@ -1526,11 +1588,7 @@ mod tests {
             let ctx = model.context().unwrap();
             let mut seed: Option<Vec<f64>> = None;
             for (lane, &v) in voltages.iter().enumerate() {
-                let alone = model
-                    .march(ctx, &[v], seed.as_deref(), None)
-                    .unwrap()
-                    .pop()
-                    .unwrap();
+                let alone = hinted_lone_march(&model, ctx, v, seed.as_deref());
                 assert_bitwise_equal(&swept[lane], &alone);
                 for (a, b) in [
                     (

@@ -7,9 +7,9 @@
 //! unevenly sized work still balances, results come back in input
 //! order, and a worker count of 1 runs inline on the caller's thread
 //! with zero overhead. [`join`] runs two independent tasks side by side
-//! (the co-simulation's PDN solve beside its thermal stage), and a task
-//! of a spawning join fans out over only its share of the cores.
-//! [`worker_count`] is the one worker-count policy.
+//! (the co-simulation's PDN solve beside its thermal stage). A task of a
+//! spawning join, and a spawned map worker, fans out over only its
+//! share of the cores. [`worker_count`] is the one worker-count policy.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,8 +26,9 @@ thread_local! {
 /// `BRIGHT_SWEEP_THREADS` environment variable when set. Every fan-out
 /// in the workspace (scenario sweeps, channel solves) uses this one
 /// policy, so `BRIGHT_SWEEP_THREADS=1` serializes *all* of them — nested
-/// fan-outs included. Inside a task of a [`join`] that spawned, the
-/// count is capped by that task's share of the cores as well.
+/// fan-outs included. Inside a task of a [`join`] that spawned, or a
+/// worker of a map that spawned, the count is capped by that thread's
+/// share of the cores as well.
 #[must_use]
 pub fn worker_count(items: usize) -> usize {
     let hw = std::thread::available_parallelism()
@@ -55,8 +56,16 @@ fn with_share<R>(share: usize, task: impl FnOnce() -> R) -> R {
     task()
 }
 
+/// The share of the caller's cores each of `spawned` map workers may
+/// fan out over: the caller's [`worker_count`] split evenly, at least 1.
+fn worker_share(spawned: usize) -> usize {
+    (worker_count(usize::MAX) / spawned).max(1)
+}
+
 /// Applies `f(index, item)` to every item using `workers` threads,
-/// returning results in input order.
+/// returning results in input order. When the map spawns, each worker
+/// sees its share of the caller's [`worker_count`] (at least one), so a
+/// fan-out inside `f` does not oversubscribe the cores.
 ///
 /// # Panics
 ///
@@ -73,8 +82,11 @@ where
     let cursor = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
     let fault_override = crate::faults::thread_override();
+    let spawned = workers.min(items.len());
+    let share = worker_share(spawned);
+    let f = |i, item| with_share(share, || f(i, item));
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(items.len()) {
+        for _ in 0..spawned {
             scope.spawn(|| {
                 // A fault-plan override scoped on the caller must also
                 // govern the work it fans out.
@@ -145,7 +157,8 @@ where
 
 /// Fallible variant of [`parallel_map_indexed`]: applies `f` to every
 /// item, returning all results in input order, or the error produced at
-/// the *lowest input index* if any call fails.
+/// the *lowest input index* if any call fails. Spawned workers fan out
+/// over their share of the cores, as in [`parallel_map_indexed`].
 ///
 /// Once any worker records an error, remaining workers stop claiming
 /// items — only work already in flight (plus at most items at indices
@@ -182,8 +195,11 @@ where
     let oks: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
     let errs: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
     let fault_override = crate::faults::thread_override();
+    let spawned = workers.min(items.len());
+    let share = worker_share(spawned);
+    let f = |i, item| with_share(share, || f(i, item));
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(items.len()) {
+        for _ in 0..spawned {
             scope.spawn(|| {
                 crate::faults::set_thread_override(fault_override);
                 let mut local = Vec::new();
@@ -437,6 +453,49 @@ mod tests {
             || (),
         );
         assert_eq!(inside.0, (true, (n / 2).max(1)));
+        assert_eq!(worker_count(usize::MAX), n);
+    }
+
+    #[test]
+    fn map_workers_fan_out_over_their_share() {
+        let n = worker_count(usize::MAX);
+        let items = [0u8; 4];
+        for spawned in [2, 3, 4] {
+            let share = (n / spawned).max(1);
+            let seen = parallel_map_indexed(&items, spawned, |_, _| worker_count(usize::MAX));
+            assert!(
+                seen.iter().all(|&w| w == share),
+                "{spawned} workers: {seen:?}"
+            );
+            let tried: Result<Vec<usize>, ()> =
+                try_parallel_map_indexed(&items, spawned, |_, _| Ok(worker_count(usize::MAX)));
+            assert!(
+                tried.unwrap().iter().all(|&w| w == share),
+                "{spawned} workers"
+            );
+        }
+        // An inline map leaves the count alone, and the caller's count is
+        // back after a spawning one.
+        assert_eq!(
+            parallel_map_indexed(&items, 1, |_, _| worker_count(usize::MAX)),
+            vec![n; 4]
+        );
+        assert_eq!(worker_count(usize::MAX), n);
+        // A worker that unwinds restores its thread's share on the way
+        // out, and the panic reaches the caller.
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map_indexed(&items, 2, |i, _| {
+                let inner = std::panic::catch_unwind(|| {
+                    with_share(1, || panic!("inner"));
+                });
+                assert!(inner.is_err());
+                assert_eq!(worker_count(usize::MAX), (n / 2).max(1), "item {i}");
+                if i == 3 {
+                    panic!("worker failed");
+                }
+            })
+        });
+        assert!(caught.is_err());
         assert_eq!(worker_count(usize::MAX), n);
     }
 

@@ -250,6 +250,10 @@ pub struct SolverSession {
     opts: IterOptions,
     precond: Option<Box<dyn Preconditioner>>,
     precond_stale: bool,
+    /// The error of the configured preconditioner's last setup, while
+    /// it stands: a refused setup is not retried until the operator
+    /// values or the spec change (both mark the preconditioner stale).
+    precond_refused: Option<NumError>,
     ws: KrylovWorkspace,
     x: Vec<f64>,
     rhs: Vec<f64>,
@@ -282,6 +286,7 @@ impl Clone for SolverSession {
             opts: self.opts.clone(),
             precond: None,
             precond_stale: true,
+            precond_refused: None,
             ws: KrylovWorkspace::new(),
             x: self.x.clone(),
             rhs: Vec::new(),
@@ -309,6 +314,7 @@ impl SolverSession {
             opts,
             precond: None,
             precond_stale: true,
+            precond_refused: None,
             ws: KrylovWorkspace::new(),
             x: Vec::new(),
             rhs: Vec::new(),
@@ -555,20 +561,33 @@ impl SolverSession {
         }
     }
 
+    /// Sets the configured preconditioner up for the bound values, once
+    /// per change of values or spec. A refused setup (a multigrid
+    /// hierarchy the contraction guard turns away, IC(0) off SPD) is
+    /// refused again without a retry until one of them changes.
     fn ensure_precond(&mut self) -> Result<(), NumError> {
         if self.precond.is_none() {
             self.precond = Some(self.opts.preconditioner.build());
             self.precond_stale = true;
         }
         if self.precond_stale {
-            self.precond
+            self.precond_stale = false;
+            let setup = self
+                .precond
                 .as_mut()
                 .expect("preconditioner built above")
-                .setup(&self.matrix)?;
-            self.precond_stale = false;
+                .setup(&self.matrix);
+            if let Err(e) = setup {
+                self.precond_refused = Some(e.clone());
+                return Err(e);
+            }
+            self.precond_refused = None;
             self.stats.precond_setups += 1;
         }
-        Ok(())
+        match &self.precond_refused {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
     }
 
     /// The rungs to attempt for this solve, in order. On a configured

@@ -333,6 +333,34 @@ fn explicit_multigrid_is_refused_on_the_nominal_fluid_stack() {
 }
 
 #[test]
+fn a_refused_multigrid_setup_is_not_retried_until_the_operator_changes() {
+    let mut model = presets::power7_stack().unwrap();
+    let power = full_load_map(&model);
+    let (mut mg, _, _) = multigrid_against_ssor(&model);
+    let first = mg.stats();
+    for _ in 0..3 {
+        model.solve_steady_warm(&power, &mut mg).unwrap();
+        assert_eq!(
+            mg.last_recovery(),
+            RecoveryRung::PrecondFallback(PrecondSpec::ssor())
+        );
+    }
+    let repeated = mg.stats();
+    assert_eq!(repeated.solves, first.solves + 3);
+    assert_eq!(repeated.mg_refreshes, first.mg_refreshes, "{repeated:?}");
+    assert_eq!(repeated.mg_hierarchy_builds, first.mg_hierarchy_builds);
+    // New operator values earn the configured spec one more setup.
+    model
+        .refresh_coefficients(
+            CubicMetersPerSecond::from_milliliters_per_minute(600.0),
+            Kelvin::new(300.0),
+        )
+        .unwrap();
+    model.solve_steady_warm(&power, &mut mg).unwrap();
+    assert_eq!(mg.stats().mg_refreshes, first.mg_refreshes + 1);
+}
+
+#[test]
 fn explicit_multigrid_serves_the_throttled_fluid_stack() {
     // At 48 ml/min and a 37 °C inlet the V-cycle passes the contraction
     // guard and serves the solve itself, in fewer iterations than SSOR.
