@@ -443,9 +443,9 @@ fn transients() -> Vec<Row> {
 }
 
 /// A 6-point flow and temperature ablation of 6-point polarization
-/// curves on a duct-velocity cell (best of 2): one cell retargeted in
-/// place against a cold cell per point, then as engine requests against
-/// a cold cell per request.
+/// curves on a duct-velocity cell (best of 2): one retargeted cell that
+/// keeps its duct solve against a cold cell per point, then as engine
+/// requests against a cold cell per request.
 fn retarget() -> Vec<Row> {
     let (reps, curve) = (2, 6);
     let per_channel = CubicMetersPerSecond::from_milliliters_per_minute;

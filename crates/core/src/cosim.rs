@@ -60,7 +60,8 @@ struct PdnCache {
 /// (Krylov scratch, preconditioner, warm start) persist across runs too.
 /// Long-lived servers keep one engine per operator pattern and move it
 /// between operating points with [`CoSimulation::retarget`], which
-/// refreshes cached operators in place wherever the pattern allows.
+/// refreshes the thermal operator in place and keeps the flow cell's
+/// duct solve wherever the pattern allows.
 ///
 /// [`CoSimulation::run`] and [`CoSimulation::run_yield`] share one
 /// pipeline: the thermal solve, then a flow-cell array built fresh from
@@ -87,8 +88,8 @@ pub struct CoSimulation {
     /// Scenarios this engine has served (1 after `new` + first `run`;
     /// grows with `retarget`).
     retargets: u64,
-    /// Retargets that kept the built flow-cell solve context alive
-    /// (refreshed in place instead of discarded).
+    /// Retargets that kept the flow-cell template and its duct solve
+    /// (moved by `retarget_cell_to` instead of discarded).
     cell_context_reuses: u64,
     /// Flow-cell columns the coupled stage marched, and the thermal
     /// columns they stood for, over every run.
@@ -139,10 +140,10 @@ impl CoSimulation {
         self.retargets
     }
 
-    /// Number of retargets that kept the built flow-cell solve context
-    /// (geometry + factored transport operators) and refreshed it in
-    /// place — the electrochemical counterpart of the thermal
-    /// refresh-vs-reassemble accounting.
+    /// Number of retargets that kept the built flow-cell template and
+    /// its geometry context (the duct solve), rebuilding only its
+    /// coefficient state — the electrochemical counterpart of the
+    /// thermal refresh-vs-reassemble accounting.
     #[inline]
     pub fn cell_context_reuses(&self) -> u64 {
         self.cell_context_reuses
@@ -238,12 +239,12 @@ impl CoSimulation {
     ///   coolant property snapshot at the new inlet) instead of rebuilt;
     /// * same PDN key → the cached conductance system is kept, only the
     ///   load RHS changes on the next run;
-    /// * same cell solver options → the flow-cell template's solve
-    ///   context is **refreshed in place** ([`CellModel::retarget_flow`]
-    ///   / [`CellModel::retarget_temperature`]): the duct velocity
-    ///   solution and the transport-operator storage survive every
-    ///   flow/inlet move (observable via
-    ///   [`CoSimulation::cell_context_reuses`] and
+    /// * same cell solver options → the flow-cell template is kept and
+    ///   retargeted ([`CellModel::retarget_flow`] /
+    ///   [`CellModel::retarget_temperature`]): its duct velocity
+    ///   solution survives every flow/inlet move, and its coefficient
+    ///   state is rebuilt from it before this call returns (observable
+    ///   via [`CoSimulation::cell_context_reuses`] and
     ///   [`CoSimulation::cell_context_stats`]).
     ///
     /// Sessions (scratch + warm starts) always survive; warm starts
@@ -253,10 +254,12 @@ impl CoSimulation {
     /// # Errors
     ///
     /// [`CoreError::InvalidScenario`] for invalid scenarios; thermal
-    /// refresh errors as in [`ThermalModel::refresh_microchannels`]. On
-    /// error the engine keeps its previous scenario; a failed cell
-    /// refresh additionally drops the template so the next run rebuilds
-    /// it cold (still at the previous scenario).
+    /// refresh errors as in [`ThermalModel::refresh_microchannels`];
+    /// [`CoreError::FlowCell`] for a point the flow cell cannot
+    /// represent (its coefficient build fails). On error the engine
+    /// keeps its previous scenario; a flow-cell error additionally drops
+    /// the template and the thermal model, so the next run rebuilds
+    /// them cold (still at the previous scenario).
     pub fn retarget(&mut self, scenario: Scenario) -> Result<(), CoreError> {
         scenario.validate()?;
         if Self::thermal_pattern_compatible(&self.scenario, &scenario) {
@@ -292,10 +295,10 @@ impl CoSimulation {
             // new cell geometry context is required.
             self.template = OnceLock::new();
         } else if self.template.get().is_some() {
-            // Same transport shape: move the built template in place
-            // (geometry, contact ASR, flow, temperature — only what
-            // actually changed is touched; an equal-coefficient
-            // retarget costs nothing at all).
+            // Same transport shape: keep the template and its duct
+            // solve, moving only what changed (geometry, contact ASR,
+            // flow, temperature); an equal-coefficient retarget costs
+            // nothing at all.
             let cache = Arc::clone(&self.geometry_cache);
             let template = self.template.get_mut().expect("checked above");
             if let Err(e) = retarget_cell_to(template, &scenario, Some(&cache)) {
@@ -757,21 +760,23 @@ pub(crate) fn cell_model_for(s: &Scenario) -> Result<CellModel, CoreError> {
     )?)
 }
 
-/// Retargets a built cell model to a scenario's coefficients in place
-/// (channel geometry, contact ASR, per-channel flow, inlet
-/// temperature), touching only what actually changed. Geometry moves
-/// consult `cache` so fingerprint collisions reuse a previous duct
-/// solve. Shared by [`CoSimulation::retarget`] and the engine's
-/// polarization workers so their compare-and-retarget semantics cannot
-/// drift. The scenario's `cell_options` must be shape-compatible with
-/// the model's (the callers guarantee this via their pattern keys /
+/// Retargets a built cell model to a scenario's coefficients (channel
+/// geometry, contact ASR, per-channel flow, inlet temperature),
+/// touching only what actually changed, then warms it: a changed
+/// coefficient drops the model's coefficient state and the warm builds
+/// it again from the kept duct solve. Geometry moves consult `cache` so
+/// fingerprint collisions reuse a previous duct solve. Shared by
+/// [`CoSimulation::retarget`] and the engine's polarization workers so
+/// their compare-and-retarget semantics cannot drift. The scenario's
+/// `cell_options` must be shape-compatible with the model's (the
+/// callers guarantee this via their pattern keys /
 /// [`cell_shape_compatible`] checks).
 ///
 /// # Errors
 ///
-/// Refresh errors as in the `CellModel::retarget_*` mutators; the
-/// model's context is cleared by the failed mutator, and callers drop
-/// the model itself.
+/// The `CellModel::retarget_*` mutators' validation and duct-solver
+/// errors, and the build error of a point the flow cell cannot
+/// represent. The model is then part-moved; callers drop it.
 pub(crate) fn retarget_cell_to(
     model: &mut CellModel,
     s: &Scenario,
@@ -787,6 +792,7 @@ pub(crate) fn retarget_cell_to(
     if *model.temperature() != inlet {
         model.retarget_temperature(inlet)?;
     }
+    model.warm()?;
     Ok(())
 }
 
@@ -991,15 +997,42 @@ mod tests {
         assert_eq!(sim.thermal_assembly_count(), 1, "retargets must not re-assemble");
         assert_eq!(sim.retarget_count(), 3);
         // The flow-cell side reuses its context just like the thermal
-        // side: every retarget refreshed the template in place…
+        // side: every retarget kept the template…
         assert_eq!(sim.cell_context_reuses(), 3);
         let cell = sim.cell_context_stats();
-        // …with zero further duct-profile solves and zero new transport
-        // operator builds (the acceptance criterion of the PR-5 split).
+        // …with zero further duct-profile solves; each retarget rebuilt
+        // the isothermal coefficient state, one operator per side.
         assert_eq!(cell.geometry_builds, 1, "{cell:?}");
-        assert_eq!(cell.op_builds, 2, "{cell:?}");
         assert_eq!(cell.coefficient_refreshes, 3, "{cell:?}");
-        assert!(cell.op_refreshes >= 6, "{cell:?}");
+        assert_eq!(cell.coefficient_builds, 4, "{cell:?}");
+        assert_eq!(cell.op_builds, 8, "{cell:?}");
+    }
+
+    #[test]
+    fn a_point_the_flow_cell_cannot_represent_fails_the_retarget() {
+        // F4's first row: 1e-300 ml/min passes `validate`, but its
+        // transport operators have a zero pivot. A warm engine must
+        // refuse the move, keep its previous point and still run.
+        let mut sim = CoSimulation::new(Scenario::power7_reduced()).unwrap();
+        let before = sim.run().unwrap();
+        let mut starved = Scenario::power7_reduced();
+        starved.total_flow =
+            bright_units::CubicMetersPerSecond::from_milliliters_per_minute(1e-300);
+        let err = sim.retarget(starved).unwrap_err();
+        assert!(matches!(err, CoreError::FlowCell(_)), "{err:?}");
+        assert_eq!(
+            sim.scenario().total_flow.value(),
+            Scenario::power7_reduced().total_flow.value()
+        );
+        assert_eq!(sim.retarget_count(), 0);
+        let after = sim.run().unwrap();
+        assert!(
+            (after.current_at_1v.value() - before.current_at_1v.value()).abs()
+                < 1e-6 * before.current_at_1v.value(),
+            "{} vs {}",
+            after.current_at_1v,
+            before.current_at_1v
+        );
     }
 
     #[test]

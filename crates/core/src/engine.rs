@@ -32,9 +32,9 @@
 //!   branched from checkpoints (see [`crate::transient`]).
 //! * **Polarization** requests group by [`CellPatternKey`] (transport
 //!   grids + velocity model) and are served by cached flow-cell workers
-//!   whose geometry and coefficient contexts are retargeted in place, so
-//!   the duct velocity solution and the factored transport operators
-//!   are paid for once per pattern.
+//!   that are retargeted between requests, so the duct velocity
+//!   solution is paid for once per pattern and each request rebuilds
+//!   only the coefficient state.
 //!
 //! Workers and assembled models return to three bounded LRU caches for
 //! later batches; [`EngineStats`] counts what was built and reused.
@@ -96,7 +96,7 @@ pub enum ScenarioRequest {
 /// The flow-cell geometry fingerprint polarization requests are grouped
 /// by: requests with equal keys share one `GeometryContext` (transport
 /// grids, velocity model, duct solution), so one cached worker serves
-/// them all with in-place coefficient retargets.
+/// them all with coefficient retargets.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellPatternKey {
     /// Cross-stream cells per half-width.
@@ -187,8 +187,8 @@ pub struct PolarizationReport {
     /// Digest of the cell-pattern group the request was served in.
     pub pattern: String,
     /// True when the request was served by retargeting a cached worker
-    /// (its geometry context and operator storage were reused); false
-    /// when it paid for the cold build itself.
+    /// (its geometry context, the duct solve, was reused); false when
+    /// it paid for the cold build itself.
     pub reused_context: bool,
     /// Recovery digest, mirroring
     /// [`ScenarioReport::degraded`]. Polarization sweeps solve through
@@ -619,7 +619,7 @@ struct Served {
 pub struct ScenarioEngine {
     workers: LruCache<PatternKey, CoSimulation>,
     /// Cached flow-cell workers serving polarization requests, keyed by
-    /// cell-geometry pattern and retargeted in place between requests.
+    /// cell-geometry pattern and retargeted between requests.
     cell_workers: LruCache<CellPatternKey, CellModel>,
     /// Assembled thermal models cached across batches, keyed by
     /// operator identity (pattern + flow + inlet) — coarser than the
@@ -996,7 +996,7 @@ impl WorkerMarks {
         Self {
             solves: w.thermal_session_stats().solves,
             recovered: w.thermal_session_stats().recovered_solves,
-            cells_built: w.cell_context_stats().coefficient_builds,
+            cells_built: w.cell_context_stats().geometry_builds,
             cell_reuses: w.cell_context_reuses(),
         }
     }
@@ -1046,9 +1046,8 @@ fn serve_steady(
                 }
             },
             // Read before any quarantine drops the worker: a cold build
-            // (or a rebuild after a failed refresh) shows as a
-            // coefficient-build delta, an in-place retarget as a reuse
-            // delta.
+            // shows as a duct-solve (geometry-build) delta, a retarget
+            // that kept the template as a reuse delta.
             |w, result| {
                 let after = w.map_or(before, WorkerMarks::of);
                 let degraded = if result.is_ok() && after.recovered > before.recovered {
@@ -1137,10 +1136,9 @@ fn serve_transients(mut group: Group<TransientGroupKey, ThermalModel, TransientR
 }
 
 /// Serves a polarization group serially: one cached [`CellModel`]
-/// worker whose solve context is **retargeted in place** between
-/// requests (the duct velocity solution and the factored transport
-/// operators survive every flow/inlet/temperature move), with each
-/// sweep warm-bracketing its voltage ladder.
+/// worker retargeted between requests (its duct velocity solution
+/// survives every flow/inlet/temperature move; the coefficient state is
+/// rebuilt from it), with each sweep warm-bracketing its voltage ladder.
 fn serve_polarizations(mut group: Group<CellPatternKey, CellModel, PolarizationRequest>) -> Served {
     let pattern = group.key.digest();
     let requests = std::mem::take(&mut group.requests);
@@ -1674,12 +1672,23 @@ mod tests {
         assert!(reports[0].reused_context);
         assert_eq!(engine.stats().cell_contexts_built, 1);
 
-        // The worker's own telemetry shows the geometry/operator reuse.
+        // The worker's own telemetry shows the geometry reuse: one duct
+        // solve, and one isothermal coefficient build (two operators)
+        // per retarget that dropped a built state.
         let worker = engine.cell_workers.values().next().expect("cached worker");
         let cell_stats = worker.context_stats();
         assert_eq!(cell_stats.geometry_builds, 1, "{cell_stats:?}");
-        assert_eq!(cell_stats.op_builds, 2, "{cell_stats:?}");
         assert!(cell_stats.coefficient_refreshes >= 4, "{cell_stats:?}");
+        assert_eq!(
+            cell_stats.coefficient_builds,
+            cell_stats.coefficient_refreshes + 1,
+            "{cell_stats:?}"
+        );
+        assert_eq!(
+            cell_stats.op_builds,
+            2 * cell_stats.coefficient_builds,
+            "{cell_stats:?}"
+        );
 
         engine.evict_workers();
         assert_eq!(engine.stats().cache_residents, 0);

@@ -158,14 +158,8 @@ impl CellArray {
         Ok(self)
     }
 
-    /// Removes per-channel temperatures (back to the template profile).
-    pub fn without_channel_temperatures(mut self) -> Self {
-        self.columns = None;
-        self
-    }
-
-    /// Applies an in-place retarget to the template, for a caller that
-    /// keeps one array across a stream of operating points. The channel
+    /// Applies a retarget to the template, for a caller that keeps one
+    /// array across a stream of operating points. The channel
     /// models of the next solve are built from the retargeted template;
     /// retargets are bitwise-equal to cold builds (the
     /// [`CellModel::retarget_geometry`] family's contract), so a

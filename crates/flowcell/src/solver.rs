@@ -38,12 +38,12 @@ use crate::options::{SolverOptions, TemperatureProfile, VelocityModel};
 use crate::polarization::{PolarizationCurve, PolarizationPoint};
 use crate::transport::{LaneMarcher, OpBlock, StationOp, StationResponse};
 use crate::FlowCellError;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use bright_echem::electrolyte::area_specific_resistance;
 use bright_echem::temperature::{diffusivity_law, rate_constant_law};
 use bright_echem::{
-    Arrhenius, CellChemistry, Electrolyte, HalfCellChemistry, InversionConstants, InversionStamp,
-    SurfaceState,
+    Arrhenius, CellChemistry, HalfCellChemistry, InversionConstants, InversionStamp, SurfaceState,
 };
 use bright_flow::profile::{plane_poiseuille, DuctFlowSolution};
 use bright_num::roots::{brent, brent_bracketed, RootOptions};
@@ -63,36 +63,22 @@ pub struct CellModel {
     options: SolverOptions,
     /// Geometry-keyed context (grid spacings + normalized velocity
     /// shape): survives every coefficient retarget and is *shared*
-    /// across models of the same geometry — `with_temperature` /
-    /// `with_flow` clones and array channels all point at one duct
-    /// solution.
+    /// across models of the same geometry — `with_temperature` siblings,
+    /// clones and array channels all point at one duct solution.
     geo: OnceLock<Arc<GeometryContext>>,
-    /// Geometry builds this model itself paid for (0 when the context
-    /// was inherited; incremented exactly when the `geo` cell's
-    /// initializer runs, whether via a solve or `warm_geometry`).
-    geo_builds_paid: std::sync::atomic::AtomicU64,
-    /// Counters salvaged from contexts discarded by a failed refresh,
-    /// folded into the next cold rebuild so [`CellContextStats`] stays
-    /// monotonic over the model's life.
-    stats_carry: CellContextStats,
-    /// Lazily built solve context (coefficient state + counters),
-    /// shared by every solve on this model and refreshed **in place**
-    /// by the `retarget_*` mutators.
+    /// Lazily built coefficient state, shared by every solve on this
+    /// model. The `retarget_*` mutators drop it; the next use builds it
+    /// again from `geo`.
     ctx: OnceLock<SolveContext>,
+    /// Context work this model paid for.
+    counters: Counters,
 }
 
 impl Clone for CellModel {
     fn clone(&self) -> Self {
-        // A clone shares the geometry `Arc` but paid for nothing:
-        // its build attribution starts at zero (matching the
-        // `with_temperature`/`with_flow` siblings), while the cloned
-        // coefficient state and the remaining counters carry over.
-        let mut ctx = self.ctx.clone();
-        if let Some(c) = ctx.get_mut() {
-            c.stats.geometry_builds = 0;
-        }
-        let mut stats_carry = self.stats_carry;
-        stats_carry.geometry_builds = 0;
+        // A clone shares the geometry `Arc` and the built state but paid
+        // for no duct solve: its geometry count starts at zero (matching
+        // a `with_temperature` sibling), the other counts carry over.
         Self {
             geometry: self.geometry,
             chemistry: self.chemistry.clone(),
@@ -100,9 +86,11 @@ impl Clone for CellModel {
             temperature: self.temperature.clone(),
             options: self.options.clone(),
             geo: self.geo.clone(),
-            geo_builds_paid: std::sync::atomic::AtomicU64::new(0),
-            stats_carry,
-            ctx,
+            ctx: self.ctx.clone(),
+            counters: Counters::of(CellContextStats {
+                geometry_builds: 0,
+                ..self.context_stats()
+            }),
         }
     }
 }
@@ -162,30 +150,56 @@ impl ElectrodeLaws {
 pub struct CellContextStats {
     /// Geometry contexts built by this model (duct-profile solves /
     /// velocity-shape evaluations). Stays 0 when the geometry was
-    /// inherited from another model (a `with_*` sibling or a plain
-    /// clone); never grows past 1 otherwise — coefficient retargets
-    /// reuse it.
+    /// inherited from another model (a `with_temperature` sibling or a
+    /// plain clone); grows only with a geometry retarget the
+    /// [`GeometryCache`] could not serve — every other retarget keeps it.
     pub geometry_builds: u64,
-    /// Full cold coefficient-state builds (1 after the first solve;
-    /// grows only if a failed refresh forces a rebuild).
+    /// Coefficient-state builds: the first use, plus one after each
+    /// retarget that dropped a built state.
     pub coefficient_builds: u64,
-    /// In-place coefficient refreshes served by the `retarget_*`
-    /// mutators.
+    /// Retargets that dropped a built coefficient state.
     pub coefficient_refreshes: u64,
-    /// Transport-operator builds: operators a stamp added beyond the
-    /// most its stream's [`OpBlock`] had held (storage growth plus the
-    /// first factorization). A flow/inlet/temperature retarget performs
-    /// zero of these once the context is warm.
+    /// Transport operators factored by those builds: one per run of
+    /// equal diffusivity per stream, so 2 per isothermal build.
     pub op_builds: u64,
-    /// In-place transport-operator re-stamps: O(ny) re-eliminations
-    /// through the block's existing storage.
-    pub op_refreshes: u64,
+}
+
+/// The counters behind [`CellContextStats`]. The context is built
+/// lazily behind `&self`, so they are atomics on the model itself: a
+/// dropped or failed context takes no count with it.
+#[derive(Debug, Default)]
+struct Counters {
+    geometry_builds: AtomicU64,
+    coefficient_builds: AtomicU64,
+    coefficient_refreshes: AtomicU64,
+    op_builds: AtomicU64,
+}
+
+impl Counters {
+    fn of(stats: CellContextStats) -> Self {
+        Self {
+            geometry_builds: AtomicU64::new(stats.geometry_builds),
+            coefficient_builds: AtomicU64::new(stats.coefficient_builds),
+            coefficient_refreshes: AtomicU64::new(stats.coefficient_refreshes),
+            op_builds: AtomicU64::new(stats.op_builds),
+        }
+    }
+
+    fn stats(&self) -> CellContextStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        CellContextStats {
+            geometry_builds: get(&self.geometry_builds),
+            coefficient_builds: get(&self.coefficient_builds),
+            coefficient_refreshes: get(&self.coefficient_refreshes),
+            op_builds: get(&self.op_builds),
+        }
+    }
 }
 
 /// Geometry-keyed half of the solve context: everything that depends
 /// only on the cell geometry and the discretization options. Immutable
 /// once built, shared via `Arc` across coefficient retargets, sibling
-/// models (`with_temperature`/`with_flow`) and array channels.
+/// models (`with_temperature`, clones) and array channels.
 #[derive(Debug)]
 pub(crate) struct GeometryContext {
     nx: usize,
@@ -242,12 +256,14 @@ impl GeometryKey {
 /// and the expensive duct Poisson solve should be paid once per
 /// *distinct* geometry, not once per sample. Workers share one cache
 /// (it is `Sync`); [`CellModel::retarget_geometry`] consults it before
-/// building. Hit/miss counters feed `McStats`.
+/// solving the duct, and the model's next use builds its coefficient
+/// state from the context it was served. Hit/miss counters feed
+/// `McStats`.
 #[derive(Debug, Default)]
 pub struct GeometryCache {
     map: std::sync::Mutex<std::collections::HashMap<GeometryKey, Arc<GeometryContext>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl GeometryCache {
@@ -260,13 +276,13 @@ impl GeometryCache {
     /// Duct-solve reuses served so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Geometry builds the cache could not avoid.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Number of distinct geometry contexts held.
@@ -308,7 +324,6 @@ impl GeometryCache {
         options: &SolverOptions,
         build: impl FnOnce() -> Result<GeometryContext, FlowCellError>,
     ) -> Result<(Arc<GeometryContext>, bool), FlowCellError> {
-        use std::sync::atomic::Ordering;
         let key = GeometryKey::new(geometry, options);
         if let Some(hit) = self.map.lock().expect("geometry cache poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -330,56 +345,27 @@ impl GeometryCache {
 /// with one operator per run of equal diffusivity, plus the station →
 /// operator map (consecutive equal-diffusivity stations share one
 /// operator, so the isothermal case holds exactly one per side).
-/// Re-stamps go through the block's storage, which survives retargets.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct OpBank {
     block: OpBlock,
     station_op: Vec<usize>,
-    /// Each operator's diffusivity: the block's stamp input.
-    run_d: Vec<f64>,
-    /// The per-station diffusivities the bank is currently stamped for
-    /// (used to skip the re-stamp entirely when neither the velocity
-    /// nor any diffusivity changed, e.g. an inlet-composition
-    /// retarget).
-    station_d: Vec<f64>,
 }
 
 impl OpBank {
-    /// (Re)stamps the bank for per-station diffusivities `ds` over the
-    /// given velocity profile. Operators within the most the block ever
-    /// held are re-stamped in place and count as refreshes; the rest
-    /// are builds (a shrink keeps the surplus storage for the next
-    /// growth, so a profile oscillating between shapes never rebuilds).
-    /// No-op when nothing changed.
-    fn stamp(
-        &mut self,
-        velocity: &[f64],
-        dx: f64,
-        dy: f64,
-        ds: &[f64],
-        velocity_changed: bool,
-        stats: &mut CellContextStats,
-    ) -> Result<(), FlowCellError> {
-        if !velocity_changed && ds == self.station_d.as_slice() {
-            return Ok(());
-        }
-        self.station_op.clear();
-        self.run_d.clear();
+    /// Stamps the bank for per-station diffusivities `ds` over the
+    /// given velocity profile.
+    fn build(velocity: &[f64], dx: f64, dy: f64, ds: &[f64]) -> Result<Self, FlowCellError> {
+        let mut run_d = Vec::new();
+        let mut station_op = Vec::with_capacity(ds.len());
         for (k, &d) in ds.iter().enumerate() {
             if k == 0 || ds[k - 1] != d {
-                self.run_d.push(d);
+                run_d.push(d);
             }
-            self.station_op.push(self.run_d.len() - 1);
+            station_op.push(run_d.len() - 1);
         }
-        let held = self.block.capacity();
-        let stamped = self.block.stamp(velocity, dx, dy, &self.run_d);
-        let done = self.block.len();
-        stats.op_refreshes += done.min(held) as u64;
-        stats.op_builds += done.saturating_sub(held) as u64;
-        stamped?;
-        self.station_d.clear();
-        self.station_d.extend_from_slice(ds);
-        Ok(())
+        let mut block = OpBlock::new();
+        block.stamp(velocity, dx, dy, &run_d)?;
+        Ok(Self { block, station_op })
     }
 
     /// The operator serving `station`.
@@ -389,14 +375,13 @@ impl OpBank {
     }
 }
 
-/// Coefficient half of the solve context: everything that changes with
-/// flow rate, inlet composition or temperature. Refreshed in place by
-/// the `retarget_*` mutators; rebuilt cold only on the first solve (or
-/// after a failed refresh).
+/// The coefficient state every solve marches through: the shared
+/// geometry context plus what depends on the flow rate, the inlets, the
+/// temperature profile and the contact ASR, built from the geometry
+/// context at the model's current parameters.
 #[derive(Debug, Clone)]
-struct CoefficientState {
-    v_mean: f64,
-    velocity_half: Vec<f64>,
+struct SolveContext {
+    geo: Arc<GeometryContext>,
     stations: Vec<StationChem>,
     anode: OpBank,
     cathode: OpBank,
@@ -405,15 +390,6 @@ struct CoefficientState {
     /// validation and re-derivation).
     anode_proto: LaneMarcher,
     cathode_proto: LaneMarcher,
-}
-
-/// The full solve context: shared geometry + owned coefficients +
-/// telemetry.
-#[derive(Debug, Clone)]
-struct SolveContext {
-    geo: Arc<GeometryContext>,
-    coef: CoefficientState,
-    stats: CellContextStats,
 }
 
 /// The solved state of a cell at one operating point.
@@ -496,11 +472,7 @@ impl CellModel {
         options: SolverOptions,
     ) -> Result<Self, FlowCellError> {
         options.validate()?;
-        if !(flow.value() > 0.0 && flow.is_finite()) {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "flow must be positive, got {flow}"
-            )));
-        }
+        check_flow(flow)?;
         temperature.resample(options.nx)?;
         Ok(Self {
             geometry,
@@ -509,9 +481,8 @@ impl CellModel {
             temperature,
             options,
             geo: OnceLock::new(),
-            geo_builds_paid: std::sync::atomic::AtomicU64::new(0),
-            stats_carry: CellContextStats::default(),
             ctx: OnceLock::new(),
+            counters: Counters::default(),
         })
     }
 
@@ -565,98 +536,51 @@ impl CellModel {
         Ok(model)
     }
 
-    /// Returns a copy with a different per-channel flow rate, sharing
-    /// this model's geometry context like
-    /// [`CellModel::with_temperature`].
-    ///
-    /// # Errors
-    ///
-    /// As [`CellModel::new`].
-    pub fn with_flow(&self, flow: CubicMetersPerSecond) -> Result<Self, FlowCellError> {
-        let mut model = Self::new(
-            self.geometry,
-            self.chemistry.clone(),
-            flow,
-            self.temperature.clone(),
-            self.options.clone(),
-        )?;
-        model.geo = self.geo.clone();
-        Ok(model)
-    }
-
-    /// Points this model at a different flow rate, refreshing the solve
-    /// context **in place**: the geometry context (duct solution, grid)
-    /// is untouched, the velocity profile is rescaled, and the factored
-    /// transport operators are re-stamped through their existing storage
-    /// — zero operator builds, zero duct-profile solves.
-    /// Subsequent solves are bitwise-equal to a cold model built at the
-    /// new flow.
+    /// Points this model at a different flow rate. The geometry context
+    /// (duct solution, grid) is kept; the coefficient state is dropped
+    /// and the next use builds it again, so subsequent solves are
+    /// bitwise-equal to a cold model built at the new flow.
     ///
     /// # Errors
     ///
     /// [`FlowCellError::InvalidConfig`] for a non-positive flow (the
-    /// model is unchanged); refresh errors clear the context so the next
-    /// solve rebuilds cold.
+    /// model is unchanged).
     pub fn retarget_flow(&mut self, flow: CubicMetersPerSecond) -> Result<(), FlowCellError> {
-        if !(flow.value() > 0.0 && flow.is_finite()) {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "flow must be positive, got {flow}"
-            )));
-        }
+        check_flow(flow)?;
         self.flow = flow;
-        self.refresh_context(false, true, true)
+        self.drop_state();
+        Ok(())
     }
 
-    /// Points this model at a different temperature profile in place:
-    /// station chemistry snapshots are rebuilt and the transport
-    /// operators re-stamped for the new diffusivities — the geometry
-    /// context and the velocity profile survive untouched.
+    /// Points this model at a different temperature profile, keeping
+    /// the geometry context and dropping the coefficient state, like
+    /// [`CellModel::retarget_flow`].
     ///
     /// # Errors
     ///
     /// [`FlowCellError::InvalidConfig`] for a non-physical profile (the
-    /// model is unchanged); refresh errors clear the context so the next
-    /// solve rebuilds cold.
+    /// model is unchanged).
     pub fn retarget_temperature(
         &mut self,
         temperature: TemperatureProfile,
     ) -> Result<(), FlowCellError> {
         temperature.resample(self.options.nx)?;
         self.temperature = temperature;
-        self.refresh_context(true, false, false)
+        self.drop_state();
+        Ok(())
     }
 
-    /// Points this model at different inlet compositions in place:
-    /// station chemistry (open-circuit voltages) and the marcher
-    /// skeletons are rebuilt, while the velocity profile **and every
-    /// factored transport operator** survive untouched (diffusivities
-    /// are composition-independent).
-    ///
-    /// # Errors
-    ///
-    /// Refresh errors clear the context so the next solve rebuilds cold.
-    pub fn retarget_inlets(
-        &mut self,
-        negative: Electrolyte,
-        positive: Electrolyte,
-    ) -> Result<(), FlowCellError> {
-        self.chemistry.negative.inlet = negative;
-        self.chemistry.positive.inlet = positive;
-        self.refresh_context(true, false, true)
-    }
-
-    /// Points this model at a different channel geometry in place: the
-    /// geometry context is swapped (served from `cache` when the
-    /// fingerprint matches a previous build — the duct solve is then
-    /// *not* repeated), and the whole coefficient state is refreshed
-    /// against it through the existing storage. Subsequent solves are
-    /// bitwise-equal to a cold model built at the new geometry. A
+    /// Points this model at a different channel geometry: the geometry
+    /// context is swapped (served from `cache` when the fingerprint
+    /// matches a previous build — the duct solve is then *not*
+    /// repeated) and the coefficient state dropped, so subsequent solves
+    /// are bitwise-equal to a cold model built at the new geometry. A
     /// retarget to the current geometry is a no-op.
     ///
     /// # Errors
     ///
-    /// Duct-solver errors on a cache miss; refresh errors clear the
-    /// context so the next solve rebuilds cold.
+    /// Duct-solver errors on a cache miss. The model then holds the new
+    /// geometry and no context, so its next use fails the same way.
     pub fn retarget_geometry(
         &mut self,
         geometry: CellGeometry,
@@ -666,46 +590,30 @@ impl CellModel {
             return Ok(());
         }
         self.geometry = geometry;
-        let (new_geo, paid) = match cache {
-            Some(cache) => {
-                cache.get_or_build(&self.geometry, &self.options, || self.build_geometry())?
-            }
-            None => (Arc::new(self.build_geometry()?), true),
-        };
-        if paid {
-            self.geo_builds_paid
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
         self.geo = OnceLock::new();
-        let _ = self.geo.set(Arc::clone(&new_geo));
-        if self.ctx.get().is_none() {
-            // Nothing warm to refresh; the next solve builds cold
-            // against the (possibly cached) context installed above.
-            return Ok(());
+        self.drop_state();
+        if let Some(cache) = cache {
+            let (geo, paid) =
+                cache.get_or_build(&self.geometry, &self.options, || self.build_geometry())?;
+            if paid {
+                self.counters
+                    .geometry_builds
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            let _ = self.geo.set(geo);
         }
-        if let Some(ctx) = self.ctx.get_mut() {
-            ctx.geo = new_geo;
-            ctx.stats.geometry_builds = self
-                .geo_builds_paid
-                .load(std::sync::atomic::Ordering::Relaxed);
-        }
-        // Everything downstream of geometry changed: stations (new
-        // electrode gap → new ASR), velocity (new cross-section and
-        // shape), operators (new grid spacings), marchers (new grid).
-        self.refresh_context(true, true, true)
+        self.warm_geometry()
     }
 
     /// Points this model at a different contact/electrode
-    /// area-specific resistance (Ω·m²) in place: station chemistry
-    /// snapshots are rebuilt with the new series term, while the
-    /// velocity profile, transport operators and marchers all survive
-    /// untouched. A retarget to the current value is a no-op.
+    /// area-specific resistance (Ω·m²), keeping the geometry context and
+    /// dropping the coefficient state, like [`CellModel::retarget_flow`].
+    /// A retarget to the current value is a no-op.
     ///
     /// # Errors
     ///
     /// [`FlowCellError::InvalidConfig`] for a negative or non-finite
-    /// value (the model is unchanged); refresh errors clear the context
-    /// so the next solve rebuilds cold.
+    /// value (the model is unchanged).
     pub fn retarget_contact_asr(&mut self, contact_asr: f64) -> Result<(), FlowCellError> {
         if !(contact_asr >= 0.0 && contact_asr.is_finite()) {
             return Err(FlowCellError::InvalidConfig(format!(
@@ -716,24 +624,24 @@ impl CellModel {
             return Ok(());
         }
         self.options.contact_asr = contact_asr;
-        self.refresh_context(true, false, false)
+        self.drop_state();
+        Ok(())
     }
 
-    /// Context telemetry: geometry builds, coefficient refreshes and
-    /// transport-operator builds/refreshes paid by this model. All zero
-    /// before any context work happens; monotonic afterwards (counters
-    /// survive even a failed refresh's forced rebuild).
+    /// Drops the built coefficient state, counting a refresh when there
+    /// was one; the next use builds it again at the new parameters.
+    fn drop_state(&mut self) {
+        if self.ctx.take().is_some() {
+            *self.counters.coefficient_refreshes.get_mut() += 1;
+        }
+    }
+
+    /// Context telemetry: geometry builds, coefficient builds and
+    /// refreshes, and transport-operator builds paid by this model. All
+    /// zero before any context work happens; monotonic afterwards.
     #[must_use]
     pub fn context_stats(&self) -> CellContextStats {
-        match self.ctx.get() {
-            Some(c) => c.stats,
-            None => CellContextStats {
-                geometry_builds: self
-                    .geo_builds_paid
-                    .load(std::sync::atomic::Ordering::Relaxed),
-                ..self.stats_carry
-            },
-        }
+        self.counters.stats()
     }
 
     /// Builds the geometry context now (idempotent). Call before fanning
@@ -747,11 +655,12 @@ impl CellModel {
         self.geometry_context().map(|_| ())
     }
 
-    /// Builds the full solve context now (idempotent): geometry plus
-    /// coefficient state. Long-lived holders (the co-simulation, the
-    /// scenario engine's polarization workers) warm their template once
-    /// so clones carry a built context and later `retarget_*` calls
-    /// have something to refresh.
+    /// Builds the coefficient state now (idempotent), and the geometry
+    /// context it needs. Long-lived holders (the co-simulation, the
+    /// scenario engine's polarization workers) warm a model after
+    /// building or retargeting it, so a point the flow cell cannot
+    /// represent fails there and not at the next solve; clones of a
+    /// warmed model carry its built state.
     ///
     /// # Errors
     ///
@@ -785,14 +694,15 @@ impl CellModel {
     }
 
     /// The cached geometry context, built on first use. A build is
-    /// charged to this model's `geo_builds_paid` counter, so the
-    /// attribution is correct whether the build happens here, inside
+    /// charged to this model's geometry counter, so the attribution is
+    /// correct whether the build happens here, inside
     /// [`CellModel::warm_geometry`], or not at all (inherited `Arc`).
     fn geometry_context(&self) -> Result<&Arc<GeometryContext>, FlowCellError> {
         bright_num::lazy::get_or_try_init(&self.geo, || {
             let geo = self.build_geometry().map(Arc::new)?;
-            self.geo_builds_paid
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.counters
+                .geometry_builds
+                .fetch_add(1, Ordering::Relaxed);
             Ok(geo)
         })
     }
@@ -826,9 +736,7 @@ impl CellModel {
     }
 
     /// Per-station chemistry snapshots at the current temperature
-    /// profile (reusing a single snapshot when isothermal). Shared by
-    /// the cold build and every in-place refresh so both produce
-    /// bitwise-identical stations.
+    /// profile (reusing a single snapshot when isothermal).
     fn compute_stations(&self) -> Result<Vec<StationChem>, FlowCellError> {
         let nx = self.options.nx;
         let temps = self.temperature.resample(nx)?;
@@ -866,139 +774,47 @@ impl CellModel {
         Ok(stations)
     }
 
+    /// Builds the coefficient state from the geometry context at the
+    /// model's current parameters.
     fn build_context(&self) -> Result<SolveContext, FlowCellError> {
         let geo = Arc::clone(self.geometry_context()?);
-        // Resume from the counters of any context a failed refresh
-        // discarded (geometry attribution comes from the atomic, which
-        // survives such clears on its own).
-        let carry = self.stats_carry;
-        let mut stats = CellContextStats {
-            geometry_builds: self
-                .geo_builds_paid
-                .load(std::sync::atomic::Ordering::Relaxed),
-            coefficient_builds: carry.coefficient_builds + 1,
-            coefficient_refreshes: carry.coefficient_refreshes,
-            op_builds: carry.op_builds,
-            op_refreshes: carry.op_refreshes,
-        };
         let stations = self.compute_stations()?;
         let v_mean = self
             .flow
             .mean_velocity(self.geometry.channel().cross_section())
             .value();
-        let velocity_half: Vec<f64> = geo.shape_half.iter().map(|s| s * v_mean).collect();
-        let d_a: Vec<f64> = stations.iter().map(|st| st.d_neg).collect();
-        let d_c: Vec<f64> = stations.iter().map(|st| st.d_pos).collect();
-        let mut anode = OpBank::default();
-        let mut cathode = OpBank::default();
-        anode.stamp(&velocity_half, geo.dx, geo.dy, &d_a, true, &mut stats)?;
-        cathode.stamp(&velocity_half, geo.dx, geo.dy, &d_c, true, &mut stats)?;
-        let (anode_proto, cathode_proto) =
-            make_marchers(&self.chemistry, &geo, &velocity_half)?;
+        let velocity: Vec<f64> = geo.shape_half.iter().map(|s| s * v_mean).collect();
+        let bank = |d: fn(&StationChem) -> f64| {
+            let ds: Vec<f64> = stations.iter().map(d).collect();
+            OpBank::build(&velocity, geo.dx, geo.dy, &ds)
+        };
+        let anode = bank(|st| st.d_neg)?;
+        let cathode = bank(|st| st.d_pos)?;
+        let marcher = |reactant: f64, product: f64| {
+            let (w, l) = (geo.half_width, geo.electrode_length);
+            LaneMarcher::new(w, l, geo.nx, &velocity, reactant, product, 1)
+        };
+        let (neg, pos) = (
+            &self.chemistry.negative.inlet,
+            &self.chemistry.positive.inlet,
+        );
+        let anode_proto = marcher(neg.c_red.value(), neg.c_ox.value())?;
+        let cathode_proto = marcher(pos.c_ox.value(), pos.c_red.value())?;
+        self.counters
+            .coefficient_builds
+            .fetch_add(1, Ordering::Relaxed);
+        let ops = anode.block.len() + cathode.block.len();
+        self.counters
+            .op_builds
+            .fetch_add(ops as u64, Ordering::Relaxed);
         Ok(SolveContext {
             geo,
-            coef: CoefficientState {
-                v_mean,
-                velocity_half,
-                stations,
-                anode,
-                cathode,
-                anode_proto,
-                cathode_proto,
-            },
-            stats,
+            stations,
+            anode,
+            cathode,
+            anode_proto,
+            cathode_proto,
         })
-    }
-
-    /// Refreshes the built context in place after a coefficient change.
-    /// `restamp_stations` rebuilds the chemistry snapshots,
-    /// `restamp_velocity` rescales the velocity profile,
-    /// `restamp_marchers` rebuilds the marcher skeletons (needed only
-    /// when the velocity or the inlet compositions changed); the
-    /// operator banks re-stamp themselves only when their inputs
-    /// actually changed. A model without a built context just keeps
-    /// the new parameters (the next solve builds cold — nothing to
-    /// reuse yet). On error the context is cleared so the next solve
-    /// rebuilds cold.
-    fn refresh_context(
-        &mut self,
-        restamp_stations: bool,
-        restamp_velocity: bool,
-        restamp_marchers: bool,
-    ) -> Result<(), FlowCellError> {
-        if self.ctx.get().is_none() {
-            return Ok(());
-        }
-        let result =
-            self.refresh_context_inner(restamp_stations, restamp_velocity, restamp_marchers);
-        if result.is_err() {
-            // Salvage the counters so CellContextStats stays monotonic
-            // across the forced cold rebuild.
-            if let Some(ctx) = self.ctx.get() {
-                self.stats_carry = ctx.stats;
-                self.stats_carry.geometry_builds = 0;
-            }
-            self.ctx = OnceLock::new();
-        }
-        result
-    }
-
-    fn refresh_context_inner(
-        &mut self,
-        restamp_stations: bool,
-        restamp_velocity: bool,
-        restamp_marchers: bool,
-    ) -> Result<(), FlowCellError> {
-        let stations = if restamp_stations {
-            Some(self.compute_stations()?)
-        } else {
-            None
-        };
-        let v_mean = self
-            .flow
-            .mean_velocity(self.geometry.channel().cross_section())
-            .value();
-        let ctx = self.ctx.get_mut().expect("checked by refresh_context");
-        if let Some(stations) = stations {
-            ctx.coef.stations = stations;
-        }
-        if restamp_velocity {
-            ctx.coef.v_mean = v_mean;
-            for (v, s) in ctx
-                .coef
-                .velocity_half
-                .iter_mut()
-                .zip(&ctx.geo.shape_half)
-            {
-                *v = s * v_mean;
-            }
-        }
-        let d_a: Vec<f64> = ctx.coef.stations.iter().map(|st| st.d_neg).collect();
-        let d_c: Vec<f64> = ctx.coef.stations.iter().map(|st| st.d_pos).collect();
-        ctx.coef.anode.stamp(
-            &ctx.coef.velocity_half,
-            ctx.geo.dx,
-            ctx.geo.dy,
-            &d_a,
-            restamp_velocity,
-            &mut ctx.stats,
-        )?;
-        ctx.coef.cathode.stamp(
-            &ctx.coef.velocity_half,
-            ctx.geo.dx,
-            ctx.geo.dy,
-            &d_c,
-            restamp_velocity,
-            &mut ctx.stats,
-        )?;
-        if restamp_marchers {
-            let (anode_proto, cathode_proto) =
-                make_marchers(&self.chemistry, &ctx.geo, &ctx.coef.velocity_half)?;
-            ctx.coef.anode_proto = anode_proto;
-            ctx.coef.cathode_proto = cathode_proto;
-        }
-        ctx.stats.coefficient_refreshes += 1;
-        Ok(())
     }
 
     /// One lane's march: the cell at `voltage` with cold station
@@ -1040,8 +856,8 @@ impl CellModel {
         let nx = self.options.nx;
         let lanes = voltages.len();
         let track = self.options.track_products;
-        let mut anode = ctx.coef.anode_proto.with_lanes(lanes);
-        let mut cathode = ctx.coef.cathode_proto.with_lanes(lanes);
+        let mut anode = ctx.anode_proto.with_lanes(lanes);
+        let mut cathode = ctx.cathode_proto.with_lanes(lanes);
         let mut sols: Vec<CellSolution> = voltages
             .iter()
             .map(|&v| CellSolution {
@@ -1057,9 +873,9 @@ impl CellModel {
         let mut q_a = vec![0.0; lanes];
         let mut q_c = vec![0.0; lanes];
 
-        for (station, st) in ctx.coef.stations.iter().enumerate() {
-            let op_a = ctx.coef.anode.op(station);
-            let op_c = ctx.coef.cathode.op(station);
+        for (station, st) in ctx.stations.iter().enumerate() {
+            let op_a = ctx.anode.op(station);
+            let op_c = ctx.cathode.op(station);
             anode.advance(op_a)?;
             cathode.advance(op_c)?;
             let mut hint = None;
@@ -1160,7 +976,6 @@ impl CellModel {
             )));
         }
         let ocv = ctx
-            .coef
             .stations
             .iter()
             .map(|s| s.ocv)
@@ -1197,13 +1012,7 @@ impl CellModel {
             ));
         }
         let ctx = self.context()?;
-        let ocv = ctx
-            .coef
-            .stations
-            .iter()
-            .map(|s| s.ocv)
-            .sum::<f64>()
-            / ctx.coef.stations.len() as f64;
+        let ocv = ctx.stations.iter().map(|s| s.ocv).sum::<f64>() / ctx.stations.len() as f64;
         let v_lo = 0.05_f64.min(ocv / 2.0);
         let voltages: Vec<f64> = (0..n)
             .map(|k| v_lo + (ocv - 1e-4 - v_lo) * k as f64 / (n - 1) as f64)
@@ -1226,33 +1035,15 @@ impl CellModel {
     }
 }
 
-/// Builds the inlet-filled marcher skeletons for `chemistry` over
-/// `velocity`. A free function so in-place refreshes can borrow the
-/// chemistry and the context disjointly.
-fn make_marchers(
-    chemistry: &CellChemistry,
-    geo: &GeometryContext,
-    velocity: &[f64],
-) -> Result<(LaneMarcher, LaneMarcher), FlowCellError> {
-    let anode = LaneMarcher::new(
-        geo.half_width,
-        geo.electrode_length,
-        geo.nx,
-        velocity,
-        chemistry.negative.inlet.c_red.value(),
-        chemistry.negative.inlet.c_ox.value(),
-        1,
-    )?;
-    let cathode = LaneMarcher::new(
-        geo.half_width,
-        geo.electrode_length,
-        geo.nx,
-        velocity,
-        chemistry.positive.inlet.c_ox.value(),
-        chemistry.positive.inlet.c_red.value(),
-        1,
-    )?;
-    Ok((anode, cathode))
+/// Rejects a flow rate that is not positive and finite.
+fn check_flow(flow: CubicMetersPerSecond) -> Result<(), FlowCellError> {
+    if flow.value() > 0.0 && flow.is_finite() {
+        Ok(())
+    } else {
+        Err(FlowCellError::InvalidConfig(format!(
+            "flow must be positive, got {flow}"
+        )))
+    }
 }
 
 /// One lane's voltage balance at one station (paper Section II-A),
@@ -1394,6 +1185,18 @@ mod tests {
         presets::power7_channel().expect("valid preset")
     }
 
+    /// The paper channel built cold at `flow`.
+    fn power7_at_flow(flow: CubicMetersPerSecond) -> Result<CellModel, FlowCellError> {
+        let m = power7_channel_model();
+        CellModel::new(
+            m.geometry,
+            m.chemistry,
+            flow,
+            m.temperature,
+            m.options,
+        )
+    }
+
     #[test]
     fn ocv_is_the_zero_current_point() {
         let m = power7_channel_model();
@@ -1477,7 +1280,7 @@ mod tests {
     #[test]
     fn higher_flow_raises_limiting_current() {
         let m = power7_channel_model();
-        let half_flow = m.with_flow(m.flow() / 2.0).unwrap();
+        let half_flow = power7_at_flow(m.flow() / 2.0).unwrap();
         let i_full = m.solve_at_voltage(0.3).unwrap().current.value();
         let i_half = half_flow.solve_at_voltage(0.3).unwrap().current.value();
         assert!(i_full > i_half, "full {i_full} vs half {i_half}");
@@ -1531,8 +1334,8 @@ mod tests {
         v: f64,
         hint: Option<&[f64]>,
     ) -> CellSolution {
-        let mut anode = ctx.coef.anode_proto.with_lanes(1);
-        let mut cathode = ctx.coef.cathode_proto.with_lanes(1);
+        let mut anode = ctx.anode_proto.with_lanes(1);
+        let mut cathode = ctx.cathode_proto.with_lanes(1);
         let mut sol = CellSolution {
             voltage: Volt::new(v),
             current: Ampere::new(0.0),
@@ -1542,8 +1345,8 @@ mod tests {
             electrode_area: model.geometry.electrode_area(),
             transport_limited_stations: 0,
         };
-        for (station, st) in ctx.coef.stations.iter().enumerate() {
-            let (op_a, op_c) = (ctx.coef.anode.op(station), ctx.coef.cathode.op(station));
+        for (station, st) in ctx.stations.iter().enumerate() {
+            let (op_a, op_c) = (ctx.anode.op(station), ctx.cathode.op(station));
             anode.advance(op_a).unwrap();
             cathode.advance(op_c).unwrap();
             let balance = StationBalance {
@@ -1697,19 +1500,21 @@ mod tests {
         let half = m.flow() / 2.0;
         m.retarget_flow(half).unwrap();
         let warm = m.solve_at_voltage(0.9).unwrap();
-        let cold = power7_channel_model()
-            .with_flow(half)
-            .unwrap()
-            .solve_at_voltage(0.9)
-            .unwrap();
+        let cold = power7_at_flow(half).unwrap().solve_at_voltage(0.9).unwrap();
         assert_bitwise_equal(&warm, &cold);
 
         let stats = m.context_stats();
-        assert_eq!(stats.geometry_builds, 1, "flow retarget must not re-solve the duct");
-        assert_eq!(stats.op_builds, base.op_builds, "flow retarget must not build operators");
-        assert_eq!(stats.op_refreshes, 2, "one in-place re-stamp per side");
+        assert_eq!(
+            stats.geometry_builds, 1,
+            "flow retarget must not re-solve the duct"
+        );
+        assert_eq!(
+            stats.op_builds,
+            2 * base.op_builds,
+            "the rebuild factors one op per side"
+        );
         assert_eq!(stats.coefficient_refreshes, 1);
-        assert_eq!(stats.coefficient_builds, 1);
+        assert_eq!(stats.coefficient_builds, 2);
     }
 
     #[test]
@@ -1733,78 +1538,35 @@ mod tests {
         let stats = m.context_stats();
         assert_eq!(stats.geometry_builds, 1);
         // The sampled profile needs more distinct operators than the
-        // isothermal pool held; those extra builds are honest — but the
-        // pooled isothermal pair must have been refreshed, not rebuilt.
-        assert!(stats.op_refreshes >= 2, "{stats:?}");
-        // Back to isothermal: the pool logically shrinks, pure
-        // refreshes again.
+        // isothermal pair.
+        assert!(stats.op_builds > 2 * base.op_builds, "{stats:?}");
+        // Back to isothermal: the rebuild factors one operator per side.
         let before = m.context_stats().op_builds;
         m.retarget_temperature(TemperatureProfile::Uniform(Kelvin::new(300.0)))
             .unwrap();
         let back = m.solve_at_voltage(1.0).unwrap();
         let cold_back = power7_channel_model().solve_at_voltage(1.0).unwrap();
         assert_bitwise_equal(&back, &cold_back);
-        assert_eq!(m.context_stats().op_builds, before, "shrinking pool rebuilt ops");
-        // Oscillating back to the sampled profile reuses the kept
-        // surplus operators: still zero new builds.
+        let stats = m.context_stats();
+        assert_eq!(stats.op_builds, before + base.op_builds, "{stats:?}");
+        assert_eq!(
+            (stats.coefficient_builds, stats.coefficient_refreshes),
+            (3, 2)
+        );
+        // A retarget drops the state; nothing is built until the next
+        // use.
         m.retarget_temperature(TemperatureProfile::Sampled(vec![
             Kelvin::new(301.0),
             Kelvin::new(306.0),
             Kelvin::new(311.0),
         ]))
         .unwrap();
-        assert_eq!(
-            m.context_stats().op_builds,
-            before,
-            "oscillating profile shapes must not rebuild operators"
-        );
-        let _ = base;
-    }
-
-    #[test]
-    fn retarget_inlets_skips_operator_restamp_entirely() {
-        use bright_echem::Electrolyte;
-        use bright_units::MolePerCubicMeter;
-
-        let mut m = power7_channel_model();
-        m.solve_at_voltage(1.0).unwrap();
-        let base = m.context_stats();
-        let neg = Electrolyte::new(
-            MolePerCubicMeter::new(150.0),
-            MolePerCubicMeter::new(1500.0),
-        )
-        .unwrap();
-        let pos = Electrolyte::new(
-            MolePerCubicMeter::new(1500.0),
-            MolePerCubicMeter::new(150.0),
-        )
-        .unwrap();
-        m.retarget_inlets(neg, pos).unwrap();
-        let warm = m.solve_at_voltage(1.0).unwrap();
         let stats = m.context_stats();
-        assert_eq!(stats.op_builds, base.op_builds, "inlet retarget built ops");
+        assert_eq!(stats.op_builds, before + base.op_builds, "{stats:?}");
         assert_eq!(
-            stats.op_refreshes, base.op_refreshes,
-            "inlet retarget must not even re-stamp (diffusivities unchanged)"
+            (stats.coefficient_builds, stats.coefficient_refreshes),
+            (3, 3)
         );
-        assert_eq!(stats.geometry_builds, 1);
-        assert_eq!(stats.coefficient_refreshes, 1);
-
-        // Cold model with the same inlets agrees bitwise.
-        let mut chem = bright_echem::vanadium::power7_cell_chemistry();
-        chem.negative.inlet = neg;
-        chem.positive.inlet = pos;
-        let cold = CellModel::new(
-            *m.geometry(),
-            chem,
-            m.flow(),
-            m.temperature().clone(),
-            m.options().clone(),
-        )
-        .unwrap()
-        .solve_at_voltage(1.0)
-        .unwrap();
-        assert_bitwise_equal(&warm, &cold);
     }
 
     #[test]
@@ -1838,13 +1600,18 @@ mod tests {
         .unwrap();
         assert_bitwise_equal(&warm, &cold);
         let stats = m.context_stats();
-        assert_eq!(stats.geometry_builds, 2, "uncached geometry retarget pays a build");
-        assert_eq!(stats.coefficient_builds, 1, "coefficients refreshed, not rebuilt");
+        assert_eq!(
+            stats.geometry_builds, 2,
+            "uncached geometry retarget pays a build"
+        );
+        assert_eq!(
+            stats.coefficient_builds, 2,
+            "coefficients rebuilt on the new geometry"
+        );
         assert_eq!(stats.coefficient_refreshes, 1);
         // Retargeting to the current geometry is free.
         m.retarget_geometry(wider, None).unwrap();
-        assert_eq!(m.context_stats().geometry_builds, 2);
-        assert_eq!(m.context_stats().coefficient_refreshes, 1);
+        assert_eq!(m.context_stats(), stats);
     }
 
     #[test]
@@ -1930,9 +1697,15 @@ mod tests {
 
         let stats = m.context_stats();
         assert_eq!(stats.geometry_builds, 1);
-        assert_eq!(stats.op_builds, base.op_builds, "ASR retarget must not touch operators");
-        assert_eq!(stats.op_refreshes, base.op_refreshes, "diffusivities unchanged: no re-stamp");
+        assert_eq!(
+            stats.op_builds,
+            3 * base.op_builds,
+            "two rebuilds, one op per side each"
+        );
         assert_eq!(stats.coefficient_refreshes, 2);
+        // Retargeting to the current value is free.
+        m.retarget_contact_asr(0.0).unwrap();
+        assert_eq!(m.context_stats(), stats);
         // Invalid values are rejected without touching the model.
         assert!(m.retarget_contact_asr(-1.0).is_err());
         assert!(m.retarget_contact_asr(f64::NAN).is_err());
@@ -1946,7 +1719,8 @@ mod tests {
         let warm = m
             .with_temperature(TemperatureProfile::Uniform(Kelvin::new(310.0)))
             .unwrap();
-        let throttled = m.with_flow(m.flow() / 3.0).unwrap();
+        let mut throttled = m.clone();
+        throttled.retarget_flow(m.flow() / 3.0).unwrap();
         assert!(m.shares_geometry_with(&warm));
         assert!(m.shares_geometry_with(&throttled));
         // Shared geometry is telemetry-visible: the siblings never pay
@@ -1979,47 +1753,55 @@ mod tests {
         m.retarget_flow(half).unwrap();
         assert_eq!(m.context_stats(), CellContextStats::default());
         let warm = m.solve_at_voltage(0.9).unwrap();
-        let cold = power7_channel_model()
-            .with_flow(half)
-            .unwrap()
-            .solve_at_voltage(0.9)
-            .unwrap();
+        let cold = power7_at_flow(half).unwrap().solve_at_voltage(0.9).unwrap();
         assert_bitwise_equal(&warm, &cold);
     }
 
     #[test]
-    fn counters_survive_a_failed_refresh() {
-        // A refresh that errors clears the context (the next solve
-        // rebuilds cold) — but the telemetry must stay monotonic: the
-        // rebuild resumes from the salvaged counters.
+    fn counters_survive_a_failed_build() {
+        // A coefficient build that errors leaves no state behind, so
+        // the next use builds again; the counters stay monotonic and the
+        // geometry context is kept.
         let mut m = power7_channel_model();
         m.solve_at_voltage(1.0).unwrap();
-        m.retarget_flow(m.flow() / 2.0).unwrap();
+        let base = m.flow();
+        m.retarget_flow(base / 2.0).unwrap();
+        m.warm().unwrap();
         let before = m.context_stats();
-        assert_eq!(before.coefficient_refreshes, 1);
-
-        // Inject a refresh failure past the public validation: a
-        // non-physical temperature assigned directly (same-module test
-        // access) makes compute_stations error inside the refresh.
-        m.temperature = TemperatureProfile::Uniform(Kelvin::new(f64::INFINITY));
-        assert!(m.refresh_context(true, false, false).is_err());
         assert_eq!(
-            m.context_stats().coefficient_refreshes,
-            before.coefficient_refreshes,
-            "salvaged counters must persist while no context is built"
+            (before.coefficient_builds, before.coefficient_refreshes),
+            (2, 1)
         );
 
-        m.temperature = TemperatureProfile::Uniform(Kelvin::new(300.0));
-        m.solve_at_voltage(1.0).unwrap();
+        // A flow this small passes validation, but its operators have a
+        // zero pivot: the build fails, at every use.
+        m.retarget_flow(CubicMetersPerSecond::from_milliliters_per_minute(1e-300))
+            .unwrap();
+        assert!(m.warm().is_err());
+        assert!(m.solve_at_voltage(1.0).is_err());
+        let failed = m.context_stats();
+        assert_eq!(
+            failed.coefficient_refreshes,
+            before.coefficient_refreshes + 1
+        );
+        assert_eq!(failed.coefficient_builds, before.coefficient_builds);
+        assert_eq!(failed.op_builds, before.op_builds);
+        assert_eq!(failed.geometry_builds, 1);
+
+        // A failed build drops nothing the model had paid for: the next
+        // good flow builds on the kept duct solution.
+        m.retarget_flow(base).unwrap();
+        assert_eq!(m.context_stats(), failed, "no built state to drop");
+        let again = m.solve_at_voltage(1.0).unwrap();
+        let cold = power7_channel_model().solve_at_voltage(1.0).unwrap();
+        assert_bitwise_equal(&again, &cold);
         let after = m.context_stats();
-        assert_eq!(after.coefficient_builds, 2, "forced rebuild must count");
-        assert_eq!(after.coefficient_refreshes, before.coefficient_refreshes);
-        assert!(after.op_builds >= before.op_builds);
-        assert!(after.op_refreshes >= before.op_refreshes);
-        assert_eq!(after.geometry_builds, 1, "geometry survives the clear");
-        // And the model keeps working: further retargets refresh again.
-        m.retarget_flow(m.flow() * 2.0).unwrap();
-        assert_eq!(m.context_stats().coefficient_refreshes, 2);
+        assert_eq!(
+            after.geometry_builds, 1,
+            "geometry survives the failed build"
+        );
+        assert_eq!(after.coefficient_builds, before.coefficient_builds + 1);
+        assert_eq!(after.op_builds, before.op_builds + 2);
     }
 
     #[test]
@@ -2041,8 +1823,6 @@ mod tests {
         assert!(m.solve_at_voltage(-0.1).is_err());
         assert!(m.solve_at_voltage(f64::NAN).is_err());
         assert!(m.polarization_curve(1).is_err());
-        assert!(m
-            .with_flow(CubicMetersPerSecond::new(0.0))
-            .is_err());
+        assert!(power7_at_flow(CubicMetersPerSecond::new(0.0)).is_err());
     }
 }

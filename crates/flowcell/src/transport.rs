@@ -81,9 +81,7 @@ const PIVOT_FLOOR: f64 = f64::MIN_POSITIVE * 16.0;
 /// assembly.
 ///
 /// Operator `k` keeps its reciprocal pivots, its `c′` row and its
-/// unit-wall-flux response contiguous, in storage that survives every
-/// re-stamp: [`OpBlock::stamp`] allocates only when a stamp needs more
-/// operators than the block ever held. The factor runs eight
+/// unit-wall-flux response contiguous. The factor runs eight
 /// operators at a time with rows in the outer loop, and each operator
 /// performs exactly the operations of stamping its bands, a
 /// [`TridiagonalFactorization::factor`] and a
@@ -127,13 +125,6 @@ impl OpBlock {
         self.len == 0
     }
 
-    /// The most operators the block has held: a stamp of at most this
-    /// many re-stamps storage in place.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.off.len()
-    }
-
     /// Stamps and factors one operator per entry of `ds` over
     /// `velocity` (the streamwise velocity at the `ny` cell centers,
     /// wall-first), station spacing `dx` and cross-stream cell size
@@ -161,14 +152,10 @@ impl OpBlock {
             ));
         }
         let ops = ds.len();
-        if self.off.len() < ops {
-            self.off.resize(ops, 0.0);
-            self.sens_surface.resize(ops, 0.0);
-        }
         let stride = 3 * ny;
-        if self.rows.len() < ops * stride {
-            self.rows.resize(ops * stride, 0.0);
-        }
+        self.off.resize(ops, 0.0);
+        self.sens_surface.resize(ops, 0.0);
+        self.rows.resize(ops * stride, 0.0);
         self.adv.clear();
         self.adv.extend(velocity.iter().map(|u| u / dx));
         (self.ny, self.dy, self.dx, self.len) = (ny, dy, dx, 0);
@@ -199,8 +186,8 @@ impl OpBlock {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is not below [`OpBlock::capacity`] (debug: below
-    /// [`OpBlock::len`]).
+    /// Panics if `k` is not below the number of diffusivities the last
+    /// [`OpBlock::stamp`] was given (debug: below [`OpBlock::len`]).
     #[inline]
     pub fn op(&self, k: usize) -> StationOp<'_> {
         debug_assert!(k < self.len, "operator {k} of {} stamped", self.len);
@@ -963,9 +950,10 @@ mod tests {
 
     #[test]
     fn refreshed_op_matches_fresh_build_bitwise() {
-        // A re-stamped block must be indistinguishable from one built
-        // cold at the new coefficients: same rows, same sensitivity as a
-        // lone operator, same marching behaviour as the reference.
+        // A block stamped again must be indistinguishable from one
+        // built cold at the new coefficients: same rows, same
+        // sensitivity as a lone operator, same marching behaviour as the
+        // reference.
         let dx = 22e-3 / 60.0;
         let dy = 100e-6 / 48.0;
         let slow: Vec<f64> = (0..48).map(|j| 0.8 + 0.01 * j as f64).collect();
@@ -973,10 +961,10 @@ mod tests {
         let mut block = OpBlock::new();
         block.stamp(&slow, dx, dy, &[1.26e-10, 3e-10]).unwrap();
         // Flow change (velocity rescale), then a diffusivity change with
-        // fewer operators: both re-stamp the existing storage.
+        // fewer operators.
         for (v, d) in [(&fast, 1.26e-10), (&slow, 4.13e-10)] {
             block.stamp(v, dx, dy, &[d]).unwrap();
-            assert_eq!((block.len(), block.capacity()), (1, 2));
+            assert_eq!(block.len(), 1);
             let mut fresh = OpBlock::new();
             fresh.stamp(v, dx, dy, &[d]).unwrap();
             let (op, cold) = (block.op(0), fresh.op(0));
@@ -1068,8 +1056,8 @@ mod tests {
             let rhs: Vec<f64> = (0..ny * width)
                 .map(|i| 2000.0 * (noise(seed, i as u64, 2) + 0.5))
                 .collect();
-            // One block re-stamped through every count: growth, and
-            // re-stamps in place.
+            // One block stamped through every count, growing and
+            // shrinking.
             let mut block = OpBlock::new();
             for (round, ops) in OP_COUNTS.into_iter().enumerate() {
                 let ds: Vec<f64> = (0..ops)

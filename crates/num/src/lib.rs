@@ -21,7 +21,7 @@
 //!   ladder ([`session::RecoveryPolicy`]) so the failure paths of all of
 //!   the above are deterministic and testable,
 //! * scalar root finding ([`roots`]) for polarization operating points,
-//! * interpolation ([`interp`]) and quadrature ([`quadrature`]) helpers.
+//! * interpolation helpers ([`interp`]).
 //!
 //! # Examples
 //!
@@ -51,7 +51,6 @@ pub mod lazy;
 pub mod multigrid;
 pub mod parallel;
 pub mod precond;
-pub mod quadrature;
 pub mod rng;
 pub mod roots;
 pub mod session;

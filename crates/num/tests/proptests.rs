@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use bright_num::dense::DenseMatrix;
-use bright_num::quadrature::{simpson_uniform, trapezoid_uniform};
 use bright_num::roots::{brent, brent_bracketed, RootOptions};
 use bright_num::solvers::{
     bicgstab, bicgstab_with_workspace, conjugate_gradient, conjugate_gradient_with_workspace,
@@ -267,27 +266,6 @@ proptest! {
         let mut block = vec![1.0; n * 2];
         prop_assert!(chol.solve_lanes_in_place(&mut block, 0).is_err());
         prop_assert!(chol.solve_lanes_in_place(&mut block, 3).is_err());
-    }
-
-    #[test]
-    fn trapezoid_converges_from_below_for_convex(n in 4usize..200) {
-        // For convex f, trapezoid overestimates; check sign and bound.
-        let h = 1.0 / n as f64;
-        let y: Vec<f64> = (0..=n).map(|i| (i as f64 * h).powi(2)).collect();
-        let t = trapezoid_uniform(&y, h).unwrap();
-        prop_assert!(t >= 1.0 / 3.0 - 1e-12);
-        prop_assert!(t - 1.0 / 3.0 < 1.0 / (4.0 * n as f64 * n as f64) + 1e-12);
-    }
-
-    #[test]
-    fn simpson_beats_trapezoid_on_smooth_integrands(n in 2usize..60) {
-        let m = 2 * n; // even interval count -> odd point count
-        let h = std::f64::consts::PI / m as f64;
-        let y: Vec<f64> = (0..=m).map(|i| (i as f64 * h).sin()).collect();
-        let t = trapezoid_uniform(&y, h).unwrap();
-        let s = simpson_uniform(&y, h).unwrap();
-        // Exact integral of sin over [0, pi] is 2.
-        prop_assert!((s - 2.0).abs() <= (t - 2.0).abs() + 1e-14);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! The polarization ablations (flow and temperature) route through the
 //! batched [`ScenarioEngine`] as [`ScenarioRequest::Polarization`]
 //! requests: every point shares one cached flow-cell worker whose
-//! geometry context (velocity solution, transport-operator storage)
-//! survives the coefficient retargets — no per-point model rebuilds,
-//! mirroring how the coupled flow/inlet ablation below shares one
-//! thermal operator.
+//! geometry context (the duct velocity solution) survives the
+//! coefficient retargets — no per-point duct solves, mirroring how the
+//! coupled flow/inlet ablation below shares one thermal operator.
 //!
 //! Run with: `cargo run --release --example design_space`
 
