@@ -186,9 +186,9 @@ impl CoSimulation {
     }
 
     /// Preconditioner digest of the thermal solve path — the plain
-    /// spec name (`"ssor"`), or the multigrid hierarchy digest
-    /// (`"mg(4 levels, coarse 144, chebyshev)"`) once a multigrid
-    /// solve has run. The engine stamps this into
+    /// spec name (`"milu0"` on a fluid stack), or the multigrid
+    /// hierarchy digest (`"mg(4 levels, coarse 144, chebyshev)"`) once
+    /// a multigrid solve has run. The engine stamps this into
     /// [`crate::ScenarioReport::precond`].
     #[must_use]
     pub fn precond_digest(&self) -> String {
@@ -601,9 +601,9 @@ fn thermal_and_cells(
     let thermal = bright_num::lazy::get_or_try_init(thermal, || thermal_model_for(s))?;
     let template = bright_num::lazy::get_or_try_init(template, || cell_model_for(s))?;
     template.warm()?;
-    // Adopt the model's size-aware preconditioner (multigrid on scaled
-    // stacked-tier grids, SSOR at paper size); a no-op when the spec is
-    // unchanged, so warm sessions keep their hierarchy.
+    // Adopt the model's preconditioner (MILU(0) on every fluid stack,
+    // SSOR or multigrid on conduction-only ones); a no-op when the spec
+    // is unchanged, so warm sessions keep their factors.
     session.set_preconditioner(thermal.solve_options().preconditioner);
     let power_map = s.thermal_load.rasterize(&s.floorplan, thermal.grid())?;
     let thermal_sol = thermal.solve_steady_with_sources_warm(&[(0, &power_map)], session)?;

@@ -306,8 +306,8 @@ pub struct ScenarioReport {
     /// when it paid for the assembly itself.
     pub reused_operator: bool,
     /// Preconditioner that served the worker's thermal solve — the
-    /// spec name (`"ssor"`) or a multigrid hierarchy digest
-    /// (`"mg(4 levels, coarse 144, chebyshev)"`); empty when the
+    /// spec name (`"milu0"` on a fluid stack) or a multigrid hierarchy
+    /// digest (`"mg(4 levels, coarse 144, chebyshev)"`); empty when the
     /// request failed before any solve. Lets degraded and scaled runs
     /// be diagnosed from the report alone.
     pub precond: String,
@@ -362,8 +362,8 @@ pub struct EngineStats {
     /// label does.
     pub kernel_threads: u32,
     /// Preconditioner spec serving the most recent steady batch's
-    /// thermal solves ([`bright_num::PrecondSpec::Multigrid`] on
-    /// scaled grids; the default spec before the first batch).
+    /// thermal solves ([`bright_num::PrecondSpec::Milu0`] on every
+    /// fluid-cooled stack; the default spec before the first batch).
     pub preconditioner: bright_num::PrecondSpec,
     /// Session solves (thermal, plus transient integrations) that
     /// succeeded only after the recovery ladder intervened (see

@@ -29,9 +29,11 @@
 //! A third walk pins the `run()` digest with the five fields the
 //! flow-cell array's current feeds left out, and a fourth the six
 //! `run_yield()` scalars other than the current and power at 1 V, with
-//! the junction map's digest.
+//! the junction map's digest. A fifth pins the `run()` digest of only
+//! the ten fields the thermal solve cannot feed, and a sixth the four
+//! `run_yield()` scalars it cannot feed.
 //!
-//! The values were recorded once and are not edited, with two
+//! The values were recorded once and are not edited, with three
 //! exceptions. First, when `run()` moved its cache-rail solve from
 //! warm-started CG to the cached banded factor that `run_yield()`
 //! already used, `RUN` and the run half of `YIELD_THEN_RUN` were
@@ -46,6 +48,15 @@
 //! point and the polarization curve): `RUN_WITHOUT_CELLS` and
 //! `YIELD_WITHOUT_CELLS`, recorded before it, still hold, and the
 //! co-simulation's budget test bounds the current's move by 5e-7.
+//! Third, when fluid-cooled stacks switched their thermal solve from
+//! SSOR to MILU(0) preconditioning, `RUN`, `RUN_WITHOUT_PDN`,
+//! `RUN_WITHOUT_CELLS`, `YIELD`, `YIELD_WITHOUT_CELLS` and
+//! `YIELD_THEN_RUN` were re-recorded once. Both solves stop at the same
+//! 1e-10 relative residual from different iterates, so every field the
+//! thermal solution feeds moved: on the base scenario by at most 2.2e-8
+//! relative (the thermal boost; 5.7e-8 at the full-resolution nominal
+//! point), the junction map by 1.8e-9. `RUN_WITHOUT_THERMAL` and
+//! `YIELD_WITHOUT_THERMAL`, recorded before it, still hold.
 
 use bright_core::{CoSimulation, Scenario, YieldReport};
 use bright_floorplan::PowerScenario;
@@ -139,6 +150,38 @@ fn run_line_without(sim: &mut CoSimulation, left_out: &[&str]) -> String {
     format!("{} {}", fnv1a64(json.as_bytes()), json.len())
 }
 
+/// The ten report fields the thermal solve cannot feed: the four PDN
+/// fields, the hydraulics (at the inlet temperature), the rasterized
+/// chip and rail loads, the inlet temperature and the isothermal
+/// baseline (the template at the inlet temperature, or the uncoupled
+/// array's own current).
+const THERMAL_FREE_FIELDS: [&str; 10] = [
+    "pdn_min_voltage",
+    "pdn_max_voltage",
+    "pdn_worst_drop",
+    "voltage_map",
+    "pressure_drop",
+    "pumping_power",
+    "chip_power",
+    "rail_power",
+    "inlet_temperature",
+    "isothermal_current_at_1v",
+];
+
+/// `fnv1a len` of the report JSON keeping only the `kept` fields.
+fn run_line_keeping(sim: &mut CoSimulation, kept: &[&str]) -> String {
+    let mut json = sim.run().expect("run").to_json();
+    let Value::Object(fields) = &mut json else {
+        panic!("a report serializes to an object");
+    };
+    for key in kept {
+        assert!(fields.contains_key(*key), "report lacks `{key}`");
+    }
+    fields.retain(|key, _| kept.contains(&key.as_str()));
+    let json = json.to_json_string();
+    format!("{} {}", fnv1a64(json.as_bytes()), json.len())
+}
+
 /// `fnv1a len` of the report JSON without [`PDN_FIELDS`].
 fn run_line_without_pdn(sim: &mut CoSimulation) -> String {
     run_line_without(sim, &PDN_FIELDS)
@@ -190,6 +233,20 @@ fn yield_line_without_cells(r: &YieldReport) -> String {
     scalars_and_junction(&scalars, r)
 }
 
+/// The four scalars the thermal solve cannot feed.
+fn yield_line_without_thermal(r: &YieldReport) -> String {
+    [
+        r.chip_power.value(),
+        r.pdn_min_voltage.value(),
+        r.pressure_drop.value(),
+        r.pumping_power.value(),
+    ]
+    .iter()
+    .map(|x| hex(*x))
+    .collect::<Vec<_>>()
+    .join(" ")
+}
+
 fn assert_lines(what: &str, actual: &[String], expected: &[&str]) {
     assert_eq!(
         actual, expected,
@@ -198,84 +255,112 @@ fn assert_lines(what: &str, actual: &[String], expected: &[&str]) {
 }
 
 const RUN: &[&str] = &[
-    "7841756091618813213 189637",
-    "9981766304859057028 189457",
-    "5688840978003214412 189462",
-    "12625744958369168167 189454",
-    "5146679214758140711 189514",
-    "13692752088052221896 189510",
-    "8314722823291599416 189649",
-    "1963073949285005832 220440",
-    "8195707257591776251 220435",
-    "7841756091618813213 189637",
+    "10099382631220917532 189653",
+    "14029575515572596681 189486",
+    "9288352875875568448 189502",
+    "692303923706912062 189493",
+    "6258161945062092068 189516",
+    "6718462986569090004 189512",
+    "12072857351900440738 189648",
+    "9113517209743685709 220369",
+    "17604526054999995580 220365",
+    "10099382631220917532 189653",
 ];
 
 const YIELD: &[&str] = &[
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f311bb2924b 40103f311bb2924b 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
-    "4051d115d7c513c3 40747285640616c2 4074146b8ee26987 3ffee22c6a461957 3ffee22c6a461957 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 10046660626379232351",
-    "4051d115d7c513c3 407513cd2f45b533 4074b6d1f548c283 4001d58ed90b880b 4001d58ed90b880b 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8809391164036229073",
-    "4051d115d7c513c3 407513cd2f45b533 4074b6d1f548c283 3ffe2737c812573c 3ffe2737c812573c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8809391164036229073",
-    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 40031d037724d221 40031d037724d221 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
-    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 40031a9115ca397e 40031a9115ca397e 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
-    "4051d115d7c513c3 4073fc1cb7ea6501 40738b401b627e76 400fa1ca096f6992 400fa1ca096f6992 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 15041496233486242136",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa310e5b01076 400fa310e5b01076 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa3e45fad5bc4 400fa3e45fad5bc4 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f311bb2924b 40103f311bb2924b 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
+    "4051d115d7c513c3 40734bd9a31fc5cc 4072d82bfdf2ffcf 40103f311bc48810 40103f311bc48810 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15737073344263955686",
+    "4051d115d7c513c3 4074728563f85062 4074146b8ee18172 3ffee22c6a40824b 3ffee22c6a40824b 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 3377103338162632567",
+    "4051d115d7c513c3 407513cd2f41a536 4074b6d1f547e89f 4001d58ed909c9f9 4001d58ed909c9f9 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 15714109477313998285",
+    "4051d115d7c513c3 407513cd2f41a536 4074b6d1f547e89f 3ffe2737c812573c 3ffe2737c812573c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 15714109477313998285",
+    "4051d115d7c513c3 40750d19baca1cc7 4074b6d1f54809d4 40031d03772507bd 40031d03772507bd 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 13250838449040107431",
+    "4051d115d7c513c3 40750d19baca1cc7 4074b6d1f54809d4 40031a9115ca6edf 40031a9115ca6edf 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 13250838449040107431",
+    "4051d115d7c513c3 4073fc1cb7e07dae 40738b401b626a46 400fa1ca095c5b78 400fa1ca095c5b78 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 13745509280588974049",
+    "405225cb46bacf75 4073fd31b5c34315 40738c0253f3a057 400fa310e57be37d 400fa310e57be37d 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 10521818577303462293",
+    "405225cb46bacf75 4073fd31b5c34315 40738c0253f3a057 400fa3e45f792c88 400fa3e45f792c88 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 10521818577303462293",
+    "4051d115d7c513c3 40734bd9a31fc5cc 4072d82bfdf2ffcf 40103f311bc48810 40103f311bc48810 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15737073344263955686",
 ];
 
 const YIELD_THEN_RUN: &[&str] = &[
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f311bb2924b 40103f311bb2924b 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779 | 7841756091618813213 189637",
-    "4051d115d7c513c3 407472856410890c 4074146b8ee0d008 3ffee22c6a4484ca 3ffee22c6a4484ca 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 13201788766200785428 | 9981766304859057028 189457",
-    "4051d115d7c513c3 407513cd2f4ba9b0 4074b6d1f5486125 4001d58ed90beb9c 4001d58ed90beb9c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 9503886549713742996 | 5688840978003214412 189462",
-    "4051d115d7c513c3 407513cd2f4ba9b0 4074b6d1f5486125 3ffe2737c812573c 3ffe2737c812573c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 9503886549713742996 | 12625744958369168167 189454",
-    "4051d115d7c513c3 40750d19bae843b8 4074b6d1f547ddf4 40031d037725ead0 40031d037725ead0 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 15240808847171098783 | 5146679214758140711 189514",
-    "4051d115d7c513c3 40750d19bae843b8 4074b6d1f547ddf4 40031a9115cb51f2 40031a9115cb51f2 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 15240808847171098783 | 13692752088052221896 189510",
-    "4051d115d7c513c3 4073fc1cb7783ea8 40738b401b6304de 400fa1ca09640510 400fa1ca09640510 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 4278967054558337287 | 8314722823291599416 189649",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa310e5b01076 400fa310e5b01076 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905 | 1963073949285005832 220440",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 400fa3e45fad5bc4 400fa3e45fad5bc4 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905 | 8195707257591776251 220435",
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 40103f311bb2924b 40103f311bb2924b 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779 | 7841756091618813213 189637",
+    "4051d115d7c513c3 40734bd9a31fc5cc 4072d82bfdf2ffcf 40103f311bc48810 40103f311bc48810 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15737073344263955686 | 10099382631220917532 189653",
+    "4051d115d7c513c3 4074728563fa46c9 4074146b8ee1ad7c 3ffee22c6a448216 3ffee22c6a448216 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 552636363546470853 | 14029575515572596681 189486",
+    "4051d115d7c513c3 407513cd2f4a660d 4074b6d1f547ea3b 4001d58ed90b8d00 4001d58ed90b8d00 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 16810114917408205005 | 9288352875875568448 189502",
+    "4051d115d7c513c3 407513cd2f4a660d 4074b6d1f547ea3b 3ffe2737c812573c 3ffe2737c812573c 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 16810114917408205005 | 692303923706912062 189493",
+    "4051d115d7c513c3 40750d19bacaa2a4 4074b6d1f5488376 40031d0377284d07 40031d0377284d07 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 1909345056410334431 | 6258161945062092068 189516",
+    "4051d115d7c513c3 40750d19bacaa2a4 4074b6d1f5488376 40031a9115cdb3a0 40031a9115cdb3a0 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 1909345056410334431 | 6718462986569090004 189512",
+    "4051d115d7c513c3 4073fc1cb7de7b46 40738b401b62d851 400fa1ca095b7e3a 400fa1ca095b7e3a 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 6016615880231203299 | 12072857351900440738 189648",
+    "405225cb46bacf75 4073fd31b5c34315 40738c0253f3a057 400fa310e57be37d 400fa310e57be37d 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 10521818577303462293 | 9113517209743685709 220369",
+    "405225cb46bacf75 4073fd31b5c34315 40738c0253f3a057 400fa3e45f792c88 400fa3e45f792c88 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 10521818577303462293 | 17604526054999995580 220365",
+    "4051d115d7c513c3 40734bd9a31fc5cc 4072d82bfdf2ffcf 40103f311bc48810 40103f311bc48810 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15737073344263955686 | 10099382631220917532 189653",
 ];
 
 /// `run()` reports without [`PDN_FIELDS`].
 const RUN_WITHOUT_PDN: &[&str] = &[
-    "9292929486616461376 19305",
-    "14075181829637335281 19125",
-    "7850401850851088077 19130",
-    "8621079111962731996 19122",
-    "15307369800439076268 19182",
-    "8316883861881309225 19178",
-    "4643047921987943535 19317",
-    "121071055585615353 50108",
-    "5130254421174045882 50103",
-    "9292929486616461376 19305",
+    "17223982742745819879 19321",
+    "4145631489792487402 19154",
+    "100378677195488285 19170",
+    "10386913782188634833 19161",
+    "9959176613659022317 19184",
+    "13712130055257402721 19180",
+    "12057724818523880491 19316",
+    "9462093929362291490 50037",
+    "16136293450302682477 50033",
+    "17223982742745819879 19321",
 ];
 
 /// `run()` reports without [`CELL_FIELDS`].
 const RUN_WITHOUT_CELLS: &[&str] = &[
-    "15296992381936799438 188578",
-    "1230256797448048744 188566",
-    "13187638560307511703 188572",
-    "13187638560307511703 188572",
-    "15416239750259313394 188620",
-    "13520963860432253266 188619",
-    "17127559890122514442 188586",
-    "15439023337162868174 219380",
-    "17701940197048569992 219380",
-    "15296992381936799438 188578",
+    "4383579932623429848 188593",
+    "1344564134527180198 188589",
+    "11897904626612848746 188611",
+    "11897904626612848746 188611",
+    "17139210240603132449 188623",
+    "13833498155224908303 188622",
+    "2817830925701133793 188585",
+    "2070588350891717136 219305",
+    "3964716282556499918 219305",
+    "4383579932623429848 188593",
 ];
 
 /// `run_yield()` reports without `current_at_1v` and `power_at_1v`.
 const YIELD_WITHOUT_CELLS: &[&str] = &[
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
-    "4051d115d7c513c3 40747285640616c2 4074146b8ee26987 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 10046660626379232351",
-    "4051d115d7c513c3 407513cd2f45b533 4074b6d1f548c283 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8809391164036229073",
-    "4051d115d7c513c3 407513cd2f45b533 4074b6d1f548c283 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 8809391164036229073",
-    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
-    "4051d115d7c513c3 40750d19bae8b044 4074b6d1f5467c84 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 6870686282104975893",
-    "4051d115d7c513c3 4073fc1cb7ea6501 40738b401b627e76 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 15041496233486242136",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
-    "405225cb46bacf75 4073fd31b5e25bba 40738c0253f91424 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 8259937427098231905",
-    "4051d115d7c513c3 40734bd9a37ca0e2 4072d82bfe0034cf 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 18211154972864752779",
+    "4051d115d7c513c3 40734bd9a31fc5cc 4072d82bfdf2ffcf 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15737073344263955686",
+    "4051d115d7c513c3 4074728563f85062 4074146b8ee18172 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa 3377103338162632567",
+    "4051d115d7c513c3 407513cd2f41a536 4074b6d1f547e89f 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 15714109477313998285",
+    "4051d115d7c513c3 407513cd2f41a536 4074b6d1f547e89f 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba 15714109477313998285",
+    "4051d115d7c513c3 40750d19baca1cc7 4074b6d1f54809d4 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 13250838449040107431",
+    "4051d115d7c513c3 40750d19baca1cc7 4074b6d1f54809d4 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f 13250838449040107431",
+    "4051d115d7c513c3 4073fc1cb7e07dae 40738b401b626a46 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 13745509280588974049",
+    "405225cb46bacf75 4073fd31b5c34315 40738c0253f3a057 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 10521818577303462293",
+    "405225cb46bacf75 4073fd31b5c34315 40738c0253f3a057 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300 10521818577303462293",
+    "4051d115d7c513c3 40734bd9a31fc5cc 4072d82bfdf2ffcf 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5 15737073344263955686",
+];
+
+/// `run()` reports keeping only [`THERMAL_FREE_FIELDS`].
+const RUN_WITHOUT_THERMAL: &[&str] = &[
+    "11947777816087724855 170535",
+    "11161955310556545592 170538",
+    "10135226929806676532 170540",
+    "10135226929806676532 170540",
+    "5746640797710908436 170540",
+    "14650985842368551288 170539",
+    "16675788774729850201 170538",
+    "13187408143605993428 170539",
+    "11695372469391926058 170539",
+    "11947777816087724855 170535",
+];
+
+/// `run_yield()` reports' four scalars the thermal solve cannot feed.
+const YIELD_WITHOUT_THERMAL: &[&str] = &[
+    "4051d115d7c513c3 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5",
+    "4051d115d7c513c3 3feed1967cd4ea6d 40a59f0129374bcd 3f7223192c4f52fa",
+    "4051d115d7c513c3 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba",
+    "4051d115d7c513c3 3feed1967cd4ea6d 40a1e488036b9286 3f6e04db36d095ba",
+    "4051d115d7c513c3 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f",
+    "4051d115d7c513c3 3feed1967cd4ea6d 40a77cd65a9d981f 3f73b3eefb79315f",
+    "4051d115d7c513c3 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300",
+    "405225cb46bacf75 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300",
+    "405225cb46bacf75 3feed1967cd4ea6d 40d2a36303900df5 3fd0494d274b6300",
+    "4051d115d7c513c3 3feed1967cd4ea6d 40e307f5059cac0c 3fec1aa2d37386c5",
 ];
 
 #[test]
@@ -311,6 +396,28 @@ fn yield_reports_keep_their_bits_outside_the_cell_fields() {
         "run_yield without the cell fields",
         &lines,
         YIELD_WITHOUT_CELLS,
+    );
+}
+
+#[test]
+fn run_reports_keep_their_bits_outside_the_thermal_fields() {
+    assert_lines(
+        "run without the thermal fields",
+        &walk(|sim| run_line_keeping(sim, &THERMAL_FREE_FIELDS)),
+        RUN_WITHOUT_THERMAL,
+    );
+}
+
+#[test]
+fn yield_reports_keep_their_bits_outside_the_thermal_fields() {
+    let lines = walk(|sim| {
+        sim.reset_warm_starts();
+        yield_line_without_thermal(&sim.run_yield().expect("run_yield"))
+    });
+    assert_lines(
+        "run_yield without the thermal fields",
+        &lines,
+        YIELD_WITHOUT_THERMAL,
     );
 }
 

@@ -3,9 +3,10 @@
 //! and worker counts), seed divergence, fault-tolerant batches and the
 //! shared geometry cache.
 //!
-//! The reference digest was recorded once and is not edited, with two
-//! exceptions: the PDN stage's batching onto one study-wide factor, and
-//! the grouping of like flow-cell columns (see [`REFERENCE_DIGEST`]).
+//! The reference digest was recorded once and is not edited, with three
+//! exceptions: the PDN stage's batching onto one study-wide factor, the
+//! grouping of like flow-cell columns, and MILU(0) preconditioning of
+//! the fluid-cooled thermal solve (see [`REFERENCE_DIGEST`]).
 
 use bright_core::montecarlo::{self, McParameter, McSpec, McVariable};
 use bright_core::Scenario;
@@ -45,7 +46,15 @@ fn tiny_spec(samples: usize) -> McSpec {
 /// deviations by at most 1.7e-6.
 /// [`REFERENCE_DIGEST_WITHOUT_CELLS`], recorded before that change,
 /// still holds.
-const REFERENCE_DIGEST: (u64, usize) = (2_543_073_896_216_854_825, 6901);
+///
+/// Re-recorded once more, its third deliberate exception, with
+/// [`REFERENCE_DIGEST_WITHOUT_CELLS`]: when fluid-cooled stacks switched
+/// their thermal solve from SSOR to MILU(0) preconditioning, every
+/// statistic the thermal solution feeds moved (both solves stop at the
+/// same 1e-10 relative residual from different iterates).
+/// [`REFERENCE_DIGEST_WITHOUT_THERMAL`], recorded before that change,
+/// still holds.
+const REFERENCE_DIGEST: (u64, usize) = (12_113_954_909_405_685_993, 6897);
 
 #[test]
 fn report_is_bitwise_identical_across_chunking_and_workers() {
@@ -84,8 +93,9 @@ const CELL_ENTRIES: [&str; 2] = ["net_power", "under_power"];
 
 /// Digest and length of `tiny_spec(24)`'s pretty-printed `McReport`
 /// JSON without [`CELL_METRICS`] and [`CELL_ENTRIES`]: every thermal,
-/// PDN and hydraulic statistic of the study.
-const REFERENCE_DIGEST_WITHOUT_CELLS: (u64, usize) = (5_145_581_020_128_943_238, 6097);
+/// PDN and hydraulic statistic of the study. Re-recorded once, with
+/// [`REFERENCE_DIGEST`], for MILU(0).
+const REFERENCE_DIGEST_WITHOUT_CELLS: (u64, usize) = (5_304_788_132_752_129_785, 6094);
 
 #[test]
 fn report_keeps_its_bits_outside_the_cell_entries() {
@@ -114,6 +124,47 @@ fn report_keeps_its_bits_outside_the_cell_entries() {
         (fnv1a64(json.as_bytes()), json.len()),
         REFERENCE_DIGEST_WITHOUT_CELLS,
         "McReport JSON moved outside the cell entries"
+    );
+}
+
+/// The `McReport` metrics the thermal solve cannot feed: the
+/// hydraulics, at each sample's inlet temperature, and the PDN droop.
+const THERMAL_FREE_METRICS: [&str; 3] =
+    ["pumping_power_w", "pdn_min_voltage_v", "pressure_drop_pa"];
+const SAMPLE_COUNTS: [&str; 4] = ["samples", "evaluated", "invalid", "failed"];
+
+/// Digest and length of `tiny_spec(24)`'s pretty-printed `McReport`
+/// JSON keeping only [`SAMPLE_COUNTS`] and the [`THERMAL_FREE_METRICS`].
+const REFERENCE_DIGEST_WITHOUT_THERMAL: (u64, usize) = (1_827_172_053_041_794_020, 705);
+
+#[test]
+fn report_keeps_its_bits_outside_the_thermal_entries() {
+    let run = montecarlo::run(&tiny_spec(24)).unwrap();
+    let mut json = run.report.to_json();
+    let Value::Object(fields) = &mut json else {
+        panic!("a report serializes to an object");
+    };
+    let Some(Value::Array(mut metrics)) = fields.remove("metrics") else {
+        panic!("report lacks its metrics");
+    };
+    metrics.retain(|m| {
+        let name = m
+            .get("name")
+            .and_then(Value::as_str)
+            .expect("a metric names itself");
+        THERMAL_FREE_METRICS.contains(&name)
+    });
+    assert_eq!(metrics.len(), THERMAL_FREE_METRICS.len());
+    for key in SAMPLE_COUNTS {
+        assert!(fields.contains_key(key), "report lacks `{key}`");
+    }
+    fields.retain(|key, _| SAMPLE_COUNTS.contains(&key.as_str()));
+    fields.insert("metrics".into(), Value::Array(metrics));
+    let json = json.to_json_string_pretty();
+    assert_eq!(
+        (fnv1a64(json.as_bytes()), json.len()),
+        REFERENCE_DIGEST_WITHOUT_THERMAL,
+        "McReport JSON moved outside the thermal entries"
     );
 }
 

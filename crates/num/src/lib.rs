@@ -10,9 +10,10 @@
 //! * sparse CSR matrices with CG and BiCGSTAB iterative solvers
 //!   ([`sparse`], [`solvers`]) for the thermal network, power grid and the
 //!   full 2-D finite-volume solves,
-//! * pluggable preconditioners ([`precond`]: Jacobi, SSOR, IC(0)) and
-//!   reusable solver sessions ([`session`]) that amortize pattern,
-//!   scratch, warm start and factorization across repeated solves,
+//! * pluggable preconditioners ([`precond`]: Jacobi, SSOR, IC(0),
+//!   MILU(0)) and reusable solver sessions ([`session`]) that amortize
+//!   pattern, scratch, warm start and factorization across repeated
+//!   solves,
 //! * a geometric multigrid V-cycle preconditioner ([`multigrid`]:
 //!   structured plane coarsening, Galerkin coarse operators cached per
 //!   pattern, Chebyshev/weighted-Jacobi smoothing) that keeps Krylov

@@ -13,6 +13,10 @@
 //! * [`Ic0Precond`] — incomplete Cholesky with zero fill on the matrix's
 //!   own lower-triangular pattern. The strongest option for the SPD
 //!   systems (PDN grid, conduction networks); requires SPD input;
+//! * [`Milu0Precond`] — modified incomplete LU with zero fill on the
+//!   matrix's own pattern, with `L·U` keeping `A`'s row sums. The
+//!   option for the nonsymmetric fluid-cooled thermal stacks, whose
+//!   rows sum to zero almost everywhere;
 //! * [`IdentityPrecond`] — no preconditioning (tests/baselines).
 //!
 //! A [`PrecondSpec`] names a choice declaratively (it is `Copy` and lives
@@ -63,6 +67,9 @@ pub enum PrecondSpec {
     },
     /// Incomplete Cholesky, zero fill-in. SPD matrices only.
     Ic0,
+    /// Modified incomplete LU, zero fill-in: each dropped fill entry is
+    /// subtracted from its row's pivot, so `L·U` keeps `A`'s row sums.
+    Milu0,
     /// Geometric multigrid V-cycle on the structured grid named by the
     /// [`MgConfig`] (see [`crate::multigrid`]). The strongest option
     /// for large structured grids: iteration counts stay
@@ -86,6 +93,7 @@ impl PrecondSpec {
             Self::Jacobi => Box::new(JacobiPrecond::default()),
             Self::Ssor { omega } => Box::new(SsorPrecond::new(omega)),
             Self::Ic0 => Box::new(Ic0Precond::default()),
+            Self::Milu0 => Box::new(Milu0Precond::default()),
             Self::Multigrid(config) => Box::new(MultigridPrecond::new(config)),
         }
     }
@@ -96,9 +104,9 @@ impl PrecondSpec {
     /// equal to the configured spec) when a solve breaks down or stalls;
     /// a chain entry whose setup fails — e.g. IC(0) on a matrix that has
     /// drifted off SPD — is skipped in favor of the next, weaker one.
-    /// Multigrid is deliberately *not* in the chain: a session
-    /// configured with [`Self::Multigrid`] therefore degrades
-    /// MG → IC(0) → SSOR → Jacobi and never falls back to itself.
+    /// Multigrid and MILU(0) are deliberately *not* in the chain: a
+    /// session configured with either degrades to IC(0) → SSOR → Jacobi
+    /// and never falls back to itself.
     #[must_use]
     pub fn fallback_chain() -> [Self; 3] {
         [Self::Ic0, Self::ssor(), Self::Jacobi]
@@ -112,6 +120,7 @@ impl PrecondSpec {
             Self::Jacobi => "jacobi",
             Self::Ssor { .. } => "ssor",
             Self::Ic0 => "ic0",
+            Self::Milu0 => "milu0",
             Self::Multigrid(_) => "multigrid",
         }
     }
@@ -494,6 +503,149 @@ impl Preconditioner for Ic0Precond {
     }
 }
 
+/// A pivot at most this multiple of its row's largest original entry
+/// is rounding noise: [`Milu0Precond::setup`] refuses it.
+const MILU_PIVOT_FLOOR: f64 = 1e-12;
+
+/// Modified incomplete LU with zero fill-in: `A ≈ L·U`, where the unit
+/// lower factor `L` and the upper factor `U` keep exactly `A`'s
+/// sparsity pattern and every fill entry the elimination drops is
+/// subtracted from its row's pivot instead. So `L·U` matches `A` on
+/// every off-diagonal pattern entry and has `A`'s row sums: the smooth
+/// error modes of an operator whose rows sum to (nearly) zero — the
+/// conduction-plus-upwind-advection thermal stack — are the ones it
+/// reproduces, where SSOR and plain ILU(0) leave them to the Krylov
+/// iteration.
+///
+/// Setup is one row-wise (IKJ) elimination pass. The elimination's
+/// position map — for every update, the entry of row `i` it lands on,
+/// or the pivot for a dropped fill — depends on the pattern alone, so
+/// it is built once and kept while the pattern stays the same; a value
+/// refresh redoes only the arithmetic. The pivots are stored as
+/// reciprocals, so neither triangular sweep of an application divides.
+/// A zero, tiny or non-finite pivot aborts with [`NumError::Breakdown`]
+/// so a session can fall back to a weaker preconditioner.
+#[derive(Debug, Clone, Default)]
+pub struct Milu0Precond {
+    /// `A`'s pattern, which the position map below was built for.
+    row_ptr: Vec<usize>,
+    col: Vec<usize>,
+    /// Position of each row's diagonal entry.
+    diag: Vec<usize>,
+    /// For each elimination update in setup order, the position it
+    /// subtracts from: an entry of the row being eliminated, or that
+    /// row's diagonal when the fill is dropped.
+    targets: Vec<usize>,
+    /// The factors on `A`'s pattern: `L`'s multipliers below the
+    /// diagonal (its unit diagonal is implicit), `U` on and above it,
+    /// with `U`'s pivots stored as reciprocals.
+    val: Vec<f64>,
+}
+
+impl Milu0Precond {
+    /// Adopts `a`'s pattern and builds the position map for it.
+    fn plan(&mut self, a: &CsrMatrix) -> Result<(), NumError> {
+        let n = a.rows();
+        self.row_ptr.clear();
+        self.row_ptr.extend_from_slice(a.row_ptr());
+        self.col.clear();
+        self.col.extend_from_slice(a.col_idx());
+        self.diag.clear();
+        for i in 0..n {
+            let row = &self.col[self.row_ptr[i]..self.row_ptr[i + 1]];
+            match row.binary_search(&i) {
+                Ok(at) => self.diag.push(self.row_ptr[i] + at),
+                Err(_) => {
+                    // Leave the pattern unmatched so the next setup
+                    // plans again.
+                    self.row_ptr.clear();
+                    return Err(NumError::Breakdown(format!(
+                        "MILU(0) zero pivot at row {i}: no diagonal entry"
+                    )));
+                }
+            }
+        }
+        self.targets.clear();
+        for i in 0..n {
+            let (lo, d, hi) = (self.row_ptr[i], self.diag[i], self.row_ptr[i + 1]);
+            let row = &self.col[lo..hi];
+            for &k in &self.col[lo..d] {
+                for &j in &self.col[self.diag[k] + 1..self.row_ptr[k + 1]] {
+                    let at = row.binary_search(&j).map_or(d, |at| lo + at);
+                    self.targets.push(at);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Preconditioner for Milu0Precond {
+    fn setup(&mut self, a: &CsrMatrix) -> Result<(), NumError> {
+        if self.row_ptr != a.row_ptr() || self.col != a.col_idx() {
+            self.plan(a)?;
+        }
+        let n = a.rows();
+        let val = &mut self.val;
+        val.clear();
+        val.extend_from_slice(a.values());
+        let mut targets = self.targets.iter();
+        for i in 0..n {
+            let (lo, d, hi) = (self.row_ptr[i], self.diag[i], self.row_ptr[i + 1]);
+            let scale = val[lo..hi].iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for p in lo..d {
+                let k = self.col[p];
+                // l_ik = a_ik / u_kk, with u_kk already stored inverted.
+                let l = val[p] * val[self.diag[k]];
+                val[p] = l;
+                for q in self.diag[k] + 1..self.row_ptr[k + 1] {
+                    let at = *targets.next().expect("position map covers every update");
+                    let u = val[q];
+                    val[at] -= l * u;
+                }
+            }
+            let pivot = val[d];
+            if !(pivot.is_finite() && pivot.abs() > MILU_PIVOT_FLOOR * scale) {
+                return Err(NumError::Breakdown(format!(
+                    "MILU(0) pivot {pivot:.3e} at row {i} (row scale {scale:.3e})"
+                )));
+            }
+            val[d] = 1.0 / pivot;
+        }
+        Ok(())
+    }
+
+    fn apply(&mut self, dst: &mut [f64], src: &[f64]) {
+        let n = self.diag.len();
+        assert_eq!(dst.len(), n, "MILU(0) apply: dst length mismatch");
+        assert_eq!(src.len(), n, "MILU(0) apply: src length mismatch");
+        let (col, val) = (&self.col[..], &self.val[..]);
+        // Forward solve L·y = src (unit diagonal), y kept in dst.
+        for i in 0..n {
+            let (lo, d) = (self.row_ptr[i], self.diag[i]);
+            let mut s = src[i];
+            for (&j, &v) in col[lo..d].iter().zip(&val[lo..d]) {
+                s -= v * dst[j];
+            }
+            dst[i] = s;
+        }
+        // Backward solve U·dst = y in place, multiplying by the stored
+        // reciprocal pivots.
+        for i in (0..n).rev() {
+            let (d, hi) = (self.diag[i], self.row_ptr[i + 1]);
+            let mut s = dst[i];
+            for (&j, &v) in col[d + 1..hi].iter().zip(&val[d + 1..hi]) {
+                s -= v * dst[j];
+            }
+            dst[i] = s * val[d];
+        }
+    }
+
+    fn spec(&self) -> PrecondSpec {
+        PrecondSpec::Milu0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,6 +800,160 @@ mod tests {
         assert!(matches!(p.setup(&a), Err(NumError::Breakdown(_))));
     }
 
+    /// A nonsymmetric upwind M-matrix on an `n × n` grid: diffusion
+    /// links of 1, upwind advection of `peclet` along x, rows summing to
+    /// zero except the inflow column's, which are strictly dominant.
+    fn upwind_m_matrix(n: usize, peclet: f64) -> CsrMatrix {
+        let mut t = TripletMatrix::new(n * n, n * n);
+        let idx = |iy: usize, ix: usize| iy * n + ix;
+        for iy in 0..n {
+            for ix in 0..n {
+                let i = idx(iy, ix);
+                // The inflow column's upstream link goes to the inlet.
+                let mut diag = if ix == 0 { 1.0 + peclet } else { 0.0 };
+                let links = [
+                    (ix > 0, ix.wrapping_sub(1), iy, 1.0 + peclet),
+                    (ix + 1 < n, ix + 1, iy, 1.0),
+                    (iy > 0, ix, iy.wrapping_sub(1), 1.0),
+                    (iy + 1 < n, ix, iy + 1, 1.0),
+                ];
+                for (present, jx, jy, g) in links {
+                    if present {
+                        t.push(i, idx(jy, jx), -g).unwrap();
+                        diag += g;
+                    }
+                }
+                t.push(i, i, diag).unwrap();
+            }
+        }
+        t.to_csr()
+    }
+
+    /// `L·U` of a set-up MILU(0) factor, densely.
+    fn milu_product(p: &Milu0Precond) -> Vec<Vec<f64>> {
+        let n = p.diag.len();
+        let mut l = vec![vec![0.0; n]; n];
+        let mut u = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            l[i][i] = 1.0;
+            for q in p.row_ptr[i]..p.row_ptr[i + 1] {
+                let j = p.col[q];
+                match j.cmp(&i) {
+                    std::cmp::Ordering::Less => l[i][j] = p.val[q],
+                    std::cmp::Ordering::Equal => u[i][i] = 1.0 / p.val[q],
+                    std::cmp::Ordering::Greater => u[i][j] = p.val[q],
+                }
+            }
+        }
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| (0..n).map(|k| l[i][k] * u[k][j]).sum())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn milu0_keeps_row_sums_and_off_diagonal_entries() {
+        let a = upwind_m_matrix(6, 2.5);
+        let mut p = Milu0Precond::default();
+        p.setup(&a).unwrap();
+        let mut dropped = 0.0f64;
+        for (i, lu_row) in milu_product(&p).iter().enumerate() {
+            let row: Vec<(usize, f64)> = a.row(i).collect();
+            let scale = row.iter().fold(0.0f64, |m, (_, v)| m.max(v.abs()));
+            let a_sum: f64 = row.iter().map(|(_, v)| v).sum();
+            let lu_sum: f64 = lu_row.iter().sum();
+            assert!(
+                (a_sum - lu_sum).abs() < 1e-12 * scale,
+                "row {i}: {a_sum} vs {lu_sum}"
+            );
+            for (j, lu_ij) in lu_row.iter().enumerate() {
+                match row.iter().find(|(c, _)| *c == j) {
+                    Some(&(_, v)) if j != i => {
+                        assert!(
+                            (v - lu_ij).abs() < 1e-12 * scale,
+                            "({i},{j}): {v} vs {lu_ij}"
+                        );
+                    }
+                    Some(_) => {}
+                    None => dropped = dropped.max(lu_ij.abs()),
+                }
+            }
+        }
+        // The grid has fill to drop, so this is not a plain exact LU.
+        assert!(dropped > 0.1, "largest dropped fill {dropped}");
+    }
+
+    #[test]
+    fn milu0_is_exact_lu_on_tridiagonal() {
+        // A tridiagonal matrix has no fill-in, so MILU(0) is the exact
+        // LU factorization and M⁻¹·b is the solution.
+        let n = 12;
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 3.0 + 0.1 * i as f64).unwrap();
+            if i > 0 {
+                t.push(i, i - 1, -2.0).unwrap();
+                t.push(i - 1, i, -0.5).unwrap();
+            }
+        }
+        let a = t.to_csr();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.3).cos()).collect();
+        let mut p = PrecondSpec::Milu0.build();
+        p.setup(&a).unwrap();
+        let mut x = vec![0.0; n];
+        p.apply(&mut x, &b);
+        let x_ref = dense_solve(&a, &b);
+        for (got, want) in x.iter().zip(&x_ref) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn milu0_zero_pivot_breaks_down_and_a_session_falls_back() {
+        // Row 1 drops the fill (1, 2) that row 0's upper entry would
+        // make, and the modification zeroes its pivot: 1 − 1·1 = 0. The
+        // matrix itself is regular (det 1).
+        let mut t = TripletMatrix::new(3, 3);
+        for (i, j, v) in [
+            (0, 0, 1.0),
+            (0, 2, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 1.0),
+            (2, 2, 1.0),
+        ] {
+            t.push(i, j, v).unwrap();
+        }
+        let a = t.to_csr();
+        let mut p = Milu0Precond::default();
+        assert!(matches!(p.setup(&a), Err(NumError::Breakdown(_))));
+
+        let mut s = crate::SolverSession::with_preconditioner(PrecondSpec::Milu0);
+        s.bind_triplets(&t).unwrap();
+        let b = [2.0, 3.0, 1.0];
+        s.solve_general(&b).unwrap();
+        assert_eq!(
+            s.last_recovery(),
+            crate::RecoveryRung::PrecondFallback(PrecondSpec::ssor())
+        );
+        assert_eq!(s.stats().recovered_solves, 1);
+        for (got, want) in s.solution().iter().zip(dense_solve(&a, &b)) {
+            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        }
+        // While the refusal stands, the next solve starts from the kept
+        // SSOR fallback: no setup, served by the same rung.
+        let setups = s.stats().precond_setups;
+        s.solve_general(&b).unwrap();
+        assert_eq!(s.stats().precond_setups, setups);
+        assert_eq!(
+            s.last_recovery(),
+            crate::RecoveryRung::PrecondFallback(PrecondSpec::ssor())
+        );
+        assert_eq!(s.stats().recovered_solves, 2);
+    }
+
     #[test]
     fn ssor_rejects_bad_omega_and_zero_diagonal() {
         let a = laplacian_2d(2);
@@ -667,6 +973,7 @@ mod tests {
             PrecondSpec::Jacobi,
             PrecondSpec::Ssor { omega: 1.4 },
             PrecondSpec::Ic0,
+            PrecondSpec::Milu0,
             PrecondSpec::Multigrid(crate::multigrid::MgConfig::for_grid(16, 16, 2)),
         ] {
             let built = spec.build();
@@ -675,6 +982,7 @@ mod tests {
         assert_eq!(PrecondSpec::default(), PrecondSpec::Jacobi);
         assert_eq!(PrecondSpec::ssor(), PrecondSpec::Ssor { omega: 1.0 });
         assert_eq!(PrecondSpec::Ic0.name(), "ic0");
+        assert_eq!(PrecondSpec::Milu0.name(), "milu0");
         assert_eq!(
             PrecondSpec::Multigrid(crate::multigrid::MgConfig::for_grid(4, 4, 1)).name(),
             "multigrid"

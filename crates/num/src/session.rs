@@ -37,13 +37,18 @@
 //! [`RecoveryRung`]s: a cold restart with the warm start discarded, the
 //! preconditioner fallback chain ([`PrecondSpec::fallback_chain`],
 //! skipping the configured spec; a fallback is used for that one solve
-//! only and never installed), then a widened iteration budget. Each
-//! step lands in the [`SessionStats`] recovery counters, and
-//! [`SolverSession::last_recovery`] names the rung that produced the
-//! last answer. If the ladder is exhausted *and* non-finite values are
-//! still present in the scratch state, the session is marked *poisoned*:
-//! [`SolverSession::is_current`] reports false and further solves are
-//! refused until a bind or value reload cold-rebuilds the numeric state.
+//! only and never installed), then a widened iteration budget. The one
+//! exception: while the configured preconditioner's setup stands
+//! refused, the fallback that served is kept, set up on the current
+//! values, and the next solve starts from it with its warm start; it
+//! goes when the preconditioner goes stale (bind, value reload or spec
+//! change). Each step lands in the [`SessionStats`] recovery counters,
+//! and [`SolverSession::last_recovery`] names the rung that produced
+//! the last answer. If the ladder is exhausted *and* non-finite values
+//! are still present in the scratch state, the session is marked
+//! *poisoned*: [`SolverSession::is_current`] reports false and further
+//! solves are refused until a bind or value reload cold-rebuilds the
+//! numeric state.
 //!
 //! # Examples
 //!
@@ -122,6 +127,9 @@ pub struct SessionStats {
     pub precond_setups: u64,
     /// Linear solves performed.
     pub solves: u64,
+    /// Krylov iterations of the successful solves, recovered ones
+    /// included (the attempt that served each).
+    pub iterations: u64,
     /// Always 1 when read through [`SolverSession::stats`]: every solve
     /// runs on the caller's thread. Kept only for the benchmark's
     /// kernel-threads label; it goes when that label does.
@@ -254,6 +262,10 @@ pub struct SolverSession {
     /// it stands: a refused setup is not retried until the operator
     /// values or the spec change (both mark the preconditioner stale).
     precond_refused: Option<NumError>,
+    /// The fallback that served the last solve while the configured
+    /// preconditioner's setup stands refused, set up on the current
+    /// values; dropped when the preconditioner goes stale.
+    kept_fallback: Option<Box<dyn Preconditioner>>,
     ws: KrylovWorkspace,
     x: Vec<f64>,
     rhs: Vec<f64>,
@@ -287,6 +299,7 @@ impl Clone for SolverSession {
             precond: None,
             precond_stale: true,
             precond_refused: None,
+            kept_fallback: None,
             ws: KrylovWorkspace::new(),
             x: self.x.clone(),
             rhs: Vec::new(),
@@ -315,6 +328,7 @@ impl SolverSession {
             precond: None,
             precond_stale: true,
             precond_refused: None,
+            kept_fallback: None,
             ws: KrylovWorkspace::new(),
             x: Vec::new(),
             rhs: Vec::new(),
@@ -564,7 +578,8 @@ impl SolverSession {
     /// Sets the configured preconditioner up for the bound values, once
     /// per change of values or spec. A refused setup (a multigrid
     /// hierarchy the contraction guard turns away, IC(0) off SPD) is
-    /// refused again without a retry until one of them changes.
+    /// refused again without a retry until one of them changes; the
+    /// fallback kept for a refused setup goes with the change.
     fn ensure_precond(&mut self) -> Result<(), NumError> {
         if self.precond.is_none() {
             self.precond = Some(self.opts.preconditioner.build());
@@ -572,6 +587,7 @@ impl SolverSession {
         }
         if self.precond_stale {
             self.precond_stale = false;
+            self.kept_fallback = None;
             let setup = self
                 .precond
                 .as_mut()
@@ -651,30 +667,41 @@ impl SolverSession {
         } else {
             None
         };
-        for rung in self.ladder(precond_broken) {
+        // A fallback kept from the last solve (only while the configured
+        // setup stands refused) is tried first, warm, before the ladder.
+        let mut kept = self.kept_fallback.take();
+        let mut rungs = self.ladder(precond_broken);
+        if let Some(m) = &kept {
+            rungs.insert(0, RecoveryRung::PrecondFallback(m.spec()));
+        }
+        for rung in rungs {
             let first = matches!(rung, RecoveryRung::Clean);
+            let mut fallback = kept.take_if(|m| rung == RecoveryRung::PrecondFallback(m.spec()));
             if !first {
                 self.stats.recovery_retries += 1;
-                // Every retry discards the (possibly misleading) warm
-                // start and restarts cold.
-                self.x.clear();
+                // Every retry but the kept fallback's discards the
+                // (possibly misleading) warm start and restarts cold.
+                if fallback.is_none() {
+                    self.x.clear();
+                }
             }
             let mut opts = self.opts.clone();
             if truncated_budget && first {
                 opts.max_iterations = 1;
             }
-            let mut fallback: Option<Box<dyn Preconditioner>> = None;
             match rung {
                 RecoveryRung::PrecondFallback(spec) => {
                     self.stats.precond_fallbacks += 1;
-                    let mut m = spec.build();
-                    if m.setup(&self.matrix).is_err() {
-                        // E.g. IC(0) on a non-SPD operator: skip to the
-                        // next, weaker rung.
-                        continue;
+                    if fallback.is_none() {
+                        let mut m = spec.build();
+                        if m.setup(&self.matrix).is_err() {
+                            // E.g. IC(0) on a non-SPD operator: skip to
+                            // the next, weaker rung.
+                            continue;
+                        }
+                        self.stats.precond_setups += 1;
+                        fallback = Some(m);
                     }
-                    self.stats.precond_setups += 1;
-                    fallback = Some(m);
                 }
                 RecoveryRung::WidenedBudget => {
                     self.stats.budget_widenings += 1;
@@ -735,10 +762,14 @@ impl SolverSession {
                     if all_finite(&self.x) && self.ws.all_finite() {
                         self.last = stats;
                         self.stats.solves += 1;
+                        self.stats.iterations += stats.iterations as u64;
                         if !first {
                             self.stats.recovered_solves += 1;
                         }
                         self.last_rung = rung;
+                        if precond_broken {
+                            self.kept_fallback = fallback;
+                        }
                         if let Some(mg) =
                             self.precond.as_ref().and_then(|p| p.mg_counters())
                         {
@@ -864,6 +895,10 @@ mod tests {
         let warm = s.solve_spd(&b).unwrap();
         assert!(warm.iterations <= 1, "warm took {}", warm.iterations);
         assert_eq!(s.stats().solves, 2);
+        assert_eq!(
+            s.stats().iterations,
+            (cold.iterations + warm.iterations) as u64
+        );
         assert_eq!(s.stats().binds, 1);
         assert_eq!(s.stats().precond_setups, 1);
     }

@@ -524,6 +524,12 @@ impl CsrMatrix {
         &self.col_idx
     }
 
+    /// Stored values, in pattern order.
+    #[inline]
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
     /// Mutable stored values — the O(nnz) in-place refresh path of the
     /// multigrid coarse operators.
     #[inline]

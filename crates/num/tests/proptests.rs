@@ -631,6 +631,73 @@ proptest! {
     }
 }
 
+/// Random nonsymmetric M-matrix on an `nx × ny` grid: each of the four
+/// neighbour links has its own random negative weight (so no link is
+/// symmetric), and the diagonal is the row's link sum plus a random
+/// slack that is zero on about half the rows and at least 0.5 on the
+/// first grid row — diagonally dominant, strictly on the first row,
+/// like the fluid-cooled thermal operator's inlet.
+fn random_m_matrix(nx: usize, ny: usize, seed: u64) -> TripletMatrix {
+    let n = nx * ny;
+    let mut t = TripletMatrix::new(n, n);
+    for iy in 0..ny {
+        for ix in 0..nx {
+            let i = iy * nx + ix;
+            let mut diag = 0.0;
+            let neighbours = [
+                (ix > 0).then(|| i.wrapping_sub(1)),
+                (ix + 1 < nx).then_some(i + 1),
+                (iy > 0).then(|| i.wrapping_sub(nx)),
+                (iy + 1 < ny).then_some(i + nx),
+            ];
+            for j in neighbours.into_iter().flatten() {
+                let g = 0.1 + 2.0 * lcg(seed, (i * n + j) as u64, 97).abs();
+                t.push(i, j, -g).unwrap();
+                diag += g;
+            }
+            let slack = lcg(seed, i as u64, 101).max(0.0);
+            let inlet = if iy == 0 { 0.5 } else { 0.0 };
+            t.push(i, i, diag + slack + inlet).unwrap();
+        }
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// BiCGSTAB under MILU(0) converges on its own (no recovery rung) on
+    /// random diagonally dominant nonsymmetric M-matrices, and lands on
+    /// an SSOR session's solution.
+    #[test]
+    fn milu0_bicgstab_matches_ssor_on_random_m_matrices(
+        nx in 2usize..14,
+        ny in 2usize..14,
+        seed in 0u64..400,
+    ) {
+        let t = random_m_matrix(nx, ny, seed);
+        let b: Vec<f64> = (0..nx * ny).map(|i| lcg(seed, i as u64, 103)).collect();
+        let solve = |spec: PrecondSpec| {
+            let mut s = SolverSession::new(IterOptions {
+                tolerance: 1e-13,
+                max_iterations: 20_000,
+                preconditioner: spec,
+            });
+            s.bind_triplets(&t).unwrap();
+            s.solve_general(&b).unwrap();
+            s
+        };
+        let milu = solve(PrecondSpec::Milu0);
+        prop_assert_eq!(milu.last_recovery(), bright_num::RecoveryRung::Clean);
+        prop_assert_eq!(milu.precond_digest(), "milu0");
+        let ssor = solve(PrecondSpec::ssor());
+        let scale = ssor.solution().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (u, v) in milu.solution().iter().zip(ssor.solution()) {
+            prop_assert!((u - v).abs() <= 1e-8 * scale, "{u} vs {v} (scale {scale})");
+        }
+    }
+}
+
 /// Random SPD stencil on a structured `nx × ny × layers` grid: 5-point
 /// in-plane couplings plus inter-layer links, all with random negative
 /// magnitudes under a dominant diagonal — the operator family the

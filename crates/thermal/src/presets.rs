@@ -84,7 +84,7 @@ pub fn power7_stack_at(
 /// pitch, width shrunk proportionally) so the per-cell geometry stays
 /// valid. `scale = 8` puts the 4-level stack at
 /// `704 × 352 × 4 ≈ 991k` unknowns, exercising the large-grid path.
-/// The fluid layer keeps the session on SSOR at every
+/// The fluid layer keeps the session on MILU(0) at every
 /// size (see [`ThermalModel::solve_options`]); the geometric-multigrid
 /// regime is reached by the conduction-only
 /// [`conduction_stack_scaled`].

@@ -5,7 +5,7 @@ use bright_mesh::Field2d;
 use bright_num::{MgConfig, PrecondSpec, RecoveryRung, SolverSession};
 use bright_thermal::presets;
 use bright_thermal::stack::LayerSpec;
-use bright_thermal::ThermalModel;
+use bright_thermal::{ThermalModel, ThermalSolution};
 use bright_units::{CubicMetersPerSecond, Kelvin};
 
 fn full_load_map(model: &ThermalModel) -> Field2d {
@@ -282,8 +282,25 @@ fn conventional_heat_sink_baseline_behaves() {
     assert!(ThermalModel::new(floating).is_err());
 }
 
+/// The largest temperature difference between two solutions of one
+/// stack, over every level, in kelvin.
+fn largest_difference(a: &ThermalSolution, b: &ThermalSolution) -> f64 {
+    let mut worst = 0.0f64;
+    for level in 0..a.level_count() {
+        let pairs = a
+            .level_map(level)
+            .as_slice()
+            .iter()
+            .zip(b.level_map(level).as_slice());
+        for (x, y) in pairs {
+            worst = worst.max((x - y).abs());
+        }
+    }
+    worst
+}
+
 /// Full-load steady solves of `model` through a session given an
-/// explicit multigrid spec and through the default (SSOR) session.
+/// explicit multigrid spec and through an explicit SSOR session.
 /// Returns both sessions and the largest temperature difference over
 /// every level, in kelvin.
 fn multigrid_against_ssor(model: &ThermalModel) -> (SolverSession, SolverSession, f64) {
@@ -295,20 +312,10 @@ fn multigrid_against_ssor(model: &ThermalModel) -> (SolverSession, SolverSession
         model.level_count(),
     )));
     let mut ssor = model.session().unwrap();
-    assert_eq!(ssor.options().preconditioner, PrecondSpec::ssor());
+    ssor.set_preconditioner(PrecondSpec::ssor());
     let t_mg = model.solve_steady_warm(&power, &mut mg).unwrap();
     let t_ssor = model.solve_steady_warm(&power, &mut ssor).unwrap();
-    let mut worst = 0.0f64;
-    for level in 0..t_ssor.level_count() {
-        let pairs = t_mg
-            .level_map(level)
-            .as_slice()
-            .iter()
-            .zip(t_ssor.level_map(level).as_slice());
-        for (a, b) in pairs {
-            worst = worst.max((a - b).abs());
-        }
-    }
+    let worst = largest_difference(&t_mg, &t_ssor);
     (mg, ssor, worst)
 }
 
@@ -349,6 +356,15 @@ fn a_refused_multigrid_setup_is_not_retried_until_the_operator_changes() {
     assert_eq!(repeated.solves, first.solves + 3);
     assert_eq!(repeated.mg_refreshes, first.mg_refreshes, "{repeated:?}");
     assert_eq!(repeated.mg_hierarchy_builds, first.mg_hierarchy_builds);
+    // While the refusal stands, the SSOR fallback that served is kept,
+    // set up on the current values, and each repeated solve starts from
+    // it with its warm start.
+    assert_eq!(
+        repeated.precond_setups, first.precond_setups,
+        "{repeated:?}"
+    );
+    assert_eq!(repeated.recovered_solves, first.recovered_solves + 3);
+    assert!(mg.last_stats().iterations <= 1, "{:?}", mg.last_stats());
     // New operator values earn the configured spec one more setup.
     model
         .refresh_coefficients(
@@ -358,6 +374,79 @@ fn a_refused_multigrid_setup_is_not_retried_until_the_operator_changes() {
         .unwrap();
     model.solve_steady_warm(&power, &mut mg).unwrap();
     assert_eq!(mg.stats().mg_refreshes, first.mg_refreshes + 1);
+}
+
+/// The POWER7+ stack at `flow_ml_min` and `inlet_k`, on the paper's
+/// 88 × 44 grid or, with `grid`, on `(nx, ny)` with the 88 channels
+/// shared evenly among the columns.
+fn power7_at(flow_ml_min: f64, inlet_k: f64, grid: Option<(usize, usize)>) -> ThermalModel {
+    let model = presets::power7_stack_at(
+        CubicMetersPerSecond::from_milliliters_per_minute(flow_ml_min),
+        Kelvin::new(inlet_k),
+    )
+    .unwrap();
+    let Some((nx, ny)) = grid else {
+        return model;
+    };
+    let mut config = model.config().clone();
+    config.nx = nx;
+    config.ny = ny;
+    for layer in &mut config.layers {
+        if let LayerSpec::Microchannel { spec, .. } = layer {
+            spec.channels_per_cell = presets::POWER7_NX / nx;
+        }
+    }
+    ThermalModel::new(config).unwrap()
+}
+
+#[test]
+fn fluid_stacks_solve_with_milu0_in_half_the_ssor_iterations() {
+    let density = bright_units::WattPerSquareMeter::from_watts_per_square_centimeter;
+    let mut one_core = PowerScenario::full_load();
+    for name in ["core0", "core2", "core3"] {
+        one_core.set_block_density(name, density(0.0));
+    }
+    one_core.set_block_density("core1", density(3.0 * 26.7));
+    let full = PowerScenario::full_load;
+    let points = [
+        ("nominal", power7_at(676.0, 300.0, None), full()),
+        ("throttled", power7_at(48.0, 300.0, None), full()),
+        ("warm inlet", power7_at(676.0, 310.15, None), full()),
+        ("150 ml/min", power7_at(150.0, 300.0, None), full()),
+        (
+            "Monte Carlo grid",
+            power7_at(676.0, 300.0, Some((11, 8))),
+            full(),
+        ),
+        ("one hot core", power7_at(676.0, 300.0, None), one_core),
+    ];
+    for (name, model, load) in points {
+        let power = load.rasterize(&power7::floorplan(), model.grid()).unwrap();
+        let mut milu = model.session().unwrap();
+        assert_eq!(milu.options().preconditioner, PrecondSpec::Milu0, "{name}");
+        let mut ssor = model.session().unwrap();
+        ssor.set_preconditioner(PrecondSpec::ssor());
+        let t_milu = model.solve_steady_warm(&power, &mut milu).unwrap();
+        let t_ssor = model.solve_steady_warm(&power, &mut ssor).unwrap();
+        assert_eq!(milu.last_recovery(), RecoveryRung::Clean, "{name}");
+        assert_eq!(milu.precond_digest(), "milu0", "{name}");
+        let (milu_iters, ssor_iters) = (milu.stats().iterations, ssor.stats().iterations);
+        assert!(
+            2 * milu_iters <= ssor_iters,
+            "{name}: MILU(0) {milu_iters} vs SSOR {ssor_iters} iterations"
+        );
+        let worst = largest_difference(&t_milu, &t_ssor);
+        assert!(
+            worst < 1e-5,
+            "{name}: MILU(0) is {worst} K off the SSOR solve"
+        );
+        let injected = power.integral();
+        let absorbed = t_milu.absorbed_power().value();
+        assert!(
+            ((injected - absorbed) / injected).abs() < 1e-5,
+            "{name}: injected {injected} vs absorbed {absorbed}"
+        );
+    }
 }
 
 #[test]

@@ -121,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 696 960 unknowns). The conduction-only operator is symmetric, so
     // at this size `ThermalModel::solve_options` switches the session
     // to the geometric-multigrid preconditioner (the interlayer stacks
-    // above keep SSOR: their fluid advection is outside the geometric
+    // above keep MILU(0): their fluid advection is outside the geometric
     // hierarchy's reach — see docs/MULTIGRID.md).
     const SCALE: usize = 6;
     let air_cooled = ThermalModel::new(StackConfig {
