@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 use bright_floorplan::{power7, PowerScenario};
 use bright_thermal::presets;
-use bright_thermal::transient::TransientSimulation;
+use bright_thermal::transient::{PowerTrace, SteppingMode, TraceSegment, TransientSimulation};
 
 fn bench_steady(c: &mut Criterion) {
     let mut group = c.benchmark_group("thermal_steady");
@@ -32,9 +32,11 @@ fn bench_transient_step(c: &mut Criterion) {
     let power = PowerScenario::full_load()
         .rasterize(&power7::floorplan(), model.grid())
         .unwrap();
+    let trace = PowerTrace::new(vec![TraceSegment::constant(1e-3, power)]).unwrap();
+    let stepping = SteppingMode::Fixed { dt: 1e-3 };
     group.bench_function("power7_step_1ms", |b| {
         b.iter_batched(
-            || TransientSimulation::new(model.clone(), &power, 300.0, 1e-3).unwrap(),
+            || TransientSimulation::new(model.clone(), trace.clone(), 300.0, stepping).unwrap(),
             |mut sim| sim.step().unwrap(),
             criterion::BatchSize::LargeInput,
         );

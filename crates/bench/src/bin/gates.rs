@@ -28,8 +28,8 @@ use bright_pdn::presets::{PORT_PITCH, PORT_RESISTANCE};
 use bright_pdn::{PortLayout, PowerGrid};
 use bright_thermal::presets::{self, conduction_stack_scaled};
 use bright_thermal::{
-    AdaptiveConfig, AdaptiveTransient, CoefficientRamp, LayerSpec, PowerTrace, ThermalModel,
-    TraceSegment, TransientSimulation,
+    AdaptiveConfig, CoefficientRamp, LayerSpec, PowerTrace, ThermalModel, TraceSegment,
+    TransientSimulation,
 };
 use bright_units::{CubicMetersPerSecond, Kelvin, Meters, Volt, WattPerSquareMeter};
 use std::hint::black_box;
@@ -341,17 +341,23 @@ fn checkpoint_branch() -> Vec<Row> {
     vec![row("checkpoint_branch", branch, Dir::AtLeast, 1.2)]
 }
 
-/// Integrates `trace` at fixed `dt` from 300 K; returns the step count
-/// and the field at every segment boundary.
-fn fixed_sampled(model: &ThermalModel, trace: &PowerTrace, dt: f64) -> (u64, Vec<Vec<f64>>) {
-    let first = &trace.segments()[0].power;
-    let mut sim = TransientSimulation::new(model.clone(), first, 300.0, dt).expect("fixed sim");
+/// Integrates `trace` from 300 K; returns the integration and the
+/// field at every segment boundary.
+fn sampled(
+    model: &ThermalModel,
+    trace: &PowerTrace,
+    stepping: SteppingMode,
+) -> (TransientSimulation, Vec<Vec<f64>>) {
+    let mut sim = TransientSimulation::new(model.clone(), trace.clone(), 300.0, stepping)
+        .expect("transient sim");
     let mut samples = Vec::with_capacity(trace.len());
-    for seg in trace.segments() {
-        sim.run_trace(&PowerTrace::new(vec![seg.clone()]).expect("segment")).expect("fixed trace");
-        samples.push(sim.temperatures().to_vec());
+    while !sim.finished() {
+        sim.step().expect("transient step");
+        if sim.segment_index() > samples.len() {
+            samples.push(sim.temperatures().to_vec());
+        }
     }
-    (sim.step_count(), samples)
+    (sim, samples)
 }
 
 /// Two full-scale TR-BDF2 traces, both at `abs_tol` 0.01 with steps
@@ -383,7 +389,7 @@ fn transients() -> Vec<Row> {
         TraceSegment::constant(0.20, full),
     ])
     .expect("valid trace");
-    let (_, reference) = fixed_sampled(&model, &trace, cfg.dt_min);
+    let (_, reference) = sampled(&model, &trace, SteppingMode::Fixed { dt: cfg.dt_min });
     let tracking_err = |samples: &[Vec<f64>]| {
         samples
             .iter()
@@ -391,14 +397,7 @@ fn transients() -> Vec<Row> {
             .map(|(s, r)| wrms_diff(s, r, cfg.abs_tol, cfg.rel_tol))
             .fold(0.0, f64::max)
     };
-    let mut sim = AdaptiveTransient::new(model.clone(), trace.clone(), 300.0, cfg).expect("sim");
-    let mut samples = Vec::with_capacity(trace.len());
-    while !sim.finished() {
-        sim.step().expect("TR-BDF2 step");
-        if sim.segment_index() > samples.len() {
-            samples.push(sim.temperatures().to_vec());
-        }
-    }
+    let (sim, samples) = sampled(&model, &trace, SteppingMode::Adaptive(cfg));
     let (steps, solves) = (sim.stats().accepted as f64, sim.stats().solves as f64);
     let err = tracking_err(&samples);
 
@@ -408,9 +407,9 @@ fn transients() -> Vec<Row> {
     // needs, so the ratio stays conservative.
     let mut dt = 16e-3;
     let fixed_steps = loop {
-        let (steps, fixed) = fixed_sampled(&model, &trace, dt);
-        if tracking_err(&fixed) <= err || dt / 2.0 < cfg.dt_min * 2.0 - 1e-12 {
-            break steps as f64;
+        let (fixed, samples) = sampled(&model, &trace, SteppingMode::Fixed { dt });
+        if tracking_err(&samples) <= err || dt / 2.0 < cfg.dt_min * 2.0 - 1e-12 {
+            break fixed.stats().accepted as f64;
         }
         dt /= 2.0;
     };
@@ -427,7 +426,8 @@ fn transients() -> Vec<Row> {
         TraceSegment::constant(0.25, full).with_ramp(ramp(throttled, throttled)),
     ])
     .expect("valid trace");
-    let mut ramped = AdaptiveTransient::new(model, spin_down, 300.0, cfg).expect("sim");
+    let mut ramped = TransientSimulation::new(model, spin_down, 300.0, SteppingMode::Adaptive(cfg))
+        .expect("sim");
     ramped.run_to_end().expect("ramped trace");
     let step_doubling = STEP_DOUBLING_SOLVES / solves;
     vec![

@@ -1,11 +1,12 @@
 //! The coupled electro-thermal-electrical solve.
 
+use crate::engine::CellPatternKey;
 use crate::reports::{CoSimReport, OperatingPoint, YieldReport};
 use crate::scenario::{PdnParams, Scenario};
 use crate::CoreError;
 use bright_flow::array::ChannelArray;
 use bright_flow::fluid::TemperatureDependentFluid;
-use bright_flowcell::options::{SolverOptions, TemperatureProfile};
+use bright_flowcell::options::TemperatureProfile;
 use bright_flowcell::{CellArray, CellGeometry, CellModel, GeometryCache};
 use bright_flow::RectChannel;
 use bright_mesh::{Field2d, Grid2d};
@@ -102,19 +103,26 @@ pub struct CoSimulation {
 }
 
 impl CoSimulation {
-    /// Creates a co-simulation after validating the scenario.
+    /// Creates a co-simulation after validating the scenario. The
+    /// thermal model is built here but assembled on the first run; its
+    /// solve options configure the thermal session, so
+    /// [`CoSimulation::preconditioner_spec`] already names the
+    /// preconditioner the runs will use.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidScenario`] for invalid scenarios.
+    /// Returns [`CoreError::InvalidScenario`] for invalid scenarios, and
+    /// the thermal stack's build errors.
     pub fn new(scenario: Scenario) -> Result<Self, CoreError> {
         scenario.validate()?;
+        let thermal = thermal_model_for(&scenario)?;
+        let thermal_session = SolverSession::new(thermal.solve_options());
         Ok(Self {
             scenario,
-            thermal: OnceLock::new(),
+            thermal: OnceLock::from(thermal),
             template: OnceLock::new(),
             pdn: None,
-            thermal_session: SolverSession::new(ThermalModel::iter_options()),
+            thermal_session,
             retargets: 0,
             cell_context_reuses: 0,
             column_marches: (0, 0),
@@ -290,7 +298,8 @@ impl CoSimulation {
             // (and cold-starts) on the next run.
             self.thermal = OnceLock::new();
         }
-        if !cell_shape_compatible(&self.scenario.cell_options, &scenario.cell_options) {
+        let cell_key = |s: &Scenario| CellPatternKey::of(&s.cell_options);
+        if cell_key(&self.scenario) != cell_key(&scenario) {
             // Different transport grids / velocity model: a genuinely
             // new cell geometry context is required.
             self.template = OnceLock::new();
@@ -738,14 +747,6 @@ pub(crate) fn cell_geometry_for(s: &Scenario) -> Result<CellGeometry, CoreError>
     Ok(CellGeometry::new(channel))
 }
 
-/// `true` when two option sets describe the same transport shape —
-/// grids, velocity model and physics switches. The contact ASR is
-/// deliberately excluded: it is a coefficient
-/// ([`CellModel::retarget_contact_asr`]), not a shape.
-pub(crate) fn cell_shape_compatible(a: &SolverOptions, b: &SolverOptions) -> bool {
-    a.ny == b.ny && a.nx == b.nx && a.velocity == b.velocity && a.track_products == b.track_products
-}
-
 /// Builds the single-channel flow-cell template a scenario describes
 /// (the scenario's channel geometry at its per-channel flow share and
 /// inlet temperature). Shared by the steady co-simulation and the
@@ -768,9 +769,8 @@ pub(crate) fn cell_model_for(s: &Scenario) -> Result<CellModel, CoreError> {
 /// fingerprint collisions reuse a previous duct solve. Shared by
 /// [`CoSimulation::retarget`] and the engine's polarization workers so
 /// their compare-and-retarget semantics cannot drift. The scenario's
-/// `cell_options` must be shape-compatible with the model's (the
-/// callers guarantee this via their pattern keys /
-/// [`cell_shape_compatible`] checks).
+/// `cell_options` must share the model's [`CellPatternKey`] (both
+/// callers check it).
 ///
 /// # Errors
 ///
@@ -1054,6 +1054,18 @@ mod tests {
             cold.peak_temperature
         );
         assert!((warm.outlet_temperature.value() - cold.outlet_temperature.value()).abs() < 1e-4);
+    }
+
+    #[test]
+    fn a_fresh_cosimulation_reports_the_preconditioner_it_will_solve_with() {
+        let mut sim = CoSimulation::new(Scenario::power7_reduced()).unwrap();
+        assert_eq!(sim.preconditioner_spec(), bright_num::PrecondSpec::Milu0);
+        assert_eq!(sim.precond_digest(), "milu0");
+        assert_eq!(sim.thermal_assembly_count(), 0, "assembly waits for the first run");
+        sim.run().unwrap();
+        assert_eq!(sim.preconditioner_spec(), bright_num::PrecondSpec::Milu0);
+        assert_eq!(sim.precond_digest(), "milu0");
+        assert_eq!(sim.thermal_assembly_count(), 1);
     }
 
     #[test]

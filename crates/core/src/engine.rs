@@ -93,10 +93,13 @@ pub enum ScenarioRequest {
     Polarization(PolarizationRequest),
 }
 
-/// The flow-cell geometry fingerprint polarization requests are grouped
-/// by: requests with equal keys share one `GeometryContext` (transport
-/// grids, velocity model, duct solution), so one cached worker serves
-/// them all with coefficient retargets.
+/// The flow-cell shape key: option sets with equal keys share one
+/// `GeometryContext` (transport grids, velocity model, duct solution),
+/// so one cached worker serves them all with coefficient retargets —
+/// contact ASR included, which is a coefficient
+/// ([`CellModel::retarget_contact_asr`]), not a shape. Polarization
+/// requests group by it, and [`CoSimulation::retarget`] keeps its
+/// flow-cell template while it matches.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellPatternKey {
     /// Cross-stream cells per half-width.
@@ -109,8 +112,6 @@ pub struct CellPatternKey {
     velocity_nz: usize,
     /// Product-tracking switch.
     track_products: bool,
-    /// Contact ASR (bit pattern; keys only need equality).
-    contact_asr_bits: u64,
 }
 
 impl CellPatternKey {
@@ -124,7 +125,6 @@ impl CellPatternKey {
             velocity_kind,
             velocity_nz,
             track_products: options.track_products,
-            contact_asr_bits: options.contact_asr.to_bits(),
         }
     }
 
@@ -341,9 +341,6 @@ pub struct EngineStats {
     /// Request-segments served from a shared prefix node instead of
     /// being integrated again (`Σ_nodes requests_under_node − 1`).
     pub trace_segments_reused: u64,
-    /// Trace-tree nodes served by carrying the parent's live integrator
-    /// down a single-child chain (no rebuild, no checkpoint restore).
-    pub trace_integrators_carried: u64,
     /// Polarization requests served.
     pub polarization_requests: u64,
     /// Flow-cell solve contexts built from scratch (one duct solution +
@@ -361,16 +358,18 @@ pub struct EngineStats {
     /// for the benchmark's kernel-threads label; it goes when that
     /// label does.
     pub kernel_threads: u32,
-    /// Preconditioner spec serving the most recent steady batch's
-    /// thermal solves ([`bright_num::PrecondSpec::Milu0`] on every
-    /// fluid-cooled stack; the default spec before the first batch).
+    /// Preconditioner spec of the thermal session that solved the most
+    /// recent steady batch's last solved request
+    /// ([`bright_num::PrecondSpec::Milu0`] on every fluid-cooled stack).
+    /// Until a steady request has solved it reads the type's default,
+    /// [`bright_num::PrecondSpec::Jacobi`], which no thermal solve uses.
     pub preconditioner: bright_num::PrecondSpec,
     /// Session solves (thermal, plus transient integrations) that
     /// succeeded only after the recovery ladder intervened (see
     /// `docs/ROBUSTNESS.md`).
     pub recovered_solves: u64,
     /// Adaptive dt-halving retries transient integrations took after
-    /// solver failures ([`bright_thermal::AdaptiveStats::solver_retries`]).
+    /// solver failures ([`bright_thermal::TransientStats::solver_retries`]).
     pub solver_retries: u64,
     /// Cached workers/models dropped because a request they served
     /// panicked or failed — the next request of the pattern rebuilds
@@ -399,7 +398,6 @@ impl EngineStats {
         self.operator_reuses += d.operator_reuses;
         self.trace_segments_integrated += d.trace_segments_integrated;
         self.trace_segments_reused += d.trace_segments_reused;
-        self.trace_integrators_carried += d.trace_integrators_carried;
         self.cell_contexts_built += d.cell_contexts_built;
         self.cell_context_reuses += d.cell_context_reuses;
         self.recovered_solves += d.recovered_solves;
@@ -438,6 +436,7 @@ impl<K: Eq + std::hash::Hash + Clone, V> LruCache<K, V> {
         self.evictions
     }
 
+    #[cfg(test)]
     fn contains_key(&self, key: &K) -> bool {
         self.map.contains_key(key)
     }
@@ -552,8 +551,9 @@ impl GroupKey {
 }
 
 /// A group's requests (a chunk of them, for large steady groups) and
-/// the cached worker or assembled model serving them (`None` until a
-/// brand-new pattern builds it).
+/// the cached worker serving them (`None` until a brand-new pattern
+/// builds it), or for a transient group its assembled model or build
+/// error.
 struct Group<K, W, R> {
     key: K,
     worker: Option<W>,
@@ -576,7 +576,7 @@ impl<K, W, R> Group<K, W, R> {
 #[allow(clippy::large_enum_variant)]
 enum Job {
     Steady(Group<PatternKey, CoSimulation, Scenario>),
-    Transient(Group<TransientGroupKey, ThermalModel, TransientRequest>),
+    Transient(Group<TransientGroupKey, Result<ThermalModel, CoreError>, TransientRequest>),
     Polarization(Group<CellPatternKey, CellModel, PolarizationRequest>),
 }
 
@@ -602,8 +602,8 @@ impl Job {
 /// What one job hands back to the batch fold.
 struct Served {
     reports: Vec<EngineReport>,
-    /// The served job: its worker or model goes back to the cache
-    /// (`None` when it was quarantined or never built).
+    /// The served job: a steady or polarization worker goes back to the
+    /// cache (`None` when it was quarantined or never built).
     job: Job,
     /// Counter deltas; only the additive fields are set.
     counters: EngineStats,
@@ -755,11 +755,10 @@ impl ScenarioEngine {
     }
 
     /// Clones an assembled thermal model for `request` out of the
-    /// transient cache, building (and caching) it on a miss. Used by
-    /// the durable service to integrate a trace segment-by-segment with
-    /// checkpoints persisted between segments; sharing this cache keeps
-    /// the service's per-segment serving on the same operator-reuse
-    /// path as the engine's transient batches.
+    /// transient cache, building (and caching) it on a miss: the one
+    /// build site of a transient model, for the engine's transient
+    /// groups and for the durable service, which integrates a trace
+    /// segment by segment with checkpoints persisted between segments.
     pub(crate) fn cached_transient_model(
         &mut self,
         request: &TransientRequest,
@@ -836,24 +835,6 @@ impl ScenarioEngine {
             groups[slot].push(id, request);
         }
 
-        // Pre-assemble one thermal model per distinct transient operator
-        // identity, so every transient group — including same-batch
-        // dt/tolerance variants sharing an operator — clones an
-        // assembled model instead of re-assembling. A failed build is
-        // left to the group itself, which reports the error per request.
-        for group in &groups {
-            let Job::Transient(g) = group else { continue };
-            if self.transient_models.contains_key(&g.key.model) {
-                continue;
-            }
-            if let Ok(m) = thermal_model_for(&g.requests[0].1.scenario) {
-                if m.assemble().is_ok() {
-                    let key = g.key.model.clone();
-                    self.transient_models.insert_if_absent(key, m);
-                }
-            }
-        }
-
         // One job list. Steady groups split into chunks so the batch can
         // use the executor's parallelism even when one pattern
         // dominates: each extra chunk serves its slice through a *clone*
@@ -890,9 +871,10 @@ impl ScenarioEngine {
                     }
                 }
                 Job::Transient(mut g) => {
-                    // A clone of a cached model carries its assembled
-                    // operator.
-                    g.worker = self.transient_models.get(&g.key.model).cloned();
+                    // Every transient group clones an assembled model
+                    // (same-batch dt/tolerance variants share one), or
+                    // carries its build error to every request.
+                    g.worker = Some(self.cached_transient_model(&g.requests[0].1));
                     jobs.push(Job::Transient(g));
                 }
                 Job::Polarization(mut g) => {
@@ -929,13 +911,10 @@ impl ScenarioEngine {
                 }
                 Job::Transient(g) => {
                     // A panicking integration quarantines the whole
-                    // model identity: drop the pre-assembled entry too,
-                    // so the next batch re-assembles from scratch.
+                    // model identity: drop the cached entry, so the next
+                    // batch re-assembles from scratch.
                     if s.counters.quarantined_workers > 0 {
                         self.transient_models.remove(&g.key.model);
-                    }
-                    if let Some(model) = g.worker {
-                        self.transient_models.insert_if_absent(g.key.model, model);
                     }
                 }
             }
@@ -1095,11 +1074,13 @@ fn serve_steady(
 }
 
 /// Serves a transient group over its segment-prefix tree.
-fn serve_transients(mut group: Group<TransientGroupKey, ThermalModel, TransientRequest>) -> Served {
+fn serve_transients(
+    mut group: Group<TransientGroupKey, Result<ThermalModel, CoreError>, TransientRequest>,
+) -> Served {
     let pattern = group.key.digest();
     let requests = std::mem::take(&mut group.requests);
-    let (model, outcomes, c) = serve_transient_group(group.worker.take(), &requests);
-    group.worker = model;
+    let model = group.worker.take().expect("serve hands every transient group its model");
+    let (outcomes, c) = serve_transient_group(model, &requests);
     let reports = outcomes
         .into_iter()
         .map(|(request_id, result)| {
@@ -1124,7 +1105,6 @@ fn serve_transients(mut group: Group<TransientGroupKey, ThermalModel, TransientR
         counters: EngineStats {
             trace_segments_integrated: c.segments_integrated,
             trace_segments_reused: c.segments_reused,
-            trace_integrators_carried: c.integrators_carried,
             recovered_solves: c.recovered_solves,
             solver_retries: c.solver_retries,
             panicked_requests: c.panicked_requests,
@@ -1515,12 +1495,10 @@ mod tests {
         assert_eq!(stats.transient_requests, 2);
         assert_eq!(stats.trace_segments_integrated, 3, "prefix must be shared");
         assert_eq!(stats.trace_segments_reused, 1);
-        assert_eq!(stats.trace_integrators_carried, 0, "the prefix branches");
 
         // Four 3-segment variants over a shared 2-segment prefix: the
-        // prefix is integrated once, its second segment extends the
-        // first's live integrator, and the four tails branch from its
-        // checkpoint. A solo 3-segment chain carries at both boundaries.
+        // prefix is integrated once and the four tails branch from its
+        // checkpoint.
         let chain = |tail: f64| {
             let mut r = request(PowerScenario::cache_only());
             r.trace.push(step(0.02, PowerScenario::full_load().scaled(tail)));
@@ -1532,10 +1510,6 @@ mod tests {
         let stats = branched.stats();
         assert_eq!(stats.trace_segments_integrated, 6, "2 prefix segments + 4 tails");
         assert_eq!(stats.trace_segments_reused, 6, "3 later variants share 2 segments");
-        assert_eq!(stats.trace_integrators_carried, 1);
-        let mut solo = ScenarioEngine::new();
-        assert!(solo.run_transient_batch([chain(0.2)])[0].result.is_ok());
-        assert_eq!(solo.stats().trace_integrators_carried, 2);
 
         // A second batch on the same group reuses the cached model (no
         // new thermal assembly).
@@ -1555,8 +1529,8 @@ mod tests {
 
         // dt variants are different serving groups but the same
         // operator identity: one cached model, one assembly — even when
-        // both variants arrive in the same cold batch (the engine
-        // pre-assembles per identity before dispatch).
+        // both variants arrive in the same cold batch (the engine builds
+        // per identity before dispatch).
         let mut coarser = request(PowerScenario::full_load());
         coarser.stepping = SteppingMode::Fixed { dt: 4e-3 };
         engine.run_transient_batch([coarser.clone()]);
@@ -1579,6 +1553,41 @@ mod tests {
             1,
             "same-batch dt variants must share one assembly"
         );
+    }
+
+    #[test]
+    fn bounded_model_cache_serves_transient_groups_like_an_unbounded_one() {
+        use crate::transient::{LoadStep, SteppingMode, TransientRequest};
+        use bright_floorplan::PowerScenario;
+        use bright_units::Kelvin as K;
+
+        // Two operator identities in one batch: with one cache slot the
+        // second build evicts the first before dispatch, and its group
+        // still serves from the model handed to it.
+        let request = |scale: f64| {
+            let mut scenario = Scenario::power7_reduced();
+            scenario.total_flow = scenario.total_flow * scale;
+            TransientRequest {
+                scenario,
+                trace: vec![LoadStep::new(0.01, PowerScenario::full_load())],
+                initial_temperature: K::new(300.0),
+                stepping: SteppingMode::Fixed { dt: 2e-3 },
+            }
+        };
+        let batch = [request(1.0), request(0.5)];
+        let outcomes = |engine: &mut ScenarioEngine| -> Vec<_> {
+            engine
+                .run_transient_batch(batch.clone())
+                .into_iter()
+                .map(|r| r.result.expect("transient converges"))
+                .collect()
+        };
+        let mut bounded = ScenarioEngine::new();
+        bounded.set_cache_capacity(1);
+        let mut unbounded = ScenarioEngine::new();
+        assert_eq!(outcomes(&mut bounded), outcomes(&mut unbounded));
+        assert_eq!(bounded.stats().cache_residents, 1);
+        assert_eq!(bounded.stats().evicted_workers, 1, "one build, one eviction");
     }
 
     #[test]
@@ -1617,6 +1626,35 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn a_contact_asr_move_keeps_the_polarization_worker() {
+        // Contact ASR is a coefficient, not a shape: two requests that
+        // differ only there share one worker, and each curve matches
+        // its cold single-request sweep bitwise.
+        let mut resistive = Scenario::power7_reduced();
+        resistive.cell_options.contact_asr = 2e-4;
+        let requests = [
+            PolarizationRequest::new(Scenario::power7_reduced()),
+            PolarizationRequest::new(resistive),
+        ];
+        let mut engine = ScenarioEngine::new();
+        let reports = engine.run_polarization_batch(requests.clone());
+        assert_eq!(engine.stats().cell_contexts_built, 1, "one worker serves both");
+        assert!(!reports[0].reused_context);
+        assert!(reports[1].reused_context);
+        for (report, request) in reports.iter().zip(&requests) {
+            let mut cold = ScenarioEngine::new();
+            let solo = cold.run_polarization_batch([request.clone()]).remove(0);
+            let warm = report.result.as_ref().expect("sweep converges");
+            assert_eq!(warm.curve, solo.result.expect("cold sweep converges").curve);
+        }
+        assert_ne!(
+            reports[0].result.as_ref().unwrap().curve,
+            reports[1].result.as_ref().unwrap().curve,
+            "the contact ASR moved the curve"
+        );
     }
 
     #[test]

@@ -819,9 +819,6 @@ impl ScenarioService {
         request: &TransientRequest,
     ) -> Result<Served, CoreError> {
         let model = self.engine.cached_transient_model(request)?;
-        // The path carries the live integrator across segment boundaries
-        // within this attempt (checkpoints are still persisted per
-        // boundary; only the rebuild cost is skipped).
         let mut path = PathProgress::start(request);
         let mut checkpoint: Option<Checkpoint> = None;
         match self.load_resume_state(id) {

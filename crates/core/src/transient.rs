@@ -8,26 +8,27 @@
 //! one such integration: a [`crate::Scenario`] (fixing the thermal
 //! stack and coolant operating point), a piecewise-constant trace of
 //! [`LoadStep`]s, and a [`SteppingMode`] (fixed Δt or the adaptive
-//! TR-BDF2 controller of [`bright_thermal::AdaptiveTransient`]).
+//! TR-BDF2 controller of [`bright_thermal::TransientSimulation`]).
 //!
 //! The engine groups requests whose thermal operator, initial state and
 //! stepping agree, then serves each group over a **segment-prefix
-//! tree**: segments shared by several requests are integrated *once*,
-//! a [`bright_thermal::Checkpoint`] is saved where traces diverge, and
-//! each branch restores the checkpoint and continues — bitwise
-//! identical to integrating every request from t = 0, at a fraction of
-//! the solves. [`TransientOutcome::shared_time`] reports how much of a
+//! tree**: segments shared by several requests are integrated *once*.
+//! Every node builds its integrator from the group's model and restores
+//! the [`bright_thermal::Checkpoint`] its parent saved — the one way a
+//! trace continues, here and in the durable service — bitwise identical
+//! to integrating every request from t = 0, at a fraction of the
+//! solves. [`TransientOutcome::shared_time`] reports how much of a
 //! request's trace was served from shared work.
 
-use crate::cosim::thermal_model_for;
 use crate::engine::PatternKey;
 use crate::scenario::Scenario;
 use crate::CoreError;
 use bright_floorplan::PowerScenario;
 use bright_jsonio::Value;
+pub use bright_thermal::SteppingMode;
 use bright_thermal::{
-    AdaptiveConfig, AdaptiveTransient, Checkpoint, CoefficientRamp, PowerTrace, ThermalModel,
-    TraceSegment, TransientSimulation,
+    AdaptiveConfig, Checkpoint, CoefficientRamp, PowerTrace, ThermalModel, TraceSegment,
+    TransientSimulation,
 };
 use bright_units::{CubicMetersPerSecond, Kelvin};
 
@@ -131,19 +132,6 @@ impl LoadStep {
     }
 }
 
-/// How the trace is integrated.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SteppingMode {
-    /// Fixed-Δt backward Euler.
-    Fixed {
-        /// The time step (s).
-        dt: f64,
-    },
-    /// Adaptive Δt control with the TR-BDF2 embedded pair
-    /// ([`bright_thermal::AdaptiveTransient`]).
-    Adaptive(AdaptiveConfig),
-}
-
 /// A transient integration request for the engine.
 #[derive(Debug, Clone)]
 pub struct TransientRequest {
@@ -206,19 +194,9 @@ impl TransientRequest {
                 self.initial_temperature
             )));
         }
-        match &self.stepping {
-            SteppingMode::Fixed { dt } => {
-                if !(*dt > 0.0 && dt.is_finite()) {
-                    return Err(CoreError::InvalidScenario(format!(
-                        "fixed time step must be positive, got {dt}"
-                    )));
-                }
-            }
-            SteppingMode::Adaptive(cfg) => cfg
-                .validate()
-                .map_err(|e| CoreError::InvalidScenario(e.to_string()))?,
-        }
-        Ok(())
+        self.stepping
+            .validate()
+            .map_err(|e| CoreError::InvalidScenario(e.to_string()))
     }
 
     /// Total trace duration (s).
@@ -252,7 +230,9 @@ pub struct TransientOutcome {
     pub solver_retries: u64,
     /// O(nnz) coolant-coefficient re-stamps performed along this
     /// request's path (0 for ramp-free traces — the zero-re-assembly
-    /// observable of coefficient transients).
+    /// observable of coefficient transients). Every segment starts from
+    /// the model's nominal point, so the count is the same on the
+    /// engine's, the service's and a resumed path.
     pub coefficient_refreshes: u64,
     /// Seconds of this request's trace that were integrated in a node
     /// shared with at least one other request of the batch — work this
@@ -354,12 +334,8 @@ pub(crate) struct TransientCounters {
     /// Requests that received [`CoreError::WorkerPanic`] after a node
     /// integration panicked.
     pub panicked_requests: u64,
-    /// Tree nodes served by *extending a live integrator* carried down
-    /// a single-child chain instead of rebuilding one from the parent's
-    /// checkpoint (construction, re-assembly and restore all skipped).
-    pub integrators_carried: u64,
-    /// 1 when the group's assembled model was withheld from the cache
-    /// because an integration panicked (the engine folds this into
+    /// 1 when an integration panicked, so the engine drops the group's
+    /// cached model (folded into
     /// [`crate::engine::EngineStats::quarantined_workers`]).
     pub quarantined_models: u64,
 }
@@ -438,11 +414,10 @@ impl TransientGroupKey {
 pub(crate) type GroupOutcomes = Vec<(u64, Result<TransientOutcome, CoreError>)>;
 
 /// A request's progress along its trace: the counters of the segments
-/// integrated so far and the integrator that stepped the last one. The
-/// engine threads one down each prefix-tree path; the durable service
-/// persists its counters ([`PathProgress::to_json`]) beside each
-/// segment's checkpoint and resumes from them.
-#[derive(Default)]
+/// integrated so far. The engine threads one down each prefix-tree
+/// path; the durable service persists it ([`PathProgress::to_json`])
+/// beside each segment's checkpoint and resumes from it.
+#[derive(Clone, Default)]
 pub(crate) struct PathProgress {
     /// Trace segments integrated so far.
     pub(crate) segments_done: usize,
@@ -458,8 +433,6 @@ pub(crate) struct PathProgress {
     /// Seconds integrated in nodes shared with other requests (not
     /// persisted: the service serves one request per path).
     shared_time: f64,
-    /// The last segment's integrator, carried into the next segment.
-    live: Option<LiveIntegrator>,
 }
 
 impl PathProgress {
@@ -474,10 +447,10 @@ impl PathProgress {
     /// Advances the path by one segment of `req`'s trace: the one
     /// segment step of both the engine's prefix tree and the durable
     /// service. It rasterizes the segment's load onto the model's grid,
-    /// resolves its ramp, integrates it from `from` (or extends the
-    /// carried integrator) under [`crate::isolate`], and folds the node
-    /// into the path and into the group `counters`. `sharers` counts the
-    /// requests the node serves. Returns the end-of-segment checkpoint.
+    /// resolves its ramp, integrates it from `from` under
+    /// [`crate::isolate`], and folds the node into the path and into
+    /// the group `counters`. `sharers` counts the requests the node
+    /// serves. Returns the end-of-segment checkpoint.
     pub(crate) fn advance(
         &mut self,
         model: &ThermalModel,
@@ -492,16 +465,13 @@ impl PathProgress {
             power: step.load.rasterize(&req.scenario.floorplan, model.grid())?,
             ramp: step.ramp.map(|r| r.resolve(&req.scenario)),
         };
-        let live = self.live.take();
-        let carried = live.is_some();
         let t0 = req.initial_temperature.value();
         // A panicking node fails only the requests under it. The model
-        // is never mutated here (each fresh node clones it), so
-        // observing it after an unwind is safe; the group's *cached*
-        // copy is still withheld by `serve_transient_group` as a
-        // precaution. A carried integrator unwinds with the closure.
+        // is never mutated here (each node clones it), so observing it
+        // after an unwind is safe; the engine still drops the group's
+        // *cached* copy as a precaution.
         let (checkpoint, node) =
-            crate::isolate(|| integrate_node(model, segment, t0, &req.stepping, from, live))
+            crate::isolate(|| integrate_node(model, segment, t0, &req.stepping, from))
                 .inspect_err(|e| {
                     if matches!(e, CoreError::WorkerPanic(_)) {
                         counters.panicked_requests += sharers as u64;
@@ -511,7 +481,6 @@ impl PathProgress {
         counters.segments_reused += sharers as u64 - 1;
         counters.recovered_solves += node.recovered;
         counters.solver_retries += node.retries;
-        counters.integrators_carried += u64::from(carried);
         self.segments_done += 1;
         self.peak = self.peak.max(node.peak);
         self.steps += node.steps;
@@ -521,7 +490,6 @@ impl PathProgress {
         self.retries += node.retries;
         self.refreshes += node.refreshes;
         self.shared_time += if sharers > 1 { step.duration } else { 0.0 };
-        self.live = node.live;
         Ok(checkpoint)
     }
 
@@ -590,174 +558,83 @@ impl PathProgress {
     }
 }
 
-/// A transient integrator kept alive between tree nodes. Along a
-/// single-child chain the parent's integrator is *carried down* and
-/// extended in place ([`AdaptiveTransient::push_segment`] /
-/// [`TransientSimulation::run_trace`] continuation) — skipping the
-/// model clone, session re-bind and checkpoint restore a fresh node
-/// build pays. At branch points every child starts from the parent's
-/// checkpoint instead, which is bitwise-identical to continuing live
-/// (both paths re-stamp coefficients and re-seed warm starts from
-/// committed state), so carry-down is purely a cost optimization.
-enum LiveIntegrator {
-    Adaptive(Box<AdaptiveTransient>),
-    /// The fixed-Δt stepper and the one-segment trace it steps next.
-    Fixed(Box<TransientSimulation>, PowerTrace),
-}
-
-impl LiveIntegrator {
-    /// The integrator's cumulative counters, as a path.
-    fn marks(&self) -> PathProgress {
-        match self {
-            Self::Adaptive(integ) => {
-                let stats = integ.stats();
-                PathProgress {
-                    steps: stats.accepted,
-                    solves: stats.solves,
-                    rejected: stats.rejected,
-                    recovered: integ.session_stats().recovered_solves,
-                    retries: stats.solver_retries,
-                    refreshes: integ.coefficient_refreshes(),
-                    ..PathProgress::default()
-                }
-            }
-            Self::Fixed(sim, _) => PathProgress {
-                steps: sim.step_count(),
-                solves: sim.solve_count(),
-                recovered: sim.session_stats().recovered_solves,
-                refreshes: sim.coefficient_refreshes(),
-                ..PathProgress::default()
-            },
-        }
-    }
-}
-
-/// One node integration: a single trace segment, stepped by the carried
-/// `live` integrator or by a fresh one restored from `from`. Returns the
-/// end-of-segment checkpoint and the node's own counters, which hold the
-/// integrator for the next node.
+/// One node integration: a single trace segment, stepped by an
+/// integrator built from `model` and restored from `from`. Returns the
+/// end-of-segment checkpoint and the node's own counters.
 fn integrate_node(
     model: &ThermalModel,
     segment: TraceSegment,
     initial_temperature: f64,
     stepping: &SteppingMode,
     from: Option<&Checkpoint>,
-    live: Option<LiveIntegrator>,
 ) -> Result<(Checkpoint, PathProgress), CoreError> {
-    // The coefficient baseline is read before the push or restore: the
-    // re-arm sync either one runs is this node's work.
-    let (mut integ, refreshes) = match live {
-        // Carried live: extend the finished integrator's trace and keep
-        // stepping — no clone, no re-bind, no restore. (The group key
-        // fixes the stepping mode, so a carried integrator matches it.)
-        Some(mut integ) => {
-            let refreshes = integ.marks().refreshes;
-            match &mut integ {
-                LiveIntegrator::Adaptive(a) => a.push_segment(segment)?,
-                LiveIntegrator::Fixed(_, next) => *next = PowerTrace::new(vec![segment])?,
-            }
-            (integ, refreshes)
-        }
-        None => {
-            let trace = PowerTrace::new(vec![segment])?;
-            let mut integ = match stepping {
-                SteppingMode::Adaptive(cfg) => LiveIntegrator::Adaptive(Box::new(
-                    AdaptiveTransient::new(model.clone(), trace, initial_temperature, *cfg)?,
-                )),
-                SteppingMode::Fixed { dt } => {
-                    let power = &trace.segments()[0].power;
-                    let sim =
-                        TransientSimulation::new(model.clone(), power, initial_temperature, *dt)?;
-                    LiveIntegrator::Fixed(Box::new(sim), trace)
-                }
-            };
-            let refreshes = integ.marks().refreshes;
-            match (&mut integ, from) {
-                // The checkpoint cursor is tree-global; the node-local
-                // integrator sees a single-segment trace starting now.
-                (LiveIntegrator::Adaptive(a), Some(cp)) => a.restore_checkpoint(&Checkpoint {
-                    segment: 0,
-                    time_in_segment: 0.0,
-                    ..cp.clone()
-                })?,
-                (LiveIntegrator::Fixed(sim, _), Some(cp)) => sim.restore_checkpoint(cp)?,
-                (_, None) => {}
-            }
-            (integ, refreshes)
-        }
-    };
+    let trace = PowerTrace::new(vec![segment])?;
+    let mut integ = TransientSimulation::new(model.clone(), trace, initial_temperature, *stepping)?;
+    if let Some(cp) = from {
+        // The checkpoint cursor is tree-global; the node-local
+        // integrator sees a single-segment trace starting now.
+        integ.restore_checkpoint(&Checkpoint {
+            segment: 0,
+            time_in_segment: 0.0,
+            ..cp.clone()
+        })?;
+    }
     // The step baselines come after the restore, which loads the
-    // checkpoint's path-cumulative counters.
-    let before = integ.marks();
-    let (peak, checkpoint) = match &mut integ {
-        LiveIntegrator::Adaptive(a) => (a.run_to_end()?, a.save_checkpoint()),
-        LiveIntegrator::Fixed(sim, trace) => (sim.run_trace(trace)?, sim.save_checkpoint()),
-    };
-    let after = integ.marks();
+    // checkpoint's path-cumulative counters; the restore's coefficient
+    // sync is this node's work.
+    let before = integ.stats();
+    let peak = integ.run_to_end()?;
+    let after = integ.stats();
     let node = PathProgress {
         segments_done: 1,
         peak,
-        steps: after.steps - before.steps,
+        steps: after.accepted - before.accepted,
         solves: after.solves - before.solves,
         rejected: after.rejected - before.rejected,
-        recovered: after.recovered - before.recovered,
-        retries: after.retries - before.retries,
-        refreshes: after.refreshes - refreshes,
+        recovered: integ.session_stats().recovered_solves,
+        retries: after.solver_retries - before.solver_retries,
+        refreshes: integ.coefficient_refreshes(),
         shared_time: 0.0,
-        live: Some(integ),
     };
-    Ok((checkpoint, node))
+    Ok((integ.save_checkpoint(), node))
 }
 
 /// Serves one group of share-compatible requests over the segment-
-/// prefix tree. Returns per-request results (unordered) and the group's
-/// reuse counters, plus the (possibly newly built) thermal model for
-/// the engine's cache.
+/// prefix tree, on the group's assembled model (or its build error,
+/// which every request receives). Returns per-request results
+/// (unordered) and the group's reuse counters.
 pub(crate) fn serve_transient_group(
-    cached_model: Option<ThermalModel>,
+    model: Result<ThermalModel, CoreError>,
     requests: &[(u64, TransientRequest)],
-) -> (Option<ThermalModel>, GroupOutcomes, TransientCounters) {
+) -> (GroupOutcomes, TransientCounters) {
     let mut counters = TransientCounters::default();
     let mut results: GroupOutcomes = Vec::new();
-    let built = cached_model
-        .map_or_else(|| thermal_model_for(&requests[0].1.scenario), Ok)
-        .and_then(|m| {
-            // Assemble before fanning out: every node clones the model,
-            // and clones of an assembled model carry the operator.
-            m.assemble()?;
-            Ok(m)
-        });
-    let model = match built {
+    let model = match model {
         Ok(m) => m,
         Err(e) => {
             for (id, _) in requests {
                 results.push((*id, Err(e.clone())));
             }
-            return (None, results, counters);
+            return (results, counters);
         }
     };
     let refs: Vec<&(u64, TransientRequest)> = requests.iter().collect();
     let root = PathProgress::start(&requests[0].1);
     serve_node(&model, &refs, None, root, &mut results, &mut counters);
-    if counters.panicked_requests > 0 {
-        // A panicking integration may have unwound mid-clone of the
-        // model's shared operator caches: withhold the model from the
-        // engine's cache so later batches re-assemble from scratch.
-        counters.quarantined_models = 1;
-        return (None, results, counters);
-    }
-    (Some(model), results, counters)
+    // A panicking integration may have unwound mid-clone of the model's
+    // shared operator caches: the engine drops the cached model so later
+    // batches re-assemble from scratch.
+    counters.quarantined_models = u64::from(counters.panicked_requests > 0);
+    (results, counters)
 }
 
 /// Recursive prefix-tree serving: `reqs` all share the trace segments
-/// `path` has integrated, ending at `from`. `path` holds the parent
-/// node's still-live integrator when this node is its only child; it is
-/// extended in place instead of restoring the checkpoint.
+/// `path` has integrated, ending at `from`.
 fn serve_node(
     model: &ThermalModel,
     reqs: &[&(u64, TransientRequest)],
     from: Option<&Checkpoint>,
-    mut path: PathProgress,
+    path: PathProgress,
     out: &mut GroupOutcomes,
     counters: &mut TransientCounters,
 ) {
@@ -792,16 +669,8 @@ fn serve_node(
         }
     }
 
-    // A live integrator carries down only along a single-child chain;
-    // at a branch point every child restores the checkpoint instead.
-    if partitions.len() > 1 {
-        path.live = None;
-    }
     for part in partitions {
-        let mut child = PathProgress {
-            live: path.live.take(),
-            ..path
-        };
+        let mut child = path.clone();
         match child.advance(model, &part[0].1, from, part.len(), counters) {
             Ok(checkpoint) => serve_node(model, &part, Some(&checkpoint), child, out, counters),
             Err(e) => {
@@ -816,6 +685,15 @@ fn serve_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serves `requests` as one group on a model built for the first.
+    fn serve_group(requests: &[(u64, TransientRequest)]) -> (GroupOutcomes, TransientCounters) {
+        let model = crate::cosim::thermal_model_for(&requests[0].1.scenario).and_then(|m| {
+            m.assemble()?;
+            Ok(m)
+        });
+        serve_transient_group(model, requests)
+    }
 
     fn base_request(segments: &[(f64, PowerScenario)]) -> TransientRequest {
         TransientRequest {
@@ -911,10 +789,8 @@ mod tests {
         // snaps back to nominal. The differing ramps must split the
         // tree (sharing the tail would integrate the wrong operator),
         // the prefix is still shared, and every grouped result is
-        // bitwise identical to its solo run — the solo chain rides the
-        // carried live integrator while grouped branches restore the
-        // divergence checkpoint, so this equality is the
-        // carry-down-vs-restore equivalence check at the engine layer.
+        // bitwise identical to its solo run: both restore the first
+        // segment's checkpoint into a fresh integrator.
         let full = PowerScenario::full_load();
         let mk = |tail: Option<LoadRamp>| {
             let mut r = base_request(&[(0.02, full.clone()), (0.02, full.clone())]);
@@ -926,40 +802,26 @@ mod tests {
         let a = mk(Some(LoadRamp::flow(0.25, 0.25)));
         let b = mk(None);
 
-        let (_, grouped, counters) = serve_transient_group(None, &[(0, a.clone()), (1, b.clone())]);
+        let (grouped, counters) = serve_group(&[(0, a.clone()), (1, b.clone())]);
         assert_eq!(counters.segments_integrated, 3, "tails must not merge");
         assert_eq!(counters.segments_reused, 1, "prefix must be shared");
-        // The prefix node branches two ways, so nothing is carried.
-        assert_eq!(counters.integrators_carried, 0);
 
-        let (_, solo_a, ca) = serve_transient_group(None, &[(0, a)]);
-        let (_, solo_b, cb) = serve_transient_group(None, &[(1, b)]);
-        // Solo chains are single-child all the way down: the second
-        // segment extends the live integrator instead of rebuilding.
-        assert_eq!(ca.integrators_carried, 1);
-        assert_eq!(cb.integrators_carried, 1);
+        let (solo_a, _) = serve_group(&[(0, a)]);
+        let (solo_b, _) = serve_group(&[(1, b)]);
 
         let get = |rs: &GroupOutcomes, id: u64| {
             rs.iter().find(|(i, _)| *i == id).unwrap().1.clone().unwrap()
         };
         let (ga, gb) = (get(&grouped, 0), get(&grouped, 1));
         let (sa, sb) = (get(&solo_a, 0), get(&solo_b, 1));
-        // Everything except the serving-path bookkeeping (shared time,
-        // re-stamps actually performed) must agree bitwise.
+        // Everything except the serving-path bookkeeping (shared time)
+        // must agree bitwise, the re-stamp count included.
         let flat = |o: &TransientOutcome| TransientOutcome {
             shared_time: 0.0,
-            coefficient_refreshes: 0,
             ..*o
         };
-        assert_eq!(flat(&ga), flat(&sa), "carried solo vs restored branch diverged (A)");
-        assert_eq!(flat(&gb), flat(&sb), "carried solo vs restored branch diverged (B)");
-        // The re-stamp counter is honest per-path work, not a trace
-        // property. With a tail ramp both paths re-stamp identically;
-        // without one, the carried integrator pays a single extra
-        // re-stamp to walk back to the nominal point, while the
-        // restored branch's fresh operator already sits there.
-        assert_eq!(ga.coefficient_refreshes, sa.coefficient_refreshes);
-        assert_eq!(sb.coefficient_refreshes, gb.coefficient_refreshes + 1);
+        assert_eq!(flat(&ga), flat(&sa), "solo vs grouped branch diverged (A)");
+        assert_eq!(flat(&gb), flat(&sb), "solo vs grouped branch diverged (B)");
         // Ramps ran: mid-trace coefficient re-stamps were counted.
         assert!(ga.coefficient_refreshes > 0, "ramp must refresh coefficients");
         // Holding the throttled flow ends hotter than snapping back.
@@ -1000,14 +862,14 @@ mod tests {
         .unwrap();
         assert_eq!(TransientGroupKey::of(&a), TransientGroupKey::of(&b));
 
-        let (_, grouped, counters) = serve_transient_group(None, &[(0, a.clone()), (1, b.clone())]);
+        let (grouped, counters) = serve_group(&[(0, a.clone()), (1, b.clone())]);
         assert_eq!(counters.segments_integrated, 2, "must not share");
         assert_eq!(counters.segments_reused, 0);
         let get = |rs: &GroupOutcomes, id: u64| {
             rs.iter().find(|(i, _)| *i == id).unwrap().1.clone().unwrap()
         };
-        let (_, solo_a, _) = serve_transient_group(None, &[(0, a)]);
-        let (_, solo_b, _) = serve_transient_group(None, &[(1, b)]);
+        let (solo_a, _) = serve_group(&[(0, a)]);
+        let (solo_b, _) = serve_group(&[(1, b)]);
         assert_eq!(get(&grouped, 0).final_peak, get(&solo_a, 0).final_peak);
         assert_eq!(get(&grouped, 1).final_peak, get(&solo_b, 1).final_peak);
         // The reclassified core is powered at logic density: the runs
@@ -1026,14 +888,14 @@ mod tests {
         let a = base_request(&[(0.02, full.clone()), (0.02, full.clone())]);
         let b = base_request(&[(0.02, full.clone()), (0.02, cache)]);
 
-        let (_, grouped, counters) = serve_transient_group(None, &[(0, a.clone()), (1, b.clone())]);
+        let (grouped, counters) = serve_group(&[(0, a.clone()), (1, b.clone())]);
         assert_eq!(grouped.len(), 2);
         // 3 nodes: shared prefix + two branch tails.
         assert_eq!(counters.segments_integrated, 3);
         assert_eq!(counters.segments_reused, 1);
 
-        let (_, solo_a, _) = serve_transient_group(None, &[(0, a)]);
-        let (_, solo_b, _) = serve_transient_group(None, &[(1, b)]);
+        let (solo_a, _) = serve_group(&[(0, a)]);
+        let (solo_b, _) = serve_group(&[(1, b)]);
         let get = |rs: &[(u64, Result<TransientOutcome, CoreError>)], id: u64| {
             rs.iter()
                 .find(|(i, _)| *i == id)

@@ -598,3 +598,60 @@ fn cache_capacity_bounds_the_service_engine() {
     assert!(stats.cache_residents <= 3, "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Drives `spec` through a fresh store with a one-shot crash walked
+/// forward until the journal holds the job's first `segment` record;
+/// returns the killed store.
+fn killed_after_first_segment(name: &str, spec: &JobSpec) -> PathBuf {
+    for shot in 1..60u64 {
+        let dir = test_dir(&format!("{name}_shot{shot}"));
+        let mut svc = open_service(&dir);
+        svc.submit(spec.clone()).expect("admitted");
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            faults::with_scope(Some(FaultPlan::one_shot_crash(shot)), || {
+                svc.drain().expect("drain");
+            })
+        }));
+        let payload = run.expect_err("the crash fires before the job completes");
+        assert!(faults::is_injected_kill(payload.as_ref()));
+        let journal = std::fs::read_to_string(dir.join("journal.log")).expect("journal");
+        let segment_logged = journal.lines().any(|line| {
+            bright_jsonio::checksummed::parse(line)
+                .ok()
+                .and_then(|v| JournalEvent::from_json(&v))
+                .is_some_and(|e| matches!(e, JournalEvent::Segment { index: 0, .. }))
+        });
+        if segment_logged {
+            return dir;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    panic!("{name}: no shot landed after the first segment record");
+}
+
+#[test]
+fn a_ramped_transient_resumed_after_its_first_segment_reports_identically() {
+    // The first segment throttles the pump; the second returns to the
+    // nominal point. A job killed between them resumes from the
+    // checkpoint into a fresh integrator, as every segment of an
+    // uninterrupted run starts, so the report bytes match, the
+    // coefficient re-stamp count included.
+    let ramp = Some(LoadRamp::flow(1.0, 0.5));
+    for (case, stepping) in [
+        ("fixed", SteppingMode::Fixed { dt: 1e-3 }),
+        ("adaptive", SteppingMode::Adaptive(AdaptiveConfig::default())),
+    ] {
+        let spec = three_segment_spec(stepping, ramp);
+        let baseline_dir = test_dir(&format!("ramp_resume_{case}_baseline"));
+        let baseline = run_clean(&baseline_dir, std::slice::from_ref(&spec));
+        assert_eq!(baseline.len(), 1, "{case}: the clean run completes");
+
+        let dir = killed_after_first_segment(&format!("ramp_resume_{case}"), &spec);
+        let mut svc = open_service(&dir);
+        svc.drain().expect("recovery drain");
+        assert_eq!(svc.stats().resumed_segments, 1, "{case}: the job resumes");
+        assert_eq!(report_bytes(&dir), baseline, "{case}: resumed report diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&baseline_dir);
+    }
+}

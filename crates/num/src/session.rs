@@ -21,7 +21,9 @@
 //! operator identity, the epoch counts value refreshes. A session handed
 //! a different tag rebinds from scratch; a stale epoch triggers a cheap
 //! O(nnz) value reload ([`SolverSession::load_values`]) plus
-//! preconditioner re-setup — never a symbolic re-assembly.
+//! preconditioner re-setup — never a symbolic re-assembly. A time
+//! stepper keeps its shifted operator `G + C/Δt` on `G`'s own pattern
+//! with [`SolverSession::load_shifted`].
 //!
 //! Sessions are `Clone` (for fan-out across sweep workers; the
 //! preconditioner factorization is rebuilt lazily in the clone) and
@@ -253,6 +255,9 @@ impl RecoveryRung {
 /// docs](self) for the amortization contract.
 #[derive(Debug)]
 pub struct SolverSession {
+    /// The triplet pattern behind [`SolverSession::refresh_values`];
+    /// `None` when unbound or bound through
+    /// [`SolverSession::load_shifted`].
     symbolic: Option<CsrSymbolic>,
     matrix: CsrMatrix,
     opts: IterOptions,
@@ -383,10 +388,10 @@ impl SolverSession {
         }
     }
 
-    /// True until the session has been bound to an operator.
+    /// True once the session has been bound to an operator.
     #[inline]
     pub fn is_bound(&self) -> bool {
-        self.symbolic.is_some()
+        self.operator_tag != 0
     }
 
     /// True when the session is current for the operator identified by
@@ -416,9 +421,13 @@ impl SolverSession {
     /// drops the warm start (a new operator's solution space is
     /// unrelated).
     pub fn bind(&mut self, symbolic: &CsrSymbolic, matrix: &CsrMatrix, tag: u64, epoch: u64) {
+        self.adopt(Some(symbolic.clone()), matrix.clone(), tag, epoch);
+    }
+
+    fn adopt(&mut self, symbolic: Option<CsrSymbolic>, matrix: CsrMatrix, tag: u64, epoch: u64) {
         self.clear_poison();
-        self.symbolic = Some(symbolic.clone());
-        self.matrix = matrix.clone();
+        self.symbolic = symbolic;
+        self.matrix = matrix;
         self.operator_tag = tag;
         self.epoch = epoch;
         self.precond_stale = true;
@@ -446,12 +455,13 @@ impl SolverSession {
     ///
     /// # Errors
     ///
-    /// * [`NumError::InvalidInput`] if the session is unbound,
+    /// * [`NumError::InvalidInput`] if the session holds no triplet
+    ///   pattern (unbound, or bound by [`SolverSession::load_shifted`]),
     /// * [`CsrSymbolic::refresh_values`] errors on a mismatched list.
     pub fn refresh_values(&mut self, triplets: &TripletMatrix, epoch: u64) -> Result<(), NumError> {
         let Some(symbolic) = &self.symbolic else {
             return Err(NumError::InvalidInput(
-                "refresh_values on an unbound session".into(),
+                "refresh_values on a session without a triplet pattern".into(),
             ));
         };
         symbolic.refresh_values(&mut self.matrix, triplets)?;
@@ -476,6 +486,38 @@ impl SolverSession {
         self.precond_stale = true;
         self.stats.refreshes += 1;
         Ok(())
+    }
+
+    /// Makes the session's operator `base + diag(shift)` — the shifted
+    /// system `G + C/Δt` of an implicit time step — on `base`'s own
+    /// pattern: an unbound session adopts a copy of `base` (counted as a
+    /// bind, under a fresh operator tag), a bound one copies `base`'s
+    /// values (counted as a refresh). Either way `shift[i]` is then
+    /// added to row `i`'s diagonal entry, the sum a triplet scatter of
+    /// `base`'s rows followed by the diagonal forms. O(nnz); no
+    /// allocation once bound.
+    ///
+    /// # Errors
+    ///
+    /// [`NumError::DimensionMismatch`] if `base` does not match the
+    /// bound operator's shape, `shift` is not one entry per row, or a
+    /// row has no diagonal entry.
+    pub fn load_shifted(
+        &mut self,
+        base: &CsrMatrix,
+        shift: &[f64],
+        epoch: u64,
+    ) -> Result<(), NumError> {
+        if self.is_bound() {
+            self.matrix.copy_values_from(base)?;
+            self.clear_poison();
+            self.epoch = epoch;
+            self.precond_stale = true;
+            self.stats.refreshes += 1;
+        } else {
+            self.adopt(None, base.clone(), next_operator_tag(), epoch);
+        }
+        self.matrix.add_to_diagonal(shift)
     }
 
     /// The bound operator.
@@ -901,6 +943,39 @@ mod tests {
         );
         assert_eq!(s.stats().binds, 1);
         assert_eq!(s.stats().precond_setups, 1);
+    }
+
+    #[test]
+    fn load_shifted_binds_then_restamps_the_triplet_scatter_values() {
+        // `G + diag(shift)` loaded through G's pattern equals, value for
+        // value, the scatter of G's rows followed by the diagonal.
+        let n = 12;
+        let shifted = |g: &CsrMatrix, shift: &[f64]| {
+            let mut t = TripletMatrix::new(n, n);
+            for (i, s) in shift.iter().enumerate() {
+                for (j, v) in g.row(i) {
+                    t.push(i, j, v).unwrap();
+                }
+                t.push(i, i, *s).unwrap();
+            }
+            t.to_csr()
+        };
+        let g = chain(n, 1.0).to_csr();
+        let shift: Vec<f64> = (0..n).map(|i| 0.1 * (i + 1) as f64).collect();
+        let mut s = SolverSession::default();
+        s.load_shifted(&g, &shift, 0).unwrap();
+        assert!(s.is_bound());
+        assert_eq!(s.matrix(), &shifted(&g, &shift));
+        assert_eq!((s.stats().binds, s.stats().refreshes), (1, 0));
+        assert!(s.refresh_values(&chain(n, 2.0), 1).is_err(), "no triplet pattern");
+
+        let g2 = chain(n, 3.0).to_csr();
+        let shift2: Vec<f64> = shift.iter().map(|v| v * 7.0).collect();
+        s.load_shifted(&g2, &shift2, 1).unwrap();
+        assert_eq!(s.matrix(), &shifted(&g2, &shift2));
+        assert_eq!((s.stats().binds, s.stats().refreshes), (1, 1));
+        assert_eq!(s.epoch(), 1);
+        assert!(s.load_shifted(&g2, &shift2[1..], 2).is_err());
     }
 
     #[test]

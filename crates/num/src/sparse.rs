@@ -488,6 +488,33 @@ impl CsrMatrix {
         Ok(())
     }
 
+    /// Adds `shift[i]` to row `i`'s stored diagonal entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::DimensionMismatch`] if `shift` is not one
+    /// entry per row or a row has no stored diagonal (earlier rows are
+    /// then already shifted).
+    pub(crate) fn add_to_diagonal(&mut self, shift: &[f64]) -> Result<(), NumError> {
+        if shift.len() != self.rows {
+            return Err(NumError::DimensionMismatch(format!(
+                "add_to_diagonal: {} shifts for {} rows",
+                shift.len(),
+                self.rows
+            )));
+        }
+        for (i, s) in shift.iter().enumerate() {
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            let Ok(pos) = self.col_idx[lo..hi].binary_search(&i) else {
+                return Err(NumError::DimensionMismatch(format!(
+                    "add_to_diagonal: row {i} has no diagonal entry"
+                )));
+            };
+            self.values[lo + pos] += s;
+        }
+        Ok(())
+    }
+
     /// Assembles a CSR matrix directly from its raw arrays — the
     /// in-crate constructor the multigrid hierarchy uses for its
     /// Galerkin coarse operators (whose patterns are computed, not

@@ -47,8 +47,8 @@ pub use materials::Material;
 pub use model::{ThermalModel, ThermalSolution};
 pub use stack::{LayerSpec, MicrochannelSpec, StackConfig};
 pub use transient::{
-    AdaptiveConfig, AdaptiveStats, AdaptiveStep, AdaptiveTransient, Checkpoint, CoefficientRamp,
-    PowerTrace, TraceSegment, TransientSimulation,
+    AdaptiveConfig, Checkpoint, CoefficientRamp, PowerTrace, SteppingMode, TraceSegment,
+    TransientSimulation, TransientStats, TransientStep,
 };
 
 use std::fmt;

@@ -900,16 +900,6 @@ impl ThermalModel {
         Ok(())
     }
 
-    pub(crate) fn assemble_for_transient(
-        &self,
-        power: &Field2d,
-    ) -> Result<(bright_num::CsrMatrix, Vec<f64>), ThermalError> {
-        let mut rhs = Vec::new();
-        self.transient_rhs(power, &mut rhs)?;
-        let op = self.operator()?;
-        Ok((op.matrix.clone(), rhs))
-    }
-
     /// The current coefficient operating point: the first microchannel
     /// layer's (total flow, inlet temperature). `None` for stacks
     /// without fluid layers — those have no rampable coefficients.
@@ -921,17 +911,6 @@ impl ThermalModel {
             }
             _ => None,
         })
-    }
-
-    /// Copies the cached operator's values into a same-pattern matrix —
-    /// the O(nnz) sync the transient stepper uses after a
-    /// [`ThermalModel::refresh_coefficients`] mid-trace.
-    pub(crate) fn copy_operator_values_into(
-        &self,
-        dst: &mut bright_num::CsrMatrix,
-    ) -> Result<(), ThermalError> {
-        let op = self.operator()?;
-        dst.copy_values_from(&op.matrix).map_err(ThermalError::from)
     }
 }
 

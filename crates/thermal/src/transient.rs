@@ -1,6 +1,7 @@
-//! Transient thermal simulation: implicit time stepping (fixed-Δt
-//! backward Euler, adaptive TR-BDF2) over power traces with optional
-//! flow/inlet coefficient ramps, and checkpoint/restore.
+//! Transient thermal simulation: one integrator, [`TransientSimulation`],
+//! steps a [`PowerTrace`] by fixed-Δt backward Euler or adaptive TR-BDF2
+//! ([`SteppingMode`]), with optional flow/inlet coefficient ramps and
+//! checkpoint/restore.
 //!
 //! 3D-ICE's hallmark is fast transient simulation of liquid-cooled
 //! stacks. The semidiscrete system is `C·T' = b − G·T` (heat-capacity
@@ -9,51 +10,52 @@
 //! rhs`, which is unconditionally stable — large steps simply approach
 //! the steady state.
 //!
-//! Three layers build on each other:
+//! The integrator steps the model's own operator. Its [`SolverSession`]
+//! holds `G + C/d` on the [`ThermalModel`]'s cached sparsity pattern,
+//! and every re-stamp — a new stage shift `d`, or a mid-trace
+//! coefficient move riding [`ThermalModel::refresh_coefficients`] —
+//! copies `G`'s values and adds `C/d` to the diagonal in O(nnz)
+//! ([`SolverSession::load_shifted`]): no second copy of `G`, no
+//! symbolic phase, never a re-assembly.
 //!
-//! * [`TransientSimulation`] — the fixed-Δt backward-Euler stepper. It
-//!   owns a [`SolverSession`] bound to `G + C/Δt`: pattern, Krylov
-//!   scratch and preconditioner are set up once and every step is a
-//!   warm-started, allocation-free solve.
-//!   [`TransientSimulation::set_dt`] re-stamps the operator *values*
-//!   through the cached pattern in O(nnz), and
-//!   [`TransientSimulation::set_coefficients`] does the same for
-//!   mid-trace flow/inlet changes (riding
-//!   [`ThermalModel::refresh_coefficients`] — never a re-assembly).
 //! * [`PowerTrace`] — a sequence of [`TraceSegment`]s, each a power map
 //!   held over a span, optionally with a [`CoefficientRamp`] that
 //!   sweeps the coolant flow rate and inlet temperature linearly across
 //!   the span (the paper's throttling, dark-silicon and flow-controller
 //!   experiments).
-//! * [`AdaptiveTransient`] — the adaptive-Δt integrator. It takes one
-//!   composite TR-BDF2 step per attempt: a trapezoidal stage to
-//!   `t + γh` (γ = 2 − √2) and a BDF2 stage to `t + h`, both solving
-//!   the *same* shifted operator `G + C/d` with `d = (1 − 1/√2)·h` —
-//!   one O(nnz) re-stamp and two warm-started solves per attempt, with
-//!   an embedded third-order error estimate that is free (divided
-//!   differences of `C⁻¹(b−G·T)` at the three stage nodes — matvecs,
-//!   not solves). A solver failure the session's recovery ladder could
-//!   not absorb halves Δt and retries. Steps never straddle a segment
-//!   boundary.
+//! * [`SteppingMode::Fixed`] — backward Euler at a fixed Δt: per
+//!   segment ⌊duration/Δt⌋ full steps, then one shortened remainder
+//!   step when the duration is not a Δt multiple. On a ramped segment
+//!   each step re-stamps the coefficients at its *end* time (the
+//!   implicit evaluation point).
+//! * [`SteppingMode::Adaptive`] — one composite TR-BDF2 step per
+//!   attempt: a trapezoidal stage to `t + γh` (γ = 2 − √2) and a BDF2
+//!   stage to `t + h`, both solving the *same* shifted operator
+//!   `G + C/d` with `d = (1 − 1/√2)·h` — one O(nnz) re-stamp and two
+//!   warm-started solves per attempt, with an embedded third-order
+//!   error estimate that is free (divided differences of `C⁻¹(b−G·T)`
+//!   at the three stage nodes — matvecs, not solves). A solver failure
+//!   the session's recovery ladder could not absorb halves Δt and
+//!   retries. Steps never straddle a segment boundary.
 //!
-//! Both steppers can [`save_checkpoint`](AdaptiveTransient::save_checkpoint) /
-//! [`restore_checkpoint`](AdaptiveTransient::restore_checkpoint): a
+//! [`save_checkpoint`](TransientSimulation::save_checkpoint) /
+//! [`restore_checkpoint`](TransientSimulation::restore_checkpoint): a
 //! [`Checkpoint`] captures the temperature field (solid *and* fluid
 //! cells), the session warm-start vector, the step size, the trace
-//! cursor and the controller counters (format version 2; version-1
-//! documents from earlier releases still load), and serializes to JSON
-//! via `bright-jsonio`. Restoring and continuing is bitwise-identical
-//! to an uninterrupted run — every stage re-seeds its warm start and
-//! re-stamps its coefficients from committed state either way — which
-//! is what lets trace segments shared between scenarios be integrated
-//! once and branched, and live integrators be carried down
-//! single-child prefix chains (see `bright_core::engine`).
+//! cursor and the [`TransientStats`] counters (format version 2;
+//! version-1 documents from earlier releases still load), and
+//! serializes to JSON via `bright-jsonio`. Restoring and continuing is
+//! bitwise-identical to an uninterrupted run — every step re-seeds its
+//! warm start and re-stamps its coefficients from committed state —
+//! which is the one way a trace continues: the engine branches shared
+//! trace segments from checkpoints, and the durable service resumes a
+//! killed job from one (see `bright_core::engine`).
 
 use crate::model::{ThermalModel, ThermalSolution};
 use crate::ThermalError;
 use bright_jsonio::Value;
 use bright_mesh::Field2d;
-use bright_num::{vec_ops, CsrMatrix, SolverSession, TripletMatrix};
+use bright_num::{vec_ops, SolverSession};
 use bright_units::{CubicMetersPerSecond, Kelvin};
 
 /// TR-BDF2 stage split: γ = 2 − √2, the classic choice that makes both
@@ -77,33 +79,64 @@ const TRBDF2_C_LTE: f64 = (-3.0 * TRBDF2_GAMMA * TRBDF2_GAMMA + 4.0 * TRBDF2_GAM
 /// `(T⁺, fγ, f⁺)` from the two stage solves of one attempted step.
 type TrBdf2Stages = (Vec<f64>, Vec<f64>, Vec<f64>);
 
-/// A transient thermal simulation with a fixed power map and time step.
+/// How a [`TransientSimulation`] steps its trace.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SteppingMode {
+    /// Fixed-Δt backward Euler.
+    Fixed {
+        /// The time step (s).
+        dt: f64,
+    },
+    /// Adaptive Δt control with the TR-BDF2 embedded pair.
+    Adaptive(AdaptiveConfig),
+}
+
+impl SteppingMode {
+    /// Checks the stepping parameters: a positive finite fixed Δt, or
+    /// valid controller bounds ([`AdaptiveConfig::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalError::InvalidConfig`] naming the violated bound.
+    pub fn validate(&self) -> Result<(), ThermalError> {
+        match self {
+            Self::Fixed { dt } => validate_dt(*dt),
+            Self::Adaptive(cfg) => cfg.validate(),
+        }
+    }
+
+    /// The step the integration starts with: the fixed Δt, or the
+    /// controller's `dt_init`.
+    fn first_dt(&self) -> f64 {
+        match self {
+            Self::Fixed { dt } => *dt,
+            Self::Adaptive(cfg) => cfg.dt_init,
+        }
+    }
+}
+
+/// A transient integration of a [`PowerTrace`] over one thermal model.
+/// See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct TransientSimulation {
     model: ThermalModel,
-    /// Session bound to `G + C/Δt` (pattern + scratch + preconditioner).
+    /// Session bound to the model's pattern, holding `G + C/d`.
     session: SolverSession,
-    /// The steady conductance operator `G` (coefficients fixed for the
-    /// life of the simulation); kept so Δt changes re-stamp values only.
-    conductance: CsrMatrix,
-    /// Scratch triplet list for O(nnz) re-stamps on Δt changes.
-    stamps: TripletMatrix,
+    trace: PowerTrace,
+    stepping: SteppingMode,
+    /// The current segment's forcing `b` (power injection plus the
+    /// inlet and ambient terms).
     rhs_steady: Vec<f64>,
     /// Per-cell heat capacity `C` (J/K), Δt-independent.
     capacity: Vec<f64>,
-    /// The stamped `C/Δt` diagonal.
+    /// The stamped `C/d` diagonal.
     capacity_over_dt: Vec<f64>,
     temperatures: Vec<f64>,
     time: f64,
+    /// The stage shift `d` stamped into the operator.
     dt: f64,
-    /// Session coefficient epoch, bumped by every Δt or coefficient
-    /// re-stamp.
+    /// Session coefficient epoch, bumped by every re-stamp.
     epoch: u64,
-    steps: u64,
-    /// The power map currently driving the forcing — kept so
-    /// coefficient refreshes can rebuild `rhs_steady` (the inlet
-    /// forcing depends on flow and inlet temperature).
-    power: Field2d,
     /// The model's flow/inlet operating point at construction; `None`
     /// for conduction-only stacks (no rampable coefficients).
     baseline: Option<(CubicMetersPerSecond, Kelvin)>,
@@ -112,6 +145,14 @@ pub struct TransientSimulation {
     /// Mid-trace coefficient re-stamps performed (each an O(nnz)
     /// refresh — the zero-re-assembly observable for ramp traces).
     coefficient_refreshes: u64,
+    /// Trace cursor: current segment and the time already integrated
+    /// into it (`k·Δt` after `k` fixed steps).
+    segment: usize,
+    time_in_segment: f64,
+    /// The adaptive controller's proposal for the next step (the fixed
+    /// Δt under fixed stepping).
+    dt_next: f64,
+    stats: TransientStats,
 }
 
 fn validate_dt(dt: f64) -> Result<(), ThermalError> {
@@ -124,49 +165,50 @@ fn validate_dt(dt: f64) -> Result<(), ThermalError> {
 }
 
 impl TransientSimulation {
-    /// Creates a transient run from an initial uniform temperature.
+    /// Creates an integration of `trace` from a uniform initial
+    /// temperature.
     ///
     /// # Errors
     ///
-    /// * [`ThermalError::InvalidConfig`] for a non-positive `dt`,
-    /// * assembly errors as in [`ThermalModel::solve_steady`].
+    /// * [`ThermalError::InvalidConfig`] for a non-positive fixed Δt,
+    ///   invalid controller bounds or a non-positive initial
+    ///   temperature,
+    /// * assembly and power-map errors as in
+    ///   [`ThermalModel::solve_steady`] (the first segment's map is
+    ///   checked here; later maps when their segment starts).
     pub fn new(
         model: ThermalModel,
-        power: &Field2d,
+        trace: PowerTrace,
         initial_temperature: f64,
-        dt: f64,
+        stepping: SteppingMode,
     ) -> Result<Self, ThermalError> {
-        validate_dt(dt)?;
+        stepping.validate()?;
         if !(initial_temperature > 0.0 && initial_temperature.is_finite()) {
             return Err(ThermalError::InvalidConfig(format!(
                 "initial temperature must be positive, got {initial_temperature}"
             )));
         }
-        let (g, rhs_steady) = model.assemble_for_transient(power)?;
-        let per_level_caps = model.levels_heat_capacity_volumes();
+        let dt = stepping.first_dt();
+        let mut rhs_steady = Vec::new();
+        model.transient_rhs(&trace.segments()[0].power, &mut rhs_steady)?;
         let cells = model.grid().len();
-        let n = g.rows();
-        let mut capacity = vec![0.0; n];
-        for (lvl, cap) in per_level_caps.iter().enumerate() {
-            for cell in 0..cells {
-                capacity[lvl * cells + cell] = *cap;
-            }
-        }
+        let capacity: Vec<f64> = model
+            .levels_heat_capacity_volumes()
+            .into_iter()
+            .flat_map(|cap| std::iter::repeat_n(cap, cells))
+            .collect();
         let capacity_over_dt: Vec<f64> = capacity.iter().map(|c| c / dt).collect();
-        // System matrix: G + C/dt on the diagonal. The stamp sequence
-        // (row-major G entries, then the capacity diagonal) is fixed for
-        // the simulation's lifetime so `set_dt` can refresh values
-        // through the cached pattern.
-        let mut t = TripletMatrix::with_capacity(n, n, g.nnz() + n);
-        Self::stamp_system(&g, &capacity_over_dt, &mut t)?;
         let mut session = SolverSession::new(model.solve_options());
-        session.bind_triplets(&t).map_err(ThermalError::from)?;
+        session
+            .load_shifted(&model.operator()?.matrix, &capacity_over_dt, 0)
+            .map_err(ThermalError::from)?;
         let baseline = model.operating_point();
+        let n = capacity.len();
         Ok(Self {
             model,
             session,
-            conductance: g,
-            stamps: t,
+            trace,
+            stepping,
             rhs_steady,
             capacity,
             capacity_over_dt,
@@ -174,42 +216,20 @@ impl TransientSimulation {
             time: 0.0,
             dt,
             epoch: 0,
-            steps: 0,
-            power: power.clone(),
             baseline,
             current: baseline,
             coefficient_refreshes: 0,
+            segment: 0,
+            time_in_segment: 0.0,
+            dt_next: dt,
+            stats: TransientStats::default(),
         })
-    }
-
-    /// Stamps `G + diag(C/Δt)` into `t` (cleared first). The sequence
-    /// must stay identical between calls — the
-    /// [`bright_num::CsrSymbolic::refresh_values`] contract.
-    fn stamp_system(
-        g: &CsrMatrix,
-        capacity_over_dt: &[f64],
-        t: &mut TripletMatrix,
-    ) -> Result<(), ThermalError> {
-        t.clear();
-        for (i, cap) in capacity_over_dt.iter().enumerate() {
-            for (j, v) in g.row(i) {
-                t.push(i, j, v).map_err(ThermalError::from)?;
-            }
-            t.push(i, i, *cap).map_err(ThermalError::from)?;
-        }
-        Ok(())
     }
 
     /// Elapsed simulated time (s).
     #[inline]
     pub fn time(&self) -> f64 {
         self.time
-    }
-
-    /// The current time step (s).
-    #[inline]
-    pub fn dt(&self) -> f64 {
-        self.dt
     }
 
     /// The thermal model being stepped.
@@ -233,19 +253,10 @@ impl TransientSimulation {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Accepted steps so far (committed solves; the adaptive controller
-    /// performs additional trial solves — see
-    /// [`AdaptiveTransient::stats`]).
+    /// Integration counters.
     #[inline]
-    pub fn step_count(&self) -> u64 {
-        self.steps
-    }
-
-    /// Linear solves performed by the underlying session (includes
-    /// uncommitted trial solves).
-    #[inline]
-    pub fn solve_count(&self) -> u64 {
-        self.session.stats().solves
+    pub fn stats(&self) -> TransientStats {
+        self.stats
     }
 
     /// Session statistics of the internal solver (solves, refreshes,
@@ -262,112 +273,6 @@ impl TransientSimulation {
         self.session.set_recovery_policy(policy);
     }
 
-    /// The ladder rung that produced the session's most recent solve
-    /// (see [`bright_num::RecoveryRung`]).
-    #[inline]
-    pub fn last_recovery(&self) -> bright_num::RecoveryRung {
-        self.session.last_recovery()
-    }
-
-    /// Changes the time step, re-stamping the `C/Δt` diagonal of the
-    /// implicit operator through the cached sparsity pattern — O(nnz),
-    /// no symbolic work, no model rebuild. A no-op when `dt` is bitwise
-    /// equal to the current step.
-    ///
-    /// # Errors
-    ///
-    /// * [`ThermalError::InvalidConfig`] for a non-positive `dt`,
-    /// * [`ThermalError::Numerical`] if the refresh fails (cannot happen
-    ///   for a well-formed simulation).
-    pub fn set_dt(&mut self, dt: f64) -> Result<(), ThermalError> {
-        validate_dt(dt)?;
-        if dt == self.dt {
-            return Ok(());
-        }
-        self.dt = dt;
-        for (c, cap) in self.capacity_over_dt.iter_mut().zip(&self.capacity) {
-            *c = cap / dt;
-        }
-        Self::stamp_system(&self.conductance, &self.capacity_over_dt, &mut self.stamps)?;
-        self.epoch += 1;
-        self.session
-            .refresh_values(&self.stamps, self.epoch)
-            .map_err(ThermalError::from)
-    }
-
-    /// Swaps the power map driving the simulation (the next trace
-    /// segment). Only the steady forcing changes; the operator is
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::PowerMapMismatch`] if the map is not on the model
-    /// grid.
-    pub fn set_power(&mut self, power: &Field2d) -> Result<(), ThermalError> {
-        self.model.transient_rhs(power, &mut self.rhs_steady)?;
-        self.power = power.clone();
-        Ok(())
-    }
-
-    /// Re-stamps the operator and forcing for a new coolant flow rate
-    /// and inlet temperature mid-trace — the coefficient-transient hot
-    /// path. Rides [`ThermalModel::refresh_coefficients`] (value
-    /// refresh through the cached pattern), syncs the conductance copy,
-    /// re-stamps `G + C/Δt`, refreshes the session and rebuilds the
-    /// steady forcing: all O(nnz), never a re-assembly. A no-op when
-    /// the operating point is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// * [`ThermalError::InvalidConfig`] on a conduction-only stack
-    ///   (no microchannel layer to ramp),
-    /// * as [`ThermalModel::refresh_coefficients`] otherwise.
-    pub fn set_coefficients(
-        &mut self,
-        flow: CubicMetersPerSecond,
-        inlet: Kelvin,
-    ) -> Result<(), ThermalError> {
-        let Some(current) = self.current else {
-            return Err(ThermalError::InvalidConfig(
-                "coefficient ramp on a stack without microchannel layers".into(),
-            ));
-        };
-        if flow == current.0 && inlet == current.1 {
-            return Ok(());
-        }
-        self.model.refresh_coefficients(flow, inlet)?;
-        self.model.copy_operator_values_into(&mut self.conductance)?;
-        Self::stamp_system(&self.conductance, &self.capacity_over_dt, &mut self.stamps)?;
-        self.epoch += 1;
-        self.session
-            .refresh_values(&self.stamps, self.epoch)
-            .map_err(ThermalError::from)?;
-        self.model.transient_rhs(&self.power, &mut self.rhs_steady)?;
-        self.current = Some((flow, inlet));
-        self.coefficient_refreshes += 1;
-        Ok(())
-    }
-
-    /// Moves the operating point to where `ramp` sits at `frac` ∈
-    /// [0, 1] of its segment, or back to the construction baseline for
-    /// segments without a ramp. No-op when already there.
-    fn sync_segment_coefficients(
-        &mut self,
-        ramp: Option<&CoefficientRamp>,
-        frac: f64,
-    ) -> Result<(), ThermalError> {
-        match ramp {
-            Some(r) => {
-                let (flow, inlet) = r.at(frac);
-                self.set_coefficients(flow, inlet)
-            }
-            None => match (self.baseline, self.current) {
-                (Some(b), Some(c)) if b != c => self.set_coefficients(b.0, b.1),
-                _ => Ok(()),
-            },
-        }
-    }
-
     /// Mid-trace coefficient re-stamps performed so far (each an
     /// O(nnz) value refresh; the model's
     /// [`ThermalModel::assembly_count`] staying at 1 alongside a
@@ -378,91 +283,16 @@ impl TransientSimulation {
         self.coefficient_refreshes
     }
 
-    /// Advances one step and returns the new peak temperature (K).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::Numerical`] if the solve fails.
-    pub fn step(&mut self) -> Result<f64, ThermalError> {
-        {
-            let rhs = self.session.rhs_mut();
-            rhs.extend_from_slice(&self.rhs_steady);
-            for ((r, c), t) in rhs
-                .iter_mut()
-                .zip(&self.capacity_over_dt)
-                .zip(&self.temperatures)
-            {
-                *r += c * t;
-            }
-        }
-        // Warm-start from the current field; the session iterates in its
-        // own buffer, so a failed solve leaves `temperatures` untouched.
-        self.session.set_warm_start(&self.temperatures);
-        self.session
-            .solve_general_in_place()
-            .map_err(ThermalError::from)?;
-        self.temperatures.copy_from_slice(self.session.solution());
-        self.time += self.dt;
-        self.steps += 1;
-        Ok(self.peak())
+    /// The trace cursor: index of the segment currently being
+    /// integrated (equals [`PowerTrace::len`] once finished).
+    #[inline]
+    pub fn segment_index(&self) -> usize {
+        self.segment
     }
 
-    /// Advances `n` steps.
-    ///
-    /// # Errors
-    ///
-    /// As [`TransientSimulation::step`].
-    pub fn run(&mut self, n: usize) -> Result<f64, ThermalError> {
-        let mut peak = f64::NEG_INFINITY;
-        for _ in 0..n {
-            peak = self.step()?;
-        }
-        Ok(peak)
-    }
-
-    /// Integrates a whole power trace at the fixed Δt, switching the
-    /// forcing at each segment boundary (with one shortened remainder
-    /// step per segment when the duration is not a Δt multiple). On
-    /// segments carrying a [`CoefficientRamp`], every backward-Euler
-    /// step re-stamps the coefficients at its *end* time (the implicit
-    /// evaluation point); segments without a ramp restore the
-    /// construction operating point. Returns the peak temperature
-    /// observed *anywhere along the trace*.
-    ///
-    /// # Errors
-    ///
-    /// As [`TransientSimulation::step`] /
-    /// [`TransientSimulation::set_power`] /
-    /// [`TransientSimulation::set_coefficients`].
-    pub fn run_trace(&mut self, trace: &PowerTrace) -> Result<f64, ThermalError> {
-        let dt = self.dt;
-        let mut peak = self.peak();
-        for seg in trace.segments() {
-            self.sync_segment_coefficients(seg.ramp.as_ref(), 0.0)?;
-            self.set_power(&seg.power)?;
-            // Integer step count (not repeated subtraction, whose
-            // floating-point residue could produce a spurious
-            // near-zero-length extra step on long segments).
-            let full_steps = (seg.duration / dt).floor() as usize;
-            self.set_dt(dt)?;
-            for k in 0..full_steps {
-                if seg.ramp.is_some() {
-                    let frac = (k + 1) as f64 * dt / seg.duration;
-                    self.sync_segment_coefficients(seg.ramp.as_ref(), frac)?;
-                }
-                peak = peak.max(self.step()?);
-            }
-            let remainder = seg.duration - full_steps as f64 * dt;
-            if remainder > seg.duration * 1e-9 {
-                if seg.ramp.is_some() {
-                    self.sync_segment_coefficients(seg.ramp.as_ref(), 1.0)?;
-                }
-                self.set_dt(remainder)?;
-                peak = peak.max(self.step()?);
-                self.set_dt(dt)?;
-            }
-        }
-        Ok(peak)
+    /// True when the whole trace has been integrated.
+    pub fn finished(&self) -> bool {
+        self.segment >= self.trace.len()
     }
 
     /// A snapshot of the current temperature field.
@@ -475,31 +305,401 @@ impl TransientSimulation {
         self.model.wrap_solution(self.temperatures.clone())
     }
 
-    /// Captures the integration state: temperature field (solid + fluid
-    /// cells), session warm-start vector, step size and elapsed time.
-    /// Restoring into a simulation of the same model and continuing is
-    /// bitwise-identical to never having stopped.
+    /// Takes one accepted step (the adaptive controller retries
+    /// internally on error-test failures) and returns its outcome.
+    /// Steps end on segment boundaries, so the power map only ever
+    /// changes *between* steps; crossing a boundary loads the next
+    /// segment's map and coefficient target.
+    ///
+    /// # Errors
+    ///
+    /// * [`ThermalError::InvalidConfig`] when the trace is exhausted
+    ///   ([`TransientSimulation::finished`]) or a ramp meets a stack
+    ///   without microchannel layers,
+    /// * [`ThermalError::Numerical`] if a solve fails (at the Δt floor,
+    ///   under adaptive stepping).
+    pub fn step(&mut self) -> Result<TransientStep, ThermalError> {
+        if self.finished() {
+            return Err(ThermalError::InvalidConfig(
+                "step past the end of the power trace".into(),
+            ));
+        }
+        match self.stepping {
+            SteppingMode::Fixed { dt } => self.step_fixed(dt),
+            SteppingMode::Adaptive(cfg) => self.step_trbdf2(&cfg),
+        }
+    }
+
+    /// Integrates the remaining trace to its end; returns the peak
+    /// temperature observed anywhere along the way.
+    ///
+    /// # Errors
+    ///
+    /// As [`TransientSimulation::step`].
+    pub fn run_to_end(&mut self) -> Result<f64, ThermalError> {
+        let mut peak = self.peak();
+        while !self.finished() {
+            peak = peak.max(self.step()?.peak);
+        }
+        Ok(peak)
+    }
+
+    /// Re-stamps `G + C/d` into the session from the model's current
+    /// operator values.
+    fn restamp(&mut self) -> Result<(), ThermalError> {
+        self.epoch += 1;
+        let g = &self.model.operator()?.matrix;
+        self.session
+            .load_shifted(g, &self.capacity_over_dt, self.epoch)
+            .map_err(ThermalError::from)
+    }
+
+    /// Changes the stage shift `d`, re-stamping the operator. A no-op
+    /// when `dt` is bitwise equal to the current shift.
+    fn set_dt(&mut self, dt: f64) -> Result<(), ThermalError> {
+        validate_dt(dt)?;
+        if dt == self.dt {
+            return Ok(());
+        }
+        self.dt = dt;
+        for (c, cap) in self.capacity_over_dt.iter_mut().zip(&self.capacity) {
+            *c = cap / dt;
+        }
+        self.restamp()
+    }
+
+    /// Rebuilds the forcing from the current segment's power map and
+    /// the model's current coefficients.
+    fn load_forcing(&mut self) -> Result<(), ThermalError> {
+        let power = &self.trace.segments()[self.segment].power;
+        self.model.transient_rhs(power, &mut self.rhs_steady)
+    }
+
+    /// Moves the operating point to where the current segment's ramp
+    /// sits at `frac` ∈ [0, 1], or back to the construction baseline on
+    /// a segment without a ramp: the model refreshes its coefficients,
+    /// then the operator and the forcing are re-stamped. A no-op when
+    /// already there.
+    fn sync_coefficients(&mut self, frac: f64) -> Result<(), ThermalError> {
+        let target = match &self.trace.segments()[self.segment].ramp {
+            Some(_) if self.current.is_none() => {
+                return Err(ThermalError::InvalidConfig(
+                    "coefficient ramp on a stack without microchannel layers".into(),
+                ))
+            }
+            Some(ramp) => ramp.at(frac),
+            None => match self.baseline {
+                Some(baseline) => baseline,
+                None => return Ok(()),
+            },
+        };
+        if self.current == Some(target) {
+            return Ok(());
+        }
+        self.model.refresh_coefficients(target.0, target.1)?;
+        self.restamp()?;
+        self.load_forcing()?;
+        self.current = Some(target);
+        self.coefficient_refreshes += 1;
+        Ok(())
+    }
+
+    /// Solves one backward-Euler step `(G + C/d)·T⁺ = b + (C/d)·Tⁿ` at
+    /// the stamped shift, warm-started from the committed field, and
+    /// commits `T⁺`. The session iterates in its own buffer, so a
+    /// failed solve leaves the field untouched.
+    fn backward_euler(&mut self) -> Result<(), ThermalError> {
+        let rhs = self.session.rhs_mut();
+        rhs.extend_from_slice(&self.rhs_steady);
+        for ((r, c), t) in rhs
+            .iter_mut()
+            .zip(&self.capacity_over_dt)
+            .zip(&self.temperatures)
+        {
+            *r += c * t;
+        }
+        self.session.set_warm_start(&self.temperatures);
+        self.session
+            .solve_general_in_place()
+            .map_err(ThermalError::from)?;
+        self.temperatures.copy_from_slice(self.session.solution());
+        Ok(())
+    }
+
+    /// One fixed-Δt step: full step `k + 1` of the segment's
+    /// ⌊duration/Δt⌋, or its remainder step. The step index is
+    /// recovered from `time_in_segment = k·Δt`, so a restored cursor
+    /// continues exactly.
+    fn step_fixed(&mut self, dt: f64) -> Result<TransientStep, ThermalError> {
+        let seg = &self.trace.segments()[self.segment];
+        let (duration, ramped) = (seg.duration, seg.ramp.is_some());
+        // Integer step count (not repeated subtraction, whose
+        // floating-point residue could produce a spurious
+        // near-zero-length extra step on long segments).
+        let full_steps = (duration / dt).floor() as usize;
+        let remainder = duration - full_steps as f64 * dt;
+        let k = (self.time_in_segment / dt).round() as usize;
+        let (h, end_frac) = if k < full_steps {
+            (dt, (k + 1) as f64 * dt / duration)
+        } else {
+            (remainder, 1.0)
+        };
+        if ramped {
+            // The coefficients at tⁿ (the segment's start on its first
+            // step, where the previous step left them otherwise), then
+            // at the step's end, the implicit evaluation point.
+            self.sync_coefficients(self.time_in_segment / duration)?;
+            self.sync_coefficients(end_frac)?;
+        }
+        self.set_dt(h)?;
+        let solves_before = self.session.stats().solves;
+        let solved = self.backward_euler();
+        self.stats.solves += self.session.stats().solves - solves_before;
+        solved?;
+        self.time += h;
+        self.stats.accepted += 1;
+        if k >= full_steps {
+            // The operator returns to Δt with the remainder step itself,
+            // as the fixed-step rule always has: a trace's re-stamp
+            // count (`SessionStats::refreshes`) pays two per remainder.
+            self.set_dt(dt)?;
+        }
+        if k >= full_steps || (k + 1 == full_steps && remainder <= duration * 1e-9) {
+            self.advance_segment()?;
+        } else {
+            self.time_in_segment = (k + 1) as f64 * dt;
+        }
+        Ok(TransientStep {
+            time: self.time,
+            dt: h,
+            peak: self.peak(),
+            error: 0.0,
+        })
+    }
+
+    /// Accept bookkeeping of an adaptive step: commits `y_new`, updates
+    /// the cursor and the next-step proposal, and crosses segment
+    /// boundaries. The estimate is third order, so the optimal step
+    /// scales as `err^(-1/3)`.
+    fn commit_step(
+        &mut self,
+        cfg: &AdaptiveConfig,
+        h: f64,
+        err: f64,
+        y_new: &[f64],
+        seg_duration: f64,
+    ) -> Result<TransientStep, ThermalError> {
+        if err > 1.0 {
+            self.stats.forced += 1;
+        }
+        self.temperatures.copy_from_slice(y_new);
+        self.time += h;
+        self.time_in_segment += h;
+        self.stats.accepted += 1;
+        let factor = if err > 1e-12 {
+            (cfg.safety / err.powf(1.0 / 3.0)).clamp(cfg.min_shrink, cfg.max_growth)
+        } else {
+            cfg.max_growth
+        };
+        self.dt_next = (h * factor).clamp(cfg.dt_min, cfg.dt_max);
+        if self.time_in_segment >= seg_duration * (1.0 - 1e-12) {
+            self.advance_segment()?;
+        }
+        Ok(TransientStep {
+            time: self.time,
+            dt: h,
+            peak: self.peak(),
+            error: err,
+        })
+    }
+
+    /// The residual `b − G·T` at the model's current coefficients.
+    fn residual(&self, t: &[f64]) -> Result<Vec<f64>, ThermalError> {
+        let mut r = vec![0.0; t.len()];
+        self.model
+            .operator()?
+            .matrix
+            .matvec_into(t, &mut r)
+            .map_err(ThermalError::from)?;
+        for (r, b) in r.iter_mut().zip(&self.rhs_steady) {
+            *r = b - *r;
+        }
+        Ok(r)
+    }
+
+    /// `C⁻¹·r`: the rate `T'` a residual drives.
+    fn per_capacity(&self, r: &[f64]) -> Vec<f64> {
+        r.iter().zip(&self.capacity).map(|(r, c)| r / c).collect()
+    }
+
+    /// One TR-BDF2 step: trapezoidal stage to `t + γh`, BDF2 stage to
+    /// `t + h`, both on the shared operator `G + C/((1−1/√2)h)`, plus
+    /// the embedded error estimate from stage-node divided differences.
+    /// 2 solves and (at a new `h`) one O(nnz) re-stamp per attempt; on
+    /// ramped segments each stage re-stamps the coefficients at its own
+    /// evaluation time.
+    fn step_trbdf2(&mut self, cfg: &AdaptiveConfig) -> Result<TransientStep, ThermalError> {
+        let seg = &self.trace.segments()[self.segment];
+        let (seg_duration, ramped) = (seg.duration, seg.ramp.is_some());
+        let remaining = seg_duration - self.time_in_segment;
+        // Coefficients must sit at tⁿ for the explicit residual below
+        // (they are left at the previous step's end time, which *is*
+        // tⁿ except on the trace's first step).
+        if ramped {
+            self.sync_coefficients(self.time_in_segment / seg_duration)?;
+        }
+        // rⁿ = b(tⁿ) − G(tⁿ)·Tⁿ and fⁿ = rⁿ/C: one matvec, recomputed
+        // from committed state each step so checkpoint restores are
+        // bitwise transparent.
+        let r_n = self.residual(&self.temperatures)?;
+        let f_n = self.per_capacity(&r_n);
+
+        let n = self.temperatures.len();
+        let mut h = self.dt_next.clamp(cfg.dt_min, cfg.dt_max).min(remaining);
+        let mut est = vec![0.0; n];
+        loop {
+            let solves_before = self.session.stats().solves;
+            let attempt = self.trbdf2_stages(h, &r_n, ramped, seg_duration);
+            self.stats.solves += self.session.stats().solves - solves_before;
+            let (y_plus, f_gamma, f_plus) = match attempt {
+                Ok(t) => t,
+                Err(e) => {
+                    // A solver failure the session's own recovery
+                    // ladder could not absorb: halve Δt and retry
+                    // before aborting. Terminal at the Δt floor.
+                    if h <= cfg.dt_min * (1.0 + 1e-9) {
+                        return Err(e);
+                    }
+                    self.stats.solver_retries += 1;
+                    h = (h / 2.0).max(cfg.dt_min).min(remaining);
+                    continue;
+                }
+            };
+            // Embedded estimate: LTE ≈ C·h³·y''' with y''' from the
+            // second divided difference of f = C⁻¹(b − G·T) over the
+            // stage nodes {tⁿ, tⁿ+γh, tⁿ+h}:
+            //   est = 2·C·h·[ (f⁺−fγ)/(1−γ) − (fγ−fⁿ)/γ ].
+            let c_hi = 2.0 * TRBDF2_C_LTE * h / (1.0 - TRBDF2_GAMMA);
+            let c_lo = 2.0 * TRBDF2_C_LTE * h / TRBDF2_GAMMA;
+            for i in 0..n {
+                est[i] = c_hi * (f_plus[i] - f_gamma[i]) - c_lo * (f_gamma[i] - f_n[i]);
+            }
+            let err = vec_ops::wrms(&est, &y_plus, cfg.abs_tol, cfg.rel_tol);
+            let at_floor = h <= cfg.dt_min * (1.0 + 1e-9);
+            // The remainder of a segment may legitimately be shorter
+            // than dt_min; accept it unconditionally too.
+            let is_remainder = h >= remaining * (1.0 - 1e-12);
+            if err <= 1.0 || at_floor || (is_remainder && remaining < cfg.dt_min) {
+                return self.commit_step(cfg, h, err, &y_plus, seg_duration);
+            }
+            self.stats.rejected += 1;
+            let factor = (cfg.safety / err.cbrt()).clamp(cfg.min_shrink, 1.0);
+            h = (h * factor).max(cfg.dt_min).min(remaining);
+        }
+    }
+
+    /// The two TR-BDF2 stage solves for one attempted step of size `h`,
+    /// from the committed field. Returns `(T⁺, fγ, f⁺)` where
+    /// `f = C⁻¹(b − G·T)` at the respective stage times; a failure
+    /// leaves the committed field untouched.
+    fn trbdf2_stages(
+        &mut self,
+        h: f64,
+        r_n: &[f64],
+        ramped: bool,
+        seg_duration: f64,
+    ) -> Result<TrBdf2Stages, ThermalError> {
+        let d = h * TRBDF2_STAGE_SCALE;
+        // Trapezoidal stage to tγ = tⁿ + γh:
+        //   (G(tγ) + C/d)·Tγ = b(tγ) + rⁿ + (C/d)·Tⁿ.
+        if ramped {
+            self.sync_coefficients((self.time_in_segment + TRBDF2_GAMMA * h) / seg_duration)?;
+        }
+        self.set_dt(d)?;
+        let rhs = self.session.rhs_mut();
+        rhs.extend_from_slice(&self.rhs_steady);
+        for (((q, r), c), t) in rhs
+            .iter_mut()
+            .zip(r_n)
+            .zip(&self.capacity_over_dt)
+            .zip(&self.temperatures)
+        {
+            *q += r + c * t;
+        }
+        self.session.set_warm_start(&self.temperatures);
+        self.session
+            .solve_general_in_place()
+            .map_err(ThermalError::from)?;
+        let y_gamma = self.session.solution().to_vec();
+        // fγ = (b(tγ) − G(tγ)·Tγ)/C — before the coefficients move on.
+        let f_gamma = self.per_capacity(&self.residual(&y_gamma)?);
+        // BDF2 stage to t⁺ = tⁿ + h, same shift d:
+        //   (G(t⁺) + C/d)·T⁺ = b(t⁺) + (C/h)(c_γ·Tγ − c_n·Tⁿ).
+        if ramped {
+            self.sync_coefficients((self.time_in_segment + h) / seg_duration)?;
+        }
+        let rhs = self.session.rhs_mut();
+        rhs.extend_from_slice(&self.rhs_steady);
+        for (((q, c), yg), t) in rhs
+            .iter_mut()
+            .zip(&self.capacity)
+            .zip(&y_gamma)
+            .zip(&self.temperatures)
+        {
+            *q += c / h * (TRBDF2_C_GAMMA * yg - TRBDF2_C_N * t);
+        }
+        self.session.set_warm_start(&y_gamma);
+        self.session
+            .solve_general_in_place()
+            .map_err(ThermalError::from)?;
+        let y_plus = self.session.solution().to_vec();
+        // f⁺ = (b(t⁺) − G(t⁺)·T⁺)/C.
+        let f_plus = self.per_capacity(&self.residual(&y_plus)?);
+        Ok((y_plus, f_gamma, f_plus))
+    }
+
+    /// Moves the cursor to the next segment and loads its coefficient
+    /// target and power map.
+    fn advance_segment(&mut self) -> Result<(), ThermalError> {
+        self.segment += 1;
+        self.time_in_segment = 0.0;
+        if !self.finished() {
+            self.sync_coefficients(0.0)?;
+            self.load_forcing()?;
+        }
+        Ok(())
+    }
+
+    /// Captures the integration state, including the trace cursor, the
+    /// step size (the fixed Δt, or the controller's next-step proposal)
+    /// and the counters. Restoring (into this integration, or any
+    /// integration whose trace shares the segments up to the cursor)
+    /// and continuing is bitwise-identical to never having stopped.
     #[must_use]
     pub fn save_checkpoint(&self) -> Checkpoint {
         Checkpoint {
             time: self.time,
-            dt: self.dt,
-            segment: 0,
-            time_in_segment: 0.0,
+            dt: self.dt_next,
+            segment: self.segment,
+            time_in_segment: self.time_in_segment,
             temperatures: self.temperatures.clone(),
             warm_start: self.session.solution().to_vec(),
-            stats: AdaptiveStats::default(),
+            stats: self.stats,
         }
     }
 
-    /// Restores a [`Checkpoint`] saved from a simulation of the same
-    /// model (same grid and layer stack). The trace-cursor fields are
-    /// ignored — the plain stepper has no trace.
+    /// Restores a [`Checkpoint`] saved from an integration of the same
+    /// model and stepping whose trace agrees with this one up to the
+    /// checkpoint's cursor — the branch and resume operation. The
+    /// coefficients move to where the captured integration had them
+    /// (mid-ramp fraction included), so the next step is
+    /// bitwise-identical to the uninterrupted run's.
     ///
     /// # Errors
     ///
-    /// [`ThermalError::InvalidConfig`] on a field-size mismatch or a
-    /// non-positive checkpointed Δt.
+    /// [`ThermalError::InvalidConfig`] on a field-size mismatch, a
+    /// cursor outside this trace, an invalid checkpointed Δt, or a
+    /// fixed-Δt checkpoint taken at a different Δt.
     pub fn restore_checkpoint(&mut self, cp: &Checkpoint) -> Result<(), ThermalError> {
         if cp.temperatures.len() != self.temperatures.len() {
             return Err(ThermalError::InvalidConfig(format!(
@@ -508,21 +708,44 @@ impl TransientSimulation {
                 self.temperatures.len()
             )));
         }
-        self.set_dt(cp.dt)?;
+        if cp.segment > self.trace.len() {
+            return Err(ThermalError::InvalidConfig(format!(
+                "checkpoint cursor at segment {} but the trace has {}",
+                cp.segment,
+                self.trace.len()
+            )));
+        }
+        validate_dt(cp.dt)?;
+        if let SteppingMode::Fixed { dt } = self.stepping {
+            if cp.dt != dt {
+                return Err(ThermalError::InvalidConfig(format!(
+                    "checkpoint stepped at dt {} but this integration steps at {dt}",
+                    cp.dt
+                )));
+            }
+        }
         self.temperatures.copy_from_slice(&cp.temperatures);
         self.session.set_warm_start(&cp.warm_start);
         self.time = cp.time;
+        self.dt_next = cp.dt;
+        self.segment = cp.segment;
+        self.time_in_segment = cp.time_in_segment;
+        self.stats = cp.stats;
+        if !self.finished() {
+            let duration = self.trace.segments()[self.segment].duration;
+            self.sync_coefficients(self.time_in_segment / duration)?;
+            self.load_forcing()?;
+        }
         Ok(())
     }
 }
 
 /// A linear coolant-coefficient sweep across one [`TraceSegment`]:
 /// total flow rate and inlet temperature move from their `*_start`
-/// values at the segment's start to `*_end` at its end. The steppers
-/// re-stamp the operator at each stage's evaluation time via
-/// [`TransientSimulation::set_coefficients`] — an O(nnz) value
-/// refresh, never a re-assembly. Hold a coefficient *offset* constant
-/// over a segment by setting start = end.
+/// values at the segment's start to `*_end` at its end. The integrator
+/// re-stamps the operator at each step's (or stage's) evaluation time —
+/// an O(nnz) value refresh, never a re-assembly. Hold a coefficient
+/// *offset* constant over a segment by setting start = end.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoefficientRamp {
     /// Total flow rate at the segment start.
@@ -606,8 +829,8 @@ impl TraceSegment {
     }
 }
 
-/// A power trace: the time-varying MPSoC load the transient steppers
-/// integrate (throttling events, dark-silicon duty cycles), piecewise
+/// A power trace: the time-varying MPSoC load a [`TransientSimulation`]
+/// integrates (throttling events, dark-silicon duty cycles), piecewise
 /// constant in power with optional piecewise-linear coefficient ramps.
 #[derive(Debug, Clone)]
 pub struct PowerTrace {
@@ -615,21 +838,6 @@ pub struct PowerTrace {
 }
 
 impl PowerTrace {
-    fn validate_segment(i: usize, seg: &TraceSegment) -> Result<(), ThermalError> {
-        if !(seg.duration > 0.0 && seg.duration.is_finite()) {
-            return Err(ThermalError::InvalidConfig(format!(
-                "segment {i} duration must be positive, got {}",
-                seg.duration
-            )));
-        }
-        if let Some(ramp) = &seg.ramp {
-            ramp.validate().map_err(|e| {
-                ThermalError::InvalidConfig(format!("segment {i}: {e}"))
-            })?;
-        }
-        Ok(())
-    }
-
     /// Builds a trace from its segments.
     ///
     /// # Errors
@@ -643,21 +851,19 @@ impl PowerTrace {
             ));
         }
         for (i, seg) in segments.iter().enumerate() {
-            Self::validate_segment(i, seg)?;
+            if !(seg.duration > 0.0 && seg.duration.is_finite()) {
+                return Err(ThermalError::InvalidConfig(format!(
+                    "segment {i} duration must be positive, got {}",
+                    seg.duration
+                )));
+            }
+            if let Some(ramp) = &seg.ramp {
+                ramp.validate().map_err(|e| {
+                    ThermalError::InvalidConfig(format!("segment {i}: {e}"))
+                })?;
+            }
         }
         Ok(Self { segments })
-    }
-
-    /// Appends a segment — the trace-extension primitive behind
-    /// integrator carry-down ([`AdaptiveTransient::push_segment`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::InvalidConfig`] as in [`PowerTrace::new`].
-    pub fn push(&mut self, segment: TraceSegment) -> Result<(), ThermalError> {
-        Self::validate_segment(self.segments.len(), &segment)?;
-        self.segments.push(segment);
-        Ok(())
     }
 
     /// The segments, in order.
@@ -696,7 +902,7 @@ pub struct AdaptiveConfig {
     pub dt_init: f64,
     /// Smallest permitted step (s); a step at the floor is accepted even
     /// when the error test fails (counted in
-    /// [`AdaptiveStats::forced`]).
+    /// [`TransientStats::forced`]).
     pub dt_min: f64,
     /// Largest permitted step (s).
     pub dt_max: f64,
@@ -765,530 +971,48 @@ impl AdaptiveConfig {
     }
 }
 
-/// Counters of an [`AdaptiveTransient`] integration.
+/// Counters of a [`TransientSimulation`] integration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptiveStats {
+pub struct TransientStats {
     /// Accepted (committed) steps.
     pub accepted: u64,
-    /// Rejected trial steps (error test failed, Δt shrunk and retried).
+    /// Rejected trial steps (error test failed, Δt shrunk and retried;
+    /// adaptive stepping only).
     pub rejected: u64,
     /// Steps accepted at the Δt floor despite a failed error test.
     pub forced: u64,
     /// Linear solves the underlying session performed on the
-    /// controller's behalf — counted as the *session's* successful
-    /// solve-count delta around each attempt, so this reconciles
-    /// exactly with [`bright_num::SessionStats::solves`] (rejected
-    /// attempts and the completed solves of failed attempts included;
-    /// no double counting of recovery-ladder retries, which the
-    /// session reports separately as `recovery_retries`).
+    /// integrator's behalf — counted as the *session's* successful
+    /// solve-count delta around each step or attempt, so this
+    /// reconciles exactly with [`bright_num::SessionStats::solves`]
+    /// (rejected attempts and the completed solves of failed attempts
+    /// included; no double counting of recovery-ladder retries, which
+    /// the session reports separately as `recovery_retries`).
     pub solves: u64,
     /// Trial attempts whose *solver* failed (as opposed to the error
-    /// test) and were retried at half the step size.
+    /// test) and were retried at half the step size (adaptive stepping
+    /// only).
     pub solver_retries: u64,
 }
 
-/// The outcome of one accepted adaptive step.
+/// The outcome of one accepted step.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveStep {
+pub struct TransientStep {
     /// Simulated time after the step (s).
     pub time: f64,
     /// The committed step size (s).
     pub dt: f64,
     /// Peak temperature after the step (K).
     pub peak: f64,
-    /// The weighted-RMS local-error estimate (≤ 1 unless forced).
+    /// The weighted-RMS local-error estimate (≤ 1 unless forced; 0
+    /// under fixed stepping).
     pub error: f64,
-}
-
-/// Adaptive-Δt integration of a [`PowerTrace`] over
-/// [`TransientSimulation`] with the TR-BDF2 embedded pair. See the
-/// [module docs](self).
-#[derive(Debug, Clone)]
-pub struct AdaptiveTransient {
-    sim: TransientSimulation,
-    cfg: AdaptiveConfig,
-    trace: PowerTrace,
-    /// Trace cursor: current segment and the time already integrated
-    /// into it.
-    segment: usize,
-    time_in_segment: f64,
-    /// The controller's proposal for the next step.
-    dt_next: f64,
-    stats: AdaptiveStats,
-}
-
-impl AdaptiveTransient {
-    /// Creates an adaptive integration of `trace` from a uniform initial
-    /// temperature.
-    ///
-    /// # Errors
-    ///
-    /// * [`ThermalError::InvalidConfig`] for invalid controller bounds,
-    /// * as [`TransientSimulation::new`] otherwise (the first segment's
-    ///   power map is validated here; later maps when their segment
-    ///   starts).
-    pub fn new(
-        model: ThermalModel,
-        trace: PowerTrace,
-        initial_temperature: f64,
-        cfg: AdaptiveConfig,
-    ) -> Result<Self, ThermalError> {
-        cfg.validate()?;
-        let sim = TransientSimulation::new(
-            model,
-            &trace.segments()[0].power,
-            initial_temperature,
-            cfg.dt_init,
-        )?;
-        Ok(Self {
-            sim,
-            cfg,
-            trace,
-            segment: 0,
-            time_in_segment: 0.0,
-            dt_next: cfg.dt_init,
-            stats: AdaptiveStats::default(),
-        })
-    }
-
-    /// Elapsed simulated time (s).
-    #[inline]
-    pub fn time(&self) -> f64 {
-        self.sim.time()
-    }
-
-    /// The current temperature field.
-    #[inline]
-    pub fn temperatures(&self) -> &[f64] {
-        self.sim.temperatures()
-    }
-
-    /// Peak temperature of the current field (K).
-    #[inline]
-    pub fn peak(&self) -> f64 {
-        self.sim.peak()
-    }
-
-    /// The controller configuration.
-    #[inline]
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
-    }
-
-    /// The trace being integrated.
-    #[inline]
-    pub fn trace(&self) -> &PowerTrace {
-        &self.trace
-    }
-
-    /// Integration counters.
-    #[inline]
-    pub fn stats(&self) -> AdaptiveStats {
-        self.stats
-    }
-
-    /// Session statistics of the underlying simulation's solver (see
-    /// [`TransientSimulation::session_stats`]).
-    #[inline]
-    pub fn session_stats(&self) -> bright_num::SessionStats {
-        self.sim.session_stats()
-    }
-
-    /// The thermal model being integrated.
-    #[inline]
-    pub fn model(&self) -> &ThermalModel {
-        self.sim.model()
-    }
-
-    /// Mid-trace coefficient re-stamps performed so far (see
-    /// [`TransientSimulation::coefficient_refreshes`]).
-    #[inline]
-    pub fn coefficient_refreshes(&self) -> u64 {
-        self.sim.coefficient_refreshes()
-    }
-
-    /// Replaces the failure-recovery policy of the underlying solver
-    /// session (see [`bright_num::RecoveryPolicy`]).
-    pub fn set_recovery_policy(&mut self, policy: bright_num::RecoveryPolicy) {
-        self.sim.set_recovery_policy(policy);
-    }
-
-    /// The Δt the controller will attempt next.
-    #[inline]
-    pub fn dt_next(&self) -> f64 {
-        self.dt_next
-    }
-
-    /// The trace cursor: index of the segment currently being
-    /// integrated (equals [`PowerTrace::len`] once finished).
-    #[inline]
-    pub fn segment_index(&self) -> usize {
-        self.segment
-    }
-
-    /// True when the whole trace has been integrated.
-    pub fn finished(&self) -> bool {
-        self.segment >= self.trace.len()
-    }
-
-    /// A snapshot of the current temperature field.
-    ///
-    /// # Errors
-    ///
-    /// As [`TransientSimulation::snapshot`].
-    pub fn snapshot(&self) -> Result<ThermalSolution, ThermalError> {
-        self.sim.snapshot()
-    }
-
-    /// Takes one accepted adaptive step (retrying internally on error-
-    /// test failures) and returns its outcome. Steps are clamped to the
-    /// current segment's remaining span, so the power map only ever
-    /// changes *between* steps; crossing a boundary loads the next
-    /// segment's map and coefficient target.
-    ///
-    /// # Errors
-    ///
-    /// * [`ThermalError::InvalidConfig`] when the trace is exhausted
-    ///   ([`AdaptiveTransient::finished`]),
-    /// * solve errors as in [`TransientSimulation::step`].
-    pub fn step(&mut self) -> Result<AdaptiveStep, ThermalError> {
-        if self.finished() {
-            return Err(ThermalError::InvalidConfig(
-                "adaptive step past the end of the power trace".into(),
-            ));
-        }
-        self.step_trbdf2()
-    }
-
-    /// Accept bookkeeping: commits `y_new`, updates the cursor and the
-    /// next-step proposal, and crosses segment boundaries. The estimate
-    /// is third order, so the optimal step scales as `err^(-1/3)`.
-    fn commit_step(
-        &mut self,
-        h: f64,
-        err: f64,
-        y_new: &[f64],
-        seg_duration: f64,
-    ) -> Result<AdaptiveStep, ThermalError> {
-        if err > 1.0 {
-            self.stats.forced += 1;
-        }
-        self.sim.temperatures.copy_from_slice(y_new);
-        self.sim.time += h;
-        self.sim.steps += 1;
-        self.time_in_segment += h;
-        self.stats.accepted += 1;
-        let factor = if err > 1e-12 {
-            (self.cfg.safety / err.powf(1.0 / 3.0)).clamp(self.cfg.min_shrink, self.cfg.max_growth)
-        } else {
-            self.cfg.max_growth
-        };
-        self.dt_next = (h * factor).clamp(self.cfg.dt_min, self.cfg.dt_max);
-        if self.time_in_segment >= seg_duration * (1.0 - 1e-12) {
-            self.advance_segment()?;
-        }
-        Ok(AdaptiveStep {
-            time: self.sim.time(),
-            dt: h,
-            peak: self.sim.peak(),
-            error: err,
-        })
-    }
-
-    /// One TR-BDF2 step: trapezoidal stage to `t + γh`, BDF2 stage to
-    /// `t + h`, both on the shared operator `G + C/((1−1/√2)h)`, plus
-    /// the embedded error estimate from stage-node divided differences.
-    /// 2 solves and (at a new `h`) one O(nnz) re-stamp per attempt; on
-    /// ramped segments each stage re-stamps the coefficients at its own
-    /// evaluation time.
-    fn step_trbdf2(&mut self) -> Result<AdaptiveStep, ThermalError> {
-        let seg = &self.trace.segments()[self.segment];
-        let seg_duration = seg.duration;
-        let ramp = seg.ramp;
-        let remaining = seg_duration - self.time_in_segment;
-        // Coefficients must sit at tⁿ for the explicit residual below
-        // (they are left at the previous step's end time, which *is*
-        // tⁿ except after a restore or segment entry mid-ramp).
-        if ramp.is_some() {
-            let frac = self.time_in_segment / seg_duration;
-            self.sim.sync_segment_coefficients(ramp.as_ref(), frac)?;
-        }
-        // rⁿ = b(tⁿ) − G(tⁿ)·Tⁿ and fⁿ = rⁿ/C: one matvec, recomputed
-        // from committed state each step so checkpoint restores are
-        // bitwise transparent.
-        let n = self.sim.temperatures.len();
-        let mut r_n = vec![0.0; n];
-        self.sim
-            .conductance
-            .matvec_into(&self.sim.temperatures, &mut r_n)
-            .map_err(ThermalError::from)?;
-        for (r, b) in r_n.iter_mut().zip(&self.sim.rhs_steady) {
-            *r = b - *r;
-        }
-        let f_n: Vec<f64> = r_n
-            .iter()
-            .zip(&self.sim.capacity)
-            .map(|(r, c)| r / c)
-            .collect();
-
-        let mut h = self
-            .dt_next
-            .clamp(self.cfg.dt_min, self.cfg.dt_max)
-            .min(remaining);
-        let mut est = vec![0.0; n];
-        loop {
-            let solves_before = self.sim.session_stats().solves;
-            let attempt = self.trbdf2_stages(h, &r_n, ramp.as_ref(), seg_duration);
-            self.stats.solves += self.sim.session_stats().solves - solves_before;
-            let (y_plus, f_gamma, f_plus) = match attempt {
-                Ok(t) => t,
-                Err(e) => {
-                    // A solver failure the session's own recovery
-                    // ladder could not absorb: halve Δt and retry
-                    // before aborting. Terminal at the Δt floor.
-                    if h <= self.cfg.dt_min * (1.0 + 1e-9) {
-                        return Err(e);
-                    }
-                    self.stats.solver_retries += 1;
-                    h = (h / 2.0).max(self.cfg.dt_min).min(remaining);
-                    continue;
-                }
-            };
-            // Embedded estimate: LTE ≈ C·h³·y''' with y''' from the
-            // second divided difference of f = C⁻¹(b − G·T) over the
-            // stage nodes {tⁿ, tⁿ+γh, tⁿ+h}:
-            //   est = 2·C·h·[ (f⁺−fγ)/(1−γ) − (fγ−fⁿ)/γ ].
-            let c_hi = 2.0 * TRBDF2_C_LTE * h / (1.0 - TRBDF2_GAMMA);
-            let c_lo = 2.0 * TRBDF2_C_LTE * h / TRBDF2_GAMMA;
-            for i in 0..n {
-                est[i] = c_hi * (f_plus[i] - f_gamma[i]) - c_lo * (f_gamma[i] - f_n[i]);
-            }
-            let err = vec_ops::wrms(&est, &y_plus, self.cfg.abs_tol, self.cfg.rel_tol);
-            let at_floor = h <= self.cfg.dt_min * (1.0 + 1e-9);
-            // The remainder of a segment may legitimately be shorter
-            // than dt_min; accept it unconditionally too.
-            let is_remainder = h >= remaining * (1.0 - 1e-12);
-            if err <= 1.0 || at_floor || (is_remainder && remaining < self.cfg.dt_min) {
-                return self.commit_step(h, err, &y_plus, seg_duration);
-            }
-            self.stats.rejected += 1;
-            let factor = (self.cfg.safety / err.cbrt()).clamp(self.cfg.min_shrink, 1.0);
-            h = (h * factor).max(self.cfg.dt_min).min(remaining);
-        }
-    }
-
-    /// The two TR-BDF2 stage solves for one attempted step of size `h`,
-    /// from the committed field. Returns `(T⁺, fγ, f⁺)` where
-    /// `f = C⁻¹(b − G·T)` at the respective stage times; a failure
-    /// leaves the committed field untouched.
-    fn trbdf2_stages(
-        &mut self,
-        h: f64,
-        r_n: &[f64],
-        ramp: Option<&CoefficientRamp>,
-        seg_duration: f64,
-    ) -> Result<TrBdf2Stages, ThermalError> {
-        let n = self.sim.temperatures.len();
-        let d = h * TRBDF2_STAGE_SCALE;
-        // Trapezoidal stage to tγ = tⁿ + γh:
-        //   (G(tγ) + C/d)·Tγ = b(tγ) + rⁿ + (C/d)·Tⁿ.
-        if let Some(r) = ramp {
-            let frac = (self.time_in_segment + TRBDF2_GAMMA * h) / seg_duration;
-            self.sim.sync_segment_coefficients(Some(r), frac)?;
-        }
-        self.sim.set_dt(d)?;
-        {
-            let rhs = self.sim.session.rhs_mut();
-            rhs.extend_from_slice(&self.sim.rhs_steady);
-            for (((q, r), c), t) in rhs
-                .iter_mut()
-                .zip(r_n)
-                .zip(&self.sim.capacity_over_dt)
-                .zip(&self.sim.temperatures)
-            {
-                *q += r + c * t;
-            }
-        }
-        self.sim.session.set_warm_start(&self.sim.temperatures);
-        self.sim
-            .session
-            .solve_general_in_place()
-            .map_err(ThermalError::from)?;
-        let y_gamma = self.sim.session.solution().to_vec();
-        // fγ = (b(tγ) − G(tγ)·Tγ)/C — before the coefficients move on.
-        let mut f_gamma = vec![0.0; n];
-        self.sim
-            .conductance
-            .matvec_into(&y_gamma, &mut f_gamma)
-            .map_err(ThermalError::from)?;
-        for ((f, b), c) in f_gamma
-            .iter_mut()
-            .zip(&self.sim.rhs_steady)
-            .zip(&self.sim.capacity)
-        {
-            *f = (b - *f) / c;
-        }
-        // BDF2 stage to t⁺ = tⁿ + h, same shift d:
-        //   (G(t⁺) + C/d)·T⁺ = b(t⁺) + (C/h)(c_γ·Tγ − c_n·Tⁿ).
-        if let Some(r) = ramp {
-            let frac = (self.time_in_segment + h) / seg_duration;
-            self.sim.sync_segment_coefficients(Some(r), frac)?;
-        }
-        {
-            let rhs = self.sim.session.rhs_mut();
-            rhs.extend_from_slice(&self.sim.rhs_steady);
-            for (((q, c), yg), t) in rhs
-                .iter_mut()
-                .zip(&self.sim.capacity)
-                .zip(&y_gamma)
-                .zip(&self.sim.temperatures)
-            {
-                *q += c / h * (TRBDF2_C_GAMMA * yg - TRBDF2_C_N * t);
-            }
-        }
-        self.sim.session.set_warm_start(&y_gamma);
-        self.sim
-            .session
-            .solve_general_in_place()
-            .map_err(ThermalError::from)?;
-        let y_plus = self.sim.session.solution().to_vec();
-        // f⁺ = (b(t⁺) − G(t⁺)·T⁺)/C.
-        let mut f_plus = vec![0.0; n];
-        self.sim
-            .conductance
-            .matvec_into(&y_plus, &mut f_plus)
-            .map_err(ThermalError::from)?;
-        for ((f, b), c) in f_plus
-            .iter_mut()
-            .zip(&self.sim.rhs_steady)
-            .zip(&self.sim.capacity)
-        {
-            *f = (b - *f) / c;
-        }
-        Ok((y_plus, f_gamma, f_plus))
-    }
-
-    fn advance_segment(&mut self) -> Result<(), ThermalError> {
-        self.segment += 1;
-        self.time_in_segment = 0.0;
-        if let Some(seg) = self.trace.segments().get(self.segment) {
-            self.sim.sync_segment_coefficients(seg.ramp.as_ref(), 0.0)?;
-            self.sim.set_power(&seg.power)?;
-        }
-        Ok(())
-    }
-
-    /// Appends a segment to the trace, re-arming a finished integrator
-    /// to continue into it — the carry-down primitive: the engine's
-    /// prefix tree extends a *live* integrator along single-child
-    /// chains instead of rebuilding one from a checkpoint. Continuing
-    /// this way is bitwise-identical to a checkpoint round-trip (both
-    /// paths re-stamp coefficients and re-seed warm starts from
-    /// committed state).
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::InvalidConfig`] as in [`PowerTrace::push`].
-    pub fn push_segment(&mut self, segment: TraceSegment) -> Result<(), ThermalError> {
-        let was_finished = self.finished();
-        self.trace.push(segment)?;
-        if was_finished {
-            // The cursor already points at the new segment (the last
-            // accepted step advanced it past the old end); load its
-            // power map and coefficient target exactly as
-            // advance_segment would have.
-            let seg = &self.trace.segments()[self.segment];
-            self.sim.sync_segment_coefficients(seg.ramp.as_ref(), 0.0)?;
-            self.sim.set_power(&seg.power)?;
-        }
-        Ok(())
-    }
-
-    /// Integrates the remaining trace to its end; returns the peak
-    /// temperature observed anywhere along the way.
-    ///
-    /// # Errors
-    ///
-    /// As [`AdaptiveTransient::step`].
-    pub fn run_to_end(&mut self) -> Result<f64, ThermalError> {
-        let mut peak = self.sim.peak();
-        while !self.finished() {
-            peak = peak.max(self.step()?.peak);
-        }
-        Ok(peak)
-    }
-
-    /// Captures the integration state, including the trace cursor and
-    /// the controller's next-step proposal. Restoring (into this
-    /// integration, or any integration whose trace shares the segments
-    /// up to the cursor) and continuing is bitwise-identical to never
-    /// having stopped.
-    #[must_use]
-    pub fn save_checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            time: self.sim.time(),
-            dt: self.dt_next,
-            segment: self.segment,
-            time_in_segment: self.time_in_segment,
-            temperatures: self.sim.temperatures().to_vec(),
-            warm_start: self.sim.session.solution().to_vec(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores a [`Checkpoint`] saved from an integration of the same
-    /// model whose trace agrees with this one up to the checkpoint's
-    /// cursor — the branch operation of segment-prefix sharing.
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::InvalidConfig`] on a field-size mismatch, a
-    /// cursor outside this trace, or an invalid checkpointed Δt.
-    pub fn restore_checkpoint(&mut self, cp: &Checkpoint) -> Result<(), ThermalError> {
-        if cp.temperatures.len() != self.sim.temperatures.len() {
-            return Err(ThermalError::InvalidConfig(format!(
-                "checkpoint field has {} cells but the model has {}",
-                cp.temperatures.len(),
-                self.sim.temperatures.len()
-            )));
-        }
-        if cp.segment > self.trace.len() {
-            return Err(ThermalError::InvalidConfig(format!(
-                "checkpoint cursor at segment {} but the trace has {}",
-                cp.segment,
-                self.trace.len()
-            )));
-        }
-        validate_dt(cp.dt)?;
-        self.sim.temperatures.copy_from_slice(&cp.temperatures);
-        self.sim.session.set_warm_start(&cp.warm_start);
-        self.sim.time = cp.time;
-        self.dt_next = cp.dt;
-        self.segment = cp.segment;
-        self.time_in_segment = cp.time_in_segment;
-        self.stats = cp.stats;
-        if let Some(seg) = self.trace.segments().get(self.segment) {
-            // Leave the coefficients exactly where the captured
-            // integration had them (mid-ramp fraction included) so the
-            // first step after the restore is bitwise-identical to the
-            // uninterrupted run.
-            let frac = if seg.duration > 0.0 {
-                self.time_in_segment / seg.duration
-            } else {
-                0.0
-            };
-            self.sim.sync_segment_coefficients(seg.ramp.as_ref(), frac)?;
-            self.sim.set_power(&seg.power)?;
-        }
-        Ok(())
-    }
 }
 
 /// A serializable snapshot of a transient integration: temperature
 /// field (solid and fluid cells), session warm-start vector, step size,
-/// trace cursor and controller counters. Produced by
-/// [`TransientSimulation::save_checkpoint`] /
-/// [`AdaptiveTransient::save_checkpoint`]; survives a JSON round-trip
+/// trace cursor and integration counters. Produced by
+/// [`TransientSimulation::save_checkpoint`]; survives a JSON round-trip
 /// bit-exactly (`bright-jsonio` writes shortest-round-trip floats).
 ///
 /// The on-disk format is versioned: version 2 (current) adds the
@@ -1300,12 +1024,12 @@ impl AdaptiveTransient {
 pub struct Checkpoint {
     /// Simulated time at the capture (s).
     pub time: f64,
-    /// Fixed Δt ([`TransientSimulation`]) or the controller's next-step
-    /// proposal ([`AdaptiveTransient`]).
+    /// The fixed Δt, or the adaptive controller's next-step proposal.
     pub dt: f64,
-    /// Trace cursor: segment index (0 for the plain stepper).
+    /// Trace cursor: segment index.
     pub segment: usize,
-    /// Trace cursor: time already integrated into the segment (s).
+    /// Trace cursor: time already integrated into the segment (s);
+    /// `k·Δt` after `k` fixed steps.
     pub time_in_segment: f64,
     /// The committed temperature field (K), all levels.
     pub temperatures: Vec<f64>,
@@ -1314,10 +1038,10 @@ pub struct Checkpoint {
     /// does not depend on it: every solve re-seeds its warm start from
     /// the committed [`Checkpoint::temperatures`].
     pub warm_start: Vec<f64>,
-    /// Adaptive counters at capture, so a restored integration
+    /// Integration counters at capture, so a restored integration
     /// reports cumulative totals as if it had never stopped. Zero for
-    /// fixed-step checkpoints and legacy (version-1) files.
-    pub stats: AdaptiveStats,
+    /// legacy (version-1) files.
+    pub stats: TransientStats,
 }
 
 impl Checkpoint {
@@ -1379,7 +1103,7 @@ impl Checkpoint {
         // Files predating the version field read as version 1.
         let version = v.get("version").and_then(Value::as_usize).unwrap_or(1);
         let stats = match version {
-            1 => AdaptiveStats::default(),
+            1 => TransientStats::default(),
             2 => {
                 let s = v.get("stats").ok_or_else(|| {
                     ThermalError::InvalidConfig("checkpoint field 'stats'".into())
@@ -1389,7 +1113,7 @@ impl Checkpoint {
                         ThermalError::InvalidConfig(format!("checkpoint field 'stats.{k}'"))
                     })
                 };
-                AdaptiveStats {
+                TransientStats {
                     accepted: count("accepted")?,
                     rejected: count("rejected")?,
                     forced: count("forced")?,
@@ -1427,46 +1151,6 @@ impl Checkpoint {
             .map_err(|e| ThermalError::InvalidConfig(format!("checkpoint JSON: {e}")))?;
         Self::from_json(&v)
     }
-
-    /// Persists the checkpoint to `path` as a checksummed JSON envelope
-    /// written with atomic temp-file + rename, so a kill at any instant
-    /// leaves either the previous checkpoint or this one — never a
-    /// prefix. Honours the [`bright_num::faults`] torn-write site: when
-    /// it fires, a truncated record is persisted and the process "dies"
-    /// (panics with [`bright_num::faults::TORN_PANIC_PAYLOAD`]), which
-    /// is exactly the disk state [`Checkpoint::load_from_file`] must
-    /// detect afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::InvalidConfig`] wrapping the underlying I/O
-    /// error.
-    pub fn save_to_file(&self, path: &std::path::Path) -> Result<(), ThermalError> {
-        let text = bright_jsonio::checksummed::to_string(&self.to_json());
-        if let Some(prefix) = bright_num::faults::torn_write(text.len()) {
-            let _ = bright_jsonio::checksummed::write_atomic(path, &text[..prefix]);
-            bright_num::faults::torn_write_panic();
-        }
-        bright_jsonio::checksummed::write_atomic(path, &text).map_err(|e| {
-            ThermalError::InvalidConfig(format!("checkpoint write {}: {e}", path.display()))
-        })
-    }
-
-    /// Loads a checkpoint persisted by [`Checkpoint::save_to_file`],
-    /// verifying the record checksum.
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::InvalidConfig`] when the file is missing,
-    /// truncated, corrupted (checksum mismatch) or structurally
-    /// invalid. Callers use the error as a fall-back-to-cold-re-run
-    /// signal, never as a reason to fail the job.
-    pub fn load_from_file(path: &std::path::Path) -> Result<Self, ThermalError> {
-        let payload = bright_jsonio::checksummed::read_verified(path).map_err(|e| {
-            ThermalError::InvalidConfig(format!("checkpoint {}: {e}", path.display()))
-        })?;
-        Self::from_json(&payload)
-    }
 }
 
 #[cfg(test)]
@@ -1484,14 +1168,29 @@ mod tests {
         (model, power)
     }
 
+    /// A fixed-Δt integration of `power` held for `duration`.
+    fn fixed(model: ThermalModel, power: &Field2d, duration: f64, dt: f64) -> TransientSimulation {
+        let trace = PowerTrace::new(vec![TraceSegment::constant(duration, power.clone())]).unwrap();
+        TransientSimulation::new(model, trace, 300.0, SteppingMode::Fixed { dt }).unwrap()
+    }
+
+    /// A TR-BDF2 integration of `trace` from 300 K.
+    fn adaptive(
+        model: ThermalModel,
+        trace: PowerTrace,
+        cfg: AdaptiveConfig,
+    ) -> TransientSimulation {
+        TransientSimulation::new(model, trace, 300.0, SteppingMode::Adaptive(cfg)).unwrap()
+    }
+
     #[test]
     fn transient_approaches_steady_state() {
         let (model, power) = setup();
         let steady = model.solve_steady(&power).unwrap().max_temperature().value();
-        let mut sim = TransientSimulation::new(model, &power, 300.0, 5e-3).unwrap();
+        let mut sim = fixed(model, &power, 2.0, 5e-3);
         // Thermal time constants here are ~ms (thin layers, strong
         // convection): 400 x 5 ms = 2 s is deep in steady state.
-        let peak = sim.run(400).unwrap();
+        let peak = sim.run_to_end().unwrap();
         assert!(
             (peak - steady).abs() < 0.05,
             "transient {peak} vs steady {steady}"
@@ -1502,10 +1201,10 @@ mod tests {
     #[test]
     fn temperature_rises_monotonically_from_cold_start() {
         let (model, power) = setup();
-        let mut sim = TransientSimulation::new(model, &power, 300.0, 1e-3).unwrap();
+        let mut sim = fixed(model, &power, 1.0, 1e-3);
         let mut last = 300.0;
         for _ in 0..5 {
-            let peak = sim.step().unwrap();
+            let peak = sim.step().unwrap().peak;
             assert!(peak >= last - 1e-9, "peak fell: {peak} < {last}");
             last = peak;
         }
@@ -1515,8 +1214,8 @@ mod tests {
     #[test]
     fn snapshot_matches_internal_state() {
         let (model, power) = setup();
-        let mut sim = TransientSimulation::new(model, &power, 300.0, 1e-3).unwrap();
-        let p = sim.step().unwrap();
+        let mut sim = fixed(model, &power, 1.0, 1e-3);
+        let p = sim.step().unwrap().peak;
         let snap = sim.snapshot().unwrap();
         assert!((snap.max_temperature().value() - p).abs() < 1e-12);
     }
@@ -1524,8 +1223,12 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let (model, power) = setup();
-        assert!(TransientSimulation::new(model.clone(), &power, 300.0, 0.0).is_err());
-        assert!(TransientSimulation::new(model, &power, -3.0, 1e-3).is_err());
+        let trace = PowerTrace::new(vec![TraceSegment::constant(0.01, power)]).unwrap();
+        let new = |t0, dt| {
+            TransientSimulation::new(model.clone(), trace.clone(), t0, SteppingMode::Fixed { dt })
+        };
+        assert!(new(300.0, 0.0).is_err());
+        assert!(new(-3.0, 1e-3).is_err());
     }
 
     #[test]
@@ -1538,13 +1241,11 @@ mod tests {
             // the same step as one constructed at 4 ms: same operator values
             // through the same pattern, same warm start, same iteration.
             let (model, power) = setup();
-            let mut restamped =
-                TransientSimulation::new(model.clone(), &power, 300.0, 1e-3).unwrap();
+            let mut restamped = fixed(model.clone(), &power, 1.0, 1e-3);
             restamped.set_dt(4e-3).unwrap();
-            let mut fresh = TransientSimulation::new(model, &power, 300.0, 4e-3).unwrap();
-            let a = restamped.step().unwrap();
-            let b = fresh.step().unwrap();
-            assert_eq!(a, b, "restamped vs fresh peak");
+            let mut fresh = fixed(model, &power, 1.0, 4e-3);
+            restamped.backward_euler().unwrap();
+            fresh.backward_euler().unwrap();
             assert_eq!(restamped.temperatures(), fresh.temperatures());
             // And the restamp was a value refresh, not a rebind.
             assert_eq!(restamped.session.stats().binds, 1);
@@ -1555,7 +1256,7 @@ mod tests {
     #[test]
     fn set_dt_is_noop_for_equal_step_and_rejects_invalid() {
         let (model, power) = setup();
-        let mut sim = TransientSimulation::new(model, &power, 300.0, 1e-3).unwrap();
+        let mut sim = fixed(model, &power, 1.0, 1e-3);
         sim.set_dt(1e-3).unwrap();
         assert_eq!(sim.session.stats().refreshes, 0, "equal dt must be free");
         assert!(sim.set_dt(0.0).is_err());
@@ -1566,13 +1267,21 @@ mod tests {
     fn set_power_redirects_the_forcing() {
         let (model, power) = setup();
         let zero = Field2d::zeros(model.grid().clone());
-        let mut sim = TransientSimulation::new(model, &power, 300.0, 5e-3).unwrap();
-        sim.run(40).unwrap();
+        let trace = PowerTrace::new(vec![
+            TraceSegment::constant(0.2, power),
+            TraceSegment::constant(1.0, zero),
+        ])
+        .unwrap();
+        let stepping = SteppingMode::Fixed { dt: 5e-3 };
+        let mut sim = TransientSimulation::new(model, trace, 300.0, stepping).unwrap();
+        while sim.segment_index() == 0 {
+            sim.step().unwrap();
+        }
         let hot = sim.peak();
         assert!(hot > 301.0);
-        // Cut the power: the die must cool back toward the inlet.
-        sim.set_power(&zero).unwrap();
-        sim.run(200).unwrap();
+        // The power is cut at the boundary: the die must cool back
+        // toward the inlet.
+        sim.run_to_end().unwrap();
         assert!(sim.peak() < hot - 1.0, "did not cool: {} vs {hot}", sim.peak());
     }
 
@@ -1597,16 +1306,16 @@ mod tests {
             dt_max: 0.05,
             ..AdaptiveConfig::default()
         };
-        let mut adaptive =
-            AdaptiveTransient::new(model.clone(), trace.clone(), 300.0, cfg).unwrap();
+        let mut adaptive = adaptive(model.clone(), trace.clone(), cfg);
         adaptive.run_to_end().unwrap();
         assert!((adaptive.time() - 0.2).abs() < 1e-9, "t = {}", adaptive.time());
         assert!(adaptive.finished());
 
         // Fine fixed-dt reference (dt = 0.25 ms -> 800 steps).
+        let stepping = SteppingMode::Fixed { dt: 2.5e-4 };
         let mut reference =
-            TransientSimulation::new(model, &trace.segments()[0].power, 300.0, 2.5e-4).unwrap();
-        reference.run_trace(&trace).unwrap();
+            TransientSimulation::new(model, trace.clone(), 300.0, stepping).unwrap();
+        reference.run_to_end().unwrap();
         let err = wrms_diff(
             adaptive.temperatures(),
             reference.temperatures(),
@@ -1648,12 +1357,16 @@ mod tests {
             dt_max: 0.05,
             ..AdaptiveConfig::default()
         };
-        let mut reference =
-            TransientSimulation::new(model.clone(), &trace.segments()[0].power, 300.0, 2.5e-4)
-                .unwrap();
-        reference.run_trace(&trace).unwrap();
+        let mut reference = TransientSimulation::new(
+            model.clone(),
+            trace.clone(),
+            300.0,
+            SteppingMode::Fixed { dt: 2.5e-4 },
+        )
+        .unwrap();
+        reference.run_to_end().unwrap();
 
-        let mut a = AdaptiveTransient::new(model, trace, 300.0, cfg).unwrap();
+        let mut a = adaptive(model, trace, cfg);
         a.run_to_end().unwrap();
         let err = wrms_diff(a.temperatures(), reference.temperatures(), cfg.abs_tol, cfg.rel_tol);
         assert!(err < 5.0, "TR-BDF2 drifted {err} tolerance units from reference");
@@ -1674,7 +1387,7 @@ mod tests {
             dt_max: 0.5,
             ..AdaptiveConfig::default()
         };
-        let mut adaptive = AdaptiveTransient::new(model, trace, 300.0, cfg).unwrap();
+        let mut adaptive = adaptive(model, trace, cfg);
         let first = adaptive.step().unwrap();
         adaptive.run_to_end().unwrap();
         // The controller must have stretched the step well beyond the
@@ -1693,15 +1406,14 @@ mod tests {
         let (model, power) = setup();
         let trace = PowerTrace::new(vec![TraceSegment::constant(0.01, power.clone())])
             .unwrap();
-        let mut a =
-            AdaptiveTransient::new(model.clone(), trace, 300.0, AdaptiveConfig::default())
-                .unwrap();
+        let mut a = adaptive(model.clone(), trace, AdaptiveConfig::default());
         a.run_to_end().unwrap();
         assert!(a.step().is_err(), "stepping past the trace must fail");
 
         let bad = AdaptiveConfig { dt_min: 0.0, ..AdaptiveConfig::default() };
         let trace2 = PowerTrace::new(vec![TraceSegment::constant(0.01, power)]).unwrap();
-        assert!(AdaptiveTransient::new(model, trace2, 300.0, bad).is_err());
+        let bad = SteppingMode::Adaptive(bad);
+        assert!(TransientSimulation::new(model, trace2, 300.0, bad).is_err());
     }
 
     #[test]
@@ -1731,18 +1443,21 @@ mod tests {
         bright_num::faults::with_scope(None, || {
             let (model, power) = setup();
             // Uninterrupted: 12 steps.
-            let mut full = TransientSimulation::new(model.clone(), &power, 300.0, 2e-3).unwrap();
-            full.run(12).unwrap();
+            let mut full = fixed(model.clone(), &power, 0.024, 2e-3);
+            full.run_to_end().unwrap();
             // Interrupted: 5 steps, checkpoint through JSON, restore into a
             // *fresh* simulation, 7 more.
-            let mut first = TransientSimulation::new(model.clone(), &power, 300.0, 2e-3).unwrap();
-            first.run(5).unwrap();
+            let mut first = fixed(model.clone(), &power, 0.024, 2e-3);
+            for _ in 0..5 {
+                first.step().unwrap();
+            }
             let cp = Checkpoint::from_json_str(&first.save_checkpoint().to_json_string()).unwrap();
-            let mut resumed = TransientSimulation::new(model, &power, 300.0, 2e-3).unwrap();
+            let mut resumed = fixed(model, &power, 0.024, 2e-3);
             resumed.restore_checkpoint(&cp).unwrap();
-            resumed.run(7).unwrap();
+            resumed.run_to_end().unwrap();
             assert_eq!(resumed.temperatures(), full.temperatures());
             assert_eq!(resumed.time(), full.time());
+            assert_eq!(resumed.stats(), full.stats());
         });
     }
 
@@ -1765,7 +1480,7 @@ mod tests {
                 dt_max: 0.02,
                 ..AdaptiveConfig::default()
             };
-            let mut full = AdaptiveTransient::new(model.clone(), trace.clone(), 300.0, cfg).unwrap();
+            let mut full = adaptive(model.clone(), trace.clone(), cfg);
             // Integrate the first segment, checkpoint at its boundary, then
             // finish.
             while !full.finished() && full.time() < 0.03 - 1e-12 {
@@ -1775,7 +1490,7 @@ mod tests {
             assert_eq!(cp.segment, 1, "checkpoint should sit at the boundary");
             full.run_to_end().unwrap();
 
-            let mut branch = AdaptiveTransient::new(model, trace, 300.0, cfg).unwrap();
+            let mut branch = adaptive(model, trace, cfg);
             branch
                 .restore_checkpoint(&Checkpoint::from_json_str(&cp.to_json_string()).unwrap())
                 .unwrap();
@@ -1788,13 +1503,16 @@ mod tests {
     #[test]
     fn checkpoint_restore_validates_shape() {
         let (model, power) = setup();
-        let mut sim = TransientSimulation::new(model, &power, 300.0, 1e-3).unwrap();
+        let mut sim = fixed(model, &power, 1.0, 1e-3);
         let mut cp = sim.save_checkpoint();
         cp.temperatures.pop();
         assert!(sim.restore_checkpoint(&cp).is_err());
         let mut cp2 = sim.save_checkpoint();
         cp2.dt = -1.0;
         assert!(sim.restore_checkpoint(&cp2).is_err());
+        let mut cp3 = sim.save_checkpoint();
+        cp3.dt = 2e-3;
+        assert!(sim.restore_checkpoint(&cp3).is_err(), "a fixed step plan is not movable");
     }
 
     #[test]
@@ -1804,7 +1522,7 @@ mod tests {
         let (model, power) = setup();
         let trace = PowerTrace::new(vec![TraceSegment::constant(0.02, power)]).unwrap();
         let cfg = AdaptiveConfig::default();
-        let mut adaptive = AdaptiveTransient::new(model, trace, 300.0, cfg).unwrap();
+        let mut adaptive = adaptive(model, trace, cfg);
         // Disable the session's own ladder so injected breakdowns reach
         // the adaptive controller's retry path.
         adaptive.set_recovery_policy(RecoveryPolicy::disabled());
@@ -1837,7 +1555,7 @@ mod tests {
             time_in_segment: 7.25e-4,
             temperatures: vec![300.15, 314.999999999999, 2.2250738585072014e-308],
             warm_start: vec![1.0 / 3.0],
-            stats: AdaptiveStats {
+            stats: TransientStats {
                 accepted: 41,
                 rejected: 3,
                 forced: 1,
@@ -1849,52 +1567,6 @@ mod tests {
         assert_eq!(back, cp);
         assert!(Checkpoint::from_json_str("{}").is_err());
         assert!(Checkpoint::from_json_str("not json").is_err());
-    }
-
-    #[test]
-    fn checkpoint_file_roundtrip_detects_corruption_and_torn_writes() {
-        use bright_num::faults;
-
-        let dir = std::env::temp_dir().join(format!("bright_thermal_cp{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("job.checkpoint.json");
-        let cp = Checkpoint {
-            time: 0.02,
-            dt: 2e-3,
-            segment: 1,
-            time_in_segment: 0.0,
-            temperatures: vec![300.0, 301.5, 0.1 + 0.2],
-            warm_start: vec![1.0 / 3.0],
-            stats: AdaptiveStats::default(),
-        };
-        cp.save_to_file(&path).unwrap();
-        assert_eq!(Checkpoint::load_from_file(&path).unwrap(), cp);
-        assert!(!dir.join("job.checkpoint.json.tmp").exists());
-
-        // A missing file is an error (the cold-re-run signal)...
-        assert!(Checkpoint::load_from_file(&dir.join("absent.json")).is_err());
-        // ...and so are truncation and byte corruption.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert!(Checkpoint::load_from_file(&path).is_err());
-        std::fs::write(&path, text.replace("300.0", "333.0")).unwrap();
-        assert!(Checkpoint::load_from_file(&path).is_err());
-
-        // An injected torn write persists a truncated record and panics
-        // like a power cut; the reload detects the damage.
-        cp.save_to_file(&path).unwrap();
-        let killed = std::panic::catch_unwind(|| {
-            faults::with_scope(Some(faults::FaultPlan::one_shot_torn(1)), || {
-                cp.save_to_file(&path)
-            })
-        });
-        let payload = killed.expect_err("torn site must fire on the first write");
-        assert!(faults::is_injected_kill(payload.as_ref()));
-        assert!(Checkpoint::load_from_file(&path).is_err(), "torn record must not verify");
-        // Re-saving cleanly repairs the document.
-        cp.save_to_file(&path).unwrap();
-        assert_eq!(Checkpoint::load_from_file(&path).unwrap(), cp);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The ramp used by the coefficient-transient tests: halve the flow
@@ -1911,14 +1583,14 @@ mod tests {
 
     #[test]
     fn adaptive_solve_counters_reconcile_with_session() {
-        // AdaptiveStats::solves is accounted as the session's
+        // TransientStats::solves is accounted as the session's
         // successful-solve delta around every attempt, so after a run
         // it equals SessionStats::solves exactly — with injected solver
         // faults in play.
         use bright_num::faults::{self, FaultPlan};
         let (model, power) = setup();
         let trace = PowerTrace::new(vec![TraceSegment::constant(0.02, power)]).unwrap();
-        let mut a = AdaptiveTransient::new(model, trace, 300.0, AdaptiveConfig::default()).unwrap();
+        let mut a = adaptive(model, trace, AdaptiveConfig::default());
         a.set_recovery_policy(bright_num::RecoveryPolicy::disabled());
         let plan = FaultPlan {
             seed: 11,
@@ -1947,7 +1619,7 @@ mod tests {
             "time_in_segment":0.125,"temperatures":[300.0,301.0],
             "warm_start":[300.5,300.5]}"#;
         let cp = Checkpoint::from_json_str(v1).unwrap();
-        assert_eq!(cp.stats, AdaptiveStats::default());
+        assert_eq!(cp.stats, TransientStats::default());
         assert_eq!(cp.segment, 2);
         assert_eq!(cp.time, 0.25);
 
@@ -1955,7 +1627,7 @@ mod tests {
             "time_in_segment":0.0,"temperatures":[300.0],"warm_start":[300.0]}"#;
         assert_eq!(
             Checkpoint::from_json_str(unversioned).unwrap().stats,
-            AdaptiveStats::default()
+            TransientStats::default()
         );
 
         let v3 = r#"{"version":3,"time":0.1,"dt":1e-3,"segment":0,
@@ -1978,9 +1650,7 @@ mod tests {
             TraceSegment::constant(0.02, zero),
         ])
         .unwrap();
-        let mut a =
-            AdaptiveTransient::new(model.clone(), trace.clone(), 300.0, AdaptiveConfig::default())
-                .unwrap();
+        let mut a = adaptive(model.clone(), trace.clone(), AdaptiveConfig::default());
         let peak = a.run_to_end().unwrap();
         assert!(a.finished());
         assert!(peak > 300.0);
@@ -1998,8 +1668,7 @@ mod tests {
             TraceSegment::constant(0.02, Field2d::zeros(model.grid().clone())),
         ])
         .unwrap();
-        let mut c =
-            AdaptiveTransient::new(model, constant, 300.0, AdaptiveConfig::default()).unwrap();
+        let mut c = adaptive(model, constant, AdaptiveConfig::default());
         let peak_constant = c.run_to_end().unwrap();
         assert!(
             peak > peak_constant,
@@ -2020,8 +1689,7 @@ mod tests {
         };
         let trace =
             PowerTrace::new(vec![TraceSegment::constant(0.01, power).with_ramp(ramp)]).unwrap();
-        let mut a =
-            AdaptiveTransient::new(model, trace, 300.0, AdaptiveConfig::default()).unwrap();
+        let mut a = adaptive(model, trace, AdaptiveConfig::default());
         assert!(a.step().is_err(), "no microchannel layers to ramp");
     }
 
@@ -2045,7 +1713,7 @@ mod tests {
                 dt_max: 0.01,
                 ..AdaptiveConfig::default()
             };
-            let mut full = AdaptiveTransient::new(model.clone(), trace.clone(), 300.0, cfg).unwrap();
+            let mut full = adaptive(model.clone(), trace.clone(), cfg);
             // Stop strictly inside the ramped segment so the checkpoint
             // carries a mid-ramp operating point.
             while full.time() < 0.008 {
@@ -2055,7 +1723,7 @@ mod tests {
             let cp = full.save_checkpoint();
             full.run_to_end().unwrap();
 
-            let mut branch = AdaptiveTransient::new(model, trace, 300.0, cfg).unwrap();
+            let mut branch = adaptive(model, trace, cfg);
             branch
                 .restore_checkpoint(&Checkpoint::from_json_str(&cp.to_json_string()).unwrap())
                 .unwrap();
@@ -2067,41 +1735,60 @@ mod tests {
     }
 
     #[test]
-    fn push_segment_carry_matches_single_trace_run() {
+    fn fixed_stepping_takes_full_steps_then_one_remainder() {
+        // ⌊duration/Δt⌋ full steps and one shortened remainder step per
+        // segment; a whole multiple of Δt takes no remainder step.
+        let (model, power) = setup();
+        let mut sim = fixed(model.clone(), &power, 0.0105, 1e-3);
+        let mut dts = Vec::new();
+        while !sim.finished() {
+            dts.push(sim.step().unwrap().dt);
+        }
+        assert_eq!(dts.len(), 11);
+        assert!(dts[..10].iter().all(|&dt| dt == 1e-3));
+        assert!((dts[10] - 5e-4).abs() < 1e-12, "remainder step {}", dts[10]);
+        assert!((sim.time() - 0.0105).abs() < 1e-12);
+        let mut whole = fixed(model, &power, 0.01, 1e-3);
+        whole.run_to_end().unwrap();
+        assert_eq!(whole.stats().accepted, 10);
+        assert_eq!(whole.stats().solves, whole.session_stats().solves);
+    }
+
+    #[test]
+    fn fixed_mid_ramp_checkpoint_restores_bitwise() {
         // Deterministic bitwise reference: force injection off so an
         // env-steered BRIGHT_FAULTS sweep cannot desync the two
         // sessions' scripted fault schedules.
         bright_num::faults::with_scope(None, || {
-            // Extending a *finished* integrator with push_segment and
-            // continuing (the engine's carry-down primitive) is bitwise
-            // identical to integrating the full trace from the start.
+            // A fixed-Δt integration checkpointed inside a ramped
+            // segment (with a remainder step still ahead), round-tripped
+            // through JSON and restored into a fresh integrator ends
+            // bitwise where the uninterrupted run does.
             let (model, power) = setup();
             let ramp = test_ramp(&model);
             let zero = Field2d::zeros(model.grid().clone());
-            let seg0 = TraceSegment::constant(0.02, power);
-            let seg1 = TraceSegment::constant(0.02, zero).with_ramp(ramp);
-            let cfg = AdaptiveConfig::default();
-
-            let full_trace =
-                PowerTrace::new(vec![seg0.clone(), seg1.clone()]).unwrap();
-            let mut full = AdaptiveTransient::new(model.clone(), full_trace, 300.0, cfg).unwrap();
+            let trace = PowerTrace::new(vec![
+                TraceSegment::constant(0.0105, power).with_ramp(ramp),
+                TraceSegment::constant(0.005, zero),
+            ])
+            .unwrap();
+            let stepping = SteppingMode::Fixed { dt: 1e-3 };
+            let mut full =
+                TransientSimulation::new(model.clone(), trace.clone(), 300.0, stepping).unwrap();
+            for _ in 0..4 {
+                full.step().unwrap();
+            }
+            assert_eq!(full.segment_index(), 0, "checkpoint must be mid-ramp");
+            let cp = Checkpoint::from_json_str(&full.save_checkpoint().to_json_string()).unwrap();
             full.run_to_end().unwrap();
 
-            let mut carried = AdaptiveTransient::new(
-                model,
-                PowerTrace::new(vec![seg0]).unwrap(),
-                300.0,
-                cfg,
-            )
-            .unwrap();
-            carried.run_to_end().unwrap();
-            assert!(carried.finished());
-            carried.push_segment(seg1).unwrap();
-            assert!(!carried.finished(), "push must re-arm a finished integrator");
-            carried.run_to_end().unwrap();
-            assert_eq!(carried.temperatures(), full.temperatures());
-            assert_eq!(carried.time(), full.time());
-            assert_eq!(carried.stats(), full.stats());
+            let mut resumed = TransientSimulation::new(model, trace, 300.0, stepping).unwrap();
+            resumed.restore_checkpoint(&cp).unwrap();
+            resumed.run_to_end().unwrap();
+            assert_eq!(resumed.temperatures(), full.temperatures());
+            assert_eq!(resumed.time(), full.time());
+            assert_eq!(resumed.stats(), full.stats(), "restored counters stay cumulative");
+            assert!(full.coefficient_refreshes() > 0, "the ramp must re-stamp");
         });
     }
 }

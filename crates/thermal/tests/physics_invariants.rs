@@ -526,7 +526,7 @@ mod refresh_properties {
 
 mod checkpoint_properties {
     use super::*;
-    use bright_thermal::{Checkpoint, TransientSimulation};
+    use bright_thermal::{Checkpoint, PowerTrace, SteppingMode, TraceSegment, TransientSimulation};
     use proptest::prelude::*;
 
     proptest! {
@@ -547,20 +547,26 @@ mod checkpoint_properties {
             let dt = dt_ms * 1e-3;
             let model = ThermalModel::new(coarse_config(flow_ml_min, 300.0)).unwrap();
             let power = Field2d::constant(model.grid().clone(), 5e4); // 5 W/cm^2
+            let duration = (pre_steps + post_steps) as f64 * dt;
+            let trace = PowerTrace::new(vec![TraceSegment::constant(duration, power)]).unwrap();
+            let stepping = SteppingMode::Fixed { dt };
+            let fixed = || {
+                TransientSimulation::new(model.clone(), trace.clone(), 300.0, stepping).unwrap()
+            };
 
-            let mut full =
-                TransientSimulation::new(model.clone(), &power, 300.0, dt).unwrap();
-            full.run(pre_steps + post_steps).unwrap();
+            let mut full = fixed();
+            full.run_to_end().unwrap();
 
-            let mut first =
-                TransientSimulation::new(model.clone(), &power, 300.0, dt).unwrap();
-            first.run(pre_steps).unwrap();
+            let mut first = fixed();
+            for _ in 0..pre_steps {
+                first.step().unwrap();
+            }
             let json = first.save_checkpoint().to_json_string();
             let cp = Checkpoint::from_json_str(&json).unwrap();
 
-            let mut resumed = TransientSimulation::new(model, &power, 300.0, dt).unwrap();
+            let mut resumed = fixed();
             resumed.restore_checkpoint(&cp).unwrap();
-            resumed.run(post_steps).unwrap();
+            resumed.run_to_end().unwrap();
 
             prop_assert_eq!(resumed.time().to_bits(), full.time().to_bits());
             for (a, b) in resumed.temperatures().iter().zip(full.temperatures()) {
@@ -574,8 +580,8 @@ mod trbdf2_properties {
     use super::*;
     use bright_num::vec_ops::wrms_diff;
     use bright_thermal::{
-        AdaptiveConfig, AdaptiveTransient, Checkpoint, CoefficientRamp, PowerTrace,
-        TraceSegment, TransientSimulation,
+        AdaptiveConfig, Checkpoint, CoefficientRamp, PowerTrace, SteppingMode, TraceSegment,
+        TransientSimulation,
     };
     use proptest::prelude::*;
 
@@ -606,18 +612,22 @@ mod trbdf2_properties {
             };
             let trace = PowerTrace::new(vec![TraceSegment::constant(
                 duration,
-                power.clone(),
+                power,
             )])
             .unwrap();
-            let mut sim =
-                AdaptiveTransient::new(model.clone(), trace, 300.0, cfg).unwrap();
+            let mut sim = TransientSimulation::new(
+                model.clone(),
+                trace.clone(),
+                300.0,
+                SteppingMode::Adaptive(cfg),
+            )
+            .unwrap();
             sim.run_to_end().unwrap();
 
             // Reference: fixed backward Euler at the controller's floor.
-            let mut reference =
-                TransientSimulation::new(model, &power, 300.0, cfg.dt_min).unwrap();
-            let steps = (duration / cfg.dt_min).round() as usize;
-            reference.run(steps).unwrap();
+            let floor = SteppingMode::Fixed { dt: cfg.dt_min };
+            let mut reference = TransientSimulation::new(model, trace, 300.0, floor).unwrap();
+            reference.run_to_end().unwrap();
 
             let err = wrms_diff(
                 sim.temperatures(),
@@ -666,8 +676,9 @@ mod trbdf2_properties {
                 ..AdaptiveConfig::default()
             };
 
+            let stepping = SteppingMode::Adaptive(cfg);
             let mut full =
-                AdaptiveTransient::new(model.clone(), trace.clone(), 300.0, cfg)
+                TransientSimulation::new(model.clone(), trace.clone(), 300.0, stepping)
                     .unwrap();
             for _ in 0..split_steps {
                 full.step().unwrap();
@@ -678,7 +689,7 @@ mod trbdf2_properties {
             full.run_to_end().unwrap();
 
             let mut resumed =
-                AdaptiveTransient::new(model, trace, 300.0, cfg).unwrap();
+                TransientSimulation::new(model, trace, 300.0, stepping).unwrap();
             resumed.restore_checkpoint(&cp).unwrap();
             resumed.run_to_end().unwrap();
 

@@ -14,7 +14,7 @@
 use bright_silicon::floorplan::{power7, PowerScenario};
 use bright_silicon::thermal::presets;
 use bright_silicon::thermal::transient::{
-    AdaptiveConfig, AdaptiveTransient, Checkpoint, CoefficientRamp, PowerTrace, TraceSegment,
+    AdaptiveConfig, Checkpoint, CoefficientRamp, PowerTrace, SteppingMode, TraceSegment,
     TransientSimulation,
 };
 use bright_silicon::units::{Celsius, CubicMetersPerSecond, Kelvin};
@@ -59,11 +59,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dt_max: 0.1,
         ..AdaptiveConfig::default()
     };
-    let mut sim = AdaptiveTransient::new(
+    let mut sim = TransientSimulation::new(
         nominal.clone(),
         trace.clone(),
         steady.max_temperature().value(), // warm start at the phase-1 level
-        cfg,
+        SteppingMode::Adaptive(cfg),
     )?;
     println!("\nphase 2 (676 -> 48 ml/min over 150 ms): TR-BDF2 through the ramp");
     println!("   t (ms)   dt (ms)   peak (degC)   local err");
@@ -103,20 +103,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sim.model().assembly_count()
     );
 
-    // The fixed-dt stepper integrates the same ramped trace, but needs
-    // its step sized for the *fastest* part of the transient everywhere:
+    // Fixed-dt stepping integrates the same ramped trace, but needs its
+    // step sized for the *fastest* part of the transient everywhere:
     let mut fixed = TransientSimulation::new(
         nominal,
-        &power,
+        trace.clone(),
         steady.max_temperature().value(),
-        2e-3,
+        SteppingMode::Fixed { dt: 2e-3 },
     )?;
-    fixed.run_trace(&trace)?;
+    fixed.run_to_end()?;
+    let fixed_stats = fixed.stats();
     println!(
         "fixed 2 ms:  {} steps ({} solves) for the same trace -> {:.1}x more solves",
-        fixed.step_count(),
-        fixed.solve_count(),
-        fixed.solve_count() as f64 / stats.solves as f64
+        fixed_stats.accepted,
+        fixed_stats.solves,
+        fixed_stats.solves as f64 / stats.solves as f64
     );
 
     // Checkpoint round trip: restore the mid-ramp snapshot (via its
@@ -125,11 +126,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // stood.
     let cp = Checkpoint::from_json_str(&checkpoint.expect("saved mid-ramp").to_json_string())?;
     let resume_from = cp.time;
-    let mut resumed = AdaptiveTransient::new(
+    let mut resumed = TransientSimulation::new(
         presets::power7_stack()?,
         trace,
         steady.max_temperature().value(),
-        cfg,
+        SteppingMode::Adaptive(cfg),
     )?;
     resumed.restore_checkpoint(&cp)?;
     resumed.run_to_end()?;
