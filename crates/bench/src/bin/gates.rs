@@ -20,9 +20,12 @@ use bright_flowcell::options::{SolverOptions, TemperatureProfile, VelocityModel}
 use bright_flowcell::{CellGeometry, CellModel};
 use bright_jsonio::Value;
 use bright_num::rng::{CorrelatedSampler, Distribution};
+use bright_num::session::next_operator_tag;
 use bright_num::solvers::IterOptions;
 use bright_num::vec_ops::wrms_diff;
-use bright_num::{faults, MgConfig, PrecondSpec, RecoveryPolicy, SolverSession, TripletMatrix};
+use bright_num::{
+    faults, CsrMatrix, MgConfig, PrecondSpec, RecoveryPolicy, SolverSession, TripletMatrix,
+};
 use bright_pdn::presets::{CACHE_RAIL_SHEET_RESISTANCE, FIG8_NX, FIG8_NY};
 use bright_pdn::presets::{PORT_PITCH, PORT_RESISTANCE};
 use bright_pdn::{PortLayout, PowerGrid};
@@ -534,21 +537,24 @@ fn recovery_ladder() -> Vec<Row> {
                 t.push(i, i + 1, -k).expect("in range");
             }
         }
-        t
+        t.to_csr()
     };
+    // The five coefficient sets the epochs cycle through, compiled
+    // once; each epoch loads one into the session's operator.
+    let chains: Vec<CsrMatrix> = (0..5).map(|e| chain(1.0 + 0.25 * f64::from(e))).collect();
     let b = vec![1.0; n];
     let timed = |policy: RecoveryPolicy| {
         let options = IterOptions { preconditioner: PrecondSpec::ssor(), ..IterOptions::default() };
         let mut session = SolverSession::new(options);
         session.set_recovery_policy(policy);
-        session.bind_triplets(&chain(1.0)).expect("square SPD chain");
+        let tag = next_operator_tag();
+        session.load(&chains[0], tag, 0).expect("square SPD chain");
         let mut epoch = 0u64;
         best_of(3, || {
             faults::with_plan(None, || {
                 for e in 0..10 {
                     epoch += 1;
-                    let k = 1.0 + 0.25 * f64::from(e % 5);
-                    session.refresh_values(&chain(k), epoch).expect("same pattern");
+                    session.load(&chains[e % 5], tag, epoch).expect("same pattern");
                     black_box(session.solve_spd(&b).expect("clean solve"));
                 }
             })

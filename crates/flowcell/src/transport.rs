@@ -18,15 +18,13 @@
 //! The cell solver marches with [`LaneMarcher`]: every voltage of a sweep
 //! is one lane, and a station's factored operator, one [`StationOp`] of
 //! the stream's [`OpBlock`], advances all lanes in one
-//! back-substitution. [`HalfCellMarcher`] assembles and solves each
+//! back-substitution. [`HalfCellMarcher`] stamps and factors each
 //! station from scratch; it is the reference the lane path is tested
-//! against.
+//! against, bit for bit.
 
 use crate::FlowCellError;
-use bright_num::tridiag::TridiagonalWorkspace;
-use bright_num::NumError;
-#[cfg(doc)]
 use bright_num::tridiag::TridiagonalFactorization;
+use bright_num::NumError;
 
 /// Affine response of a station's surface state to the wall molar flux
 /// `q` (mol/(m²·s), positive = reactant consumed at the wall):
@@ -397,7 +395,7 @@ fn validate_stream(
 }
 
 /// Marching transport solver for one electrolyte stream (half-channel)
-/// that assembles and solves its station operator from scratch at every
+/// that stamps and factors its station operator from scratch at every
 /// station — the reference the factored [`LaneMarcher`] is checked
 /// against.
 ///
@@ -416,7 +414,6 @@ pub struct HalfCellMarcher {
     p_zero_flux: Vec<f64>,
     sensitivity: Vec<f64>,
     station_d: f64,
-    ws: TridiagonalWorkspace,
     lower: Vec<f64>,
     diag: Vec<f64>,
     upper: Vec<f64>,
@@ -464,7 +461,6 @@ impl HalfCellMarcher {
             p_zero_flux: vec![0.0; ny],
             sensitivity: vec![0.0; ny],
             station_d: 0.0,
-            ws: TridiagonalWorkspace::new(ny),
             lower: vec![0.0; ny - 1],
             diag: vec![0.0; ny],
             upper: vec![0.0; ny - 1],
@@ -506,7 +502,8 @@ impl HalfCellMarcher {
     /// # Errors
     ///
     /// * [`FlowCellError::InvalidConfig`] for a non-positive diffusivity,
-    /// * [`FlowCellError::Numerical`] if a tridiagonal solve fails.
+    /// * [`FlowCellError::Numerical`] if the station operator cannot be
+    ///   factored.
     pub fn prepare(&mut self, d: f64) -> Result<StationResponse, FlowCellError> {
         check_diffusivity(d)?;
         stamp_bands(
@@ -520,23 +517,20 @@ impl HalfCellMarcher {
         );
         // Wall cells with u ~ 0 would make the zero-flux row singular-ish;
         // the diffusion terms keep the diagonal positive for ny >= 2.
+        let fac = TridiagonalFactorization::factor(&self.lower, &self.diag, &self.upper)?;
 
         // Zero-flux advance of both species.
         self.r_zero_flux.copy_from_slice(&self.reactant);
         for (rhs, u) in self.r_zero_flux.iter_mut().zip(&self.velocity) {
             *rhs *= u / self.dx;
         }
-        self.ws
-            .solve_in_place(&self.lower, &self.diag, &self.upper, &mut self.r_zero_flux)
-            .map_err(FlowCellError::from)?;
+        fac.solve_in_place(&mut self.r_zero_flux)?;
 
         self.p_zero_flux.copy_from_slice(&self.product);
         for (rhs, u) in self.p_zero_flux.iter_mut().zip(&self.velocity) {
             *rhs *= u / self.dx;
         }
-        self.ws
-            .solve_in_place(&self.lower, &self.diag, &self.upper, &mut self.p_zero_flux)
-            .map_err(FlowCellError::from)?;
+        fac.solve_in_place(&mut self.p_zero_flux)?;
 
         // Sensitivity: response to a unit wall flux (1 mol/(m^2 s) removed
         // from the wall cell).
@@ -544,9 +538,7 @@ impl HalfCellMarcher {
             *s = 0.0;
         }
         self.sensitivity[0] = 1.0 / self.dy;
-        self.ws
-            .solve_in_place(&self.lower, &self.diag, &self.upper, &mut self.sensitivity)
-            .map_err(FlowCellError::from)?;
+        fac.solve_in_place(&mut self.sensitivity)?;
 
         self.station_d = d;
         // Half-cell correction: extrapolate from the wall-cell center to
@@ -768,7 +760,6 @@ impl LaneMarcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bright_num::tridiag::TridiagonalFactorization;
     use proptest::prelude::*;
 
     fn uniform_marcher(ny: usize, nx: usize) -> HalfCellMarcher {
@@ -879,8 +870,8 @@ mod tests {
     #[test]
     fn lane_marcher_matches_prepare() {
         // The factored-operator lane path must reproduce the per-station
-        // assembly path over a full march with extraction — for one lane
-        // and for several lanes with distinct flux histories.
+        // assembly path bit for bit over a full march with extraction —
+        // for one lane and for several lanes with distinct flux histories.
         let d = 1.26e-10;
         for lanes in [1, 3] {
             let flux = |lane: usize| 3e-3 * (lane + 1) as f64;
@@ -897,24 +888,17 @@ mod tests {
                 for (lane, a) in refs.iter_mut().enumerate() {
                     let ra = a.prepare(d).unwrap();
                     let rb = b.response(op, lane);
-                    assert!(
-                        (ra.r0 - rb.r0).abs() < 1e-9 * ra.r0.abs().max(1.0),
-                        "lane {lane}, station {station}: r0 {} vs {}",
-                        ra.r0,
-                        rb.r0
-                    );
-                    assert!((ra.sens - rb.sens).abs() < 1e-9 * ra.sens);
+                    // Rows 0-3: r0, p0, sens, q_max.
+                    let got = [rb.r0, rb.p0, rb.sens, rb.q_max];
+                    let want = [ra.r0, ra.p0, ra.sens, ra.q_max];
+                    assert_bits(&got, &want, &format!("lane {lane}, station {station}"));
                     a.commit(flux(lane));
                 }
                 b.commit(op, &fluxes);
             }
             for (lane, a) in refs.iter().enumerate() {
-                for (ca, cb) in a.reactant().iter().zip(b.reactant(lane)) {
-                    assert!((ca - cb).abs() < 1e-6, "lane {lane}: {ca} vs {cb}");
-                }
-                for (ca, cb) in a.product().iter().zip(b.product(lane)) {
-                    assert!((ca - cb).abs() < 1e-6, "lane {lane}: {ca} vs {cb}");
-                }
+                assert_bits(&b.reactant(lane), a.reactant(), &format!("lane {lane} reactant"));
+                assert_bits(&b.product(lane), a.product(), &format!("lane {lane} product"));
             }
         }
     }

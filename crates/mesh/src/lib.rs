@@ -8,8 +8,7 @@
 //! * [`Field2d`] — a scalar field over a [`Grid2d`] with statistics,
 //! * [`render`] — ASCII heat-map rendering used by the figure harnesses to
 //!   print the paper's thermal (Fig. 9) and voltage (Fig. 8) maps in a
-//!   terminal,
-//! * [`bc`] — boundary-condition descriptors shared by the assemblers.
+//!   terminal.
 //!
 //! # Examples
 //!
@@ -28,12 +27,10 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod bc;
 pub mod field;
 pub mod grid;
 pub mod render;
 
-pub use bc::Boundary;
 pub use field::Field2d;
 pub use grid::Grid2d;
 

@@ -1,121 +1,7 @@
-//! One-dimensional interpolation over tabulated data.
-//!
-//! Used for property tables (temperature-dependent viscosity, Nusselt
-//! correlations vs aspect ratio) and for resampling polarization curves to
-//! the paper's reported abscissae.
+//! Comparing a model curve with a tabulated reference sampled at the
+//! same abscissae: the relative-error metric of the Fig. 3 validation.
 
 use crate::NumError;
-
-/// Piecewise-linear interpolant over strictly increasing abscissae.
-///
-/// Evaluation outside the table is clamped to the end values by default;
-/// [`LinearInterpolator::eval_extrapolate`] extends the end segments
-/// linearly instead.
-///
-/// # Examples
-///
-/// ```
-/// use bright_num::interp::LinearInterpolator;
-///
-/// let f = LinearInterpolator::new(vec![0.0, 1.0, 2.0], vec![0.0, 10.0, 0.0])?;
-/// assert_eq!(f.eval(0.5), 5.0);
-/// assert_eq!(f.eval(-1.0), 0.0); // clamped
-/// # Ok::<(), bright_num::NumError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearInterpolator {
-    x: Vec<f64>,
-    y: Vec<f64>,
-}
-
-impl LinearInterpolator {
-    /// Builds an interpolant from matching abscissae/ordinate vectors.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumError::DimensionMismatch`] if lengths differ,
-    /// * [`NumError::InvalidInput`] if fewer than two points, not strictly
-    ///   increasing in `x`, or any value is non-finite.
-    pub fn new(x: Vec<f64>, y: Vec<f64>) -> Result<Self, NumError> {
-        if x.len() != y.len() {
-            return Err(NumError::DimensionMismatch(format!(
-                "x has {} points, y has {}",
-                x.len(),
-                y.len()
-            )));
-        }
-        if x.len() < 2 {
-            return Err(NumError::InvalidInput(
-                "need at least two points".into(),
-            ));
-        }
-        if !crate::vec_ops::all_finite(&x) || !crate::vec_ops::all_finite(&y) {
-            return Err(NumError::InvalidInput("non-finite table entry".into()));
-        }
-        if x.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(NumError::InvalidInput(
-                "abscissae must be strictly increasing".into(),
-            ));
-        }
-        Ok(Self { x, y })
-    }
-
-    /// Number of table points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.x.len()
-    }
-
-    /// Always false for a constructed interpolator.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
-    }
-
-    fn segment(&self, x: f64) -> usize {
-        match self
-            .x
-            .binary_search_by(|v| v.partial_cmp(&x).expect("finite by construction"))
-        {
-            Ok(i) => i.min(self.x.len() - 2),
-            Err(0) => 0,
-            Err(i) if i >= self.x.len() => self.x.len() - 2,
-            Err(i) => i - 1,
-        }
-    }
-
-    /// Evaluates with clamping outside the table range.
-    pub fn eval(&self, x: f64) -> f64 {
-        if x <= self.x[0] {
-            return self.y[0];
-        }
-        if x >= *self.x.last().expect("non-empty") {
-            return *self.y.last().expect("non-empty");
-        }
-        self.eval_segment(x)
-    }
-
-    /// Evaluates with linear extrapolation outside the table range.
-    pub fn eval_extrapolate(&self, x: f64) -> f64 {
-        self.eval_segment(x)
-    }
-
-    fn eval_segment(&self, x: f64) -> f64 {
-        let i = self.segment(x);
-        let t = (x - self.x[i]) / (self.x[i + 1] - self.x[i]);
-        self.y[i] + t * (self.y[i + 1] - self.y[i])
-    }
-
-    /// The abscissae of the table.
-    pub fn xs(&self) -> &[f64] {
-        &self.x
-    }
-
-    /// The ordinates of the table.
-    pub fn ys(&self) -> &[f64] {
-        &self.y
-    }
-}
 
 /// Maximum relative error between an interpolated reference and sampled
 /// points: `max_i |model(x_i) − ref(x_i)| / max(|ref(x_i)|, floor)`.
@@ -147,32 +33,6 @@ pub fn max_relative_error(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linear_segments_are_exact() {
-        let f = LinearInterpolator::new(vec![0.0, 2.0, 4.0], vec![1.0, 3.0, -1.0]).unwrap();
-        assert_eq!(f.eval(1.0), 2.0);
-        assert_eq!(f.eval(3.0), 1.0);
-        assert_eq!(f.eval(2.0), 3.0); // exact node
-    }
-
-    #[test]
-    fn clamping_and_extrapolation() {
-        let f = LinearInterpolator::new(vec![0.0, 1.0], vec![0.0, 2.0]).unwrap();
-        assert_eq!(f.eval(-5.0), 0.0);
-        assert_eq!(f.eval(9.0), 2.0);
-        assert_eq!(f.eval_extrapolate(2.0), 4.0);
-        assert_eq!(f.eval_extrapolate(-1.0), -2.0);
-    }
-
-    #[test]
-    fn rejects_bad_tables() {
-        assert!(LinearInterpolator::new(vec![0.0], vec![1.0]).is_err());
-        assert!(LinearInterpolator::new(vec![0.0, 0.0], vec![1.0, 2.0]).is_err());
-        assert!(LinearInterpolator::new(vec![1.0, 0.0], vec![1.0, 2.0]).is_err());
-        assert!(LinearInterpolator::new(vec![0.0, 1.0], vec![1.0]).is_err());
-        assert!(LinearInterpolator::new(vec![0.0, f64::NAN], vec![1.0, 2.0]).is_err());
-    }
 
     #[test]
     fn relative_error_metric() {

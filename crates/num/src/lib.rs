@@ -5,15 +5,14 @@
 //! replacement kernels every other crate builds on:
 //!
 //! * dense small-matrix LU ([`dense`]),
-//! * tridiagonal (Thomas) solves ([`tridiag`]) for the streamwise marching
-//!   species-transport solver,
+//! * the tridiagonal (Thomas) factorization ([`tridiag`]) the flow cell's
+//!   marched cross-stream diffusion reproduces bit for bit,
 //! * sparse CSR matrices with CG and BiCGSTAB iterative solvers
 //!   ([`sparse`], [`solvers`]) for the thermal network, power grid and the
 //!   full 2-D finite-volume solves,
 //! * pluggable preconditioners ([`precond`]: Jacobi, SSOR, IC(0),
 //!   MILU(0)) and reusable solver sessions ([`session`]) that amortize
-//!   pattern, scratch, warm start and factorization across repeated
-//!   solves,
+//!   scratch, warm start and factorization across repeated solves,
 //! * a geometric multigrid V-cycle preconditioner ([`multigrid`]:
 //!   structured plane coarsening, Galerkin coarse operators cached per
 //!   pattern, Chebyshev/weighted-Jacobi smoothing) that keeps Krylov
@@ -21,21 +20,22 @@
 //! * a seeded fault-injection harness ([`faults`]) and session recovery
 //!   ladder ([`session::RecoveryPolicy`]) so the failure paths of all of
 //!   the above are deterministic and testable,
-//! * scalar root finding ([`roots`]) for polarization operating points,
-//! * interpolation helpers ([`interp`]).
+//! * Brent root finding ([`roots`]) for polarization operating points,
+//! * the relative-error metric of the Fig. 3 validation ([`interp`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use bright_num::tridiag::TridiagonalSystem;
+//! use bright_num::tridiag::TridiagonalFactorization;
 //!
 //! // Solve the 1-D Poisson problem -u'' = 1 on 3 interior nodes.
-//! let sys = TridiagonalSystem::from_bands(
-//!     vec![-1.0, -1.0],
-//!     vec![2.0, 2.0, 2.0],
-//!     vec![-1.0, -1.0],
+//! let fac = TridiagonalFactorization::factor(
+//!     &[-1.0, -1.0],
+//!     &[2.0, 2.0, 2.0],
+//!     &[-1.0, -1.0],
 //! ).unwrap();
-//! let x = sys.solve(&[1.0, 1.0, 1.0]).unwrap();
+//! let mut x = vec![1.0, 1.0, 1.0];
+//! fac.solve_in_place(&mut x).unwrap();
 //! assert!((x[1] - 2.0).abs() < 1e-12);
 //! ```
 

@@ -16,8 +16,7 @@
 //! * [`Milu0Precond`] — modified incomplete LU with zero fill on the
 //!   matrix's own pattern, with `L·U` keeping `A`'s row sums. The
 //!   option for the nonsymmetric fluid-cooled thermal stacks, whose
-//!   rows sum to zero almost everywhere;
-//! * [`IdentityPrecond`] — no preconditioning (tests/baselines).
+//!   rows sum to zero almost everywhere.
 //!
 //! A [`PrecondSpec`] names a choice declaratively (it is `Copy` and lives
 //! in [`crate::solvers::IterOptions`]); [`PrecondSpec::build`] constructs
@@ -54,8 +53,6 @@ use crate::NumError;
 /// [`crate::solvers::IterOptions`] and solver sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PrecondSpec {
-    /// No preconditioning.
-    None,
     /// Diagonal (Jacobi) scaling.
     #[default]
     Jacobi,
@@ -89,7 +86,6 @@ impl PrecondSpec {
     #[must_use]
     pub fn build(&self) -> Box<dyn Preconditioner> {
         match *self {
-            Self::None => Box::new(IdentityPrecond),
             Self::Jacobi => Box::new(JacobiPrecond::default()),
             Self::Ssor { omega } => Box::new(SsorPrecond::new(omega)),
             Self::Ic0 => Box::new(Ic0Precond::default()),
@@ -116,7 +112,6 @@ impl PrecondSpec {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            Self::None => "none",
             Self::Jacobi => "jacobi",
             Self::Ssor { .. } => "ssor",
             Self::Ic0 => "ic0",
@@ -182,24 +177,6 @@ pub trait Preconditioner: std::fmt::Debug + Send {
     /// Sessions surface these through `SessionStats`.
     fn mg_counters(&self) -> Option<MgStats> {
         None
-    }
-}
-
-/// No-op preconditioner (`M = I`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityPrecond;
-
-impl Preconditioner for IdentityPrecond {
-    fn setup(&mut self, _a: &CsrMatrix) -> Result<(), NumError> {
-        Ok(())
-    }
-
-    fn apply(&mut self, dst: &mut [f64], src: &[f64]) {
-        dst.copy_from_slice(src);
-    }
-
-    fn spec(&self) -> PrecondSpec {
-        PrecondSpec::None
     }
 }
 
@@ -931,7 +908,7 @@ mod tests {
         assert!(matches!(p.setup(&a), Err(NumError::Breakdown(_))));
 
         let mut s = crate::SolverSession::with_preconditioner(PrecondSpec::Milu0);
-        s.bind_triplets(&t).unwrap();
+        s.load(&a, crate::session::next_operator_tag(), 0).unwrap();
         let b = [2.0, 3.0, 1.0];
         s.solve_general(&b).unwrap();
         assert_eq!(
@@ -969,7 +946,6 @@ mod tests {
     #[test]
     fn spec_round_trips_through_build() {
         for spec in [
-            PrecondSpec::None,
             PrecondSpec::Jacobi,
             PrecondSpec::Ssor { omega: 1.4 },
             PrecondSpec::Ic0,

@@ -2,9 +2,9 @@
 //!
 //! Polarization solves are nested one-dimensional inversions: "what
 //! overpotential makes this electrode pass current I?", "what cell current
-//! satisfies the voltage balance?". Brent's method on a bracketing interval
-//! is the workhorse; bisection and damped Newton are provided as simpler
-//! alternatives.
+//! satisfies the voltage balance?". The flow cell solves every one with
+//! Brent's method on a bracketing interval ([`brent`], or
+//! [`brent_bracketed`] from ends it has already evaluated).
 
 use crate::NumError;
 
@@ -29,56 +29,6 @@ impl Default for RootOptions {
     }
 }
 
-/// Bisection on a sign-changing interval `[a, b]`.
-///
-/// # Errors
-///
-/// * [`NumError::NoRoot`] if `f(a)` and `f(b)` have the same sign,
-/// * [`NumError::InvalidInput`] for a degenerate or non-finite interval,
-/// * [`NumError::NotConverged`] if the budget is exhausted (practically
-///   unreachable for bisection with sensible tolerances).
-pub fn bisect<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    opts: &RootOptions,
-) -> Result<f64, NumError> {
-    check_bracket(a, b)?;
-    let mut lo = a;
-    let mut hi = b;
-    let mut f_lo = f(lo);
-    let f_hi = f(hi);
-    if f_lo == 0.0 {
-        return Ok(lo);
-    }
-    if f_hi == 0.0 {
-        return Ok(hi);
-    }
-    if f_lo.signum() == f_hi.signum() {
-        return Err(NumError::NoRoot(format!(
-            "no sign change on [{a}, {b}]: f(a)={f_lo:.3e}, f(b)={f_hi:.3e}"
-        )));
-    }
-    for _ in 0..opts.max_iterations {
-        let mid = 0.5 * (lo + hi);
-        let f_mid = f(mid);
-        if f_mid == 0.0 || (hi - lo) < opts.x_tolerance || f_mid.abs() < opts.f_tolerance {
-            return Ok(mid);
-        }
-        if f_mid.signum() == f_lo.signum() {
-            lo = mid;
-            f_lo = f_mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Err(NumError::NotConverged {
-        iterations: opts.max_iterations,
-        residual: hi - lo,
-        tolerance: opts.x_tolerance,
-    })
-}
-
 fn check_bracket(a: f64, b: f64) -> Result<(), NumError> {
     if !a.is_finite() || !b.is_finite() || a >= b {
         return Err(NumError::InvalidInput(format!("bad bracket [{a}, {b}]")));
@@ -93,7 +43,9 @@ fn check_bracket(a: f64, b: f64) -> Result<(), NumError> {
 ///
 /// # Errors
 ///
-/// As [`bisect`].
+/// * [`NumError::NoRoot`] if `f(a)` and `f(b)` have the same sign,
+/// * [`NumError::InvalidInput`] for a degenerate or non-finite interval,
+/// * [`NumError::NotConverged`] if the budget is exhausted.
 pub fn brent<F: FnMut(f64) -> f64>(
     mut f: F,
     a: f64,
@@ -116,7 +68,7 @@ pub fn brent<F: FnMut(f64) -> f64>(
 ///
 /// # Errors
 ///
-/// As [`bisect`].
+/// As [`brent`].
 pub fn brent_bracketed<P: Copy, F: FnMut(f64) -> (f64, P)>(
     mut f: F,
     lo: (f64, f64, P),
@@ -202,110 +154,9 @@ pub fn brent_bracketed<P: Copy, F: FnMut(f64) -> (f64, P)>(
     })
 }
 
-/// Damped Newton iteration with a user-supplied derivative.
-///
-/// Steps are halved (up to 30 times) whenever `|f|` fails to decrease,
-/// which makes the iteration robust on the stiff exponential nonlinearities
-/// of Butler–Volmer kinetics.
-///
-/// # Errors
-///
-/// * [`NumError::InvalidInput`] for a non-finite start,
-/// * [`NumError::NoRoot`] if the derivative vanishes,
-/// * [`NumError::NotConverged`] if the budget is exhausted.
-pub fn newton<F, G>(mut f: F, mut df: G, x0: f64, opts: &RootOptions) -> Result<f64, NumError>
-where
-    F: FnMut(f64) -> f64,
-    G: FnMut(f64) -> f64,
-{
-    if !x0.is_finite() {
-        return Err(NumError::InvalidInput("non-finite start".into()));
-    }
-    let mut x = x0;
-    let mut fx = f(x);
-    for _ in 0..opts.max_iterations {
-        if fx.abs() < opts.f_tolerance {
-            return Ok(x);
-        }
-        let dfx = df(x);
-        if dfx.abs() < 1e-300 || !dfx.is_finite() {
-            return Err(NumError::NoRoot(format!(
-                "derivative {dfx:.3e} at x={x:.6e}"
-            )));
-        }
-        let mut step = fx / dfx;
-        let mut x_new = x - step;
-        let mut f_new = f(x_new);
-        let mut halvings = 0;
-        while (!f_new.is_finite() || f_new.abs() > fx.abs()) && halvings < 30 {
-            step *= 0.5;
-            x_new = x - step;
-            f_new = f(x_new);
-            halvings += 1;
-        }
-        if (x_new - x).abs() < opts.x_tolerance && f_new.abs() < opts.f_tolerance.max(1e-9) {
-            return Ok(x_new);
-        }
-        x = x_new;
-        fx = f_new;
-    }
-    if fx.abs() < opts.f_tolerance.max(1e-9) {
-        return Ok(x);
-    }
-    Err(NumError::NotConverged {
-        iterations: opts.max_iterations,
-        residual: fx.abs(),
-        tolerance: opts.f_tolerance,
-    })
-}
-
-/// Expands an initial guess interval geometrically until `f` changes sign,
-/// then the returned bracket can be passed to [`brent`].
-///
-/// # Errors
-///
-/// Returns [`NumError::NoRoot`] if no sign change is found within
-/// `max_expansions` doublings.
-pub fn expand_bracket<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    max_expansions: usize,
-) -> Result<(f64, f64), NumError> {
-    if !(a.is_finite() && b.is_finite()) || a >= b {
-        return Err(NumError::InvalidInput(format!("bad seed [{a}, {b}]")));
-    }
-    let mut lo = a;
-    let mut hi = b;
-    let mut f_lo = f(lo);
-    let mut f_hi = f(hi);
-    for _ in 0..max_expansions {
-        if f_lo.signum() != f_hi.signum() {
-            return Ok((lo, hi));
-        }
-        let width = hi - lo;
-        if f_lo.abs() < f_hi.abs() {
-            lo -= width;
-            f_lo = f(lo);
-        } else {
-            hi += width;
-            f_hi = f(hi);
-        }
-    }
-    Err(NumError::NoRoot(format!(
-        "no sign change after {max_expansions} expansions from [{a}, {b}]"
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bisect_finds_sqrt2() {
-        let root = bisect(|x| x * x - 2.0, 0.0, 2.0, &RootOptions::default()).unwrap();
-        assert!((root - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
 
     #[test]
     fn brent_finds_sqrt2_fast() {
@@ -333,33 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn newton_converges_quadratically() {
-        let root = newton(|x| x * x - 2.0, |x| 2.0 * x, 1.0, &RootOptions::default()).unwrap();
-        assert!((root - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
-
-    #[test]
-    fn newton_damps_on_overshoot() {
-        // atan has tiny derivative far out; undamped Newton diverges from 3.
-        let root = newton(
-            |x: f64| x.atan(),
-            |x: f64| 1.0 / (1.0 + x * x),
-            3.0,
-            &RootOptions {
-                max_iterations: 500,
-                ..RootOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(root.abs() < 1e-6, "got {root}");
-    }
-
-    #[test]
     fn rejects_same_sign_bracket() {
-        assert!(matches!(
-            bisect(|x| x * x + 1.0, -1.0, 1.0, &RootOptions::default()),
-            Err(NumError::NoRoot(_))
-        ));
         assert!(matches!(
             brent(|x| x * x + 1.0, -1.0, 1.0, &RootOptions::default()),
             Err(NumError::NoRoot(_))
@@ -368,13 +193,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_interval() {
-        assert!(bisect(|x| x, 2.0, 1.0, &RootOptions::default()).is_err());
+        assert!(brent(|x| x, 2.0, 1.0, &RootOptions::default()).is_err());
         assert!(brent(|x| x, f64::NAN, 1.0, &RootOptions::default()).is_err());
     }
 
     #[test]
     fn endpoints_that_are_roots_return_immediately() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, &RootOptions::default()).unwrap(), 0.0);
+        assert_eq!(brent(|x| x, 0.0, 1.0, &RootOptions::default()).unwrap(), 0.0);
         assert_eq!(brent(|x| x - 1.0, 0.0, 1.0, &RootOptions::default()).unwrap(), 1.0);
     }
 
@@ -430,12 +255,5 @@ mod tests {
             brent_bracketed(f, (1.0, -1.0, ()), (1.0, 1.0, ()), &opts),
             Err(NumError::InvalidInput(_))
         ));
-    }
-
-    #[test]
-    fn bracket_expansion_finds_sign_change() {
-        let (lo, hi) = expand_bracket(|x| x - 100.0, 0.0, 1.0, 60).unwrap();
-        assert!(lo <= 100.0 && 100.0 <= hi);
-        assert!(expand_bracket(|_| 1.0, 0.0, 1.0, 8).is_err());
     }
 }

@@ -6,24 +6,22 @@
 //! reinventing "pattern + Krylov scratch + warm start". A
 //! [`SolverSession`] consolidates them: it owns
 //!
-//! * the [`CsrSymbolic`] sparsity pattern and the numeric [`CsrMatrix`]
-//!   stamped through it,
+//! * the numeric [`CsrMatrix`] of the operator it solves,
 //! * a [`KrylovWorkspace`] of scratch vectors,
 //! * the warm-start/solution vector,
 //! * a pluggable [`Preconditioner`] (built from a [`PrecondSpec`]),
 //!   set up lazily and re-set-up only when the operator's values change,
 //! * an internal RHS buffer for allocation-free per-solve assembly.
 //!
-//! Domain solvers bind a session to their operator
-//! ([`SolverSession::bind`] / [`SolverSession::bind_triplets`]) and keep
-//! it in sync across coefficient refreshes with an *(operator tag,
-//! epoch)* pair: the tag (allocate with [`next_operator_tag`]) names the
-//! operator identity, the epoch counts value refreshes. A session handed
-//! a different tag rebinds from scratch; a stale epoch triggers a cheap
-//! O(nnz) value reload ([`SolverSession::load_values`]) plus
-//! preconditioner re-setup — never a symbolic re-assembly. A time
-//! stepper keeps its shifted operator `G + C/Δt` on `G`'s own pattern
-//! with [`SolverSession::load_shifted`].
+//! Domain solvers name their operator with an *(operator tag, epoch)*
+//! pair: the tag (allocate with [`next_operator_tag`]) names the
+//! operator identity, the epoch counts value refreshes. Before each
+//! solve they hand the session their operator with
+//! [`SolverSession::load`], which does nothing for a current session,
+//! copies the values (O(nnz), warm start kept) into a session holding
+//! the same tag, and adopts a copy of the operator otherwise — never a
+//! symbolic re-assembly. A time stepper keeps its shifted operator
+//! `G + C/Δt` on `G`'s own pattern with [`SolverSession::load_shifted`].
 //!
 //! Sessions are `Clone` (for fan-out across sweep workers; the
 //! preconditioner factorization is rebuilt lazily in the clone) and
@@ -43,21 +41,22 @@
 //! exception: while the configured preconditioner's setup stands
 //! refused, the fallback that served is kept, set up on the current
 //! values, and the next solve starts from it with its warm start; it
-//! goes when the preconditioner goes stale (bind, value reload or spec
-//! change). Each step lands in the [`SessionStats`] recovery counters,
-//! and [`SolverSession::last_recovery`] names the rung that produced
-//! the last answer. If the ladder is exhausted *and* non-finite values
-//! are still present in the scratch state, the session is marked
+//! goes when the preconditioner goes stale (a load or a spec change).
+//! Each step lands in the [`SessionStats`] recovery counters, and
+//! [`SolverSession::last_recovery`] names the rung that produced the
+//! last answer. If the ladder is exhausted *and* non-finite values are
+//! still present in the scratch state, the session is marked
 //! *poisoned*: [`SolverSession::is_current`] reports false and further
-//! solves are refused until a bind or value reload cold-rebuilds the
+//! solves are refused until a [`SolverSession::load`] cold-rebuilds the
 //! numeric state.
 //!
 //! # Examples
 //!
-//! Bind once, then solve repeatedly — the second solve warm-starts from
+//! Load once, then solve repeatedly — the second solve warm-starts from
 //! the first solution and converges immediately:
 //!
 //! ```
+//! use bright_num::session::next_operator_tag;
 //! use bright_num::{SolverSession, TripletMatrix};
 //!
 //! let mut t = TripletMatrix::new(3, 3);
@@ -65,7 +64,7 @@
 //!     t.push(i, i, 2.0)?;
 //! }
 //! let mut session = SolverSession::default();
-//! session.bind_triplets(&t)?;
+//! session.load(&t.to_csr(), next_operator_tag(), 0)?;
 //! let cold = session.solve_spd(&[2.0, 4.0, 6.0])?;
 //! assert_eq!(session.solution(), &[1.0, 2.0, 3.0]);
 //! let warm = session.solve_spd(&[2.0, 4.0, 6.0])?;
@@ -81,16 +80,17 @@ use crate::solvers::{
     bicgstab_preconditioned, conjugate_gradient_preconditioned, IterOptions, KrylovWorkspace,
     SolveStats,
 };
-use crate::sparse::{CsrMatrix, CsrSymbolic, TripletMatrix};
+use crate::sparse::CsrMatrix;
 use crate::NumError;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static OPERATOR_TAGS: AtomicU64 = AtomicU64::new(1);
 
-/// Allocates a process-unique operator tag. Domain solvers draw one per
-/// assembled operator so sessions can tell "same operator, new
-/// coefficients" (epoch bump → value reload) from "different operator"
-/// (tag change → full rebind).
+/// Allocates a process-unique operator tag (never 0, which marks an
+/// unbound session). Domain solvers draw one per assembled operator so
+/// [`SolverSession::load`] can tell "same operator, new coefficients"
+/// (epoch bump → value copy) from "different operator" (tag change →
+/// adopt a copy).
 #[must_use]
 pub fn next_operator_tag() -> u64 {
     OPERATOR_TAGS.fetch_add(1, Ordering::Relaxed)
@@ -121,9 +121,14 @@ impl Backend {
 /// monotonically increasing over the session's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Full binds: pattern + values adopted from an operator.
+    /// Operators adopted: a [`SolverSession::load`] of a tag the session
+    /// did not hold, or a [`SolverSession::load_shifted`] of an unbound
+    /// session.
     pub binds: u64,
-    /// O(nnz) value reloads/refreshes through the cached pattern.
+    /// O(nnz) value copies into the held operator: a
+    /// [`SolverSession::load`] of the held tag at another epoch (or into
+    /// a poisoned session), or a [`SolverSession::load_shifted`] of a
+    /// bound session.
     pub refreshes: u64,
     /// Preconditioner setups (factorizations).
     pub precond_setups: u64,
@@ -250,15 +255,11 @@ impl RecoveryRung {
     }
 }
 
-/// A reusable solve context: cached pattern, numeric operator, Krylov
-/// workspace, warm start and preconditioner. See the [module
-/// docs](self) for the amortization contract.
+/// A reusable solve context: numeric operator, Krylov workspace, warm
+/// start and preconditioner. See the [module docs](self) for the
+/// amortization contract.
 #[derive(Debug)]
 pub struct SolverSession {
-    /// The triplet pattern behind [`SolverSession::refresh_values`];
-    /// `None` when unbound or bound through
-    /// [`SolverSession::load_shifted`].
-    symbolic: Option<CsrSymbolic>,
     matrix: CsrMatrix,
     opts: IterOptions,
     precond: Option<Box<dyn Preconditioner>>,
@@ -290,7 +291,7 @@ impl Default for SolverSession {
 }
 
 impl Clone for SolverSession {
-    /// Clones the pattern, operator, warm start and options. The
+    /// Clones the operator, warm start and options. The
     /// preconditioner factorization is *not* cloned — the clone rebuilds
     /// it lazily on its first solve — so cloned sessions are cheap to
     /// fan out across sweep workers. [`SessionStats`] restart at zero:
@@ -298,7 +299,6 @@ impl Clone for SolverSession {
     /// across workers must not double-count the parent's).
     fn clone(&self) -> Self {
         Self {
-            symbolic: self.symbolic.clone(),
             matrix: self.matrix.clone(),
             opts: self.opts.clone(),
             precond: None,
@@ -314,7 +314,7 @@ impl Clone for SolverSession {
             stats: SessionStats::default(),
             policy: self.policy,
             // Poison is conservative state, carried so a clone of a
-            // poisoned session also demands a rebind before serving.
+            // poisoned session also demands a load before serving.
             poisoned: self.poisoned,
             last_rung: self.last_rung,
         }
@@ -327,7 +327,6 @@ impl SolverSession {
     #[must_use]
     pub fn new(opts: IterOptions) -> Self {
         Self {
-            symbolic: None,
             matrix: CsrMatrix::empty(),
             opts,
             precond: None,
@@ -395,10 +394,10 @@ impl SolverSession {
     }
 
     /// True when the session is current for the operator identified by
-    /// `(tag, epoch)` — the check domain solvers run before deciding
-    /// between a no-op, a value reload and a full rebind. A poisoned
-    /// session is never current: the caller's resync (value reload or
-    /// rebind) is what clears the poison.
+    /// `(tag, epoch)` — the check [`SolverSession::load`] runs before
+    /// deciding between a no-op, a value copy and adopting the operator.
+    /// A poisoned session is never current: the next load is what clears
+    /// the poison.
     #[must_use]
     pub fn is_current(&self, tag: u64, epoch: u64) -> bool {
         !self.poisoned && self.is_bound() && self.operator_tag == tag && self.epoch == epoch
@@ -416,76 +415,65 @@ impl SolverSession {
         self.epoch
     }
 
-    /// Binds the session to an operator: adopts (clones) the pattern and
-    /// the numeric matrix, marks the preconditioner for re-setup and
-    /// drops the warm start (a new operator's solution space is
-    /// unrelated).
-    pub fn bind(&mut self, symbolic: &CsrSymbolic, matrix: &CsrMatrix, tag: u64, epoch: u64) {
-        self.adopt(Some(symbolic.clone()), matrix.clone(), tag, epoch);
+    /// Brings the session up to date with the operator `matrix`, named
+    /// by `(tag, epoch)`:
+    ///
+    /// * current for `(tag, epoch)` already: nothing to do;
+    /// * holding `tag` (at another epoch, or poisoned): copies
+    ///   `matrix`'s values into the held operator — O(nnz), no
+    ///   allocation, counted as a refresh — and keeps the warm start;
+    /// * otherwise: adopts a copy of `matrix`, counted as a bind, and
+    ///   drops the warm start (a new operator's solution space is
+    ///   unrelated).
+    ///
+    /// Either change marks the preconditioner for re-setup and clears a
+    /// poisoned session's numeric state.
+    ///
+    /// # Errors
+    ///
+    /// * [`NumError::InvalidInput`] for tag 0, which names no operator,
+    /// * [`NumError::DimensionMismatch`] if the session holds `tag` with
+    ///   another shape or nnz.
+    ///
+    /// A rejected load leaves the session as it was.
+    pub fn load(&mut self, matrix: &CsrMatrix, tag: u64, epoch: u64) -> Result<(), NumError> {
+        if tag == 0 {
+            return Err(NumError::InvalidInput(
+                "operator tag 0 names no operator".into(),
+            ));
+        }
+        if self.is_current(tag, epoch) {
+            return Ok(());
+        }
+        self.reload(matrix, tag, epoch)
     }
 
-    fn adopt(&mut self, symbolic: Option<CsrSymbolic>, matrix: CsrMatrix, tag: u64, epoch: u64) {
+    /// [`SolverSession::load`]'s value copy or adoption, without the
+    /// currency check.
+    fn reload(&mut self, matrix: &CsrMatrix, tag: u64, epoch: u64) -> Result<(), NumError> {
+        if self.is_bound() && self.operator_tag == tag {
+            self.matrix.copy_values_from(matrix)?;
+            self.stats.refreshes += 1;
+        } else {
+            self.matrix = matrix.clone();
+            self.operator_tag = tag;
+            self.x.clear();
+            self.stats.binds += 1;
+        }
         self.clear_poison();
-        self.symbolic = symbolic;
-        self.matrix = matrix;
-        self.operator_tag = tag;
         self.epoch = epoch;
+        self.precond_stale = true;
+        Ok(())
+    }
+
+    /// Drops the held operator: the session is unbound until the next
+    /// load adopts one.
+    fn unbind(&mut self) {
+        self.matrix = CsrMatrix::empty();
+        self.operator_tag = 0;
+        self.epoch = 0;
         self.precond_stale = true;
         self.x.clear();
-        self.stats.binds += 1;
-    }
-
-    /// Binds the session directly from a triplet assembly: builds the
-    /// symbolic pattern and the numeric matrix in one step (allocating a
-    /// fresh operator tag).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CsrSymbolic::numeric`] errors.
-    pub fn bind_triplets(&mut self, triplets: &TripletMatrix) -> Result<(), NumError> {
-        let symbolic = triplets.to_csr_symbolic();
-        let matrix = symbolic.numeric(triplets)?;
-        self.bind(&symbolic, &matrix, next_operator_tag(), 0);
-        Ok(())
-    }
-
-    /// Re-stamps the session's matrix values from a triplet list with
-    /// the bound pattern (same stamp sequence, new coefficients) and
-    /// marks the preconditioner for re-setup. O(nnz), no allocation.
-    ///
-    /// # Errors
-    ///
-    /// * [`NumError::InvalidInput`] if the session holds no triplet
-    ///   pattern (unbound, or bound by [`SolverSession::load_shifted`]),
-    /// * [`CsrSymbolic::refresh_values`] errors on a mismatched list.
-    pub fn refresh_values(&mut self, triplets: &TripletMatrix, epoch: u64) -> Result<(), NumError> {
-        let Some(symbolic) = &self.symbolic else {
-            return Err(NumError::InvalidInput(
-                "refresh_values on a session without a triplet pattern".into(),
-            ));
-        };
-        symbolic.refresh_values(&mut self.matrix, triplets)?;
-        self.clear_poison();
-        self.epoch = epoch;
-        self.precond_stale = true;
-        self.stats.refreshes += 1;
-        Ok(())
-    }
-
-    /// Copies the values of a same-pattern matrix into the session's
-    /// operator (the cheap sync path when the binding solver already
-    /// refreshed its own copy). O(nnz), no allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`NumError::DimensionMismatch`] if shapes or nnz differ.
-    pub fn load_values(&mut self, src: &CsrMatrix, epoch: u64) -> Result<(), NumError> {
-        self.matrix.copy_values_from(src)?;
-        self.clear_poison();
-        self.epoch = epoch;
-        self.precond_stale = true;
-        self.stats.refreshes += 1;
-        Ok(())
     }
 
     /// Makes the session's operator `base + diag(shift)` — the shifted
@@ -500,24 +488,27 @@ impl SolverSession {
     /// # Errors
     ///
     /// [`NumError::DimensionMismatch`] if `base` does not match the
-    /// bound operator's shape, `shift` is not one entry per row, or a
-    /// row has no diagonal entry.
+    /// bound operator's shape (the session is then left as it was),
+    /// `shift` is not one entry per row, or a row has no diagonal entry
+    /// (the session is then unbound: it never holds a part-shifted
+    /// operator).
     pub fn load_shifted(
         &mut self,
         base: &CsrMatrix,
         shift: &[f64],
         epoch: u64,
     ) -> Result<(), NumError> {
-        if self.is_bound() {
-            self.matrix.copy_values_from(base)?;
-            self.clear_poison();
-            self.epoch = epoch;
-            self.precond_stale = true;
-            self.stats.refreshes += 1;
+        let tag = if self.is_bound() {
+            self.operator_tag
         } else {
-            self.adopt(None, base.clone(), next_operator_tag(), epoch);
+            next_operator_tag()
+        };
+        self.reload(base, tag, epoch)?;
+        let shifted = self.matrix.add_to_diagonal(shift);
+        if shifted.is_err() {
+            self.unbind();
         }
-        self.matrix.add_to_diagonal(shift)
+        shifted
     }
 
     /// The bound operator.
@@ -588,8 +579,8 @@ impl SolverSession {
 
     /// True when the post-solve state validation found non-finite values
     /// it could not recover from. A poisoned session refuses to solve
-    /// and reports not-current until a bind or value reload rebuilds the
-    /// numeric state (see the [module docs](self)).
+    /// and reports not-current until a [`SolverSession::load`] rebuilds
+    /// the numeric state (see the [module docs](self)).
     #[inline]
     pub fn poisoned(&self) -> bool {
         self.poisoned
@@ -604,9 +595,9 @@ impl SolverSession {
 
     /// Cold-rebuilds the numeric scratch state when poisoned: drops the
     /// preconditioner, workspace and warm start so nothing non-finite
-    /// survives into the next solve. Called by every resync entry point
-    /// (bind / refresh / value load) — each of which also overwrites the
-    /// operator values wholesale, completing the cold re-assembly.
+    /// survives into the next solve. Called by every load, each of which
+    /// also overwrites the operator values wholesale, completing the
+    /// cold re-assembly.
     fn clear_poison(&mut self) {
         if self.poisoned {
             self.poisoned = false;
@@ -679,7 +670,7 @@ impl SolverSession {
         }
         if self.poisoned {
             return Err(NumError::InvalidInput(
-                "solve on a poisoned session (rebind or reload values to recover)".into(),
+                "solve on a poisoned session (load the operator to recover)".into(),
             ));
         }
         // A configured preconditioner whose setup collapses (IC(0) on an
@@ -847,7 +838,7 @@ impl SolverSession {
 
         // Ladder exhausted (or recovery disabled). If non-finite values
         // are still sitting in the scratch state, quarantine the session
-        // until the owner rebinds or reloads values.
+        // until the owner loads the operator again.
         self.x.clear();
         if !self.ws.all_finite() {
             self.poisoned = true;
@@ -903,6 +894,7 @@ impl SolverSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::TripletMatrix;
 
     /// Stamps a 1-D conduction chain with link conductance `g`.
     fn chain(n: usize, g: f64) -> TripletMatrix {
@@ -927,7 +919,7 @@ mod tests {
         assert!(!s.is_bound());
         assert!(s.solve_spd(&vec![1.0; n]).is_err());
 
-        s.bind_triplets(&t).unwrap();
+        s.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         assert!(s.is_bound());
         let b = vec![1.0; n];
         let cold = s.solve_spd(&b).unwrap();
@@ -967,7 +959,6 @@ mod tests {
         assert!(s.is_bound());
         assert_eq!(s.matrix(), &shifted(&g, &shift));
         assert_eq!((s.stats().binds, s.stats().refreshes), (1, 0));
-        assert!(s.refresh_values(&chain(n, 2.0), 1).is_err(), "no triplet pattern");
 
         let g2 = chain(n, 3.0).to_csr();
         let shift2: Vec<f64> = shift.iter().map(|v| v * 7.0).collect();
@@ -979,16 +970,80 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_shifted_load_leaves_no_part_shifted_operator_current() {
+        let n = 10;
+        let g = chain(n, 1.0).to_csr();
+        let shift: Vec<f64> = (0..n).map(|i| 0.5 + i as f64).collect();
+        let b = vec![1.0; n];
+        let mut s = SolverSession::default();
+        s.load_shifted(&g, &shift, 0).unwrap();
+        let (tag, held) = (s.operator_tag(), s.matrix().clone());
+        // One shift short: refused, and the session holds the previous
+        // shifted operator or none at all.
+        assert!(s.load_shifted(&g, &shift[1..], 1).is_err());
+        assert!(!s.is_current(tag, 1));
+        if s.is_bound() {
+            assert_eq!(s.matrix(), &held);
+        } else {
+            assert!(s.solve_general(&b).is_err());
+        }
+        // A row without a diagonal entry fails part-way through the
+        // shift: an unbound session is not left holding the base.
+        let mut t = TripletMatrix::new(2, 2);
+        t.push(0, 0, 1.0).unwrap();
+        t.push(1, 0, 1.0).unwrap();
+        let mut fresh = SolverSession::default();
+        assert!(fresh.load_shifted(&t.to_csr(), &[1.0, 1.0], 0).is_err());
+        assert!(!fresh.is_bound());
+        // The next good load serves the shifted operator again.
+        s.load_shifted(&g, &shift, 2).unwrap();
+        assert_eq!(s.matrix(), &held);
+        s.solve_general(&b).unwrap();
+    }
+
+    #[test]
+    fn load_is_a_no_op_a_value_copy_or_an_adoption() {
+        let n = 16;
+        let b = vec![1.0; n];
+        let tag = next_operator_tag();
+        let mut s = SolverSession::default();
+        assert!(s.load(&chain(n, 1.0).to_csr(), 0, 0).is_err(), "tag 0");
+        assert!(!s.is_bound());
+        s.load(&chain(n, 1.0).to_csr(), tag, 0).unwrap();
+        s.solve_spd(&b).unwrap();
+        // Current already: nothing moves.
+        s.load(&chain(n, 2.0).to_csr(), tag, 0).unwrap();
+        assert_eq!(s.matrix(), &chain(n, 1.0).to_csr());
+        assert_eq!((s.stats().binds, s.stats().refreshes), (1, 0));
+        // The held tag at a new epoch: a value copy, warm start kept.
+        s.load(&chain(n, 2.0).to_csr(), tag, 1).unwrap();
+        assert_eq!(s.matrix(), &chain(n, 2.0).to_csr());
+        assert_eq!((s.stats().binds, s.stats().refreshes), (1, 1));
+        assert_eq!(s.solution().len(), n);
+        // The held tag in another shape is refused, and the session
+        // stays as it was.
+        assert!(s.load(&chain(n + 1, 2.0).to_csr(), tag, 2).is_err());
+        assert!(s.is_current(tag, 1));
+        assert_eq!(s.matrix(), &chain(n, 2.0).to_csr());
+        // Another tag: adopted, warm start dropped.
+        let other = next_operator_tag();
+        s.load(&chain(n + 1, 3.0).to_csr(), other, 0).unwrap();
+        assert!(s.is_current(other, 0));
+        assert_eq!((s.stats().binds, s.stats().refreshes), (2, 1));
+        assert!(s.solution().is_empty());
+    }
+
+    #[test]
     fn refresh_values_updates_operator_and_precond() {
         let n = 30;
         let mut s = SolverSession::with_preconditioner(PrecondSpec::Ic0);
-        s.bind_triplets(&chain(n, 1.0)).unwrap();
+        s.load(&chain(n, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         let b = vec![1.0; n];
         s.solve_spd(&b).unwrap();
         let x1: Vec<f64> = s.solution().to_vec();
 
         // New coefficients through the cached pattern.
-        s.refresh_values(&chain(n, 5.0), 1).unwrap();
+        s.load(&chain(n, 5.0).to_csr(), s.operator_tag(), 1).unwrap();
         assert_eq!(s.epoch(), 1);
         s.solve_spd(&b).unwrap();
         let x2: Vec<f64> = s.solution().to_vec();
@@ -996,7 +1051,7 @@ mod tests {
         assert!(x1.iter().zip(&x2).any(|(a, b)| (a - b).abs() > 1e-6));
         // Reference: a fresh session on the refreshed coefficients.
         let mut fresh = SolverSession::with_preconditioner(PrecondSpec::Ic0);
-        fresh.bind_triplets(&chain(n, 5.0)).unwrap();
+        fresh.load(&chain(n, 5.0).to_csr(), next_operator_tag(), 0).unwrap();
         fresh.solve_spd(&b).unwrap();
         for (a, b) in x2.iter().zip(fresh.solution()) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
@@ -1011,10 +1066,10 @@ mod tests {
         let t = chain(n, 2.0);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut s1 = SolverSession::default();
-        s1.bind_triplets(&t).unwrap();
+        s1.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         s1.solve_general(&b).unwrap();
         let mut s2 = SolverSession::default();
-        s2.bind_triplets(&t).unwrap();
+        s2.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         s2.rhs_mut().extend_from_slice(&b);
         s2.solve_general_in_place().unwrap();
         for (a, c) in s1.solution().iter().zip(s2.solution()) {
@@ -1026,7 +1081,7 @@ mod tests {
     fn clone_rebuilds_preconditioner_lazily() {
         let n = 20;
         let mut s = SolverSession::with_preconditioner(PrecondSpec::ssor());
-        s.bind_triplets(&chain(n, 1.0)).unwrap();
+        s.load(&chain(n, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         let b = vec![1.0; n];
         s.solve_spd(&b).unwrap();
         let mut c = s.clone();
@@ -1040,12 +1095,12 @@ mod tests {
     #[test]
     fn currency_check_distinguishes_tag_and_epoch() {
         let mut s = SolverSession::default();
-        s.bind_triplets(&chain(8, 1.0)).unwrap();
+        s.load(&chain(8, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         let tag = s.operator_tag();
         assert!(s.is_current(tag, 0));
         assert!(!s.is_current(tag + 1, 0));
         assert!(!s.is_current(tag, 3));
-        s.refresh_values(&chain(8, 2.0), 3).unwrap();
+        s.load(&chain(8, 2.0).to_csr(), s.operator_tag(), 3).unwrap();
         assert!(s.is_current(tag, 3));
         // Unique tags.
         assert_ne!(next_operator_tag(), next_operator_tag());
@@ -1061,7 +1116,7 @@ mod tests {
         });
         // Recovery off: this test pins the clean-path failure contract.
         s.set_recovery_policy(RecoveryPolicy::disabled());
-        s.bind_triplets(&chain(n, 1.0)).unwrap();
+        s.load(&chain(n, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         assert!(s.solve_spd(&vec![1.0; n]).is_err());
         assert!(s.solution().is_empty());
         assert!(!s.poisoned(), "a finite non-converged iterate must not poison");
@@ -1078,7 +1133,7 @@ mod tests {
             tolerance: 1e-12,
             preconditioner: PrecondSpec::Jacobi,
         });
-        s.bind_triplets(&chain(n, 1.0)).unwrap();
+        s.load(&chain(n, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         let stats = s.solve_spd(&vec![1.0; n]).unwrap();
         assert!(stats.relative_residual <= 1e-12);
         let session = s.stats();
@@ -1101,11 +1156,11 @@ mod tests {
         let _serial = faults::test_serial_guard();
         let n = 24;
         let mut s = SolverSession::default();
-        s.bind_triplets(&chain(n, 1.0)).unwrap();
+        s.load(&chain(n, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         let b = vec![1.0; n];
         let clean = {
             let mut reference = SolverSession::default();
-            reference.bind_triplets(&chain(n, 1.0)).unwrap();
+            reference.load(&chain(n, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
             reference.solve_spd(&b).unwrap();
             reference.solution().to_vec()
         };
@@ -1130,7 +1185,7 @@ mod tests {
         let t = chain(n, 1.0);
         let mut s = SolverSession::default();
         s.set_recovery_policy(RecoveryPolicy::disabled());
-        s.bind_triplets(&t).unwrap();
+        s.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         let b = vec![1.0; n];
         let tag = s.operator_tag();
         let plan = FaultPlan { seed: 0, nan: 1, ..FaultPlan::default() };
@@ -1144,11 +1199,11 @@ mod tests {
         assert!(s.solve_spd(&b).is_err());
         // A value reload is a cold re-assembly: poison clears and the
         // result matches a fresh session bitwise.
-        s.refresh_values(&t, 1).unwrap();
+        s.load(&t.to_csr(), s.operator_tag(), 1).unwrap();
         assert!(!s.poisoned());
         s.solve_spd(&b).unwrap();
         let mut fresh = SolverSession::default();
-        fresh.bind_triplets(&t).unwrap();
+        fresh.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         fresh.solve_spd(&b).unwrap();
         let got: Vec<u64> = s.solution().iter().map(|v| v.to_bits()).collect();
         let want: Vec<u64> = fresh.solution().iter().map(|v| v.to_bits()).collect();
@@ -1174,7 +1229,7 @@ mod tests {
             }
         }
         let mut s = SolverSession::with_preconditioner(PrecondSpec::Ic0);
-        s.bind_triplets(&t).unwrap();
+        s.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         let b = vec![1.0; n];
         let stats = s.solve_general(&b).unwrap();
         assert!(stats.relative_residual <= s.options().tolerance);
@@ -1190,7 +1245,7 @@ mod tests {
         let n = 24;
         let spec = PrecondSpec::Multigrid(MgConfig::for_grid(n, 1, 1));
         let mut s = SolverSession::with_preconditioner(spec);
-        s.bind_triplets(&chain(n, 1.0)).unwrap();
+        s.load(&chain(n, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         let b = vec![1.0; n];
         // Breakdown injected on the first attempt only: the clean MG
         // attempt fails synthetically, the cold restart (still MG)
@@ -1218,7 +1273,7 @@ mod tests {
         // chain and the solve still lands.
         let spec = PrecondSpec::Multigrid(MgConfig::for_grid(2 * n, 1, 1));
         let mut s = SolverSession::with_preconditioner(spec);
-        s.bind_triplets(&chain(n, 1.0)).unwrap();
+        s.load(&chain(n, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         let b = vec![1.0; n];
         let stats = s.solve_spd(&b).unwrap();
         assert!(stats.relative_residual <= s.options().tolerance);
@@ -1232,7 +1287,7 @@ mod tests {
         let n = 48;
         let spec = PrecondSpec::Multigrid(MgConfig::for_grid(n, 1, 1));
         let mut s = SolverSession::with_preconditioner(spec);
-        s.bind_triplets(&chain(n, 1.0)).unwrap();
+        s.load(&chain(n, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         let b = vec![1.0; n];
         s.solve_spd(&b).unwrap();
         assert_eq!(s.stats().mg_hierarchy_builds, 1);
@@ -1240,7 +1295,7 @@ mod tests {
         assert!(s.stats().mg_levels >= 1);
         // Coefficient retarget through the cached pattern: the MG
         // hierarchy refreshes in place, no rebuild.
-        s.refresh_values(&chain(n, 3.0), 1).unwrap();
+        s.load(&chain(n, 3.0).to_csr(), s.operator_tag(), 1).unwrap();
         s.solve_spd(&b).unwrap();
         assert_eq!(s.stats().mg_hierarchy_builds, 1);
         assert_eq!(s.stats().mg_refreshes, 1);
@@ -1249,7 +1304,7 @@ mod tests {
         assert!(digest.starts_with("mg("), "{digest}");
         // Non-MG sessions report the plain spec name.
         let mut plain = SolverSession::default();
-        plain.bind_triplets(&chain(8, 1.0)).unwrap();
+        plain.load(&chain(8, 1.0).to_csr(), next_operator_tag(), 0).unwrap();
         plain.solve_spd(&[1.0; 8]).unwrap();
         assert_eq!(plain.precond_digest(), "jacobi");
         assert_eq!(plain.stats().mg_digest(), None);
@@ -1259,7 +1314,7 @@ mod tests {
     fn preconditioner_swap_takes_effect() {
         let n = 50;
         let mut s = SolverSession::with_preconditioner(PrecondSpec::Jacobi);
-        s.bind_triplets(&chain(n, 10.0)).unwrap();
+        s.load(&chain(n, 10.0).to_csr(), next_operator_tag(), 0).unwrap();
         let b = vec![1.0; n];
         let jac = s.solve_spd(&b).unwrap();
         s.set_preconditioner(PrecondSpec::Ic0);

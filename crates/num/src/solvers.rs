@@ -11,10 +11,13 @@
 //! Preconditioning is pluggable via [`crate::precond::Preconditioner`]:
 //! [`IterOptions::preconditioner`] names a [`PrecondSpec`] (Jacobi by
 //! default — remarkably effective for the diagonally dominant matrices
-//! these applications produce; SSOR and IC(0) for the tougher grids),
-//! and the `_preconditioned` entry points accept an already-set-up
-//! preconditioner so sessions can amortize factorizations across solves.
-//! A Gauss–Seidel/SOR smoother is provided for tests and as a fallback.
+//! these applications produce; SSOR and IC(0) for the tougher grids).
+//! Each method has two entry points. The one-shot [`conjugate_gradient`]
+//! and [`bicgstab`] build and set up the named preconditioner for one
+//! solve; [`conjugate_gradient_preconditioned`] and
+//! [`bicgstab_preconditioned`] take an already-set-up preconditioner and
+//! caller-owned buffers, so a [`crate::session::SolverSession`] can
+//! amortize factorization, scratch and warm start across solves.
 //!
 //! # Examples
 //!
@@ -128,11 +131,10 @@ impl Default for SolveStats {
 
 /// Preallocated scratch vectors for the Krylov solvers.
 ///
-/// A sweep engine creates one workspace (per thread) and reuses it across
-/// every solve of the sweep; buffers grow on first use and are never
-/// reallocated while the system size is unchanged. The same workspace can
-/// serve both [`conjugate_gradient_with_workspace`] and
-/// [`bicgstab_with_workspace`].
+/// A [`crate::session::SolverSession`] owns one and reuses it across
+/// every solve; buffers grow on first use and are never reallocated
+/// while the system size is unchanged. The same workspace can serve both
+/// [`conjugate_gradient_preconditioned`] and [`bicgstab_preconditioned`].
 #[derive(Debug, Clone, Default)]
 pub struct KrylovWorkspace {
     r: Vec<f64>,
@@ -226,7 +228,10 @@ fn bicgstab_restart(
     *omega = 1.0;
 }
 
-/// Preconditioned conjugate gradient for symmetric positive-definite `A`.
+/// Preconditioned conjugate gradient for symmetric positive-definite `A`,
+/// one shot: builds and sets up `opts.preconditioner`, then runs
+/// [`conjugate_gradient_preconditioned`] from `x0` (a zero start when
+/// `None`) with a fresh workspace.
 ///
 /// # Errors
 ///
@@ -244,8 +249,10 @@ pub fn conjugate_gradient(
 ) -> Result<IterSolution, NumError> {
     validate(a, b, x0)?;
     let mut x = x0.map_or_else(Vec::new, <[f64]>::to_vec);
+    let mut m = opts.preconditioner.build();
+    m.setup(a)?;
     let mut ws = KrylovWorkspace::new();
-    let stats = conjugate_gradient_with_workspace(a, b, &mut x, opts, &mut ws)?;
+    let stats = conjugate_gradient_preconditioned(a, b, &mut x, opts, &mut ws, m.as_mut())?;
     Ok(IterSolution {
         x,
         iterations: stats.iterations,
@@ -253,43 +260,16 @@ pub fn conjugate_gradient(
     })
 }
 
-/// Preconditioned conjugate gradient using caller-owned buffers.
-///
-/// `x` doubles as warm start and result: when its length matches the
-/// system it is used as the initial guess (pass the previous sweep
-/// point's solution to warm-start); any other length — e.g. an empty
-/// vector — is reset to a zero cold start. On success `x` holds the
-/// solution. `ws` supplies all scratch vectors, so a sweep performs no
-/// per-solve allocation after the first call. The preconditioner named
-/// by `opts` is built and set up per call; use
-/// [`conjugate_gradient_preconditioned`] (or a
-/// [`crate::session::SolverSession`]) to amortize setup too.
-///
-/// [`conjugate_gradient`] is a thin wrapper over this function with a
-/// fresh workspace, so results are identical between the two entry
-/// points.
-///
-/// # Errors
-///
-/// As [`conjugate_gradient`].
-pub fn conjugate_gradient_with_workspace(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut Vec<f64>,
-    opts: &IterOptions,
-    ws: &mut KrylovWorkspace,
-) -> Result<SolveStats, NumError> {
-    let mut m = opts.preconditioner.build();
-    m.setup(a)?;
-    conjugate_gradient_preconditioned(a, b, x, opts, ws, m.as_mut())
-}
-
 /// Preconditioned conjugate gradient with a caller-supplied,
 /// already-set-up preconditioner — the amortized entry point used by
 /// [`crate::session::SolverSession`].
 ///
 /// `opts.preconditioner` is ignored; `m` must have been
-/// [`Preconditioner::setup`] on (the current values of) `a`.
+/// [`Preconditioner::setup`] on (the current values of) `a`. `x` doubles
+/// as warm start and result: when its length matches the system it is
+/// the initial guess; any other length — e.g. an empty vector — is reset
+/// to a zero cold start. `ws` supplies every scratch vector, so repeated
+/// solves allocate nothing after the first.
 ///
 /// # Errors
 ///
@@ -361,7 +341,10 @@ pub fn conjugate_gradient_preconditioned(
     })
 }
 
-/// Preconditioned BiCGSTAB for general (nonsymmetric) `A`.
+/// Preconditioned BiCGSTAB for general (nonsymmetric) `A`, one shot:
+/// builds and sets up `opts.preconditioner`, then runs
+/// [`bicgstab_preconditioned`] from `x0` (a zero start when `None`) with
+/// a fresh workspace.
 ///
 /// # Errors
 ///
@@ -375,8 +358,10 @@ pub fn bicgstab(
 ) -> Result<IterSolution, NumError> {
     validate(a, b, x0)?;
     let mut x = x0.map_or_else(Vec::new, <[f64]>::to_vec);
+    let mut m = opts.preconditioner.build();
+    m.setup(a)?;
     let mut ws = KrylovWorkspace::new();
-    let stats = bicgstab_with_workspace(a, b, &mut x, opts, &mut ws)?;
+    let stats = bicgstab_preconditioned(a, b, &mut x, opts, &mut ws, m.as_mut())?;
     Ok(IterSolution {
         x,
         iterations: stats.iterations,
@@ -384,33 +369,13 @@ pub fn bicgstab(
     })
 }
 
-/// Preconditioned BiCGSTAB using caller-owned buffers.
-///
-/// Warm-start/result semantics of `x` and workspace reuse are as in
-/// [`conjugate_gradient_with_workspace`]; [`bicgstab`] is a thin wrapper
-/// over this function, so results are identical between the entry points.
-///
-/// # Errors
-///
-/// As [`bicgstab`].
-pub fn bicgstab_with_workspace(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut Vec<f64>,
-    opts: &IterOptions,
-    ws: &mut KrylovWorkspace,
-) -> Result<SolveStats, NumError> {
-    let mut m = opts.preconditioner.build();
-    m.setup(a)?;
-    bicgstab_preconditioned(a, b, x, opts, ws, m.as_mut())
-}
-
 /// Preconditioned BiCGSTAB with a caller-supplied, already-set-up
 /// preconditioner — the amortized entry point used by
 /// [`crate::session::SolverSession`].
 ///
 /// `opts.preconditioner` is ignored; `m` must have been
-/// [`Preconditioner::setup`] on (the current values of) `a`.
+/// [`Preconditioner::setup`] on (the current values of) `a`. `x` and
+/// `ws` are as in [`conjugate_gradient_preconditioned`].
 ///
 /// # Errors
 ///
@@ -593,86 +558,6 @@ pub fn bicgstab_preconditioned(
     })
 }
 
-/// One Gauss–Seidel / SOR sweep: `x ← x + ω·D⁻¹(b − A·x)` row-by-row.
-///
-/// Returns the L∞ norm of the update (useful as a convergence measure).
-///
-/// # Errors
-///
-/// * [`NumError::DimensionMismatch`] on size mismatch,
-/// * [`NumError::SingularMatrix`] on zero diagonal.
-pub fn sor_sweep(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    relaxation: f64,
-) -> Result<f64, NumError> {
-    if a.rows() != a.cols() || b.len() != a.rows() || x.len() != a.rows() {
-        return Err(NumError::DimensionMismatch(
-            "sor_sweep: inconsistent sizes".into(),
-        ));
-    }
-    let mut max_update = 0.0_f64;
-    for i in 0..a.rows() {
-        let mut sigma = 0.0;
-        let mut diag = 0.0;
-        for (j, v) in a.row(i) {
-            if j == i {
-                diag = v;
-            } else {
-                sigma += v * x[j];
-            }
-        }
-        if diag.abs() < f64::MIN_POSITIVE * 16.0 {
-            return Err(NumError::SingularMatrix { index: i });
-        }
-        let x_new = (1.0 - relaxation) * x[i] + relaxation * (b[i] - sigma) / diag;
-        max_update = max_update.max((x_new - x[i]).abs());
-        x[i] = x_new;
-    }
-    Ok(max_update)
-}
-
-/// Solves by repeated SOR sweeps. Intended for tests and small systems;
-/// production paths use the Krylov methods.
-///
-/// # Errors
-///
-/// As [`sor_sweep`], plus [`NumError::NotConverged`].
-pub fn sor_solve(
-    a: &CsrMatrix,
-    b: &[f64],
-    relaxation: f64,
-    opts: &IterOptions,
-) -> Result<IterSolution, NumError> {
-    let mut x = vec![0.0; b.len()];
-    // Caller-owned residual buffers, reused across sweeps (this loop
-    // used to allocate two fresh vectors per iteration).
-    let mut ax = vec![0.0; b.len()];
-    let mut r = vec![0.0; b.len()];
-    let b_norm = norm2(b).max(1e-300);
-    for it in 0..opts.max_iterations {
-        sor_sweep(a, b, &mut x, relaxation)?;
-        a.matvec_into(&x, &mut ax)?;
-        sub(b, &ax, &mut r);
-        let res = norm2(&r) / b_norm;
-        if res <= opts.tolerance {
-            return Ok(IterSolution {
-                x,
-                iterations: it + 1,
-                relative_residual: res,
-            });
-        }
-    }
-    a.matvec_into(&x, &mut ax)?;
-    sub(b, &ax, &mut r);
-    Err(NumError::NotConverged {
-        iterations: opts.max_iterations,
-        residual: norm2(&r) / b_norm,
-        tolerance: opts.tolerance,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,38 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn cg_preconditioning_reduces_iterations() {
-        let n = 24;
-        let a = laplacian_2d(n);
-        let b = vec![1.0; n * n];
-        let with = conjugate_gradient(
-            &a,
-            &b,
-            None,
-            &IterOptions {
-                preconditioner: PrecondSpec::Jacobi,
-                ..IterOptions::default()
-            },
-        )
-        .unwrap();
-        let without = conjugate_gradient(
-            &a,
-            &b,
-            None,
-            &IterOptions {
-                preconditioner: PrecondSpec::None,
-                ..IterOptions::default()
-            },
-        )
-        .unwrap();
-        // Jacobi on a constant-diagonal Laplacian is a pure scaling, so
-        // iteration counts match; this guards that preconditioning never
-        // hurts. (It pays off on the variable-coefficient matrices of the
-        // thermal/PDN crates.)
-        assert!(with.iterations <= without.iterations + 1);
-    }
-
-    #[test]
     fn stronger_preconditioners_cut_iterations_on_laplacian() {
         let n = 24;
         let a = laplacian_2d(n);
@@ -802,7 +655,6 @@ mod tests {
         let x_true: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.11).sin()).collect();
         let b = a.matvec(&x_true).unwrap();
         for spec in [
-            PrecondSpec::None,
             PrecondSpec::Jacobi,
             PrecondSpec::ssor(),
             PrecondSpec::Ssor { omega: 1.5 },
@@ -913,27 +765,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NumError::NotConverged { iterations: 2, .. }));
-    }
-
-    #[test]
-    fn sor_converges_on_dominant_system() {
-        let a = convection_diffusion_1d(40, 1.0);
-        let x_true: Vec<f64> = (0..40).map(|i| 1.0 + (i as f64) * 0.1).collect();
-        let b = a.matvec(&x_true).unwrap();
-        let sol = sor_solve(
-            &a,
-            &b,
-            1.2,
-            &IterOptions {
-                tolerance: 1e-9,
-                max_iterations: 5000,
-                preconditioner: PrecondSpec::None,
-            },
-        )
-        .unwrap();
-        for (xi, ti) in sol.x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-6);
-        }
     }
 
     #[test]

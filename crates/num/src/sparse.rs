@@ -577,27 +577,6 @@ impl CsrMatrix {
         out.extend((0..n).map(|i| self.get(i, i)));
     }
 
-    /// Returns `true` if the matrix is (weakly) row diagonally dominant:
-    /// `|a_ii| ≥ Σ_{j≠i} |a_ij|` for every row. Iterative solvers in this
-    /// workspace are applied to matrices with this property.
-    pub fn is_diagonally_dominant(&self) -> bool {
-        for i in 0..self.rows {
-            let mut diag = 0.0;
-            let mut off = 0.0;
-            for (j, v) in self.row(i) {
-                if j == i {
-                    diag = v.abs();
-                } else {
-                    off += v.abs();
-                }
-            }
-            if diag + 1e-14 * (diag + off) < off {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Checks structural and numerical symmetry to a relative tolerance.
     pub fn is_symmetric(&self, rel_tol: f64) -> bool {
         if self.rows != self.cols {
@@ -675,16 +654,6 @@ mod tests {
         // Row sums are zero (floating network).
         let y = a.matvec(&[1.0, 1.0]).unwrap();
         assert_eq!(y, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn diagonal_dominance_detection() {
-        assert!(laplacian_1d(8).is_diagonally_dominant());
-        let mut t = TripletMatrix::new(2, 2);
-        t.push(0, 0, 1.0).unwrap();
-        t.push(0, 1, -3.0).unwrap();
-        t.push(1, 1, 1.0).unwrap();
-        assert!(!t.to_csr().is_diagonally_dominant());
     }
 
     #[test]

@@ -4,13 +4,16 @@ use proptest::prelude::*;
 
 use bright_num::dense::DenseMatrix;
 use bright_num::roots::{brent, brent_bracketed, RootOptions};
+use bright_num::session::next_operator_tag;
 use bright_num::solvers::{
-    bicgstab, bicgstab_with_workspace, conjugate_gradient, conjugate_gradient_with_workspace,
-    sor_solve, IterOptions, KrylovWorkspace,
+    bicgstab, bicgstab_preconditioned, conjugate_gradient, conjugate_gradient_preconditioned,
+    IterOptions, KrylovWorkspace,
 };
 use bright_num::tridiag::TridiagonalFactorization;
 use bright_num::vec_ops;
-use bright_num::{BandedCholesky, PrecondSpec, SolverSession, TripletMatrix};
+use bright_num::{
+    BandedCholesky, CsrMatrix, PrecondSpec, Preconditioner, SolverSession, TripletMatrix,
+};
 
 fn lcg(seed: u64, i: u64, salt: u64) -> f64 {
     let x = i
@@ -19,12 +22,19 @@ fn lcg(seed: u64, i: u64, salt: u64) -> f64 {
     ((x >> 33) as f64 / (1u64 << 31) as f64) - 0.5
 }
 
+/// `opts.preconditioner` built and set up on `a`.
+fn set_up(opts: &IterOptions, a: &CsrMatrix) -> Box<dyn Preconditioner> {
+    let mut m = opts.preconditioner.build();
+    m.setup(a).unwrap();
+    m
+}
+
 /// Random SPD system: symmetric off-diagonals under a dominant diagonal.
 fn random_spd(n: usize, seed: u64) -> bright_num::CsrMatrix {
     random_spd_triplets(n, seed).to_csr()
 }
 
-/// Triplet form of [`random_spd`], for session `bind_triplets` tests.
+/// Triplet form of [`random_spd`], for session tests.
 fn random_spd_triplets(n: usize, seed: u64) -> TripletMatrix {
     let mut t = TripletMatrix::new(n, n);
     let mut diag = vec![1.0; n];
@@ -115,39 +125,6 @@ proptest! {
         }).unwrap();
         for (xs, xt) in sol.x.iter().zip(&x_true) {
             prop_assert!((xs - xt).abs() < 1e-6, "{xs} vs {xt}");
-        }
-    }
-
-    #[test]
-    fn sor_agrees_with_cg_on_dominant_systems(n in 2usize..12, seed in 0u64..100) {
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            let mut off_sum = 0.0;
-            for j in 0..n {
-                if i != j {
-                    let v = lcg(seed, (i * n + j) as u64, 23) * 0.5;
-                    // Symmetric pattern for CG.
-                    if j > i {
-                        t.push(i, j, v).unwrap();
-                        t.push(j, i, v).unwrap();
-                    }
-                    off_sum += v.abs();
-                }
-            }
-            t.push(i, i, 2.0 * off_sum + 1.0).unwrap();
-        }
-        // NOTE: off_sum above only counts j > i for the diagonal of row i,
-        // so re-assemble strictly: rebuild with full row sums.
-        let a = t.to_csr();
-        prop_assume!(a.is_diagonally_dominant());
-        let rhs: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 29)).collect();
-        let opts = IterOptions { tolerance: 1e-11, max_iterations: 50_000, preconditioner: PrecondSpec::Jacobi };
-        let cg = conjugate_gradient(&a, &rhs, None, &opts);
-        prop_assume!(cg.is_ok()); // skip the rare non-SPD draw
-        let cg = cg.unwrap();
-        let sor = sor_solve(&a, &rhs, 1.0, &opts).unwrap();
-        for (u, v) in cg.x.iter().zip(&sor.x) {
-            prop_assert!((u - v).abs() < 1e-6);
         }
     }
 
@@ -295,12 +272,14 @@ proptest! {
         let cold = conjugate_gradient(&a, &b, None, &opts).unwrap();
 
         // Warm start from a perturbed nearby solution (a "previous sweep
-        // point"), solved through the workspace path.
+        // point"), solved through the caller-owned-buffer path.
         let mut ws = KrylovWorkspace::new();
+        let mut m = set_up(&opts, &a);
         let mut x: Vec<f64> = cold.x.iter().enumerate()
             .map(|(i, v)| v + 0.05 * lcg(seed, i as u64, 59))
             .collect();
-        let stats = conjugate_gradient_with_workspace(&a, &b, &mut x, &opts, &mut ws).unwrap();
+        let stats =
+            conjugate_gradient_preconditioned(&a, &b, &mut x, &opts, &mut ws, m.as_mut()).unwrap();
         prop_assert!(stats.relative_residual <= opts.tolerance);
         prop_assert!(stats.iterations <= cold.iterations + 1,
             "warm start took {} iterations vs cold {}", stats.iterations, cold.iterations);
@@ -311,7 +290,8 @@ proptest! {
 
         // Reusing the same workspace and solution for the same system
         // converges (nearly) immediately.
-        let stats2 = conjugate_gradient_with_workspace(&a, &b, &mut x, &opts, &mut ws).unwrap();
+        let stats2 =
+            conjugate_gradient_preconditioned(&a, &b, &mut x, &opts, &mut ws, m.as_mut()).unwrap();
         prop_assert!(stats2.iterations <= 1);
     }
 
@@ -328,16 +308,17 @@ proptest! {
         let cold = bicgstab(&a, &b, None, &opts).unwrap();
 
         let mut ws = KrylovWorkspace::new();
+        let mut m = set_up(&opts, &a);
         let mut x: Vec<f64> = cold.x.iter().enumerate()
             .map(|(i, v)| v + 0.05 * lcg(seed, i as u64, 67))
             .collect();
-        let stats = bicgstab_with_workspace(&a, &b, &mut x, &opts, &mut ws).unwrap();
+        let stats = bicgstab_preconditioned(&a, &b, &mut x, &opts, &mut ws, m.as_mut()).unwrap();
         prop_assert!(stats.relative_residual <= opts.tolerance);
         for (w, c) in x.iter().zip(&cold.x) {
             prop_assert!((w - c).abs() < 1e-6, "{w} vs {c}");
         }
 
-        let stats2 = bicgstab_with_workspace(&a, &b, &mut x, &opts, &mut ws).unwrap();
+        let stats2 = bicgstab_preconditioned(&a, &b, &mut x, &opts, &mut ws, m.as_mut()).unwrap();
         prop_assert!(stats2.iterations <= 1);
     }
 
@@ -346,19 +327,32 @@ proptest! {
         n in 2usize..20,
         seed in 0u64..200,
     ) {
-        // The public cold-start APIs are wrappers over the workspace
-        // variants; with a fresh workspace the iterates are the same
-        // floating-point sequence, so results agree exactly.
+        // The one-shot entries set up the named preconditioner and run
+        // the caller-owned-buffer form with a fresh workspace, so with a
+        // fresh workspace of its own that form runs the same
+        // floating-point sequence and the results agree exactly.
         let a = random_spd(n, seed);
         let b: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 71)).collect();
         let opts = IterOptions::default();
-        let via_wrapper = conjugate_gradient(&a, &b, None, &opts).unwrap();
-        let mut ws = KrylovWorkspace::new();
-        let mut x = Vec::new();
-        let stats = conjugate_gradient_with_workspace(&a, &b, &mut x, &opts, &mut ws).unwrap();
-        prop_assert_eq!(via_wrapper.iterations, stats.iterations);
-        for (u, v) in via_wrapper.x.iter().zip(&x) {
-            prop_assert!(u == v, "wrapper {u} vs workspace {v}");
+        for spd in [true, false] {
+            let one_shot = if spd {
+                conjugate_gradient(&a, &b, None, &opts)
+            } else {
+                bicgstab(&a, &b, None, &opts)
+            }
+            .unwrap();
+            let (mut x, mut ws, mut m) = (Vec::new(), KrylovWorkspace::new(), set_up(&opts, &a));
+            let stats = if spd {
+                conjugate_gradient_preconditioned(&a, &b, &mut x, &opts, &mut ws, m.as_mut())
+            } else {
+                bicgstab_preconditioned(&a, &b, &mut x, &opts, &mut ws, m.as_mut())
+            }
+            .unwrap();
+            prop_assert_eq!(one_shot.iterations, stats.iterations);
+            prop_assert_eq!(one_shot.relative_residual.to_bits(), stats.relative_residual.to_bits());
+            for (u, v) in one_shot.x.iter().zip(&x) {
+                prop_assert!(u.to_bits() == v.to_bits(), "spd {spd}: one-shot {u} vs {v}");
+            }
         }
     }
 
@@ -491,7 +485,7 @@ proptest! {
         seed in 0u64..200,
         scale in 0.2..5.0f64,
     ) {
-        // A session bound once and refreshed must produce the same
+        // A session loaded once and refreshed must produce the same
         // solutions as one-shot solves on freshly assembled operators.
         let stamp = |k: f64| {
             let mut t = TripletMatrix::new(n, n);
@@ -514,14 +508,15 @@ proptest! {
         let opts = IterOptions { tolerance: 1e-11, max_iterations: 20_000, preconditioner: PrecondSpec::ssor() };
 
         let mut session = SolverSession::new(opts.clone());
-        session.bind_triplets(&stamp(1.0)).unwrap();
+        let tag = next_operator_tag();
+        session.load(&stamp(1.0).to_csr(), tag, 0).unwrap();
         session.solve_general(&b).unwrap();
         let direct = bicgstab(&stamp(1.0).to_csr(), &b, None, &opts).unwrap();
         for (u, v) in session.solution().iter().zip(&direct.x) {
             prop_assert!((u - v).abs() < 1e-7, "{u} vs {v}");
         }
 
-        session.refresh_values(&stamp(scale), 1).unwrap();
+        session.load(&stamp(scale).to_csr(), tag, 1).unwrap();
         session.solve_general(&b).unwrap();
         let direct2 = bicgstab(&stamp(scale).to_csr(), &b, None, &opts).unwrap();
         for (u, v) in session.solution().iter().zip(&direct2.x) {
@@ -557,7 +552,7 @@ proptest! {
         };
 
         let mut clean = SolverSession::new(opts.clone());
-        clean.bind_triplets(&t).unwrap();
+        clean.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         faults::with_plan(None, || clean.solve_spd(&b)).unwrap();
 
         let plan = match fault {
@@ -566,7 +561,7 @@ proptest! {
             _ => FaultPlan { budget: 1, ..FaultPlan::default() },
         };
         let mut faulted = SolverSession::new(opts);
-        faulted.bind_triplets(&t).unwrap();
+        faulted.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         faults::with_plan(Some(plan), || faulted.solve_spd(&b)).unwrap();
         prop_assert!(faulted.stats().recovered_solves >= 1, "ladder never engaged");
         prop_assert!(!faulted.poisoned());
@@ -603,7 +598,7 @@ proptest! {
 
         let mut s = SolverSession::new(opts.clone());
         s.set_recovery_policy(RecoveryPolicy::disabled());
-        s.bind_triplets(&t).unwrap();
+        s.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         let plan = FaultPlan { nan: 1, ..FaultPlan::default() };
         prop_assert!(faults::with_plan(Some(plan), || s.solve_spd(&b)).is_err());
         prop_assert!(s.poisoned());
@@ -615,14 +610,15 @@ proptest! {
             Err(NumError::InvalidInput(_))
         ));
 
-        // Resync clears the poison; the rebuilt state must be
-        // indistinguishable from a fresh session's.
-        s.refresh_values(&t, 1).unwrap();
+        // Reloading the held operator clears the poison; the rebuilt
+        // state must be indistinguishable from a fresh session's.
+        s.load(&t.to_csr(), s.operator_tag(), s.epoch()).unwrap();
+        prop_assert_eq!(s.stats().refreshes, 1);
         prop_assert!(!s.poisoned());
         faults::with_plan(None, || s.solve_spd(&b)).unwrap();
 
         let mut fresh = SolverSession::new(opts);
-        fresh.bind_triplets(&t).unwrap();
+        fresh.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
         faults::with_plan(None, || fresh.solve_spd(&b)).unwrap();
         prop_assert_eq!(s.solution().len(), fresh.solution().len());
         for (u, v) in s.solution().iter().zip(fresh.solution()) {
@@ -683,7 +679,7 @@ proptest! {
                 max_iterations: 20_000,
                 preconditioner: spec,
             });
-            s.bind_triplets(&t).unwrap();
+            s.load(&t.to_csr(), next_operator_tag(), 0).unwrap();
             s.solve_general(&b).unwrap();
             s
         };

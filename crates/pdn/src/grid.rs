@@ -28,7 +28,7 @@ use bright_floorplan::{Floorplan, PowerScenario};
 use bright_mesh::{Field2d, Grid2d};
 use bright_num::session::next_operator_tag;
 use bright_num::solvers::IterOptions;
-use bright_num::{BandedCholesky, CsrMatrix, CsrSymbolic, PrecondSpec, SolverSession};
+use bright_num::{BandedCholesky, CsrMatrix, PrecondSpec, SolverSession};
 use bright_num::TripletMatrix;
 use std::iter::StepBy;
 use std::sync::{Arc, OnceLock};
@@ -48,7 +48,6 @@ pub struct PowerGrid {
     port_resistance: f64,
     port_cells: Vec<(usize, usize)>,
     sink_current: Field2d,
-    symbolic: CsrSymbolic,
     system: CsrMatrix,
     rhs: Vec<f64>,
     /// Session-facing operator identity.
@@ -160,7 +159,6 @@ impl PowerGrid {
             port_resistance,
             port_cells,
             sink_current,
-            symbolic: TripletMatrix::new(0, 0).to_csr_symbolic(),
             system: CsrMatrix::empty(),
             rhs: Vec::new(),
             tag: next_operator_tag(),
@@ -206,8 +204,7 @@ impl PowerGrid {
             let me = idx(ix, iy);
             t.push(me, me, g_port).map_err(PdnError::from)?;
         }
-        self.symbolic = t.to_csr_symbolic();
-        self.system = self.symbolic.numeric(&t).map_err(PdnError::from)?;
+        self.system = t.to_csr_symbolic().numeric(&t).map_err(PdnError::from)?;
         self.direct = OnceLock::new();
         self.rebuild_rhs();
         Ok(())
@@ -323,7 +320,9 @@ impl PowerGrid {
     #[must_use]
     pub fn session_with(&self, preconditioner: PrecondSpec) -> SolverSession {
         let mut session = SolverSession::new(Self::iter_options(preconditioner));
-        session.bind(&self.symbolic, &self.system, self.tag, 0);
+        session
+            .load(&self.system, self.tag, 0)
+            .expect("the grid's tag is never 0");
         session
     }
 
@@ -351,9 +350,7 @@ impl PowerGrid {
     ///
     /// As [`PowerGrid::solve`].
     pub fn solve_warm(&self, session: &mut SolverSession) -> Result<PdnSolution, PdnError> {
-        if !session.is_current(self.tag, 0) {
-            session.bind(&self.symbolic, &self.system, self.tag, 0);
-        }
+        session.load(&self.system, self.tag, 0)?;
         let n = self.grid.len();
         if session.solution().len() != n {
             // No previous solution: start from the flat supply voltage,

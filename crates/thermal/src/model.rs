@@ -688,29 +688,8 @@ impl ThermalModel {
     pub fn session(&self) -> Result<SolverSession, ThermalError> {
         let mut session = SolverSession::new(self.solve_options());
         let op = self.operator()?;
-        session.bind(&op.symbolic, &op.matrix, op.tag, self.epoch);
+        session.load(&op.matrix, op.tag, self.epoch)?;
         Ok(session)
-    }
-
-    /// Brings a caller-owned session in sync with the operator: binds an
-    /// unbound/foreign session, reloads values after a coefficient
-    /// refresh, and leaves a current session untouched.
-    fn sync_session(
-        &self,
-        op: &ThermalOperator,
-        session: &mut SolverSession,
-    ) -> Result<(), ThermalError> {
-        if session.is_current(op.tag, self.epoch) {
-            return Ok(());
-        }
-        if session.is_bound() && session.operator_tag() == op.tag {
-            session
-                .load_values(&op.matrix, self.epoch)
-                .map_err(ThermalError::from)?;
-        } else {
-            session.bind(&op.symbolic, &op.matrix, op.tag, self.epoch);
-        }
-        Ok(())
     }
 
     fn validate_sources(&self, sources: &[(usize, &Field2d)]) -> Result<(), ThermalError> {
@@ -815,7 +794,7 @@ impl ThermalModel {
     ) -> Result<ThermalSolution, ThermalError> {
         self.validate_sources(sources)?;
         let op = self.operator()?;
-        self.sync_session(op, session)?;
+        session.load(&op.matrix, op.tag, self.epoch)?;
         let n = op.rhs_base.len();
         {
             let rhs = session.rhs_mut();
